@@ -655,7 +655,7 @@ func BenchmarkFig10Sweep(b *testing.B) {
 // with the timer stopped so the metric measures the discrete-event
 // engine, not DRAM zeroing. shards 0 is the legacy single-kernel path;
 // shards ≥ 1 runs the conservative time-window cluster (windowed
-// timestamps include the modeled HostHop, so virtual spans differ
+// timestamps include the modeled 1 µs host hop, so virtual spans differ
 // slightly from the legacy run — the RTF ratio stays comparable).
 // Arming the telemetry is free by contract: byte-identical results and
 // ~0 allocs/event (TestShardedTelemetryInvariance,
@@ -716,7 +716,7 @@ func simulationSpeed(b *testing.B, channels, ways, shards int, noPool bool) (vir
 // that the kernel's slot-recycling event queue and the controller's
 // coroutine pool together keep flat.
 // The sharded sub-benches measure the conservative time-window cluster
-// at the full-drive shape: shards1 is the windowed single-kernel
+// at the full-drive shape: windowed is the single-kernel
 // ablation (protocol cost with zero parallelism), sharded spreads the
 // 8 channels over 8 shard kernels plus the host shard. On a single-core
 // runner the windowed protocol is pure overhead (one barrier per
@@ -731,7 +731,7 @@ func BenchmarkSimulationSpeed(b *testing.B) {
 		{"1ch-8way", 1, 8, 0, false},
 		{"1ch-8way-unpooled", 1, 8, 0, true}, // the coro-pool ablation
 		{"full-drive-8ch-8way", 8, 8, 0, false},
-		{"full-drive-8ch-8way-shards1", 8, 8, 1, false},
+		{"full-drive-8ch-8way-windowed", 8, 8, 1, false},
 		{"full-drive-8ch-8way-sharded", 8, 8, 9, false},
 	} {
 		j := j

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/analyze"
+	"repro/internal/exp"
 	"repro/internal/obs"
 )
 
@@ -36,43 +39,6 @@ func golden(t *testing.T, name string) string {
 		t.Fatal(err)
 	}
 	return string(b)
-}
-
-// The sharded mini trace is the same 4-rig split sweep run under the
-// 2-shard cluster with the shard flight recorder flushed into the trace
-// (regenerate with
-// `go run ./cmd/babolbench -ops 16 -blocks 16 -parallel 1 -shards 2 -shardtrace -trace cmd/babolbench/testdata/mini_shard.jsonl split`,
-// then refresh the goldens from `babolbench analyze` / `-csv analyze`).
-// CI golden-diffs the analyze output of the built binary against the
-// same files and uploads the report as an artifact.
-func TestAnalyzeMiniShardTraceGolden(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "mini_shard.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	events, err := obs.ReadJSONL(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := analyze.Analyze(events)
-	if len(res.Runs) != 4 {
-		t.Fatalf("runs = %d, want 4", len(res.Runs))
-	}
-	for i, run := range res.Runs {
-		if run.Shards == nil {
-			t.Fatalf("run %d has no shard report", i)
-		}
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("protocol violations in the golden trace: %v", res.Violations)
-	}
-	if got, want := res.Render(), golden(t, "mini_shard.report.golden"); got != want {
-		t.Errorf("report drifted from golden\n got:\n%s\nwant:\n%s", got, want)
-	}
-	if got, want := res.CSV(), golden(t, "mini_shard.csv.golden"); got != want {
-		t.Errorf("CSV drifted from golden\n got:\n%s\nwant:\n%s", got, want)
-	}
 }
 
 // The tenant mini trace is the workload sweep — four solo runs plus the
@@ -127,5 +93,55 @@ func TestAnalyzeMiniTraceGolden(t *testing.T) {
 	}
 	if got, want := res.CSV(), golden(t, "mini.csv.golden"); got != want {
 		t.Errorf("CSV drifted from golden\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestMiniTracesRegenerate closes the loop on the checked-in traces:
+// the goldens above prove analyze is stable on mini.jsonl and
+// mini_tenants.jsonl, this proves those files are still what the
+// simulator emits — the live event streams of `-ops 16 split` and
+// `-ops 8 workload`, JSONL-encoded, byte for byte, at any -parallel.
+// A change to any simulated path shows up here as a diff against
+// bytes recorded before it.
+func TestMiniTracesRegenerate(t *testing.T) {
+	traces := []struct {
+		file string
+		args []string
+		run  func(exp.Options) error
+	}{
+		{"mini.jsonl", []string{"-ops", "16", "split"}, func(o exp.Options) error {
+			_, err := exp.TimeSplit(o)
+			return err
+		}},
+		{"mini_tenants.jsonl", []string{"-ops", "8", "workload"}, func(o exp.Options) error {
+			_, err := exp.Workloads(o, exp.WorkloadConfig{})
+			return err
+		}},
+	}
+	for _, tr := range traces {
+		want, err := os.ReadFile(filepath.Join("testdata", tr.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, parallel := range []string{"1", "8"} {
+			c := newCLI(io.Discard)
+			if err := c.fs.Parse(append([]string{"-parallel", parallel}, tr.args...)); err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			sink := obs.NewJSONLWriter(&got)
+			opt := c.options()
+			opt.Tracer = sink
+			if err := tr.run(opt); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%v at -parallel %s no longer regenerates testdata/%s (%d bytes, want %d)",
+					tr.args, parallel, tr.file, got.Len(), len(want))
+			}
+		}
 	}
 }

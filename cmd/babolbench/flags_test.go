@@ -2,17 +2,13 @@ package main
 
 import (
 	"io"
-	"runtime"
 	"testing"
 
 	"repro/internal/hic"
-	"repro/internal/sim"
 )
 
-// TestFlagParsing pins the CLI resolution rules: -parallel and -shards
-// share the "0 sizes to the CPUs" convention, -shards defaults to the
-// legacy unsharded kernel, and -hosthop converts microseconds into the
-// cluster lookahead.
+// TestFlagParsing pins the CLI resolution rules: how flags land in
+// exp.Options, and which values are refused before anything runs.
 func TestFlagParsing(t *testing.T) {
 	parse := func(t *testing.T, args ...string) *cli {
 		t.Helper()
@@ -31,43 +27,24 @@ func TestFlagParsing(t *testing.T) {
 		if c.parallel != 0 || opt.Parallel != 0 {
 			t.Errorf("default parallel = %d (opt %d), want 0", c.parallel, opt.Parallel)
 		}
-		// -shards defaults to legacy: Shards 0 keeps the single kernel.
-		if opt.Shards != 0 {
-			t.Errorf("default Shards = %d, want 0 (legacy)", opt.Shards)
-		}
-		if opt.HostHop != 0 {
-			t.Errorf("default HostHop = %v, want 0 (builder default)", opt.HostHop)
-		}
-		if opt.ShardTelemetry || opt.TraceShardWindows {
-			t.Error("shard telemetry armed without -shardtrace")
+		if err := c.validate(); err != nil {
+			t.Errorf("defaults rejected: %v", err)
 		}
 		if c.fs.Arg(0) != "fig10" {
 			t.Errorf("positional arg = %q, want fig10", c.fs.Arg(0))
 		}
 	})
 
-	t.Run("shards-zero-is-one-per-cpu", func(t *testing.T) {
-		opt := parse(t, "-shards", "0", "fig12").options()
-		if want := runtime.GOMAXPROCS(0); opt.Shards != want {
-			t.Errorf("-shards 0 resolved to %d, want GOMAXPROCS %d", opt.Shards, want)
+	// -seeds sizes the chaos seed list; a count below 1 used to reach
+	// make() and panic.
+	t.Run("seeds-below-one", func(t *testing.T) {
+		for _, n := range []string{"-1", "0"} {
+			if err := parse(t, "-seeds", n, "chaos").validate(); err == nil {
+				t.Errorf("-seeds %s accepted", n)
+			}
 		}
-	})
-
-	t.Run("shards-explicit", func(t *testing.T) {
-		opt := parse(t, "-shards", "4", "-hosthop", "2.5", "chaos").options()
-		if opt.Shards != 4 {
-			t.Errorf("Shards = %d, want 4", opt.Shards)
-		}
-		if want := sim.Duration(2.5 * float64(sim.Microsecond)); opt.HostHop != want {
-			t.Errorf("HostHop = %v, want %v", opt.HostHop, want)
-		}
-	})
-
-	t.Run("shardtrace", func(t *testing.T) {
-		opt := parse(t, "-shards", "2", "-shardtrace", "fig12").options()
-		if !opt.ShardTelemetry || !opt.TraceShardWindows {
-			t.Errorf("-shardtrace: ShardTelemetry=%v TraceShardWindows=%v, want both true",
-				opt.ShardTelemetry, opt.TraceShardWindows)
+		if err := parse(t, "-seeds", "1", "chaos").validate(); err != nil {
+			t.Errorf("-seeds 1 rejected: %v", err)
 		}
 	})
 

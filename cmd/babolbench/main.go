@@ -72,20 +72,10 @@
 // experiments run: /metrics is a JSON snapshot of the aggregated event
 // stream (updated concurrently as rigs execute, safely — the endpoint
 // aggregates through a mutex-guarded registry that does not perturb the
-// deterministic trace path), /shards is the shard-occupancy view of the
-// same registry (per-shard busy windows and utilization, mailbox
-// traffic — populated when -shardtrace streams shard-window records
-// from sharded rigs), /ftl is the FTL map-cache view (translation
+// deterministic trace path), /ftl is the FTL map-cache view (translation
 // hit/miss/eviction/flush totals and hit rate — populated when
 // -mapcache enables the cache), and the Go pprof handlers are mounted under
-// /debug/pprof/ for profiling the simulator itself. Sharded cluster
-// workers run under pprof labels (shard=N, domain=...), so /debug/pprof
-// profiles break down by shard.
-//
-// With -shards N -shardtrace, each rig also appends its shard
-// flight-recorder windows to the -trace file, and `babolbench analyze`
-// renders the shard report (per-shard utilization, barrier-cost
-// attribution, critical-path buckets, lookahead sensitivity) from them.
+// /debug/pprof/ for profiling the simulator itself.
 package main
 
 import (
@@ -96,13 +86,11 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"runtime"
 
 	"repro/internal/analyze"
 	"repro/internal/exp"
 	"repro/internal/hic"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // arbitration resolves the -arb flag.
@@ -205,7 +193,6 @@ func serveIntrospection(addr string) (obs.Tracer, error) {
 	live := obs.NewSyncMetrics()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.MetricsHandler(live.Snapshot))
-	mux.Handle("/shards", obs.ShardsHandler(live.Snapshot))
 	mux.Handle("/ftl", obs.FTLHandler(live.Snapshot))
 	mux.Handle("/tenants", obs.TenantsHandler(live.Snapshot))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -227,28 +214,21 @@ func serveIntrospection(addr string) (obs.Tracer, error) {
 }
 
 // cli holds babolbench's parsed flags. The flag set is built on an
-// injectable FlagSet so the parsing and resolution rules are testable:
-// -parallel and -shards share one convention — 0 means "size to the
-// CPUs" (runtime.GOMAXPROCS(0)); -shards -1 keeps the legacy unsharded
-// kernel (the default), since sharding changes the modeled timing by
-// the -hosthop latency.
+// injectable FlagSet so the parsing and resolution rules are testable.
 type cli struct {
-	fs        *flag.FlagSet
-	csv       bool
-	ops       int
-	blocks    int
-	trace     string
-	shardTr   bool
-	parallel  int
-	shards    int
-	hosthopUS float64
-	seeds     int
-	httpAddr  string
-	mapCache  int64
-	queues    int
-	arb       string
-	record    string
-	replay    string
+	fs       *flag.FlagSet
+	csv      bool
+	ops      int
+	blocks   int
+	trace    string
+	parallel int
+	seeds    int
+	httpAddr string
+	mapCache int64
+	queues   int
+	arb      string
+	record   string
+	replay   string
 }
 
 func newCLI(errOut io.Writer) *cli {
@@ -258,10 +238,7 @@ func newCLI(errOut io.Writer) *cli {
 	c.fs.IntVar(&c.ops, "ops", 240, "host operations per measured configuration")
 	c.fs.IntVar(&c.blocks, "blocks", 64, "blocks per LUN (throughput runs do not need full arrays)")
 	c.fs.StringVar(&c.trace, "trace", "", "append controller events to this JSONL file")
-	c.fs.BoolVar(&c.shardTr, "shardtrace", false, "flush each sharded rig's shard-window flight recorder into the trace (feeds the analyze shard report and /shards; implies per-rig telemetry, needs -shards >= 1)")
 	c.fs.IntVar(&c.parallel, "parallel", 0, "rigs simulated concurrently (0 = one per CPU, 1 = serial; results are identical at any setting)")
-	c.fs.IntVar(&c.shards, "shards", -1, "event-kernel shards per rig (0 = one per CPU, 1 = windowed single kernel, -1 = legacy unsharded; results are identical at any setting >= 1)")
-	c.fs.Float64Var(&c.hosthopUS, "hosthop", 0, "modeled host<->channel hop latency in microseconds for sharded rigs (0 = the 1us default)")
 	c.fs.IntVar(&c.seeds, "seeds", 8, "number of seeded fault plans for the chaos soak")
 	c.fs.StringVar(&c.httpAddr, "http", "", "serve live metrics (/metrics) and pprof (/debug/pprof/) on this address during the run, e.g. :6060")
 	c.fs.Int64Var(&c.mapCache, "mapcache", 0, "FTL translation-map DRAM budget in bytes (map pages demand-paged, misses charged as NAND reads; 0 = whole map resident)")
@@ -270,37 +247,32 @@ func newCLI(errOut io.Writer) *cli {
 	c.fs.StringVar(&c.record, "record", "", "workload: write the contended run's host command stream to this hic JSONL trace")
 	c.fs.StringVar(&c.replay, "replay", "", "workload: replay this hic JSONL trace on a fresh rig instead of the synthetic tenants")
 	c.fs.Usage = func() {
-		fmt.Fprintf(errOut, "usage: babolbench [-ops N] [-blocks N] [-parallel N] [-shards N] [-shardtrace] [-mapcache BYTES] [-trace out.jsonl] [-http :PORT] table1|table2|table3|fig9|fig10|fig11|fig12|split|all\n")
-		fmt.Fprintf(errOut, "       babolbench [-ops N] [-parallel N] [-shards N] [-trace out.jsonl] mapcache\n")
-		fmt.Fprintf(errOut, "       babolbench [-ops N] [-seeds N] [-parallel N] [-shards N] [-mapcache BYTES] [-trace out.jsonl] chaos\n")
-		fmt.Fprintf(errOut, "       babolbench [-ops N] [-queues N] [-arb rr|wrr] [-parallel N] [-shards N] [-record cmds.jsonl | -replay cmds.jsonl] [-trace out.jsonl] workload\n")
+		fmt.Fprintf(errOut, "usage: babolbench [-ops N] [-blocks N] [-parallel N] [-mapcache BYTES] [-trace out.jsonl] [-http :PORT] table1|table2|table3|fig9|fig10|fig11|fig12|split|all\n")
+		fmt.Fprintf(errOut, "       babolbench [-ops N] [-parallel N] [-trace out.jsonl] mapcache\n")
+		fmt.Fprintf(errOut, "       babolbench [-ops N] [-seeds N] [-parallel N] [-mapcache BYTES] [-trace out.jsonl] chaos\n")
+		fmt.Fprintf(errOut, "       babolbench [-ops N] [-queues N] [-arb rr|wrr] [-parallel N] [-record cmds.jsonl | -replay cmds.jsonl] [-trace out.jsonl] workload\n")
 		fmt.Fprintf(errOut, "       babolbench [-csv] analyze trace.jsonl\n")
 		c.fs.PrintDefaults()
 	}
 	return c
 }
 
-// options resolves the parsed flags into experiment options. Both pool
-// sizes resolve 0 to the CPU count; -parallel does so inside the exp
-// runner (Options.workers), -shards here, because ssd.BuildConfig
-// reserves Shards == 0 for the legacy path.
+// options resolves the parsed flags into experiment options. -parallel
+// 0 passes through: the exp runner resolves it to the CPU count
+// (Options.workers).
 func (c *cli) options() exp.Options {
-	opt := exp.Options{Ops: c.ops, Blocks: c.blocks, WaysList: []int{2, 4, 8}, Parallel: c.parallel}
-	switch {
-	case c.shards == 0:
-		opt.Shards = runtime.GOMAXPROCS(0)
-	case c.shards > 0:
-		opt.Shards = c.shards
+	return exp.Options{
+		Ops: c.ops, Blocks: c.blocks, WaysList: []int{2, 4, 8},
+		Parallel: c.parallel, MapCacheBytes: c.mapCache,
 	}
-	if c.hosthopUS > 0 {
-		opt.HostHop = sim.Duration(c.hosthopUS * float64(sim.Microsecond))
+}
+
+// validate rejects flag values no experiment can run with.
+func (c *cli) validate() error {
+	if c.seeds < 1 {
+		return fmt.Errorf("-seeds %d: want at least 1", c.seeds)
 	}
-	if c.shardTr {
-		opt.ShardTelemetry = true
-		opt.TraceShardWindows = true
-	}
-	opt.MapCacheBytes = c.mapCache
-	return opt
+	return nil
 }
 
 func main() {
@@ -321,6 +293,11 @@ func main() {
 		return
 	}
 	if c.fs.NArg() != 1 {
+		c.fs.Usage()
+		os.Exit(2)
+	}
+	if err := c.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "babolbench:", err)
 		c.fs.Usage()
 		os.Exit(2)
 	}

@@ -16,6 +16,38 @@ import (
 	"repro/internal/ssd"
 )
 
+// selectors resolves the three enumerated flags. An unknown value is
+// an error for main to report with exit 2, never a silent default.
+func selectors(ctrl, pattern, kind string) (c ssd.ControllerKind, p hic.Pattern, k hic.Kind, err error) {
+	switch ctrl {
+	case "hw":
+		c = ssd.CtrlHW
+	case "rtos":
+		c = ssd.CtrlBabolRTOS
+	case "coro":
+		c = ssd.CtrlBabolCoro
+	default:
+		return c, p, k, fmt.Errorf("unknown controller %q: want hw, rtos or coro", ctrl)
+	}
+	switch pattern {
+	case "sequential":
+		p = hic.Sequential
+	case "random":
+		p = hic.Random
+	default:
+		return c, p, k, fmt.Errorf("unknown pattern %q: want sequential or random", pattern)
+	}
+	switch kind {
+	case "read":
+		k = hic.KindRead
+	case "write":
+		k = hic.KindWrite
+	default:
+		return c, p, k, fmt.Errorf("unknown kind %q: want read or write", kind)
+	}
+	return c, p, k, nil
+}
+
 func main() {
 	ctrl := flag.String("ctrl", "rtos", "controller: hw|rtos|coro")
 	channels := flag.Int("channels", 1, "independent flash channels")
@@ -41,16 +73,9 @@ func main() {
 	}
 	params.Geometry.BlocksPerLUN = *blocks
 
-	var kindSel ssd.ControllerKind
-	switch *ctrl {
-	case "hw":
-		kindSel = ssd.CtrlHW
-	case "rtos":
-		kindSel = ssd.CtrlBabolRTOS
-	case "coro":
-		kindSel = ssd.CtrlBabolCoro
-	default:
-		fmt.Fprintf(os.Stderr, "ssdsim: unknown controller %q\n", *ctrl)
+	kindSel, pat, k, err := selectors(*ctrl, *pattern, *kind)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ssdsim:", err)
 		os.Exit(2)
 	}
 
@@ -64,15 +89,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer rig.Close()
-
-	pat := hic.Sequential
-	if *pattern == "random" {
-		pat = hic.Random
-	}
-	k := hic.KindRead
-	if *kind == "write" {
-		k = hic.KindWrite
-	}
 
 	working := 64 * *ways * *channels
 	if working > rig.FTL.LogicalPages() {

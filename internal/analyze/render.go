@@ -201,117 +201,12 @@ func (r *Result) CSV() string {
 				m.MapEvictions, m.MapFlushes)
 		}
 	}
-	if shard := ShardCSV(r.Runs); shard != "" {
-		b.WriteString("\n")
-		b.WriteString(shard)
-	}
 	if tenants := TenantCSV(r.Runs); tenants != "" {
 		b.WriteString("\n")
 		b.WriteString(tenants)
 	}
 	b.WriteString("\n")
 	b.WriteString(SpansCSV(r.Spans))
-	return b.String()
-}
-
-// renderShardReport formats one run's shard view: per-shard occupancy
-// with the imbalance-derived barrier cost, mailbox traffic, the
-// critical-path timeline, and the lookahead-sensitivity table.
-func renderShardReport(runIndex int, s *ShardReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "\nshard report (run %d): windows=%d recorded=%d lookahead=%s",
-		runIndex, s.Windows, s.Recorded, us(s.Lookahead))
-	if s.Truncated {
-		b.WriteString(" [flight recorder wrapped; aggregates cover the recorded tail]")
-	}
-	b.WriteString("\n")
-	var totalEvents uint64
-	for _, u := range s.Shards {
-		totalEvents += u.Events
-	}
-	for _, u := range s.Shards {
-		share := 0.0
-		if totalEvents > 0 {
-			share = 100 * float64(u.Events) / float64(totalEvents)
-		}
-		fmt.Fprintf(&b, "  shard %-2d busy=%d/%d (%.1f%%) events=%-8d (%.1f%%) barrier-cost=%s\n",
-			u.Shard, u.BusyWindows, s.Recorded,
-			100*float64(u.BusyWindows)/float64(s.Recorded), u.Events, share, us(u.BarrierCost))
-	}
-	fmt.Fprintf(&b, "  single-busy windows: %.1f%% (no parallelism bought)\n", 100*s.SingleBusyShare)
-	if len(s.Mailboxes) > 0 {
-		b.WriteString("  mailboxes:")
-		for _, mb := range s.Mailboxes {
-			fmt.Fprintf(&b, " %d->%d posts=%d peak=%d", mb.Src, mb.Dst, mb.Posts, mb.Peak)
-		}
-		b.WriteString("\n")
-	}
-	if len(s.CriticalPath) > 0 {
-		b.WriteString("  critical path:")
-		for _, c := range s.CriticalPath {
-			fmt.Fprintf(&b, " [w%d..w%d]=shard%d(%.0f%%)", c.FirstSeq, c.LastSeq, c.Shard, 100*c.Share)
-		}
-		b.WriteString("\n")
-	}
-	if len(s.Lookaheads) > 0 {
-		b.WriteString("  lookahead sensitivity:")
-		base := s.Lookaheads[0].Windows
-		for _, p := range s.Lookaheads {
-			fmt.Fprintf(&b, " %dx=%dw/%.1fev", p.Multiple, p.Windows, p.MeanEvents)
-			if p.Multiple > 1 && base > 0 {
-				fmt.Fprintf(&b, "(-%.0f%%)", 100*(1-float64(p.Windows)/float64(base)))
-			}
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// ShardCSV renders every run's shard report as CSV sections (empty
-// string when no run has one).
-func ShardCSV(runs []Run) string {
-	any := false
-	for i := range runs {
-		if runs[i].Shards != nil {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString("run,shard,busy_windows,recorded_windows,total_windows,events,barrier_cost_ps\n")
-	for i := range runs {
-		s := runs[i].Shards
-		if s == nil {
-			continue
-		}
-		for _, u := range s.Shards {
-			fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d,%d\n",
-				runs[i].Index, u.Shard, u.BusyWindows, s.Recorded, s.Windows, u.Events, u.BarrierCost)
-		}
-	}
-	b.WriteString("\nrun,src,dst,posts,peak_depth\n")
-	for i := range runs {
-		s := runs[i].Shards
-		if s == nil {
-			continue
-		}
-		for _, mb := range s.Mailboxes {
-			fmt.Fprintf(&b, "%d,%d,%d,%d,%d\n", runs[i].Index, mb.Src, mb.Dst, mb.Posts, mb.Peak)
-		}
-	}
-	b.WriteString("\nrun,lookahead_multiple,windows,mean_events_per_window\n")
-	for i := range runs {
-		s := runs[i].Shards
-		if s == nil {
-			continue
-		}
-		for _, p := range s.Lookaheads {
-			fmt.Fprintf(&b, "%d,%d,%d,%.2f\n", runs[i].Index, p.Multiple, p.Windows, p.MeanEvents)
-		}
-	}
 	return b.String()
 }
 
@@ -427,15 +322,6 @@ func (r *Result) Render() string {
 			fmt.Fprintf(&b, "  run %-3d hits=%-8d misses=%-8d hit-rate=%-5.1f%% evictions=%-6d flushes=%d\n",
 				r.Runs[i].Index, m.MapHits, m.MapMisses, 100*m.MapHitRate(),
 				m.MapEvictions, m.MapFlushes)
-		}
-	}
-
-	// Sharded traces carry flight-recorder events; unsharded traces
-	// render exactly as before (section absent, goldens stable).
-	for i := range r.Runs {
-		run := &r.Runs[i]
-		if run.Shards != nil {
-			b.WriteString(renderShardReport(run.Index, run.Shards))
 		}
 	}
 

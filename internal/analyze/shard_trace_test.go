@@ -25,7 +25,7 @@ func shardedTrace(t *testing.T) ([]obs.Event, *obs.Metrics) {
 		Params: p, Channels: 2, Ways: 2, RateMT: 200,
 		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000,
 		Observe: true, Tracer: &buf,
-		Shards: 3, HostHop: sim.Microsecond,
+		Shards: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

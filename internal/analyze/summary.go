@@ -89,9 +89,6 @@ type Run struct {
 	Timelines map[int]*Timeline
 	// Violations is the protocol sanity pass over every timeline.
 	Violations []Violation
-	// Shards is the shard-window report for sharded traces (nil when
-	// the run carries no shard-telemetry events).
-	Shards *ShardReport
 	// Tenants is the per-tenant QoS report for traces from the host
 	// frontend's workload engine or trace replay (nil when the run
 	// carries no host-cmd events).
@@ -131,7 +128,6 @@ func Analyze(events []obs.Event) *Result {
 	for i, run := range SplitRuns(events) {
 		r := Run{Index: i, Metrics: replay(run), Timelines: map[int]*Timeline{}}
 		r.Spans = Correlate(run)
-		r.Shards = ShardReportFromEvents(run)
 		r.Tenants = TenantReportFromEvents(run)
 		for _, s := range r.Spans {
 			if !s.Complete {

@@ -81,15 +81,11 @@ func chaosRun(opt Options, seed int64, tracer obs.Tracer) (ChaosPoint, error) {
 	rows := uint32(geo.BlocksPerLUN * geo.PagesPerBlk)
 	plan := fault.Randomized(seed, chaosWays, rows, params.TR)
 
-	rig, err := ssd.Build(ssd.BuildConfig{
+	rig, err := opt.build(ssd.BuildConfig{
 		Params: params, Ways: chaosWays, RateMT: 200,
 		Controller: ssd.CtrlBabolCoro, CPUMHz: 1000,
-		WithECC: true, Tracer: tracer, Faults: &plan,
-		NoCoroPool: opt.NoCoroPool,
-		Shards:     opt.Shards, HostHop: opt.HostHop,
-		ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
-		MapCacheBytes: opt.MapCacheBytes,
-	})
+		WithECC: true, Faults: &plan,
+	}, tracer)
 	if err != nil {
 		return ChaosPoint{}, err
 	}

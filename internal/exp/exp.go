@@ -51,26 +51,6 @@ type Options struct {
 	// byte equal — so this exists for that comparison and for isolating
 	// pool bugs, not for normal use.
 	NoCoroPool bool
-	// Shards runs every rig under the conservative time-window cluster
-	// (ssd.BuildConfig.Shards): 0 keeps the legacy single-kernel path,
-	// 1 is the windowed single-kernel baseline, ≥2 spreads channels
-	// across shard kernels. Results are byte-identical at every count
-	// ≥ 1 — TestShardedExperimentDeterminism pins CSVs and traces.
-	Shards int
-	// HostHop is the modeled host↔channel hop latency, which doubles as
-	// the cluster lookahead (default 1 µs when Shards > 0).
-	HostHop sim.Duration
-	// ShardTelemetry arms the cluster's shard instrument on every rig
-	// (ssd.BuildConfig.ShardTelemetry). Results and traces are
-	// byte-identical armed or not — TestShardedTelemetryDeterminism pins
-	// it — so this is safe to leave on for live monitoring via Live.
-	ShardTelemetry bool
-	// TraceShardWindows additionally flushes each rig's shard
-	// flight recorder into its trace (ssd.BuildConfig.TraceShardWindows)
-	// so `babolbench analyze` can render the shard report. The extra
-	// events depend on the shard layout, so traces are comparable only
-	// across runs with equal Shards.
-	TraceShardWindows bool
 	// MapCacheBytes bounds the DRAM budget of every rig's FTL
 	// translation map (ssd.BuildConfig.MapCacheBytes): map pages are
 	// demand-paged under the budget and misses charge NAND reads
@@ -99,10 +79,20 @@ func shrink(p nand.Params, blocks int) nand.Params {
 	return p
 }
 
-// readThroughput builds an SSD per cfg, preloads a working set, runs a
-// read workload, and reports bandwidth in MB/s.
-func readThroughput(cfg ssd.BuildConfig, pattern hic.Pattern, ops, queueDepth int) (float64, error) {
-	rig, err := ssd.Build(cfg)
+// build assembles one rig of an experiment: base is the experiment's
+// own configuration, and the rig-wide options every experiment shares
+// are laid over it here, the one place that knows them.
+func (o Options) build(base ssd.BuildConfig, tracer obs.Tracer) (*ssd.Rig, error) {
+	base.Tracer = tracer
+	base.NoCoroPool = o.NoCoroPool
+	base.MapCacheBytes = o.MapCacheBytes
+	return ssd.Build(base)
+}
+
+// readThroughput builds an SSD per cfg, preloads a working set, runs
+// opt.Ops reads, and reports bandwidth in MB/s.
+func readThroughput(opt Options, cfg ssd.BuildConfig, tracer obs.Tracer, pattern hic.Pattern, queueDepth int) (float64, error) {
+	rig, err := opt.build(cfg, tracer)
 	if err != nil {
 		return 0, err
 	}
@@ -119,14 +109,14 @@ func readThroughput(cfg ssd.BuildConfig, pattern hic.Pattern, ops, queueDepth in
 	}
 	res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
 		Pattern: pattern, Kind: hic.KindRead,
-		NumOps: ops, QueueDepth: queueDepth, LogicalPages: working, Seed: 7,
+		NumOps: opt.Ops, QueueDepth: queueDepth, LogicalPages: working, Seed: 7,
 	})
 	if err != nil {
 		return 0, err
 	}
 	rig.Run()
-	if res.Completed != ops {
-		return 0, fmt.Errorf("exp: only %d of %d ops completed", res.Completed, ops)
+	if res.Completed != opt.Ops {
+		return 0, fmt.Errorf("exp: only %d of %d ops completed", res.Completed, opt.Ops)
 	}
 	if res.Failed != 0 {
 		return 0, fmt.Errorf("exp: %d ops failed", res.Failed)

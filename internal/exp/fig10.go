@@ -63,14 +63,10 @@ func Fig10(opt Options) ([]Fig10Point, error) {
 	out := make([]Fig10Point, len(cfgs))
 	err := sweep(opt, len(cfgs), func(i int, tracer obs.Tracer) error {
 		c := cfgs[i]
-		mbps, err := readThroughput(ssd.BuildConfig{
+		mbps, err := readThroughput(opt, ssd.BuildConfig{
 			Params: c.params, Ways: c.luns, RateMT: c.rate,
-			Controller: c.ctrl, CPUMHz: c.mhz, Tracer: tracer,
-			NoCoroPool: opt.NoCoroPool,
-			Shards:     opt.Shards, HostHop: opt.HostHop,
-			ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
-			MapCacheBytes: opt.MapCacheBytes,
-		}, hic.Sequential, opt.Ops, 2*c.luns)
+			Controller: c.ctrl, CPUMHz: c.mhz,
+		}, tracer, hic.Sequential, 2*c.luns)
 		if err != nil {
 			return fmt.Errorf("fig10 %s %dMT %v %dMHz %dLUN: %w",
 				c.params.Name, c.rate, c.ctrl, c.mhz, c.luns, err)

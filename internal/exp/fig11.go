@@ -43,14 +43,10 @@ func Fig11(opt Options) ([]Fig11Result, error) {
 	err := sweep(opt, len(kinds), func(i int, tracer obs.Tracer) error {
 		kind := kinds[i]
 		params := shrink(nand.Hynix(), opt.Blocks)
-		rig, err := ssd.Build(ssd.BuildConfig{
+		rig, err := opt.build(ssd.BuildConfig{
 			Params: params, Ways: 1, RateMT: 200,
-			Controller: kind, CPUMHz: 1000, Record: true, Tracer: tracer,
-			NoCoroPool: opt.NoCoroPool,
-			Shards:     opt.Shards, HostHop: opt.HostHop,
-			ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
-			MapCacheBytes: opt.MapCacheBytes,
-		})
+			Controller: kind, CPUMHz: 1000, Record: true,
+		}, tracer)
 		if err != nil {
 			return err
 		}

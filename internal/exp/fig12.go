@@ -47,14 +47,10 @@ func Fig12(opt Options) ([]Fig12Point, error) {
 	out := make([]Fig12Point, len(cfgs))
 	err := sweep(opt, len(cfgs), func(i int, tracer obs.Tracer) error {
 		c := cfgs[i]
-		mbps, err := readThroughput(ssd.BuildConfig{
+		mbps, err := readThroughput(opt, ssd.BuildConfig{
 			Params: params, Ways: c.ways, RateMT: 200,
-			Controller: c.ctrl, CPUMHz: 1000, Tracer: tracer,
-			NoCoroPool: opt.NoCoroPool,
-			Shards:     opt.Shards, HostHop: opt.HostHop,
-			ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
-			MapCacheBytes: opt.MapCacheBytes,
-		}, c.pattern, opt.Ops, 4*c.ways)
+			Controller: c.ctrl, CPUMHz: 1000,
+		}, tracer, c.pattern, 4*c.ways)
 		if err != nil {
 			return fmt.Errorf("fig12 %v %v %dway: %w", c.pattern, c.ctrl, c.ways, err)
 		}

@@ -90,14 +90,11 @@ func MapCache(opt Options, budgets []int64) ([]MapCachePoint, error) {
 }
 
 func mapCacheRun(opt Options, budget int64, tracer obs.Tracer) (MapCachePoint, error) {
-	rig, err := ssd.Build(ssd.BuildConfig{
+	opt.MapCacheBytes = budget // the swept variable overrides the rig-wide flag
+	rig, err := opt.build(ssd.BuildConfig{
 		Params: mapCacheParams(), Ways: mapCacheWays, RateMT: 200,
-		Controller: ssd.CtrlBabolCoro, CPUMHz: 1000, Tracer: tracer,
-		NoCoroPool: opt.NoCoroPool,
-		Shards:     opt.Shards, HostHop: opt.HostHop,
-		ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
-		MapCacheBytes: budget,
-	})
+		Controller: ssd.CtrlBabolCoro, CPUMHz: 1000,
+	}, tracer)
 	if err != nil {
 		return MapCachePoint{}, err
 	}

@@ -10,44 +10,36 @@ import (
 // starved (4 map pages across 4 shards), and comfortable.
 func quickBudgets() []int64 { return []int64{0, 4 * 512, 32 * 512} }
 
-// TestMapCacheDisabledByteIdentity is the acceptance gate for the
-// tentpole's zero-cost-when-off contract, at the experiment level:
-// with MapCacheBytes explicitly zero, figure CSVs and merged traces
-// are byte-identical across the full shards × parallel grid. The cache
-// must add no events, no decisions, and no reordering when disabled.
+// TestMapCacheDisabledByteIdentity is the gate for the map cache's
+// zero-cost-when-off contract, at the experiment level: with
+// MapCacheBytes explicitly zero the cache adds no events to the trace,
+// and figure CSVs and merged traces are byte-identical at any worker
+// count. (That they are also the bytes of a build without the cache is
+// TestFigureGoldens' job.)
 func TestMapCacheDisabledByteIdentity(t *testing.T) {
-	var refCSV string
-	var refTrace []byte
-	first := true
-	for _, shards := range shardCounts {
-		for _, par := range []int{1, 8} {
-			opt := shardQuick()
-			opt.Shards = shards
-			opt.Parallel = par
-			opt.MapCacheBytes = 0
-			var csv string
-			trace := traceRun(t, opt, func(o Options) error {
-				pts, err := Fig12(o)
-				if err == nil {
-					csv = Fig12CSV(pts)
-				}
-				return err
-			})
-			if first {
-				refCSV, refTrace = csv, trace
-				if len(trace) == 0 {
-					t.Fatal("fig12 trace is empty; identity check is vacuous")
-				}
-				first = false
-				continue
+	var csv [2]string
+	var trace [2][]byte
+	for i, par := range []int{1, 8} {
+		opt := Options{Ops: 24, WaysList: []int{2}, Blocks: 16, Parallel: par, MapCacheBytes: 0}
+		trace[i] = traceRun(t, opt, func(o Options) error {
+			pts, err := Fig12(o)
+			if err == nil {
+				csv[i] = Fig12CSV(pts)
 			}
-			if csv != refCSV {
-				t.Errorf("fig12 CSV at shards=%d parallel=%d diverged", shards, par)
-			}
-			if !bytes.Equal(trace, refTrace) {
-				t.Errorf("fig12 trace at shards=%d parallel=%d diverged", shards, par)
-			}
-		}
+			return err
+		})
+	}
+	if len(trace[0]) == 0 {
+		t.Fatal("fig12 trace is empty; identity check is vacuous")
+	}
+	if bytes.Contains(trace[0], []byte(`"map-cache"`)) {
+		t.Error("disabled map cache emitted map-cache events")
+	}
+	if csv[0] != csv[1] {
+		t.Error("fig12 CSV differs between parallel=1 and parallel=8")
+	}
+	if !bytes.Equal(trace[0], trace[1]) {
+		t.Error("fig12 trace differs between parallel=1 and parallel=8")
 	}
 }
 
@@ -122,9 +114,7 @@ func TestMapCacheSweepShape(t *testing.T) {
 // recovery machinery as data reads, per seed, and the drive must still
 // drain and verify.
 func TestChaosWithMapCache(t *testing.T) {
-	opt := shardQuick()
-	opt.Shards = 2
-	opt.MapCacheBytes = 2048
+	opt := Options{Ops: 24, Blocks: 16, MapCacheBytes: 2048}
 	pts, err := Chaos(opt, []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)

@@ -86,15 +86,10 @@ func TimeSplit(opt Options) ([]SplitRow, error) {
 		if tracer != nil {
 			rigTracer = obs.Multi{tracer, &buf}
 		}
-		rig, err := ssd.Build(ssd.BuildConfig{
+		rig, err := opt.build(ssd.BuildConfig{
 			Params: shrink(nand.Hynix(), opt.Blocks), Ways: 1, RateMT: 200,
-			Controller: c.kind, CPUMHz: c.mhz,
-			Observe: true, Tracer: rigTracer,
-			NoCoroPool: opt.NoCoroPool,
-			Shards:     opt.Shards, HostHop: opt.HostHop,
-			ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
-			MapCacheBytes: opt.MapCacheBytes,
-		})
+			Controller: c.kind, CPUMHz: c.mhz, Observe: true,
+		}, rigTracer)
 		if err != nil {
 			return err
 		}

@@ -87,6 +87,14 @@ func workloadParams() nand.Params {
 	return p
 }
 
+// workloadRig is the build shape the tenant runs and their replay share.
+func workloadRig() ssd.BuildConfig {
+	return ssd.BuildConfig{
+		Params: workloadParams(), Ways: workloadWays, RateMT: 200,
+		Controller: ssd.CtrlBabolCoro, CPUMHz: 1000,
+	}
+}
+
 // workloadSlicePages is each default tenant's address-space slice size.
 const workloadSlicePages = 256
 
@@ -128,7 +136,7 @@ func DefaultTenants(ops int) []hic.TenantSpec {
 // Workloads runs the many-tenant contention experiment: each tenant
 // solo, then all together, on identically configured rigs. The jobs run
 // under the standard sweep runner, so results and merged traces are
-// byte-identical at any Options.Parallel and any Options.Shards.
+// byte-identical at any Options.Parallel.
 func Workloads(opt Options, cfg WorkloadConfig) (*WorkloadResult, error) {
 	opt = opt.withDefaults()
 	tenants := cfg.Tenants
@@ -223,14 +231,7 @@ func workloadFrontend(queues int, arb hic.Arbitration, rec *hic.Recorder) hic.Fr
 // workloadRun builds one rig, wires the multi-queue frontend over it,
 // and drives the given tenants to completion.
 func workloadRun(opt Options, cfg WorkloadConfig, queues int, tenants []hic.TenantSpec, rec *hic.Recorder, tracer obs.Tracer) ([]*hic.TenantResult, sim.Duration, error) {
-	rig, err := ssd.Build(ssd.BuildConfig{
-		Params: workloadParams(), Ways: workloadWays, RateMT: 200,
-		Controller: ssd.CtrlBabolCoro, CPUMHz: 1000, Tracer: tracer,
-		NoCoroPool: opt.NoCoroPool,
-		Shards:     opt.Shards, HostHop: opt.HostHop,
-		ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
-		MapCacheBytes: opt.MapCacheBytes,
-	})
+	rig, err := opt.build(workloadRig(), tracer)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -295,14 +296,7 @@ func ReplayWorkload(opt Options, cfg WorkloadConfig, entries []hic.RecordEntry) 
 	}
 	var res *hic.Result
 	err := sweep(opt, 1, func(_ int, tracer obs.Tracer) error {
-		rig, err := ssd.Build(ssd.BuildConfig{
-			Params: workloadParams(), Ways: workloadWays, RateMT: 200,
-			Controller: ssd.CtrlBabolCoro, CPUMHz: 1000, Tracer: tracer,
-			NoCoroPool: opt.NoCoroPool,
-			Shards:     opt.Shards, HostHop: opt.HostHop,
-			ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
-			MapCacheBytes: opt.MapCacheBytes,
-		})
+		rig, err := opt.build(workloadRig(), tracer)
 		if err != nil {
 			return err
 		}

@@ -77,45 +77,35 @@ func TestWorkloadsWRR(t *testing.T) {
 	}
 }
 
-// TestWorkloadDeterminism pins the tentpole's contract: the workload
-// report and the merged trace are byte-identical across shard counts
-// {1,2,8} and worker counts {1,8}, at each frontend queue count. Queue
-// count changes arbitration (so results differ across queue counts);
-// shard and worker counts must not.
+// TestWorkloadDeterminism pins the sweep contract for the tenant
+// experiment: the workload report and the merged trace are
+// byte-identical across worker counts {1,8}, at each frontend queue
+// count. Queue count changes arbitration (so results differ across
+// queue counts); worker count must not.
 func TestWorkloadDeterminism(t *testing.T) {
 	for _, queues := range []int{1, 4} {
 		t.Run(fmt.Sprintf("queues=%d", queues), func(t *testing.T) {
-			var refCSV string
-			var refTrace []byte
-			first := true
-			for _, shards := range shardCounts {
-				for _, par := range []int{1, 8} {
-					opt := workloadQuick()
-					opt.Shards = shards
-					opt.Parallel = par
-					var csv string
-					trace := traceRun(t, opt, func(o Options) error {
-						res, err := Workloads(o, WorkloadConfig{Queues: queues})
-						if err == nil {
-							csv = WorkloadCSV(res)
-						}
-						return err
-					})
-					if first {
-						refCSV, refTrace = csv, trace
-						if len(trace) == 0 {
-							t.Fatal("workload trace is empty; determinism check is vacuous")
-						}
-						first = false
-						continue
+			var csv [2]string
+			var trace [2][]byte
+			for i, par := range []int{1, 8} {
+				opt := workloadQuick()
+				opt.Parallel = par
+				trace[i] = traceRun(t, opt, func(o Options) error {
+					res, err := Workloads(o, WorkloadConfig{Queues: queues})
+					if err == nil {
+						csv[i] = WorkloadCSV(res)
 					}
-					if csv != refCSV {
-						t.Errorf("workload CSV at shards=%d parallel=%d diverged", shards, par)
-					}
-					if !bytes.Equal(trace, refTrace) {
-						t.Errorf("workload merged trace at shards=%d parallel=%d diverged", shards, par)
-					}
-				}
+					return err
+				})
+			}
+			if len(trace[0]) == 0 {
+				t.Fatal("workload trace is empty; determinism check is vacuous")
+			}
+			if csv[0] != csv[1] {
+				t.Error("workload CSV differs between parallel=1 and parallel=8")
+			}
+			if !bytes.Equal(trace[0], trace[1]) {
+				t.Error("workload merged trace differs between parallel=1 and parallel=8")
 			}
 		})
 	}

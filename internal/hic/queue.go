@@ -15,8 +15,7 @@ import (
 //
 // Everything runs on the simulation kernel's goroutine, so the frontend
 // needs no locks and its dispatch order is a pure function of the
-// enqueue order — deterministic at any queue count, and byte-identical
-// under the sharded kernel because the host domain owns it entirely.
+// enqueue order — deterministic at any queue count.
 //
 // Completion side: the frontend interposes on each command's Done with
 // a pooled slot callback, so steady-state dispatch allocates nothing

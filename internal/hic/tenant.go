@@ -19,9 +19,8 @@ import (
 //
 // Determinism: every tenant draws from its own seeded RNG, all issue
 // decisions run on the kernel goroutine, and completions emit
-// obs.KindHostCmd events through the host-domain tracer — so a tenant
-// run is a pure function of (specs, rig), byte-identical at any shard
-// count and reproducible from its seeds.
+// obs.KindHostCmd events through the caller's tracer — so a tenant run
+// is a pure function of (specs, rig), reproducible from its seeds.
 
 // Mix is a tenant's command mix in percent. The zero Mix means 100%
 // reads; otherwise the three fields must sum to 100.
@@ -158,7 +157,7 @@ type tenantSlot struct {
 
 // RunTenants starts every tenant's closed loops against frontend f and
 // returns per-tenant results, populated once the caller runs the kernel
-// (or sharded rig) to completion — check Done() == NumOps per tenant.
+// to completion — check Done() == NumOps per tenant.
 // Completions emit obs.KindHostCmd events into tracer (Label = tenant,
 // Depth = queue, Cycles = command kind, Dur = latency); nil disables
 // emission.

@@ -27,22 +27,6 @@ func MetricsHandler(snap func() Snapshot) http.Handler {
 	})
 }
 
-// ShardsHandler serves the shard view of a metrics registry: per-shard
-// window occupancy, the events-per-window distribution, and cross-shard
-// mailbox traffic — the live instrument panel behind `babolbench -http`
-// at /shards. Like MetricsHandler, snap is called once per request;
-// hand it (*SyncMetrics).Snapshot when rigs feed it concurrently. The
-// view is empty (windows=0, no shards) until a sharded rig with
-// window-trace emission enabled reports in.
-func ShardsHandler(snap func() Snapshot) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(shardsWire(snap()))
-	})
-}
-
 // FTLHandler serves the FTL map-cache view of a metrics registry:
 // translation hit/miss/eviction/flush totals and the derived hit rate —
 // the live panel behind `babolbench -http` at /ftl. snap is called once
@@ -120,52 +104,6 @@ func ftlWire(s Snapshot) ftlViewWire {
 		MapEvictions:   s.MapEvictions,
 		MapFlushes:     s.MapFlushes,
 	}
-}
-
-type shardRowWire struct {
-	Shard       int     `json:"shard"`
-	BusyWindows uint64  `json:"busy_windows"`
-	Events      uint64  `json:"events"`
-	Utilization float64 `json:"utilization"` // busy windows / total windows
-}
-
-type mailboxWire struct {
-	Src   int    `json:"src"`
-	Dst   int    `json:"dst"`
-	Posts uint64 `json:"posts"`
-	Peak  int64  `json:"peak_depth"`
-}
-
-type shardsViewWire struct {
-	Windows      uint64         `json:"windows"`
-	Shards       []shardRowWire `json:"shards,omitempty"`
-	WindowEvents histWire       `json:"window_events"`
-	Mailboxes    []mailboxWire  `json:"mailboxes,omitempty"`
-}
-
-func shardsWire(s Snapshot) shardsViewWire {
-	out := shardsViewWire{
-		Windows:      s.ShardWindows,
-		WindowEvents: histogramWire(s.WindowEvents),
-	}
-	for shard, m := range s.Shards {
-		row := shardRowWire{Shard: shard, BusyWindows: m.BusyWindows, Events: m.Events}
-		if s.ShardWindows > 0 {
-			row.Utilization = float64(m.BusyWindows) / float64(s.ShardWindows)
-		}
-		out.Shards = append(out.Shards, row)
-	}
-	sort.Slice(out.Shards, func(i, j int) bool { return out.Shards[i].Shard < out.Shards[j].Shard })
-	for k, m := range s.Mailboxes {
-		out.Mailboxes = append(out.Mailboxes, mailboxWire{Src: k.Src, Dst: k.Dst, Posts: m.Posts, Peak: m.Peak})
-	}
-	sort.Slice(out.Mailboxes, func(i, j int) bool {
-		if out.Mailboxes[i].Src != out.Mailboxes[j].Src {
-			return out.Mailboxes[i].Src < out.Mailboxes[j].Src
-		}
-		return out.Mailboxes[i].Dst < out.Mailboxes[j].Dst
-	})
-	return out
 }
 
 // histWire is the wire form of a Histogram: summary statistics plus the

@@ -57,6 +57,13 @@ func TestReadJSONLReportsLineNumber(t *testing.T) {
 		t.Fatalf("unknown-kind error %v does not name line 3", err)
 	}
 
+	// So do kinds this build no longer has: a trace carrying the retired
+	// shard flight-recorder records is refused at its first such line.
+	_, err = ReadJSONL(strings.NewReader("{\"t\":1,\"kind\":\"op-admitted\"}\n{\"t\":0,\"kind\":\"shard-window\",\"txn\":1,\"dur\":1000000,\"depth\":3}\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "shard-window") {
+		t.Fatalf("retired-kind error %v does not name line 2 and the kind", err)
+	}
+
 	// Blank lines are skipped, not counted as events.
 	events, err = ReadJSONL(strings.NewReader("\n{\"t\":1,\"kind\":\"op-admitted\"}\n\n"))
 	if err != nil || len(events) != 1 {

@@ -82,29 +82,6 @@ type ChipMetrics struct {
 	Recoveries uint64
 }
 
-// ShardMetrics aggregates one shard's window activity from
-// KindShardWindow events (per-domain labels come from the shard→domain
-// mapping recorded at build time; the shard index is the stable key).
-type ShardMetrics struct {
-	// BusyWindows counts windows in which the shard executed events.
-	BusyWindows uint64
-	// Events is the total events the shard executed across its windows.
-	Events uint64
-}
-
-// MailboxKey addresses per-(src,dst) domain pair mailbox metrics.
-type MailboxKey struct {
-	Src int
-	Dst int
-}
-
-// MailboxMetrics aggregates one domain pair's cross-shard posts from
-// KindShardMailbox events.
-type MailboxMetrics struct {
-	Posts uint64
-	Peak  int64
-}
-
 // TenantMetrics aggregates one tenant's host-command stream from
 // KindHostCmd events — the live per-tenant counters behind the
 // /tenants endpoint. Failed completions stay out of Latency, matching
@@ -183,18 +160,6 @@ type Snapshot struct {
 	// read-only).
 	Recoveries        uint64
 	RecoveriesByLabel map[string]uint64
-
-	// ShardWindows is the highest window sequence number observed —
-	// the number of cluster synchronization windows covered by the
-	// flight-recorder events in the stream. Shards, WindowEvents, and
-	// Mailboxes aggregate the KindShardWindow/KindShardMailbox events
-	// of sharded runs; all are empty for single-kernel traces.
-	ShardWindows uint64
-	Shards       map[int]ShardMetrics
-	// WindowEvents is the distribution of events per (window, busy
-	// shard) — the occupancy histogram behind window-dispatch tuning.
-	WindowEvents Histogram
-	Mailboxes    map[MailboxKey]MailboxMetrics
 
 	// MapHits..MapFlushes aggregate the FTL translation-page cache's
 	// KindMapCache events: hits served from resident map pages, misses
@@ -313,11 +278,6 @@ type Metrics struct {
 	recoveries uint64
 	recovsBy   map[string]uint64
 
-	shardWindows uint64
-	shards       map[int]*ShardMetrics
-	windowEvents Histogram
-	mailboxes    map[MailboxKey]MailboxMetrics
-
 	mapHits      uint64
 	mapMisses    uint64
 	mapEvictions uint64
@@ -331,14 +291,12 @@ type Metrics struct {
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		charges:   make(map[string]ChargeStats),
-		faultsBy:  make(map[string]uint64),
-		recovsBy:  make(map[string]uint64),
-		shards:    make(map[int]*ShardMetrics),
-		mailboxes: make(map[MailboxKey]MailboxMetrics),
-		tenants:   make(map[string]*TenantMetrics),
-		channels:  make(map[int]*ChannelMetrics),
-		chips:     make(map[ChipKey]*ChipMetrics),
+		charges:  make(map[string]ChargeStats),
+		faultsBy: make(map[string]uint64),
+		recovsBy: make(map[string]uint64),
+		tenants:  make(map[string]*TenantMetrics),
+		channels: make(map[int]*ChannelMetrics),
+		chips:    make(map[ChipKey]*ChipMetrics),
 	}
 }
 
@@ -415,26 +373,6 @@ func (m *Metrics) Event(e Event) {
 		m.recoveries++
 		m.recovsBy[e.Label]++
 		m.chip(e).Recoveries++
-	case KindShardWindow:
-		if e.TxnID > m.shardWindows {
-			m.shardWindows = e.TxnID
-		}
-		s := m.shards[e.Chip]
-		if s == nil {
-			s = &ShardMetrics{}
-			m.shards[e.Chip] = s
-		}
-		s.BusyWindows++
-		s.Events += uint64(e.Depth)
-		m.windowEvents.Observe(int64(e.Depth))
-	case KindShardMailbox:
-		k := MailboxKey{Src: e.Channel, Dst: e.Chip}
-		mb := m.mailboxes[k]
-		mb.Posts += uint64(e.Cycles)
-		if int64(e.Depth) > mb.Peak {
-			mb.Peak = int64(e.Depth)
-		}
-		m.mailboxes[k] = mb
 	case KindMapCache:
 		switch e.Label {
 		case "hit":
@@ -514,8 +452,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		OpLatency:         m.opLatency,
 		Faults:            m.faults,
 		Recoveries:        m.recoveries,
-		ShardWindows:      m.shardWindows,
-		WindowEvents:      m.windowEvents,
 		MapHits:           m.mapHits,
 		MapMisses:         m.mapMisses,
 		MapEvictions:      m.mapEvictions,
@@ -523,8 +459,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Charges:           make(map[string]ChargeStats, len(m.charges)),
 		FaultsByLabel:     make(map[string]uint64, len(m.faultsBy)),
 		RecoveriesByLabel: make(map[string]uint64, len(m.recovsBy)),
-		Shards:            make(map[int]ShardMetrics, len(m.shards)),
-		Mailboxes:         make(map[MailboxKey]MailboxMetrics, len(m.mailboxes)),
 		Tenants:           make(map[string]TenantMetrics, len(m.tenants)),
 		Channels:          make(map[int]ChannelMetrics, len(m.channels)),
 		Chips:             make(map[ChipKey]ChipMetrics, len(m.chips)),
@@ -537,12 +471,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	for k, v := range m.recovsBy {
 		out.RecoveriesByLabel[k] = v
-	}
-	for k, v := range m.shards {
-		out.Shards[k] = *v
-	}
-	for k, v := range m.mailboxes {
-		out.Mailboxes[k] = v
 	}
 	for k, v := range m.tenants {
 		out.Tenants[k] = *v

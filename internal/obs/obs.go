@@ -67,20 +67,6 @@ const (
 	// action: Label is "reset" (poll budget exhausted, RESET issued),
 	// "reset-recovered", "chip-dead", "chip-offline", or "read-only".
 	KindRecovery
-	// KindShardWindow is one shard's share of one cluster
-	// synchronization window, replayed from the flight recorder of a
-	// sharded run: Time is the window start, Dur the window span
-	// (= cluster lookahead), TxnID the window sequence number, Chip the
-	// shard index, and Depth the events that shard executed inside the
-	// window. Only busy shards emit; OpID stays 0 so span correlation
-	// ignores these. Every field is virtual-time-derived — wall-clock
-	// telemetry never enters the trace, keeping traces deterministic.
-	KindShardWindow
-	// KindShardMailbox is one (src,dst) domain pair's cross-shard post
-	// aggregate for a run: Channel is the source domain, Chip the
-	// destination domain, Cycles the total posts collected, and Depth
-	// the peak in-flight depth (collected but not yet delivered).
-	KindShardMailbox
 	// KindMapCache fires from the FTL translation-page cache when the
 	// map cache is enabled (MapCacheBytes > 0): Label is "hit" (the
 	// LPN's translation page was resident), "miss" (a NAND read of the
@@ -114,8 +100,6 @@ var kindNames = [...]string{
 	KindHWInstr:       "hw-instr",
 	KindFault:         "fault",
 	KindRecovery:      "recovery",
-	KindShardWindow:   "shard-window",
-	KindShardMailbox:  "shard-mailbox",
 	KindMapCache:      "map-cache",
 	KindHostCmd:       "host-cmd",
 }

@@ -50,9 +50,8 @@ type Cluster struct {
 	workers []clusterWorker
 	// dispatched is runWindow's scratch list of busy worker indices.
 	dispatched []int
-	// windows and posts are atomics so monitoring goroutines (the live
-	// /shards endpoint, tests polling progress) can read them while Run
-	// is in flight; the coordinator is the only writer.
+	// windows and posts are atomics so monitoring goroutines can read
+	// them while Run is in flight; the coordinator is the only writer.
 	windows atomic.Uint64
 	posts   atomic.Uint64
 	// telem is the nil-check-disarmed telemetry hook: nil costs one
@@ -179,7 +178,7 @@ func (c *Cluster) Run() {
 		}
 		c.runWindow(deadline)
 		if t := c.telem; t != nil {
-			t.record(c, start)
+			t.record(c)
 		}
 	}
 }
@@ -193,9 +192,6 @@ func (c *Cluster) collect() {
 		if len(d.outbox) > 0 {
 			c.pending = append(c.pending, d.outbox...)
 			c.posts.Add(uint64(len(d.outbox)))
-			if t := c.telem; t != nil {
-				t.noteCollected(d.outbox)
-			}
 			clearPosts(d.outbox)
 			d.outbox = d.outbox[:0]
 			grew = true
@@ -233,9 +229,6 @@ func (c *Cluster) deliver(deadline Time) {
 		n++
 	}
 	if n > 0 {
-		if t := c.telem; t != nil {
-			t.noteDelivered(c.pending[:n])
-		}
 		rem := copy(c.pending, c.pending[n:])
 		clearPosts(c.pending[rem:])
 		c.pending = c.pending[:rem]

@@ -1,42 +1,27 @@
 package sim
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Telemetry is the cluster's shard-profiling instrument: per-shard
-// event/occupancy counters, per-(src,dst) mailbox accounting, and a
-// bounded flight recorder of recent windows. It follows the
-// nand.FaultInjector idiom — a nil-check-disarmed hook — so an unarmed
-// cluster pays one nil check per window and nothing else, and an armed
-// cluster stays allocation-free in steady state: every counter is a
-// preallocated atomic and every flight-recorder record reuses its ring
-// slot.
+// event counts and the wall-clock split of every window into execution
+// and barrier wait. It follows the nand.FaultInjector idiom — a
+// nil-check-disarmed hook — so an unarmed cluster pays one nil check
+// per window and nothing else, and an armed cluster stays
+// allocation-free in steady state: every counter is a preallocated
+// atomic.
 //
 // Concurrency: the coordinator goroutine owns all writes except
 // lastExecNs, which each worker stores for its own shard inside a
 // window (the run/done channel pair orders those stores before the
 // coordinator's read). Everything exported — Snapshot, and the
 // cluster's Windows/Posts — is safe to call from any goroutine while
-// Run is in flight, which is what feeds the live /shards endpoint.
+// Run is in flight.
 type Telemetry struct {
-	lookahead Duration
-	domains   int
-	slots     []telemetrySlot
-	// Mailbox matrices, indexed src*domains+dst. Written only by the
-	// coordinator (collect/deliver run between windows), atomics so
-	// concurrent snapshot reads are well-defined.
-	mboxPosts []atomic.Uint64
-	mboxDepth []atomic.Int64
-	mboxPeak  []atomic.Int64
-
-	// Flight recorder: a ring of the last len(ring) windows. mu guards
-	// the ring and total; record() holds it briefly between windows.
-	mu    sync.Mutex
-	ring  []WindowRecord
-	total uint64 // windows recorded since arming
+	slots   []telemetrySlot
+	windows atomic.Uint64 // windows recorded since arming
 
 	// winStart is coordinator-local scratch: wall clock at window
 	// dispatch, read back by record() after the barrier.
@@ -48,84 +33,34 @@ type Telemetry struct {
 // kernel's Executed high-water mark at the last window boundary).
 type telemetrySlot struct {
 	events     atomic.Uint64 // events executed while armed
-	busy       atomic.Uint64 // windows in which this shard executed events
 	execNs     atomic.Int64  // wall nanoseconds inside RunUntil, busy windows only
 	barrierNs  atomic.Int64  // wall nanoseconds waiting on the window barrier
 	lastExecNs atomic.Int64  // this window's RunUntil wall time (worker-written)
 	prevExec   uint64
 }
 
-// WindowRecord is one flight-recorder entry: where a window sat in
-// virtual time and how much each shard did inside it. Only virtual-time
-// quantities are recorded — wall-clock never enters a record, so records
-// are deterministic and safe to emit into traces.
-type WindowRecord struct {
-	Seq    uint64   // 1-based window sequence since arming
-	Start  Time     // window start (virtual)
-	Span   Duration // window span = cluster lookahead
-	Busy   int      // number of shards that executed events
-	Events []uint64 // per-shard events executed this window
-}
-
 // ShardStats is one shard's aggregate in a TelemetrySnapshot. Windows
 // where the shard had no due events are skipped by the dispatcher
-// entirely; SkippedWindows counts those (total windows − busy windows).
+// entirely and add to neither clock.
 type ShardStats struct {
-	Events         uint64
-	BusyWindows    uint64
-	SkippedWindows uint64
-	Exec           time.Duration // wall time executing events
-	Barrier        time.Duration // wall time the window outlived this shard's execution
-}
-
-// MailboxStats is one (src,dst) domain pair's post accounting. Depth is
-// the current in-flight count (collected, not yet delivered); Peak is
-// its high-water mark.
-type MailboxStats struct {
-	Src   int
-	Dst   int
-	Posts uint64
-	Depth int64
-	Peak  int64
+	Events  uint64
+	Exec    time.Duration // wall time executing events
+	Barrier time.Duration // wall time the window outlived this shard's execution
 }
 
 // TelemetrySnapshot is a self-contained copy of the telemetry state,
-// safe to read and serialize while the cluster keeps running.
+// safe to read while the cluster keeps running.
 type TelemetrySnapshot struct {
-	Lookahead Duration
-	Windows   uint64
-	Shards    []ShardStats
-	Mailboxes []MailboxStats // pairs with traffic, ordered by (src, dst)
-	Recent    []WindowRecord // flight recorder, oldest first
+	Windows uint64
+	Shards  []ShardStats
 }
 
-// DefaultFlightRecorder is the flight-recorder depth ArmTelemetry uses
-// when given a non-positive size.
-const DefaultFlightRecorder = 512
-
 // ArmTelemetry attaches a telemetry instrument to the cluster and
-// returns it. Call after every AddDomain and before Run — the mailbox
-// matrix is sized to the domain count at arming time, and AddDomain
-// panics afterwards to keep the two in sync. recorder sets the flight
-// recorder depth (windows retained); non-positive means
-// DefaultFlightRecorder. Arming twice replaces the instrument.
-func (c *Cluster) ArmTelemetry(recorder int) *Telemetry {
-	if recorder <= 0 {
-		recorder = DefaultFlightRecorder
-	}
-	nd, ns := len(c.domains), len(c.kernels)
-	t := &Telemetry{
-		lookahead: c.lookahead,
-		domains:   nd,
-		slots:     make([]telemetrySlot, ns),
-		mboxPosts: make([]atomic.Uint64, nd*nd),
-		mboxDepth: make([]atomic.Int64, nd*nd),
-		mboxPeak:  make([]atomic.Int64, nd*nd),
-		ring:      make([]WindowRecord, recorder),
-	}
-	for i := range t.ring {
-		t.ring[i].Events = make([]uint64, ns)
-	}
+// returns it. Arming ends the build phase: call it after every
+// AddDomain (which panics afterwards) and before Run. Arming twice
+// replaces the instrument.
+func (c *Cluster) ArmTelemetry() *Telemetry {
+	t := &Telemetry{slots: make([]telemetrySlot, len(c.kernels))}
 	for i, k := range c.kernels {
 		t.slots[i].prevExec = k.Executed()
 	}
@@ -133,107 +68,42 @@ func (c *Cluster) ArmTelemetry(recorder int) *Telemetry {
 	return t
 }
 
-// Telemetry returns the instrument armed on this cluster, or nil.
-func (c *Cluster) Telemetry() *Telemetry { return c.telem }
-
-// noteCollected accounts posts moving from a domain outbox into the
-// pending list: one post and one unit of in-flight depth per (src,dst).
-func (t *Telemetry) noteCollected(ps []post) {
-	for i := range ps {
-		idx := ps[i].src*t.domains + ps[i].dst.idx
-		t.mboxPosts[idx].Add(1)
-		if d := t.mboxDepth[idx].Add(1); d > t.mboxPeak[idx].Load() {
-			t.mboxPeak[idx].Store(d)
-		}
-	}
-}
-
-// noteDelivered accounts posts leaving the pending list for their
-// target kernels.
-func (t *Telemetry) noteDelivered(ps []post) {
-	for i := range ps {
-		t.mboxDepth[ps[i].src*t.domains+ps[i].dst.idx].Add(-1)
-	}
-}
-
-// record closes out one window: per-shard event deltas, busy/skip
-// outcomes, exec vs. barrier wall attribution, and a flight-recorder
-// entry. Called by the coordinator after the window barrier, so every
-// kernel and every lastExecNs store is ordered before it.
-func (t *Telemetry) record(c *Cluster, start Time) {
+// record closes out one window: per-shard event deltas and exec vs.
+// barrier wall attribution. Called by the coordinator after the window
+// barrier, so every kernel and every lastExecNs store is ordered before
+// it.
+func (t *Telemetry) record(c *Cluster) {
 	windowWall := int64(time.Since(t.winStart))
-	t.mu.Lock()
-	rec := &t.ring[t.total%uint64(len(t.ring))]
-	t.total++
-	rec.Seq = t.total
-	rec.Start = start
-	rec.Span = t.lookahead
-	busy := 0
 	for i, k := range c.kernels {
 		executed := k.Executed()
 		s := &t.slots[i]
 		delta := executed - s.prevExec
 		s.prevExec = executed
-		rec.Events[i] = delta
 		if delta == 0 {
 			continue
 		}
-		busy++
 		s.events.Add(delta)
-		s.busy.Add(1)
 		exec := s.lastExecNs.Load()
 		s.execNs.Add(exec)
 		if wait := windowWall - exec; wait > 0 {
 			s.barrierNs.Add(wait)
 		}
 	}
-	rec.Busy = busy
-	t.mu.Unlock()
+	t.windows.Add(1)
 }
 
-// Snapshot deep-copies the telemetry state. Safe concurrently with Run.
+// Snapshot copies the telemetry state. Safe concurrently with Run.
 func (t *Telemetry) Snapshot() TelemetrySnapshot {
 	snap := TelemetrySnapshot{
-		Lookahead: t.lookahead,
-		Shards:    make([]ShardStats, len(t.slots)),
+		Windows: t.windows.Load(),
+		Shards:  make([]ShardStats, len(t.slots)),
 	}
-	t.mu.Lock()
-	snap.Windows = t.total
-	n := len(t.ring)
-	if t.total < uint64(n) {
-		n = int(t.total)
-	}
-	snap.Recent = make([]WindowRecord, n)
-	for j := 0; j < n; j++ {
-		src := &t.ring[(t.total-uint64(n)+uint64(j))%uint64(len(t.ring))]
-		rec := *src
-		rec.Events = append([]uint64(nil), src.Events...)
-		snap.Recent[j] = rec
-	}
-	t.mu.Unlock()
 	for i := range t.slots {
 		s := &t.slots[i]
-		busy := s.busy.Load()
 		snap.Shards[i] = ShardStats{
-			Events:         s.events.Load(),
-			BusyWindows:    busy,
-			SkippedWindows: snap.Windows - busy,
-			Exec:           time.Duration(s.execNs.Load()),
-			Barrier:        time.Duration(s.barrierNs.Load()),
-		}
-	}
-	for src := 0; src < t.domains; src++ {
-		for dst := 0; dst < t.domains; dst++ {
-			idx := src*t.domains + dst
-			posts := t.mboxPosts[idx].Load()
-			if posts == 0 {
-				continue
-			}
-			snap.Mailboxes = append(snap.Mailboxes, MailboxStats{
-				Src: src, Dst: dst, Posts: posts,
-				Depth: t.mboxDepth[idx].Load(),
-				Peak:  t.mboxPeak[idx].Load(),
-			})
+			Events:  s.events.Load(),
+			Exec:    time.Duration(s.execNs.Load()),
+			Barrier: time.Duration(s.barrierNs.Load()),
 		}
 	}
 	return snap

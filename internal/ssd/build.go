@@ -100,41 +100,29 @@ type BuildConfig struct {
 	// Shards > 0 splits the rig across event-loop shards: the host
 	// complex on shard 0 and contiguous channel groups on the rest, run
 	// concurrently under a conservative time-window cluster (see
-	// sim.Cluster). Shards is capped at 1+Channels; Shards == 1 keeps
-	// the windowed protocol on a single kernel (the ablation baseline).
-	// Results are byte-identical at every shard count for a given
-	// HostHop; sharded rigs must be driven with Rig.Run, not Rig.Kernel.
+	// sim.Cluster) whose lookahead is hostHop. Shards is capped at
+	// 1+Channels; Shards == 1 keeps the windowed protocol on a single
+	// kernel (the ablation baseline). Results are byte-identical at
+	// every shard count; sharded rigs must be driven with Rig.Run, not
+	// Rig.Kernel.
 	Shards int
-	// HostHop is the modeled host↔channel-controller hop latency — the
-	// latency of crossing the interconnect between the host-side
-	// assembly (FTL, ECC, slot management) and a channel controller. It
-	// doubles as the cluster's lookahead: a window of HostHop can run on
-	// every shard in parallel. Defaults to 1µs when Shards > 0; setting
-	// HostHop > 0 with Shards == 0 shards fully (1+Channels).
-	HostHop sim.Duration
 	// ShardTelemetry arms the cluster's shard instrument (sharded rigs
-	// only): per-shard window occupancy and barrier/exec wall-clock,
-	// per-(src,dst) mailbox accounting, and a flight recorder of recent
-	// windows, all readable live via Rig.Telemetry.Snapshot while Run is
-	// in flight. Mirrors the fault injector's nil-check-disarmed idiom:
-	// off costs one branch per window, on stays allocation-free in
-	// steady state, and armed telemetry never changes simulation results
-	// or traces (the determinism tests compare on vs. off byte for
+	// only): per-shard event counts and barrier/exec wall-clock,
+	// readable live via Rig.Telemetry.Snapshot while Run is in flight.
+	// Mirrors the fault injector's nil-check-disarmed idiom: off costs
+	// one branch per window, on stays allocation-free in steady state,
+	// and armed telemetry never changes simulation results or traces
+	// (TestShardedTelemetryInvariance compares on vs. off byte for
 	// byte).
 	ShardTelemetry bool
-	// TraceShardWindows additionally flushes the flight recorder into
-	// the rig's trace stream when Run completes: one
-	// obs.KindShardWindow event per (window, busy shard) plus
-	// obs.KindShardMailbox aggregates — the input to analyze's shard
-	// report. Implies ShardTelemetry. Kept separate because the emitted
-	// events describe the shard layout, so (unlike everything else in
-	// the trace) they vary with the shard count; the telemetry-off
-	// byte-identity contract applies to ShardTelemetry alone.
-	TraceShardWindows bool
-	// FlightRecorder sets the flight-recorder depth in windows;
-	// non-positive means sim.DefaultFlightRecorder.
-	FlightRecorder int
 }
+
+// hostHop is the modeled host↔channel-controller hop latency of a
+// sharded rig — the latency of crossing the interconnect between the
+// host-side assembly (FTL, ECC, slot management) and a channel
+// controller. It doubles as the cluster's lookahead: a window of
+// hostHop can run on every shard in parallel.
+const hostHop = sim.Microsecond
 
 // Rig is a fully wired SSD plus handles to its parts. The singular
 // Channel/Babol/HW fields alias channel 0 for the common single-channel
@@ -178,9 +166,8 @@ type Rig struct {
 	Cluster *sim.Cluster
 
 	// Telemetry is the cluster's shard instrument; non-nil iff
-	// BuildConfig.ShardTelemetry (or TraceShardWindows) was set on a
-	// sharded rig. Its Snapshot is safe to read from any goroutine while
-	// Run is in flight — the live feed behind the /shards endpoint.
+	// BuildConfig.ShardTelemetry was set on a sharded rig. Its Snapshot
+	// is safe to read from any goroutine while Run is in flight.
 	Telemetry *sim.Telemetry
 
 	// sink and domBufs implement the sharded trace discipline: each
@@ -191,14 +178,6 @@ type Rig struct {
 	// tracer is the resolved event sink of an unsharded rig (cfg.Tracer
 	// composed with Metrics); HostTracer hands it to host-side emitters.
 	tracer obs.Tracer
-
-	// traceWindows, shardSeqEmitted, and mboxEmitted implement the
-	// TraceShardWindows flush: each Run emits only the windows recorded
-	// since the last flush and per-Run mailbox post deltas, so repeated
-	// Runs never double-count in a replayed stream.
-	traceWindows    bool
-	shardSeqEmitted uint64
-	mboxEmitted     map[[2]int]uint64
 }
 
 // Close releases controller resources: in-flight operation coroutines
@@ -243,13 +222,7 @@ func Build(cfg BuildConfig) (*Rig, error) {
 		cfg.Slots = 2 * cfg.Ways * cfg.Channels
 	}
 
-	shards, hop := cfg.Shards, cfg.HostHop
-	if shards == 0 && hop > 0 {
-		shards = 1 + cfg.Channels
-	}
-	if shards > 0 && hop == 0 {
-		hop = sim.Microsecond
-	}
+	shards := cfg.Shards
 	if max := 1 + cfg.Channels; shards > max {
 		shards = max
 	}
@@ -258,7 +231,7 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	var hostDom *sim.Domain
 	var k *sim.Kernel
 	if shards > 0 {
-		cluster = sim.NewCluster(shards, hop)
+		cluster = sim.NewCluster(shards, hostHop)
 		hostDom = cluster.AddDomain(0)
 		k = hostDom.Kernel()
 	} else {
@@ -393,11 +366,9 @@ func Build(cfg BuildConfig) (*Rig, error) {
 			backends[c] = wrapShard(backends[c], hostDom, chDom)
 		}
 	}
-	if cluster != nil && (cfg.ShardTelemetry || cfg.TraceShardWindows) {
-		// Arm after the domain graph is complete — the instrument sizes
-		// its mailbox matrix to the domain count at arming time.
-		rig.Telemetry = cluster.ArmTelemetry(cfg.FlightRecorder)
-		rig.traceWindows = cfg.TraceShardWindows
+	if cluster != nil && cfg.ShardTelemetry {
+		// Arming ends the cluster's build phase: every domain is in.
+		rig.Telemetry = cluster.ArmTelemetry()
 	}
 	rig.Channel = rig.Channels[0]
 	if len(rig.Babols) > 0 {

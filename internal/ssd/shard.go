@@ -13,7 +13,7 @@ import (
 // and each channel (bus, LUNs, controller, firmware CPU) is a domain on
 // its channel group's shard. Everything that crosses the host↔channel
 // boundary funnels through this file: backend calls travel as domain
-// posts with the configured HostHop latency, and completions post back.
+// posts with the hostHop latency, and completions post back.
 // Nothing else is shared, so the shards can run on separate goroutines
 // inside the cluster's conservative time windows.
 
@@ -224,43 +224,6 @@ func (r *Rig) Run() {
 	}
 	r.Cluster.Run()
 	r.drainShardTraces()
-	r.flushShardTelemetry()
-}
-
-// flushShardTelemetry appends the run's shard-window records and
-// mailbox aggregates to the trace stream (TraceShardWindows rigs only).
-// It runs after drainShardTraces, so the operation events keep their
-// merged (time, domain) order and the shard events ride behind them.
-// Only windows recorded since the previous flush are emitted, and
-// mailbox posts are emitted as per-Run deltas, so replaying a stream
-// from a rig that Ran more than once sums back to the true totals.
-func (r *Rig) flushShardTelemetry() {
-	if !r.traceWindows || r.Telemetry == nil || r.sink == nil {
-		return
-	}
-	snap := r.Telemetry.Snapshot()
-	recent := snap.Recent
-	for len(recent) > 0 && recent[0].Seq <= r.shardSeqEmitted {
-		recent = recent[1:]
-	}
-	snap.Recent = recent
-	r.shardSeqEmitted = snap.Windows
-	if r.mboxEmitted == nil {
-		r.mboxEmitted = make(map[[2]int]uint64)
-	}
-	deltas := snap.Mailboxes[:0:0]
-	for _, mb := range snap.Mailboxes {
-		key := [2]int{mb.Src, mb.Dst}
-		delta := mb.Posts - r.mboxEmitted[key]
-		r.mboxEmitted[key] = mb.Posts
-		if delta == 0 {
-			continue
-		}
-		mb.Posts = delta
-		deltas = append(deltas, mb)
-	}
-	snap.Mailboxes = deltas
-	obs.EmitShardTelemetry(r.sink, snap, r.Now())
 }
 
 // Now reports the rig's virtual time (the host shard's clock).

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/hic"
-	"repro/internal/sim"
 )
 
 // raceDetectorEnabled is set by shard_race_test.go under -race.
@@ -27,9 +26,6 @@ func TestAllocGateShardFunnel(t *testing.T) {
 		cfg.Channels = 2
 		cfg.Ways = 2
 		cfg.Shards = shards
-		if shards > 0 {
-			cfg.HostHop = sim.Microsecond
-		}
 		rig := mustBuild(t, cfg)
 		if err := rig.SSD.Preload(rig.FTL.LogicalPages()); err != nil {
 			t.Fatal(err)

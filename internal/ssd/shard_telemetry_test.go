@@ -8,20 +8,17 @@ import (
 
 	"repro/internal/hic"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // telemetryRun drives a fixed read workload on a sharded 4-channel rig
 // and returns the rig plus a fingerprint of its merged trace.
-func telemetryRun(t *testing.T, telemetry, traceWindows bool) (*Rig, string) {
+func telemetryRun(t *testing.T, telemetry bool) (*Rig, string) {
 	t.Helper()
 	cfg := smallBuild(CtrlBabolRTOS)
 	cfg.Channels = 4
 	cfg.Ways = 1
 	cfg.Shards = 5
-	cfg.HostHop = sim.Microsecond
 	cfg.ShardTelemetry = telemetry
-	cfg.TraceShardWindows = traceWindows
 	var trace obs.Buffer
 	cfg.Tracer = &trace
 	rig := mustBuild(t, cfg)
@@ -51,8 +48,8 @@ func telemetryRun(t *testing.T, telemetry, traceWindows bool) (*Rig, string) {
 // arming telemetry changes nothing observable — the merged trace is
 // byte-identical to the unarmed rig's.
 func TestShardedTelemetryInvariance(t *testing.T) {
-	_, ref := telemetryRun(t, false, false)
-	armed, got := telemetryRun(t, true, false)
+	_, ref := telemetryRun(t, false)
+	armed, got := telemetryRun(t, true)
 	if got != ref {
 		t.Fatal("trace with telemetry armed differs from unarmed trace")
 	}
@@ -63,98 +60,15 @@ func TestShardedTelemetryInvariance(t *testing.T) {
 	if snap.Windows != armed.Cluster.Windows() {
 		t.Fatalf("telemetry windows %d != cluster windows %d", snap.Windows, armed.Cluster.Windows())
 	}
-	var posts, events uint64
-	for _, mb := range snap.Mailboxes {
-		posts += mb.Posts
-	}
+	var events uint64
 	for _, s := range snap.Shards {
 		events += s.Events
-	}
-	if posts != armed.Cluster.Posts() {
-		t.Fatalf("mailbox posts %d != cluster posts %d", posts, armed.Cluster.Posts())
 	}
 	if events == 0 {
 		t.Fatal("telemetry recorded no events")
 	}
 	if len(snap.Shards) != 5 {
 		t.Fatalf("%d shard slots, want 5", len(snap.Shards))
-	}
-}
-
-// TestShardedTelemetryTraceFlush pins TraceShardWindows: the run's
-// operation trace is unchanged and the shard events ride behind it,
-// replayable into the metrics registry.
-func TestShardedTelemetryTraceFlush(t *testing.T) {
-	_, ref := telemetryRun(t, false, false)
-	cfg := smallBuild(CtrlBabolRTOS)
-	cfg.Channels = 4
-	cfg.Ways = 1
-	cfg.Shards = 5
-	cfg.HostHop = sim.Microsecond
-	cfg.TraceShardWindows = true
-	var trace obs.Buffer
-	cfg.Tracer = &trace
-	rig := mustBuild(t, cfg)
-	logical := rig.FTL.LogicalPages()
-	if err := rig.SSD.Preload(logical); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
-		Pattern: hic.Random, Kind: hic.KindRead,
-		NumOps: 80, QueueDepth: 4, LogicalPages: logical, Seed: 7,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rig.Run()
-
-	var ops, windows, mailboxes strings.Builder
-	windowEvents, mailboxEvents := 0, 0
-	sawShardEvent := false
-	for _, e := range trace.Events() {
-		switch e.Kind {
-		case obs.KindShardWindow:
-			sawShardEvent = true
-			windowEvents++
-			fmt.Fprintf(&windows, "%+v\n", e)
-		case obs.KindShardMailbox:
-			sawShardEvent = true
-			mailboxEvents++
-			fmt.Fprintf(&mailboxes, "%+v\n", e)
-		default:
-			if sawShardEvent {
-				t.Fatalf("operation event after shard events: %+v", e)
-			}
-			fmt.Fprintf(&ops, "%+v\n", e)
-		}
-	}
-	if ops.String() != ref {
-		t.Fatal("operation events differ from the plain run with TraceShardWindows set")
-	}
-	if windowEvents == 0 || mailboxEvents == 0 {
-		t.Fatalf("shard events missing: %d window, %d mailbox", windowEvents, mailboxEvents)
-	}
-
-	m := obs.NewMetrics()
-	m.Replay(trace.Events())
-	s := m.Snapshot()
-	if s.ShardWindows != rig.Cluster.Windows() {
-		t.Fatalf("replayed ShardWindows %d != cluster windows %d (recorder depth %d)",
-			s.ShardWindows, rig.Cluster.Windows(), sim.DefaultFlightRecorder)
-	}
-	var posts uint64
-	for _, mb := range s.Mailboxes {
-		posts += mb.Posts
-	}
-	if posts != rig.Cluster.Posts() {
-		t.Fatalf("replayed mailbox posts %d != cluster posts %d", posts, rig.Cluster.Posts())
-	}
-	// A second Run must not re-emit already-flushed windows.
-	trace.Reset()
-	rig.Run()
-	for _, e := range trace.Events() {
-		if e.Kind == obs.KindShardWindow || e.Kind == obs.KindShardMailbox {
-			t.Fatalf("idle re-Run re-emitted shard event %+v", e)
-		}
 	}
 }
 
@@ -171,7 +85,6 @@ func TestShardedTelemetryAllocGate(t *testing.T) {
 		cfg.Channels = 2
 		cfg.Ways = 2
 		cfg.Shards = 3
-		cfg.HostHop = sim.Microsecond
 		cfg.ShardTelemetry = telemetry
 		rig := mustBuild(t, cfg)
 		if err := rig.SSD.Preload(rig.FTL.LogicalPages()); err != nil {

@@ -26,7 +26,6 @@ func shardedRun(t *testing.T, shards int) (string, Stats) {
 	cfg.SuspendReads = true
 	cfg.Params.TBERS = 3 * sim.Millisecond
 	cfg.Shards = shards
-	cfg.HostHop = sim.Microsecond
 	cfg.Observe = true
 	var trace obs.Buffer
 	cfg.Tracer = &trace
@@ -150,7 +149,7 @@ func TestShardedHWBaseline(t *testing.T) {
 }
 
 // TestShardedBuildShape pins the build-time plumbing: shard capping,
-// per-shard coroutine pools, and the HostHop defaults.
+// per-shard coroutine pools, and the 1 µs host-hop lookahead.
 func TestShardedBuildShape(t *testing.T) {
 	cfg := smallBuild(CtrlBabolRTOS)
 	cfg.Channels = 4
@@ -161,7 +160,7 @@ func TestShardedBuildShape(t *testing.T) {
 		t.Errorf("shards = %d, want 5 (1 host + 4 channels)", got)
 	}
 	if rig.Cluster.Lookahead() != sim.Microsecond {
-		t.Errorf("default HostHop = %v, want 1us", rig.Cluster.Lookahead())
+		t.Errorf("cluster lookahead = %v, want the 1us host hop", rig.Cluster.Lookahead())
 	}
 	// One pool per channel shard (the host shard runs no controller).
 	if len(rig.CoroPools) != 4 {
@@ -169,15 +168,6 @@ func TestShardedBuildShape(t *testing.T) {
 	}
 	if rig.CoroPool == nil {
 		t.Error("CoroPool alias not set")
-	}
-
-	// HostHop alone shards fully.
-	cfg2 := smallBuild(CtrlBabolRTOS)
-	cfg2.Channels = 2
-	cfg2.HostHop = 2 * sim.Microsecond
-	rig2 := mustBuild(t, cfg2)
-	if rig2.Cluster == nil || rig2.Cluster.Shards() != 3 {
-		t.Fatalf("HostHop alone should shard fully, got %+v", rig2.Cluster)
 	}
 
 	// Unsharded stays legacy: no cluster, no per-shard pools.
