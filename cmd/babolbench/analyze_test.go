@@ -145,3 +145,19 @@ func TestMiniTracesRegenerate(t *testing.T) {
 		}
 	}
 }
+
+// An empty trace is an error for both report forms, not an all-zero
+// report: `: > t.jsonl; babolbench analyze t.jsonl` must exit 1.
+func TestAnalyzeTraceRejectsEmptyTrace(t *testing.T) {
+	for name, content := range map[string]string{"empty.jsonl": "", "blank.jsonl": "\n  \n\r\n"} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, csv := range []bool{false, true} {
+			if err := analyzeTrace(path, csv); err == nil || err.Error() != path+": no events" {
+				t.Errorf("analyzeTrace(%s, csv=%v) = %v, want %q", name, csv, err, path+": no events")
+			}
+		}
+	}
+}

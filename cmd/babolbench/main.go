@@ -175,6 +175,10 @@ func analyzeTrace(path string, csv bool) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
+	if len(events) == 0 {
+		// A trace truncated to nothing fails as loudly as a corrupted one.
+		return fmt.Errorf("%s: no events", path)
+	}
 	res := analyze.Analyze(events)
 	if csv {
 		fmt.Print(res.CSV())

@@ -129,7 +129,8 @@ func SplitRuns(events []obs.Event) [][]obs.Event {
 	seen := make(map[key]bool)
 	var runs [][]obs.Event
 	start := 0
-	for i, e := range events {
+	for i := range events {
+		e := &events[i]
 		if e.OpID == 0 {
 			continue
 		}
@@ -173,7 +174,7 @@ func Correlate(events []obs.Event) []Span {
 	}
 	open := make(map[key]*Span)
 	var done []Span
-	get := func(e obs.Event) *Span {
+	get := func(e *obs.Event) *Span {
 		k := key{e.Channel, e.OpID}
 		s := open[k]
 		if s == nil {
@@ -182,7 +183,8 @@ func Correlate(events []obs.Event) []Span {
 		}
 		return s
 	}
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		if e.OpID == 0 {
 			// Not op-attributable: scheduling charges, gate opens.
 			continue

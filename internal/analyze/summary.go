@@ -124,25 +124,36 @@ type Result struct {
 // Merged multi-rig traces are split into runs first (SplitRuns), so op
 // IDs and virtual clocks that restart per rig never alias.
 func Analyze(events []obs.Event) *Result {
-	res := &Result{Metrics: replay(events)}
-	for i, run := range SplitRuns(events) {
-		r := Run{Index: i, Metrics: replay(run), Timelines: map[int]*Timeline{}}
+	whole := obs.NewMetrics()
+	whole.Replay(events)
+	res := &Result{Metrics: whole.Snapshot()}
+	runs := SplitRuns(events)
+	for i, run := range runs {
+		r := Run{Index: i, Timelines: map[int]*Timeline{}}
+		if len(runs) == 1 {
+			// The run is the whole trace: a second snapshot of the
+			// registry (own maps), not a second replay.
+			r.Metrics = whole.Snapshot()
+		} else {
+			m := obs.NewMetrics()
+			m.Replay(run)
+			r.Metrics = m.Snapshot()
+		}
 		r.Spans = Correlate(run)
 		r.Tenants = TenantReportFromEvents(run)
-		for _, s := range r.Spans {
-			if !s.Complete {
+		for i := range r.Spans {
+			if !r.Spans[i].Complete {
 				r.Incomplete++
 			}
 		}
-		channels := make([]int, 0, len(r.Metrics.Channels))
+		timelines := timelinesFromEvents(run)
 		for ch := range r.Metrics.Channels {
-			channels = append(channels, ch)
+			if r.Timelines[ch] = timelines[ch]; r.Timelines[ch] == nil {
+				r.Timelines[ch] = &Timeline{Channel: ch}
+			}
 		}
-		sort.Ints(channels)
-		for _, ch := range channels {
-			tl := timelineFromEvents(ch, run)
-			r.Timelines[ch] = tl
-			r.Violations = append(r.Violations, tl.Violations()...)
+		for _, ch := range r.Channels() {
+			r.Violations = append(r.Violations, r.Timelines[ch].Violations()...)
 		}
 		res.Spans = append(res.Spans, r.Spans...)
 		res.Violations = append(res.Violations, r.Violations...)
@@ -150,10 +161,4 @@ func Analyze(events []obs.Event) *Result {
 	}
 	res.Components = SummarizeSpans(res.Spans)
 	return res
-}
-
-func replay(events []obs.Event) obs.Snapshot {
-	m := obs.NewMetrics()
-	m.Replay(events)
-	return m.Snapshot()
 }

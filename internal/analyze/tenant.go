@@ -55,7 +55,8 @@ func TenantReportFromEvents(events []obs.Event) *TenantReport {
 	var first, last sim.Time
 	seen := false
 	accs := map[string]*acc{}
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		if e.Kind != obs.KindHostCmd {
 			continue
 		}

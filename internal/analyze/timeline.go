@@ -40,48 +40,56 @@ type Timeline struct {
 	Intervals []Interval // sorted by Start, channel and die mixed
 	// First/Last bound the observed activity.
 	First, Last sim.Time
+	// instrLevel marks channel intervals reconstructed from µFSM
+	// instruction events rather than whole-transaction brackets.
+	instrLevel bool
 }
 
-// timelineFromEvents reconstructs one channel's timeline from its event
-// stream. µFSM instruction events give instruction-level strips when
-// present (each KindHWInstr reports the bus occupancy it appended, so
-// its strip is [Time−Dur, Time]); otherwise the coarser per-transaction
-// brackets are used. Using both would double-count the same bus time.
-func timelineFromEvents(channel int, events []obs.Event) *Timeline {
-	t := &Timeline{Channel: channel}
-	instrLevel := false
-	for _, e := range events {
-		if e.Channel == channel && e.Kind == obs.KindHWInstr && e.Dur > 0 {
-			instrLevel = true
-			break
-		}
-	}
-	for _, e := range events {
-		if e.Channel != channel {
+// timelinesFromEvents reconstructs every channel's timeline from one
+// rig's event stream in a single scan. µFSM instruction events give
+// instruction-level strips when a channel has any (each KindHWInstr
+// reports the bus occupancy it appended, so its strip is
+// [Time−Dur, Time]); otherwise the coarser per-transaction brackets are
+// used. Using both would double-count the same bus time, so a
+// channel's first timed instruction discards the transaction brackets
+// collected for it until then.
+func timelinesFromEvents(events []obs.Event) map[int]*Timeline {
+	out := map[int]*Timeline{}
+	var t *Timeline // the timeline of the last strip: runs of one channel skip the map
+	for i := range events {
+		e := &events[i]
+		if e.Kind != obs.KindHWInstr && e.Kind != obs.KindTxnExecuted {
 			continue
 		}
-		switch e.Kind {
-		case obs.KindHWInstr:
-			if !instrLevel || e.Dur <= 0 {
-				continue
+		if t == nil || t.Channel != e.Channel {
+			if t = out[e.Channel]; t == nil {
+				t = &Timeline{Channel: e.Channel}
+				out[e.Channel] = t
+			}
+		}
+		switch {
+		case e.Kind == obs.KindTxnExecuted:
+			if !t.instrLevel {
+				t.add(Interval{
+					Start: e.Start, End: e.End, Chip: e.Chip,
+					OpID: e.OpID, TxnID: e.TxnID, Label: "txn", OnChannel: true,
+				})
+			}
+		case e.Dur > 0:
+			if !t.instrLevel {
+				*t = Timeline{Channel: e.Channel, Intervals: t.Intervals[:0], instrLevel: true}
 			}
 			t.add(Interval{
 				Start: e.Time.Add(-e.Dur), End: e.Time, Chip: e.Chip,
 				OpID: e.OpID, TxnID: e.TxnID, Label: e.Label, Bytes: e.Bytes,
 				OnChannel: true,
 			})
-		case obs.KindTxnExecuted:
-			if instrLevel {
-				continue
-			}
-			t.add(Interval{
-				Start: e.Start, End: e.End, Chip: e.Chip,
-				OpID: e.OpID, TxnID: e.TxnID, Label: "txn", OnChannel: true,
-			})
 		}
 	}
-	t.sortIntervals()
-	return t
+	for _, t := range out {
+		t.sortIntervals()
+	}
+	return out
 }
 
 // AddSegments merges wave.Recorder segments into the timeline — the

@@ -81,17 +81,20 @@ func runJobs(workers, n int, run func(i int) error) (idx int, err error) {
 
 // sweep runs n rig jobs under the worker pool and keeps the shared
 // Options.Tracer concurrency-safe: each job traces into a private
-// obs.Buffer, and once the sweep settles the buffers are replayed into
-// the real tracer in input order. The merged stream is byte-identical
-// to a serial run regardless of worker count. On failure, buffers
-// before the failing job are still replayed (matching how far a serial
-// run would have traced) and the lowest-indexed error is returned.
+// obs.Buffer, and buffer i is replayed into the real tracer — and
+// released — as soon as jobs 0…i have all succeeded, so a traced sweep
+// holds the events of the jobs in flight, not of the whole figure. The
+// tracer sees one caller at a time and the buffers in input order: the
+// merged stream is byte-identical to a serial run regardless of worker
+// count. A failed job stops the replay at its own index (matching how
+// far a serial run would have traced) and the lowest-indexed error is
+// returned.
 //
 // Options.Live is the opposite trade: it is fed directly from the
 // workers as events happen, concurrently and in nondeterministic
 // interleaving, so a monitoring endpoint can watch a long sweep in
 // flight. The two compose — Live sees events immediately, Tracer sees
-// the same events deterministically ordered afterwards.
+// the same events deterministically ordered once their turn comes.
 func sweep(opt Options, n int, body func(i int, tracer obs.Tracer) error) error {
 	if opt.Tracer == nil {
 		_, err := runJobs(opt.workers(), n, func(i int) error {
@@ -100,15 +103,43 @@ func sweep(opt Options, n int, body func(i int, tracer obs.Tracer) error) error 
 		return err
 	}
 	bufs := make([]obs.Buffer, n)
-	idx, err := runJobs(opt.workers(), n, func(i int) error {
+	var (
+		mu        sync.Mutex
+		succeeded = make([]bool, n)
+		cursor    int  // bufs[:cursor] are replayed and released
+		replaying bool // one worker is feeding the tracer, outside the lock
+	)
+	// settle marks job i succeeded and, unless another worker is already
+	// at it, replays every buffer whose turn has come. The lock is not
+	// held across the tracer calls; replaying keeps them to one caller.
+	settle := func(i int) {
+		mu.Lock()
+		succeeded[i] = true
+		if replaying {
+			mu.Unlock()
+			return
+		}
+		replaying = true
+		for cursor < n && succeeded[cursor] {
+			mu.Unlock()
+			bufs[cursor].ReplayInto(opt.Tracer)
+			bufs[cursor] = obs.Buffer{}
+			mu.Lock()
+			cursor++
+		}
+		replaying = false
+		mu.Unlock()
+	}
+	_, err := runJobs(opt.workers(), n, func(i int) error {
 		var tr obs.Tracer = &bufs[i]
 		if opt.Live != nil {
 			tr = obs.Multi{&bufs[i], opt.Live}
 		}
-		return body(i, tr)
+		if err := body(i, tr); err != nil {
+			return err
+		}
+		settle(i)
+		return nil
 	})
-	for i := 0; i < idx && i < n; i++ {
-		bufs[i].ReplayInto(opt.Tracer)
-	}
 	return err
 }

@@ -122,6 +122,64 @@ func TestSweepReplaysPrefixOnFailure(t *testing.T) {
 	}
 }
 
+// A buffer is replayed as soon as every job before it has succeeded, not
+// when the sweep settles: serially, job i's events are in the tracer
+// before job i+1's body starts, and nothing is replayed twice.
+func TestSweepReplaysAsJobsSettle(t *testing.T) {
+	var got []uint64
+	opt := Options{Parallel: 1, Tracer: obs.Func(func(e obs.Event) {
+		got = append(got, e.OpID)
+	})}
+	err := sweep(opt, 4, func(i int, tracer obs.Tracer) error {
+		if len(got) != 2*i {
+			t.Errorf("job %d started with %d events replayed, want %d (jobs 0..%d)", i, len(got), 2*i, i-1)
+		}
+		tracer.Event(obs.Event{OpID: uint64(2 * i)})
+		tracer.Event(obs.Event{OpID: uint64(2*i + 1)})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range got {
+		if id != uint64(i) {
+			t.Fatalf("merged stream out of order at %d: %v", i, got)
+		}
+	}
+	if len(got) != 8 {
+		t.Fatalf("%d events merged, want 8", len(got))
+	}
+}
+
+// With workers racing to settle, the replay still stops exactly at the
+// lowest failing job, whatever finished after it.
+func TestSweepParallelFailureReplaysExactPrefix(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		var got []uint64
+		opt := Options{Parallel: 8, Tracer: obs.Func(func(e obs.Event) {
+			got = append(got, e.OpID)
+		})}
+		err := sweep(opt, 16, func(i int, tracer obs.Tracer) error {
+			tracer.Event(obs.Event{OpID: uint64(i)})
+			if i == 5 || i == 9 {
+				return errors.New("boom")
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatal("error swallowed")
+		}
+		if len(got) != 5 {
+			t.Fatalf("replayed %v, want jobs 0..4", got)
+		}
+		for i, id := range got {
+			if id != uint64(i) {
+				t.Fatalf("replayed %v, want jobs 0..4 in order", got)
+			}
+		}
+	}
+}
+
 // traceRun captures the merged JSONL trace of an experiment run.
 func traceRun(t *testing.T, opt Options, run func(Options) error) []byte {
 	t.Helper()

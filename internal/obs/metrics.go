@@ -486,7 +486,7 @@ func (m *Metrics) Snapshot() Snapshot {
 
 // Replay feeds a recorded event slice through the registry.
 func (m *Metrics) Replay(events []Event) {
-	for _, e := range events {
-		m.Event(e)
+	for i := range events {
+		m.Event(events[i])
 	}
 }

@@ -14,7 +14,12 @@
 // Tracing is strictly pay-for-what-you-use: a nil Tracer is the
 // default, every emission site is guarded by a nil check, and the Event
 // struct is passed by value, so the disabled path costs one branch and
-// the enabled path does not allocate.
+// the enabled path does not allocate — through the sinks as well: a
+// Buffer allocates once per 1024-event chunk, a JSONLWriter not at all
+// for events whose label needs no JSON escaping, and ReadJSONL decodes
+// the lines that writer produced without a per-event allocation
+// (TestAllocGate* hold all three to it). Only Metrics allocates, once
+// per new chip, channel, tenant or label it meets.
 package obs
 
 import "repro/internal/sim"
@@ -127,6 +132,9 @@ type Event struct {
 	// Time is the virtual time of emission.
 	Time sim.Time
 	Kind Kind
+	// Err marks a failed operation (KindOpFinished) or transaction
+	// (KindTxnExecuted). It sits next to Kind so the two share a word.
+	Err bool
 	// Channel is the channel index in multi-channel assemblies, tagged
 	// by OnChannel; 0 for single-channel rigs.
 	Channel int
@@ -146,9 +154,6 @@ type Event struct {
 	Cycles int64
 	// Bytes is the DMA payload size (KindHWInstr data instructions).
 	Bytes int
-	// Err marks a failed operation (KindOpFinished) or transaction
-	// (KindTxnExecuted).
-	Err bool
 	// Label is a kind-dependent tag: slot kind, charge site, µFSM name.
 	Label string
 }
