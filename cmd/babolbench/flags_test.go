@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/hic"
@@ -98,4 +101,36 @@ func TestFlagParsing(t *testing.T) {
 			t.Error("unknown flag parsed without error")
 		}
 	})
+}
+
+// TestWorkloadReplayRerecords: `-replay X -record Y workload` once
+// exited 0 and wrote nothing, because only the sweep branch armed the
+// recorder. A replay re-records, and the copy equals its input byte for
+// byte.
+func TestWorkloadReplayRerecords(t *testing.T) {
+	dir := t.TempDir()
+	first, second := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")
+	run := func(args ...string) {
+		t.Helper()
+		c := newCLI(io.Discard)
+		if err := c.fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if err := runWorkload(c, c.options(), io.Discard); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	run("-ops", "8", "-record", first, "workload")
+	run("-ops", "8", "-replay", first, "-record", second, "workload")
+	want, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(second)
+	if err != nil {
+		t.Fatalf("replay wrote no recording: %v", err)
+	}
+	if len(want) == 0 || !bytes.Equal(got, want) {
+		t.Errorf("re-recorded replay is %d bytes, the %d-byte recording it replayed differs", len(got), len(want))
+	}
 }

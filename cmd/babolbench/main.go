@@ -47,7 +47,8 @@
 // submission-queue count, -arb picks rr or wrr arbitration, -record
 // captures the contended run's host command stream as a hic JSONL trace,
 // and -replay plays such a trace back open loop on a fresh rig,
-// reproducing the recorded command stream exactly.
+// reproducing the recorded command stream exactly (-replay with -record
+// re-records it; the two files compare equal).
 //
 // plus the software logic analyzer over recorded traces:
 //
@@ -106,14 +107,18 @@ func arbitration(name string) (hic.Arbitration, error) {
 
 // runWorkload is the `babolbench workload` subcommand: with -replay,
 // play a recorded hic trace back on a fresh rig; otherwise run the
-// many-tenant solo-versus-contended sweep, optionally capturing the
-// contended run's command stream with -record.
-func runWorkload(c *cli, opt exp.Options) error {
+// many-tenant solo-versus-contended sweep. Either way -record captures
+// the host command stream the (contended) run enqueued, so a replay can
+// be re-recorded and compared with its input.
+func runWorkload(c *cli, opt exp.Options, out io.Writer) error {
 	arb, err := arbitration(c.arb)
 	if err != nil {
 		return err
 	}
 	cfg := exp.WorkloadConfig{Queues: c.queues, Arbitration: arb}
+	if c.record != "" {
+		cfg.Recorder = &hic.Recorder{}
+	}
 	if c.replay != "" {
 		f, err := os.Open(c.replay)
 		if err != nil {
@@ -128,38 +133,36 @@ func runWorkload(c *cli, opt exp.Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("replayed %d host commands (%d failed) over %s: mean %s, p99 %s, %.0f IOPS\n",
+		fmt.Fprintf(out, "replayed %d host commands (%d failed) over %s: mean %s, p99 %s, %.0f IOPS\n",
 			res.Done(), res.Failed, res.Elapsed(), res.MeanLatency(),
 			res.LatencyPercentile(99), res.IOPS())
-		return nil
-	}
-	if c.record != "" {
-		cfg.Recorder = &hic.Recorder{}
-	}
-	r, err := exp.Workloads(opt, cfg)
-	if err != nil {
-		return err
-	}
-	if c.csv {
-		fmt.Print(exp.WorkloadCSV(r))
 	} else {
-		fmt.Println(exp.RenderWorkload(r, arb))
-	}
-	if c.record != "" {
-		f, err := os.Create(c.record)
+		r, err := exp.Workloads(opt, cfg)
 		if err != nil {
 			return err
 		}
-		if err := cfg.Recorder.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
+		if c.csv {
+			fmt.Fprint(out, exp.WorkloadCSV(r))
+		} else {
+			fmt.Fprintln(out, exp.RenderWorkload(r, arb))
 		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "babolbench: recorded %d host commands to %s\n",
-			cfg.Recorder.Len(), c.record)
 	}
+	if c.record == "" {
+		return nil
+	}
+	f, err := os.Create(c.record)
+	if err != nil {
+		return err
+	}
+	if err := cfg.Recorder.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "babolbench: recorded %d host commands to %s\n",
+		cfg.Recorder.Len(), c.record)
 	return nil
 }
 
@@ -248,13 +251,13 @@ func newCLI(errOut io.Writer) *cli {
 	c.fs.Int64Var(&c.mapCache, "mapcache", 0, "FTL translation-map DRAM budget in bytes (map pages demand-paged, misses charged as NAND reads; 0 = whole map resident)")
 	c.fs.IntVar(&c.queues, "queues", 0, "workload: frontend submission-queue count (0 = one per tenant; tenants share queues when fewer)")
 	c.fs.StringVar(&c.arb, "arb", "rr", "workload: submission-queue arbitration, rr or wrr (wrr gives queue 0 a 4-command burst)")
-	c.fs.StringVar(&c.record, "record", "", "workload: write the contended run's host command stream to this hic JSONL trace")
+	c.fs.StringVar(&c.record, "record", "", "workload: write the contended run's (or the -replay's) host command stream to this hic JSONL trace")
 	c.fs.StringVar(&c.replay, "replay", "", "workload: replay this hic JSONL trace on a fresh rig instead of the synthetic tenants")
 	c.fs.Usage = func() {
 		fmt.Fprintf(errOut, "usage: babolbench [-ops N] [-blocks N] [-parallel N] [-mapcache BYTES] [-trace out.jsonl] [-http :PORT] table1|table2|table3|fig9|fig10|fig11|fig12|split|all\n")
 		fmt.Fprintf(errOut, "       babolbench [-ops N] [-parallel N] [-trace out.jsonl] mapcache\n")
 		fmt.Fprintf(errOut, "       babolbench [-ops N] [-seeds N] [-parallel N] [-mapcache BYTES] [-trace out.jsonl] chaos\n")
-		fmt.Fprintf(errOut, "       babolbench [-ops N] [-queues N] [-arb rr|wrr] [-parallel N] [-record cmds.jsonl | -replay cmds.jsonl] [-trace out.jsonl] workload\n")
+		fmt.Fprintf(errOut, "       babolbench [-ops N] [-queues N] [-arb rr|wrr] [-parallel N] [-record cmds.jsonl] [-replay cmds.jsonl] [-trace out.jsonl] workload\n")
 		fmt.Fprintf(errOut, "       babolbench [-csv] analyze trace.jsonl\n")
 		c.fs.PrintDefaults()
 	}
@@ -399,7 +402,7 @@ func main() {
 				fmt.Println(exp.RenderMapCache(pts))
 			}
 		case "workload":
-			return runWorkload(c, opt)
+			return runWorkload(c, opt, os.Stdout)
 		case "split":
 			rows, err := exp.TimeSplit(opt)
 			if err != nil {

@@ -4,6 +4,7 @@
 //
 //	ssdsim -ctrl rtos -ways 8 -pattern random -kind read -ops 2000
 //	ssdsim -ctrl hw -kind write -ops 5000     # exercises GC
+//	ssdsim -trace cmds.jsonl                  # replays a babolbench -record trace
 package main
 
 import (
@@ -48,6 +49,36 @@ func selectors(ctrl, pattern, kind string) (c ssd.ControllerKind, p hic.Pattern,
 	return c, p, k, nil
 }
 
+// replay starts the recorded source on rig from the hic JSONL trace at
+// path (what `babolbench -record` writes) and reports its command
+// count. The frontend is sized from the trace — one submission queue
+// per recorded queue index — with qd as each queue's window.
+func replay(rig *ssd.Rig, path string, qd int) (*hic.Result, int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	entries, err := hic.ReadJSONL(f)
+	f.Close()
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	queues := 0
+	for _, e := range entries {
+		queues = max(queues, e.Queue+1)
+	}
+	qcs := make([]hic.QueueConfig, queues)
+	for i := range qcs {
+		qcs[i].Depth = qd
+	}
+	front, err := hic.NewFrontend(rig.Kernel, rig.SSD, hic.FrontendConfig{Queues: qcs})
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := hic.Replay(rig.Kernel, front, entries, nil)
+	return res, len(entries), err
+}
+
 func main() {
 	ctrl := flag.String("ctrl", "rtos", "controller: hw|rtos|coro")
 	channels := flag.Int("channels", 1, "independent flash channels")
@@ -63,7 +94,7 @@ func main() {
 	withECC := flag.Bool("ecc", false, "protect pages with SEC-DED ECC")
 	copyback := flag.Bool("copyback", false, "GC relocations use NAND copyback (BABOL only)")
 	suspend := flag.Bool("suspend-reads", false, "reads preempt GC erases (BABOL only)")
-	traceFile := flag.String("trace", "", "replay a host trace file instead of a synthetic pattern")
+	traceFile := flag.String("trace", "", "replay a hic JSONL trace (babolbench -record) instead of a synthetic pattern; -qd is each queue's window")
 	flag.Parse()
 
 	params, err := nand.PresetByName(*pkg)
@@ -103,33 +134,16 @@ func main() {
 
 	var res *hic.Result
 	if *traceFile != "" {
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ssdsim:", err)
-			os.Exit(1)
-		}
-		entries, err := hic.ParseTrace(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ssdsim:", err)
-			os.Exit(1)
-		}
-		res, err = hic.ReplayTrace(rig.Kernel, rig.SSD, entries)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ssdsim:", err)
-			os.Exit(1)
-		}
-		*numOps = len(entries)
+		res, *numOps, err = replay(rig, *traceFile, *qd)
 	} else {
-		var err error
 		res, err = hic.Run(rig.Kernel, rig.SSD, hic.Workload{
 			Pattern: pat, Kind: k,
 			NumOps: *numOps, QueueDepth: *qd, LogicalPages: working, Seed: 1,
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ssdsim:", err)
-			os.Exit(1)
-		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ssdsim:", err)
+		os.Exit(1)
 	}
 	rig.Kernel.Run()
 

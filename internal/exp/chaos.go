@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/hic"
-	"repro/internal/nand"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/ssd"
 )
 
@@ -35,24 +33,6 @@ type ChaosPoint struct {
 // planner healthy chips to spare while keeping runs fast.
 const chaosWays = 4
 
-// chaosParams is the shrunk package every chaos run uses: small blocks
-// so GC pressure arrives within a few hundred ops, jitter and raw bit
-// errors off so every divergence in a run is the fault plan's doing.
-func chaosParams() nand.Params {
-	p := nand.Hynix()
-	p.Geometry.Planes = 1
-	p.Geometry.BlocksPerLUN = 16
-	p.Geometry.PagesPerBlk = 4
-	p.Geometry.PageBytes = 512
-	p.Geometry.SpareBytes = 64
-	p.TR = 20 * sim.Microsecond
-	p.TPROG = 50 * sim.Microsecond
-	p.TBERS = 200 * sim.Microsecond
-	p.JitterPct = 0
-	p.RawBitErrorPer512B = 0
-	return p
-}
-
 // Chaos runs one soak per seed and reports what the drive survived.
 // Each run derives its fault plan from its seed alone, so any chaos
 // result reproduces exactly by rerunning with the same seed.
@@ -76,7 +56,8 @@ func Chaos(opt Options, seeds []int64) ([]ChaosPoint, error) {
 // chaosRun drives one seeded soak and checks the survival contract.
 func chaosRun(opt Options, seed int64, tracer obs.Tracer) (ChaosPoint, error) {
 	ops := opt.Ops
-	params := chaosParams()
+	// Small blocks so GC pressure arrives within a few hundred ops.
+	params := shrunkHynix(16, 4)
 	geo := params.Geometry
 	rows := uint32(geo.BlocksPerLUN * geo.PagesPerBlk)
 	plan := fault.Randomized(seed, chaosWays, rows, params.TR)

@@ -79,6 +79,26 @@ func shrink(p nand.Params, blocks int) nand.Params {
 	return p
 }
 
+// shrunkHynix is the Hynix package cut down for the experiments beyond
+// the paper (chaos soak, map-cache ablation, tenant workloads), which
+// need pressure, not capacity: one plane of blocksPerLUN × pagesPerBlk
+// 512-byte pages, short fixed array times, and jitter and raw bit
+// errors off so every divergence in a run is the experiment's doing.
+func shrunkHynix(blocksPerLUN, pagesPerBlk int) nand.Params {
+	p := nand.Hynix()
+	p.Geometry.Planes = 1
+	p.Geometry.BlocksPerLUN = blocksPerLUN
+	p.Geometry.PagesPerBlk = pagesPerBlk
+	p.Geometry.PageBytes = 512
+	p.Geometry.SpareBytes = 64
+	p.TR = 20 * sim.Microsecond
+	p.TPROG = 50 * sim.Microsecond
+	p.TBERS = 200 * sim.Microsecond
+	p.JitterPct = 0
+	p.RawBitErrorPer512B = 0
+	return p
+}
+
 // build assembles one rig of an experiment: base is the experiment's
 // own configuration, and the rig-wide options every experiment shares
 // are laid over it here, the one place that knows them.
@@ -107,21 +127,28 @@ func readThroughput(opt Options, cfg ssd.BuildConfig, tracer obs.Tracer, pattern
 	if err := rig.SSD.Preload(working); err != nil {
 		return 0, err
 	}
-	res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
+	res, err := runClean(rig, hic.Workload{
 		Pattern: pattern, Kind: hic.KindRead,
 		NumOps: opt.Ops, QueueDepth: queueDepth, LogicalPages: working, Seed: 7,
 	})
 	if err != nil {
 		return 0, err
 	}
-	rig.Run()
-	if res.Completed != opt.Ops {
-		return 0, fmt.Errorf("exp: only %d of %d ops completed", res.Completed, opt.Ops)
-	}
-	if res.Failed != 0 {
-		return 0, fmt.Errorf("exp: %d ops failed", res.Failed)
-	}
 	return res.BandwidthMBps(cfg.Params.Geometry.PageBytes), nil
+}
+
+// runClean drives w on rig through hic.Run until the rig is quiescent,
+// and fails unless every command completed without error.
+func runClean(rig *ssd.Rig, w hic.Workload) (*hic.Result, error) {
+	res, err := hic.Run(rig.Kernel, rig.SSD, w)
+	if err != nil {
+		return nil, err
+	}
+	rig.Run()
+	if res.Completed != w.NumOps || res.Failed != 0 {
+		return nil, fmt.Errorf("exp: %d of %d ops completed, %d failed", res.Completed, w.NumOps, res.Failed)
+	}
+	return res, nil
 }
 
 // channelCeilingMBps is the ideal data-only channel bandwidth at a given

@@ -54,16 +54,12 @@ func Fig11(opt Options) ([]Fig11Result, error) {
 		if err := rig.SSD.Preload(reads); err != nil {
 			return err
 		}
-		res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
+		res, err := runClean(rig, hic.Workload{
 			Pattern: hic.Sequential, Kind: hic.KindRead,
 			NumOps: reads, QueueDepth: 1, LogicalPages: reads,
 		})
 		if err != nil {
-			return err
-		}
-		rig.Run()
-		if res.Completed != reads || res.Failed != 0 {
-			return fmt.Errorf("fig11 %v: %d/%d completed, %d failed", kind, res.Completed, reads, res.Failed)
+			return fmt.Errorf("fig11 %v: %w", kind, err)
 		}
 		polls, period := pollCadence(rig.Channel.Recorder().Segments())
 		out[i] = Fig11Result{
@@ -143,16 +139,11 @@ func Fig9() (string, error) {
 	if err := rig.SSD.Preload(1); err != nil {
 		return "", err
 	}
-	res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
+	if _, err := runClean(rig, hic.Workload{
 		Pattern: hic.Sequential, Kind: hic.KindRead,
 		NumOps: 1, QueueDepth: 1, LogicalPages: 1,
-	})
-	if err != nil {
-		return "", err
-	}
-	rig.Run()
-	if res.Completed != 1 || res.Failed != 0 {
-		return "", fmt.Errorf("fig9: read did not complete cleanly")
+	}); err != nil {
+		return "", fmt.Errorf("fig9: %w", err)
 	}
 	out := "Fig 9: waveform of an ONFI READ produced by Algorithm 2 (RTOS @ 1 GHz)\n"
 	out += "------------------------------------------------------------------------\n"

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/hic"
-	"repro/internal/nand"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/ssd"
 )
 
@@ -32,27 +30,6 @@ type MapCachePoint struct {
 
 // mapCacheWays is the channel width of the ablation rig.
 const mapCacheWays = 4
-
-// mapCacheParams shrinks the Hynix package the way the chaos soak does,
-// for the same reason: the sweep needs eviction pressure, not capacity.
-// 512-byte pages make a translation page 64 L2P entries, so a few-KB
-// budget holds a few map pages and a 2048-page working set spans 32 —
-// misses and clock evictions happen at figure-scale op counts instead
-// of needing a TB-class preload.
-func mapCacheParams() nand.Params {
-	p := nand.Hynix()
-	p.Geometry.Planes = 1
-	p.Geometry.BlocksPerLUN = 64
-	p.Geometry.PagesPerBlk = 16
-	p.Geometry.PageBytes = 512
-	p.Geometry.SpareBytes = 64
-	p.TR = 20 * sim.Microsecond
-	p.TPROG = 50 * sim.Microsecond
-	p.TBERS = 200 * sim.Microsecond
-	p.JitterPct = 0
-	p.RawBitErrorPer512B = 0
-	return p
-}
 
 // DefaultMapCacheBudgets is the swept budget ladder: disabled, then 4
 // to 64 translation pages' worth of DRAM (at the ablation geometry's
@@ -91,8 +68,14 @@ func MapCache(opt Options, budgets []int64) ([]MapCachePoint, error) {
 
 func mapCacheRun(opt Options, budget int64, tracer obs.Tracer) (MapCachePoint, error) {
 	opt.MapCacheBytes = budget // the swept variable overrides the rig-wide flag
+	// The sweep needs eviction pressure, not capacity. 512-byte pages
+	// make a translation page 64 L2P entries, so a few-KB budget holds a
+	// few map pages and a 2048-page working set spans 32 — misses and
+	// clock evictions happen at figure-scale op counts instead of
+	// needing a TB-class preload.
+	params := shrunkHynix(64, 16)
 	rig, err := opt.build(ssd.BuildConfig{
-		Params: mapCacheParams(), Ways: mapCacheWays, RateMT: 200,
+		Params: params, Ways: mapCacheWays, RateMT: 200,
 		Controller: ssd.CtrlBabolCoro, CPUMHz: 1000,
 	}, tracer)
 	if err != nil {
@@ -111,24 +94,17 @@ func mapCacheRun(opt Options, budget int64, tracer obs.Tracer) (MapCachePoint, e
 	if err := rig.SSD.Preload(working); err != nil {
 		return MapCachePoint{}, err
 	}
-	res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
+	res, err := runClean(rig, hic.Workload{
 		Pattern: hic.Random, Kind: hic.KindRead,
 		NumOps: opt.Ops, QueueDepth: 8, LogicalPages: working, Seed: 7,
 	})
 	if err != nil {
 		return MapCachePoint{}, err
 	}
-	rig.Run()
-	if res.Completed != opt.Ops {
-		return MapCachePoint{}, fmt.Errorf("exp: only %d of %d ops completed", res.Completed, opt.Ops)
-	}
-	if res.Failed != 0 {
-		return MapCachePoint{}, fmt.Errorf("exp: %d ops failed", res.Failed)
-	}
 	cs := rig.FTL.CacheStats()
 	return MapCachePoint{
 		BudgetBytes: budget,
-		MBps:        res.BandwidthMBps(mapCacheParams().Geometry.PageBytes),
+		MBps:        res.BandwidthMBps(params.Geometry.PageBytes),
 		HitRate:     cs.HitRate(),
 		Hits:        cs.Hits,
 		Misses:      cs.Misses,

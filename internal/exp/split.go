@@ -97,17 +97,11 @@ func TimeSplit(opt Options) ([]SplitRow, error) {
 		if err := rig.SSD.Preload(reads); err != nil {
 			return err
 		}
-		res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
+		if _, err := runClean(rig, hic.Workload{
 			Pattern: hic.Sequential, Kind: hic.KindRead,
 			NumOps: reads, QueueDepth: 2, LogicalPages: reads,
-		})
-		if err != nil {
-			return err
-		}
-		rig.Run()
-		if res.Completed != reads || res.Failed != 0 {
-			return fmt.Errorf("timesplit %v@%d: %d/%d completed, %d failed",
-				c.kind, c.mhz, res.Completed, reads, res.Failed)
+		}); err != nil {
+			return fmt.Errorf("timesplit %v@%d: %w", c.kind, c.mhz, err)
 		}
 		a := analyze.Analyze(buf.Events())
 		s := a.Metrics

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hic"
-	"repro/internal/nand"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -68,29 +67,12 @@ type WorkloadResult struct {
 // workloadWays is the channel width of the workload rig.
 const workloadWays = 4
 
-// workloadParams shrinks the Hynix package the way the map-cache
-// ablation does: tenant interference needs queue contention, not
-// capacity, and small pages keep preload and figure-scale op counts
-// fast.
-func workloadParams() nand.Params {
-	p := nand.Hynix()
-	p.Geometry.Planes = 1
-	p.Geometry.BlocksPerLUN = 64
-	p.Geometry.PagesPerBlk = 16
-	p.Geometry.PageBytes = 512
-	p.Geometry.SpareBytes = 64
-	p.TR = 20 * sim.Microsecond
-	p.TPROG = 50 * sim.Microsecond
-	p.TBERS = 200 * sim.Microsecond
-	p.JitterPct = 0
-	p.RawBitErrorPer512B = 0
-	return p
-}
-
 // workloadRig is the build shape the tenant runs and their replay share.
+// Tenant interference needs queue contention, not capacity, and small
+// pages keep preload and figure-scale op counts fast.
 func workloadRig() ssd.BuildConfig {
 	return ssd.BuildConfig{
-		Params: workloadParams(), Ways: workloadWays, RateMT: 200,
+		Params: shrunkHynix(64, 16), Ways: workloadWays, RateMT: 200,
 		Controller: ssd.CtrlBabolCoro, CPUMHz: 1000,
 	}
 }
@@ -228,40 +210,53 @@ func workloadFrontend(queues int, arb hic.Arbitration, rec *hic.Recorder) hic.Fr
 	}
 }
 
-// workloadRun builds one rig, wires the multi-queue frontend over it,
-// and drives the given tenants to completion.
-func workloadRun(opt Options, cfg WorkloadConfig, queues int, tenants []hic.TenantSpec, rec *hic.Recorder, tracer obs.Tracer) ([]*hic.TenantResult, sim.Duration, error) {
+// workloadDrive is the one body every source on the workload rig runs
+// through: build the rig, preload its first working pages so reads hit
+// mapped pages, wire the multi-queue frontend, let start attach the
+// source, run the rig to quiescence, and check the frontend drained.
+func workloadDrive(opt Options, fc hic.FrontendConfig, working int, tracer obs.Tracer,
+	start func(k *sim.Kernel, f *hic.Frontend, host obs.Tracer) error) error {
 	rig, err := opt.build(workloadRig(), tracer)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	defer rig.Close()
-
-	// Preload the union of the tenants' slices so reads hit mapped
-	// pages (bounded by the drive's logical capacity).
-	working := 0
-	for _, t := range tenants {
-		if end := t.SliceStart + t.SlicePages; end > working {
-			working = end
-		}
-	}
 	if lp := rig.FTL.LogicalPages(); working > lp {
-		return nil, 0, fmt.Errorf("tenant slices span %d pages but drive has %d", working, lp)
+		return fmt.Errorf("workload spans %d pages but drive has %d", working, lp)
 	}
 	if err := rig.SSD.Preload(working); err != nil {
-		return nil, 0, err
+		return err
 	}
-
-	f, err := hic.NewFrontend(rig.Kernel, rig.SSD, workloadFrontend(queues, cfg.Arbitration, rec))
+	f, err := hic.NewFrontend(rig.Kernel, rig.SSD, fc)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	results, err := hic.RunTenants(rig.Kernel, f, tenants, rig.HostTracer())
-	if err != nil {
-		return nil, 0, err
+	if err := start(rig.Kernel, f, rig.HostTracer()); err != nil {
+		return err
 	}
 	rig.Run()
+	if !f.Drained() {
+		return fmt.Errorf("frontend not drained: %d in flight, %d pending", f.InFlight(), f.Pending())
+	}
+	return nil
+}
 
+// workloadRun drives the given tenants to completion over the union of
+// their slices and reports their results and the run's extent.
+func workloadRun(opt Options, cfg WorkloadConfig, queues int, tenants []hic.TenantSpec, rec *hic.Recorder, tracer obs.Tracer) ([]*hic.TenantResult, sim.Duration, error) {
+	working := 0
+	for _, t := range tenants {
+		working = max(working, t.SliceStart+t.SlicePages)
+	}
+	var results []*hic.TenantResult
+	err := workloadDrive(opt, workloadFrontend(queues, cfg.Arbitration, rec), working, tracer,
+		func(k *sim.Kernel, f *hic.Frontend, host obs.Tracer) (err error) {
+			results, err = hic.RunTenants(k, f, tenants, host)
+			return err
+		})
+	if err != nil {
+		return nil, 0, err
+	}
 	var start, end sim.Time
 	for i, res := range results {
 		if res.Done() != tenants[i].NumOps {
@@ -278,56 +273,35 @@ func workloadRun(opt Options, cfg WorkloadConfig, queues int, tenants []hic.Tena
 			end = res.End
 		}
 	}
-	if !f.Drained() {
-		return nil, 0, fmt.Errorf("frontend not drained: %d in flight, %d pending", f.InFlight(), f.Pending())
-	}
 	return results, end.Sub(start), nil
 }
 
 // ReplayWorkload replays a recorded tenant trace on a fresh rig with
-// the same build shape as the recording runs and returns the replay's
-// aggregate result. The host command stream is reproduced exactly:
-// re-recording the replay yields the original JSONL byte for byte.
+// the same build shape as the recording runs, preloaded over the span
+// the trace touches, and returns the replay's aggregate result. The
+// host command stream is reproduced exactly: re-recording the replay
+// (cfg.Recorder) yields the original JSONL byte for byte.
 func ReplayWorkload(opt Options, cfg WorkloadConfig, entries []hic.RecordEntry) (*hic.Result, error) {
 	opt = opt.withDefaults()
 	queues := cfg.Queues
 	if queues <= 0 {
 		queues = len(DefaultTenants(opt.Ops))
 	}
+	working := 0
+	for _, e := range entries {
+		working = max(working, e.LPN+1)
+	}
 	var res *hic.Result
 	err := sweep(opt, 1, func(_ int, tracer obs.Tracer) error {
-		rig, err := opt.build(workloadRig(), tracer)
-		if err != nil {
-			return err
+		err := workloadDrive(opt, workloadFrontend(queues, cfg.Arbitration, cfg.Recorder), working, tracer,
+			func(k *sim.Kernel, f *hic.Frontend, host obs.Tracer) (err error) {
+				res, err = hic.Replay(k, f, entries, host)
+				return err
+			})
+		if err == nil && res.Done() != len(entries) {
+			err = fmt.Errorf("only %d of %d replayed commands terminated", res.Done(), len(entries))
 		}
-		defer rig.Close()
-		// Replays carry reads against the recording's slices; preload the
-		// span the trace touches.
-		working := 0
-		for _, e := range entries {
-			if e.LPN >= working {
-				working = e.LPN + 1
-			}
-		}
-		if lp := rig.FTL.LogicalPages(); working > lp {
-			return fmt.Errorf("trace touches LPN %d but drive has %d pages", working-1, lp)
-		}
-		if err := rig.SSD.Preload(working); err != nil {
-			return err
-		}
-		f, err := hic.NewFrontend(rig.Kernel, rig.SSD, workloadFrontend(queues, cfg.Arbitration, cfg.Recorder))
-		if err != nil {
-			return err
-		}
-		res, err = hic.Replay(rig.Kernel, f, entries, rig.HostTracer())
-		if err != nil {
-			return err
-		}
-		rig.Run()
-		if res.Done() != len(entries) {
-			return fmt.Errorf("only %d of %d replayed commands terminated", res.Done(), len(entries))
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -1,14 +1,49 @@
 // Package hic models the host side of the SSD: an NVMe-like command
-// interface and a fio-style workload generator that keeps a fixed queue
-// depth of logical page reads/writes outstanding, measuring bandwidth
-// and latency — the instrument behind the paper's Figure 12.
+// interface and the fio-style load generators that drive it, measuring
+// bandwidth and latency — the instrument behind the paper's Figure 12.
+//
+// There is one way in. Every host command takes the same route,
+//
+//	source → Frontend.Enqueue → arbitration → Submitter.Submit
+//
+// and every completion lands in one function, Result.complete, which
+// books the one Result type and emits the one obs.KindHostCmd event
+// when the starter was handed a tracer. Two sources feed that route:
+//
+//   - The closed-loop engine (tenant.go) keeps a source's QueueDepth
+//     commands outstanding and refills from each completion. RunTenants
+//     starts one named source per TenantSpec on the caller's Frontend;
+//     Run is the single fio-style stream: one anonymous source over a
+//     private one-queue Frontend whose window equals the queue depth,
+//     so each command is dispatched the instant it is enqueued and the
+//     frontend adds no kernel event.
+//   - The recorded source (record.go) is open loop: Replay enqueues a
+//     Recorder's JSONL command stream at its recorded instants,
+//     whatever has or has not completed.
+//
+// Draw rules. A closed-loop source owns one seeded RNG and draws each
+// command's kind before its LPN from it, so whether the kind costs a
+// draw decides every address that follows. Every golden and ledger
+// stream depends on these three rules bit for bit:
+//
+//  1. A pure-Kind Run (ReadPercent 0, MixedRW unset) draws nothing for
+//     the kind. A pure-write Run is therefore not the stream of a
+//     Mix{WritePct: 100} tenant with the same seed.
+//  2. A mixed Run (ReadPercent > 0 or MixedRW) draws Intn(100) for
+//     every command, even at ReadPercent 100.
+//  3. A tenant draws Intn(100) for every command unless its mix is
+//     100% reads.
+//
+// Run and RunTenants apply them where they start their sources; the
+// tests beside them (TestPureKindDrawsNoRNG, TestRunStreamsMatchParent,
+// TestTenantDrawRule) pin them.
 package hic
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -38,15 +73,14 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString inverts Kind.String (accepting the one-letter trace
-// abbreviations); ok is false for unknown names.
+// KindFromString inverts Kind.String; ok is false for unknown names.
 func KindFromString(s string) (Kind, bool) {
 	switch s {
-	case "read", "r":
+	case "read":
 		return KindRead, true
-	case "write", "w":
+	case "write":
 		return KindWrite, true
-	case "trim", "t":
+	case "trim":
 		return KindTrim, true
 	}
 	return 0, false
@@ -134,8 +168,12 @@ func (w Workload) Validate() error {
 	return nil
 }
 
-// Result aggregates a finished run.
+// Result aggregates one source's run: a tenant's under RunTenants, the
+// whole stream's under Run and Replay.
 type Result struct {
+	// Name is the tenant the source ran as; empty for Run's anonymous
+	// stream and for a Replay, which pools every recorded tenant.
+	Name string
 	// Completed counts commands that finished successfully; Failed
 	// counts commands whose Done reported an error. They are disjoint:
 	// bandwidth, IOPS, and the latency distribution are computed from
@@ -143,9 +181,63 @@ type Result struct {
 	// Done() gives the total terminations for drain checks.
 	Completed int
 	Failed    int
-	Start     sim.Time
-	End       sim.Time
+	// Reads, Writes and Trims count the commands issued, by kind.
+	Reads  int
+	Writes int
+	Trims  int
+	Start  sim.Time
+	End    sim.Time
+	// latencies has its final capacity from the start (newResult);
+	// growing it by appends would reallocate log(n) times mid-run.
 	latencies []sim.Duration
+}
+
+// TenantResult is the Result of one RunTenants source.
+type TenantResult = Result
+
+// newResult opens the accounting of a source about to issue ops
+// commands at virtual time start.
+func newResult(name string, start sim.Time, ops int) *Result {
+	return &Result{Name: name, Start: start, latencies: make([]sim.Duration, 0, ops)}
+}
+
+// issue books one command entering the frontend.
+func (r *Result) issue(kind Kind) {
+	switch kind {
+	case KindRead:
+		r.Reads++
+	case KindWrite:
+		r.Writes++
+	case KindTrim:
+		r.Trims++
+	}
+}
+
+// complete is where every host command finishes, whichever source
+// issued it. Latency runs from enqueue, so frontend queueing delay
+// counts. A failure still advances End (the run ran until then) but
+// stays out of the latency log and the Completed count: a failed
+// command moved no data, so it must not inflate bandwidth or shift the
+// percentiles. A non-nil tracer gets one obs.KindHostCmd event (Label =
+// tenant, Depth = queue, Cycles = kind, Dur = latency) for the
+// analyze/obs pipeline.
+func (r *Result) complete(now, submitted sim.Time, queue int, tenant string, kind Kind, err error, tracer obs.Tracer) {
+	lat := now.Sub(submitted)
+	if err != nil {
+		r.Failed++
+	} else {
+		r.Completed++
+		r.latencies = append(r.latencies, lat)
+	}
+	r.End = now
+	if tracer != nil {
+		tracer.Event(obs.Event{
+			Time: now, Kind: obs.KindHostCmd, Chip: -1,
+			Label: tenant, Depth: queue,
+			Cycles: int64(kind), Dur: lat,
+			Err: err != nil,
+		})
+	}
 }
 
 // Done reports total terminated commands, successful or not — the
@@ -192,93 +284,4 @@ func (r *Result) LatencyPercentile(p float64) sim.Duration {
 // MeanLatency reports the average completion latency.
 func (r *Result) MeanLatency() sim.Duration {
 	return sim.Mean(r.latencies)
-}
-
-// Run drives the workload against sub on kernel k and returns the result
-// once the caller runs the kernel to completion. The returned Result is
-// only fully populated after every command finished (check Completed).
-func Run(k *sim.Kernel, sub Submitter, w Workload) (*Result, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	// The latency log's final size is known up front; growing it by
-	// appends would reallocate log(NumOps) times mid-run.
-	res := &Result{Start: k.Now(), latencies: make([]sim.Duration, 0, w.NumOps)}
-	rng := rand.New(rand.NewSource(w.Seed))
-	next := 0
-	issued := 0
-
-	nextLPN := func() int {
-		if w.Pattern == Sequential {
-			lpn := next % w.LogicalPages
-			next++
-			return lpn
-		}
-		return rng.Intn(w.LogicalPages)
-	}
-
-	// The mix engages on ReadPercent > 0 OR MixedRW, so legacy pure-Kind
-	// callers (ReadPercent unset) draw nothing from the RNG and keep
-	// their historical address streams byte-identical.
-	mixed := w.MixedRW || w.ReadPercent > 0
-	nextKind := func() Kind {
-		if !mixed {
-			return w.Kind
-		}
-		if rng.Intn(100) < w.ReadPercent {
-			return KindRead
-		}
-		return KindWrite
-	}
-
-	depth := w.QueueDepth
-	if depth > w.NumOps {
-		depth = w.NumOps
-	}
-	// Each queue-depth slot owns at most one in-flight command; its issue
-	// and completion callbacks are created once here and reused for every
-	// command the slot carries, so steady-state issuance allocates
-	// nothing per command.
-	slots := make([]runSlot, depth)
-	for i := range slots {
-		sl := &slots[i]
-		sl.issue = func() {
-			if issued >= w.NumOps {
-				return
-			}
-			issued++
-			sl.submitted = k.Now()
-			sub.Submit(Command{
-				Kind: nextKind(),
-				LPN:  nextLPN(),
-				Done: sl.done,
-			})
-		}
-		sl.done = func(err error) {
-			// Failures still advance End (the run ran until then) but stay
-			// out of the latency log and the Completed count: a failed op
-			// moved no data, so it must not inflate bandwidth or shift
-			// the percentiles.
-			if err != nil {
-				res.Failed++
-			} else {
-				res.Completed++
-				res.latencies = append(res.latencies, k.Now().Sub(sl.submitted))
-			}
-			res.End = k.Now()
-			sl.issue() // keep the queue full
-		}
-	}
-	for i := range slots {
-		slots[i].issue()
-	}
-	return res, nil
-}
-
-// runSlot is one queue-depth slot of a Run: the submission timestamp of
-// its in-flight command plus its reusable issue/completion callbacks.
-type runSlot struct {
-	submitted sim.Time
-	issue     func()
-	done      func(error)
 }

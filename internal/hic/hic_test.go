@@ -1,7 +1,6 @@
 package hic
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -228,52 +227,23 @@ type submitterFunc func(Command)
 
 func (f submitterFunc) Submit(c Command) { f(c) }
 
-func TestParseTrace(t *testing.T) {
-	trace := `
-# host trace
-0 read 5
-12.5 write 3
-12.5 r 1
-100 w 0
-`
-	entries, err := ParseTrace(strings.NewReader(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 4 {
-		t.Fatalf("%d entries", len(entries))
-	}
-	if entries[0].Kind != KindRead || entries[0].LPN != 5 || entries[0].At != 0 {
-		t.Errorf("entry 0: %+v", entries[0])
-	}
-	if entries[1].At != sim.Duration(12.5*float64(sim.Microsecond)) {
-		t.Errorf("entry 1 at %v", entries[1].At)
-	}
-	bad := []string{
-		"1 fly 3",            // bad op
-		"1 read x",           // bad lpn
-		"5 read 1\n1 read 2", // decreasing time
-		"nope",               // malformed
-		"",                   // empty
-		"1 read -2",          // negative lpn
-		"-1 read 2",          // negative time
-	}
-	for _, b := range bad {
-		if _, err := ParseTrace(strings.NewReader(b)); err == nil {
-			t.Errorf("trace %q accepted", b)
-		}
-	}
-}
-
+// TestReplayTrace pins the recorded source's open loop: every command is
+// enqueued at its recorded instant whatever is still in flight.
 func TestReplayTrace(t *testing.T) {
 	k := sim.NewKernel()
 	d := &fakeDrive{k: k, latency: 10 * sim.Microsecond}
-	entries := []TraceEntry{
-		{At: 0, Kind: KindRead, LPN: 1},
-		{At: 5 * sim.Microsecond, Kind: KindRead, LPN: 2},
-		{At: 100 * sim.Microsecond, Kind: KindWrite, LPN: 3},
+	rec := &Recorder{}
+	f, err := NewFrontend(k, d, FrontendConfig{Queues: []QueueConfig{{Depth: 4}}, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := ReplayTrace(k, d, entries)
+	us := int64(sim.Microsecond)
+	entries := []RecordEntry{
+		{AtPs: 0, Op: "read", LPN: 1},
+		{AtPs: 5 * us, Op: "read", LPN: 2},
+		{AtPs: 100 * us, Op: "write", LPN: 3},
+	}
+	res, err := Replay(k, f, entries, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,16 +251,24 @@ func TestReplayTrace(t *testing.T) {
 	if res.Completed != 3 || res.Failed != 0 {
 		t.Fatalf("result %+v", res)
 	}
+	if res.Reads != 2 || res.Writes != 1 || res.Trims != 0 {
+		t.Errorf("issued mix r%d/w%d/t%d, want 2/1/0", res.Reads, res.Writes, res.Trims)
+	}
 	// Open-loop: the second command was submitted at t=5us even though
 	// the first was still in flight (two overlapped).
 	if d.maxInFlight != 2 {
 		t.Errorf("maxInFlight = %d, want 2", d.maxInFlight)
 	}
+	for i, want := range entries {
+		if got := rec.Entries()[i]; got != want {
+			t.Errorf("enqueue %d = %+v, want %+v", i, got, want)
+		}
+	}
 	// Last completion at 110us.
 	if res.End != sim.Time(110*sim.Microsecond) {
 		t.Errorf("end = %v", res.End)
 	}
-	if _, err := ReplayTrace(k, d, nil); err == nil {
+	if _, err := Replay(k, f, nil, nil); err == nil {
 		t.Error("empty trace accepted")
 	}
 }

@@ -6,12 +6,13 @@ import (
 	"repro/internal/sim"
 )
 
-// NVMe-style multi-queue frontend: N submission queues feed one device
-// through an arbiter, the way an NVMe controller services per-core
-// submission queues. Each queue has its own in-flight window (its
-// "queue depth" toward the device) and, under weighted round-robin, a
-// burst weight; a global cap bounds total outstanding commands the way
-// a controller's command-slot pool does.
+// NVMe-style multi-queue frontend — the only route from a source to the
+// device (nothing else in this package calls Submitter.Submit): N
+// submission queues feed one device through an arbiter, the way an NVMe
+// controller services per-core submission queues. Each queue has its
+// own in-flight window (its "queue depth" toward the device) and, under
+// weighted round-robin, a burst weight; a global cap bounds total
+// outstanding commands the way a controller's command-slot pool does.
 //
 // Everything runs on the simulation kernel's goroutine, so the frontend
 // needs no locks and its dispatch order is a pure function of the
@@ -19,7 +20,7 @@ import (
 //
 // Completion side: the frontend interposes on each command's Done with
 // a pooled slot callback, so steady-state dispatch allocates nothing
-// per command (the same discipline as Run's runSlot).
+// per command (the same discipline as the closed-loop engine's slot).
 
 // Arbitration selects the dispatch policy among submission queues.
 type Arbitration uint8

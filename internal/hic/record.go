@@ -103,51 +103,36 @@ func ReadJSONL(rd io.Reader) ([]RecordEntry, error) {
 	return out, nil
 }
 
-// Replay schedules every recorded command's enqueue at its recorded
-// instant (open loop) and returns the aggregate result, populated once
-// the caller runs the kernel to completion. Completions emit
-// obs.KindHostCmd events carrying each entry's recorded tenant, so the
-// per-tenant analyze pipeline works on replays too; nil tracer disables
-// emission. Replay on a rig whose clock is already past an entry's
-// instant enqueues it immediately.
+// Replay is the recorded source: it schedules every recorded command's
+// enqueue at its recorded instant (open loop, like fio --read_iolog, so
+// queue buildup under overload shows in the latency distribution) and
+// returns the aggregate result, populated once the caller runs the
+// kernel to completion. Completions emit obs.KindHostCmd events carrying
+// each entry's recorded tenant, so the per-tenant analyze pipeline works
+// on replays too; nil tracer disables emission. Replay on a rig whose
+// clock is already past an entry's instant enqueues it immediately.
 func Replay(k *sim.Kernel, f *Frontend, entries []RecordEntry, tracer obs.Tracer) (*Result, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("hic: empty trace")
 	}
 	for i, e := range entries {
-		if e.Queue >= f.Queues() {
+		if e.Queue < 0 || e.Queue >= f.Queues() {
 			return nil, fmt.Errorf("hic: trace entry %d: queue %d but frontend has %d", i, e.Queue, f.Queues())
 		}
-	}
-	res := &Result{Start: k.Now(), latencies: make([]sim.Duration, 0, len(entries))}
-	for _, e := range entries {
-		e := e
-		kind, _ := KindFromString(e.Op)
-		d := sim.Time(e.AtPs).Sub(k.Now())
-		if d < 0 {
-			d = 0
+		if _, ok := KindFromString(e.Op); !ok {
+			return nil, fmt.Errorf("hic: trace entry %d: bad op %q", i, e.Op)
 		}
-		k.After(d, func() {
+	}
+	res := newResult("", k.Now(), len(entries))
+	for _, e := range entries {
+		kind, _ := KindFromString(e.Op)
+		k.After(max(0, sim.Time(e.AtPs).Sub(k.Now())), func() {
 			submitted := k.Now()
+			res.issue(kind)
 			f.Enqueue(e.Queue, Command{
 				Kind: kind, LPN: e.LPN, Tenant: e.Tenant,
 				Done: func(err error) {
-					now := k.Now()
-					if err != nil {
-						res.Failed++
-					} else {
-						res.Completed++
-						res.latencies = append(res.latencies, now.Sub(submitted))
-					}
-					res.End = now
-					if tracer != nil {
-						tracer.Event(obs.Event{
-							Time: now, Kind: obs.KindHostCmd, Chip: -1,
-							Label: e.Tenant, Depth: e.Queue,
-							Cycles: int64(kind), Dur: now.Sub(submitted),
-							Err: err != nil,
-						})
-					}
+					res.complete(k.Now(), submitted, e.Queue, e.Tenant, kind, err, tracer)
 				},
 			})
 		})

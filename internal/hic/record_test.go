@@ -2,6 +2,7 @@ package hic
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,6 +34,69 @@ func TestReadJSONLValidation(t *testing.T) {
 	if len(entries) != 2 || entries[0].Tenant != "a" || entries[1].Op != "trim" {
 		t.Fatalf("entries = %+v", entries)
 	}
+}
+
+// TestReadJSONLRejectsTextTrace: the retired `<us> <op> <lpn>` text
+// format (and its one-letter ops) must fail loudly at its first line,
+// not parse as an empty or partial trace.
+func TestReadJSONLRejectsTextTrace(t *testing.T) {
+	for _, in := range []string{
+		"0 read 5\n12.5 write 3\n",
+		"# host trace\n0 read 5\n",
+		`{"at_ps":0,"queue":0,"op":"r","lpn":5}` + "\n",
+	} {
+		if _, err := ReadJSONL(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 1:") {
+			t.Errorf("ReadJSONL(%q) = %v, want an error naming line 1", in, err)
+		}
+	}
+}
+
+// FuzzReadJSONL: the one trace parser never panics, and whatever it
+// accepts satisfies what Replay relies on — known ops, non-negative
+// fields, non-decreasing arrivals — and survives WriteJSONL → ReadJSONL
+// unchanged. The seed corpus under testdata/fuzz holds the line shapes
+// of a `babolbench -ops 8 -record … workload` file, TestReadJSONLValidation's
+// cases, and near misses of the format (the retired text format among
+// them).
+func FuzzReadJSONL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64<<10 {
+			// Re-encoding escapes up to sixfold; keep every line inside
+			// the reader's 1 MiB line limit.
+			t.Skip()
+		}
+		entries, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			if entries != nil {
+				t.Fatalf("ReadJSONL returned %d entries with error %v", len(entries), err)
+			}
+			return
+		}
+		if len(entries) == 0 {
+			t.Fatal("ReadJSONL accepted a trace with no commands")
+		}
+		var last int64
+		for i, e := range entries {
+			if _, ok := KindFromString(e.Op); !ok {
+				t.Fatalf("entry %d: accepted unknown op %q", i, e.Op)
+			}
+			if e.AtPs < 0 || e.Queue < 0 || e.LPN < 0 {
+				t.Fatalf("entry %d: accepted a negative field: %+v", i, e)
+			}
+			if e.AtPs < last {
+				t.Fatalf("entry %d: arrival %d after %d", i, e.AtPs, last)
+			}
+			last = e.AtPs
+		}
+		var buf bytes.Buffer
+		if err := (&Recorder{entries: entries}).WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
+		if err != nil || !slices.Equal(back, entries) {
+			t.Fatalf("round trip of %+v through %q: %+v, %v", entries, buf.Bytes(), back, err)
+		}
+	})
 }
 
 func TestRecorderJSONLRoundTrip(t *testing.T) {
@@ -121,5 +185,14 @@ func TestReplayRejectsBadTraces(t *testing.T) {
 	}
 	if _, err := Replay(k, f, []RecordEntry{{Queue: 3, Op: "read"}}, nil); err == nil {
 		t.Error("out-of-range queue accepted")
+	}
+	if _, err := Replay(k, f, []RecordEntry{{Queue: -1, Op: "read"}}, nil); err == nil {
+		t.Error("negative queue accepted")
+	}
+	if _, err := Replay(k, f, []RecordEntry{{Op: "erase"}}, nil); err == nil {
+		t.Error("unknown op accepted (it used to replay as a read)")
+	}
+	if k.Pending() != 0 {
+		t.Errorf("rejected traces left %d events scheduled", k.Pending())
 	}
 }

@@ -67,16 +67,20 @@ func TestResultSplitsFailures(t *testing.T) {
 }
 
 // TestReplayTraceSplitsFailures covers the same regression on the
-// text-trace path.
+// recorded source.
 func TestReplayTraceSplitsFailures(t *testing.T) {
 	k := sim.NewKernel()
 	d := &faultyDrive{k: k, latency: sim.Microsecond, failEvery: 2}
-	res, err := ReplayTrace(k, d, []TraceEntry{
-		{At: 0, Kind: KindRead, LPN: 0},
-		{At: 0, Kind: KindRead, LPN: 1},
-		{At: 0, Kind: KindRead, LPN: 2},
-		{At: 0, Kind: KindRead, LPN: 3},
-	})
+	f, err := NewFrontend(k, d, FrontendConfig{Queues: []QueueConfig{{Depth: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Replay(k, f, []RecordEntry{
+		{Op: "read", LPN: 0},
+		{Op: "read", LPN: 1},
+		{Op: "read", LPN: 2},
+		{Op: "read", LPN: 3},
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

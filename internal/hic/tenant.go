@@ -8,19 +8,20 @@ import (
 	"repro/internal/sim"
 )
 
-// Many-tenant workload engine: each tenant is an independent closed-loop
-// traffic source — its own address-space slice, access pattern (including
+// The closed-loop engine: each source is an independent traffic
+// generator — its own address-space slice, access pattern (including
 // zipfian hot sets), read/write/trim mix, queue-depth window, and on/off
-// burst modulation — feeding one submission queue of a Frontend. The
-// engine is the "millions of users" stand-in: it synthesizes the
-// contention a multi-tenant host inflicts on a drive, and reports each
-// tenant's latency distribution separately so QoS interference is
-// measurable, Copycat-style, instead of vanishing into an aggregate.
+// burst modulation — feeding one submission queue of a Frontend. Run
+// starts one anonymous source; RunTenants starts one per tenant, the
+// "millions of users" stand-in: it synthesizes the contention a
+// multi-tenant host inflicts on a drive, and reports each tenant's
+// latency distribution separately so QoS interference is measurable,
+// Copycat-style, instead of vanishing into an aggregate.
 //
-// Determinism: every tenant draws from its own seeded RNG, all issue
+// Determinism: every source draws from its own seeded RNG, all issue
 // decisions run on the kernel goroutine, and completions emit
-// obs.KindHostCmd events through the caller's tracer — so a tenant run
-// is a pure function of (specs, rig), reproducible from its seeds.
+// obs.KindHostCmd events through the caller's tracer — so a run is a
+// pure function of (specs, rig), reproducible from its seeds.
 
 // Mix is a tenant's command mix in percent. The zero Mix means 100%
 // reads; otherwise the three fields must sum to 100.
@@ -119,40 +120,61 @@ func (t TenantSpec) Validate(queues int) error {
 	return nil
 }
 
-// TenantResult is one tenant's per-run accounting: the shared Result
-// (success/failure counts, latency distribution) plus the issued
-// command mix.
-type TenantResult struct {
-	Name string
-	Result
-	Reads  int
-	Writes int
-	Trims  int
-}
-
-// tenantRun is one tenant's live state: RNGs, issue bookkeeping, and
-// its pooled queue-depth slots.
-type tenantRun struct {
-	k      *sim.Kernel
-	f      *Frontend
-	spec   TenantSpec
+// source is one closed-loop source's live state: its RNGs, issue
+// bookkeeping, and the Result it books into.
+type source struct {
+	k    *sim.Kernel
+	f    *Frontend
+	spec TenantSpec
+	// fixed sources issue only kind and never draw for it; the others
+	// draw every command's kind from spec.Mix (the package comment's
+	// draw rules).
+	fixed  bool
+	kind   Kind
 	tracer obs.Tracer
-	res    *TenantResult
+	res    *Result
 	rng    *rand.Rand
 	zipf   *rand.Zipf
-	start  sim.Time
 	seq    int
 	issued int
 }
 
-// tenantSlot is one outstanding-command slot of a tenant: submission
-// timestamp, issued kind, and once-bound issue/done callbacks.
-type tenantSlot struct {
-	t         *tenantRun
+// slot is one outstanding-command slot of a source: submission
+// timestamp, issued kind, and issue/done callbacks bound once and reused
+// for every command the slot carries, so steady-state issue allocates
+// nothing per command.
+type slot struct {
 	submitted sim.Time
 	kind      Kind
 	issue     func()
 	done      func(error)
+}
+
+// Run drives the workload against sub on kernel k and returns the result
+// once the caller runs the kernel to completion. The returned Result is
+// only fully populated after every command finished (check Done()).
+//
+// The stream is one anonymous source (Tenant == "") on a private
+// one-queue Frontend whose window is the workload's queue depth: the
+// source never has more outstanding than the window admits, so every
+// command is dispatched at its enqueue instant.
+func Run(k *sim.Kernel, sub Submitter, w Workload) (*Result, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	f, err := NewFrontend(k, sub, FrontendConfig{Queues: []QueueConfig{{Depth: w.QueueDepth}}})
+	if err != nil {
+		return nil, err
+	}
+	// Draw rules 1 and 2: the mix engages on ReadPercent > 0 OR MixedRW
+	// and then draws for every command; a pure-Kind workload leaves the
+	// RNG to the addresses.
+	mixed := w.MixedRW || w.ReadPercent > 0
+	return start(k, f, TenantSpec{
+		QueueDepth: w.QueueDepth, NumOps: w.NumOps,
+		Pattern: w.Pattern, SlicePages: w.LogicalPages, Seed: w.Seed,
+		Mix: Mix{ReadPct: w.ReadPercent, WritePct: 100 - w.ReadPercent},
+	}, !mixed, w.Kind, nil), nil
 }
 
 // RunTenants starts every tenant's closed loops against frontend f and
@@ -173,53 +195,54 @@ func RunTenants(k *sim.Kernel, f *Frontend, tenants []TenantSpec, tracer obs.Tra
 	results := make([]*TenantResult, len(tenants))
 	for i, spec := range tenants {
 		spec.Mix = spec.Mix.withDefaults()
-		res := &TenantResult{Name: spec.Name}
-		res.Start = k.Now()
-		res.latencies = make([]sim.Duration, 0, spec.NumOps)
-		results[i] = res
-		t := &tenantRun{
-			k: k, f: f, spec: spec, tracer: tracer, res: res,
-			rng:   rand.New(rand.NewSource(spec.Seed)),
-			start: k.Now(),
-		}
-		if spec.Pattern == Zipfian {
-			s := spec.ZipfS
-			if s == 0 {
-				s = 1.2
-			}
-			hot := spec.ZipfHot
-			if hot == 0 {
-				hot = spec.SlicePages
-			}
-			t.zipf = rand.NewZipf(t.rng, s, 1, uint64(hot-1))
-		}
-		depth := spec.QueueDepth
-		if depth > spec.NumOps {
-			depth = spec.NumOps
-		}
-		slots := make([]tenantSlot, depth)
-		for j := range slots {
-			sl := &slots[j]
-			sl.t = t
-			sl.issue = func() { t.issueOn(sl) }
-			sl.done = func(err error) { t.complete(sl, err) }
-		}
-		for j := range slots {
-			slots[j].issue()
-		}
+		// Draw rule 3: only an all-read tenant skips the kind draw.
+		results[i] = start(k, f, spec, spec.Mix.ReadPct == 100, KindRead, tracer)
 	}
 	return results, nil
 }
 
-// burstDelay reports how long until the tenant's next ON window; 0
+// start launches one source on f and issues its first window.
+func start(k *sim.Kernel, f *Frontend, spec TenantSpec, fixed bool, kind Kind, tracer obs.Tracer) *Result {
+	s := &source{
+		k: k, f: f, spec: spec, fixed: fixed, kind: kind, tracer: tracer,
+		res: newResult(spec.Name, k.Now(), spec.NumOps),
+		rng: rand.New(rand.NewSource(spec.Seed)),
+	}
+	if spec.Pattern == Zipfian {
+		zs := spec.ZipfS
+		if zs == 0 {
+			zs = 1.2
+		}
+		hot := spec.ZipfHot
+		if hot == 0 {
+			hot = spec.SlicePages
+		}
+		s.zipf = rand.NewZipf(s.rng, zs, 1, uint64(hot-1))
+	}
+	slots := make([]slot, min(spec.QueueDepth, spec.NumOps))
+	for i := range slots {
+		sl := &slots[i]
+		sl.issue = func() { s.issueOn(sl) }
+		sl.done = func(err error) {
+			s.res.complete(s.k.Now(), sl.submitted, s.spec.Queue, s.spec.Name, sl.kind, err, s.tracer)
+			sl.issue() // keep the window full
+		}
+	}
+	for i := range slots {
+		slots[i].issue()
+	}
+	return s.res
+}
+
+// burstDelay reports how long until the source's next ON window; 0
 // means it is issuing now.
-func (t *tenantRun) burstDelay() sim.Duration {
-	on, off := t.spec.BurstOn, t.spec.BurstOff
+func (s *source) burstDelay() sim.Duration {
+	on, off := s.spec.BurstOn, s.spec.BurstOff
 	if off == 0 {
 		return 0
 	}
 	period := on + off
-	phase := sim.Duration(t.k.Now().Sub(t.start)) % period
+	phase := sim.Duration(s.k.Now().Sub(s.res.Start)) % period
 	if phase < on {
 		return 0
 	}
@@ -227,62 +250,32 @@ func (t *tenantRun) burstDelay() sim.Duration {
 }
 
 // issueOn issues slot sl's next command, deferring to the next burst ON
-// window when the tenant is in its OFF phase.
-func (t *tenantRun) issueOn(sl *tenantSlot) {
-	if t.issued >= t.spec.NumOps {
+// window when the source is in its OFF phase. The kind is drawn before
+// the LPN.
+func (s *source) issueOn(sl *slot) {
+	if s.issued >= s.spec.NumOps {
 		return
 	}
-	if d := t.burstDelay(); d > 0 {
-		t.k.After(d, sl.issue)
+	if d := s.burstDelay(); d > 0 {
+		s.k.After(d, sl.issue)
 		return
 	}
-	t.issued++
-	sl.kind = t.nextKind()
-	switch sl.kind {
-	case KindRead:
-		t.res.Reads++
-	case KindWrite:
-		t.res.Writes++
-	case KindTrim:
-		t.res.Trims++
-	}
-	sl.submitted = t.k.Now()
-	t.f.Enqueue(t.spec.Queue, Command{
-		Kind: sl.kind, LPN: t.nextLPN(), Tenant: t.spec.Name, Done: sl.done,
+	s.issued++
+	sl.kind = s.nextKind()
+	s.res.issue(sl.kind)
+	sl.submitted = s.k.Now()
+	s.f.Enqueue(s.spec.Queue, Command{
+		Kind: sl.kind, LPN: s.nextLPN(), Tenant: s.spec.Name, Done: sl.done,
 	})
 }
 
-// complete books one completion: latency measured from enqueue (so
-// frontend queueing delay counts — that is the contention being
-// studied), failure split per the Result contract, and one host-cmd
-// event for the analyze/obs pipeline.
-func (t *tenantRun) complete(sl *tenantSlot, err error) {
-	now := t.k.Now()
-	if err != nil {
-		t.res.Failed++
-	} else {
-		t.res.Completed++
-		t.res.latencies = append(t.res.latencies, now.Sub(sl.submitted))
+// nextKind is the source's fixed kind, or a draw from its mix.
+func (s *source) nextKind() Kind {
+	if s.fixed {
+		return s.kind
 	}
-	t.res.End = now
-	if t.tracer != nil {
-		t.tracer.Event(obs.Event{
-			Time: now, Kind: obs.KindHostCmd, Chip: -1,
-			Label: t.spec.Name, Depth: t.spec.Queue,
-			Cycles: int64(sl.kind), Dur: now.Sub(sl.submitted),
-			Err: err != nil,
-		})
-	}
-	sl.issue()
-}
-
-// nextKind draws from the tenant's mix.
-func (t *tenantRun) nextKind() Kind {
-	m := t.spec.Mix
-	if m.ReadPct == 100 {
-		return KindRead
-	}
-	v := t.rng.Intn(100)
+	m := s.spec.Mix
+	v := s.rng.Intn(100)
 	switch {
 	case v < m.ReadPct:
 		return KindRead
@@ -293,18 +286,18 @@ func (t *tenantRun) nextKind() Kind {
 	}
 }
 
-// nextLPN draws the next address from the tenant's slice.
-func (t *tenantRun) nextLPN() int {
-	switch t.spec.Pattern {
+// nextLPN draws the next address from the source's slice.
+func (s *source) nextLPN() int {
+	switch s.spec.Pattern {
 	case Sequential:
-		lpn := t.spec.SliceStart + t.seq%t.spec.SlicePages
-		t.seq++
+		lpn := s.spec.SliceStart + s.seq%s.spec.SlicePages
+		s.seq++
 		return lpn
 	case Zipfian:
 		// The hot set is the first ZipfHot pages of the slice: rank 0 is
 		// the hottest page, matching rand.Zipf's rank-ordered output.
-		return t.spec.SliceStart + int(t.zipf.Uint64())
+		return s.spec.SliceStart + int(s.zipf.Uint64())
 	default:
-		return t.spec.SliceStart + t.rng.Intn(t.spec.SlicePages)
+		return s.spec.SliceStart + s.rng.Intn(s.spec.SlicePages)
 	}
 }

@@ -60,7 +60,7 @@ func TestTenantsCompleteAndStayInSlice(t *testing.T) {
 	k.Run()
 	for _, res := range results {
 		if res.Done() != 30 || res.Failed != 0 {
-			t.Fatalf("%s: %+v", res.Name, res.Result)
+			t.Fatalf("%s: %+v", res.Name, *res)
 		}
 		if res.Reads != 30 {
 			t.Errorf("%s: reads = %d, want 30 (zero Mix is pure reads)", res.Name, res.Reads)

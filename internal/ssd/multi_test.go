@@ -130,13 +130,18 @@ func TestTraceReplayThroughSSD(t *testing.T) {
 	if err := rig.SSD.Preload(8); err != nil {
 		t.Fatal(err)
 	}
-	entries := []hic.TraceEntry{
-		{At: 0, Kind: hic.KindRead, LPN: 0},
-		{At: 10 * sim.Microsecond, Kind: hic.KindRead, LPN: 1},
-		{At: 10 * sim.Microsecond, Kind: hic.KindWrite, LPN: 9},
-		{At: 500 * sim.Microsecond, Kind: hic.KindRead, LPN: 9},
+	us := int64(sim.Microsecond)
+	entries := []hic.RecordEntry{
+		{AtPs: 0, Op: "read", LPN: 0},
+		{AtPs: 10 * us, Op: "read", LPN: 1},
+		{AtPs: 10 * us, Op: "write", LPN: 9},
+		{AtPs: 500 * us, Op: "read", LPN: 9},
 	}
-	res, err := hic.ReplayTrace(rig.Kernel, rig.SSD, entries)
+	f, err := hic.NewFrontend(rig.Kernel, rig.SSD, hic.FrontendConfig{Queues: []hic.QueueConfig{{Depth: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := hic.Replay(rig.Kernel, f, entries, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,10 @@ var ErrReadOnly = errors.New("ssd: drive is in read-only degraded mode")
 // a failed RESET recovery.
 var ErrChipOffline = errors.New("ssd: chip is offline")
 
+// ErrLPNOutOfRange reports a host command addressing a logical page
+// outside [0, FTL.LogicalPages()) — NVMe's "LBA Out of Range" status.
+var ErrLPNOutOfRange = errors.New("ssd: LPN out of range")
+
 // Backend is the page-level controller interface the SSD drives. Both
 // the BABOL controller and the hardware baseline adapt to it.
 type Backend interface {
@@ -227,6 +231,14 @@ func (s *SSD) releaseSlot(addr int) {
 
 // Submit accepts one host command (implements hic.Submitter).
 func (s *SSD) Submit(cmd hic.Command) {
+	// One unsigned compare rejects negative and too-large LPNs alike,
+	// before any map-cache acquire or DRAM slot: left to the FTL, a read
+	// or trim out there would succeed silently (an unmapped page, a
+	// no-op) while only the write failed.
+	if logical := s.ftl.LogicalPages(); uint(cmd.LPN) >= uint(logical) {
+		s.complete(cmd, fmt.Errorf("ssd: %s of LPN %d on a %d-page drive: %w", cmd.Kind, cmd.LPN, logical, ErrLPNOutOfRange))
+		return
+	}
 	switch cmd.Kind {
 	case hic.KindRead:
 		s.stats.HostReads++

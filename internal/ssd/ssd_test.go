@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/hic"
@@ -319,5 +320,75 @@ func TestCopybackIgnoredOnHWBackend(t *testing.T) {
 	}
 	if st.GCCycles == 0 {
 		t.Error("fallback GC did not run")
+	}
+}
+
+// TestSubmitRejectsOutOfRangeLPN is the silent-success regression: a
+// read or trim of an LPN outside the drive once completed with nil (an
+// unmapped page, a no-op) while only the write failed, in the FTL. All
+// three kinds must fail at Submit with ErrLPNOutOfRange, synchronously
+// — before any map-cache acquire — with the translation cache on or off.
+func TestSubmitRejectsOutOfRangeLPN(t *testing.T) {
+	for _, budget := range []int64{0, 2048} {
+		cfg := smallBuild(CtrlBabolCoro)
+		cfg.MapCacheBytes = budget
+		rig := mustBuild(t, cfg)
+		logical := rig.FTL.LogicalPages()
+		for _, kind := range []hic.Kind{hic.KindRead, hic.KindWrite, hic.KindTrim} {
+			for _, lpn := range []int{-1, logical, logical + 12345} {
+				var got error
+				called := false
+				rig.SSD.Submit(hic.Command{Kind: kind, LPN: lpn, Done: func(err error) { called, got = true, err }})
+				if !called {
+					t.Errorf("cache %d: %s of LPN %d did not complete inside Submit", budget, kind, lpn)
+				}
+				if !errors.Is(got, ErrLPNOutOfRange) {
+					t.Errorf("cache %d: %s of LPN %d = %v, want ErrLPNOutOfRange", budget, kind, lpn, got)
+				}
+			}
+		}
+		rig.Kernel.Run()
+		if st, cs := rig.SSD.Stats(), rig.FTL.CacheStats(); st.HostReads+st.HostWrites+st.HostTrims != 0 || cs.Hits+cs.Misses != 0 {
+			t.Errorf("cache %d: rejected commands reached the drive: %+v, %+v", budget, st, cs)
+		}
+		// The last in-range page still works.
+		got := errors.New("never completed")
+		rig.SSD.Submit(hic.Command{Kind: hic.KindWrite, LPN: logical - 1, Done: func(err error) { got = err }})
+		rig.Kernel.Run()
+		if got != nil {
+			t.Errorf("cache %d: write of LPN %d: %v", budget, logical-1, got)
+		}
+	}
+}
+
+// TestReplayCountsOutOfRangeAsFailed drives the same rejection through
+// the recorded source: the command is counted in Failed and stays out
+// of the latency log (on the parent this trace reported 2/2 completed
+// with a 0 s median).
+func TestReplayCountsOutOfRangeAsFailed(t *testing.T) {
+	rig := mustBuild(t, smallBuild(CtrlBabolRTOS))
+	if err := rig.SSD.Preload(8); err != nil {
+		t.Fatal(err)
+	}
+	f, err := hic.NewFrontend(rig.Kernel, rig.SSD, hic.FrontendConfig{Queues: []hic.QueueConfig{{Depth: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := hic.Replay(rig.Kernel, f, []hic.RecordEntry{
+		{AtPs: 0, Op: "read", LPN: 5},
+		{AtPs: int64(sim.Microsecond), Op: "read", LPN: 99999999},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.Kernel.Run()
+	if res.Completed != 1 || res.Failed != 1 || !f.Drained() {
+		t.Fatalf("completed=%d failed=%d drained=%v, want 1/1/true", res.Completed, res.Failed, f.Drained())
+	}
+	if res.LatencyPercentile(50) <= 0 || res.LatencyPercentile(100) != res.LatencyPercentile(50) {
+		t.Errorf("latency log p50=%v p100=%v: want the one real read only", res.LatencyPercentile(50), res.LatencyPercentile(100))
+	}
+	if st := f.Stats(0); st.Failed != 1 {
+		t.Errorf("queue stats %+v, want 1 failure", st)
 	}
 }
