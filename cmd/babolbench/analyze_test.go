@@ -155,7 +155,7 @@ func TestAnalyzeTraceRejectsEmptyTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, csv := range []bool{false, true} {
-			if err := analyzeTrace(path, csv); err == nil || err.Error() != path+": no events" {
+			if err := analyzeTrace(path, csv, io.Discard); err == nil || err.Error() != path+": no events" {
 				t.Errorf("analyzeTrace(%s, csv=%v) = %v, want %q", name, csv, err, path+": no events")
 			}
 		}

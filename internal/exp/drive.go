@@ -1,0 +1,148 @@
+package exp
+
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/hic"
+	"repro/internal/obs"
+	"repro/internal/ssd"
+)
+
+// Whole-drive runs: one host stream on one rig, the way the paper drives
+// the Cosmos+ SSD with fio for Figure 12. Every such stream — the
+// synthetic closed loop and both replays (Drive's flag-shaped rig and the
+// tenant rig of ReplayWorkload) — and every tenant run goes through one
+// body, driveRig.
+
+// driveRig is the one body every host stream runs through: build the rig
+// cfg describes, preload its first preload pages so reads hit mapped
+// pages, wire the frontend fc describes, let start attach the stream, run
+// the rig to quiescence, and check the frontend drained. A nil fc leaves
+// the frontend to the stream (hic.Run brings its own one-queue window).
+func driveRig(opt Options, cfg ssd.BuildConfig, preload int, fc *hic.FrontendConfig, tracer obs.Tracer,
+	start func(rig *ssd.Rig, f *hic.Frontend) error) error {
+	rig, err := opt.build(cfg, tracer)
+	if err != nil {
+		return err
+	}
+	defer rig.Close()
+	if err := rig.SSD.Preload(preload); err != nil {
+		return err
+	}
+	var f *hic.Frontend
+	if fc != nil {
+		if f, err = hic.NewFrontend(rig.Kernel, rig.SSD, *fc); err != nil {
+			return err
+		}
+	}
+	if err := start(rig, f); err != nil {
+		return err
+	}
+	rig.Run()
+	if f != nil && !f.Drained() {
+		return fmt.Errorf("frontend not drained: %d in flight, %d pending", f.InFlight(), f.Pending())
+	}
+	return nil
+}
+
+// replay plays a recorded stream back open loop on a fresh rig shaped by
+// cfg, behind the frontend fc describes and preloaded over the span the
+// trace touches, and fails unless every command terminated. It returns
+// the aggregate result and the drained rig, whose counters stay readable
+// after its Close.
+func replay(opt Options, cfg ssd.BuildConfig, fc hic.FrontendConfig, entries []hic.RecordEntry) (*hic.Result, *ssd.Rig, error) {
+	working := 0
+	for _, e := range entries {
+		working = max(working, e.LPN+1)
+	}
+	var res *hic.Result
+	var rig *ssd.Rig
+	err := sweep(opt, 1, func(_ int, tracer obs.Tracer) error {
+		err := driveRig(opt, cfg, working, &fc, tracer, func(r *ssd.Rig, f *hic.Frontend) (err error) {
+			rig = r
+			res, err = hic.Replay(r.Kernel, f, entries, r.HostTracer())
+			return err
+		})
+		if err == nil && res.Done() != len(entries) {
+			err = fmt.Errorf("only %d of %d replayed commands terminated", res.Done(), len(entries))
+		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, rig, nil
+}
+
+// Drive is one fio-like run of a whole drive: the rig cfg describes (its
+// Params preset shrunk to opt.Blocks) runs w's closed loop for opt.Ops
+// commands over 64 pages per LUN, preloaded when w reads. With entries
+// non-nil it replays that recorded stream instead — one submission queue
+// per recorded queue, each with w.QueueDepth as its window — preloaded
+// over the span the trace touches. The report's first line names the
+// stream (title) and the rig; the rest gives completions, bandwidth,
+// latency, the drive's GC and ECC counters, and write amplification when
+// the stream wrote.
+func Drive(opt Options, cfg ssd.BuildConfig, w hic.Workload, entries []hic.RecordEntry, title string) (string, error) {
+	opt = opt.withDefaults()
+	cfg.Params = shrink(cfg.Params, opt.Blocks)
+	var (
+		res  *hic.Result
+		rig  *ssd.Rig
+		want int
+		err  error
+	)
+	if entries != nil {
+		queues := 0
+		for _, e := range entries {
+			queues = max(queues, e.Queue+1)
+		}
+		qcs := make([]hic.QueueConfig, queues)
+		for i := range qcs {
+			qcs[i].Depth = w.QueueDepth
+		}
+		want = len(entries)
+		res, rig, err = replay(opt, cfg, hic.FrontendConfig{Queues: qcs}, entries)
+	} else {
+		w.NumOps, w.LogicalPages, w.Seed = opt.Ops, 64*cfg.Ways*cfg.Channels, 1
+		want = w.NumOps
+		preload := 0
+		if w.Kind == hic.KindRead {
+			preload = w.LogicalPages
+		}
+		err = sweep(opt, 1, func(_ int, tracer obs.Tracer) error {
+			err := driveRig(opt, cfg, preload, nil, tracer, func(r *ssd.Rig, _ *hic.Frontend) (err error) {
+				rig = r
+				res, err = hic.Run(r.Kernel, r.SSD, w)
+				return err
+			})
+			if err == nil && res.Done() != w.NumOps {
+				err = fmt.Errorf("only %d of %d commands terminated", res.Done(), w.NumOps)
+			}
+			return err
+		})
+	}
+	if err != nil {
+		return "", err
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "drive: %s on %s, %d ch × %d ways @ %d MT/s, %s controller",
+		title, cfg.Params.Name, cfg.Channels, cfg.Ways, cfg.RateMT, cfg.Controller)
+	if cfg.Controller != ssd.CtrlHW {
+		fmt.Fprintf(&b, " (%d MHz)", cfg.CPUMHz)
+	}
+	fmt.Fprintf(&b, "\n  completed: %d/%d (%d failed)\n", res.Completed, want, res.Failed)
+	fmt.Fprintf(&b, "  elapsed:   %v (virtual)\n", res.Elapsed())
+	fmt.Fprintf(&b, "  bandwidth: %.1f MB/s   IOPS: %.0f\n", res.BandwidthMBps(cfg.Params.Geometry.PageBytes), res.IOPS())
+	fmt.Fprintf(&b, "  latency:   mean %v, p50 %v, p99 %v\n",
+		res.MeanLatency(), res.LatencyPercentile(50), res.LatencyPercentile(99))
+	st := rig.SSD.Stats()
+	fmt.Fprintf(&b, "  ssd:       GC cycles %d, ECC corrections %d/%d failures\n",
+		st.GCCycles, st.ECCCorrections, st.ECCFailures)
+	if res.Writes > 0 {
+		fmt.Fprintf(&b, "  ftl:       write amplification %.2f\n", rig.FTL.Stats().WriteAmplification())
+	}
+	return b.String(), nil
+}

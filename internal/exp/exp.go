@@ -45,12 +45,6 @@ type Options struct {
 	// when debugging a single configuration. Results are deterministic
 	// and byte-identical at every setting.
 	Parallel int
-	// NoCoroPool builds every rig without its per-rig coroutine pool
-	// (fresh goroutine per operation). Results and traces are identical
-	// either way — TestCoroPoolDeterminism holds the two paths byte-for-
-	// byte equal — so this exists for that comparison and for isolating
-	// pool bugs, not for normal use.
-	NoCoroPool bool
 	// MapCacheBytes bounds the DRAM budget of every rig's FTL
 	// translation map (ssd.BuildConfig.MapCacheBytes): map pages are
 	// demand-paged under the budget and misses charge NAND reads
@@ -58,6 +52,11 @@ type Options struct {
 	// whole map resident — the legacy model, byte-identical results.
 	// Runs are seed-reproducible at any budget.
 	MapCacheBytes int64
+	// noCoroPool builds every rig without its per-rig coroutine pool
+	// (fresh goroutine per operation). Results and traces are identical
+	// either way — TestCoroPoolDeterminism holds the two paths byte-for-
+	// byte equal — so this exists for that comparison, not for normal use.
+	noCoroPool bool
 }
 
 func (o Options) withDefaults() Options {
@@ -104,7 +103,7 @@ func shrunkHynix(blocksPerLUN, pagesPerBlk int) nand.Params {
 // are laid over it here, the one place that knows them.
 func (o Options) build(base ssd.BuildConfig, tracer obs.Tracer) (*ssd.Rig, error) {
 	base.Tracer = tracer
-	base.NoCoroPool = o.NoCoroPool
+	base.NoCoroPool = o.noCoroPool
 	base.MapCacheBytes = o.MapCacheBytes
 	return ssd.Build(base)
 }

@@ -20,7 +20,7 @@ func TestCoroPoolDeterminism(t *testing.T) {
 		var trace [2][]byte
 		for i, noPool := range []bool{false, true} {
 			opt := base
-			opt.NoCoroPool = noPool
+			opt.noCoroPool = noPool
 			trace[i] = traceRun(t, opt, func(o Options) error {
 				pts, err := Fig10(o)
 				if err == nil {
@@ -48,7 +48,7 @@ func TestCoroPoolDeterminism(t *testing.T) {
 		var trace [2][]byte
 		for i, noPool := range []bool{false, true} {
 			opt := base
-			opt.NoCoroPool = noPool
+			opt.noCoroPool = noPool
 			trace[i] = traceRun(t, opt, func(o Options) error {
 				res, err := Fig11(o)
 				if err == nil {
@@ -70,7 +70,7 @@ func TestCoroPoolDeterminism(t *testing.T) {
 		var trace [2][]byte
 		for i, noPool := range []bool{false, true} {
 			opt := base
-			opt.NoCoroPool = noPool
+			opt.noCoroPool = noPool
 			opt.Ops = 120
 			opt.WaysList = []int{8}
 			trace[i] = traceRun(t, opt, func(o Options) error {
@@ -98,7 +98,7 @@ func TestCoroPoolDeterminism(t *testing.T) {
 		var trace [2][]byte
 		for i, noPool := range []bool{false, true} {
 			opt := base
-			opt.NoCoroPool = noPool
+			opt.noCoroPool = noPool
 			trace[i] = traceRun(t, opt, func(o Options) error {
 				pts, err := Chaos(o, seeds)
 				if err == nil {

@@ -210,37 +210,6 @@ func workloadFrontend(queues int, arb hic.Arbitration, rec *hic.Recorder) hic.Fr
 	}
 }
 
-// workloadDrive is the one body every source on the workload rig runs
-// through: build the rig, preload its first working pages so reads hit
-// mapped pages, wire the multi-queue frontend, let start attach the
-// source, run the rig to quiescence, and check the frontend drained.
-func workloadDrive(opt Options, fc hic.FrontendConfig, working int, tracer obs.Tracer,
-	start func(k *sim.Kernel, f *hic.Frontend, host obs.Tracer) error) error {
-	rig, err := opt.build(workloadRig(), tracer)
-	if err != nil {
-		return err
-	}
-	defer rig.Close()
-	if lp := rig.FTL.LogicalPages(); working > lp {
-		return fmt.Errorf("workload spans %d pages but drive has %d", working, lp)
-	}
-	if err := rig.SSD.Preload(working); err != nil {
-		return err
-	}
-	f, err := hic.NewFrontend(rig.Kernel, rig.SSD, fc)
-	if err != nil {
-		return err
-	}
-	if err := start(rig.Kernel, f, rig.HostTracer()); err != nil {
-		return err
-	}
-	rig.Run()
-	if !f.Drained() {
-		return fmt.Errorf("frontend not drained: %d in flight, %d pending", f.InFlight(), f.Pending())
-	}
-	return nil
-}
-
 // workloadRun drives the given tenants to completion over the union of
 // their slices and reports their results and the run's extent.
 func workloadRun(opt Options, cfg WorkloadConfig, queues int, tenants []hic.TenantSpec, rec *hic.Recorder, tracer obs.Tracer) ([]*hic.TenantResult, sim.Duration, error) {
@@ -249,9 +218,10 @@ func workloadRun(opt Options, cfg WorkloadConfig, queues int, tenants []hic.Tena
 		working = max(working, t.SliceStart+t.SlicePages)
 	}
 	var results []*hic.TenantResult
-	err := workloadDrive(opt, workloadFrontend(queues, cfg.Arbitration, rec), working, tracer,
-		func(k *sim.Kernel, f *hic.Frontend, host obs.Tracer) (err error) {
-			results, err = hic.RunTenants(k, f, tenants, host)
+	fc := workloadFrontend(queues, cfg.Arbitration, rec)
+	err := driveRig(opt, workloadRig(), working, &fc, tracer,
+		func(rig *ssd.Rig, f *hic.Frontend) (err error) {
+			results, err = hic.RunTenants(rig.Kernel, f, tenants, rig.HostTracer())
 			return err
 		})
 	if err != nil {
@@ -287,26 +257,8 @@ func ReplayWorkload(opt Options, cfg WorkloadConfig, entries []hic.RecordEntry) 
 	if queues <= 0 {
 		queues = len(DefaultTenants(opt.Ops))
 	}
-	working := 0
-	for _, e := range entries {
-		working = max(working, e.LPN+1)
-	}
-	var res *hic.Result
-	err := sweep(opt, 1, func(_ int, tracer obs.Tracer) error {
-		err := workloadDrive(opt, workloadFrontend(queues, cfg.Arbitration, cfg.Recorder), working, tracer,
-			func(k *sim.Kernel, f *hic.Frontend, host obs.Tracer) (err error) {
-				res, err = hic.Replay(k, f, entries, host)
-				return err
-			})
-		if err == nil && res.Done() != len(entries) {
-			err = fmt.Errorf("only %d of %d replayed commands terminated", res.Done(), len(entries))
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	res, _, err := replay(opt, workloadRig(), workloadFrontend(queues, cfg.Arbitration, cfg.Recorder), entries)
+	return res, err
 }
 
 // WorkloadCSV renders the experiment as machine-readable CSV.

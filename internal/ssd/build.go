@@ -45,21 +45,13 @@ func (k ControllerKind) String() string {
 // BuildConfig describes a complete SSD: one or more channels, each with
 // its own bus and controller, striped by a shared FTL.
 type BuildConfig struct {
-	Params         nand.Params    // package preset (geometry, timings)
-	Channels       int            // independent channels (default 1)
-	Ways           int            // LUNs per channel (defaults to preset wiring)
-	RateMT         int            // channel speed in MT/s (default 200)
-	Controller     ControllerKind // which controller drives the channel
-	CPUMHz         int            // firmware clock for BABOL controllers (default 1000)
-	ReservedBlocks int            // FTL over-provisioning per chip (default 2)
-	Slots          int            // in-flight DRAM staging slots (default 2×ways)
-	WithECC        bool
-	// MapShards splits the FTL's L2P map into independently locked
-	// LPN-range shards. 0 sizes the map to the kernel shard layout:
-	// one map shard per cluster shard on sharded rigs, one per chip
-	// otherwise. Pure concurrency/memory granularity — results are
-	// identical at any count.
-	MapShards int
+	Params     nand.Params    // package preset (geometry, timings)
+	Channels   int            // independent channels (default 1)
+	Ways       int            // LUNs per channel (defaults to preset wiring)
+	RateMT     int            // channel speed in MT/s (default 200)
+	Controller ControllerKind // which controller drives the channel
+	CPUMHz     int            // firmware clock for BABOL controllers (default 1000)
+	WithECC    bool
 	// MapCacheBytes bounds the DRAM budget of the FTL's translation
 	// map (ftl.Config.MapCacheBytes): map pages are demand-paged under
 	// this budget and misses are charged as NAND reads through the
@@ -123,6 +115,10 @@ type BuildConfig struct {
 // controller. It doubles as the cluster's lookahead: a window of
 // hostHop can run on every shard in parallel.
 const hostHop = sim.Microsecond
+
+// reservedBlocks is the FTL over-provisioning every rig gets: blocks per
+// chip withheld from the logical capacity as GC headroom.
+const reservedBlocks = 2
 
 // Rig is a fully wired SSD plus handles to its parts. The singular
 // Channel/Babol/HW fields alias channel 0 for the common single-channel
@@ -215,12 +211,8 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	if cfg.CPUMHz == 0 {
 		cfg.CPUMHz = 1000
 	}
-	if cfg.ReservedBlocks == 0 {
-		cfg.ReservedBlocks = 2
-	}
-	if cfg.Slots == 0 {
-		cfg.Slots = 2 * cfg.Ways * cfg.Channels
-	}
+	chips := cfg.Ways * cfg.Channels
+	slots := 2 * chips // in-flight DRAM staging slots
 
 	shards := cfg.Shards
 	if max := 1 + cfg.Channels; shards > max {
@@ -239,20 +231,21 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	}
 	geo := cfg.Params.Geometry
 	slotSize := geo.PageBytes + geo.SpareBytes
-	memSize := cfg.Slots*slotSize + cfg.Channels*(128<<10) // slots + per-controller scratch
+	memSize := slots*slotSize + cfg.Channels*(128<<10) // slots + per-controller scratch
 	mem := dram.New(memSize)
 
-	mapShards := cfg.MapShards
-	if mapShards == 0 && shards > 0 {
-		// Size the map to the kernel shard layout: lock domains in the
-		// translation map line up one-to-one with the cluster's event
-		// domains, so a sharded rig never funnels its channels through
-		// fewer map locks than it has kernels.
+	// The L2P map is split into independently locked LPN-range shards,
+	// one per chip — or, on a sharded rig, one per kernel shard, so the
+	// translation map's lock domains line up one-to-one with the
+	// cluster's event domains. Pure concurrency/memory granularity:
+	// results are identical at any count.
+	mapShards := chips
+	if shards > 0 {
 		mapShards = shards
 	}
 	f, err := ftl.NewWithConfig(ftl.Config{
-		Geometry: geo, Chips: cfg.Ways * cfg.Channels,
-		ReservedBlocks: cfg.ReservedBlocks,
+		Geometry: geo, Chips: chips,
+		ReservedBlocks: reservedBlocks,
 		MapShards:      mapShards, MapCacheBytes: cfg.MapCacheBytes,
 	})
 	if err != nil {
@@ -392,7 +385,7 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	}
 	drive, err := New(Config{
 		Kernel: k, Backend: backend, FTL: f, DRAM: mem,
-		SlotBase: 0, Slots: cfg.Slots, WithECC: cfg.WithECC,
+		SlotBase: 0, Slots: slots, WithECC: cfg.WithECC,
 		UseCopyback: cfg.UseCopyback, SuspendReads: cfg.SuspendReads,
 		Tracer: ssdTracer,
 	})
