@@ -7,8 +7,6 @@ package repro
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -471,19 +469,18 @@ func BenchmarkAblationMultiPlane(b *testing.B) {
 	}
 }
 
-// ------------------------------------------------------ FTL sharding --
+// ------------------------------------------------------------- FTL --
 
 // benchFTL builds an 8-chip FTL at 4 KiB pages: 7936 logical pages in
-// 16 translation groups, so MapShards 8 yields a real split (two groups
-// per shard) rather than a degenerate one.
-func benchFTL(b *testing.B, shards int) *ftl.FTL {
+// 16 translation groups.
+func benchFTL(b *testing.B) *ftl.FTL {
 	b.Helper()
 	f, err := ftl.NewWithConfig(ftl.Config{
 		Geometry: onfi.Geometry{
 			Planes: 1, BlocksPerLUN: 64, PagesPerBlk: 16,
 			PageBytes: 4096, SpareBytes: 128,
 		},
-		Chips: 8, ReservedBlocks: 2, MapShards: shards,
+		Chips: 8, ReservedBlocks: 2,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -491,74 +488,32 @@ func benchFTL(b *testing.B, shards int) *ftl.FTL {
 	return f
 }
 
-// ftlShardCases is the sharding ablation axis: one global lock versus
-// the kernel-shaped split.
-var ftlShardCases = []struct {
-	name   string
-	shards int
-}{{"flat", 1}, {"sharded-8", 8}}
-
 // BenchmarkFTLLookup measures translation throughput on a fully mapped
-// drive, serial and with 8 concurrent readers — ISSUE 9's headline
-// microbenchmark. Sharding converts the serial RWMutex into eight
-// independent ones; on a multi-core host the parallel variant is where
-// the ≥4× win shows up (on a single-core runner the goroutines
-// timeslice, so the parallel numbers measure contention overhead, not
-// scaling — BENCH_9.json carries the caveat).
+// drive.
 func BenchmarkFTLLookup(b *testing.B) {
-	for _, c := range ftlShardCases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			f := benchFTL(b, c.shards)
-			logical := f.LogicalPages()
-			for lpn := 0; lpn < logical; lpn++ {
-				if _, err := f.AllocateWrite(lpn); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.Run("serial", func(b *testing.B) {
-				b.ReportAllocs()
-				lpn := 0
-				for i := 0; i < b.N; i++ {
-					if _, ok := f.Lookup(lpn); !ok {
-						b.Fatal("unmapped")
-					}
-					// Prime-stride so consecutive lookups hop shards.
-					lpn = (lpn + 4099) % logical
-				}
-			})
-			b.Run("parallel-8", func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetParallelism(8)
-				var next atomic.Int64
-				b.RunParallel(func(pb *testing.PB) {
-					// Distinct per-goroutine start offsets keep readers
-					// spread across shards instead of convoying.
-					lpn := int(next.Add(977)) % logical
-					for pb.Next() {
-						if _, ok := f.Lookup(lpn); !ok {
-							b.Fatal("unmapped")
-						}
-						lpn = (lpn + 4099) % logical
-					}
-				})
-			})
-		})
+	f := benchFTL(b)
+	logical := f.LogicalPages()
+	for lpn := 0; lpn < logical; lpn++ {
+		if _, err := f.AllocateWrite(lpn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	lpn := 0
+	for i := 0; i < b.N; i++ {
+		if _, ok := f.Lookup(lpn); !ok {
+			b.Fatal("unmapped")
+		}
+		// Prime stride so consecutive lookups hop translation groups.
+		lpn = (lpn + 4099) % logical
 	}
 }
 
 // allocateWithRelief is the benchmark's write path: overwrite lpn,
-// running a serialized GC sweep when the drive is out of space. The
-// mutex admits one collector at a time; concurrent overwrites can only
-// shrink a sealed victim's live set, so the erase stays safe.
-func allocateWithRelief(b *testing.B, f *ftl.FTL, gcMu *sync.Mutex, lpn int) {
-	if _, err := f.AllocateWrite(lpn); err == nil {
-		return
-	}
-	gcMu.Lock()
-	defer gcMu.Unlock()
-	// Concurrent writers keep consuming space while this sweep runs, so
-	// sweep-then-retry until the allocation lands (bounded: a stuck
+// running a GC sweep when the drive is out of space.
+func allocateWithRelief(b *testing.B, f *ftl.FTL, lpn int) {
+	// Sweep-then-retry until the allocation lands (bounded: a stuck
 	// sweep means a bug, not pressure).
 	for attempt := 0; attempt < 100; attempt++ {
 		if _, err := f.AllocateWrite(lpn); err == nil {
@@ -571,9 +526,6 @@ func allocateWithRelief(b *testing.B, f *ftl.FTL, gcMu *sync.Mutex, lpn int) {
 			}
 			cleared := true
 			for _, l := range live {
-				if loc, lok := f.Lookup(l); !lok || loc.Chip != chip || loc.Row.Block != victim {
-					continue // overwritten since the candidate scan
-				}
 				if _, err := f.RelocateForGC(l); err != nil {
 					cleared = false
 					break
@@ -588,41 +540,17 @@ func allocateWithRelief(b *testing.B, f *ftl.FTL, gcMu *sync.Mutex, lpn int) {
 }
 
 // BenchmarkFTLAllocate measures steady-state overwrite allocation —
-// map update, old-page invalidation, GC relief when the drive fills —
-// serial and with 8 concurrent writers. Writers overwrite half the
-// logical space so every allocation also invalidates, which is the
-// contended path: it takes the LPN's shard lock plus two chip locks.
+// map update, old-page invalidation, GC relief when the drive fills.
+// Writes overwrite half the logical space so every allocation also
+// invalidates.
 func BenchmarkFTLAllocate(b *testing.B) {
-	for _, c := range ftlShardCases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			b.Run("serial", func(b *testing.B) {
-				f := benchFTL(b, c.shards)
-				var gcMu sync.Mutex
-				working := f.LogicalPages() / 2
-				b.ResetTimer()
-				lpn := 0
-				for i := 0; i < b.N; i++ {
-					allocateWithRelief(b, f, &gcMu, lpn)
-					lpn = (lpn + 4099) % working
-				}
-			})
-			b.Run("parallel-8", func(b *testing.B) {
-				f := benchFTL(b, c.shards)
-				var gcMu sync.Mutex
-				working := f.LogicalPages() / 2
-				b.SetParallelism(8)
-				b.ResetTimer()
-				var next atomic.Int64
-				b.RunParallel(func(pb *testing.PB) {
-					lpn := int(next.Add(977)) % working
-					for pb.Next() {
-						allocateWithRelief(b, f, &gcMu, lpn)
-						lpn = (lpn + 4099) % working
-					}
-				})
-			})
-		})
+	f := benchFTL(b)
+	working := f.LogicalPages() / 2
+	b.ResetTimer()
+	lpn := 0
+	for i := 0; i < b.N; i++ {
+		allocateWithRelief(b, f, lpn)
+		lpn = (lpn + 4099) % working
 	}
 }
 

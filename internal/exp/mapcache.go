@@ -34,9 +34,9 @@ const mapCacheWays = 4
 // DefaultMapCacheBudgets is the swept budget ladder: disabled, then 4
 // to 64 translation pages' worth of DRAM (at the ablation geometry's
 // 512-byte map pages). The working set spans 32 map pages concentrated
-// in half the map shards, and the budget splits evenly across shards,
-// so the ladder runs from 8x-oversubscribed on the hot shards to fully
-// resident at the top rung.
+// in half the cache partitions (one per chip), and the budget splits
+// evenly across partitions, so the ladder runs from 8x-oversubscribed
+// on the hot partitions to fully resident at the top rung.
 func DefaultMapCacheBudgets() []int64 {
 	return []int64{0, 4 * 512, 8 * 512, 16 * 512, 32 * 512, 64 * 512}
 }

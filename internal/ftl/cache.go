@@ -1,7 +1,7 @@
 package ftl
 
 import (
-	"sync/atomic"
+	"fmt"
 
 	"repro/internal/onfi"
 )
@@ -14,15 +14,15 @@ import (
 // (internal/ssd) charges that read through the ordinary ops path, so
 // the cost lands in latency figures, not just counters.
 //
-// The budget is split evenly across map shards, floored at one slot
-// per shard so every shard can always make progress; eviction is the
-// clock (second-chance) algorithm over the shard's slots. Reference
-// bits are atomics because the hit path sets them under the shard's
-// *read* lock — concurrent hits on the same slot are benign races on
-// a one-way flag, not data corruption, but the race detector rightly
-// wants the store annotated.
+// The budget is split evenly across cache partitions, one per chip,
+// each owning a contiguous range of map pages: groups per partition =
+// ⌈map pages ÷ chips⌉ (so a chip count above the map-page count
+// collapses to one page per partition), slots per partition = budget
+// slots ÷ partitions, floored at one so every partition can always make
+// progress and capped at the partition's page count. Eviction is the
+// clock (second-chance) algorithm over the partition's slots.
 //
-// Correctness never depends on residency: the backing map (shard.go)
+// Correctness never depends on residency: the backing map (l2p.go)
 // is always authoritative, and the cache only decides whether a
 // translation costs a NAND read first. With MapCacheBytes == 0 the
 // cache is disabled and every path short-circuits to the legacy
@@ -31,34 +31,65 @@ import (
 
 // cacheSlot is one resident translation page.
 type cacheSlot struct {
-	mpn   int         // global map-page number
-	ref   atomic.Bool // clock reference bit; set on every hit
-	dirty bool        // mapping in this group changed since install
+	mpn   int  // global map-page number
+	ref   bool // clock reference bit; set on every hit
+	dirty bool // mapping in this group changed since install
 }
 
-// initCache sizes the per-shard slot arrays from the byte budget.
-// Caller runs during NewWithConfig, before any concurrency.
+// cachePart is one cache partition: the resident translation pages of
+// a contiguous map-page range, under its own share of the budget and
+// its own clock.
+type cachePart struct {
+	resident map[int]int // global map-page number → slot index
+	slots    []cacheSlot
+	used     int // occupied slots
+	hand     int // clock hand
+}
+
+// initCache lays out the partitions and sizes their slot arrays from
+// the byte budget.
 func (f *FTL) initCache(budget int64) {
 	f.budgetBytes = budget
 	if budget <= 0 {
 		return
 	}
 	f.cacheEnabled = true
-	slots := int(budget / int64(f.groupBytes))
-	per := slots / len(f.shards)
-	if per < 1 {
-		per = 1
+	f.partition(f.chips, int(budget/int64(f.groupBytes)))
+}
+
+// partition splits the map pages into at most n contiguous partitions
+// and the given number of slots evenly among them.
+func (f *FTL) partition(n, slots int) {
+	groups := f.MapPages()
+	n = min(n, groups)
+	f.groupsPerPart = (groups + n - 1) / n
+	n = (groups + f.groupsPerPart - 1) / f.groupsPerPart
+	f.slotsPerPartition = max(1, slots/n)
+	f.parts = make([]cachePart, n)
+	for i := range f.parts {
+		k := min(f.slotsPerPartition, f.groupsPerPart, groups-i*f.groupsPerPart)
+		f.parts[i] = cachePart{slots: make([]cacheSlot, k), resident: make(map[int]int, k)}
 	}
-	f.slotsPerShard = per
-	for i := range f.shards {
-		sh := &f.shards[i]
-		n := per
-		if g := f.groupCount(sh); n > g {
-			n = g
+}
+
+// part returns the partition owning map page mpn.
+func (f *FTL) part(mpn int) *cachePart { return &f.parts[mpn/f.groupsPerPart] }
+
+// checkCache verifies the partition bookkeeping: each resident page
+// lies in its partition's range and names the slot that holds it.
+func (f *FTL) checkCache() error {
+	for i := range f.parts {
+		p := &f.parts[i]
+		if len(p.resident) != p.used || p.used > len(p.slots) {
+			return fmt.Errorf("ftl: cache partition %d holds %d pages in %d used of %d slots", i, len(p.resident), p.used, len(p.slots))
 		}
-		sh.slots = make([]cacheSlot, n)
-		sh.resident = make(map[int]int, n)
+		for mpn, idx := range p.resident {
+			if mpn/f.groupsPerPart != i || p.slots[idx].mpn != mpn {
+				return fmt.Errorf("ftl: map page %d resident in partition %d slot %d (slot names %d)", mpn, i, idx, p.slots[idx].mpn)
+			}
+		}
 	}
+	return nil
 }
 
 // CacheEnabled reports whether translations are demand-paged under a
@@ -77,11 +108,6 @@ func (f *FTL) MapPages() int {
 // mapPage returns the global map-page number owning an LPN.
 func (f *FTL) mapPage(lpn int) int { return lpn / f.groupEntries }
 
-// mpnShard returns the shard owning a map page.
-func (f *FTL) mpnShard(mpn int) *mapShard {
-	return f.shard(mpn * f.groupEntries)
-}
-
 // CacheAcquire checks whether lpn's translation page is resident.
 // On a hit it marks the slot referenced and returns hit=true; the
 // caller may translate immediately. On a miss the caller must model a
@@ -96,71 +122,55 @@ func (f *FTL) CacheAcquire(lpn int) (mpn int, hit bool) {
 		return 0, true
 	}
 	mpn = f.mapPage(lpn)
-	sh := f.shard(lpn)
-	sh.mu.RLock()
-	idx, ok := sh.resident[mpn]
-	if ok {
-		sh.slots[idx].ref.Store(true)
-	}
-	sh.mu.RUnlock()
-	if ok {
-		f.n.mapHits.Add(1)
+	p := f.part(mpn)
+	if idx, ok := p.resident[mpn]; ok {
+		p.slots[idx].ref = true
+		f.n.mapHits++
 		return mpn, true
 	}
-	f.n.mapMisses.Add(1)
+	f.n.mapMisses++
 	return mpn, false
 }
 
 // CacheInstall makes map page mpn resident after its NAND read
-// completed, evicting by clock if the shard's slots are full. Reports
-// whether a victim was evicted and whether that victim was dirty (a
-// dirty victim models a map-page write-back; the SSD layer counts it
-// as a flush). Installing an already-resident page is a no-op —
-// concurrent misses on the same page coalesce upstream, but a stale
-// second install must not evict anything.
+// completed, evicting by clock if the partition's slots are full.
+// Reports whether a victim was evicted and whether that victim was
+// dirty (a dirty victim models a map-page write-back; the SSD layer
+// counts it as a flush). Installing an already-resident page is a
+// no-op — overlapping misses on the same page coalesce upstream, but a
+// stale second install must not evict anything.
 func (f *FTL) CacheInstall(mpn int) (evicted, flushedDirty bool) {
 	if !f.cacheEnabled {
 		return false, false
 	}
-	sh := f.mpnShard(mpn)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.resident[mpn]; ok {
+	p := f.part(mpn)
+	if _, ok := p.resident[mpn]; ok {
 		return false, false
 	}
 	var idx int
-	if sh.used < len(sh.slots) {
-		idx = sh.used
-		sh.used++
+	if p.used < len(p.slots) {
+		idx = p.used
+		p.used++
 	} else {
 		// Clock sweep: clear reference bits until one stays clear.
-		// Terminates within two laps because cleared bits stay
-		// cleared under the exclusive lock.
-		for {
-			s := &sh.slots[sh.hand]
-			if s.ref.Load() {
-				s.ref.Store(false)
-				sh.hand = (sh.hand + 1) % len(sh.slots)
-				continue
-			}
-			idx = sh.hand
-			sh.hand = (sh.hand + 1) % len(sh.slots)
-			break
+		// Terminates within two laps.
+		for p.slots[p.hand].ref {
+			p.slots[p.hand].ref = false
+			p.hand = (p.hand + 1) % len(p.slots)
 		}
-		victim := &sh.slots[idx]
-		delete(sh.resident, victim.mpn)
+		idx = p.hand
+		p.hand = (p.hand + 1) % len(p.slots)
+		victim := &p.slots[idx]
+		delete(p.resident, victim.mpn)
 		evicted = true
 		flushedDirty = victim.dirty
-		f.n.mapEvictions.Add(1)
+		f.n.mapEvictions++
 		if flushedDirty {
-			f.n.mapFlushes.Add(1)
+			f.n.mapFlushes++
 		}
 	}
-	s := &sh.slots[idx]
-	s.mpn = mpn
-	s.ref.Store(true)
-	s.dirty = false
-	sh.resident[mpn] = idx
+	p.slots[idx] = cacheSlot{mpn: mpn, ref: true}
+	p.resident[mpn] = idx
 	return evicted, flushedDirty
 }
 
@@ -170,16 +180,17 @@ func (f *FTL) CacheInstall(mpn int) (evicted, flushedDirty bool) {
 // counted as a bypass: paths that mutate the map without translating
 // through the cache first (preload seeding, GC relocation — background
 // machinery with its own metadata journaling in real firmware) modify
-// the authoritative backing map directly. Caller holds sh.mu
-// exclusively.
-func (f *FTL) markDirtyLocked(sh *mapShard, lpn int) {
+// the authoritative backing map directly.
+func (f *FTL) markDirty(lpn int) {
 	if !f.cacheEnabled {
 		return
 	}
-	if idx, ok := sh.resident[f.mapPage(lpn)]; ok {
-		sh.slots[idx].dirty = true
+	mpn := f.mapPage(lpn)
+	p := f.part(mpn)
+	if idx, ok := p.resident[mpn]; ok {
+		p.slots[idx].dirty = true
 	} else {
-		f.n.mapBypasses.Add(1)
+		f.n.mapBypasses++
 	}
 }
 
@@ -199,7 +210,7 @@ func (f *FTL) MapPageLocation(mpn int) Location {
 }
 
 // CacheStats is a point-in-time snapshot of the translation-cache
-// counters, safe from any goroutine.
+// counters.
 type CacheStats struct {
 	Hits      uint64 // translations served from resident map pages
 	Misses    uint64 // translations that charged a NAND map-page read
@@ -220,40 +231,37 @@ func (s CacheStats) HitRate() float64 {
 // CacheStats snapshots the translation-cache counters.
 func (f *FTL) CacheStats() CacheStats {
 	return CacheStats{
-		Hits:      f.n.mapHits.Load(),
-		Misses:    f.n.mapMisses.Load(),
-		Evictions: f.n.mapEvictions.Load(),
-		Flushes:   f.n.mapFlushes.Load(),
-		Bypasses:  f.n.mapBypasses.Load(),
+		Hits:      f.n.mapHits,
+		Misses:    f.n.mapMisses,
+		Evictions: f.n.mapEvictions,
+		Flushes:   f.n.mapFlushes,
+		Bypasses:  f.n.mapBypasses,
 	}
 }
 
 // CacheInfo describes the cache configuration and current residency.
 type CacheInfo struct {
-	Enabled       bool
-	BudgetBytes   int64
-	GroupEntries  int // L2P entries per translation page
-	GroupBytes    int // modeled DRAM bytes per translation page
-	SlotsPerShard int
-	MapPages      int // translation pages covering the logical space
-	Resident      int // currently resident translation pages
+	Enabled           bool
+	BudgetBytes       int64
+	GroupEntries      int // L2P entries per translation page
+	GroupBytes        int // modeled DRAM bytes per translation page
+	SlotsPerPartition int
+	MapPages          int // translation pages covering the logical space
+	Resident          int // currently resident translation pages
 }
 
 // CacheInfo reports the cache configuration and a residency gauge.
 func (f *FTL) CacheInfo() CacheInfo {
 	info := CacheInfo{
-		Enabled:       f.cacheEnabled,
-		BudgetBytes:   f.budgetBytes,
-		GroupEntries:  f.groupEntries,
-		GroupBytes:    f.groupBytes,
-		SlotsPerShard: f.slotsPerShard,
-		MapPages:      f.MapPages(),
+		Enabled:           f.cacheEnabled,
+		BudgetBytes:       f.budgetBytes,
+		GroupEntries:      f.groupEntries,
+		GroupBytes:        f.groupBytes,
+		SlotsPerPartition: f.slotsPerPartition,
+		MapPages:          f.MapPages(),
 	}
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.RLock()
-		info.Resident += sh.used
-		sh.mu.RUnlock()
+	for i := range f.parts {
+		info.Resident += f.parts[i].used
 	}
 	return info
 }

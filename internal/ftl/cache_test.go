@@ -21,13 +21,13 @@ func cacheGeo() onfi.Geometry {
 	return g
 }
 
-// cacheFTL builds a single-shard FTL with room for exactly two resident
-// translation pages (budget 1024 B / 512 B per group).
+// cacheFTL builds a one-chip (so one-partition) FTL with room for
+// exactly two resident translation pages (budget 1024 B / 512 B per
+// group).
 func cacheFTL(t *testing.T) *FTL {
 	t.Helper()
 	f, err := NewWithConfig(Config{
-		Geometry: cacheGeo(), Chips: 1, ReservedBlocks: 2,
-		MapShards: 1, MapCacheBytes: 1024,
+		Geometry: cacheGeo(), Chips: 1, ReservedBlocks: 2, MapCacheBytes: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,8 +35,8 @@ func cacheFTL(t *testing.T) *FTL {
 	if got := f.MapPages(); got != 3 {
 		t.Fatalf("MapPages = %d, want 3 (test geometry drifted)", got)
 	}
-	if info := f.CacheInfo(); info.SlotsPerShard != 2 {
-		t.Fatalf("SlotsPerShard = %d, want 2 (test geometry drifted)", info.SlotsPerShard)
+	if info := f.CacheInfo(); info.SlotsPerPartition != 2 {
+		t.Fatalf("SlotsPerPartition = %d, want 2 (test geometry drifted)", info.SlotsPerPartition)
 	}
 	return f
 }
@@ -184,21 +184,21 @@ func TestCacheDirtyFlush(t *testing.T) {
 }
 
 // TestCacheBudgetFloor pins the sizing floor: any positive budget gives
-// every shard at least one slot, so no shard can deadlock waiting for
-// DRAM it was never granted.
+// every partition at least one slot, so no partition can deadlock
+// waiting for DRAM it was never granted.
 func TestCacheBudgetFloor(t *testing.T) {
 	f, err := NewWithConfig(Config{
 		Geometry: testGeo(), Chips: 4, ReservedBlocks: 2,
-		MapShards: 2, MapCacheBytes: 1, // far below one group
+		MapCacheBytes: 1, // far below one group
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := f.CacheInfo(); info.SlotsPerShard != 1 {
-		t.Fatalf("SlotsPerShard = %d, want floor of 1", info.SlotsPerShard)
+	if info := f.CacheInfo(); info.SlotsPerPartition != 1 {
+		t.Fatalf("SlotsPerPartition = %d, want floor of 1", info.SlotsPerPartition)
 	}
-	// The single slot still pages correctly in every shard.
-	for _, lpn := range []int{0, 64} { // one LPN per shard at this layout
+	// The single slot still pages correctly in every partition.
+	for _, lpn := range []int{0, 64} { // one LPN per partition at this layout
 		if _, hit := f.CacheAcquire(lpn); hit {
 			t.Errorf("lpn %d hit cold", lpn)
 		}
@@ -211,15 +211,9 @@ func TestCacheBudgetFloor(t *testing.T) {
 }
 
 // TestConfigValidation pins NewWithConfig's rejection of nonsense
-// budgets and shard counts.
+// budgets.
 func TestConfigValidation(t *testing.T) {
-	base := Config{Geometry: testGeo(), Chips: 2, ReservedBlocks: 2}
-	bad := base
-	bad.MapShards = -1
-	if _, err := NewWithConfig(bad); err == nil {
-		t.Error("negative MapShards accepted")
-	}
-	bad = base
+	bad := Config{Geometry: testGeo(), Chips: 2, ReservedBlocks: 2}
 	bad.MapCacheBytes = -1
 	if _, err := NewWithConfig(bad); err == nil {
 		t.Error("negative MapCacheBytes accepted")

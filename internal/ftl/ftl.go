@@ -14,25 +14,20 @@
 //   - ftl.go: configuration, chip/block allocation state, write
 //     allocator, wear accounting, recovery hooks (RetireBlock,
 //     OfflineChip).
-//   - shard.go: the L2P map, sharded by LPN range into independently
-//     locked segments with lazily allocated storage.
+//   - l2p.go: the L2P map, one flat table of translation-page groups
+//     with lazily allocated storage.
 //   - cache.go: the DRAM-budgeted translation-page cache (FMMU-style
-//     demand paging of map groups with clock eviction).
+//     demand paging of map groups with clock eviction), split into one
+//     partition per chip.
 //   - gc.go: garbage-collection policy (victim selection, relocation).
 //
-// Locking discipline (see shard.go for the map side): every chip's
-// allocation state is guarded by its own mutex, and every map shard by
-// its own RWMutex. Lock order is always shard → chip, and neither chip
-// nor shard locks ever nest with their own kind, so the FTL is safe for
-// the concurrent readers the monitoring path brings (Lookup, Stats,
-// LivePages from another goroutine mid-run) as well as for parallel
-// lookup storms in benchmarks.
+// Like every rig component, an FTL has one owner: the goroutine running
+// the rig's host domain. It takes no locks; callers that need a view
+// from elsewhere read an obs.Metrics snapshot instead.
 package ftl
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/onfi"
 )
@@ -60,10 +55,8 @@ type blockState struct {
 // chipState tracks allocation on one chip. Host and GC writes use
 // separate active blocks ("streams"): GC must always be able to relocate
 // a victim's live pages, so the host may never consume the space GC
-// opened for itself. mu guards every field; chip locks are leaves (they
-// never nest with each other or with map-shard locks taken after them).
+// opened for itself.
 type chipState struct {
-	mu        sync.Mutex
 	blocks    []blockState
 	freeList  []int // erased blocks available for allocation
 	active    int   // block accepting host writes (-1 none)
@@ -84,20 +77,13 @@ type Config struct {
 	// ReservedBlocks per chip are withheld from the logical capacity as
 	// GC headroom (over-provisioning); at least one is required.
 	ReservedBlocks int
-	// MapShards splits the L2P map into independently locked LPN-range
-	// shards. Shard boundaries are rounded to whole translation-page
-	// groups so a map page never straddles shards. 0 defaults to one
-	// shard per chip; rigs built by internal/ssd size it to the kernel
-	// shard layout instead. The shard count changes locking and memory
-	// granularity only — never any allocation decision — so results are
-	// identical at every count.
-	MapShards int
 	// MapCacheBytes bounds the DRAM the translation map may occupy:
 	// map pages (groups of L2P entries, one NAND page each) are
 	// demand-paged under this budget with clock eviction. 0 disables the
 	// cache — the whole map is modeled as resident, the legacy behavior.
-	// The effective budget is floored at one map page per shard so every
-	// shard can make progress. See cache.go.
+	// The budget is split evenly per cache partition (one per chip, each
+	// over a contiguous range of map pages) and floored at one map page
+	// per partition so every partition can make progress. See cache.go.
 	MapCacheBytes int64
 }
 
@@ -108,41 +94,31 @@ type FTL struct {
 	reserved int // blocks per chip kept free for GC (over-provisioning)
 	logical  int
 
-	// L2P map shards; see shard.go. shardSize is a multiple of
-	// groupEntries so every translation page belongs to one shard.
-	shards    []mapShard
-	shardSize int
+	// Forward map, one group of groupEntries entries per translation
+	// page; see l2p.go. live counts the mapped LPNs.
+	l2p          [][]Location
+	live         int
+	groupEntries int // L2P entries per translation page
+	groupBytes   int
 
-	// Translation-page cache configuration; see cache.go. groupEntries
-	// is computed even when the cache is disabled (shard sizing rounds
-	// to it).
-	cacheEnabled  bool
-	groupEntries  int // L2P entries per translation page
-	groupBytes    int
-	budgetBytes   int64
-	slotsPerShard int
+	// Translation-page cache; see cache.go. parts is nil when the cache
+	// is disabled.
+	cacheEnabled      bool
+	budgetBytes       int64
+	parts             []cachePart
+	groupsPerPart     int
+	slotsPerPartition int
 
-	chipRR   atomic.Int64 // round-robin write-striping cursor
+	chipRR   int // round-robin write-striping cursor
 	chipsArr []chipState
 
 	n counters
 }
 
-// counters is the FTL's internal counter block. All fields are atomics
-// so Stats and CacheStats snapshots are safe from any goroutine while
-// the simulation mutates the FTL — the `-http` monitoring path.
+// counters is the FTL's internal counter block.
 type counters struct {
-	hostWrites  atomic.Uint64
-	flashWrites atomic.Uint64
-	gcMoves     atomic.Uint64
-	gcErases    atomic.Uint64
-	badBlocks   atomic.Uint64
-
-	mapHits      atomic.Uint64
-	mapMisses    atomic.Uint64
-	mapEvictions atomic.Uint64
-	mapFlushes   atomic.Uint64
-	mapBypasses  atomic.Uint64
+	hostWrites, flashWrites, gcMoves, gcErases, badBlocks     uint64
+	mapHits, mapMisses, mapEvictions, mapFlushes, mapBypasses uint64
 }
 
 // Stats counts FTL activity.
@@ -163,7 +139,7 @@ func (s Stats) WriteAmplification() float64 {
 }
 
 // New builds an FTL over `chips` identical chips with the given
-// geometry and default map sharding (no map cache) — the signature
+// geometry and no map cache — the signature
 // every pre-existing caller and test uses.
 func New(geo onfi.Geometry, chips, reservedBlocks int) (*FTL, error) {
 	return NewWithConfig(Config{Geometry: geo, Chips: chips, ReservedBlocks: reservedBlocks})
@@ -181,9 +157,6 @@ func NewWithConfig(cfg Config) (*FTL, error) {
 	if cfg.ReservedBlocks < 1 || cfg.ReservedBlocks >= geo.BlocksPerLUN {
 		return nil, fmt.Errorf("ftl: reserved blocks %d out of range [1,%d)", cfg.ReservedBlocks, geo.BlocksPerLUN)
 	}
-	if cfg.MapShards < 0 {
-		return nil, fmt.Errorf("ftl: negative map shard count %d", cfg.MapShards)
-	}
 	if cfg.MapCacheBytes < 0 {
 		return nil, fmt.Errorf("ftl: negative map cache budget %d", cfg.MapCacheBytes)
 	}
@@ -194,7 +167,6 @@ func NewWithConfig(cfg Config) (*FTL, error) {
 		f.groupEntries = 1
 	}
 	f.groupBytes = f.groupEntries * mapEntryBytes
-	f.initShards(cfg.MapShards)
 	f.initCache(cfg.MapCacheBytes)
 	f.chipsArr = make([]chipState, cfg.Chips)
 	for c := range f.chipsArr {
@@ -228,15 +200,14 @@ func (f *FTL) Geometry() onfi.Geometry { return f.geo }
 // Chips reports the channel width the FTL manages.
 func (f *FTL) Chips() int { return f.chips }
 
-// Stats returns a snapshot of the counters. Safe to call from any
-// goroutine while the simulation runs (the counters are atomics).
+// Stats returns a snapshot of the counters.
 func (f *FTL) Stats() Stats {
 	return Stats{
-		HostWrites:  f.n.hostWrites.Load(),
-		FlashWrites: f.n.flashWrites.Load(),
-		GCMoves:     f.n.gcMoves.Load(),
-		GCErases:    f.n.gcErases.Load(),
-		BadBlocks:   f.n.badBlocks.Load(),
+		HostWrites:  f.n.hostWrites,
+		FlashWrites: f.n.flashWrites,
+		GCMoves:     f.n.gcMoves,
+		GCErases:    f.n.gcErases,
+		BadBlocks:   f.n.badBlocks,
 	}
 }
 
@@ -249,8 +220,8 @@ func (f *FTL) AllocateWrite(lpn int) (Location, error) {
 	if err != nil {
 		return loc, err
 	}
-	f.n.hostWrites.Add(1)
-	f.n.flashWrites.Add(1)
+	f.n.hostWrites++
+	f.n.flashWrites++
 	return loc, nil
 }
 
@@ -262,41 +233,32 @@ func (f *FTL) allocate(lpn int, gc bool) (Location, error) {
 	if lpn < 0 || lpn >= f.logical {
 		return Location{}, fmt.Errorf("ftl: LPN %d out of range [0,%d)", lpn, f.logical)
 	}
-	sh := f.shard(lpn)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	// Find a chip with space first: a failed write must leave any
 	// existing mapping (and its data) intact.
-	rr := int(f.chipRR.Load())
-	chip := -1
 	for try := 0; try < f.chips; try++ {
-		c := (rr + try) % f.chips
-		cs := &f.chipsArr[c]
-		cs.mu.Lock()
-		ok := f.hasSpace(cs, gc)
-		cs.mu.Unlock()
-		if ok {
-			chip = c
-			break
+		c := (f.chipRR + try) % f.chips
+		if f.hasSpace(&f.chipsArr[c], gc) {
+			f.chipRR = (c + 1) % f.chips // stripe round-robin
+			return f.place(c, lpn, gc), nil
 		}
 	}
-	if chip < 0 {
-		return Location{}, fmt.Errorf("ftl: out of space (GC required on all chips)")
-	}
-	// Drop the stale copy, then place the new one (striping round-robin).
-	f.clearMappingLocked(sh, lpn)
-	loc, ok := f.allocateOn(chip, lpn, gc)
-	if !ok {
-		return Location{}, fmt.Errorf("ftl: chip %d lost its space mid-allocation", chip)
-	}
-	f.chipRR.Store(int64((chip + 1) % f.chips))
-	f.setMappingLocked(sh, lpn, loc)
-	return loc, nil
+	return Location{}, fmt.Errorf("ftl: out of space (GC required on all chips)")
+}
+
+// place moves lpn onto a chip that has space in the given stream: the
+// stale copy is dropped first, then the new page is taken and mapped.
+// Dropping a copy never frees or closes a block, so the caller's
+// hasSpace check still holds when allocateOn runs.
+func (f *FTL) place(chip, lpn int, gc bool) Location {
+	f.clearMapping(lpn)
+	loc := f.allocateOn(chip, lpn, gc)
+	f.setMapping(lpn, loc)
+	return loc
 }
 
 // hasSpace reports whether a chip can accept one more page write in the
 // given stream under the GC-headroom rule: the host may never open the
-// last free block. Caller holds cs.mu.
+// last free block.
 func (f *FTL) hasSpace(cs *chipState, gc bool) bool {
 	if cs.offline {
 		return false
@@ -308,20 +270,15 @@ func (f *FTL) hasSpace(cs *chipState, gc bool) bool {
 }
 
 // allocateOn takes the chip's next page in the given stream and records
-// the chip-side reverse mapping. The map-side entry is the caller's to
-// set (under the LPN's shard lock, which the caller holds).
-func (f *FTL) allocateOn(chip, lpn int, gc bool) (Location, bool) {
+// the chip-side reverse mapping. The chip must have space (hasSpace);
+// the map-side entry is the caller's to set.
+func (f *FTL) allocateOn(chip, lpn int, gc bool) Location {
 	cs := &f.chipsArr[chip]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	stream := &cs.active
 	if gc {
 		stream = &cs.activeGC
 	}
 	if *stream < 0 {
-		if !f.hasSpace(cs, gc) {
-			return Location{}, false
-		}
 		// Wear-aware allocation: open the least-worn free block, so
 		// erase cycles spread evenly instead of hammering whichever
 		// block happens to sit at the list head (dynamic wear leveling).
@@ -347,14 +304,12 @@ func (f *FTL) allocateOn(chip, lpn int, gc bool) (Location, bool) {
 		blk.sealed = true
 		*stream = -1
 	}
-	return Location{Chip: chip, Row: row}, true
+	return Location{Chip: chip, Row: row}
 }
 
 // invalidateLoc drops the chip-side reverse mapping at loc.
 func (f *FTL) invalidateLoc(loc Location) {
 	cs := &f.chipsArr[loc.Chip]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	blk := &cs.blocks[loc.Row.Block]
 	if blk.lpns != nil && blk.lpns[loc.Row.Page] != invalidLPN {
 		blk.lpns[loc.Row.Page] = invalidLPN
@@ -365,32 +320,26 @@ func (f *FTL) invalidateLoc(loc Location) {
 
 // FreeBlocks reports erased blocks available on a chip.
 func (f *FTL) FreeBlocks(chip int) int {
-	cs := &f.chipsArr[chip]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return len(cs.freeList)
+	return len(f.chipsArr[chip].freeList)
 }
 
 // RetireBlock permanently removes a block from service after the media
 // reported a program or erase failure (grown bad block). Live pages the
 // caller could not relocate must be invalidated separately; the block is
 // dropped from the free list and from both write streams and will never
-// be selected again. Only the owning chip's lock is taken — retirement
-// on one chip never stalls lookups or GC scans elsewhere.
+// be selected again.
 func (f *FTL) RetireBlock(chip, block int) {
 	if chip < 0 || chip >= f.chips {
 		return
 	}
 	cs := &f.chipsArr[chip]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	if block < 0 || block >= len(cs.blocks) || cs.blocks[block].bad {
 		return
 	}
 	blk := &cs.blocks[block]
 	blk.bad = true
 	blk.sealed = true
-	f.n.badBlocks.Add(1)
+	f.n.badBlocks++
 	for i, b := range cs.freeList {
 		if b == block {
 			cs.freeList = append(cs.freeList[:i], cs.freeList[i+1:]...)
@@ -416,8 +365,6 @@ func (f *FTL) OfflineChip(chip int) {
 		return
 	}
 	cs := &f.chipsArr[chip]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	cs.offline = true
 	cs.active = -1
 	cs.activeGC = -1
@@ -428,10 +375,7 @@ func (f *FTL) ChipOffline(chip int) bool {
 	if chip < 0 || chip >= f.chips {
 		return false
 	}
-	cs := &f.chipsArr[chip]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.offline
+	return f.chipsArr[chip].offline
 }
 
 // ForceSealGC closes a chip's partially written GC-stream block so it
@@ -445,8 +389,6 @@ func (f *FTL) ForceSealGC(chip int) bool {
 		return false
 	}
 	cs := &f.chipsArr[chip]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	if cs.activeGC < 0 {
 		return false
 	}
@@ -460,8 +402,6 @@ func (f *FTL) ForceSealGC(chip int) bool {
 // caller bug and panics.
 func (f *FTL) OnErased(chip, block int) {
 	cs := &f.chipsArr[chip]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	blk := &cs.blocks[block]
 	if blk.valid != 0 {
 		panic(fmt.Sprintf("ftl: erasing block %d on chip %d with %d live pages", block, chip, blk.valid))
@@ -474,7 +414,7 @@ func (f *FTL) OnErased(chip, block int) {
 	cs.erases++
 	cs.wear[block]++
 	cs.freeList = append(cs.freeList, block)
-	f.n.gcErases.Add(1)
+	f.n.gcErases++
 }
 
 // WearSpread reports max−min erase counts across a chip's healthy
@@ -484,8 +424,6 @@ func (f *FTL) WearSpread(chip int) int {
 		return 0
 	}
 	cs := &f.chipsArr[chip]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	min, max, seen := 0, 0, false
 	for b := range cs.blocks {
 		if cs.blocks[b].bad {
@@ -512,8 +450,6 @@ func (f *FTL) BlockWear(chip, block int) int {
 		return 0
 	}
 	cs := &f.chipsArr[chip]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	if block < 0 || block >= len(cs.wear) {
 		return 0
 	}
@@ -522,8 +458,5 @@ func (f *FTL) BlockWear(chip, block int) int {
 
 // LivePages reports mapped logical pages on a chip.
 func (f *FTL) LivePages(chip int) int {
-	cs := &f.chipsArr[chip]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.livePages
+	return f.chipsArr[chip].livePages
 }

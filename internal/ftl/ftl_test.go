@@ -99,6 +99,10 @@ func TestOverwriteInvalidatesOld(t *testing.T) {
 	if f.LivePages(0) != 1 {
 		t.Errorf("live pages = %d, want 1", f.LivePages(0))
 	}
+	// A lost decrement of the map-wide live count must not go unnoticed.
+	if f.live++; f.CheckInvariants() == nil {
+		t.Error("skewed map live count not detected")
+	}
 }
 
 func TestInvalidate(t *testing.T) {

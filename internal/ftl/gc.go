@@ -3,18 +3,12 @@ package ftl
 import "fmt"
 
 // Garbage-collection policy: watermark detection, greedy victim
-// selection, and live-page relocation. All of it is shard-aware in the
-// locking sense — candidate scans take only the victim chip's lock, and
-// relocations take only the moved LPN's map-shard lock plus the chips
-// involved — so GC on one chip never stalls lookups or allocations
-// against other chips or other LPN ranges.
+// selection, and live-page relocation.
 
 // NeedsGC reports whether a chip has run low on free blocks (at or below
 // the reserved watermark).
 func (f *FTL) NeedsGC(chip int) bool {
 	cs := &f.chipsArr[chip]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	if cs.offline {
 		return false
 	}
@@ -27,13 +21,9 @@ func (f *FTL) NeedsGC(chip int) bool {
 
 // GCCandidate picks the sealed block with the fewest live pages on a
 // chip (greedy policy) and returns its live logical pages. ok is false
-// when no sealed block exists. Only the chip's own lock is taken: the
-// scan is per-chip state, so concurrent GC on other chips (or lookups
-// anywhere) proceed untouched.
+// when no sealed block exists.
 func (f *FTL) GCCandidate(chip int) (block int, liveLPNs []int, ok bool) {
 	cs := &f.chipsArr[chip]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	if cs.offline {
 		return 0, nil, false
 	}
@@ -68,8 +58,8 @@ func (f *FTL) RelocateForGC(lpn int) (Location, error) {
 	if err != nil {
 		return loc, err
 	}
-	f.n.flashWrites.Add(1)
-	f.n.gcMoves.Add(1)
+	f.n.flashWrites++
+	f.n.gcMoves++
 	return loc, nil
 }
 
@@ -84,23 +74,11 @@ func (f *FTL) RelocateForGCOn(chip, lpn int) (Location, error) {
 	if lpn < 0 || lpn >= f.logical {
 		return Location{}, fmt.Errorf("ftl: LPN %d out of range [0,%d)", lpn, f.logical)
 	}
-	sh := f.shard(lpn)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cs := &f.chipsArr[chip]
-	cs.mu.Lock()
-	ok := f.hasSpace(cs, true)
-	cs.mu.Unlock()
-	if !ok {
+	if !f.hasSpace(&f.chipsArr[chip], true) {
 		return Location{}, fmt.Errorf("ftl: chip %d GC stream out of space", chip)
 	}
-	f.clearMappingLocked(sh, lpn)
-	loc, allocOK := f.allocateOn(chip, lpn, true)
-	if !allocOK {
-		return Location{}, fmt.Errorf("ftl: chip %d lost GC space mid-allocation", chip)
-	}
-	f.setMappingLocked(sh, lpn, loc)
-	f.n.flashWrites.Add(1)
-	f.n.gcMoves.Add(1)
+	loc := f.place(chip, lpn, true)
+	f.n.flashWrites++
+	f.n.gcMoves++
 	return loc, nil
 }

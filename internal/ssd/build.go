@@ -234,19 +234,9 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	memSize := slots*slotSize + cfg.Channels*(128<<10) // slots + per-controller scratch
 	mem := dram.New(memSize)
 
-	// The L2P map is split into independently locked LPN-range shards,
-	// one per chip — or, on a sharded rig, one per kernel shard, so the
-	// translation map's lock domains line up one-to-one with the
-	// cluster's event domains. Pure concurrency/memory granularity:
-	// results are identical at any count.
-	mapShards := chips
-	if shards > 0 {
-		mapShards = shards
-	}
 	f, err := ftl.NewWithConfig(ftl.Config{
 		Geometry: geo, Chips: chips,
-		ReservedBlocks: reservedBlocks,
-		MapShards:      mapShards, MapCacheBytes: cfg.MapCacheBytes,
+		ReservedBlocks: reservedBlocks, MapCacheBytes: cfg.MapCacheBytes,
 	})
 	if err != nil {
 		return nil, err

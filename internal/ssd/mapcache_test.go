@@ -8,7 +8,7 @@ import (
 
 // mapCacheBuild widens smallBuild's logical space to 8 translation
 // pages (64 blocks × 2 ways) so a 512-byte budget — one resident page
-// per map shard — keeps the clock evicting at test-scale op counts.
+// per cache partition — keeps the clock evicting at test-scale op counts.
 func mapCacheBuild(budget int64) BuildConfig {
 	cfg := smallBuild(CtrlBabolRTOS)
 	cfg.Params.Geometry.BlocksPerLUN = 64

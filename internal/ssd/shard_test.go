@@ -148,6 +148,46 @@ func TestShardedHWBaseline(t *testing.T) {
 	}
 }
 
+// TestShardedRigFTLSingleOwner pins where the FTL lives on the one rig
+// that really runs two goroutines: the FTL takes no locks, so every
+// call into it must come from the host domain's goroutine. A random
+// overwrite stream on a 2-shard rig with a starved map cache drives the
+// paths that reach the FTL from channel-side completions — GC erases
+// and cache installs — and under -race any call off domain 0 is a
+// reported race.
+func TestShardedRigFTLSingleOwner(t *testing.T) {
+	cfg := smallBuild(CtrlBabolRTOS)
+	cfg.Params.Geometry.BlocksPerLUN = 64 // 16 map pages over 4 partitions
+	cfg.Channels = 2
+	cfg.Shards = 2
+	cfg.MapCacheBytes = 2048 // one resident map page per partition
+	rig := mustBuild(t, cfg)
+	logical := rig.FTL.LogicalPages()
+	if err := rig.SSD.Preload(logical); err != nil {
+		t.Fatal(err)
+	}
+	res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
+		Pattern: hic.Random, Kind: hic.KindWrite,
+		NumOps: 2 * logical, QueueDepth: 4, LogicalPages: logical, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.Run()
+	if res.Failed != 0 {
+		t.Fatalf("%d writes failed", res.Failed)
+	}
+	if rig.FTL.Stats().GCErases == 0 {
+		t.Error("stream never made GC erase")
+	}
+	if rig.FTL.CacheStats().Evictions == 0 {
+		t.Error("stream never made the map cache evict")
+	}
+	if err := rig.FTL.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShardedBuildShape pins the build-time plumbing: shard capping,
 // per-shard coroutine pools, and the 1 µs host-hop lookahead.
 func TestShardedBuildShape(t *testing.T) {
