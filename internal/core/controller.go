@@ -117,8 +117,8 @@ type Controller struct {
 
 	// freeOps recycles finished opStates (with their Ctx, transaction
 	// box, latch arena, and pre-bound callbacks); together with the
-	// coroutine pool (which recycles the goroutine and handshake
-	// channels) steady-state operation turnover allocates nothing. A
+	// coroutine pool (which recycles the coroutine itself) steady-state
+	// operation turnover allocates nothing. A
 	// state is recycled strictly after finishOp: at that point its
 	// coroutine has returned, its last transaction was delivered, and no
 	// kernel callback references it.

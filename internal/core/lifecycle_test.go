@@ -56,9 +56,8 @@ func newRigPooled(t *testing.T, chips int) *pooledRig {
 	return &pooledRig{rig: &rig{k: k, ch: ch, mem: mem, ctrl: ctrl}, pool: pool}
 }
 
-// waitGoroutines polls until the process goroutine count drops to at
-// most want — goroutine exit is asynchronous after the final coroutine
-// handshake, so an immediate count is racy by construction.
+// waitGoroutines polls, up to a deadline, until the process goroutine
+// count drops to at most want.
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

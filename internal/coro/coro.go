@@ -8,18 +8,20 @@
 // kernel always observes a single logical thread — mirroring the paper's
 // single firmware core — and execution is fully deterministic.
 //
-// Coroutines are backed by goroutines with a strict two-channel handshake.
-// The cost of a context switch in *virtual* time is charged separately by
-// the controller through cpumodel; the host-level goroutine switch is an
-// implementation detail. Creating a goroutine per operation is not free,
-// though (~5 allocations and a few µs per New), which is why Pool exists:
-// a finished coroutine parks its goroutine on a free list and the next
-// Get reuses it with a fresh handshake, at resume-level cost.
+// Coroutines run on the Go runtime's own coroutine switch (iter.Pull):
+// Resume and Yield hand the thread directly from one goroutine to the
+// other, without the scheduler. The cost of a context switch in
+// *virtual* time is charged separately by the controller through
+// cpumodel; the host-level switch is an implementation detail. Creating
+// a coroutine is not free, though (a goroutine and a dozen allocations
+// per New), which is why Pool exists: a finished coroutine parks on a
+// free list and the next Get reuses it at resume-level cost.
 package coro
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -40,8 +42,12 @@ type abortSignal struct{}
 // remain safe no-ops, but callers must drop the handle after observing
 // completion rather than stashing it.
 type Coroutine struct {
-	resume  chan struct{}
-	yielded chan struct{}
+	// next switches into the coroutine; stop ends a pooled worker parked
+	// between bodies (Pool.Close). yield, captured on the first run,
+	// switches back out to whoever called next.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 	// y is the coroutine-side handle, embedded so reuse allocates
 	// nothing.
 	y Yielder
@@ -51,7 +57,7 @@ type Coroutine struct {
 	fn func(*Yielder) error
 
 	// The fields below are only touched by the side holding control, and
-	// control transfer happens via channel operations, so they need no
+	// the runtime's switch orders every hand-over, so they need no
 	// locking.
 	finished bool
 	aborted  bool
@@ -60,7 +66,6 @@ type Coroutine struct {
 	// becomes a no-op) instead of suspending a coroutine the driver is
 	// tearing down.
 	unwinding bool
-	stop      bool // tells a parked pooled worker to exit (Pool.Close)
 	err       error
 }
 
@@ -69,13 +74,15 @@ type Yielder struct {
 	c *Coroutine
 }
 
-func newCoroutine(fn func(*Yielder) error) *Coroutine {
-	c := &Coroutine{
-		resume:  make(chan struct{}),
-		yielded: make(chan struct{}),
-		fn:      fn,
-	}
+// newCoroutine binds fn to a fresh runtime coroutine whose whole life is
+// run: one body for New, body after body for a pooled worker.
+func newCoroutine(fn func(*Yielder) error, run func(*Coroutine)) *Coroutine {
+	c := &Coroutine{fn: fn}
 	c.y.c = c
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		run(c)
+	})
 	return c
 }
 
@@ -83,30 +90,25 @@ func newCoroutine(fn func(*Yielder) error) *Coroutine {
 // completes. fn does not run until the first Resume. Hot paths that
 // create coroutines per operation should use a Pool instead.
 func New(fn func(*Yielder) error) *Coroutine {
-	c := newCoroutine(fn)
-	go func() {
-		<-c.resume
+	return newCoroutine(fn, func(c *Coroutine) {
 		c.err = c.runBody()
 		c.finished = true
-		c.yielded <- struct{}{}
-	}()
-	return c
+	})
 }
 
 // runBody executes the coroutine's function, converting an abort unwind
 // into ErrAborted and any other panic into an error that preserves the
 // goroutine's stack trace — a firmware panic inside an operation must
 // stay debuggable (the originating frame is in the error), not collapse
-// to a bare value.
+// to a bare value. A Resume of a coroutine that is already running (its
+// own handle, or one further up the resume chain) panics in the switch
+// and so ends here too, instead of deadlocking.
 func (c *Coroutine) runBody() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abortSignal); ok {
 				err = ErrAborted
 			} else {
-				// Re-panicking here would kill the process on the
-				// coroutine's goroutine; surface it as an error the
-				// driver can report instead.
 				err = fmt.Errorf("coro: panic: %v\n%s", r, debug.Stack())
 			}
 		}
@@ -125,8 +127,7 @@ func (c *Coroutine) Resume() (finished bool) {
 	if c.finished {
 		return true
 	}
-	c.resume <- struct{}{}
-	<-c.yielded
+	c.next()
 	return c.finished
 }
 
@@ -167,8 +168,7 @@ func (y *Yielder) Yield() {
 	if c.unwinding {
 		return
 	}
-	c.yielded <- struct{}{}
-	<-c.resume
+	c.yield(struct{}{})
 	if c.aborted {
 		c.unwinding = true
 		panic(abortSignal{})

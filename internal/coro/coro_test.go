@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRunToCompletion(t *testing.T) {
@@ -221,12 +222,82 @@ func TestNestedCalls(t *testing.T) {
 	}
 }
 
-// BenchmarkCoroResume quantifies the goroutine-handshake cost of one
-// Resume/Yield round trip — the per-suspension overhead every simulated
-// operation pays (two channel operations and two goroutine switches).
-// Run with -benchmem: the round trip itself allocates nothing; what
-// remains on the per-operation budget is New (BenchmarkCoroNew below),
-// the follow-up perf target recorded in EXPERIMENTS.md.
+// A Resume of a coroutine that is already running — its own handle, or
+// one further up the resume chain — cannot be honoured. It must end that
+// coroutine with an error naming the re-entry, not hang the process. The
+// scenario runs on its own goroutine under a deadline so a regression
+// fails here instead of wedging the test binary.
+func TestReentrantResumeFailsLoudly(t *testing.T) {
+	done := make(chan [2]*Coroutine, 1)
+	go func() {
+		var self *Coroutine
+		self = New(func(y *Yielder) error {
+			self.Resume()
+			return nil
+		})
+		self.Resume()
+
+		var outer, inner *Coroutine
+		inner = New(func(y *Yielder) error {
+			outer.Resume() // outer is running: it resumed us
+			return nil
+		})
+		outer = New(func(y *Yielder) error {
+			inner.Resume()
+			return nil
+		})
+		outer.Resume()
+		done <- [2]*Coroutine{self, inner}
+	}()
+	select {
+	case cs := <-done:
+		for i, c := range cs {
+			if !c.Finished() {
+				t.Fatalf("case %d: re-entered coroutine not finished", i)
+			}
+			if c.Err() == nil || !strings.Contains(c.Err().Error(), "next called again before yield") {
+				t.Errorf("case %d: err = %v, want the re-entry named", i, c.Err())
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("re-entrant Resume hung")
+	}
+}
+
+// The sharded rig creates a coroutine on one goroutine and drives it from
+// another; the switch must carry a coroutine across goroutines as long as
+// the hand-over is ordered (here by a channel), under -race too.
+func TestResumeFromAnotherGoroutine(t *testing.T) {
+	steps := 0
+	c := New(func(y *Yielder) error {
+		for {
+			steps++
+			y.Yield()
+		}
+	})
+	c.Resume()
+	handoff := make(chan *Coroutine)
+	result := make(chan error)
+	go func() {
+		c := <-handoff
+		c.Resume()
+		c.Resume()
+		c.Abort()
+		result <- c.Err()
+	}()
+	handoff <- c
+	if err := <-result; !errors.Is(err, ErrAborted) {
+		t.Fatalf("err = %v, want ErrAborted", err)
+	}
+	if !c.Finished() || steps != 3 {
+		t.Fatalf("finished=%v steps=%d, want true 3", c.Finished(), steps)
+	}
+}
+
+// BenchmarkCoroResume quantifies the host cost of one Resume/Yield round
+// trip — the per-suspension overhead every simulated operation pays (two
+// direct runtime coroutine switches). Run with -benchmem: the round trip
+// itself allocates nothing.
 func BenchmarkCoroResume(b *testing.B) {
 	c := New(func(y *Yielder) error {
 		for {
@@ -245,10 +316,10 @@ func BenchmarkCoroResume(b *testing.B) {
 
 // BenchmarkCoroNew measures creating and completing one coroutine —
 // the per-operation coroutine cost the controller pays. "unpooled" is
-// the historical baseline (goroutine spawn per operation: ~5 allocs /
-// ~2.8 µs); "pooled" recycles parked goroutines through a coro.Pool and
-// must stay at 0 allocs steady-state (TestAllocGateCoroPool is the CI
-// gate), at resume-level latency.
+// the reference (a new runtime coroutine per operation: 13 allocs);
+// "pooled" recycles parked workers through a coro.Pool and must stay at
+// 0 allocs steady-state (TestAllocGateCoroPool is the CI gate), at
+// resume-level latency.
 func BenchmarkCoroNew(b *testing.B) {
 	fn := func(y *Yielder) error { return nil }
 	b.Run("unpooled", func(b *testing.B) {
@@ -270,18 +341,4 @@ func BenchmarkCoroNew(b *testing.B) {
 			c.Resume()
 		}
 	})
-}
-
-func BenchmarkResumeYield(b *testing.B) {
-	c := New(func(y *Yielder) error {
-		for {
-			y.Yield()
-		}
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Resume()
-	}
-	b.StopTimer()
-	c.Abort()
 }

@@ -4,17 +4,16 @@ package coro
 // obtained from Get parks its goroutine on the pool's free list when it
 // finishes (normally or via Abort) instead of exiting; the next Get pops
 // a parked worker and re-arms it with a fresh function. Steady-state
-// coroutine turnover therefore costs one resume-style channel handshake
-// and zero allocations, where New costs a goroutine spawn (~5 allocs,
-// ~2.8 µs) per operation.
+// coroutine turnover therefore costs one resume-style switch and zero
+// allocations, where New costs a goroutine and a dozen allocations per
+// operation.
 //
 // Concurrency contract: a Pool belongs to one simulation rig and is
 // driven from that rig's single kernel goroutine, exactly like the
 // coroutines themselves. The free list needs no lock because a worker
-// only touches it while the driver is blocked inside Resume waiting for
-// that worker's yield — every access is ordered by the handshake
-// channels. Rigs running concurrently (parallel sweeps) must each own a
-// private Pool; they share nothing.
+// only touches it while it holds control, inside the driver's Resume.
+// Rigs running concurrently (parallel sweeps) must each own a private
+// Pool; they share nothing.
 type Pool struct {
 	free   []*Coroutine
 	closed bool
@@ -51,39 +50,27 @@ func (p *Pool) Get(fn func(*Yielder) error) *Coroutine {
 		c.err = nil
 		return c
 	}
-	c := newCoroutine(fn)
 	p.spawned++
-	go p.work(c)
-	return c
+	return newCoroutine(fn, p.work)
 }
 
-// work is the pooled worker loop: run one coroutine body per wake-up,
-// park between bodies. The abort unwind (and any body panic) is
-// contained by runBody, so an Abort cannot corrupt the worker's loop
-// state — the goroutine parks and is reusable afterwards.
+// work is the pooled worker's life: run one body per wake-up, park
+// between bodies. The abort unwind (and any body panic) is contained by
+// runBody, so an Abort cannot corrupt the loop — the worker parks and is
+// reusable afterwards. It ends when the pool is closed: at once if the
+// body finishes after Close, or when Close stops it while parked.
 func (p *Pool) work(c *Coroutine) {
 	for {
-		<-c.resume
-		if c.stop {
-			return
-		}
 		c.err = c.runBody()
 		c.finished = true
-		// Park strictly before the final yield signal: the driver is
-		// still blocked in Resume, so it cannot observe (or Get) a
-		// half-parked coroutine, and the channel handshake orders this
-		// append against the driver's later free-list accesses.
-		parked := p.park(c)
-		c.yielded <- struct{}{}
-		if !parked {
+		if !p.park(c) || !c.yield(struct{}{}) {
 			return
 		}
 	}
 }
 
 // park returns c to the free list, reporting whether the worker should
-// keep living. Called only from c's own goroutine while the driver is
-// blocked in Resume.
+// keep living.
 func (p *Pool) park(c *Coroutine) bool {
 	if p.closed {
 		return false
@@ -111,13 +98,8 @@ func (p *Pool) Close() {
 		return
 	}
 	p.closed = true
-	free := p.free
-	p.free = nil
-	for _, c := range free {
-		// The parked worker is blocked at the top of its loop waiting
-		// on resume; stop is set strictly before the wake-up send, so
-		// the worker observes it and exits without signalling.
-		c.stop = true
-		c.resume <- struct{}{}
+	for _, c := range p.free {
+		c.stop()
 	}
+	p.free = nil
 }

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// waitGoroutines polls until the process goroutine count drops to at
-// most want (goroutine exit is asynchronous after the final handshake).
+// waitGoroutines polls, up to a deadline, until the process goroutine
+// count drops to at most want.
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -249,8 +249,8 @@ func TestPoolGetAfterCloseFallsBackToNew(t *testing.T) {
 // TestPoolStressConcurrentRigs is the -race workout: many "rigs" (one
 // goroutine each, as in parallel sweeps), each owning a private pool and
 // churning coroutines through finish, abort, panic, and nested-yield
-// paths. Pools share nothing; the race detector confirms the handshake
-// ordering claims in the Pool contract.
+// paths. Pools share nothing; the race detector confirms the ordering
+// claims in the Pool contract.
 func TestPoolStressConcurrentRigs(t *testing.T) {
 	const rigs = 8
 	const opsPerRig = 300
@@ -319,8 +319,8 @@ func TestPoolStressConcurrentRigs(t *testing.T) {
 
 // TestAllocGateCoroPool is the allocation-regression gate for pooled
 // coroutine turnover: a full Get → run → finish cycle on a warmed pool
-// must allocate nothing (the goroutine, handshake channels, handle, and
-// Yielder are all recycled).
+// must allocate nothing (the runtime coroutine, handle, and Yielder are
+// all recycled).
 func TestAllocGateCoroPool(t *testing.T) {
 	p := NewPool()
 	defer p.Close()

@@ -9,84 +9,88 @@ import (
 	"repro/internal/sim"
 )
 
-// TestLatchStormNeverPanics drives the LUN decoder with random latch
-// sequences, data bursts, and time jumps. Protocol errors are expected
-// and fine; panics, stuck-busy states, or corrupted bookkeeping are not.
-// This is the robustness property a real controller relies on: no
-// command sequence, however buggy the firmware, may wedge the model.
-func TestLatchStormNeverPanics(t *testing.T) {
-	f := func(seed int64) (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Logf("seed %d panicked: %v", seed, r)
-				ok = false
-			}
-		}()
-		rng := rand.New(rand.NewSource(seed))
+// FuzzLatchStorm drives the LUN decoder with arbitrary latch sequences,
+// data bursts, and time jumps. The input is a program, one op per byte
+// (op = b % 5), each taking its operands from the bytes after it:
+//
+//	0 c            command latch c
+//	1 n a…         burst of 1+n%6 address latches
+//	2 n v          data in: 1+n%64 bytes of v
+//	3 n            data out: 1+n%64 bytes
+//	4 hi lo        time advances by (hi<<8|lo)/65536 of tBERS
+//
+// Protocol errors are expected and fine; panics, stuck-busy states, or
+// corrupted bookkeeping are not. The instant the storm ends, the LUN
+// must accept RESET, be ready within a millisecond, and then serve a
+// clean READ of a seeded page: no command sequence, however buggy the
+// firmware, may wedge the model.
+func FuzzLatchStorm(f *testing.F) {
+	f.Fuzz(func(t *testing.T, storm []byte) {
 		l, err := NewLUN(smallParams())
 		if err != nil {
-			return false
+			t.Fatal(err)
+		}
+		p := l.Params()
+		next := func() byte {
+			if len(storm) == 0 {
+				return 0
+			}
+			b := storm[0]
+			storm = storm[1:]
+			return b
 		}
 		now := sim.Time(0)
-		interesting := []byte{
-			0x00, 0x30, 0x31, 0x3F, 0x05, 0xE0, 0x80, 0x85, 0x10, 0x15,
-			0x60, 0xD0, 0x70, 0x78, 0x90, 0xEC, 0xEF, 0xEE, 0xFF, 0xA2,
-			0x61, 0xD2, 0x35,
-		}
-		for i := 0; i < 400; i++ {
-			switch rng.Intn(5) {
-			case 0: // command latch
-				_ = l.Latch(now, []onfi.Latch{onfi.CmdLatch(onfi.Cmd(interesting[rng.Intn(len(interesting))]))})
-			case 1: // address latch burst
-				n := 1 + rng.Intn(6)
-				ls := make([]onfi.Latch, n)
+		for len(storm) > 0 {
+			switch next() % 5 {
+			case 0:
+				_ = l.Latch(now, []onfi.Latch{onfi.CmdLatch(onfi.Cmd(next()))})
+			case 1:
+				ls := make([]onfi.Latch, 1+next()%6)
 				for j := range ls {
-					ls[j] = onfi.AddrLatch(byte(rng.Intn(256)))
+					ls[j] = onfi.AddrLatch(next())
 				}
 				_ = l.Latch(now, ls)
-			case 2: // data in
-				buf := make([]byte, 1+rng.Intn(64))
+			case 2:
+				buf := make([]byte, 1+next()%64)
+				v := next()
+				for j := range buf {
+					buf[j] = v
+				}
 				_ = l.DataIn(now, buf)
-			case 3: // data out
-				_, _ = l.DataOut(now, 1+rng.Intn(64))
-			case 4: // time advances (lets busy states expire)
-				now = now.Add(sim.Duration(rng.Intn(int(l.Params().TBERS))))
+			case 3:
+				_, _ = l.DataOut(now, 1+int(next()%64))
+			case 4:
+				frac := sim.Duration(next())<<8 | sim.Duration(next())
+				now = now.Add(p.TBERS * frac / 65536)
 			}
 		}
-		// After the storm the LUN must still be recoverable by RESET.
-		now = now.Add(l.Params().TBERS)
+
+		// RESET aborts whatever the storm left running, at the instant it
+		// ended: no wait for the array to go quiet first.
 		if err := l.Latch(now, []onfi.Latch{onfi.CmdLatch(onfi.CmdReset)}); err != nil {
-			t.Logf("seed %d: reset rejected: %v", seed, err)
-			return false
+			t.Fatalf("reset rejected: %v", err)
 		}
 		now = now.Add(sim.Millisecond)
 		if !l.Ready(now) {
-			t.Logf("seed %d: not ready after reset", seed)
-			return false
+			t.Fatalf("not ready after reset (busy until %v, now %v)", l.ReadyAt(), now)
 		}
-		// And a clean READ must still work end to end.
 		if err := l.SeedPage(onfi.RowAddr{Block: 1}, []byte{0x42}); err != nil {
-			return false
+			t.Fatal(err)
 		}
-		var latches []onfi.Latch
-		latches = append(latches, onfi.CmdLatch(onfi.CmdRead1))
-		latches = append(latches, l.Params().Geometry.AddrLatches(onfi.Addr{Row: onfi.RowAddr{Block: 1}})...)
+		latches := p.Geometry.AppendAddrLatches([]onfi.Latch{onfi.CmdLatch(onfi.CmdRead1)}, onfi.Addr{Row: onfi.RowAddr{Block: 1}})
 		latches = append(latches, onfi.CmdLatch(onfi.CmdRead2))
 		if err := l.Latch(now, latches); err != nil {
-			t.Logf("seed %d: post-reset read rejected: %v", seed, err)
-			return false
+			t.Fatalf("post-reset read rejected: %v", err)
 		}
-		now = now.Add(2 * l.Params().TR)
+		now = now.Add(2 * p.TR)
 		data, err := l.DataOut(now, 1)
 		if err != nil {
-			t.Logf("seed %d: post-reset data out: %v", seed, err)
-			return false
+			t.Fatalf("post-reset data out: %v", err)
 		}
-		return data[0] == 0x42
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+		if data[0] != 0x42 {
+			t.Fatalf("post-reset read returned %#x, want 0x42", data[0])
+		}
+	})
 }
 
 // TestParamPageParserNeverPanics feeds the parameter-page parser random

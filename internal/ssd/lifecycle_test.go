@@ -8,9 +8,8 @@ import (
 	"repro/internal/hic"
 )
 
-// waitGoroutines polls until the process goroutine count drops to at
-// most want — coroutine goroutine exit is asynchronous after the final
-// handshake, so an immediate count is racy by construction.
+// waitGoroutines polls, up to a deadline, until the process goroutine
+// count drops to at most want.
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
