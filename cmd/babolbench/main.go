@@ -107,8 +107,10 @@
 // aggregates through a mutex-guarded registry that does not perturb the
 // deterministic trace path), /ftl is the FTL map-cache view (translation
 // hit/miss/eviction/flush totals and hit rate — populated when
-// -mapcache enables the cache), and the Go pprof handlers are mounted under
-// /debug/pprof/ for profiling the simulator itself.
+// -mapcache enables the cache), /tenants is the per-tenant host-command
+// view (counts, command mix and latency histogram per tenant — populated
+// by workload and replay runs), and the Go pprof handlers are mounted
+// under /debug/pprof/ for profiling the simulator itself.
 package main
 
 import (
@@ -243,11 +245,11 @@ func analyzeTrace(path string, csv bool, out io.Writer) error {
 	return nil
 }
 
-// serveIntrospection mounts /metrics and /debug/pprof/ on addr and
-// returns the live tracer the experiments should feed. The server stays
-// up for the process lifetime; errors binding the socket are fatal
-// (asking for introspection and silently not getting it is worse than
-// failing).
+// serveIntrospection mounts /metrics, /ftl, /tenants and /debug/pprof/
+// on addr and returns the live tracer the experiments should feed. The
+// server stays up for the process lifetime; errors binding the socket
+// are fatal (asking for introspection and silently not getting it is
+// worse than failing).
 func serveIntrospection(addr string) (obs.Tracer, error) {
 	live := obs.NewSyncMetrics()
 	mux := http.NewServeMux()
@@ -376,7 +378,7 @@ func newCLI(errOut io.Writer) *cli {
 	c.fs.StringVar(&c.trace, "trace", "", "append controller events to this JSONL file")
 	c.fs.IntVar(&c.parallel, "parallel", 0, "rigs simulated concurrently (0 = one per CPU, 1 = serial; results are identical at any setting)")
 	c.fs.IntVar(&c.seeds, "seeds", 8, "number of seeded fault plans for the chaos soak")
-	c.fs.StringVar(&c.httpAddr, "http", "", "serve live metrics (/metrics) and pprof (/debug/pprof/) on this address during the run, e.g. :6060")
+	c.fs.StringVar(&c.httpAddr, "http", "", "serve live metrics (/metrics, /ftl, /tenants) and pprof (/debug/pprof/) on this address during the run, e.g. :6060")
 	c.fs.Int64Var(&c.mapCache, "mapcache", 0, "FTL translation-map DRAM budget in bytes (map pages demand-paged, misses charged as NAND reads; 0 = whole map resident)")
 	c.fs.IntVar(&c.queues, "queues", 0, "workload: frontend submission-queue count (0 = one per tenant; tenants share queues when fewer)")
 	enumVar(c.fs, &c.arb, "arb", "workload: submission-queue arbitration (wrr gives queue 0 a 4-command burst)",

@@ -1,24 +1,24 @@
 // Package analyze is the software logic analyzer: it reconstructs what
-// the controller actually did from the observability streams the
-// simulation already emits — the obs event stream (babolbench -trace
-// JSONL, or an in-memory obs.Buffer) and, when available, wave.Recorder
-// bus segments.
+// the controller actually did from one input, the obs event stream
+// (babolbench -trace JSONL, or an in-memory obs.Buffer).
 //
-// Three views come out of one pass over the events:
+// Every aggregate count comes from replaying the stream through
+// obs.Metrics; this package adds only what a registry cannot hold:
 //
 //   - Spans: every host operation correlated into a begin-to-end span
-//     (admitted → queued → each transaction's bus occupancy → die busy →
+//     (admitted → queued → each transaction's bus occupancy →
 //     completed) with a per-op latency breakdown — queue wait, channel
-//     time, cell time, firmware CPU time — and percentile summaries
-//     across ops.
+//     time, cell time, firmware CPU time — and exact percentile
+//     summaries across ops and tenants.
 //
-//   - Timelines: a per-channel, per-chip Gantt reconstruction of bus and
-//     die activity with occupancy, idle-gap, and overlap statistics,
-//     rendered as ASCII art or CSV (render.go).
+//   - Timelines: a per-channel, per-chip Gantt reconstruction of bus
+//     activity, rebuilt from µFSM instruction events, with occupancy and
+//     idle-gap statistics (render.go). Die-internal busy time is not in
+//     the stream; `babolbench wave` shows it for one operation.
 //
 //   - Violations: a protocol sanity pass over the reconstruction —
-//     overlapping channel activity, zero-length bursts, data transfers
-//     into a busy die — complementing wave.Checker's ONFI timing rules.
+//     overlapping channel activity and zero-length bursts — beside
+//     wave.Checker's ONFI timing rules, which `babolbench wave` applies.
 //
 // This is the paper's §VI-B Keysight logic-analyzer methodology turned
 // into software: instead of probing DQ/RE/WE pins, the analyzer probes
@@ -77,8 +77,7 @@ type Span struct {
 	// are not attributable to a single op and are excluded, so summing
 	// FirmwareTime across spans undercounts total software time by the
 	// scheduling share.
-	FirmwareTime   sim.Duration
-	FirmwareCycles int64
+	FirmwareTime sim.Duration
 
 	Err bool
 	// Complete reports that both admission and completion were observed;
@@ -202,9 +201,7 @@ func Correlate(events []obs.Event) []Span {
 		case obs.KindPollResubmit:
 			get(e).Polls++
 		case obs.KindCPUCharge:
-			s := get(e)
-			s.FirmwareTime += e.Dur
-			s.FirmwareCycles += e.Cycles
+			get(e).FirmwareTime += e.Dur
 		case obs.KindHWInstr:
 			get(e).HWInstrs++
 		case obs.KindTxnExecuted:

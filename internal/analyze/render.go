@@ -11,9 +11,6 @@ import (
 
 // ganttSymbol maps an interval to its one-column glyph.
 func ganttSymbol(iv Interval) byte {
-	if !iv.OnChannel {
-		return '='
-	}
 	switch iv.Label {
 	case "cmd-addr":
 		return 'C'
@@ -30,13 +27,12 @@ func ganttSymbol(iv Interval) byte {
 	}
 }
 
-// Gantt renders the timeline as ASCII art, one bus lane and one die
-// lane per chip, width columns wide:
+// Gantt renders the timeline as ASCII art, one bus lane per chip, width
+// columns wide:
 //
-//	ch0 chip0 bus |CC=RRRR......CC|
-//	ch0 chip0 die |..======.......|
+//	ch0 chip0 bus |CC.RRRR......CC|
 //
-// C=cmd/addr R=data-read W=data-write t=timer-wait x=txn ==die-busy;
+// C=cmd/addr R=data-read W=data-write t=timer-wait x=txn;
 // '*' marks a column where two intervals of the same lane collide —
 // legitimate when the scale crushes adjacent bursts together, but on an
 // uncrushed scale a '*' in a bus lane is an exclusivity violation made
@@ -59,17 +55,11 @@ func (t *Timeline) Gantt(width int) string {
 		}
 		return c
 	}
-	type laneKey struct {
-		chip int
-		die  bool
-	}
-	lanes := map[laneKey][]byte{}
-	blank := func() []byte { return []byte(strings.Repeat(".", width)) }
+	lanes := map[int][]byte{}
 	for _, iv := range t.Intervals {
-		k := laneKey{iv.Chip, !iv.OnChannel}
-		lane := lanes[k]
+		lane := lanes[iv.Chip]
 		if lane == nil {
-			lane = blank()
+			lane = []byte(strings.Repeat(".", width))
 		}
 		sym := ganttSymbol(iv)
 		lo, hi := col(iv.Start), col(iv.End)
@@ -85,41 +75,17 @@ func (t *Timeline) Gantt(width int) string {
 				lane[c] = '*'
 			}
 		}
-		lanes[k] = lane
+		lanes[iv.Chip] = lane
 	}
-	keys := make([]laneKey, 0, len(lanes))
-	for k := range lanes {
-		keys = append(keys, k)
+	chips := make([]int, 0, len(lanes))
+	for c := range lanes {
+		chips = append(chips, c)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].chip != keys[j].chip {
-			return keys[i].chip < keys[j].chip
-		}
-		return !keys[i].die && keys[j].die
-	})
+	sort.Ints(chips)
 	var b strings.Builder
 	fmt.Fprintf(&b, "span %v..%v (%v), 1 col = %v\n", t.First, t.Last, span, span/sim.Duration(width))
-	for _, k := range keys {
-		lane := "bus"
-		if k.die {
-			lane = "die"
-		}
-		fmt.Fprintf(&b, "ch%d chip%-2d %s |%s|\n", t.Channel, k.chip, lane, lanes[k])
-	}
-	return b.String()
-}
-
-// TimelineCSV renders the raw interval list as CSV.
-func (t *Timeline) CSV() string {
-	var b strings.Builder
-	b.WriteString("start_ps,end_ps,channel,chip,lane,label,op,txn,bytes\n")
-	for _, iv := range t.Intervals {
-		lane := "bus"
-		if !iv.OnChannel {
-			lane = "die"
-		}
-		fmt.Fprintf(&b, "%d,%d,%d,%d,%s,%s,%d,%d,%d\n",
-			iv.Start, iv.End, t.Channel, iv.Chip, lane, iv.Label, iv.OpID, iv.TxnID, iv.Bytes)
+	for _, c := range chips {
+		fmt.Fprintf(&b, "ch%d chip%-2d bus |%s|\n", t.Channel, c, lanes[c])
 	}
 	return b.String()
 }
@@ -166,15 +132,14 @@ func ComponentsCSV(c Components) string {
 func (r *Result) CSV() string {
 	var b strings.Builder
 	b.WriteString(ComponentsCSV(r.Components))
-	b.WriteString("\nrun,channel,span_ps,busy_ps,idle_ps,utilization,idle_gaps,longest_idle_ps,die_overlap_ps,pipeline_overlap_ps,violations\n")
+	b.WriteString("\nrun,channel,span_ps,busy_ps,idle_ps,utilization,idle_gaps,longest_idle_ps,violations\n")
 	for i := range r.Runs {
 		run := &r.Runs[i]
 		for _, ch := range run.Channels() {
 			o := run.Timelines[ch].Occupancy()
-			fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%.4f,%d,%d,%d,%d,%d\n",
+			fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%.4f,%d,%d,%d\n",
 				run.Index, ch, o.Span, o.Busy, o.Idle, o.Utilization(),
-				o.IdleGaps, o.LongestIdle, o.DieOverlap, o.PipelineOverlap,
-				len(run.Violations))
+				o.IdleGaps, o.LongestIdle, len(run.Violations))
 		}
 	}
 	if r.Metrics.Faults > 0 || r.Metrics.Recoveries > 0 {
@@ -263,9 +228,9 @@ func (r *Result) Render() string {
 		sw, hw := run.Metrics.SoftwareTime, run.Metrics.HardwareTime
 		for _, ch := range run.Channels() {
 			o := run.Timelines[ch].Occupancy()
-			fmt.Fprintf(&b, "  run %-3d ch%-2d busy=%-10s idle=%-10s util=%-5.1f%% gaps=%-4d die-ovl=%-10s pipe-ovl=%-10s sw=%-10s hw=%s\n",
+			fmt.Fprintf(&b, "  run %-3d ch%-2d busy=%-10s idle=%-10s util=%-5.1f%% gaps=%-4d sw=%-10s hw=%s\n",
 				run.Index, ch, us(o.Busy), us(o.Idle), 100*o.Utilization(),
-				o.IdleGaps, us(o.DieOverlap), us(o.PipelineOverlap), us(sw), us(hw))
+				o.IdleGaps, us(sw), us(hw))
 		}
 		if run.Incomplete > 0 {
 			fmt.Fprintf(&b, "  run %-3d %d incomplete span(s) (truncated trace?)\n", run.Index, run.Incomplete)

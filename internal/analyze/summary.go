@@ -140,7 +140,7 @@ func Analyze(events []obs.Event) *Result {
 			r.Metrics = m.Snapshot()
 		}
 		r.Spans = Correlate(run)
-		r.Tenants = TenantReportFromEvents(run)
+		r.Tenants = TenantReportFromEvents(run, r.Metrics.Tenants)
 		for i := range r.Spans {
 			if !r.Spans[i].Complete {
 				r.Incomplete++

@@ -9,26 +9,24 @@ import (
 	"repro/internal/sim"
 )
 
-// Per-tenant QoS report: the host frontend's obs.KindHostCmd events
-// carry each command's tenant, queue, kind, and enqueue→completion
-// latency, so a trace from the workload engine (or a trace replay)
-// reconstructs per-tenant latency percentiles, throughput, and a
+// Per-tenant QoS report: a trace from the workload engine (or a trace
+// replay) carries one obs.KindHostCmd event per host command. The
+// run's obs.Snapshot.Tenants already holds each tenant's counts and
+// queue; the report adds exact latency percentiles, throughput and a
 // fairness summary — the Copycat-style per-tenant view the aggregate
 // bandwidth figures hide. Traces without host-cmd events produce no
 // report, keeping pre-frontend goldens byte-identical.
 
 // TenantRow is one tenant's aggregate over a run.
 type TenantRow struct {
-	Name      string
-	Queue     int
-	Completed int
-	Failed    int
-	Reads     int
-	Writes    int
-	Trims     int
-	// Latency summarizes successful commands' enqueue→completion
-	// latency (failures excluded, per the hic.Result contract).
-	Latency LatencySummary
+	Name string
+	// TenantMetrics is the tenant's counts, queue and latency histogram
+	// from the run's obs.Snapshot.
+	obs.TenantMetrics
+	// Summary is the exact nearest-rank summary of the successful
+	// commands' enqueue→completion latency (failures excluded, per the
+	// hic.Result contract).
+	Summary LatencySummary
 	// IOPS is completions per second of the report span.
 	IOPS float64
 }
@@ -45,16 +43,17 @@ type TenantReport struct {
 	Fairness float64
 }
 
-// TenantReportFromEvents builds the report from a raw event stream, or
-// returns nil when the stream carries no host-cmd events.
-func TenantReportFromEvents(events []obs.Event) *TenantReport {
-	type acc struct {
-		row  TenantRow
-		lats []sim.Duration
+// TenantReportFromEvents builds the report for one run from its
+// snapshot's tenants and its raw events, which it scans only for the
+// exact latency samples and the span. It returns nil when the run
+// carried no host-cmd events.
+func TenantReportFromEvents(events []obs.Event, tenants map[string]obs.TenantMetrics) *TenantReport {
+	if len(tenants) == 0 {
+		return nil
 	}
 	var first, last sim.Time
 	seen := false
-	accs := map[string]*acc{}
+	lats := map[string][]sim.Duration{}
 	for i := range events {
 		e := &events[i]
 		if e.Kind != obs.KindHostCmd {
@@ -67,46 +66,25 @@ func TenantReportFromEvents(events []obs.Event) *TenantReport {
 			last = e.Time
 		}
 		seen = true
-		a := accs[e.Label]
-		if a == nil {
-			a = &acc{row: TenantRow{Name: e.Label}}
-			accs[e.Label] = a
+		if !e.Err {
+			lats[e.Label] = append(lats[e.Label], e.Dur)
 		}
-		a.row.Queue = e.Depth
-		if e.Err {
-			a.row.Failed++
-		} else {
-			a.row.Completed++
-			a.lats = append(a.lats, e.Dur)
-		}
-		switch e.Cycles {
-		case 0:
-			a.row.Reads++
-		case 1:
-			a.row.Writes++
-		case 2:
-			a.row.Trims++
-		}
-	}
-	if !seen {
-		return nil
 	}
 	rep := &TenantReport{Span: last.Sub(first)}
-	names := make([]string, 0, len(accs))
-	for n := range accs {
+	names := make([]string, 0, len(tenants))
+	for n := range tenants {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	var sum, sumSq float64
 	for _, n := range names {
-		a := accs[n]
-		a.row.Latency = Summarize(a.lats)
+		row := TenantRow{Name: n, TenantMetrics: tenants[n], Summary: Summarize(lats[n])}
 		if secs := rep.Span.Seconds(); secs > 0 {
-			a.row.IOPS = float64(a.row.Completed) / secs
+			row.IOPS = float64(row.Completed) / secs
 		}
-		sum += float64(a.row.Completed)
-		sumSq += float64(a.row.Completed) * float64(a.row.Completed)
-		rep.Rows = append(rep.Rows, a.row)
+		sum += float64(row.Completed)
+		sumSq += float64(row.Completed) * float64(row.Completed)
+		rep.Rows = append(rep.Rows, row)
 	}
 	if sumSq > 0 {
 		rep.Fairness = sum * sum / (float64(len(rep.Rows)) * sumSq)
@@ -127,7 +105,7 @@ func renderTenantReport(runIndex int, t *TenantReport) string {
 		fmt.Fprintf(&b, "  %-14s q%-2d done=%-6d failed=%-4d r/w/t=%d/%d/%d iops=%.0f\n",
 			name, row.Queue, row.Completed, row.Failed,
 			row.Reads, row.Writes, row.Trims, row.IOPS)
-		b.WriteString(fmtSummary("  latency", row.Latency) + "\n")
+		b.WriteString(fmtSummary("  latency", row.Summary) + "\n")
 	}
 	return b.String()
 }
@@ -154,7 +132,7 @@ func TenantCSV(runs []Run) string {
 			continue
 		}
 		for _, row := range t.Rows {
-			l := row.Latency
+			l := row.Summary
 			fmt.Fprintf(&b, "%d,%s,%d,%d,%d,%d,%d,%d,%.1f,%d,%d,%d,%d,%d,%.4f\n",
 				runs[i].Index, row.Name, row.Queue, row.Completed, row.Failed,
 				row.Reads, row.Writes, row.Trims, row.IOPS,

@@ -16,6 +16,14 @@ func hostCmd(at sim.Time, tenant string, queue int, kind int64, dur sim.Duration
 	}
 }
 
+// tenantReport builds a run's report the way Analyze does: counts from
+// the replayed snapshot, latency samples and span from the events.
+func tenantReport(events []obs.Event) *TenantReport {
+	m := obs.NewMetrics()
+	m.Replay(events)
+	return TenantReportFromEvents(events, m.Snapshot().Tenants)
+}
+
 func TestTenantReportFromEvents(t *testing.T) {
 	us := sim.Duration(1_000_000) // 1us in ps
 	events := []obs.Event{
@@ -25,7 +33,7 @@ func TestTenantReportFromEvents(t *testing.T) {
 		hostCmd(sim.Time(3*us), "alpha", 0, 2, 5*us, false),
 		hostCmd(sim.Time(4*us), "beta", 1, 1, 0, true),
 	}
-	rep := TenantReportFromEvents(events)
+	rep := tenantReport(events)
 	if rep == nil {
 		t.Fatal("want report, got nil")
 	}
@@ -46,11 +54,11 @@ func TestTenantReportFromEvents(t *testing.T) {
 		t.Errorf("beta = %+v", b)
 	}
 	// Failed commands are excluded from the latency summary.
-	if b.Latency.Count != 1 || b.Latency.Mean != 20*us {
-		t.Errorf("beta latency = %+v", b.Latency)
+	if b.Summary.Count != 1 || b.Summary.Mean != 20*us || b.Latency.Count != 1 {
+		t.Errorf("beta latency = %+v", b.Summary)
 	}
-	if a.Latency.Count != 3 || a.Latency.Max != 30*us {
-		t.Errorf("alpha latency = %+v", a.Latency)
+	if a.Summary.Count != 3 || a.Summary.Max != 30*us || a.Latency.Max != int64(30*us) {
+		t.Errorf("alpha latency = %+v", a.Summary)
 	}
 	// Jain over completions {3, 1}: (4)^2 / (2 * 10) = 0.8.
 	if math.Abs(rep.Fairness-0.8) > 1e-9 {
@@ -65,10 +73,10 @@ func TestTenantReportNilWithoutHostCmds(t *testing.T) {
 	events := []obs.Event{
 		{Time: 0, Kind: obs.KindOpAdmitted, OpID: 1, Chip: 0, Label: "active"},
 	}
-	if rep := TenantReportFromEvents(events); rep != nil {
+	if rep := tenantReport(events); rep != nil {
 		t.Fatalf("want nil report for host-cmd-free trace, got %+v", rep)
 	}
-	if rep := TenantReportFromEvents(nil); rep != nil {
+	if rep := tenantReport(nil); rep != nil {
 		t.Fatalf("want nil report for empty trace, got %+v", rep)
 	}
 }

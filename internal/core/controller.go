@@ -165,9 +165,8 @@ type Controller struct {
 	completedTx  *txn.Transaction // transaction awaiting its completion callback
 	completedRes txn.Result
 
-	tracer  obs.Tracer
-	stats   Stats
-	latency LatencyStats
+	tracer obs.Tracer
+	stats  Stats
 }
 
 // New builds a controller. Channel, DRAM, CPU, and Kernel are required.
@@ -547,16 +546,14 @@ func (c *Controller) finishOp(st *opState, err error) {
 			}
 		}
 	}
-	lat := c.k.Now().Sub(st.startedAt)
 	c.stats.OpsCompleted++
-	c.latency.record(lat)
 	if err != nil {
 		c.stats.OpsFailed++
 	}
 	if c.tracer != nil {
 		c.tracer.Event(obs.Event{
 			Time: c.k.Now(), Kind: obs.KindOpFinished,
-			OpID: st.id, Chip: st.req.Chip, Dur: lat,
+			OpID: st.id, Chip: st.req.Chip, Dur: c.k.Now().Sub(st.startedAt),
 			Err: err != nil, Label: st.req.Label,
 		})
 	}

@@ -89,33 +89,3 @@ func (b *Buffer) Fill(addr, n int, v byte) error {
 	}
 	return nil
 }
-
-// Allocator hands out non-overlapping regions of a Buffer in a simple
-// bump-pointer fashion. It is how the FTL and the workload generators
-// carve per-request DMA areas.
-type Allocator struct {
-	buf  *Buffer
-	next int
-}
-
-// NewAllocator wraps buf.
-func NewAllocator(buf *Buffer) *Allocator { return &Allocator{buf: buf} }
-
-// Alloc reserves n bytes and returns the region's base address.
-func (a *Allocator) Alloc(n int) (int, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("dram: alloc of %d bytes", n)
-	}
-	if a.next+n > a.buf.Size() {
-		return 0, fmt.Errorf("dram: out of memory (want %d, %d free)", n, a.buf.Size()-a.next)
-	}
-	addr := a.next
-	a.next += n
-	return addr, nil
-}
-
-// Reset releases all allocations.
-func (a *Allocator) Reset() { a.next = 0 }
-
-// InUse reports allocated bytes.
-func (a *Allocator) InUse() int { return a.next }

@@ -77,32 +77,6 @@ func TestFill(t *testing.T) {
 	}
 }
 
-func TestAllocator(t *testing.T) {
-	b := New(100)
-	a := NewAllocator(b)
-	a1, err := a.Alloc(40)
-	if err != nil || a1 != 0 {
-		t.Fatalf("first alloc: %d, %v", a1, err)
-	}
-	a2, err := a.Alloc(40)
-	if err != nil || a2 != 40 {
-		t.Fatalf("second alloc: %d, %v", a2, err)
-	}
-	if _, err := a.Alloc(40); err == nil {
-		t.Error("over-allocation accepted")
-	}
-	if a.InUse() != 80 {
-		t.Errorf("InUse = %d", a.InUse())
-	}
-	a.Reset()
-	if a.InUse() != 0 {
-		t.Error("Reset did not free")
-	}
-	if _, err := a.Alloc(0); err == nil {
-		t.Error("zero alloc accepted")
-	}
-}
-
 // Property: writes to disjoint regions do not interfere.
 func TestDisjointWritesProperty(t *testing.T) {
 	f := func(x, y byte) bool {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/hic"
 	"repro/internal/nand"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/ssd"
 )
 
@@ -19,37 +18,20 @@ type SplitRow struct {
 	Controller ssd.ControllerKind
 	CPUMHz     int
 	Reads      int
-	// Software is the firmware time charged to the CPU model; Hardware
-	// is the channel's bus occupancy. Both are event-stream sums that
-	// reproduce the cpumodel/bus counters exactly.
-	Software sim.Duration
-	Hardware sim.Duration
-	// Elapsed is the virtual span of the run.
-	Elapsed sim.Duration
-	// PollResubmits counts re-issued status transactions (§VI-C), the
-	// dominant software overhead of the coroutine environment.
-	PollResubmits uint64
-	// MeanQueueDepth is the average hardware-visible transaction queue
-	// depth, sampled at every enqueue and pop.
-	MeanQueueDepth float64
-	// Charges breaks Software down per firmware action.
-	Charges map[string]obs.ChargeStats
+	// Metrics is the run's event stream aggregated: SoftwareTime (the
+	// firmware time charged to the CPU model) and HardwareTime (the
+	// channel's bus occupancy) reproduce the cpumodel/bus counters
+	// exactly; PollResubmits counts re-issued status transactions
+	// (§VI-C), the dominant software overhead of the coroutine
+	// environment; Charges breaks SoftwareTime down per firmware action.
+	Metrics obs.Snapshot
 	// Components is the per-operation latency breakdown (queue wait,
 	// channel, cell, firmware) with percentile summaries, from the
 	// logic analyzer's span correlation over the same event stream.
 	Components analyze.Components
 	// Occupancy is the channel's reconstructed timeline statistics:
-	// busy/idle split, idle-gap fragmentation, die overlap.
+	// busy/idle split and idle-gap fragmentation.
 	Occupancy analyze.Occupancy
-}
-
-// SoftwareShare is Software / (Software + Hardware).
-func (r SplitRow) SoftwareShare() float64 {
-	total := r.Software + r.Hardware
-	if total <= 0 {
-		return 0
-	}
-	return float64(r.Software) / float64(total)
 }
 
 // splitCPUs are the firmware clocks swept: the 150 MHz soft core where
@@ -117,12 +99,7 @@ func TimeSplit(opt Options) ([]SplitRow, error) {
 		}
 		row := SplitRow{
 			Controller: c.kind, CPUMHz: c.mhz, Reads: reads,
-			Software: s.SoftwareTime, Hardware: s.HardwareTime,
-			Elapsed:        s.Span(),
-			PollResubmits:  s.PollResubmits,
-			MeanQueueDepth: s.QueueDepth.Mean(),
-			Charges:        s.Charges,
-			Components:     a.Components,
+			Metrics: s, Components: a.Components,
 		}
 		if len(a.Runs) == 1 {
 			if tl := a.Runs[0].Timelines[0]; tl != nil {
@@ -145,11 +122,11 @@ func TimeSplitCSV(rows []SplitRow) string {
 	out := "controller,cpu_mhz,reads,software_us,hardware_us,software_share,poll_resubmits,mean_qdepth," +
 		"lat_p50_us,lat_p99_us,queue_wait_p50_us,cell_p50_us,firmware_p50_us,busy_us,idle_us,utilization\n"
 	for _, r := range rows {
-		c, o := r.Components, r.Occupancy
+		c, o, s := r.Components, r.Occupancy, &r.Metrics
 		out += fmt.Sprintf("%s,%d,%d,%.2f,%.2f,%.3f,%d,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.4f\n",
 			r.Controller, r.CPUMHz, r.Reads,
-			r.Software.Micros(), r.Hardware.Micros(), r.SoftwareShare(),
-			r.PollResubmits, r.MeanQueueDepth,
+			s.SoftwareTime.Micros(), s.HardwareTime.Micros(), s.SoftwareShare(),
+			s.PollResubmits, s.QueueDepth.Mean(),
 			c.Latency.P50.Micros(), c.Latency.P99.Micros(),
 			c.QueueWait.P50.Micros(), c.CellTime.P50.Micros(), c.Firmware.P50.Micros(),
 			o.Busy.Micros(), o.Idle.Micros(), o.Utilization())
@@ -162,9 +139,10 @@ func TimeSplitCSV(rows []SplitRow) string {
 func RenderTimeSplit(rows []SplitRow) string {
 	var lines []string
 	for _, r := range rows {
+		s := &r.Metrics
 		lines = append(lines, fmt.Sprintf("%-6s @%-5d sw=%-10s hw=%-10s sw%%=%-6.1f polls=%-6d qdepth=%.2f",
-			r.Controller, r.CPUMHz, us(r.Software), us(r.Hardware),
-			100*r.SoftwareShare(), r.PollResubmits, r.MeanQueueDepth))
+			r.Controller, r.CPUMHz, us(s.SoftwareTime), us(s.HardwareTime),
+			100*s.SoftwareShare(), s.PollResubmits, s.QueueDepth.Mean()))
 	}
 	out := table("Time split: software (CPU) vs hardware (channel) time from the event stream", lines)
 	out += "\nPer-op latency breakdown (p50/p99 from span correlation):\n"
@@ -180,14 +158,15 @@ func RenderTimeSplit(rows []SplitRow) string {
 			100*r.Occupancy.Utilization())
 	}
 	for _, r := range rows {
-		labels := make([]string, 0, len(r.Charges))
-		for l := range r.Charges {
+		charges := r.Metrics.Charges
+		labels := make([]string, 0, len(charges))
+		for l := range charges {
 			labels = append(labels, l)
 		}
 		sort.Strings(labels)
 		out += fmt.Sprintf("\n%s @%d MHz charge breakdown:\n", r.Controller, r.CPUMHz)
 		for _, l := range labels {
-			c := r.Charges[l]
+			c := charges[l]
 			out += fmt.Sprintf("  %-14s n=%-7d cycles=%-10d time=%s\n", l, c.Count, c.Cycles, us(c.Time))
 		}
 	}

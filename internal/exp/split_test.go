@@ -18,13 +18,13 @@ func TestTimeSplitShapes(t *testing.T) {
 	}
 	byKey := map[string]SplitRow{}
 	for _, r := range rows {
-		if r.Software <= 0 || r.Hardware <= 0 {
-			t.Errorf("%v@%d: empty split sw=%v hw=%v", r.Controller, r.CPUMHz, r.Software, r.Hardware)
+		if r.Metrics.SoftwareTime <= 0 || r.Metrics.HardwareTime <= 0 {
+			t.Errorf("%v@%d: empty split sw=%v hw=%v", r.Controller, r.CPUMHz, r.Metrics.SoftwareTime, r.Metrics.HardwareTime)
 		}
-		if share := r.SoftwareShare(); share <= 0 || share >= 1 {
+		if share := r.Metrics.SoftwareShare(); share <= 0 || share >= 1 {
 			t.Errorf("%v@%d: SoftwareShare = %v", r.Controller, r.CPUMHz, share)
 		}
-		if len(r.Charges) == 0 {
+		if len(r.Metrics.Charges) == 0 {
 			t.Errorf("%v@%d: no charge breakdown", r.Controller, r.CPUMHz)
 		}
 		// The analyzer's span correlation must cover every op and its
@@ -34,8 +34,8 @@ func TestTimeSplitShapes(t *testing.T) {
 		if r.Components.Latency.Count != r.Reads {
 			t.Errorf("%v@%d: %d spans for %d reads", r.Controller, r.CPUMHz, r.Components.Latency.Count, r.Reads)
 		}
-		if r.Occupancy.Busy != r.Hardware {
-			t.Errorf("%v@%d: occupancy busy %v != hardware %v", r.Controller, r.CPUMHz, r.Occupancy.Busy, r.Hardware)
+		if r.Occupancy.Busy != r.Metrics.HardwareTime {
+			t.Errorf("%v@%d: occupancy busy %v != hardware %v", r.Controller, r.CPUMHz, r.Occupancy.Busy, r.Metrics.HardwareTime)
 		}
 		if r.Components.Latency.P50 <= 0 || r.Components.Latency.P99 < r.Components.Latency.P50 {
 			t.Errorf("%v@%d: bad latency percentiles %+v", r.Controller, r.CPUMHz, r.Components.Latency)
@@ -54,9 +54,9 @@ func TestTimeSplitShapes(t *testing.T) {
 			}
 		}
 	}
-	if coro150.SoftwareShare() <= rtos150.SoftwareShare() {
+	if coro150.Metrics.SoftwareShare() <= rtos150.Metrics.SoftwareShare() {
 		t.Errorf("Coro@150 share %.2f not above RTOS@150 share %.2f",
-			coro150.SoftwareShare(), rtos150.SoftwareShare())
+			coro150.Metrics.SoftwareShare(), rtos150.Metrics.SoftwareShare())
 	}
 
 	out := RenderTimeSplit(rows)

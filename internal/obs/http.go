@@ -17,130 +17,63 @@ import (
 // ChipKey-keyed map becomes a sorted array (struct keys do not marshal),
 // histograms carry their summary statistics plus non-zero log2 buckets,
 // and durations are reported in picoseconds exactly as recorded.
-func MetricsHandler(snap func() Snapshot) http.Handler {
+func MetricsHandler(snap func() Snapshot) http.Handler { return serveJSON(snap, metricsView) }
+
+// FTLHandler serves the FTL map-cache view of a metrics registry:
+// translation hit/miss/eviction/flush totals and the derived hit rate —
+// the live panel behind `babolbench -http` at /ftl. All counters stay
+// zero until a rig with the map cache enabled (-mapcache) reports in.
+func FTLHandler(snap func() Snapshot) http.Handler { return serveJSON(snap, ftlView) }
+
+// TenantsHandler serves the per-tenant host-command view of a metrics
+// registry: completion/failure counts, command mix, and the latency
+// distribution per tenant — the live panel behind `babolbench -http`
+// at /tenants. The view is empty until a workload-engine (or
+// trace-replay) run reports in.
+func TenantsHandler(snap func() Snapshot) http.Handler { return serveJSON(snap, tenantsView) }
+
+// serveJSON is the one body behind every endpoint: take a snapshot,
+// shape it with view, and write it as indented JSON.
+func serveJSON(snap func() Snapshot, view func(Snapshot) any) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		// Encoding errors mean the client went away; nothing to do.
-		_ = enc.Encode(snapshotWire(snap()))
+		_ = enc.Encode(view(snap()))
 	})
 }
 
-// FTLHandler serves the FTL map-cache view of a metrics registry:
-// translation hit/miss/eviction/flush totals and the derived hit rate —
-// the live panel behind `babolbench -http` at /ftl. snap is called once
-// per request; hand it (*SyncMetrics).Snapshot when rigs feed it
-// concurrently. All counters stay zero until a rig with the map cache
-// enabled (-mapcache) reports in.
-func FTLHandler(snap func() Snapshot) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(ftlWire(snap()))
-	})
-}
-
-// TenantsHandler serves the per-tenant host-command view of a metrics
-// registry: completion/failure counts, command mix, and the latency
-// distribution per tenant — the live panel behind `babolbench -http`
-// at /tenants. snap is called once per request; hand it
-// (*SyncMetrics).Snapshot when rigs feed it concurrently. The view is
-// empty until a workload-engine (or trace-replay) run reports in.
-func TenantsHandler(snap func() Snapshot) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(tenantsWire(snap()))
-	})
-}
-
-type tenantRowWire struct {
-	Tenant    string   `json:"tenant"`
-	Queue     int      `json:"queue"`
-	Completed uint64   `json:"completed"`
-	Failed    uint64   `json:"failed"`
-	Reads     uint64   `json:"reads"`
-	Writes    uint64   `json:"writes"`
-	Trims     uint64   `json:"trims"`
-	Latency   histWire `json:"latency"`
-}
-
-type tenantsViewWire struct {
-	Tenants []tenantRowWire `json:"tenants,omitempty"`
-}
-
-func tenantsWire(s Snapshot) tenantsViewWire {
-	var out tenantsViewWire
+func tenantsView(s Snapshot) any {
+	type row struct {
+		Tenant string `json:"tenant"`
+		TenantMetrics
+	}
+	var out struct {
+		Tenants []row `json:"tenants,omitempty"`
+	}
 	for name, t := range s.Tenants {
-		out.Tenants = append(out.Tenants, tenantRowWire{
-			Tenant: name, Queue: t.Queue,
-			Completed: t.Completed, Failed: t.Failed,
-			Reads: t.Reads, Writes: t.Writes, Trims: t.Trims,
-			Latency: histogramWire(t.Latency),
-		})
+		out.Tenants = append(out.Tenants, row{name, t})
 	}
 	sort.Slice(out.Tenants, func(i, j int) bool { return out.Tenants[i].Tenant < out.Tenants[j].Tenant })
 	return out
 }
 
-type ftlViewWire struct {
-	MapCacheActive bool    `json:"map_cache_active"`
-	MapHits        uint64  `json:"map_hits"`
-	MapMisses      uint64  `json:"map_misses"`
-	MapHitRate     float64 `json:"map_hit_rate"`
-	MapEvictions   uint64  `json:"map_evictions"`
-	MapFlushes     uint64  `json:"map_flushes"`
-}
-
-func ftlWire(s Snapshot) ftlViewWire {
-	return ftlViewWire{
-		MapCacheActive: s.MapCacheActive(),
-		MapHits:        s.MapHits,
-		MapMisses:      s.MapMisses,
-		MapHitRate:     s.MapHitRate(),
-		MapEvictions:   s.MapEvictions,
-		MapFlushes:     s.MapFlushes,
-	}
-}
-
-// histWire is the wire form of a Histogram: summary statistics plus the
-// non-zero buckets, keyed by bucket index.
-type histWire struct {
-	Count   uint64         `json:"count"`
-	Sum     int64          `json:"sum"`
-	Max     int64          `json:"max"`
-	Mean    float64        `json:"mean"`
-	Buckets map[int]uint64 `json:"buckets,omitempty"`
-}
-
-func histogramWire(h Histogram) histWire {
-	out := histWire{Count: h.Count, Sum: h.Sum, Max: h.Max, Mean: h.Mean()}
-	for i, n := range h.Buckets {
-		if n != 0 {
-			if out.Buckets == nil {
-				out.Buckets = make(map[int]uint64)
-			}
-			out.Buckets[i] = n
-		}
-	}
-	return out
+func ftlView(s Snapshot) any {
+	return struct {
+		MapCacheActive bool    `json:"map_cache_active"`
+		MapHits        uint64  `json:"map_hits"`
+		MapMisses      uint64  `json:"map_misses"`
+		MapHitRate     float64 `json:"map_hit_rate"`
+		MapEvictions   uint64  `json:"map_evictions"`
+		MapFlushes     uint64  `json:"map_flushes"`
+	}{s.MapCacheActive(), s.MapHits, s.MapMisses, s.MapHitRate(), s.MapEvictions, s.MapFlushes}
 }
 
 type chipWire struct {
 	Channel int `json:"channel"`
 	Chip    int `json:"chip"`
 	ChipMetrics
-}
-
-type channelWire struct {
-	TxnsEnqueued uint64       `json:"TxnsEnqueued"`
-	TxnsExecuted uint64       `json:"TxnsExecuted"`
-	GateOpens    uint64       `json:"GateOpens"`
-	BusyTime     sim.Duration `json:"BusyTime"`
-	QueueDepth   histWire     `json:"QueueDepth"`
 }
 
 type snapWire struct {
@@ -163,14 +96,14 @@ type snapWire struct {
 	TxnsPopped     uint64                 `json:"txns_popped"`
 	TxnsExecuted   uint64                 `json:"txns_executed"`
 	Charges        map[string]ChargeStats `json:"charges,omitempty"`
-	TxnBusTime     histWire               `json:"txn_bus_time"`
-	QueueDepth     histWire               `json:"queue_depth"`
-	OpLatency      histWire               `json:"op_latency"`
-	Channels       map[int]channelWire    `json:"channels,omitempty"`
+	TxnBusTime     Histogram              `json:"txn_bus_time"`
+	QueueDepth     Histogram              `json:"queue_depth"`
+	OpLatency      Histogram              `json:"op_latency"`
+	Channels       map[int]ChannelMetrics `json:"channels,omitempty"`
 	Chips          []chipWire             `json:"chips,omitempty"`
 }
 
-func snapshotWire(s Snapshot) snapWire {
+func metricsView(s Snapshot) any {
 	out := snapWire{
 		Events:         s.Events,
 		FirstEvent:     s.FirstEvent,
@@ -191,30 +124,19 @@ func snapshotWire(s Snapshot) snapWire {
 		TxnsPopped:     s.TxnsPopped,
 		TxnsExecuted:   s.TxnsExecuted,
 		Charges:        s.Charges,
-		TxnBusTime:     histogramWire(s.TxnBusTime),
-		QueueDepth:     histogramWire(s.QueueDepth),
-		OpLatency:      histogramWire(s.OpLatency),
+		TxnBusTime:     s.TxnBusTime,
+		QueueDepth:     s.QueueDepth,
+		OpLatency:      s.OpLatency,
+		Channels:       s.Channels,
 	}
-	if len(s.Channels) > 0 {
-		out.Channels = make(map[int]channelWire, len(s.Channels))
-		for ch, m := range s.Channels {
-			out.Channels[ch] = channelWire{
-				TxnsEnqueued: m.TxnsEnqueued, TxnsExecuted: m.TxnsExecuted,
-				GateOpens: m.GateOpens, BusyTime: m.BusyTime,
-				QueueDepth: histogramWire(m.QueueDepth),
-			}
+	for k, m := range s.Chips {
+		out.Chips = append(out.Chips, chipWire{Channel: k.Channel, Chip: k.Chip, ChipMetrics: m})
+	}
+	sort.Slice(out.Chips, func(i, j int) bool {
+		if out.Chips[i].Channel != out.Chips[j].Channel {
+			return out.Chips[i].Channel < out.Chips[j].Channel
 		}
-	}
-	if len(s.Chips) > 0 {
-		for k, m := range s.Chips {
-			out.Chips = append(out.Chips, chipWire{Channel: k.Channel, Chip: k.Chip, ChipMetrics: m})
-		}
-		sort.Slice(out.Chips, func(i, j int) bool {
-			if out.Chips[i].Channel != out.Chips[j].Channel {
-				return out.Chips[i].Channel < out.Chips[j].Channel
-			}
-			return out.Chips[i].Chip < out.Chips[j].Chip
-		})
-	}
+		return out.Chips[i].Chip < out.Chips[j].Chip
+	})
 	return out
 }

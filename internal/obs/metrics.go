@@ -1,10 +1,9 @@
 package obs
 
 import (
-	"fmt"
+	"encoding/json"
+	"maps"
 	"math/bits"
-	"sort"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -50,6 +49,27 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.Sum) / float64(h.Count)
 }
 
+// MarshalJSON writes the histogram's wire form: its summary statistics
+// plus the non-zero buckets, keyed by bucket index.
+func (h Histogram) MarshalJSON() ([]byte, error) {
+	var buckets map[int]uint64
+	for i, n := range h.Buckets {
+		if n != 0 {
+			if buckets == nil {
+				buckets = make(map[int]uint64)
+			}
+			buckets[i] = n
+		}
+	}
+	return json.Marshal(struct {
+		Count   uint64         `json:"count"`
+		Sum     int64          `json:"sum"`
+		Max     int64          `json:"max"`
+		Mean    float64        `json:"mean"`
+		Buckets map[int]uint64 `json:"buckets,omitempty"`
+	}{h.Count, h.Sum, h.Max, h.Mean(), buckets})
+}
+
 // ChargeStats aggregates the firmware cost of one charge site (admit,
 // schedule, switch, submit, poll-resubmit) — the per-action breakdown
 // behind the paper's software-environment comparison.
@@ -87,15 +107,15 @@ type ChipMetrics struct {
 // /tenants endpoint. Failed completions stay out of Latency, matching
 // the hic.Result contract.
 type TenantMetrics struct {
-	Queue     int
-	Completed uint64
-	Failed    uint64
-	Reads     uint64
-	Writes    uint64
-	Trims     uint64
+	Queue     int    `json:"queue"`
+	Completed uint64 `json:"completed"`
+	Failed    uint64 `json:"failed"`
+	Reads     uint64 `json:"reads"`
+	Writes    uint64 `json:"writes"`
+	Trims     uint64 `json:"trims"`
 	// Latency is the enqueue→completion latency distribution of the
 	// tenant's successful commands (picoseconds).
-	Latency Histogram
+	Latency Histogram `json:"latency"`
 }
 
 // ChannelMetrics aggregates one channel's activity.
@@ -210,79 +230,15 @@ func (s Snapshot) SoftwareShare() float64 {
 	return float64(s.SoftwareTime) / float64(total)
 }
 
-// ChannelIdle reports how long a channel sat idle within the observed
-// span.
-func (s Snapshot) ChannelIdle(channel int) sim.Duration {
-	idle := s.Span() - s.Channels[channel].BusyTime
-	if idle < 0 {
-		idle = 0
-	}
-	return idle
-}
-
-// String summarizes the snapshot.
-func (s Snapshot) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "events=%d span=%v sw=%v hw=%v sw%%=%.1f ops=%d/%d-failed txns=%d polls=%d waits=%d",
-		s.Events, s.Span(), s.SoftwareTime, s.HardwareTime, 100*s.SoftwareShare(),
-		s.OpsFinished, s.OpsFailed, s.TxnsExecuted, s.PollResubmits, s.AdmissionWaits)
-	if s.Faults > 0 || s.Recoveries > 0 {
-		fmt.Fprintf(&b, " faults=%d recoveries=%d", s.Faults, s.Recoveries)
-	}
-	if len(s.Charges) > 0 {
-		labels := make([]string, 0, len(s.Charges))
-		for l := range s.Charges {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		for _, l := range labels {
-			c := s.Charges[l]
-			fmt.Fprintf(&b, "\n  %-14s n=%-7d cycles=%-10d time=%v", l, c.Count, c.Cycles, c.Time)
-		}
-	}
-	return b.String()
-}
-
 // Metrics aggregates the event stream into counters and histograms. It
 // implements Tracer, so it plugs directly into core.Config.Tracer (or
 // an ssd.BuildConfig), and it can also replay a recorded JSONL stream
 // offline. Like the rest of the simulation it is single-goroutine:
 // feed and snapshot it from the kernel's goroutine.
 type Metrics struct {
-	events     uint64
-	firstEvent sim.Time
-	lastEvent  sim.Time
-
-	softwareTime   sim.Duration
-	softwareCycles int64
-	hardwareTime   sim.Duration
-
-	opsAdmitted    uint64
-	opsResumed     uint64
-	opsFinished    uint64
-	opsFailed      uint64
-	admissionWaits uint64
-	gateOpens      uint64
-	pollResubmits  uint64
-	txnsEnqueued   uint64
-	txnsPopped     uint64
-	txnsExecuted   uint64
-
-	charges    map[string]ChargeStats
-	txnBusTime Histogram
-	queueDepth Histogram
-	opLatency  Histogram
-
-	faults     uint64
-	faultsBy   map[string]uint64
-	recoveries uint64
-	recovsBy   map[string]uint64
-
-	mapHits      uint64
-	mapMisses    uint64
-	mapEvictions uint64
-	mapFlushes   uint64
-
+	// s aggregates in place; its three keyed maps stay nil here and
+	// are filled from the pointer maps below when Snapshot copies it.
+	s        Snapshot
 	tenants  map[string]*TenantMetrics
 	channels map[int]*ChannelMetrics
 	chips    map[ChipKey]*ChipMetrics
@@ -291,9 +247,11 @@ type Metrics struct {
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		charges:  make(map[string]ChargeStats),
-		faultsBy: make(map[string]uint64),
-		recovsBy: make(map[string]uint64),
+		s: Snapshot{
+			Charges:           make(map[string]ChargeStats),
+			FaultsByLabel:     make(map[string]uint64),
+			RecoveriesByLabel: make(map[string]uint64),
+		},
 		tenants:  make(map[string]*TenantMetrics),
 		channels: make(map[int]*ChannelMetrics),
 		chips:    make(map[ChipKey]*ChipMetrics),
@@ -302,46 +260,47 @@ func NewMetrics() *Metrics {
 
 // Event implements Tracer.
 func (m *Metrics) Event(e Event) {
-	if m.events == 0 || e.Time < m.firstEvent {
-		m.firstEvent = e.Time
+	s := &m.s
+	if s.Events == 0 || e.Time < s.FirstEvent {
+		s.FirstEvent = e.Time
 	}
-	if e.Time > m.lastEvent {
-		m.lastEvent = e.Time
+	if e.Time > s.LastEvent {
+		s.LastEvent = e.Time
 	}
-	m.events++
+	s.Events++
 
 	switch e.Kind {
 	case KindOpAdmitted:
-		m.opsAdmitted++
+		s.OpsAdmitted++
 		m.chip(e).OpsAdmitted++
 	case KindAdmissionWait:
-		m.admissionWaits++
+		s.AdmissionWaits++
 		m.chip(e).AdmissionWaits++
 	case KindOpResumed:
-		m.opsResumed++
+		s.OpsResumed++
 	case KindOpFinished:
-		m.opsFinished++
+		s.OpsFinished++
 		cp := m.chip(e)
 		cp.OpsFinished++
 		if e.Err {
-			m.opsFailed++
+			s.OpsFailed++
 			cp.OpsFailed++
 		}
-		m.opLatency.Observe(int64(e.Dur))
+		s.OpLatency.Observe(int64(e.Dur))
 	case KindTxnEnqueued:
-		m.txnsEnqueued++
-		m.queueDepth.Observe(int64(e.Depth))
+		s.TxnsEnqueued++
+		s.QueueDepth.Observe(int64(e.Depth))
 		ch := m.channel(e)
 		ch.TxnsEnqueued++
 		ch.QueueDepth.Observe(int64(e.Depth))
 	case KindTxnPopped:
-		m.txnsPopped++
-		m.queueDepth.Observe(int64(e.Depth))
+		s.TxnsPopped++
+		s.QueueDepth.Observe(int64(e.Depth))
 		m.channel(e).QueueDepth.Observe(int64(e.Depth))
 	case KindTxnExecuted:
-		m.txnsExecuted++
-		m.hardwareTime += e.Dur
-		m.txnBusTime.Observe(int64(e.Dur))
+		s.TxnsExecuted++
+		s.HardwareTime += e.Dur
+		s.TxnBusTime.Observe(int64(e.Dur))
 		ch := m.channel(e)
 		ch.TxnsExecuted++
 		ch.BusyTime += e.Dur
@@ -349,47 +308,43 @@ func (m *Metrics) Event(e Event) {
 		cp.TxnsExecuted++
 		cp.BusyTime += e.Dur
 	case KindGateOpened:
-		m.gateOpens++
+		s.GateOpens++
 		m.channel(e).GateOpens++
 	case KindPollResubmit:
-		m.pollResubmits++
+		s.PollResubmits++
 		m.chip(e).PollResubmits++
 	case KindCPUCharge:
-		m.softwareTime += e.Dur
-		m.softwareCycles += e.Cycles
-		c := m.charges[e.Label]
+		s.SoftwareTime += e.Dur
+		s.SoftwareCycles += e.Cycles
+		c := s.Charges[e.Label]
 		c.Count++
 		c.Cycles += e.Cycles
 		c.Time += e.Dur
-		m.charges[e.Label] = c
+		s.Charges[e.Label] = c
 	case KindHWInstr:
 		// Instruction-level detail stays in the raw stream; the
 		// transaction events already carry the aggregate occupancy.
 	case KindFault:
-		m.faults++
-		m.faultsBy[e.Label]++
+		s.Faults++
+		s.FaultsByLabel[e.Label]++
 		m.chip(e).Faults++
 	case KindRecovery:
-		m.recoveries++
-		m.recovsBy[e.Label]++
+		s.Recoveries++
+		s.RecoveriesByLabel[e.Label]++
 		m.chip(e).Recoveries++
 	case KindMapCache:
 		switch e.Label {
 		case "hit":
-			m.mapHits++
+			s.MapHits++
 		case "miss":
-			m.mapMisses++
+			s.MapMisses++
 		case "evict":
-			m.mapEvictions++
+			s.MapEvictions++
 		case "flush":
-			m.mapFlushes++
+			s.MapFlushes++
 		}
 	case KindHostCmd:
-		t := m.tenants[e.Label]
-		if t == nil {
-			t = &TenantMetrics{}
-			m.tenants[e.Label] = t
-		}
+		t := entry(m.tenants, e.Label)
 		t.Queue = e.Depth
 		if e.Err {
 			t.Failed++
@@ -409,77 +364,39 @@ func (m *Metrics) Event(e Event) {
 }
 
 func (m *Metrics) chip(e Event) *ChipMetrics {
-	k := ChipKey{Channel: e.Channel, Chip: e.Chip}
-	c := m.chips[k]
-	if c == nil {
-		c = &ChipMetrics{}
-		m.chips[k] = c
-	}
-	return c
+	return entry(m.chips, ChipKey{Channel: e.Channel, Chip: e.Chip})
 }
 
-func (m *Metrics) channel(e Event) *ChannelMetrics {
-	c := m.channels[e.Channel]
-	if c == nil {
-		c = &ChannelMetrics{}
-		m.channels[e.Channel] = c
+func (m *Metrics) channel(e Event) *ChannelMetrics { return entry(m.channels, e.Channel) }
+
+// entry returns m[k], creating a zero value on first use.
+func entry[K comparable, V any](m map[K]*V, k K) *V {
+	v := m[k]
+	if v == nil {
+		v = new(V)
+		m[k] = v
 	}
-	return c
+	return v
 }
 
 // Snapshot returns a deep copy of the aggregated state for
 // programmatic reads.
 func (m *Metrics) Snapshot() Snapshot {
-	out := Snapshot{
-		Events:            m.events,
-		FirstEvent:        m.firstEvent,
-		LastEvent:         m.lastEvent,
-		SoftwareTime:      m.softwareTime,
-		SoftwareCycles:    m.softwareCycles,
-		HardwareTime:      m.hardwareTime,
-		OpsAdmitted:       m.opsAdmitted,
-		OpsResumed:        m.opsResumed,
-		OpsFinished:       m.opsFinished,
-		OpsFailed:         m.opsFailed,
-		AdmissionWaits:    m.admissionWaits,
-		GateOpens:         m.gateOpens,
-		PollResubmits:     m.pollResubmits,
-		TxnsEnqueued:      m.txnsEnqueued,
-		TxnsPopped:        m.txnsPopped,
-		TxnsExecuted:      m.txnsExecuted,
-		TxnBusTime:        m.txnBusTime,
-		QueueDepth:        m.queueDepth,
-		OpLatency:         m.opLatency,
-		Faults:            m.faults,
-		Recoveries:        m.recoveries,
-		MapHits:           m.mapHits,
-		MapMisses:         m.mapMisses,
-		MapEvictions:      m.mapEvictions,
-		MapFlushes:        m.mapFlushes,
-		Charges:           make(map[string]ChargeStats, len(m.charges)),
-		FaultsByLabel:     make(map[string]uint64, len(m.faultsBy)),
-		RecoveriesByLabel: make(map[string]uint64, len(m.recovsBy)),
-		Tenants:           make(map[string]TenantMetrics, len(m.tenants)),
-		Channels:          make(map[int]ChannelMetrics, len(m.channels)),
-		Chips:             make(map[ChipKey]ChipMetrics, len(m.chips)),
-	}
-	for k, v := range m.charges {
-		out.Charges[k] = v
-	}
-	for k, v := range m.faultsBy {
-		out.FaultsByLabel[k] = v
-	}
-	for k, v := range m.recovsBy {
-		out.RecoveriesByLabel[k] = v
-	}
-	for k, v := range m.tenants {
-		out.Tenants[k] = *v
-	}
-	for k, v := range m.channels {
-		out.Channels[k] = *v
-	}
-	for k, v := range m.chips {
-		out.Chips[k] = *v
+	out := m.s
+	out.Charges = maps.Clone(m.s.Charges)
+	out.FaultsByLabel = maps.Clone(m.s.FaultsByLabel)
+	out.RecoveriesByLabel = maps.Clone(m.s.RecoveriesByLabel)
+	out.Tenants = values(m.tenants)
+	out.Channels = values(m.channels)
+	out.Chips = values(m.chips)
+	return out
+}
+
+// values copies a pointer map into a value map.
+func values[K comparable, V any](m map[K]*V) map[K]V {
+	out := make(map[K]V, len(m))
+	for k, v := range m {
+		out[k] = *v
 	}
 	return out
 }

@@ -5,9 +5,7 @@ import "math"
 // Percentile reports the p-th percentile (0 < p ≤ 100) of sorted by the
 // nearest-rank method: the smallest sample with at least p % of the
 // distribution at or below it, rank ⌈p/100·n⌉. The input must already be
-// sorted ascending; callers that aggregate incrementally (core's
-// LatencyStats) sort once and query many times without re-sorting per
-// call. An empty slice reports 0.
+// sorted ascending. An empty slice reports 0.
 func Percentile(sorted []Duration, p float64) Duration {
 	if len(sorted) == 0 {
 		return 0

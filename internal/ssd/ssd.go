@@ -716,7 +716,16 @@ func (s *SSD) stagePattern(addr, lpn int) error {
 // repeating LPN-derived sequence, so any read can be verified without
 // storing a model of the whole drive.
 func FillPattern(dst []byte, lpn int) {
-	for i := range dst {
-		dst[i] = byte(lpn>>8) ^ byte(lpn) ^ byte(i)
+	k := byte(lpn>>8) ^ byte(lpn)
+	n := min(len(dst), 256)
+	for i := range dst[:n] {
+		dst[i] = k ^ byte(i)
+	}
+	// Byte i is k^byte(i), which repeats every 256 bytes, so the rest
+	// is copies of the first period. A byte loop over the whole page
+	// was most of a rig's set-up time, and how fast it ran depended on
+	// where the linker happened to place it.
+	for ; n < len(dst); n *= 2 {
+		copy(dst[n:], dst[:n])
 	}
 }

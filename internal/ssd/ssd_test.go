@@ -392,3 +392,21 @@ func TestReplayCountsOutOfRangeAsFailed(t *testing.T) {
 		t.Errorf("queue stats %+v, want 1 failure", st)
 	}
 }
+
+// TestFillPatternMatchesFormula pins FillPattern to its definition,
+// byte i = byte(lpn>>8) ^ byte(lpn) ^ byte(i), at lengths around the
+// 256-byte period it copies, so the write and verify sides of every
+// other test cannot drift together.
+func TestFillPatternMatchesFormula(t *testing.T) {
+	for _, n := range []int{0, 1, 255, 256, 257, 511, 512, 1000, 16384 + 1664} {
+		for _, lpn := range []int{0, 1, 255, 256, 0x1234, 1 << 20} {
+			dst := make([]byte, n)
+			FillPattern(dst, lpn)
+			for i, b := range dst {
+				if want := byte(lpn>>8) ^ byte(lpn) ^ byte(i); b != want {
+					t.Fatalf("len %d lpn %d: byte %d = %#x, want %#x", n, lpn, i, b, want)
+				}
+			}
+		}
+	}
+}
