@@ -119,9 +119,10 @@ type Controller struct {
 	// box, latch arena, and pre-bound callbacks); together with the
 	// coroutine pool (which recycles the coroutine itself) steady-state
 	// operation turnover allocates nothing. A
-	// state is recycled strictly after finishOp: at that point its
-	// coroutine has returned, its last transaction was delivered, and no
-	// kernel callback references it.
+	// state is recycled in finishOp, before the completion callback: by
+	// then its coroutine has returned, its last transaction was
+	// delivered, its chips are released, and no kernel callback
+	// references it.
 	freeOps []*opState
 
 	// Per-chip operation slots. Each chip runs one operation ("active")
@@ -134,7 +135,12 @@ type Controller struct {
 	// give a particular LUN").
 	chipActive map[int]*opState
 	chipStaged map[int]*opState
+	// admitQ holds parked operations until the next finishOp hands them
+	// to a re-admission pass; admitSpare is the second buffer of the
+	// double-buffered hand-off, so a re-park appends into recycled
+	// storage instead of growing a fresh slice.
 	admitQ     []*opState
+	admitSpare []*opState
 	live       map[uint64]*opState
 
 	// pool recycles operation-coroutine goroutines; nil means pooling is
@@ -557,8 +563,15 @@ func (c *Controller) finishOp(st *opState, err error) {
 			Err: err != nil, Label: st.req.Label,
 		})
 	}
-	if st.req.Done != nil {
-		st.req.Done(err)
+	// Drop the request's closures (Func/Done) and the finished coroutine,
+	// and return the state to the pool before the callback, so an
+	// operation the callback starts reuses it.
+	done := st.req.Done
+	st.req = OpRequest{}
+	st.co = nil
+	c.freeOps = append(c.freeOps, st)
+	if done != nil {
+		done(err)
 	}
 	// Re-run admission for parked operations (in arrival order). Each
 	// pass is a firmware action and pays the same AdmitCycles as Start;
@@ -566,16 +579,13 @@ func (c *Controller) finishOp(st *opState, err error) {
 	// re-parked gang operation re-reserves its chips before any later
 	// operation's pass runs.
 	parked := c.admitQ
-	c.admitQ = nil
+	c.admitQ = c.admitSpare[:0]
 	p := c.cpu.Profile()
 	for _, w := range parked {
 		c.charge(w.id, p.AdmitCycles, "admit", w.admitFn)
 	}
-	// Drop the request's closures (Func/Done) and the finished coroutine,
-	// then return the state to the pool for the next Start.
-	st.req = OpRequest{}
-	st.co = nil
-	c.freeOps = append(c.freeOps, st)
+	clear(parked)
+	c.admitSpare = parked[:0]
 }
 
 // pushTxn moves a transaction into the hardware-visible queue,

@@ -41,21 +41,23 @@ func Table2() ([]Table2Row, error) {
 
 	// Shared FSM machinery every hardware operation needs a copy of the
 	// control for: request loading, completion, R/B waiting.
-	shared, err := fsmFile.FuncsLines("loadNext", "fail", "complete", "waitRB")
+	shared, err := fsmFile.FuncsLines("loadNext", "fail", "complete", "waitRB", "rbReady")
 	if err != nil {
 		return nil, err
 	}
 	share := shared / 3
 
-	babolRead, err := opsFile.FuncsLines("ReadPage", "pollReady", "ReadStatus", "appendReadLatches", "appendChangeColumnLatches")
+	// The operation bodies (Run…), not their one-line OpFunc factories:
+	// the factories only bind arguments into a closure.
+	babolRead, err := opsFile.FuncsLines("RunReadPage", "pollReady", "ReadStatus", "appendReadLatches", "appendChangeColumnLatches")
 	if err != nil {
 		return nil, err
 	}
-	babolProg, err := opsFile.FuncsLines("ProgramPage", "programPage")
+	babolProg, err := opsFile.FuncsLines("RunProgramPage", "programPage")
 	if err != nil {
 		return nil, err
 	}
-	babolErase, err := opsFile.FuncsLines("EraseBlock")
+	babolErase, err := opsFile.FuncsLines("RunEraseBlock")
 	if err != nil {
 		return nil, err
 	}

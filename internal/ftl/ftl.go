@@ -27,6 +27,7 @@
 package ftl
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/onfi"
@@ -64,6 +65,7 @@ type chipState struct {
 	erases    int
 	livePages int
 	wear      []int // per-block erase counts (FTL's own view)
+	gcLive    []int // GCCandidate's result buffer, reused per call
 	// offline removes the chip from every allocation and GC decision
 	// after the controller declared it dead (see OfflineChip).
 	offline bool
@@ -242,8 +244,13 @@ func (f *FTL) allocate(lpn int, gc bool) (Location, error) {
 			return f.place(c, lpn, gc), nil
 		}
 	}
-	return Location{}, fmt.Errorf("ftl: out of space (GC required on all chips)")
+	return Location{}, errOutOfSpace
 }
+
+// errOutOfSpace is allocate's one failure a running drive meets: a
+// stalled host write retries until GC frees a block, so the error is
+// built once rather than per attempt.
+var errOutOfSpace = errors.New("ftl: out of space (GC required on all chips)")
 
 // place moves lpn onto a chip that has space in the given stream: the
 // stale copy is dropped first, then the new page is taken and mapped.

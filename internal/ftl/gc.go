@@ -21,7 +21,8 @@ func (f *FTL) NeedsGC(chip int) bool {
 
 // GCCandidate picks the sealed block with the fewest live pages on a
 // chip (greedy policy) and returns its live logical pages. ok is false
-// when no sealed block exists.
+// when no sealed block exists. liveLPNs is a per-chip buffer the FTL
+// owns: it stays valid until that chip's next GCCandidate call.
 func (f *FTL) GCCandidate(chip int) (block int, liveLPNs []int, ok bool) {
 	cs := &f.chipsArr[chip]
 	if cs.offline {
@@ -41,11 +42,13 @@ func (f *FTL) GCCandidate(chip int) (block int, liveLPNs []int, ok bool) {
 		return 0, nil, false
 	}
 	blk := &cs.blocks[best]
+	liveLPNs = cs.gcLive[:0]
 	for _, lpn := range blk.lpns {
 		if lpn != invalidLPN {
 			liveLPNs = append(liveLPNs, lpn)
 		}
 	}
+	cs.gcLive = liveLPNs
 	return best, liveLPNs, true
 }
 

@@ -95,7 +95,7 @@ type Frontend struct {
 }
 
 // fqueue is one submission queue: a head-indexed ring of pending
-// commands (the array is reused once drained, like urgentQueue in ssd)
+// commands (the array is reused once drained, like the fifo in ssd)
 // plus its in-flight window accounting.
 type fqueue struct {
 	cfg      QueueConfig

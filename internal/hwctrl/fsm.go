@@ -50,24 +50,45 @@ type opFSM struct {
 	lun      int
 	state    state
 	wantsBus bool
-	queue    []Request
-	cur      Request
+	// queue is the request FIFO; queue[head:] are waiting. Pops advance
+	// head, and push slides the waiting requests down instead of growing
+	// a full array, so the FIFO reuses its storage.
+	queue []Request
+	head  int
+	cur   Request
 	// scratch receives read-out data for requests with no DRAM
 	// destination, reused across requests so discarded reads don't
 	// allocate.
 	scratch []byte
+
+	// completeFn and rbReadyFn are complete and rbReady bound once.
+	completeFn func()
+	rbReadyFn  func()
+}
+
+// push appends a request to the FIFO.
+func (f *opFSM) push(req Request) {
+	if f.head > 0 && len(f.queue) == cap(f.queue) {
+		n := copy(f.queue, f.queue[f.head:])
+		clear(f.queue[n:])
+		f.queue = f.queue[:n]
+		f.head = 0
+	}
+	f.queue = append(f.queue, req)
 }
 
 // loadNext pops the FIFO head into the execution register and enters the
 // operation's issue state.
 func (f *opFSM) loadNext() {
-	if len(f.queue) == 0 {
+	if f.head == len(f.queue) {
+		f.queue = f.queue[:0]
+		f.head = 0
 		f.state = stIdle
 		return
 	}
-	f.cur = f.queue[0]
-	f.queue[0] = Request{}
-	f.queue = f.queue[1:]
+	f.cur = f.queue[f.head]
+	f.queue[f.head] = Request{}
+	f.head++
 	switch f.cur.Kind {
 	case KindRead:
 		f.state = stReadIssue
@@ -111,10 +132,13 @@ func (f *opFSM) waitRB(next state) {
 	if at < f.ctrl.k.Now() {
 		at = f.ctrl.k.Now()
 	}
-	f.ctrl.k.At(at, func() {
-		f.wantsBus = true
-		f.ctrl.arm()
-	})
+	f.ctrl.k.At(at, f.rbReadyFn)
+}
+
+// rbReady is the R/B# pin deasserting: the FSM wants the bus again.
+func (f *opFSM) rbReady() {
+	f.wantsBus = true
+	f.ctrl.arm()
 }
 
 // busStep performs the bus work of the FSM's current state. It is called
@@ -176,7 +200,7 @@ func (f *opFSM) busStep() (sim.Time, error) {
 		if err != nil {
 			return 0, err
 		}
-		f.ctrl.k.At(end, f.complete)
+		f.ctrl.k.At(end, f.completeFn)
 		return end, nil
 
 	case stProgIssue:
@@ -209,7 +233,7 @@ func (f *opFSM) busStep() (sim.Time, error) {
 		if status&onfi.StatusFail != 0 {
 			return 0, fmt.Errorf("hwctrl: PROGRAM FAIL on LUN %d at %+v", f.lun, f.cur.Addr.Row)
 		}
-		f.ctrl.k.At(end, f.complete)
+		f.ctrl.k.At(end, f.completeFn)
 		return end, nil
 
 	case stEraseIssue:
@@ -232,7 +256,7 @@ func (f *opFSM) busStep() (sim.Time, error) {
 		if status&onfi.StatusFail != 0 {
 			return 0, fmt.Errorf("hwctrl: ERASE FAIL on LUN %d of block %d", f.lun, f.cur.Addr.Row.Block)
 		}
-		f.ctrl.k.At(end, f.complete)
+		f.ctrl.k.At(end, f.completeFn)
 		return end, nil
 
 	default:

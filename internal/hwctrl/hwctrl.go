@@ -81,6 +81,11 @@ type Controller struct {
 	armed   bool
 	granted bool
 
+	// armFn and grantFn are arm and the armed grant bound once, so
+	// scheduling an arbitration allocates nothing.
+	armFn   func()
+	grantFn func()
+
 	stats Stats
 }
 
@@ -88,8 +93,13 @@ type Controller struct {
 // exactly as Figure 4 draws it.
 func New(k *sim.Kernel, ch *bus.Channel, mem *dram.Buffer) *Controller {
 	c := &Controller{k: k, ch: ch, mem: mem}
+	c.armFn = c.arm
+	c.grantFn = c.armedGrant
 	for i := 0; i < ch.Chips(); i++ {
-		c.fsms = append(c.fsms, &opFSM{ctrl: c, lun: i})
+		f := &opFSM{ctrl: c, lun: i}
+		f.completeFn = f.complete
+		f.rbReadyFn = f.rbReady
+		c.fsms = append(c.fsms, f)
 	}
 	return c
 }
@@ -107,7 +117,7 @@ func (c *Controller) Submit(lun int, req Request) error {
 		return fmt.Errorf("hwctrl: LUN %d out of range [0,%d)", lun, len(c.fsms))
 	}
 	f := c.fsms[lun]
-	f.queue = append(f.queue, req)
+	f.push(req)
 	if f.state == stIdle {
 		f.loadNext()
 	}
@@ -119,7 +129,7 @@ func (c *Controller) Submit(lun int, req Request) error {
 func (c *Controller) Pending() int {
 	n := 0
 	for _, f := range c.fsms {
-		n += len(f.queue)
+		n += len(f.queue) - f.head
 		if f.state != stIdle {
 			n++
 		}
@@ -148,10 +158,13 @@ func (c *Controller) arm() {
 	if c.ch.FreeAt() > at {
 		at = c.ch.FreeAt()
 	}
-	c.k.At(at.Add(reactionTime), func() {
-		c.armed = false
-		c.grant()
-	})
+	c.k.At(at.Add(reactionTime), c.grantFn)
+}
+
+// armedGrant is the arbiter's scheduled grant.
+func (c *Controller) armedGrant() {
+	c.armed = false
+	c.grant()
 }
 
 // grant picks the next FSM and runs its bus step. Command-issue states
@@ -195,7 +208,7 @@ func (c *Controller) runGranted(f *opFSM, nextRR int) {
 		f.fail(err)
 	} else if end > c.k.Now() {
 		// Re-arbitrate when this FSM's segments drain.
-		c.k.At(end, func() { c.arm() })
+		c.k.At(end, c.armFn)
 	}
 	c.arm()
 }

@@ -785,8 +785,10 @@ func (l *LUN) startErase(now sim.Time) error {
 	if l.faults != nil {
 		fo = l.faults.OnErase(now, row.Block)
 	}
-	rows := append(append([]onfi.RowAddr{}, l.mp.eraseRows...), row)
-	l.mp.eraseRows = nil
+	// The queued multi-plane rows plus this one, in the queue's own
+	// storage: it is emptied (and kept) once the erase is accounted.
+	rows := append(l.mp.eraseRows, row)
+	l.mp.eraseRows = rows[:0]
 	var worst sim.Duration
 	for _, r := range rows {
 		block := r.Block

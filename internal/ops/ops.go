@@ -73,40 +73,45 @@ func appendChangeColumnLatches(dst []onfi.Latch, col onfi.ColAddr) []onfi.Latch 
 }
 
 // ReadPage returns the READ operation with a Column Address Change
-// (Algorithm 2): latch command+address, poll status through tR, then
-// change the read column to addr.Col and transfer n bytes into DRAM at
-// dramAddr.
+// (Algorithm 2) as an OpFunc; RunReadPage is its body.
 func ReadPage(addr onfi.Addr, dramAddr, n int) core.OpFunc {
-	return func(ctx *core.Ctx) error {
-		chip := ctx.ChipIndex()
-		g := ctx.Geometry()
-		if err := g.CheckAddr(addr); err != nil {
-			return err
-		}
-		// Transaction 1: command + page address + confirm (starts tR).
-		var lbuf [8]onfi.Latch
-		ctx.CmdAddr(appendReadLatches(lbuf[:0], g, onfi.Addr{Row: addr.Row}, onfi.CmdRead2)...)
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
-		}
-		// Poll for tR completion.
-		s, err := pollReady(ctx, chip)
-		if err != nil {
-			return err
-		}
-		if s&onfi.StatusFail != 0 {
-			return fmt.Errorf("ops: read at %+v reported FAIL", addr.Row)
-		}
-		// Transaction 2 (final): select the column and stream the data
-		// out. The Final tag lets a staged successor start the instant
-		// the transfer leaves the channel.
-		ctx.CmdAddr(appendChangeColumnLatches(lbuf[:0], addr.Col)...)
-		ctx.ReadData(dramAddr, n)
-		if res := ctx.SubmitFinal(); res.Err != nil {
-			return res.Err
-		}
-		return nil
+	return func(ctx *core.Ctx) error { return RunReadPage(ctx, addr, dramAddr, n) }
+}
+
+// RunReadPage runs the READ operation with a Column Address Change
+// (Algorithm 2) inside ctx: latch command+address, poll status through
+// tR, then change the read column to addr.Col and transfer n bytes into
+// DRAM at dramAddr. A caller that binds its arguments on pooled state
+// runs it without building a closure per request.
+func RunReadPage(ctx *core.Ctx, addr onfi.Addr, dramAddr, n int) error {
+	chip := ctx.ChipIndex()
+	g := ctx.Geometry()
+	if err := g.CheckAddr(addr); err != nil {
+		return err
 	}
+	// Transaction 1: command + page address + confirm (starts tR).
+	var lbuf [8]onfi.Latch
+	ctx.CmdAddr(appendReadLatches(lbuf[:0], g, onfi.Addr{Row: addr.Row}, onfi.CmdRead2)...)
+	if res := ctx.Submit(); res.Err != nil {
+		return res.Err
+	}
+	// Poll for tR completion.
+	s, err := pollReady(ctx, chip)
+	if err != nil {
+		return err
+	}
+	if s&onfi.StatusFail != 0 {
+		return fmt.Errorf("ops: read at %+v reported FAIL", addr.Row)
+	}
+	// Transaction 2 (final): select the column and stream the data
+	// out. The Final tag lets a staged successor start the instant
+	// the transfer leaves the channel.
+	ctx.CmdAddr(appendChangeColumnLatches(lbuf[:0], addr.Col)...)
+	ctx.ReadData(dramAddr, n)
+	if res := ctx.SubmitFinal(); res.Err != nil {
+		return res.Err
+	}
+	return nil
 }
 
 // ReadPageSLC is the pseudo-SLC READ variation (Algorithm 3): identical
@@ -168,75 +173,84 @@ func ReadPageFixedWait(addr onfi.Addr, dramAddr, n int, wait sim.Duration) core.
 	}
 }
 
-// ProgramPage returns the PAGE PROGRAM operation: latch command+address,
-// stream n bytes from DRAM at dramAddr, confirm, and poll through tPROG.
+// ProgramPage returns the PAGE PROGRAM operation as an OpFunc;
+// RunProgramPage is its body.
 func ProgramPage(addr onfi.Addr, dramAddr, n int) core.OpFunc {
-	return programPage(addr, dramAddr, n, false)
+	return func(ctx *core.Ctx) error { return RunProgramPage(ctx, addr, dramAddr, n) }
 }
 
 // ProgramPageSLC is the pSLC PROGRAM variation.
 func ProgramPageSLC(addr onfi.Addr, dramAddr, n int) core.OpFunc {
-	return programPage(addr, dramAddr, n, true)
+	return func(ctx *core.Ctx) error { return programPage(ctx, addr, dramAddr, n, true) }
 }
 
-func programPage(addr onfi.Addr, dramAddr, n int, slc bool) core.OpFunc {
-	return func(ctx *core.Ctx) error {
-		chip := ctx.ChipIndex()
-		g := ctx.Geometry()
-		if err := g.CheckAddr(addr); err != nil {
-			return err
-		}
-		var lbuf [8]onfi.Latch
-		latches := lbuf[:0]
-		if slc {
-			latches = append(latches, onfi.CmdLatch(onfi.CmdPSLCEnable))
-		}
-		latches = append(latches, onfi.CmdLatch(onfi.CmdProgram1))
-		latches = g.AppendAddrLatches(latches, addr)
-		ctx.CmdAddr(latches...)
-		ctx.WriteData(dramAddr, n)
-		ctx.CmdAddr(onfi.CmdLatch(onfi.CmdProgram2))
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
-		}
-		s, err := pollReady(ctx, chip)
-		if err != nil {
-			return err
-		}
-		if s&onfi.StatusFail != 0 {
-			return fmt.Errorf("ops: program at %+v reported FAIL", addr.Row)
-		}
-		return nil
+// RunProgramPage runs the PAGE PROGRAM operation inside ctx: latch
+// command+address, stream n bytes from DRAM at dramAddr, confirm, and
+// poll through tPROG.
+func RunProgramPage(ctx *core.Ctx, addr onfi.Addr, dramAddr, n int) error {
+	return programPage(ctx, addr, dramAddr, n, false)
+}
+
+func programPage(ctx *core.Ctx, addr onfi.Addr, dramAddr, n int, slc bool) error {
+	chip := ctx.ChipIndex()
+	g := ctx.Geometry()
+	if err := g.CheckAddr(addr); err != nil {
+		return err
 	}
+	var lbuf [8]onfi.Latch
+	latches := lbuf[:0]
+	if slc {
+		latches = append(latches, onfi.CmdLatch(onfi.CmdPSLCEnable))
+	}
+	latches = append(latches, onfi.CmdLatch(onfi.CmdProgram1))
+	latches = g.AppendAddrLatches(latches, addr)
+	ctx.CmdAddr(latches...)
+	ctx.WriteData(dramAddr, n)
+	ctx.CmdAddr(onfi.CmdLatch(onfi.CmdProgram2))
+	if res := ctx.Submit(); res.Err != nil {
+		return res.Err
+	}
+	s, err := pollReady(ctx, chip)
+	if err != nil {
+		return err
+	}
+	if s&onfi.StatusFail != 0 {
+		return fmt.Errorf("ops: program at %+v reported FAIL", addr.Row)
+	}
+	return nil
 }
 
-// EraseBlock returns the BLOCK ERASE operation: command + 3-cycle row
-// address + confirm, then poll through tBERS.
+// EraseBlock returns the BLOCK ERASE operation as an OpFunc;
+// RunEraseBlock is its body.
 func EraseBlock(block int) core.OpFunc {
-	return func(ctx *core.Ctx) error {
-		chip := ctx.ChipIndex()
-		g := ctx.Geometry()
-		row := onfi.RowAddr{Block: block}
-		if err := g.CheckAddr(onfi.Addr{Row: row}); err != nil {
-			return err
-		}
-		var lbuf [5]onfi.Latch
-		latches := append(lbuf[:0], onfi.CmdLatch(onfi.CmdErase1))
-		latches = g.AppendRowLatches(latches, row)
-		latches = append(latches, onfi.CmdLatch(onfi.CmdErase2))
-		ctx.CmdAddr(latches...)
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
-		}
-		s, err := pollReady(ctx, chip)
-		if err != nil {
-			return err
-		}
-		if s&onfi.StatusFail != 0 {
-			return fmt.Errorf("ops: erase of block %d reported FAIL", block)
-		}
-		return nil
+	return func(ctx *core.Ctx) error { return RunEraseBlock(ctx, block) }
+}
+
+// RunEraseBlock runs the BLOCK ERASE operation inside ctx: command +
+// 3-cycle row address + confirm, then poll through tBERS.
+func RunEraseBlock(ctx *core.Ctx, block int) error {
+	chip := ctx.ChipIndex()
+	g := ctx.Geometry()
+	row := onfi.RowAddr{Block: block}
+	if err := g.CheckAddr(onfi.Addr{Row: row}); err != nil {
+		return err
 	}
+	var lbuf [5]onfi.Latch
+	latches := append(lbuf[:0], onfi.CmdLatch(onfi.CmdErase1))
+	latches = g.AppendRowLatches(latches, row)
+	latches = append(latches, onfi.CmdLatch(onfi.CmdErase2))
+	ctx.CmdAddr(latches...)
+	if res := ctx.Submit(); res.Err != nil {
+		return res.Err
+	}
+	s, err := pollReady(ctx, chip)
+	if err != nil {
+		return err
+	}
+	if s&onfi.StatusFail != 0 {
+		return fmt.Errorf("ops: erase of block %d reported FAIL", block)
+	}
+	return nil
 }
 
 // ReadID returns the READ ID operation, capturing n identifier bytes.

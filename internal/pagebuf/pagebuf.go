@@ -4,7 +4,7 @@
 // DRAM — recycles a bounded working set instead of allocating a fresh
 // full page per READ/PROGRAM.
 //
-// Ownership discipline
+// # Ownership discipline
 //
 // A *Buf is borrowed from a Pool with Get and owned exclusively by the
 // borrower until Release. The rules, enforced under `-tags bufdebug`:

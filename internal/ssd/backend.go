@@ -31,6 +31,9 @@ type InterruptibleEraser interface {
 // SSD's page-level interface.
 type babolBackend struct {
 	ctrl *core.Controller
+	// free recycles page-op states (with their bound callbacks) so a
+	// READ, PROGRAM or ERASE in the steady state allocates nothing.
+	free []*pageOp
 }
 
 // NewBabolBackend wraps a BABOL controller.
@@ -38,28 +41,71 @@ func NewBabolBackend(c *core.Controller) Backend { return &babolBackend{ctrl: c}
 
 func (b *babolBackend) Chip(i int) *nand.LUN { return b.ctrl.Channel().Chip(i) }
 
+type pageKind uint8
+
+const (
+	pageRead pageKind = iota
+	pageProgram
+	pageErase
+)
+
+// pageOp carries one page operation from Start to its Done: the
+// arguments the operation body reads, and the caller's callback. run
+// and finish are bound once per pooled state.
+type pageOp struct {
+	b           *babolBackend
+	kind        pageKind
+	row         onfi.RowAddr
+	dramAddr, n int
+	done        func(error)
+	runFn       core.OpFunc
+	finishFn    func(error)
+}
+
+// start runs one page operation on a pooled state.
+func (b *babolBackend) start(kind pageKind, chip int, row onfi.RowAddr, dramAddr, n int, done func(error)) {
+	p, ok := popFree(&b.free)
+	if !ok {
+		p = &pageOp{b: b}
+		p.runFn = p.run
+		p.finishFn = p.finish
+	}
+	p.kind, p.row, p.dramAddr, p.n, p.done = kind, row, dramAddr, n, done
+	b.ctrl.Start(core.OpRequest{Func: p.runFn, Chip: chip, Done: p.finishFn})
+}
+
+func (p *pageOp) run(ctx *core.Ctx) error {
+	switch p.kind {
+	case pageRead:
+		return ops.RunReadPage(ctx, onfi.Addr{Row: p.row}, p.dramAddr, p.n)
+	case pageProgram:
+		return ops.RunProgramPage(ctx, onfi.Addr{Row: p.row}, p.dramAddr, p.n)
+	default:
+		return ops.RunEraseBlock(ctx, p.row.Block)
+	}
+}
+
+// finish recycles before completing, like readState.finish: a
+// synchronously chained page op reuses this state.
+func (p *pageOp) finish(err error) {
+	done := p.done
+	p.done = nil
+	p.b.free = append(p.b.free, p)
+	if done != nil {
+		done(err)
+	}
+}
+
 func (b *babolBackend) ReadPage(chip int, row onfi.RowAddr, dramAddr, n int, done func(error)) {
-	b.ctrl.Start(core.OpRequest{
-		Func: ops.ReadPage(onfi.Addr{Row: row}, dramAddr, n),
-		Chip: chip,
-		Done: done,
-	})
+	b.start(pageRead, chip, row, dramAddr, n, done)
 }
 
 func (b *babolBackend) ProgramPage(chip int, row onfi.RowAddr, dramAddr, n int, done func(error)) {
-	b.ctrl.Start(core.OpRequest{
-		Func: ops.ProgramPage(onfi.Addr{Row: row}, dramAddr, n),
-		Chip: chip,
-		Done: done,
-	})
+	b.start(pageProgram, chip, row, dramAddr, n, done)
 }
 
 func (b *babolBackend) EraseBlock(chip, block int, done func(error)) {
-	b.ctrl.Start(core.OpRequest{
-		Func: ops.EraseBlock(block),
-		Chip: chip,
-		Done: done,
-	})
+	b.start(pageErase, chip, onfi.RowAddr{Block: block}, 0, 0, done)
 }
 
 // CopybackPage implements Copybacker via the operation library.

@@ -157,12 +157,14 @@ func TestSpareExhaustionDegradesToReadOnly(t *testing.T) {
 // TestUrgentQueueSteadyStateDoesNotGrow is the regression for the
 // reslicing pop: q.items = q.items[1:] discarded the popped slot's
 // capacity, so a long-lived queue reallocated its backing array on
-// nearly every push. The head-index pop must reuse the array instead.
+// nearly every push. The head-index pop must reuse the array instead —
+// also when the queue never drains, as a DRAM-slot queue under
+// sustained overload does not.
 func TestUrgentQueueSteadyStateDoesNotGrow(t *testing.T) {
-	q := &urgentQueue{}
+	q := &fifo[ops.UrgentRead]{}
 	for i := 0; i < 1000; i++ {
 		q.push(ops.UrgentRead{DramAddr: i})
-		ur, ok := q.next()
+		ur, ok := q.pop()
 		if !ok || ur.DramAddr != i {
 			t.Fatalf("cycle %d popped %+v %v", i, ur, ok)
 		}
@@ -172,7 +174,7 @@ func TestUrgentQueueSteadyStateDoesNotGrow(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
 		q.push(ops.UrgentRead{})
-		q.next()
+		q.pop()
 	}); avg > 0.01 {
 		t.Fatalf("steady-state push/pop allocates %.2f times per cycle", avg)
 	}
@@ -182,15 +184,36 @@ func TestUrgentQueueSteadyStateDoesNotGrow(t *testing.T) {
 		q.push(ops.UrgentRead{DramAddr: i})
 	}
 	for i := 0; i < 5; i++ {
-		ur, ok := q.next()
+		ur, ok := q.pop()
 		if !ok || ur.DramAddr != i {
 			t.Fatalf("FIFO broken at %d: %+v %v", i, ur, ok)
 		}
 	}
-	if _, ok := q.next(); ok {
+	if _, ok := q.pop(); ok {
 		t.Fatal("empty queue popped an element")
 	}
 	if q.head != 0 || len(q.items) != 0 {
 		t.Fatalf("queue did not reset on drain: head=%d len=%d", q.head, len(q.items))
+	}
+
+	// A queue that always holds three entries keeps FIFO order and its
+	// backing array.
+	next, want := 0, 0
+	for ; next < 3; next++ {
+		q.push(ops.UrgentRead{DramAddr: next})
+	}
+	churn := func() {
+		q.push(ops.UrgentRead{DramAddr: next})
+		next++
+		if ur, ok := q.pop(); !ok || ur.DramAddr != want {
+			t.Fatalf("FIFO broken at %d: %+v %v", want, ur, ok)
+		}
+		want++
+	}
+	for i := 0; i < 100; i++ {
+		churn()
+	}
+	if avg := testing.AllocsPerRun(1000, churn); avg != 0 {
+		t.Fatalf("a queue that never drains allocates %.2f times per push/pop", avg)
 	}
 }

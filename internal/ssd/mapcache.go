@@ -3,6 +3,7 @@ package ssd
 import (
 	"errors"
 
+	"repro/internal/ftl"
 	"repro/internal/hic"
 	"repro/internal/obs"
 	"repro/internal/ops"
@@ -25,80 +26,128 @@ import (
 // metadata copies.
 
 // mapWaiter is one host command parked on a translation-page load. A
-// plain struct, not a closure: parking must not allocate per-command
-// state beyond the slice slot.
+// plain struct, not a closure. Parked waiters are pooled list nodes:
+// next links a load's queue or the SSD's free list, so parking allocates
+// nothing once the pool covers the deepest backlog.
 type mapWaiter struct {
 	cmd   hic.Command
 	write bool
 	trim  bool
+	next  *mapWaiter
+}
+
+// mapLoad is one map page's NAND read and the host commands parked on
+// it, oldest first. Loads are pooled with their callbacks bound once.
+type mapLoad struct {
+	s          *SSD
+	mpn        int
+	attempt    int
+	loc        ftl.Location
+	addr       int
+	head, tail *mapWaiter
+
+	startFn    func(int)
+	readDoneFn func(error)
 }
 
 // mapMiss parks a host command on its map page's load, issuing the
 // NAND read if this is the page's first outstanding miss.
 func (s *SSD) mapMiss(mpn int, w mapWaiter) {
-	loc := s.ftl.MapPageLocation(mpn)
-	s.mapEvent("miss", loc.Chip)
-	s.mapLoads[mpn] = append(s.mapLoads[mpn], w)
-	if len(s.mapLoads[mpn]) == 1 {
-		s.loadMapPage(mpn, 0)
+	s.mapEvent("miss", s.ftl.MapPageLocation(mpn).Chip)
+	node := s.freeWaiters
+	if node != nil {
+		s.freeWaiters = node.next
+	} else {
+		node = new(mapWaiter)
 	}
-}
-
-// loadMapPage charges the NAND read of map page mpn. The modeled
-// location comes from the FTL's deterministic map layout; a chip that
-// is already offline skips the flash read entirely (reconstruction
-// from journaled metadata, no channel traffic to a dead die).
-func (s *SSD) loadMapPage(mpn, attempt int) {
-	loc := s.ftl.MapPageLocation(mpn)
-	if s.offline[loc.Chip] {
-		s.finishMapLoad(mpn)
+	*node = w
+	if l := s.mapLoads[mpn]; l != nil {
+		l.tail.next = node
+		l.tail = node
 		return
 	}
-	s.acquireSlot(func(addr int) {
-		// Raw page read: map pages carry firmware metadata with its own
-		// journaling/CRC story, not host data, so the host-data ECC
-		// decode and the urgent-read erase bypass both stay out of the
-		// path.
-		s.backend.ReadPage(loc.Chip, loc.Row, addr, s.pageBytes, func(err error) {
-			s.releaseSlot(addr)
-			switch {
-			case err == nil:
-			case errors.Is(err, ops.ErrResetRecovered):
-				if attempt+1 < maxReadRetries {
-					s.stats.RecoveredOps++
-					s.loadMapPage(mpn, attempt+1)
-					return
-				}
-				s.offlineChip(loc.Chip)
-			case errors.Is(err, ops.ErrChipDead):
-				s.offlineChip(loc.Chip)
-			}
-			s.finishMapLoad(mpn)
-		})
-	})
+	l, ok := popFree(&s.freeMapLoads)
+	if !ok {
+		l = &mapLoad{s: s}
+		l.startFn = l.start
+		l.readDoneFn = l.readDone
+	}
+	l.mpn = mpn
+	l.head, l.tail = node, node
+	s.mapLoads[mpn] = l
+	l.load(0)
 }
 
-// finishMapLoad installs the loaded page and releases every command
-// parked on it, in arrival order.
-func (s *SSD) finishMapLoad(mpn int) {
-	evicted, flushed := s.ftl.CacheInstall(mpn)
+// load charges the NAND read of the map page. The modeled location
+// comes from the FTL's deterministic map layout; a chip that is already
+// offline skips the flash read entirely (reconstruction from journaled
+// metadata, no channel traffic to a dead die).
+func (l *mapLoad) load(attempt int) {
+	l.attempt = attempt
+	l.loc = l.s.ftl.MapPageLocation(l.mpn)
+	if l.s.offline[l.loc.Chip] {
+		l.finish()
+		return
+	}
+	l.s.acquireSlot(l.startFn)
+}
+
+// start runs once the load holds a DRAM slot. Raw page read: map pages
+// carry firmware metadata with its own journaling/CRC story, not host
+// data, so the host-data ECC decode and the urgent-read erase bypass
+// both stay out of the path.
+func (l *mapLoad) start(addr int) {
+	l.addr = addr
+	l.s.backend.ReadPage(l.loc.Chip, l.loc.Row, addr, l.s.pageBytes, l.readDoneFn)
+}
+
+func (l *mapLoad) readDone(err error) {
+	s := l.s
+	s.releaseSlot(l.addr)
+	switch {
+	case err == nil:
+	case errors.Is(err, ops.ErrResetRecovered):
+		if l.attempt+1 < maxReadRetries {
+			s.stats.RecoveredOps++
+			l.load(l.attempt + 1)
+			return
+		}
+		s.offlineChip(l.loc.Chip)
+	case errors.Is(err, ops.ErrChipDead):
+		s.offlineChip(l.loc.Chip)
+	}
+	l.finish()
+}
+
+// finish installs the loaded page, recycles the load and releases every
+// command parked on it, in arrival order. A command released here that
+// misses again starts a fresh load: this one is no longer listed.
+func (l *mapLoad) finish() {
+	s := l.s
+	evicted, flushed := s.ftl.CacheInstall(l.mpn)
 	if evicted {
 		s.mapEvent("evict", -1)
 	}
 	if flushed {
 		s.mapEvent("flush", -1)
 	}
-	ws := s.mapLoads[mpn]
-	delete(s.mapLoads, mpn)
-	for _, w := range ws {
+	delete(s.mapLoads, l.mpn)
+	w := l.head
+	l.head, l.tail = nil, nil
+	s.freeMapLoads = append(s.freeMapLoads, l)
+	for w != nil {
+		next, cmd, write, trim := w.next, w.cmd, w.write, w.trim
+		*w = mapWaiter{next: s.freeWaiters}
+		s.freeWaiters = w
 		switch {
-		case w.write:
-			s.writeMapped(w.cmd)
-		case w.trim:
-			s.trimMapped(w.cmd)
+		case write:
+			s.writeMapped(cmd)
+		case trim:
+			s.trimMapped(cmd)
 		default:
-			s.readMapped(w.cmd)
+			s.readMapped(cmd)
 		}
+		w = next
 	}
 }
 

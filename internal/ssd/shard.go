@@ -18,8 +18,8 @@ import (
 // inside the cluster's conservative time windows.
 
 // urgentSink accepts latency-critical reads for a chip whose erase is
-// suspendable. The legacy urgentQueue is one (same-domain); the sharded
-// eraseRelay is the cross-domain one.
+// suspendable. A GC cycle's urgent-read fifo is the same-domain one;
+// the sharded eraseRelay is the cross-domain one.
 type urgentSink interface {
 	push(ops.UrgentRead)
 }
@@ -94,10 +94,7 @@ type crossCall struct {
 }
 
 func (b *shardBackend) get() *crossCall {
-	if n := len(b.free); n > 0 {
-		c := b.free[n-1]
-		b.free[n-1] = nil
-		b.free = b.free[:n-1]
+	if c, ok := popFree(&b.free); ok {
 		return c
 	}
 	c := &crossCall{b: b}
@@ -169,12 +166,12 @@ func (b *shardFullBackend) CopybackPage(chip int, src, dst onfi.RowAddr, done fu
 func (b *shardFullBackend) eraseBlockRelay(chip, block int, done func(error)) (urgentSink, bool) {
 	r := &eraseRelay{b: &b.shardBackend, chip: chip}
 	b.host.Post(b.dom, func() {
-		b.inner.(InterruptibleEraser).EraseBlockInterruptible(chip, block, r.q.next, func(err error) {
+		b.inner.(InterruptibleEraser).EraseBlockInterruptible(chip, block, r.q.pop, func(err error) {
 			// Urgent reads that arrived after the erase's last queue check
 			// are leftovers; restart them here as ordinary channel reads
 			// so they never cross back to the host unserved.
 			for {
-				ur, ok := r.q.next()
+				ur, ok := r.q.pop()
 				if !ok {
 					break
 				}
@@ -193,7 +190,7 @@ func (b *shardFullBackend) eraseBlockRelay(chip, block int, done func(error)) (u
 type eraseRelay struct {
 	b      *shardBackend
 	chip   int
-	q      urgentQueue
+	q      fifo[ops.UrgentRead]
 	closed bool
 }
 

@@ -106,10 +106,15 @@ type SSD struct {
 	slotSize    int
 	slotBase    int
 	freeSlots   []int
-	waiters     []func(int)
-	// freeReads recycles host-read states (with their bound callbacks)
-	// so the steady-state read path allocates nothing per command.
-	freeReads []*readState
+	slotWaiters fifo[func(int)]
+	// freeReads, freeWrites, freeMapLoads and freeWaiters recycle
+	// host-read, host-write and map-load states (with their bound
+	// callbacks) and parked map-miss waiters, so the steady-state host
+	// path allocates nothing per command.
+	freeReads    []*readState
+	freeWrites   []*writeState
+	freeMapLoads []*mapLoad
+	freeWaiters  *mapWaiter
 
 	// inflightPrograms counts in-flight PROGRAMs per LPN (host writes and
 	// GC relocations): the FTL maps an LPN at allocation time, before the
@@ -118,9 +123,11 @@ type SSD struct {
 	// program's data transfer. GC must therefore not relocate a page
 	// whose program is still in flight — it would copy erased cells and
 	// install the stale copy as the LPN's only mapping. programWaiters
-	// holds the GC continuations parked on such pages.
+	// holds the GC steps and trims parked on such pages; spareWaiters
+	// recycles the emptied lists.
 	inflightPrograms map[int]int
-	programWaiters   map[int][]func()
+	programWaiters   map[int][]programWaiter
+	spareWaiters     [][]programWaiter
 
 	// mapCache mirrors ftl.CacheEnabled(): when set, every host read
 	// and write first acquires its LPN's translation page from the
@@ -129,9 +136,10 @@ type SSD struct {
 	// proceeds. mapLoads coalesces concurrent misses on the same map
 	// page: the first miss issues the flash read, later ones just park.
 	mapCache bool
-	mapLoads map[int][]mapWaiter
+	mapLoads map[int]*mapLoad
 
-	gcRunning    map[int]bool
+	// gc holds each chip's collection cycle.
+	gc           []*gcCycle
 	useCopyback  bool
 	suspendReads bool
 	// offline marks chips removed from service after a failed RESET
@@ -142,11 +150,14 @@ type SSD struct {
 	degraded bool
 	tracer   obs.Tracer
 	// eraseQueues holds the urgent-read sink for each chip with a
-	// suspendable erase in flight: a same-domain urgentQueue on legacy
+	// suspendable erase in flight: its GC cycle's same-domain queue on legacy
 	// rigs, a cross-domain eraseRelay on sharded ones.
 	eraseQueues map[int]urgentSink
-	// stalledWrites wait for GC to free space.
+	// stalledWrites wait for GC to free space. drainStalled retries them
+	// from one buffer while new stalls append to the other
+	// (stalledSpare), so a full drive's back-pressure reuses storage.
 	stalledWrites []hic.Command
+	stalledSpare  []hic.Command
 
 	stats Stats
 }
@@ -184,16 +195,18 @@ func New(cfg Config) (*SSD, error) {
 		parityBytes:  parity,
 		slotSize:     slotSize,
 		slotBase:     cfg.SlotBase,
-		gcRunning:    make(map[int]bool),
 		offline:      make(map[int]bool),
 		tracer:       cfg.Tracer,
 
 		inflightPrograms: make(map[int]int),
-		programWaiters:   make(map[int][]func()),
+		programWaiters:   make(map[int][]programWaiter),
 	}
 	if cfg.FTL.CacheEnabled() {
 		s.mapCache = true
-		s.mapLoads = make(map[int][]mapWaiter)
+		s.mapLoads = make(map[int]*mapLoad)
+	}
+	for chip := 0; chip < cfg.FTL.Chips(); chip++ {
+		s.gc = append(s.gc, newGCCycle(s, chip))
 	}
 	for i := 0; i < cfg.Slots; i++ {
 		s.freeSlots = append(s.freeSlots, cfg.SlotBase+i*slotSize)
@@ -216,13 +229,11 @@ func (s *SSD) acquireSlot(fn func(addr int)) {
 		fn(addr)
 		return
 	}
-	s.waiters = append(s.waiters, fn)
+	s.slotWaiters.push(fn)
 }
 
 func (s *SSD) releaseSlot(addr int) {
-	if len(s.waiters) > 0 {
-		fn := s.waiters[0]
-		s.waiters = s.waiters[1:]
+	if fn, ok := s.slotWaiters.pop(); ok {
 		fn(addr)
 		return
 	}
@@ -307,10 +318,7 @@ type readState struct {
 }
 
 func (s *SSD) getReadState() *readState {
-	if n := len(s.freeReads); n > 0 {
-		r := s.freeReads[n-1]
-		s.freeReads[n-1] = nil
-		s.freeReads = s.freeReads[:n-1]
+	if r, ok := popFree(&s.freeReads); ok {
 		return r
 	}
 	r := &readState{s: s}
@@ -374,32 +382,54 @@ func (r *readState) finish(err error) {
 	s.complete(cmd, err)
 }
 
-// urgentQueue feeds latency-critical reads to an interruptible erase.
-// Pops advance a head index instead of reslicing away the front, so the
-// backing array is reused once the queue drains rather than growing by
-// every element ever pushed over the queue's lifetime.
-type urgentQueue struct {
-	items []ops.UrgentRead
+// popFree takes the most recently recycled entry off a free list.
+func popFree[T any](free *[]T) (T, bool) {
+	var zero T
+	n := len(*free)
+	if n == 0 {
+		return zero, false
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = zero
+	*free = (*free)[:n-1]
+	return x, true
+}
+
+// fifo is a first-in first-out queue that keeps its backing array: pops
+// advance a head index instead of reslicing away the front, and a push
+// that would grow a full array first slides the live entries down to
+// the front. Once the array reaches the queue's high-water mark, traffic
+// through it allocates nothing. It queues DRAM-slot waiters and the
+// urgent reads an interruptible erase pulls (pop is its next func).
+type fifo[T any] struct {
+	items []T
 	head  int
 }
 
-func (q *urgentQueue) push(ur ops.UrgentRead) { q.items = append(q.items, ur) }
-
-// next pops the oldest urgent read; the erase operation calls it.
-func (q *urgentQueue) next() (ops.UrgentRead, bool) {
-	if q.head >= len(q.items) {
-		q.items = q.items[:0]
+func (q *fifo[T]) push(x T) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
 		q.head = 0
-		return ops.UrgentRead{}, false
 	}
-	ur := q.items[q.head]
-	q.items[q.head] = ops.UrgentRead{}
+	q.items = append(q.items, x)
+}
+
+// pop removes the oldest entry.
+func (q *fifo[T]) pop() (T, bool) {
+	var zero T
+	if q.head >= len(q.items) {
+		return zero, false
+	}
+	x := q.items[q.head]
+	q.items[q.head] = zero
 	q.head++
 	if q.head == len(q.items) {
 		q.items = q.items[:0]
 		q.head = 0
 	}
-	return ur, true
+	return x, true
 }
 
 func (s *SSD) decodeECC(addr int) error {
@@ -442,28 +472,46 @@ func (s *SSD) scrubECC(addr int) error {
 // mapping. Pair with programLanded once the program's outcome is known.
 func (s *SSD) programStarted(lpn int) { s.inflightPrograms[lpn]++ }
 
+// programWaiter is a continuation parked on an LPN's in-flight
+// program: a GC cycle's next step, or a trim. A plain struct, like
+// mapWaiter, so parking allocates nothing.
+type programWaiter struct {
+	gc   *gcCycle
+	trim hic.Command // the parked trim when gc is nil
+}
+
 // programLanded retires one in-flight program for lpn and, when none
-// remain, releases GC continuations parked on the page.
+// remain, releases the continuations parked on the page.
 func (s *SSD) programLanded(lpn int) {
 	if n := s.inflightPrograms[lpn]; n > 1 {
 		s.inflightPrograms[lpn] = n - 1
 		return
 	}
 	delete(s.inflightPrograms, lpn)
-	ws := s.programWaiters[lpn]
-	if len(ws) == 0 {
+	ws, ok := s.programWaiters[lpn]
+	if !ok {
 		return
 	}
 	delete(s.programWaiters, lpn)
-	for _, fn := range ws {
-		fn()
+	for _, w := range ws {
+		if w.gc != nil {
+			w.gc.step()
+		} else {
+			s.trimMapped(w.trim)
+		}
 	}
+	clear(ws)
+	s.spareWaiters = append(s.spareWaiters, ws[:0])
 }
 
-// awaitProgram parks fn until every in-flight program for lpn lands.
+// awaitProgram parks w until every in-flight program for lpn lands.
 // Callers must have checked inflightPrograms[lpn] > 0.
-func (s *SSD) awaitProgram(lpn int, fn func()) {
-	s.programWaiters[lpn] = append(s.programWaiters[lpn], fn)
+func (s *SSD) awaitProgram(lpn int, w programWaiter) {
+	ws, ok := s.programWaiters[lpn]
+	if !ok {
+		ws, _ = popFree(&s.spareWaiters)
+	}
+	s.programWaiters[lpn] = append(ws, w)
 }
 
 // trim deallocates a logical page (NVMe Dataset Management): the FTL
@@ -498,7 +546,7 @@ func (s *SSD) trimMapped(cmd hic.Command) {
 		return
 	}
 	if s.inflightPrograms[cmd.LPN] > 0 {
-		s.awaitProgram(cmd.LPN, func() { s.trimMapped(cmd) })
+		s.awaitProgram(cmd.LPN, programWaiter{trim: cmd})
 		return
 	}
 	s.ftl.Invalidate(cmd.LPN)
@@ -534,26 +582,67 @@ func (s *SSD) writeMapped(cmd hic.Command) {
 		s.complete(cmd, ErrReadOnly)
 		return
 	}
-	s.acquireSlot(func(addr int) {
-		if err := s.stagePattern(addr, cmd.LPN); err != nil {
-			s.releaseSlot(addr)
-			s.complete(cmd, err)
-			return
-		}
-		s.programWithRetry(cmd, addr, 0)
-	})
+	w := s.getWriteState()
+	w.cmd = cmd
+	s.acquireSlot(w.startFn)
+}
+
+// writeState carries one host write from slot acquisition through its
+// program's completion — readState's twin, pooled the same way.
+type writeState struct {
+	s       *SSD
+	cmd     hic.Command
+	addr    int
+	loc     ftl.Location
+	attempt int
+
+	startFn       func(int)
+	programDoneFn func(error)
+}
+
+func (s *SSD) getWriteState() *writeState {
+	if w, ok := popFree(&s.freeWrites); ok {
+		return w
+	}
+	w := &writeState{s: s}
+	w.startFn = w.start
+	w.programDoneFn = w.programDone
+	return w
+}
+
+// release recycles the state and returns its command, so a write chained
+// synchronously from the host callback reuses this state.
+func (w *writeState) release() hic.Command {
+	cmd := w.cmd
+	w.cmd = hic.Command{}
+	w.s.freeWrites = append(w.s.freeWrites, w)
+	return cmd
+}
+
+// start runs once the write holds a DRAM slot.
+func (w *writeState) start(addr int) {
+	s := w.s
+	w.addr = addr
+	if err := s.stagePattern(addr, w.cmd.LPN); err != nil {
+		s.releaseSlot(addr)
+		s.complete(w.release(), err)
+		return
+	}
+	w.program(0)
 }
 
 // maxProgramRetries bounds grown-bad-block handling per host write.
 const maxProgramRetries = 3
 
-// programWithRetry allocates, programs, and — on a media FAIL — retires
-// the grown-bad block and retries elsewhere, as every production FTL
-// must (bad blocks grow over a drive's life; the host never sees them).
-func (s *SSD) programWithRetry(cmd hic.Command, addr, attempt int) {
-	loc, err := s.ftl.AllocateWrite(cmd.LPN)
+// program allocates, programs, and — on a media FAIL — retires the
+// grown-bad block and retries elsewhere, as every production FTL must
+// (bad blocks grow over a drive's life; the host never sees them).
+func (w *writeState) program(attempt int) {
+	s := w.s
+	loc, err := s.ftl.AllocateWrite(w.cmd.LPN)
 	if err != nil {
-		s.releaseSlot(addr)
+		s.releaseSlot(w.addr)
+		cmd := w.release()
 		if s.degraded {
 			// The drive already gave up on finding space; a write that
 			// was mid-flight (holding a slot) when the mode latched must
@@ -567,39 +656,42 @@ func (s *SSD) programWithRetry(cmd hic.Command, addr, attempt int) {
 		s.kickGC()
 		return
 	}
-	n := s.pageBytes + s.parityBytes
-	s.programStarted(cmd.LPN)
-	s.backend.ProgramPage(loc.Chip, loc.Row, addr, n, func(err error) {
-		if err == nil {
-			s.programLanded(cmd.LPN)
-			s.releaseSlot(addr)
-			s.complete(cmd, nil)
-			s.maybeGC(loc.Chip)
-			return
-		}
-		s.ftl.Invalidate(cmd.LPN)
-		switch {
-		case errors.Is(err, ops.ErrChipDead):
-			s.offlineChip(loc.Chip)
-		case errors.Is(err, ops.ErrResetRecovered):
-			// The chip wedged and a RESET revived it; the block is not
-			// implicated, so retry elsewhere without retiring it.
-			s.stats.RecoveredOps++
-		default:
-			s.ftl.RetireBlock(loc.Chip, loc.Row.Block)
-		}
-		if attempt+1 < maxProgramRetries {
-			// Start the retry's program before retiring this one so the
-			// in-flight count never dips to zero mid-retry (a parked GC
-			// continuation must not run against the invalidated mapping).
-			s.programWithRetry(cmd, addr, attempt+1)
-			s.programLanded(cmd.LPN)
-			return
-		}
-		s.programLanded(cmd.LPN)
-		s.releaseSlot(addr)
-		s.complete(cmd, err)
-	})
+	w.loc, w.attempt = loc, attempt
+	s.programStarted(w.cmd.LPN)
+	s.backend.ProgramPage(loc.Chip, loc.Row, w.addr, s.pageBytes+s.parityBytes, w.programDoneFn)
+}
+
+func (w *writeState) programDone(err error) {
+	s, lpn, loc := w.s, w.cmd.LPN, w.loc
+	if err == nil {
+		s.programLanded(lpn)
+		s.releaseSlot(w.addr)
+		s.complete(w.release(), nil)
+		s.maybeGC(loc.Chip)
+		return
+	}
+	s.ftl.Invalidate(lpn)
+	switch {
+	case errors.Is(err, ops.ErrChipDead):
+		s.offlineChip(loc.Chip)
+	case errors.Is(err, ops.ErrResetRecovered):
+		// The chip wedged and a RESET revived it; the block is not
+		// implicated, so retry elsewhere without retiring it.
+		s.stats.RecoveredOps++
+	default:
+		s.ftl.RetireBlock(loc.Chip, loc.Row.Block)
+	}
+	if w.attempt+1 < maxProgramRetries {
+		// Start the retry's program before retiring this one so the
+		// in-flight count never dips to zero mid-retry (a parked GC
+		// continuation must not run against the invalidated mapping).
+		w.program(w.attempt + 1)
+		s.programLanded(lpn)
+		return
+	}
+	s.programLanded(lpn)
+	s.releaseSlot(w.addr)
+	s.complete(w.release(), err)
 }
 
 // kickGC starts collection on every chip and fails stalled writes if no
@@ -608,7 +700,7 @@ func (s *SSD) kickGC() {
 	started := false
 	for chip := 0; chip < s.ftl.Chips(); chip++ {
 		s.maybeGC(chip)
-		if s.gcRunning[chip] {
+		if s.gc[chip].running {
 			started = true
 		}
 	}
@@ -620,7 +712,7 @@ func (s *SSD) kickGC() {
 		for chip := 0; chip < s.ftl.Chips(); chip++ {
 			if s.ftl.ForceSealGC(chip) {
 				s.maybeGC(chip)
-				if s.gcRunning[chip] {
+				if s.gc[chip].running {
 					started = true
 				}
 			}
@@ -688,10 +780,12 @@ func (s *SSD) drainStalled() {
 		return
 	}
 	stalled := s.stalledWrites
-	s.stalledWrites = nil
+	s.stalledWrites, s.stalledSpare = s.stalledSpare[:0], nil
 	for _, cmd := range stalled {
 		s.write(cmd)
 	}
+	clear(stalled)
+	s.stalledSpare = stalled[:0]
 }
 
 // stagePattern fills a slot with the deterministic page content for lpn
