@@ -28,7 +28,8 @@
 package analyze
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -121,11 +122,7 @@ func (s *Span) CellTime() sim.Duration {
 // the stream is not time-monotone. A single-rig trace comes back as one
 // run.
 func SplitRuns(events []obs.Event) [][]obs.Event {
-	type key struct {
-		channel int
-		op      uint64
-	}
-	seen := make(map[key]bool)
+	seen := admittedSet{channels: map[int]*opBits{}}
 	var runs [][]obs.Event
 	start := 0
 	for i := range events {
@@ -138,20 +135,19 @@ func SplitRuns(events []obs.Event) [][]obs.Event {
 		if !admission {
 			continue
 		}
-		k := key{e.Channel, e.OpID}
-		if e.Kind == obs.KindCPUCharge && !seen[k] {
+		k := opKey{e.Channel, e.OpID}
+		if seen.has(k) {
+			runs = append(runs, events[start:i])
+			start = i
+			seen.reset()
+		} else if e.Kind == obs.KindCPUCharge {
 			// Admit charges also fire when a parked op is re-admitted,
 			// so only a charge for an op this run has *already* admitted
 			// marks a boundary.
 			continue
 		}
-		if seen[k] {
-			runs = append(runs, events[start:i])
-			start = i
-			seen = make(map[key]bool)
-		}
 		if e.Kind == obs.KindOpAdmitted {
-			seen[k] = true
+			seen.add(k)
 		}
 	}
 	if start < len(events) {
@@ -160,27 +156,108 @@ func SplitRuns(events []obs.Event) [][]obs.Event {
 	return runs
 }
 
+// opKey names an operation within one run: op IDs count per controller,
+// one controller per channel.
+type opKey struct {
+	channel int
+	op      uint64
+}
+
+// admittedSet is the set of operations a run has admitted, built to
+// cost O(log n) allocations for n ops where a map costs one per bucket
+// it fills. A controller numbers its ops 1, 2, 3, …, so each channel
+// keeps a bitset grown by appending. The bitset may hold no more words
+// than its channel has admitted ops, plus slack, so an input's op IDs
+// cannot make it larger than the map it replaces; an ID beyond that
+// goes to a map.
+type admittedSet struct {
+	channels map[int]*opBits
+	sparse   map[opKey]bool
+}
+
+type opBits struct {
+	words    []uint64
+	admitted int
+}
+
+func (s *admittedSet) has(k opKey) bool {
+	if b := s.channels[k.channel]; b != nil {
+		if i := k.op / 64; i < uint64(len(b.words)) && b.words[i]&(1<<(k.op%64)) != 0 {
+			return true
+		}
+	}
+	return s.sparse[k]
+}
+
+// add inserts an op the set does not hold.
+func (s *admittedSet) add(k opKey) {
+	b := s.channels[k.channel]
+	if b == nil {
+		b = &opBits{}
+		s.channels[k.channel] = b
+	}
+	b.admitted++
+	i := k.op / 64
+	if i >= uint64(len(b.words)) {
+		if i >= uint64(b.admitted+16) {
+			if s.sparse == nil {
+				s.sparse = map[opKey]bool{}
+			}
+			s.sparse[k] = true
+			return
+		}
+		b.words = append(b.words, make([]uint64, int(i)+1-len(b.words))...)
+	}
+	b.words[i] |= 1 << (k.op % 64)
+}
+
+// reset empties the set, keeping its storage for the next run.
+func (s *admittedSet) reset() {
+	for _, b := range s.channels {
+		clear(b.words)
+		b.admitted = 0
+	}
+	clear(s.sparse)
+}
+
 // Correlate folds one rig's event stream into operation spans. Spans
 // are returned in completion order, then any incomplete spans (admitted
 // but never finished — a truncated trace) ordered by channel and op ID.
 // Events must come from a single rig (SplitRuns first for merged
 // traces): op IDs restart per rig, and Correlate reuses an ID once its
 // span completes.
+//
+// The fold allocates per stream, not per operation: every span is a row
+// of one table, found through an index of the open ones, and every
+// transaction is appended to one arena tagged with its row. One counting
+// pass at the end groups the arena by row, so each span's Txns is a
+// capacity-limited window of a single backing array (nil when the op
+// played no transaction).
 func Correlate(events []obs.Event) []Span {
-	type key struct {
-		channel int
-		op      uint64
+	type taggedTxn struct {
+		row int32
+		txn TxnSpan
 	}
-	open := make(map[key]*Span)
-	var done []Span
-	get := func(e *obs.Event) *Span {
-		k := key{e.Channel, e.OpID}
-		s := open[k]
-		if s == nil {
-			s = &Span{OpID: e.OpID, Channel: e.Channel, Chip: -1, Submitted: e.Time}
-			open[k] = s
+	var (
+		table []Span
+		open  = make(map[opKey]int32) // row of each open span
+		done  []int32                 // rows in completion order
+		arena []taggedTxn
+	)
+	row := func(e *obs.Event) int32 {
+		k := opKey{e.Channel, e.OpID}
+		r, ok := open[k]
+		if !ok {
+			r = int32(len(table))
+			table = append(table, Span{OpID: e.OpID, Channel: e.Channel, Chip: -1, Submitted: e.Time})
+			open[k] = r
 		}
-		return s
+		return r
+	}
+	// get may grow the table, so it resolves the row before indexing.
+	get := func(e *obs.Event) *Span {
+		r := row(e)
+		return &table[r]
 	}
 	for i := range events {
 		e := &events[i]
@@ -205,32 +282,63 @@ func Correlate(events []obs.Event) []Span {
 		case obs.KindHWInstr:
 			get(e).HWInstrs++
 		case obs.KindTxnExecuted:
-			s := get(e)
-			s.Txns = append(s.Txns, TxnSpan{
+			r := row(e)
+			arena = append(arena, taggedTxn{r, TxnSpan{
 				TxnID: e.TxnID, Chip: e.Chip,
 				Start: e.Start, End: e.End, BusTime: e.Dur, Err: e.Err,
-			})
-			s.ChannelTime += e.Dur
+			}})
+			table[r].ChannelTime += e.Dur
 		case obs.KindOpFinished:
-			s := get(e)
+			r := row(e)
+			s := &table[r]
 			s.Finished = e.Time
 			s.Latency = e.Dur
 			s.Submitted = e.Time.Add(-e.Dur)
 			s.Err = e.Err
 			s.Complete = true
-			done = append(done, *s)
-			delete(open, key{e.Channel, e.OpID})
+			done = append(done, r)
+			delete(open, opKey{e.Channel, e.OpID})
 		}
 	}
-	rest := make([]Span, 0, len(open))
-	for _, s := range open {
-		rest = append(rest, *s)
+	if len(table) == 0 {
+		return nil
 	}
-	sort.Slice(rest, func(i, j int) bool {
-		if rest[i].Channel != rest[j].Channel {
-			return rest[i].Channel < rest[j].Channel
+	if len(arena) > 0 {
+		// Counting sort, stable within a row: end[r+1] counts row r's
+		// transactions, the prefix sum turns end[r] into row r's first
+		// slot, and the scatter advances end[r] to row r's end.
+		end := make([]int32, len(table)+1)
+		for _, t := range arena {
+			end[t.row+1]++
 		}
-		return rest[i].OpID < rest[j].OpID
+		for r := 1; r < len(end); r++ {
+			end[r] += end[r-1]
+		}
+		txns := make([]TxnSpan, len(arena))
+		for _, t := range arena {
+			txns[end[t.row]] = t.txn
+			end[t.row]++
+		}
+		start := int32(0)
+		for r := range table {
+			if stop := end[r]; stop > start {
+				table[r].Txns = txns[start:stop:stop]
+				start = stop
+			}
+		}
+	}
+	out := make([]Span, 0, len(table))
+	for _, r := range done {
+		out = append(out, table[r])
+	}
+	for _, r := range open {
+		out = append(out, table[r])
+	}
+	slices.SortFunc(out[len(done):], func(a, b Span) int {
+		if c := cmp.Compare(a.Channel, b.Channel); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.OpID, b.OpID)
 	})
-	return append(done, rest...)
+	return out
 }

@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -18,12 +19,15 @@ type LatencySummary struct {
 // Summarize computes a nearest-rank percentile summary. The input need
 // not be sorted; a copy is sorted internally.
 func Summarize(samples []sim.Duration) LatencySummary {
-	if len(samples) == 0 {
+	return summarizeInPlace(slices.Clone(samples))
+}
+
+// summarizeInPlace is Summarize on samples it may reorder.
+func summarizeInPlace(sorted []sim.Duration) LatencySummary {
+	if len(sorted) == 0 {
 		return LatencySummary{}
 	}
-	sorted := make([]sim.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	return LatencySummary{
 		Count: len(sorted),
 		Mean:  sim.Mean(sorted),
@@ -49,26 +53,32 @@ type Components struct {
 }
 
 // SummarizeSpans computes the component distributions over the complete
-// spans in the slice.
+// spans in the slice. The five sample columns share one allocation and
+// are sorted where they stand.
 func SummarizeSpans(spans []Span) Components {
-	var lat, qw, ch, cell, fw []sim.Duration
+	n := 0
+	for i := range spans {
+		if spans[i].Complete {
+			n++
+		}
+	}
+	cols := make([]sim.Duration, 5*n)
+	lat, qw, ch, cell, fw := cols[:n], cols[n:2*n], cols[2*n:3*n], cols[3*n:4*n], cols[4*n:]
+	j := 0
 	for i := range spans {
 		s := &spans[i]
 		if !s.Complete {
 			continue
 		}
-		lat = append(lat, s.Latency)
-		qw = append(qw, s.QueueWait())
-		ch = append(ch, s.ChannelTime)
-		cell = append(cell, s.CellTime())
-		fw = append(fw, s.FirmwareTime)
+		lat[j], qw[j], ch[j], cell[j], fw[j] = s.Latency, s.QueueWait(), s.ChannelTime, s.CellTime(), s.FirmwareTime
+		j++
 	}
 	return Components{
-		Latency:     Summarize(lat),
-		QueueWait:   Summarize(qw),
-		ChannelTime: Summarize(ch),
-		CellTime:    Summarize(cell),
-		Firmware:    Summarize(fw),
+		Latency:     summarizeInPlace(lat),
+		QueueWait:   summarizeInPlace(qw),
+		ChannelTime: summarizeInPlace(ch),
+		CellTime:    summarizeInPlace(cell),
+		Firmware:    summarizeInPlace(fw),
 	}
 }
 

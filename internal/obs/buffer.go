@@ -1,9 +1,16 @@
 package obs
 
-// bufferChunk is the number of events per storage chunk: large enough
-// that the one allocation per chunk vanishes per event, small enough
-// that a rig emitting a handful of events does not pay for megabytes.
-const bufferChunk = 1024
+// Storage chunks grow geometrically: the first holds bufferChunkMin
+// events, so a rig emitting a handful of events does not pay for
+// megabytes, and each next one doubles up to bufferChunkMax (~1.8 MB),
+// so a 727k-event trace takes 48 chunks where fixed 1024-event chunks
+// took 710. Larger caps cut the count further but filled slower per
+// event on an Intel Xeon (2 vCPUs): 45–60 ns at 32 or 64×1024 against
+// 38–41 ns at 8 or 16×1024 and at fixed 1024-event chunks.
+const (
+	bufferChunkMin = 1024
+	bufferChunkMax = 16 * bufferChunkMin
+)
 
 // Buffer is a Tracer that records the event stream in memory, in
 // emission order. It is the building block of the parallel experiment
@@ -14,9 +21,10 @@ const bufferChunk = 1024
 // byte-identical to a serial run, regardless of worker count or
 // completion order.
 //
-// Events are stored in fixed-size chunks allocated on first use, so an
-// append never re-copies or re-zeroes what was recorded before it and a
-// Buffer that sees no event allocates nothing.
+// Events are stored in chunks allocated on first use, each twice the
+// size of the last up to a cap, so an append never re-copies or
+// re-zeroes what was recorded before it and a Buffer that sees no event
+// allocates nothing.
 //
 // A Buffer is not safe for concurrent use by multiple goroutines — one
 // rig, one Buffer.
@@ -30,10 +38,12 @@ type Buffer struct {
 // Event implements Tracer.
 func (b *Buffer) Event(e Event) {
 	if len(b.tail) == cap(b.tail) {
-		if len(b.tail) > 0 {
+		size := bufferChunkMin
+		if n := len(b.tail); n > 0 {
 			b.full = append(b.full, b.tail)
+			size = min(2*n, bufferChunkMax)
 		}
-		b.tail = make([]Event, 0, bufferChunk)
+		b.tail = make([]Event, 0, size)
 	}
 	b.tail = append(b.tail, e)
 }

@@ -207,7 +207,7 @@ func TestAllocGateReadJSONL(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const n = 10_000
+	const n = 100_000 // 98 fixed 1024-event chunks; 10 growing ones
 	events, raw := canonicalTrace(t, n)
 	labels := map[string]bool{}
 	for _, e := range events {
@@ -221,12 +221,13 @@ func TestAllocGateReadJSONL(t *testing.T) {
 			t.Fatalf("decoded %d events, %v", len(back), err)
 		}
 	})
-	// One per chunk, one per distinct label, and a constant: the
-	// scanner and its buffer, the label table, the chunk list's growth
-	// and the flat slice Events() returns.
-	limit := float64((n+bufferChunk-1)/bufferChunk + len(labels) + 16)
-	if got > limit || got/n >= 0.01 {
-		t.Errorf("ReadJSONL allocates %.0f times for %d canonical lines, want ≤ %.0f", got, n, limit)
+	// One per doubling chunk, one per distinct label, and a constant:
+	// the scanner and its buffer, the label table, the chunk list's
+	// growth and the flat slice Events() returns. Fixed 1024-event
+	// chunks alone would cost 1/1024 per line, twice the per-line bound.
+	limit := float64(chunksFor(n) + len(labels) + 16)
+	if got > limit || got/n >= 0.0005 {
+		t.Errorf("ReadJSONL allocates %.0f times for %d canonical lines, want ≤ %.0f and < 0.0005 per line", got, n, limit)
 	}
 }
 
@@ -258,7 +259,7 @@ func BenchmarkBufferEvent(b *testing.B) {
 	b.ResetTimer()
 	var buf Buffer
 	for i := 0; i < b.N; i++ {
-		if i%(64*bufferChunk) == 0 {
+		if i%bufferChunkMax == 0 {
 			buf = Buffer{} // a trace-sized buffer, however large b.N gets
 		}
 		buf.Event(events[i%len(events)])

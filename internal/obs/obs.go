@@ -15,7 +15,8 @@
 // default, every emission site is guarded by a nil check, and the Event
 // struct is passed by value, so the disabled path costs one branch and
 // the enabled path does not allocate — through the sinks as well: a
-// Buffer allocates once per 1024-event chunk, a JSONLWriter not at all
+// Buffer allocates once per chunk, chunks doubling from 1024 events up
+// to 16×1024 (48 for a 727k-event trace), a JSONLWriter not at all
 // for events whose label needs no JSON escaping, and ReadJSONL decodes
 // the lines that writer produced without a per-event allocation
 // (TestAllocGate* hold all three to it). Only Metrics allocates, once
