@@ -37,11 +37,11 @@ import (
 	"repro/internal/cpumodel"
 	"repro/internal/dram"
 	"repro/internal/nand"
+	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/ops"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/wave"
 )
 
 // Re-exported core types: these are the API operations are written
@@ -96,7 +96,7 @@ type SystemConfig struct {
 	CPUMHz int
 	// DRAMBytes sizes the staging buffer; default 4 MiB.
 	DRAMBytes int
-	// DisableCapture turns off the waveform recorder.
+	// DisableCapture leaves the channel's logic-analyzer probe off.
 	DisableCapture bool
 	// TaskQueue and TxnQueue override the schedulers (defaults: FIFO
 	// task scheduling and issue-first transaction scheduling).
@@ -112,7 +112,7 @@ type System struct {
 	mem    *dram.Buffer
 	cpu    *cpumodel.CPU
 	ctrl   *core.Controller
-	rec    *wave.Recorder
+	pins   *obs.Buffer
 }
 
 // NewSystem assembles a System per cfg.
@@ -134,13 +134,14 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 
 	k := sim.NewKernel()
-	var rec *wave.Recorder
-	if !cfg.DisableCapture {
-		rec = wave.NewRecorder()
-	}
-	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: cfg.RateMT}, onfi.DefaultTiming(), rec)
+	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: cfg.RateMT}, onfi.DefaultTiming())
 	if err != nil {
 		return nil, fmt.Errorf("babol: %w", err)
+	}
+	var pins *obs.Buffer
+	if !cfg.DisableCapture {
+		pins = &obs.Buffer{}
+		ch.SetTracer(pins)
 	}
 	for i := 0; i < cfg.Ways; i++ {
 		params := cfg.Package
@@ -169,7 +170,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("babol: %w", err)
 	}
-	return &System{kernel: k, ch: ch, mem: mem, cpu: cpu, ctrl: ctrl, rec: rec}, nil
+	return &System{kernel: k, ch: ch, mem: mem, cpu: cpu, ctrl: ctrl, pins: pins}, nil
 }
 
 // Start submits an operation and returns its ID. Done fires in virtual
@@ -201,8 +202,10 @@ func (s *System) Controller() *core.Controller { return s.ctrl }
 // Kernel exposes the simulation kernel for custom event scheduling.
 func (s *System) Kernel() *sim.Kernel { return s.kernel }
 
-// Waveform returns the captured channel trace (nil if capture disabled).
-func (s *System) Waveform() *wave.Recorder { return s.rec }
+// Waveform returns the buffer the channel's pin-level events go to, in
+// emission order (nil if capture is disabled); internal/wave renders,
+// exports and checks its Events.
+func (s *System) Waveform() *obs.Buffer { return s.pins }
 
 // Close aborts in-flight operations and releases resources.
 func (s *System) Close() { s.ctrl.Close() }

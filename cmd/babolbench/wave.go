@@ -79,7 +79,8 @@ func runWave(c *cli, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "=== %s on %s (%s @ %d MHz, %d MT/s) ===\n\n", name, babol.Hynix().Name, env, mhz, rate)
-	fmt.Fprint(out, sys.Waveform().Render())
+	pins := sys.Waveform().Events()
+	fmt.Fprint(out, wave.Render(pins))
 	if len(id) > 0 {
 		fmt.Fprintf(out, "\nREAD ID bytes: % 02X\n", id)
 	}
@@ -89,7 +90,7 @@ func runWave(c *cli, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := wave.WriteVCD(f, sys.Waveform().Segments(), sys.Chips()); err != nil {
+		if err := wave.WriteVCD(f, pins, sys.Chips()); err != nil {
 			f.Close()
 			return err
 		}
@@ -100,7 +101,7 @@ func runWave(c *cli, out io.Writer) error {
 	}
 
 	chk := wave.NewChecker(onfi.DefaultTiming(), onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: rate})
-	vs := chk.Check(sys.Waveform().Segments())
+	vs := chk.Check(pins)
 	if len(vs) == 0 {
 		fmt.Fprintln(out, "\nONFI timing check: PASS (no violations)")
 		return nil

@@ -9,6 +9,7 @@ import (
 
 	"repro/babol"
 	"repro/internal/onfi"
+	"repro/internal/wave"
 )
 
 func main() {
@@ -64,15 +65,13 @@ func main() {
 	}
 	fmt.Println("round trip verified ✓")
 
-	// Show the first few waveform segments the controller emitted.
+	// Show the first few waveform segments the controller emitted, as a
+	// logic analyzer lists them.
 	fmt.Println("\nchannel waveform (first segments):")
-	segs := sys.Waveform().Segments()
-	for i, s := range segs {
-		if i >= 8 {
-			fmt.Printf("  … %d more segments\n", len(segs)-i)
-			break
-		}
-		fmt.Printf("  t=%-10v %-9v chip%d %s\n", s.Start, s.Kind, s.Chip, s.Label)
+	segs := sys.Waveform().Events()
+	fmt.Print(wave.Render(segs[:min(8, len(segs))]))
+	if len(segs) > 8 {
+		fmt.Printf("… %d more segments\n", len(segs)-8)
 	}
 
 	st := sys.Controller().Stats()

@@ -13,8 +13,9 @@
 //
 //   - Timelines: a per-channel, per-chip Gantt reconstruction of bus
 //     activity, rebuilt from µFSM instruction events, with occupancy and
-//     idle-gap statistics (render.go). Die-internal busy time is not in
-//     the stream; `babolbench wave` shows it for one operation.
+//     idle-gap statistics (render.go). Die-internal busy time reaches a
+//     stream only as the channel's pin-level events, which the analyzer
+//     skips; `babolbench wave` shows it for one operation.
 //
 //   - Violations: a protocol sanity pass over the reconstruction —
 //     overlapping channel activity and zero-length bursts — beside

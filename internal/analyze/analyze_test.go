@@ -1,6 +1,8 @@
 package analyze
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -260,6 +262,63 @@ func TestAnalyzeRealRigMatchesMetrics(t *testing.T) {
 	}
 	if v := a.Violations; len(v) != 0 {
 		t.Fatalf("protocol violations on a real trace: %v", v)
+	}
+}
+
+// The channel's pin-level events can share the controller's tracer: a
+// registry and the analyzer fed the mixed stream report exactly what
+// they report for the stream without them, on one run and on a merged
+// two-run trace.
+func TestAnalyzeIgnoresPinLevelEvents(t *testing.T) {
+	p := nand.Hynix()
+	p.Geometry.BlocksPerLUN = 16
+	var buf obs.Buffer
+	rig, err := ssd.Build(ssd.BuildConfig{
+		Params: p, Channels: 2, Ways: 2, RateMT: 200,
+		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, Tracer: &buf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.Close()
+	for c, ch := range rig.Channels {
+		ch.SetTracer(obs.OnChannel(&buf, c))
+	}
+	const ops = 24
+	if err := rig.SSD.Preload(ops); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
+		Pattern: hic.Random, Kind: hic.KindRead, ReadPercent: 50,
+		NumOps: ops, QueueDepth: 4, LogicalPages: ops, Seed: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rig.Kernel.Run()
+
+	mixed := buf.Events()
+	var plain []obs.Event
+	for _, e := range mixed {
+		if !e.Kind.PinLevel() {
+			plain = append(plain, e)
+		}
+	}
+	if len(plain) == len(mixed) {
+		t.Fatal("the channels emitted no pin-level events")
+	}
+	for name, pair := range map[string][2][]obs.Event{
+		"one run":  {mixed, plain},
+		"two runs": {append(slices.Clone(mixed), mixed...), append(slices.Clone(plain), plain...)},
+	} {
+		got, want := obs.NewMetrics(), obs.NewMetrics()
+		got.Replay(pair[0])
+		want.Replay(pair[1])
+		if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+			t.Errorf("%s: Metrics differ with pin-level events", name)
+		}
+		if a, b := Analyze(pair[0]), Analyze(pair[1]); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: Analyze differs with pin-level events:\n%s\nwant:\n%s", name, a.Render(), b.Render())
+		}
 	}
 }
 

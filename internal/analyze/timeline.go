@@ -162,7 +162,7 @@ func (t *Timeline) Occupancy() Occupancy {
 // Violation is one protocol-sanity breach found in a reconstructed
 // timeline. These are structural checks on the reconstruction
 // (exclusivity, plausibility); wave.Checker remains the authority on
-// ONFI electrical timing minima for recorded segments.
+// ONFI electrical timing minima, over the bus's pin-level events.
 type Violation struct {
 	Time    sim.Time
 	Channel int

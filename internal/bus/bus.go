@@ -2,16 +2,16 @@
 // bus that connects a channel controller to the LUNs ("chips") attached
 // to it. The bus enforces exclusivity, charges transfer time according to
 // the configured ONFI data-interface mode, demultiplexes chip-enable
-// selection, and records every segment into a wave.Recorder.
+// selection, and emits every segment as a pin-level obs event.
 package bus
 
 import (
 	"fmt"
 
 	"repro/internal/nand"
+	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/sim"
-	"repro/internal/wave"
 )
 
 // ChipMask selects a set of chips on the channel, one bit per chip. The
@@ -41,7 +41,7 @@ type Channel struct {
 	cfg    onfi.BusConfig
 	timing onfi.Timing
 	chips  []*nand.LUN
-	rec    *wave.Recorder
+	tr     obs.Tracer
 
 	busyUntil sim.Time
 	stats     Stats
@@ -58,13 +58,18 @@ type Stats struct {
 	BusyTime      sim.Duration
 }
 
-// New creates a channel. rec may be nil to disable waveform capture.
-func New(k *sim.Kernel, cfg onfi.BusConfig, timing onfi.Timing, rec *wave.Recorder) (*Channel, error) {
+// New creates a channel.
+func New(k *sim.Kernel, cfg onfi.BusConfig, timing onfi.Timing) (*Channel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Channel{kernel: k, cfg: cfg, timing: timing, rec: rec}, nil
+	return &Channel{kernel: k, cfg: cfg, timing: timing}, nil
 }
+
+// SetTracer attaches the channel's logic-analyzer probe: one pin-level
+// obs event (KindBusCmdAddr … KindDieBusy) per bus segment. nil (the
+// default) disables emission.
+func (c *Channel) SetTracer(t obs.Tracer) { c.tr = t }
 
 // Attach wires a LUN onto the channel and returns its chip index.
 func (c *Channel) Attach(l *nand.LUN) int {
@@ -83,9 +88,6 @@ func (c *Channel) Config() onfi.BusConfig { return c.cfg }
 
 // Timing returns the ONFI timing parameter set in force.
 func (c *Channel) Timing() onfi.Timing { return c.timing }
-
-// Recorder returns the attached waveform recorder (may be nil).
-func (c *Channel) Recorder() *wave.Recorder { return c.rec }
 
 // Stats returns a snapshot of the activity counters.
 func (c *Channel) Stats() Stats { return c.stats }
@@ -163,11 +165,10 @@ func (c *Channel) Latch(sel ChipMask, latches []onfi.Latch, opID uint64) (sim.Ti
 	start, end := c.claim(c.timing.LatchSegment(len(latches)))
 	// Capture each selected chip's busy horizon before the latch so a
 	// busy interval the command *starts* (tR, tPROG, tBERS) can be
-	// recorded below; a status poll while busy leaves the horizon alone
-	// and records nothing.
-	var prevReady []sim.Time
-	if c.rec.Enabled() {
-		prevReady = make([]sim.Time, len(c.chips))
+	// emitted below; a status poll while busy leaves the horizon alone
+	// and emits nothing.
+	var prevReady [16]sim.Time
+	if c.tr != nil {
 		for i := range c.chips {
 			if sel.Has(i) {
 				prevReady[i] = c.chips[i].ReadyAt()
@@ -183,37 +184,51 @@ func (c *Channel) Latch(sel ChipMask, latches []onfi.Latch, opID uint64) (sim.Ti
 		}
 	}
 	c.stats.LatchBursts++
-	// Building the segment (label string included) is itself a cost, so
-	// skip it entirely unless the recorder is live — with recording off,
-	// a latch burst charges pure timing.
-	if c.rec.Enabled() {
-		// Copy the burst for the segment: callers reuse latch storage
-		// across transactions (stack arrays, the controller's latch
-		// arena), so aliasing the parameter would let later bursts
-		// rewrite recorded history. The copy also keeps the parameter
-		// non-escaping, so untraced runs build bursts on the stack.
-		c.rec.Record(wave.Segment{
-			Start: start, End: end, Kind: wave.KindCmdAddr,
-			Chip: firstChip(sel), Label: wave.SummarizeLatches(latches),
-			Latches: append([]onfi.Latch(nil), latches...), OpID: opID,
+	// Building the event (label string included) is itself a cost, so
+	// skip it entirely unless the probe is attached — untraced, a latch
+	// burst charges pure timing.
+	if c.tr != nil {
+		now := c.kernel.Now()
+		confirm := 0
+		if confirms(latches) {
+			confirm = 1
+		}
+		c.tr.Event(obs.Event{
+			Time: now, Kind: obs.KindBusCmdAddr, OpID: opID, Chip: firstChip(sel),
+			Start: start, End: end, Depth: confirm, Bytes: len(latches),
+			Label: onfi.SummarizeLatches(latches),
 		})
-		// Record the die-busy window this burst announced — the R/B#
-		// line of the paper's logic-analyzer captures. The segment
-		// reflects the busy time declared at command acceptance; a later
-		// suspend can end the real busy interval early.
+		// Emit the die-busy window this burst announced — the R/B# line
+		// of the paper's logic-analyzer captures. The window reflects the
+		// busy time declared at command acceptance; a later suspend can
+		// end the real busy interval early.
 		for i := range c.chips {
 			if !sel.Has(i) {
 				continue
 			}
 			if ready := c.chips[i].ReadyAt(); ready > end && ready > prevReady[i] {
-				c.rec.Record(wave.Segment{
-					Start: end, End: ready, Kind: wave.KindBusy,
-					Chip: i, Label: busyLabel(latches), OpID: opID,
+				c.tr.Event(obs.Event{
+					Time: now, Kind: obs.KindDieBusy, OpID: opID, Chip: i,
+					Start: end, End: ready, Label: busyLabel(latches),
 				})
 			}
 		}
 	}
 	return end, nil
+}
+
+// confirms reports whether a latch burst ends in a confirm command that
+// starts array work, after which the chip must not be addressed for tWB.
+func confirms(latches []onfi.Latch) bool {
+	last := latches[len(latches)-1]
+	if last.Kind != onfi.LatchCmd {
+		return false
+	}
+	switch onfi.Cmd(last.Value) {
+	case onfi.CmdRead2, onfi.CmdProgram2, onfi.CmdErase2, onfi.CmdCacheRead, onfi.CmdCacheProgram2:
+		return true
+	}
+	return false
 }
 
 // busyLabel names the busy interval a latch burst starts, after the
@@ -279,10 +294,10 @@ func (c *Channel) DataOutInto(sel ChipMask, dst []byte, opID uint64) (sim.Time, 
 	}
 	c.stats.DataOutBursts++
 	c.stats.BytesOut += uint64(n)
-	if c.rec.Enabled() {
-		c.rec.Record(wave.Segment{
-			Start: xferStart, End: end, Kind: wave.KindDataOut,
-			Chip: chip, Bytes: n, Label: "data out", OpID: opID,
+	if c.tr != nil {
+		c.tr.Event(obs.Event{
+			Time: c.kernel.Now(), Kind: obs.KindBusDataOut, OpID: opID, Chip: chip,
+			Start: xferStart, End: end, Bytes: n, Label: "data out",
 		})
 	}
 	return end, nil
@@ -315,10 +330,10 @@ func (c *Channel) DataIn(sel ChipMask, data []byte, opID uint64) (sim.Time, erro
 	}
 	c.stats.DataInBursts++
 	c.stats.BytesIn += uint64(len(data))
-	if c.rec.Enabled() {
-		c.rec.Record(wave.Segment{
-			Start: start, End: end, Kind: wave.KindDataIn,
-			Chip: firstChip(sel), Bytes: len(data), Label: "data in", OpID: opID,
+	if c.tr != nil {
+		c.tr.Event(obs.Event{
+			Time: c.kernel.Now(), Kind: obs.KindBusDataIn, OpID: opID, Chip: firstChip(sel),
+			Start: start, End: end, Bytes: len(data), Label: "data in",
 		})
 	}
 	return end, nil
@@ -333,10 +348,10 @@ func (c *Channel) Pause(d sim.Duration, opID uint64) (sim.Time, error) {
 	}
 	start, end := c.claim(d)
 	c.stats.Pauses++
-	if c.rec.Enabled() {
-		c.rec.Record(wave.Segment{
-			Start: start, End: end, Kind: wave.KindWait, Chip: -1,
-			Label: "timer", OpID: opID,
+	if c.tr != nil {
+		c.tr.Event(obs.Event{
+			Time: c.kernel.Now(), Kind: obs.KindBusWait, OpID: opID, Chip: -1,
+			Start: start, End: end, Label: "timer",
 		})
 	}
 	return end, nil

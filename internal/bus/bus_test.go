@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/nand"
+	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/sim"
 	"repro/internal/wave"
@@ -20,10 +21,11 @@ func smallParams() nand.Params {
 func newTestChannel(t *testing.T, chips int) (*sim.Kernel, *Channel) {
 	t.Helper()
 	k := sim.NewKernel()
-	ch, err := New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming(), wave.NewRecorder())
+	ch, err := New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ch.SetTracer(&obs.Buffer{})
 	for i := 0; i < chips; i++ {
 		l, err := nand.NewLUN(smallParams())
 		if err != nil {
@@ -33,6 +35,9 @@ func newTestChannel(t *testing.T, chips int) (*sim.Kernel, *Channel) {
 	}
 	return k, ch
 }
+
+// pins returns the pin-level events a test channel emitted.
+func pins(ch *Channel) []obs.Event { return ch.tr.(*obs.Buffer).Events() }
 
 func TestMaskHelpers(t *testing.T) {
 	m := Mask(3)
@@ -52,7 +57,7 @@ func TestMaskHelpers(t *testing.T) {
 
 func TestNewRejectsBadConfig(t *testing.T) {
 	k := sim.NewKernel()
-	if _, err := New(k, onfi.BusConfig{Mode: onfi.SDR, RateMT: 500}, onfi.DefaultTiming(), nil); err == nil {
+	if _, err := New(k, onfi.BusConfig{Mode: onfi.SDR, RateMT: 500}, onfi.DefaultTiming()); err == nil {
 		t.Error("bad bus config accepted")
 	}
 }
@@ -93,7 +98,7 @@ func TestChainedSegmentsAppend(t *testing.T) {
 	if end2 <= end1 {
 		t.Error("chained segment did not extend the schedule")
 	}
-	segs := ch.Recorder().ChannelSegments()
+	segs := pins(ch)
 	if len(segs) != 2 {
 		t.Fatalf("captured %d segments", len(segs))
 	}
@@ -116,7 +121,7 @@ func TestStatusIdiom(t *testing.T) {
 	}
 	// The recorded trace must satisfy the ONFI checker.
 	chk := wave.NewChecker(ch.Timing(), ch.Config())
-	if vs := chk.Check(ch.Recorder().Segments()); len(vs) != 0 {
+	if vs := chk.Check(pins(ch)); len(vs) != 0 {
 		t.Errorf("status waveform violations: %v", vs)
 	}
 }
@@ -149,7 +154,7 @@ func TestFullReadWaveform(t *testing.T) {
 		t.Error("read data mismatch")
 	}
 	chk := wave.NewChecker(ch.Timing(), ch.Config())
-	if vs := chk.Check(ch.Recorder().Segments()); len(vs) != 0 {
+	if vs := chk.Check(pins(ch)); len(vs) != 0 {
 		t.Errorf("read waveform violations: %v", vs)
 	}
 	st := ch.Stats()
@@ -262,7 +267,7 @@ func TestPauseOccupies(t *testing.T) {
 func TestTransferRateMatters(t *testing.T) {
 	k := sim.NewKernel()
 	mk := func(rate int) sim.Duration {
-		ch, err := New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: rate}, onfi.DefaultTiming(), nil)
+		ch, err := New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: rate}, onfi.DefaultTiming())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +292,7 @@ func TestSDRBootGate(t *testing.T) {
 	// A package that powers up in SDR rejects fast data bursts until the
 	// boot flow switches its timing mode (§IV-C).
 	k := sim.NewKernel()
-	ch, err := New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming(), nil)
+	ch, err := New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +346,7 @@ func TestSDRBootGate(t *testing.T) {
 
 func TestSetRate(t *testing.T) {
 	k := sim.NewKernel()
-	ch, err := New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 50}, onfi.DefaultTiming(), nil)
+	ch, err := New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 50}, onfi.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestAllocGateAdmission(t *testing.T) {
 	}
 	const chips, perChip = 2, 6
 	k := sim.NewKernel()
-	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming(), nil)
+	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cpumodel"
 	"repro/internal/dram"
 	"repro/internal/nand"
+	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/ops"
 	"repro/internal/sched"
@@ -22,6 +23,7 @@ type rig struct {
 	ch   *bus.Channel
 	mem  *dram.Buffer
 	ctrl *core.Controller
+	pins *obs.Buffer // the channel's pin-level events
 }
 
 func smallParams() nand.Params {
@@ -34,10 +36,12 @@ func smallParams() nand.Params {
 func newRig(t *testing.T, chips int, profile cpumodel.Profile, freqMHz int) *rig {
 	t.Helper()
 	k := sim.NewKernel()
-	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming(), wave.NewRecorder())
+	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}
+	pins := &obs.Buffer{}
+	ch.SetTracer(pins)
 	for i := 0; i < chips; i++ {
 		l, err := nand.NewLUN(smallParams())
 		if err != nil {
@@ -55,7 +59,7 @@ func newRig(t *testing.T, chips int, profile cpumodel.Profile, freqMHz int) *rig
 		t.Fatal(err)
 	}
 	t.Cleanup(ctrl.Close)
-	return &rig{k: k, ch: ch, mem: mem, ctrl: ctrl}
+	return &rig{k: k, ch: ch, mem: mem, ctrl: ctrl, pins: pins}
 }
 
 func TestNewRequiresAllParts(t *testing.T) {
@@ -99,7 +103,7 @@ func TestReadPageEndToEnd(t *testing.T) {
 	}
 	// Captured waveform must be ONFI-legal.
 	chk := wave.NewChecker(r.ch.Timing(), r.ch.Config())
-	if vs := chk.Check(r.ch.Recorder().Segments()); len(vs) != 0 {
+	if vs := chk.Check(r.pins.Events()); len(vs) != 0 {
 		t.Errorf("waveform violations: %v", vs)
 	}
 	st := r.ctrl.Stats()
@@ -408,7 +412,7 @@ func TestPriorityScheduling(t *testing.T) {
 	// With a priority txn queue and two chips flooded, the high-priority
 	// op's transactions jump the queue.
 	k := sim.NewKernel()
-	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming(), nil)
+	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/onfi"
 	"repro/internal/ops"
 	"repro/internal/sim"
-	"repro/internal/wave"
 )
 
 func sampleRow() onfi.RowAddr { return onfi.RowAddr{Block: 1, Page: 0} }
@@ -31,7 +30,7 @@ type pooledRig struct {
 func newRigPooled(t *testing.T, chips int) *pooledRig {
 	t.Helper()
 	k := sim.NewKernel()
-	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming(), wave.NewRecorder())
+	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 func newObsRig(t *testing.T, chips int, profile cpumodel.Profile, freqMHz int) (*rig, *obs.Metrics, *cpumodel.CPU) {
 	t.Helper()
 	k := sim.NewKernel()
-	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming(), nil)
+	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,12 +45,14 @@ func Fig11(opt Options) ([]Fig11Result, error) {
 		params := shrink(nand.Hynix(), opt.Blocks)
 		rig, err := opt.build(ssd.BuildConfig{
 			Params: params, Ways: 1, RateMT: 200,
-			Controller: kind, CPUMHz: 1000, Record: true,
+			Controller: kind, CPUMHz: 1000,
 		}, tracer)
 		if err != nil {
 			return err
 		}
 		defer rig.Close()
+		var pins obs.Buffer
+		rig.Channel.SetTracer(&pins)
 		if err := rig.SSD.Preload(reads); err != nil {
 			return err
 		}
@@ -61,14 +63,14 @@ func Fig11(opt Options) ([]Fig11Result, error) {
 		if err != nil {
 			return fmt.Errorf("fig11 %v: %w", kind, err)
 		}
-		polls, period := pollCadence(rig.Channel.Recorder().Segments())
+		polls, period := pollCadence(pins.Events())
 		out[i] = Fig11Result{
 			Controller:      kind,
 			Reads:           reads,
 			PollsPerRead:    float64(polls) / float64(reads),
 			MeanPollPeriod:  period,
 			MeanReadLatency: res.MeanLatency(),
-			Trace:           firstOpTrace(rig.Channel.Recorder().Segments()),
+			Trace:           firstOpTrace(pins.Events()),
 		}
 		return nil
 	})
@@ -80,11 +82,11 @@ func Fig11(opt Options) ([]Fig11Result, error) {
 
 // pollCadence counts READ STATUS latch bursts and the mean gap between
 // consecutive polls belonging to the same operation.
-func pollCadence(segs []wave.Segment) (polls int, meanPeriod sim.Duration) {
+func pollCadence(events []obs.Event) (polls int, meanPeriod sim.Duration) {
 	var gaps []sim.Duration
 	lastByOp := map[uint64]sim.Time{}
-	for _, s := range segs {
-		if s.Kind != wave.KindCmdAddr || !strings.Contains(s.Label, "READ-STATUS") {
+	for _, s := range events {
+		if s.Kind != obs.KindBusCmdAddr || !strings.Contains(s.Label, "READ-STATUS") {
 			continue
 		}
 		polls++
@@ -103,24 +105,23 @@ func pollCadence(segs []wave.Segment) (polls int, meanPeriod sim.Duration) {
 	return polls, sum / sim.Duration(len(gaps))
 }
 
-// firstOpTrace renders the segments of the first operation in the trace.
-func firstOpTrace(segs []wave.Segment) string {
+// firstOpTrace renders the first 12 segments of the first operation in
+// the trace.
+func firstOpTrace(events []obs.Event) string {
 	var first uint64
-	for _, s := range segs {
+	for _, s := range events {
 		if s.OpID != 0 {
 			first = s.OpID
 			break
 		}
 	}
-	r := wave.NewRecorder()
-	count := 0
-	for _, s := range segs {
-		if s.OpID == first && count < 12 {
-			r.Record(s)
-			count++
+	var segs []obs.Event
+	for _, s := range events {
+		if s.OpID == first && len(segs) < 12 {
+			segs = append(segs, s)
 		}
 	}
-	return r.Render()
+	return wave.Render(segs)
 }
 
 // Fig9 renders the waveform of one full ONFI READ produced by
@@ -130,12 +131,14 @@ func firstOpTrace(segs []wave.Segment) string {
 func Fig9() (string, error) {
 	rig, err := ssd.Build(ssd.BuildConfig{
 		Params: shrink(nand.Hynix(), 16), Ways: 1, RateMT: 200,
-		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, Record: true,
+		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000,
 	})
 	if err != nil {
 		return "", err
 	}
 	defer rig.Close()
+	var pins obs.Buffer
+	rig.Channel.SetTracer(&pins)
 	if err := rig.SSD.Preload(1); err != nil {
 		return "", err
 	}
@@ -147,7 +150,7 @@ func Fig9() (string, error) {
 	}
 	out := "Fig 9: waveform of an ONFI READ produced by Algorithm 2 (RTOS @ 1 GHz)\n"
 	out += "------------------------------------------------------------------------\n"
-	out += rig.Channel.Recorder().Render()
+	out += wave.Render(pins.Events())
 	return out, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/dram"
 	"repro/internal/nand"
+	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/sim"
 	"repro/internal/wave"
@@ -22,7 +23,7 @@ func smallParams() nand.Params {
 func newRig(t *testing.T, chips int) (*sim.Kernel, *Controller, *dram.Buffer) {
 	t.Helper()
 	k := sim.NewKernel()
-	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming(), wave.NewRecorder())
+	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +40,8 @@ func newRig(t *testing.T, chips int) (*sim.Kernel, *Controller, *dram.Buffer) {
 
 func TestHWRead(t *testing.T) {
 	k, c, mem := newRig(t, 1)
+	var pins obs.Buffer
+	c.Channel().SetTracer(&pins)
 	want := bytes.Repeat([]byte{0xBD}, 256)
 	if err := c.Channel().Chip(0).SeedPage(onfi.RowAddr{Block: 1, Page: 2}, want); err != nil {
 		t.Fatal(err)
@@ -64,7 +67,7 @@ func TestHWRead(t *testing.T) {
 	}
 	// The waveform is legal ONFI.
 	chk := wave.NewChecker(c.Channel().Timing(), c.Channel().Config())
-	if vs := chk.Check(c.Channel().Recorder().Segments()); len(vs) != 0 {
+	if vs := chk.Check(pins.Events()); len(vs) != 0 {
 		t.Errorf("waveform violations: %v", vs)
 	}
 }

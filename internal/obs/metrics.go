@@ -260,6 +260,11 @@ func NewMetrics() *Metrics {
 
 // Event implements Tracer.
 func (m *Metrics) Event(e Event) {
+	if e.Kind.PinLevel() {
+		// Pin-level detail is for the waveform views; a trace with and
+		// without it aggregates the same.
+		return
+	}
 	s := &m.s
 	if s.Events == 0 || e.Time < s.FirstEvent {
 		s.FirstEvent = e.Time

@@ -90,6 +90,31 @@ const (
 	// command failed. Chip is -1 (no die is attributable host-side) and
 	// OpID stays 0 so span correlation and run splitting ignore these.
 	KindHostCmd
+	// The pin-level kinds below are what a logic analyzer on the channel
+	// sees, one event per bus segment, emitted by bus.Channel (SetTracer)
+	// and rendered, exported and timing-checked by internal/wave. Start
+	// and End bracket the segment, Time is when the channel emitted it,
+	// Chip is the target chip and OpID the operation. Metrics and the
+	// analyzer skip them (PinLevel).
+	//
+	// KindBusCmdAddr is a command/address latch burst: Label summarizes
+	// it ("READ.1 ADDR×5 READ.2"), Bytes counts its latch cycles (one
+	// byte each on DQ), and Depth is 1 when its last latch is a confirm
+	// command that starts array work (READ.2, PROGRAM.2, ERASE.2, the
+	// cache confirms), else 0.
+	KindBusCmdAddr
+	// KindBusDataOut is a data burst from a LUN to the controller; Start
+	// is after the tWHR command-to-data gap and Bytes is the payload.
+	KindBusDataOut
+	// KindBusDataIn is a data burst from the controller to the selected
+	// LUNs (Chip is the lowest); Bytes is the payload.
+	KindBusDataIn
+	// KindBusWait is a Timer µFSM pause that holds the channel; Chip is -1.
+	KindBusWait
+	// KindDieBusy is the die-internal busy window (tR, tPROG, tBERS,
+	// tRST; Label names it) that a latch burst started: the R/B# line.
+	// It follows its KindBusCmdAddr and does not occupy the channel.
+	KindDieBusy
 )
 
 var kindNames = [...]string{
@@ -108,6 +133,11 @@ var kindNames = [...]string{
 	KindRecovery:      "recovery",
 	KindMapCache:      "map-cache",
 	KindHostCmd:       "host-cmd",
+	KindBusCmdAddr:    "bus-cmd-addr",
+	KindBusDataOut:    "bus-data-out",
+	KindBusDataIn:     "bus-data-in",
+	KindBusWait:       "bus-wait",
+	KindDieBusy:       "die-busy",
 }
 
 func (k Kind) String() string {
@@ -116,6 +146,10 @@ func (k Kind) String() string {
 	}
 	return "unknown"
 }
+
+// PinLevel reports whether k is one of the channel's pin-level kinds,
+// KindBusCmdAddr through KindDieBusy.
+func (k Kind) PinLevel() bool { return k >= KindBusCmdAddr && k <= KindDieBusy }
 
 // KindFromString inverts Kind.String; ok is false for unknown names.
 func KindFromString(s string) (Kind, bool) {
@@ -146,14 +180,17 @@ type Event struct {
 	// occupancy for KindTxnExecuted/KindHWInstr, operation latency for
 	// KindOpFinished.
 	Dur sim.Duration
-	// Start/End bracket a transaction's bus phase (KindTxnExecuted).
+	// Start/End bracket a transaction's bus phase (KindTxnExecuted) or
+	// one pin-level segment.
 	Start sim.Time
 	End   sim.Time
-	// Depth is the transaction queue depth after a push or pop.
+	// Depth is the transaction queue depth after a push or pop (see
+	// KindHostCmd and KindBusCmdAddr for theirs).
 	Depth int
 	// Cycles is the CPU cycle cost behind Dur (KindCPUCharge).
 	Cycles int64
-	// Bytes is the DMA payload size (KindHWInstr data instructions).
+	// Bytes is the DMA payload size (KindHWInstr data instructions), a
+	// data burst's payload, or a latch burst's cycle count.
 	Bytes int
 	// Label is a kind-dependent tag: slot kind, charge site, µFSM name.
 	Label string

@@ -7,7 +7,10 @@
 // internal/ufsm and package behaviour in internal/nand.
 package onfi
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Cmd is an ONFI operation code (one command-latch byte).
 type Cmd byte
@@ -129,6 +132,31 @@ func CmdLatch(c Cmd) Latch { return Latch{Kind: LatchCmd, Value: byte(c)} }
 
 // AddrLatch builds an address latch.
 func AddrLatch(b byte) Latch { return Latch{Kind: LatchAddr, Value: b} }
+
+// SummarizeLatches labels a latch burst for traces, naming each command
+// and collapsing each run of address cycles, e.g. "READ.1 ADDR×5 READ.2".
+func SummarizeLatches(latches []Latch) string {
+	var parts []string
+	run := 0
+	flush := func() {
+		if run == 1 {
+			parts = append(parts, "ADDR")
+		} else if run > 1 {
+			parts = append(parts, fmt.Sprintf("ADDR×%d", run))
+		}
+		run = 0
+	}
+	for _, l := range latches {
+		if l.Kind == LatchAddr {
+			run++
+			continue
+		}
+		flush()
+		parts = append(parts, Cmd(l.Value).String())
+	}
+	flush()
+	return strings.Join(parts, " ")
+}
 
 // FeatureAddr identifies a SET/GET FEATURES target register.
 type FeatureAddr byte

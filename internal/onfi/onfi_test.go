@@ -222,3 +222,19 @@ func TestAddrLatches(t *testing.T) {
 		t.Errorf("row byte 0 = %02x", rl[0].Value)
 	}
 }
+
+func TestSummarizeLatches(t *testing.T) {
+	g := Geometry{Planes: 1, BlocksPerLUN: 16, PagesPerBlk: 16, PageBytes: 512}
+	latches := []Latch{CmdLatch(CmdRead1)}
+	latches = append(latches, g.AddrLatches(Addr{})...)
+	latches = append(latches, CmdLatch(CmdRead2))
+	if got := SummarizeLatches(latches); got != "READ.1 ADDR×5 READ.2" {
+		t.Errorf("SummarizeLatches = %q", got)
+	}
+	if got := SummarizeLatches([]Latch{AddrLatch(1)}); got != "ADDR" {
+		t.Errorf("single addr = %q", got)
+	}
+	if got := SummarizeLatches(nil); got != "" {
+		t.Errorf("empty = %q", got)
+	}
+}

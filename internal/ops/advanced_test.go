@@ -9,10 +9,10 @@ import (
 	"repro/internal/cpumodel"
 	"repro/internal/dram"
 	"repro/internal/nand"
+	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/ops"
 	"repro/internal/sim"
-	"repro/internal/wave"
 )
 
 type rig struct {
@@ -20,6 +20,7 @@ type rig struct {
 	ch   *bus.Channel
 	mem  *dram.Buffer
 	ctrl *core.Controller
+	pins *obs.Buffer // the channel's pin-level events
 }
 
 func smallParams() nand.Params {
@@ -32,10 +33,12 @@ func smallParams() nand.Params {
 func newRig(t *testing.T, chips int, params nand.Params) *rig {
 	t.Helper()
 	k := sim.NewKernel()
-	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming(), wave.NewRecorder())
+	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}
+	pins := &obs.Buffer{}
+	ch.SetTracer(pins)
 	for i := 0; i < chips; i++ {
 		l, err := nand.NewLUN(params)
 		if err != nil {
@@ -53,7 +56,7 @@ func newRig(t *testing.T, chips int, params nand.Params) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(ctrl.Close)
-	return &rig{k: k, ch: ch, mem: mem, ctrl: ctrl}
+	return &rig{k: k, ch: ch, mem: mem, ctrl: ctrl, pins: pins}
 }
 
 // run starts an op and runs the kernel to completion, returning the op's

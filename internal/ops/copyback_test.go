@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/ops"
 	"repro/internal/wave"
@@ -39,14 +40,14 @@ func TestCopybackPage(t *testing.T) {
 
 	// The key property: no page-sized data crossed the channel — only
 	// latch bursts and 1-byte status reads.
-	for _, s := range r.ch.Recorder().Segments() {
-		if (s.Kind == wave.KindDataOut || s.Kind == wave.KindDataIn) && s.Bytes > 1 {
+	for _, s := range r.pins.Events() {
+		if (s.Kind == obs.KindBusDataOut || s.Kind == obs.KindBusDataIn) && s.Bytes > 1 {
 			t.Errorf("copyback moved %d bytes over the channel", s.Bytes)
 		}
 	}
 	// And the waveform is still ONFI-legal.
 	chk := wave.NewChecker(r.ch.Timing(), r.ch.Config())
-	if vs := chk.Check(r.ch.Recorder().Segments()); len(vs) != 0 {
+	if vs := chk.Check(r.pins.Events()); len(vs) != 0 {
 		t.Errorf("violations: %v", vs)
 	}
 }

@@ -167,7 +167,7 @@ func TestEveryOperationEmitsLegalWaveforms(t *testing.T) {
 				t.Fatalf("operation failed: %v", err)
 			}
 			chk := wave.NewChecker(r.ch.Timing(), r.ch.Config())
-			if vs := chk.Check(r.ch.Recorder().Segments()); len(vs) != 0 {
+			if vs := chk.Check(r.pins.Events()); len(vs) != 0 {
 				t.Errorf("%d ONFI violations:", len(vs))
 				for _, v := range vs {
 					t.Errorf("  %v", v)

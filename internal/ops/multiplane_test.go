@@ -41,7 +41,7 @@ func TestMPReadPages(t *testing.T) {
 		t.Error("multi-plane read data mismatch")
 	}
 	chk := wave.NewChecker(r.ch.Timing(), r.ch.Config())
-	if vs := chk.Check(r.ch.Recorder().Segments()); len(vs) != 0 {
+	if vs := chk.Check(r.pins.Events()); len(vs) != 0 {
 		t.Errorf("violations: %v", vs)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/onfi"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/wave"
 )
 
 // ControllerKind selects which channel controller the SSD uses.
@@ -62,7 +61,6 @@ type BuildConfig struct {
 	UseCopyback bool
 	// SuspendReads lets host reads preempt GC erases (BABOL only).
 	SuspendReads bool
-	Record       bool // capture the channel waveform
 	// TxnQueue overrides BABOL's transaction scheduler (default RR).
 	TxnQueue sched.TxnQueue
 	// Tracer receives the controllers' event streams; multi-channel rigs
@@ -275,11 +273,7 @@ func Build(cfg BuildConfig) (*Rig, error) {
 			chK = chDom.Kernel()
 			chTracer = domainTracer(rig.domBufs, 1+c)
 		}
-		var rec *wave.Recorder
-		if cfg.Record {
-			rec = wave.NewRecorder()
-		}
-		ch, err := bus.New(chK, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: cfg.RateMT}, onfi.DefaultTiming(), rec)
+		ch, err := bus.New(chK, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: cfg.RateMT}, onfi.DefaultTiming())
 		if err != nil {
 			return nil, err
 		}

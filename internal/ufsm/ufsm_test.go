@@ -7,6 +7,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/dram"
 	"repro/internal/nand"
+	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/sim"
 	"repro/internal/txn"
@@ -23,7 +24,7 @@ func smallParams() nand.Params {
 func newRig(t *testing.T, chips int) (*sim.Kernel, *Executor, *dram.Buffer) {
 	t.Helper()
 	k := sim.NewKernel()
-	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming(), wave.NewRecorder())
+	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +70,8 @@ func TestExecuteStatusTransaction(t *testing.T) {
 
 func TestExecuteFullReadIntoDRAM(t *testing.T) {
 	k, e, mem := newRig(t, 1)
+	var pins obs.Buffer
+	e.Channel().SetTracer(&pins)
 	lun := e.Channel().Chip(0)
 	want := bytes.Repeat([]byte{0x42}, 256)
 	if err := lun.SeedPage(onfi.RowAddr{Block: 1, Page: 1}, want); err != nil {
@@ -116,7 +119,7 @@ func TestExecuteFullReadIntoDRAM(t *testing.T) {
 	}
 	// The full trace is ONFI-legal.
 	chk := wave.NewChecker(e.Channel().Timing(), e.Channel().Config())
-	if vs := chk.Check(e.Channel().Recorder().Segments()); len(vs) != 0 {
+	if vs := chk.Check(pins.Events()); len(vs) != 0 {
 		t.Errorf("waveform violations: %v", vs)
 	}
 }

@@ -3,20 +3,21 @@ package wave
 import (
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/sim"
 )
 
 // Violation is one timing-rule breach found in a trace.
 type Violation struct {
-	Index int // segment index in the trace
+	Index int // event index in the trace
 	Rule  string
 	Want  sim.Duration
 	Got   sim.Duration
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("segment %d: %s: need ≥%v, got %v", v.Index, v.Rule, v.Want, v.Got)
+	return fmt.Sprintf("event %d: %s: need ≥%v, got %v", v.Index, v.Rule, v.Want, v.Got)
 }
 
 // Checker validates a recorded trace against ONFI timing rules. It is the
@@ -33,26 +34,27 @@ func NewChecker(t onfi.Timing, bus onfi.BusConfig) *Checker {
 	return &Checker{Timing: t, Bus: bus}
 }
 
-// Check validates the trace and returns all violations found.
+// Check validates the pin-level events of a trace, skipping every other
+// kind, and returns all violations found.
 //
 // Rules enforced:
 //  1. channel exclusivity — channel segments never overlap in time;
 //  2. latch-burst length — a CMD/ADDR segment must last at least
-//     tCS + n·(tWP+tWH) + tCH for its n latch cycles;
+//     tCS + n·(tWP+tWH) + tCH for its n latch cycles (Bytes);
 //  3. data-burst length — a data segment must last at least
 //     tDQSS + n·transferPeriod + tRPST for its n bytes;
 //  4. command-to-data gap — a DATA-OUT segment must start at least tWHR
 //     after the preceding CMD/ADDR segment to the same chip ends;
 //  5. write-busy gap — after a latch burst ending in a confirm command
-//     (READ.2, PROGRAM.2, ERASE.2), nothing may address the same chip for
-//     tWB.
-func (c *Checker) Check(segments []Segment) []Violation {
+//     (Depth 1: READ.2, PROGRAM.2, ERASE.2, the cache confirms), nothing
+//     may address the same chip for tWB.
+func (c *Checker) Check(events []obs.Event) []Violation {
 	var out []Violation
-	chanSegs := make([]Segment, 0, len(segments))
-	idx := make([]int, 0, len(segments))
-	for i, s := range segments {
-		if s.OnChannel() {
-			chanSegs = append(chanSegs, s)
+	var chanSegs []obs.Event
+	var idx []int
+	for i, e := range events {
+		if onChannel(e.Kind) {
+			chanSegs = append(chanSegs, e)
 			idx = append(idx, i)
 		}
 	}
@@ -69,61 +71,42 @@ func (c *Checker) Check(segments []Segment) []Violation {
 	for k, s := range chanSegs {
 		i := idx[k]
 		switch s.Kind {
-		case KindCmdAddr:
-			min := c.Timing.TCS + sim.Duration(len(s.Latches))*c.Timing.LatchCycle() + c.Timing.TCH
-			if s.Duration() < min {
-				out = append(out, Violation{Index: i, Rule: "latch burst too short", Want: min, Got: s.Duration()})
+		case obs.KindBusCmdAddr:
+			min := c.Timing.TCS + sim.Duration(s.Bytes)*c.Timing.LatchCycle() + c.Timing.TCH
+			if duration(s) < min {
+				out = append(out, Violation{Index: i, Rule: "latch burst too short", Want: min, Got: duration(s)})
 			}
-		case KindDataOut, KindDataIn:
+		case obs.KindBusDataOut, obs.KindBusDataIn:
 			min := c.Timing.TDQSS + c.Bus.DataTime(s.Bytes) + c.Timing.TRPST
-			if s.Duration() < min {
-				out = append(out, Violation{Index: i, Rule: "data burst too short", Want: min, Got: s.Duration()})
+			if duration(s) < min {
+				out = append(out, Violation{Index: i, Rule: "data burst too short", Want: min, Got: duration(s)})
 			}
 		}
 	}
 
 	// Inter-segment gaps, per chip.
-	lastCmd := map[int]Segment{}      // last CMD/ADDR per chip
+	lastCmd := map[int]sim.Time{}     // end of last CMD/ADDR per chip
 	lastConfirm := map[int]sim.Time{} // end of last confirm-latch burst per chip
 	for k, s := range chanSegs {
 		i := idx[k]
 		switch s.Kind {
-		case KindDataOut:
-			if prev, ok := lastCmd[s.Chip]; ok && prev.End == maxPrevEnd(lastCmd, s.Chip) {
-				if gap := s.Start.Sub(prev.End); gap < c.Timing.TWHR {
+		case obs.KindBusDataOut:
+			if end, ok := lastCmd[s.Chip]; ok {
+				if gap := s.Start.Sub(end); gap < c.Timing.TWHR {
 					out = append(out, Violation{Index: i, Rule: "tWHR (command to data output)", Want: c.Timing.TWHR, Got: gap})
 				}
 			}
-		case KindCmdAddr:
+		case obs.KindBusCmdAddr:
 			if t, ok := lastConfirm[s.Chip]; ok {
 				if gap := s.Start.Sub(t); gap < 0 {
 					out = append(out, Violation{Index: i, Rule: "tWB (confirm to next address)", Want: c.Timing.TWB, Got: gap + c.Timing.TWB})
 				}
 			}
-			lastCmd[s.Chip] = s
-			if endsInConfirm(s.Latches) {
+			lastCmd[s.Chip] = s.End
+			if s.Depth == 1 {
 				lastConfirm[s.Chip] = s.End // End already includes tWB (µFSM responsibility)
 			}
 		}
 	}
 	return out
-}
-
-func maxPrevEnd(m map[int]Segment, chip int) sim.Time {
-	return m[chip].End
-}
-
-func endsInConfirm(latches []onfi.Latch) bool {
-	if len(latches) == 0 {
-		return false
-	}
-	last := latches[len(latches)-1]
-	if last.Kind != onfi.LatchCmd {
-		return false
-	}
-	switch onfi.Cmd(last.Value) {
-	case onfi.CmdRead2, onfi.CmdProgram2, onfi.CmdErase2, onfi.CmdCacheRead, onfi.CmdCacheProgram2:
-		return true
-	}
-	return false
 }

@@ -5,20 +5,22 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// WriteVCD renders a captured trace as a Value Change Dump, the standard
-// waveform interchange format — open the output in GTKWave (or any VCD
-// viewer) to see the channel activity per chip exactly like the paper's
-// logic-analyzer screenshots. Each chip gets three one-bit signals
-// (cmd/addr, data-out, data-in) plus channel-level wait and busy lines.
-func WriteVCD(w io.Writer, segs []Segment, chips int) error {
+// WriteVCD renders the pin-level events of a trace as a Value Change
+// Dump, the standard waveform interchange format — open the output in
+// GTKWave (or any VCD viewer) to see the channel activity per chip
+// exactly like the paper's logic-analyzer screenshots. Each chip gets
+// three one-bit signals (cmd/addr, data-out, data-in) plus channel-level
+// wait and busy lines. chips <= 0 sizes the dump from the events.
+func WriteVCD(w io.Writer, events []obs.Event, chips int) error {
 	if chips <= 0 {
 		chips = 1
-		for _, s := range segs {
-			if s.Chip+1 > chips {
-				chips = s.Chip + 1
+		for _, e := range events {
+			if e.Kind.PinLevel() && e.Chip+1 > chips {
+				chips = e.Chip + 1
 			}
 		}
 	}
@@ -79,26 +81,26 @@ func WriteVCD(w io.Writer, segs []Segment, chips int) error {
 		v    byte
 	}
 	var edges []edge
-	add := func(s Segment, code string) {
-		edges = append(edges, edge{at: s.Start, code: code, v: '1'})
-		edges = append(edges, edge{at: s.End, code: code, v: '0'})
+	add := func(e obs.Event, code string) {
+		edges = append(edges, edge{at: e.Start, code: code, v: '1'})
+		edges = append(edges, edge{at: e.End, code: code, v: '0'})
 	}
-	for _, s := range segs {
-		chip := s.Chip
+	for _, e := range events {
+		chip := e.Chip
 		if chip < 0 || chip >= chips {
 			chip = 0
 		}
-		switch s.Kind {
-		case KindCmdAddr:
-			add(s, perChip[chip][0].code)
-		case KindDataOut:
-			add(s, perChip[chip][1].code)
-		case KindDataIn:
-			add(s, perChip[chip][2].code)
-		case KindWait:
-			add(s, wait.code)
-		case KindBusy:
-			add(s, busy.code)
+		switch e.Kind {
+		case obs.KindBusCmdAddr:
+			add(e, perChip[chip][0].code)
+		case obs.KindBusDataOut:
+			add(e, perChip[chip][1].code)
+		case obs.KindBusDataIn:
+			add(e, perChip[chip][2].code)
+		case obs.KindBusWait:
+			add(e, wait.code)
+		case obs.KindDieBusy:
+			add(e, busy.code)
 		}
 	}
 	sort.SliceStable(edges, func(i, j int) bool { return edges[i].at < edges[j].at })

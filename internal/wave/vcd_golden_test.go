@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/sim"
 )
@@ -15,33 +16,29 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 
 // goldenTrace is a small fixed capture: a READ command burst, its tR
 // busy window, a poll, and the data transfer — the Figure 9 shape.
-func goldenTrace() []Segment {
+func goldenTrace() []obs.Event {
 	ns := func(n int64) sim.Time { return sim.Time(n * int64(sim.Nanosecond)) }
 	read := []onfi.Latch{onfi.CmdLatch(onfi.CmdRead1), onfi.AddrLatch(0), onfi.AddrLatch(0), onfi.CmdLatch(onfi.CmdRead2)}
 	status := []onfi.Latch{onfi.CmdLatch(onfi.CmdReadStatus)}
-	return []Segment{
-		{Start: ns(0), End: ns(290), Kind: KindCmdAddr, Chip: 0, Label: SummarizeLatches(read), Latches: read, OpID: 1},
-		{Start: ns(290), End: ns(50290), Kind: KindBusy, Chip: 0, Label: "tR", OpID: 1},
-		{Start: ns(25000), End: ns(25080), Kind: KindCmdAddr, Chip: 0, Label: SummarizeLatches(status), Latches: status, OpID: 1},
-		{Start: ns(25160), End: ns(25170), Kind: KindDataOut, Chip: 0, Bytes: 1, Label: "data out", OpID: 1},
-		{Start: ns(50400), End: ns(50500), Kind: KindWait, Chip: -1, Label: "timer", OpID: 1},
-		{Start: ns(50500), End: ns(71000), Kind: KindDataOut, Chip: 0, Bytes: 4096, Label: "data out", OpID: 1},
+	return []obs.Event{
+		{Start: ns(0), End: ns(290), Kind: obs.KindBusCmdAddr, Chip: 0, Label: onfi.SummarizeLatches(read), Bytes: len(read), Depth: 1, OpID: 1},
+		{Start: ns(290), End: ns(50290), Kind: obs.KindDieBusy, Chip: 0, Label: "tR", OpID: 1},
+		{Start: ns(25000), End: ns(25080), Kind: obs.KindBusCmdAddr, Chip: 0, Label: onfi.SummarizeLatches(status), Bytes: len(status), OpID: 1},
+		{Start: ns(25160), End: ns(25170), Kind: obs.KindBusDataOut, Chip: 0, Bytes: 1, Label: "data out", OpID: 1},
+		{Start: ns(50400), End: ns(50500), Kind: obs.KindBusWait, Chip: -1, Label: "timer", OpID: 1},
+		{Start: ns(50500), End: ns(71000), Kind: obs.KindBusDataOut, Chip: 0, Bytes: 4096, Label: "data out", OpID: 1},
 	}
 }
 
-// The VCD rendering of a recorded trace must stay byte-stable: the file
-// format is an interchange surface (GTKWave, CI artifacts), so any
-// drift in identifier assignment, edge ordering, or timescale is a
-// breaking change this test makes loud. Regenerate deliberately with
+// The VCD rendering of a capture must stay byte-stable: the file format
+// is an interchange surface (GTKWave, CI artifacts), so any drift in
+// identifier assignment, edge ordering, or timescale is a breaking
+// change this test makes loud. Regenerate deliberately with
 // `go test ./internal/wave -run VCDGolden -update`.
 func TestVCDGoldenRoundTrip(t *testing.T) {
-	r := NewRecorder()
-	for _, s := range goldenTrace() {
-		r.Record(s)
-	}
-
+	events := goldenTrace()
 	var buf strings.Builder
-	if err := WriteVCD(&buf, r.Segments(), 0); err != nil {
+	if err := WriteVCD(&buf, events, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
@@ -63,51 +60,12 @@ func TestVCDGoldenRoundTrip(t *testing.T) {
 		t.Errorf("VCD output drifted from golden file %s\n got:\n%s\nwant:\n%s", golden, got, want)
 	}
 
-	// Round-trip stability: rendering the same capture twice, or from a
-	// fresh recorder fed the ChannelSegments copy plus busy segments,
-	// must not change a byte.
+	// Controller events mixed into the capture must not change a byte.
 	var again strings.Builder
-	if err := WriteVCD(&again, r.Segments(), 0); err != nil {
+	if err := WriteVCD(&again, interleave(events), 0); err != nil {
 		t.Fatal(err)
 	}
 	if again.String() != got {
-		t.Error("second render differs from first")
-	}
-}
-
-// The slice ChannelSegments hands out must survive Reset and further
-// recording — callers (the analyzer, experiment code) retain it across
-// recorder reuse.
-func TestChannelSegmentsOwnership(t *testing.T) {
-	r := NewRecorder()
-	for _, s := range goldenTrace() {
-		r.Record(s)
-	}
-	cs := r.ChannelSegments()
-	if len(cs) != 5 {
-		t.Fatalf("ChannelSegments = %d, want 5 (busy excluded)", len(cs))
-	}
-	// Deep-compare snapshot of the returned values.
-	want := make([]Segment, len(cs))
-	copy(want, cs)
-
-	r.Reset()
-	// Overwrite the recycled backing store with different segments.
-	for i := 0; i < 8; i++ {
-		r.Record(Segment{Start: sim.Time(i), End: sim.Time(i + 1), Kind: KindDataIn, Chip: 9, Label: "clobber", Bytes: 777})
-	}
-
-	for i := range cs {
-		if cs[i].Start != want[i].Start || cs[i].End != want[i].End ||
-			cs[i].Kind != want[i].Kind || cs[i].Chip != want[i].Chip ||
-			cs[i].Label != want[i].Label || cs[i].Bytes != want[i].Bytes {
-			t.Fatalf("segment %d mutated after Reset+Record: %+v, want %+v", i, cs[i], want[i])
-		}
-	}
-	// The Latches aliasing documented on ChannelSegments: the latch
-	// slices recorded before Reset are still intact (the recorder never
-	// writes through them).
-	if got := SummarizeLatches(cs[0].Latches); got != "READ.1 ADDR×2 READ.2" {
-		t.Fatalf("latches clobbered: %q", got)
+		t.Error("render with interleaved controller events differs from the first")
 	}
 }

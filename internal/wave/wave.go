@@ -1,206 +1,66 @@
-// Package wave records bus-level activity so it can be inspected,
-// validated, and rendered — the simulation's stand-in for the Keysight
-// logic analyzer the paper uses in Section VI-B.
+// Package wave is the logic-analyzer view of a channel — the
+// simulation's stand-in for the Keysight analyzer the paper uses in
+// Section VI-B.
 //
-// Every waveform segment driven onto a channel (a command/address latch
-// burst, a data burst in either direction, an explicit pause) is recorded
-// as a Segment with exact virtual start and end times. A Checker verifies
-// the recorded trace against the ONFI timing rules.
+// The probe is the bus itself: bus.Channel emits every segment it drives
+// (a command/address latch burst, a data burst in either direction, a
+// timer pause) and every die-busy window a command starts as a pin-level
+// obs event with exact virtual start and end times. This package only
+// reads those events: Render lists them, WriteVCD exports them, and a
+// Checker verifies them against the ONFI timing rules. Every view takes
+// an []obs.Event and skips the kinds that are not pin-level, so a whole
+// controller trace can be handed over as is.
 package wave
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"repro/internal/onfi"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// Kind classifies a recorded waveform segment.
-type Kind uint8
-
-const (
-	// KindCmdAddr is a burst of command/address latch cycles.
-	KindCmdAddr Kind = iota
-	// KindDataOut is a data burst from the LUN to the controller.
-	KindDataOut
-	// KindDataIn is a data burst from the controller to the LUN.
-	KindDataIn
-	// KindWait is an explicit pause emitted by the Timer µFSM.
-	KindWait
-	// KindBusy marks a LUN-internal busy interval (tR/tPROG/tBERS); it
-	// does not occupy the channel but is recorded for analysis.
-	KindBusy
-)
-
-func (k Kind) String() string {
+// kindName labels a pin-level kind as an analyzer listing does; "" for
+// every other kind.
+func kindName(k obs.Kind) string {
 	switch k {
-	case KindCmdAddr:
+	case obs.KindBusCmdAddr:
 		return "CMD/ADDR"
-	case KindDataOut:
+	case obs.KindBusDataOut:
 		return "DATA-OUT"
-	case KindDataIn:
+	case obs.KindBusDataIn:
 		return "DATA-IN"
-	case KindWait:
+	case obs.KindBusWait:
 		return "WAIT"
-	case KindBusy:
+	case obs.KindDieBusy:
 		return "BUSY"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
+	return ""
 }
 
-// Segment is one recorded waveform segment.
-type Segment struct {
-	Start, End sim.Time
-	Kind       Kind
-	Chip       int          // target chip (LUN index on the channel); -1 = broadcast
-	Label      string       // human-readable summary, e.g. "READ.1 ADDR×5 READ.2"
-	Bytes      int          // payload length for data segments
-	Latches    []onfi.Latch // latch cycles for KindCmdAddr
-	OpID       uint64       // operation that produced the segment (0 = none)
-}
+// onChannel reports whether events of kind k occupy the shared channel.
+func onChannel(k obs.Kind) bool { return k.PinLevel() && k != obs.KindDieBusy }
 
-// Duration of the segment.
-func (s Segment) Duration() sim.Duration { return s.End.Sub(s.Start) }
+func duration(e obs.Event) sim.Duration { return e.End.Sub(e.Start) }
 
-// OnChannel reports whether the segment occupies the shared channel bus.
-func (s Segment) OnChannel() bool { return s.Kind != KindBusy }
-
-// Recorder captures segments. The zero value is a disabled recorder; use
-// NewRecorder for an enabled one. A nil *Recorder is safe to record into
-// (no-op), so datapath code never needs nil checks.
-type Recorder struct {
-	enabled  bool
-	segments []Segment
-}
-
-// NewRecorder returns an enabled recorder.
-func NewRecorder() *Recorder { return &Recorder{enabled: true} }
-
-// Enabled reports whether Record will capture anything. Hot paths check
-// it before building a Segment whose construction is itself costly
-// (e.g. rendering a latch-burst label), so a disabled recorder costs
-// one branch rather than a string build per bus segment.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
-
-// Record appends a segment if recording is enabled.
-func (r *Recorder) Record(s Segment) {
-	if r == nil || !r.enabled {
-		return
-	}
-	r.segments = append(r.segments, s)
-}
-
-// Segments returns the captured trace in capture order.
-func (r *Recorder) Segments() []Segment {
-	if r == nil {
-		return nil
-	}
-	return r.segments
-}
-
-// Reset clears the trace.
-func (r *Recorder) Reset() {
-	if r != nil {
-		r.segments = r.segments[:0]
-	}
-}
-
-// Len reports the number of captured segments.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.segments)
-}
-
-// ChannelSegments returns only the segments that occupied the channel,
-// sorted by start time.
-//
-// Ownership: the returned slice is freshly allocated on every call and
-// is the caller's to keep — a later Reset (which recycles the
-// recorder's backing store for new segments) or further recording never
-// mutates it. Segment values are copies; only the Latches field still
-// aliases the latch slice captured at Record time, which the recorder
-// itself never modifies. Contrast Segments, which returns the live
-// backing store for zero-copy scans.
-func (r *Recorder) ChannelSegments() []Segment {
-	var out []Segment
-	for _, s := range r.Segments() {
-		if s.OnChannel() {
-			out = append(out, s)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
-// Busy reports the total channel-occupied time within [from, to].
-func (r *Recorder) Busy(from, to sim.Time) sim.Duration {
-	var busy sim.Duration
-	for _, s := range r.ChannelSegments() {
-		lo, hi := s.Start, s.End
-		if lo < from {
-			lo = from
-		}
-		if hi > to {
-			hi = to
-		}
-		if hi > lo {
-			busy += hi.Sub(lo)
-		}
-	}
-	return busy
-}
-
-// Utilization reports channel busy fraction within [from, to].
-func (r *Recorder) Utilization(from, to sim.Time) float64 {
-	if to <= from {
-		return 0
-	}
-	return float64(r.Busy(from, to)) / float64(to.Sub(from))
-}
-
-// Render formats the trace as an analyzer-style listing:
+// Render formats the pin-level events of a trace, in emission order, as
+// an analyzer-style listing:
 //
 //	t=0s        +290ns   CMD/ADDR chip0  READ.1 ADDR×5 READ.2
 //	t=290ns     +100us   BUSY     chip0  tR
-func (r *Recorder) Render() string {
+func Render(events []obs.Event) string {
 	var b strings.Builder
-	for _, s := range r.Segments() {
-		fmt.Fprintf(&b, "t=%-12v +%-10v %-8v chip%-2d %s",
-			s.Start, s.Duration(), s.Kind, s.Chip, s.Label)
-		if s.Bytes > 0 {
-			fmt.Fprintf(&b, " (%dB)", s.Bytes)
+	for _, e := range events {
+		name := kindName(e.Kind)
+		if name == "" {
+			continue
+		}
+		fmt.Fprintf(&b, "t=%-12v +%-10v %-8s chip%-2d %s",
+			e.Start, duration(e), name, e.Chip, e.Label)
+		if e.Kind == obs.KindBusDataOut || e.Kind == obs.KindBusDataIn {
+			fmt.Fprintf(&b, " (%dB)", e.Bytes)
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SummarizeLatches builds a compact label for a latch burst, e.g.
-// "READ.1 ADDR×5 READ.2".
-func SummarizeLatches(latches []onfi.Latch) string {
-	var parts []string
-	run := 0
-	flush := func() {
-		if run == 1 {
-			parts = append(parts, "ADDR")
-		} else if run > 1 {
-			parts = append(parts, fmt.Sprintf("ADDR×%d", run))
-		}
-		run = 0
-	}
-	for _, l := range latches {
-		if l.Kind == onfi.LatchAddr {
-			run++
-			continue
-		}
-		flush()
-		parts = append(parts, onfi.Cmd(l.Value).String())
-	}
-	flush()
-	return strings.Join(parts, " ")
 }

@@ -1,109 +1,65 @@
 package wave
 
 import (
+	"bytes"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bus"
+	"repro/internal/nand"
+	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/sim"
 )
 
 func TestKindString(t *testing.T) {
-	names := map[Kind]string{
-		KindCmdAddr: "CMD/ADDR", KindDataOut: "DATA-OUT", KindDataIn: "DATA-IN",
-		KindWait: "WAIT", KindBusy: "BUSY",
+	names := map[obs.Kind]string{
+		obs.KindBusCmdAddr: "CMD/ADDR", obs.KindBusDataOut: "DATA-OUT", obs.KindBusDataIn: "DATA-IN",
+		obs.KindBusWait: "WAIT", obs.KindDieBusy: "BUSY",
 	}
 	for k, want := range names {
-		if got := k.String(); got != want {
-			t.Errorf("Kind(%d) = %q, want %q", k, got, want)
+		if got := kindName(k); got != want {
+			t.Errorf("kindName(%v) = %q, want %q", k, got, want)
 		}
 	}
-	if got := Kind(99).String(); got != "Kind(99)" {
-		t.Errorf("unknown kind = %q", got)
+	for _, k := range []obs.Kind{obs.KindHWInstr, obs.KindTxnExecuted, obs.KindHostCmd} {
+		if got := kindName(k); got != "" {
+			t.Errorf("kindName(%v) = %q, want \"\" for a controller kind", k, got)
+		}
 	}
 }
 
-func TestNilRecorderSafe(t *testing.T) {
-	var r *Recorder
-	r.Record(Segment{}) // must not panic
-	if r.Len() != 0 || r.Segments() != nil {
-		t.Error("nil recorder should be empty")
+// interleave mixes controller events — µFSM instructions and firmware
+// charges on an out-of-range chip — between the pin-level events of a
+// trace, the way a shared tracer sees both streams.
+func interleave(events []obs.Event) []obs.Event {
+	var out []obs.Event
+	for i, e := range events {
+		out = append(out,
+			obs.Event{Time: e.Start, Kind: obs.KindHWInstr, OpID: e.OpID, Chip: 7, Dur: 5, Label: "cmd-addr"},
+			e,
+			obs.Event{Time: e.End, Kind: obs.KindCPUCharge, OpID: uint64(i), Chip: 7, Dur: 9, Cycles: 9, Label: "submit"})
 	}
-	r.Reset() // must not panic
-}
-
-func TestDisabledRecorder(t *testing.T) {
-	var r Recorder // zero value: disabled
-	r.Record(Segment{Kind: KindWait})
-	if r.Len() != 0 {
-		t.Error("zero-value recorder captured a segment")
-	}
-}
-
-func TestRecorderCapture(t *testing.T) {
-	r := NewRecorder()
-	r.Record(Segment{Start: 0, End: 10, Kind: KindCmdAddr, Chip: 0})
-	r.Record(Segment{Start: 10, End: 20, Kind: KindBusy, Chip: 0})
-	r.Record(Segment{Start: 20, End: 30, Kind: KindDataOut, Chip: 0, Bytes: 4})
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	cs := r.ChannelSegments()
-	if len(cs) != 2 {
-		t.Fatalf("ChannelSegments = %d, want 2 (BUSY excluded)", len(cs))
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestBusyAndUtilization(t *testing.T) {
-	r := NewRecorder()
-	r.Record(Segment{Start: 0, End: 10, Kind: KindCmdAddr})
-	r.Record(Segment{Start: 20, End: 30, Kind: KindDataOut})
-	if got := r.Busy(0, 30); got != 20 {
-		t.Errorf("Busy = %v, want 20", got)
-	}
-	// Clipped window.
-	if got := r.Busy(5, 25); got != 10 {
-		t.Errorf("clipped Busy = %v, want 10", got)
-	}
-	if u := r.Utilization(0, 30); u < 0.66 || u > 0.67 {
-		t.Errorf("Utilization = %v", u)
-	}
-	if u := r.Utilization(10, 10); u != 0 {
-		t.Errorf("degenerate window utilization = %v", u)
-	}
+	return out
 }
 
 func TestRender(t *testing.T) {
-	r := NewRecorder()
-	r.Record(Segment{Start: 0, End: sim.Time(290 * sim.Nanosecond), Kind: KindCmdAddr, Chip: 0, Label: "READ.1 ADDR×5 READ.2"})
-	r.Record(Segment{Start: sim.Time(290 * sim.Nanosecond), End: sim.Time(100290 * sim.Nanosecond), Kind: KindBusy, Chip: 0, Label: "tR"})
-	out := r.Render()
+	events := []obs.Event{
+		{Start: 0, End: sim.Time(290 * sim.Nanosecond), Kind: obs.KindBusCmdAddr, Chip: 0, Bytes: 7, Label: "READ.1 ADDR×5 READ.2"},
+		{Start: sim.Time(290 * sim.Nanosecond), End: sim.Time(100290 * sim.Nanosecond), Kind: obs.KindDieBusy, Chip: 0, Label: "tR"},
+	}
+	out := Render(interleave(events))
 	if !strings.Contains(out, "READ.1 ADDR×5 READ.2") || !strings.Contains(out, "BUSY") {
 		t.Errorf("Render output missing content:\n%s", out)
 	}
 	if lines := strings.Count(out, "\n"); lines != 2 {
-		t.Errorf("Render lines = %d, want 2", lines)
+		t.Errorf("Render lines = %d, want 2 (controller events skipped)", lines)
 	}
-}
-
-func TestSummarizeLatches(t *testing.T) {
-	g := onfi.Geometry{Planes: 1, BlocksPerLUN: 16, PagesPerBlk: 16, PageBytes: 512}
-	latches := []onfi.Latch{onfi.CmdLatch(onfi.CmdRead1)}
-	latches = append(latches, g.AddrLatches(onfi.Addr{})...)
-	latches = append(latches, onfi.CmdLatch(onfi.CmdRead2))
-	if got := SummarizeLatches(latches); got != "READ.1 ADDR×5 READ.2" {
-		t.Errorf("SummarizeLatches = %q", got)
-	}
-	if got := SummarizeLatches([]onfi.Latch{onfi.AddrLatch(1)}); got != "ADDR" {
-		t.Errorf("single addr = %q", got)
-	}
-	if got := SummarizeLatches(nil); got != "" {
-		t.Errorf("empty = %q", got)
+	if strings.Contains(out, "(7B)") {
+		t.Errorf("Render printed a latch burst's cycle count as a payload:\n%s", out)
 	}
 }
 
@@ -111,43 +67,40 @@ func checkerForTest() *Checker {
 	return NewChecker(onfi.DefaultTiming(), onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200})
 }
 
-// legalCmdAddr builds a CMD/ADDR segment of exactly legal length starting
-// at t.
-func legalCmdAddr(c *Checker, t sim.Time, chip int, latches []onfi.Latch) Segment {
-	d := c.Timing.TCS + sim.Duration(len(latches))*c.Timing.LatchCycle() + c.Timing.TCH
-	if endsInConfirm(latches) {
+// legalCmdAddr builds a CMD/ADDR event of exactly legal length for n
+// latch cycles starting at t; a confirm burst also holds tWB.
+func legalCmdAddr(c *Checker, t sim.Time, chip, n int, confirm bool) obs.Event {
+	d := c.Timing.TCS + sim.Duration(n)*c.Timing.LatchCycle() + c.Timing.TCH
+	e := obs.Event{Start: t, Kind: obs.KindBusCmdAddr, Chip: chip, Bytes: n}
+	if confirm {
 		d += c.Timing.TWB
+		e.Depth = 1
 	}
-	return Segment{Start: t, End: t.Add(d), Kind: KindCmdAddr, Chip: chip, Latches: latches}
+	e.End = t.Add(d)
+	return e
 }
 
 func TestCheckerCleanTrace(t *testing.T) {
 	c := checkerForTest()
-	g := onfi.Geometry{Planes: 1, BlocksPerLUN: 16, PagesPerBlk: 16, PageBytes: 512}
-	var latches []onfi.Latch
-	latches = append(latches, onfi.CmdLatch(onfi.CmdRead1))
-	latches = append(latches, g.AddrLatches(onfi.Addr{})...)
-	latches = append(latches, onfi.CmdLatch(onfi.CmdRead2))
-
-	s1 := legalCmdAddr(c, 0, 0, latches)
+	s1 := legalCmdAddr(c, 0, 0, 7, true)
 	busyEnd := s1.End.Add(53 * sim.Microsecond)
-	s2 := Segment{Start: s1.End, End: busyEnd, Kind: KindBusy, Chip: 0, Label: "tR"}
+	s2 := obs.Event{Start: s1.End, End: busyEnd, Kind: obs.KindDieBusy, Chip: 0, Label: "tR"}
 	dataStart := busyEnd.Add(c.Timing.TWHR)
-	s3 := Segment{
+	s3 := obs.Event{
 		Start: dataStart,
 		End:   dataStart.Add(c.Timing.DataSegment(c.Bus, 512)),
-		Kind:  KindDataOut, Chip: 0, Bytes: 512,
+		Kind:  obs.KindBusDataOut, Chip: 0, Bytes: 512,
 	}
-	if vs := c.Check([]Segment{s1, s2, s3}); len(vs) != 0 {
+	if vs := c.Check([]obs.Event{s1, s2, s3}); len(vs) != 0 {
 		t.Errorf("clean trace has violations: %v", vs)
 	}
 }
 
 func TestCheckerOverlap(t *testing.T) {
 	c := checkerForTest()
-	s1 := Segment{Start: 0, End: 100, Kind: KindWait}
-	s2 := Segment{Start: 50, End: 150, Kind: KindWait}
-	vs := c.Check([]Segment{s1, s2})
+	s1 := obs.Event{Start: 0, End: 100, Kind: obs.KindBusWait}
+	s2 := obs.Event{Start: 50, End: 150, Kind: obs.KindBusWait}
+	vs := c.Check([]obs.Event{s1, s2})
 	if len(vs) != 1 || !strings.Contains(vs[0].Rule, "exclusivity") {
 		t.Errorf("overlap not caught: %v", vs)
 	}
@@ -155,8 +108,8 @@ func TestCheckerOverlap(t *testing.T) {
 
 func TestCheckerShortLatchBurst(t *testing.T) {
 	c := checkerForTest()
-	s := Segment{Start: 0, End: 1, Kind: KindCmdAddr, Latches: []onfi.Latch{onfi.CmdLatch(onfi.CmdReadStatus)}}
-	vs := c.Check([]Segment{s})
+	s := obs.Event{Start: 0, End: 1, Kind: obs.KindBusCmdAddr, Bytes: 1}
+	vs := c.Check([]obs.Event{s})
 	if len(vs) != 1 || !strings.Contains(vs[0].Rule, "latch burst") {
 		t.Errorf("short latch burst not caught: %v", vs)
 	}
@@ -164,8 +117,8 @@ func TestCheckerShortLatchBurst(t *testing.T) {
 
 func TestCheckerShortDataBurst(t *testing.T) {
 	c := checkerForTest()
-	s := Segment{Start: 0, End: 1, Kind: KindDataOut, Bytes: 512}
-	vs := c.Check([]Segment{s})
+	s := obs.Event{Start: 0, End: 1, Kind: obs.KindBusDataOut, Bytes: 512}
+	vs := c.Check([]obs.Event{s})
 	if len(vs) != 1 || !strings.Contains(vs[0].Rule, "data burst") {
 		t.Errorf("short data burst not caught: %v", vs)
 	}
@@ -173,23 +126,148 @@ func TestCheckerShortDataBurst(t *testing.T) {
 
 func TestCheckerTWHRGap(t *testing.T) {
 	c := checkerForTest()
-	cmd := legalCmdAddr(c, 0, 0, []onfi.Latch{onfi.CmdLatch(onfi.CmdReadStatus)})
+	cmd := legalCmdAddr(c, 0, 0, 1, false)
 	// Data starts immediately — violates tWHR.
-	data := Segment{
+	data := obs.Event{
 		Start: cmd.End,
 		End:   cmd.End.Add(c.Timing.DataSegment(c.Bus, 1)),
-		Kind:  KindDataOut, Chip: 0, Bytes: 1,
+		Kind:  obs.KindBusDataOut, Chip: 0, Bytes: 1,
 	}
-	vs := c.Check([]Segment{cmd, data})
+	vs := c.Check([]obs.Event{cmd, data})
 	if len(vs) != 1 || !strings.Contains(vs[0].Rule, "tWHR") {
 		t.Errorf("tWHR violation not caught: %v", vs)
+	}
+}
+
+// TestCheckerTWBGap drives a READ through a real channel, so the confirm
+// fact comes from the bus, then addresses the same chip again: once
+// before the confirm burst (tWB included) ends — flagged — and once
+// right at its end — clean.
+func TestCheckerTWBGap(t *testing.T) {
+	k := sim.NewKernel()
+	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := nand.Hynix()
+	p.JitterPct = 0
+	lun, err := nand.NewLUN(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.Attach(lun)
+	var pins obs.Buffer
+	ch.SetTracer(&pins)
+	latches := append([]onfi.Latch{onfi.CmdLatch(onfi.CmdRead1)}, p.Geometry.AddrLatches(onfi.Addr{})...)
+	latches = append(latches, onfi.CmdLatch(onfi.CmdRead2))
+	if _, err := ch.Latch(bus.Mask(0), latches, 1); err != nil {
+		t.Fatal(err)
+	}
+	confirm := pins.Events()[0]
+	c := NewChecker(ch.Timing(), ch.Config())
+
+	early := legalCmdAddr(c, confirm.End.Add(-c.Timing.TWB/2), 0, 1, false)
+	vs := c.Check([]obs.Event{confirm, early})
+	var rules []string
+	for _, v := range vs {
+		rules = append(rules, v.Rule)
+	}
+	if !strings.Contains(strings.Join(rules, "|"), "tWB") {
+		t.Errorf("address burst %v into the confirm burst's tWB not flagged: %v", early.Start, vs)
+	}
+
+	onTime := legalCmdAddr(c, confirm.End, 0, 1, false)
+	if vs := c.Check([]obs.Event{confirm, onTime}); len(vs) != 0 {
+		t.Errorf("address burst after tWB flagged: %v", vs)
+	}
+}
+
+// violatingTrace breaks every rule the checker has, once each, on top of
+// the golden capture.
+func violatingTrace() []obs.Event {
+	c := checkerForTest()
+	events := goldenTrace()
+	at := events[len(events)-1].End
+	confirm := legalCmdAddr(c, at, 0, 7, true)
+	events = append(events,
+		confirm,
+		legalCmdAddr(c, confirm.End.Add(-1), 0, 1, false), // overlap + tWB
+		obs.Event{Start: confirm.End.Add(1000), End: confirm.End.Add(1001), Kind: obs.KindBusCmdAddr, Chip: 1, Bytes: 3},
+		obs.Event{Start: confirm.End.Add(2000), End: confirm.End.Add(2001), Kind: obs.KindBusDataOut, Chip: 1, Bytes: 64},
+	)
+	return events
+}
+
+func rulesOf(vs []Violation) []string {
+	var rules []string
+	for _, v := range vs {
+		rules = append(rules, v.Rule)
+	}
+	sort.Strings(rules)
+	return rules
+}
+
+// The checker reads a whole controller trace: controller events mixed
+// in change which indices the violations name, never which rules break.
+func TestCheckerSkipsControllerKinds(t *testing.T) {
+	c := checkerForTest()
+	alone := c.Check(violatingTrace())
+	mixed := c.Check(interleave(violatingTrace()))
+	distinct := map[string]bool{}
+	for _, v := range alone {
+		distinct[v.Rule] = true
+	}
+	if len(distinct) != 5 {
+		t.Fatalf("violating trace breaks %d of the 5 rules: %v", len(distinct), alone)
+	}
+	if got, want := rulesOf(mixed), rulesOf(alone); !reflect.DeepEqual(got, want) {
+		t.Errorf("rules with controller events mixed in = %v, want %v", got, want)
+	}
+}
+
+// Pin-level events are an interchange format: through JSONLWriter and
+// ReadJSONL they render, export and check exactly as before.
+func TestJSONLRoundTrip(t *testing.T) {
+	c := checkerForTest()
+	for name, events := range map[string][]obs.Event{
+		"golden":    interleave(goldenTrace()),
+		"violating": violatingTrace(),
+	} {
+		var buf bytes.Buffer
+		w := obs.NewJSONLWriter(&buf)
+		for _, e := range events {
+			w.Event(e)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := obs.ReadJSONL(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := Render(back), Render(events); got != want {
+			t.Errorf("%s: Render after JSONL:\n%s\nwant:\n%s", name, got, want)
+		}
+		var got, want strings.Builder
+		if err := WriteVCD(&got, back, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteVCD(&want, events, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: VCD after JSONL differs", name)
+		}
+		if got, want := c.Check(back), c.Check(events); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Check after JSONL = %v, want %v", name, got, want)
+		}
 	}
 }
 
 func TestViolationString(t *testing.T) {
 	v := Violation{Index: 3, Rule: "tWHR", Want: 80 * sim.Nanosecond, Got: 10 * sim.Nanosecond}
 	s := v.String()
-	if !strings.Contains(s, "segment 3") || !strings.Contains(s, "tWHR") {
+	if !strings.Contains(s, "event 3") || !strings.Contains(s, "tWHR") {
 		t.Errorf("Violation.String = %q", s)
 	}
 }
@@ -199,14 +277,14 @@ func TestViolationString(t *testing.T) {
 func TestCheckerBackToBackWaitsProperty(t *testing.T) {
 	c := checkerForTest()
 	f := func(durs []uint16) bool {
-		var segs []Segment
+		var events []obs.Event
 		var at sim.Time
 		for _, d := range durs {
 			dd := sim.Duration(d) + 1
-			segs = append(segs, Segment{Start: at, End: at.Add(dd), Kind: KindWait})
+			events = append(events, obs.Event{Start: at, End: at.Add(dd), Kind: obs.KindBusWait})
 			at = at.Add(dd)
 		}
-		return len(c.Check(segs)) == 0
+		return len(c.Check(events)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -214,15 +292,17 @@ func TestCheckerBackToBackWaitsProperty(t *testing.T) {
 }
 
 func TestWriteVCD(t *testing.T) {
-	r := NewRecorder()
-	r.Record(Segment{Start: 0, End: sim.Time(100 * sim.Nanosecond), Kind: KindCmdAddr, Chip: 0})
-	r.Record(Segment{Start: sim.Time(100 * sim.Nanosecond), End: sim.Time(50100 * sim.Nanosecond), Kind: KindBusy, Chip: 0})
-	r.Record(Segment{Start: sim.Time(200 * sim.Nanosecond), End: sim.Time(300 * sim.Nanosecond), Kind: KindDataIn, Chip: 1})
-	r.Record(Segment{Start: sim.Time(400 * sim.Nanosecond), End: sim.Time(500 * sim.Nanosecond), Kind: KindDataOut, Chip: 1})
-	r.Record(Segment{Start: sim.Time(600 * sim.Nanosecond), End: sim.Time(700 * sim.Nanosecond), Kind: KindWait, Chip: -1})
+	ns := func(n int64) sim.Time { return sim.Time(n * int64(sim.Nanosecond)) }
+	events := interleave([]obs.Event{
+		{Start: 0, End: ns(100), Kind: obs.KindBusCmdAddr, Chip: 0},
+		{Start: ns(100), End: ns(50100), Kind: obs.KindDieBusy, Chip: 0},
+		{Start: ns(200), End: ns(300), Kind: obs.KindBusDataIn, Chip: 1},
+		{Start: ns(400), End: ns(500), Kind: obs.KindBusDataOut, Chip: 1},
+		{Start: ns(600), End: ns(700), Kind: obs.KindBusWait, Chip: -1},
+	})
 
 	var buf strings.Builder
-	if err := WriteVCD(&buf, r.Segments(), 2); err != nil {
+	if err := WriteVCD(&buf, events, 2); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -243,12 +323,12 @@ func TestWriteVCD(t *testing.T) {
 	if ones == 0 || zeros < ones {
 		t.Errorf("unbalanced edges: %d rising, %d falling", ones, zeros)
 	}
-	// Chip count auto-detection path.
+	// Chip count auto-detection reads the pin-level events only.
 	var buf2 strings.Builder
-	if err := WriteVCD(&buf2, r.Segments(), 0); err != nil {
+	if err := WriteVCD(&buf2, events, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf2.String(), "chip1_cmdaddr") {
+	if out2 := buf2.String(); !strings.Contains(out2, "chip1_cmdaddr") || strings.Contains(out2, "chip2_") {
 		t.Error("auto chip detection failed")
 	}
 }
