@@ -136,7 +136,7 @@ func SplitRuns(events []obs.Event) [][]obs.Event {
 		if !admission {
 			continue
 		}
-		k := opKey{e.Channel, e.OpID}
+		k := opKey{int(e.Channel), e.OpID}
 		if seen.has(k) {
 			runs = append(runs, events[start:i])
 			start = i
@@ -246,11 +246,11 @@ func Correlate(events []obs.Event) []Span {
 		arena []taggedTxn
 	)
 	row := func(e *obs.Event) int32 {
-		k := opKey{e.Channel, e.OpID}
+		k := opKey{int(e.Channel), e.OpID}
 		r, ok := open[k]
 		if !ok {
 			r = int32(len(table))
-			table = append(table, Span{OpID: e.OpID, Channel: e.Channel, Chip: -1, Submitted: e.Time})
+			table = append(table, Span{OpID: e.OpID, Channel: int(e.Channel), Chip: -1, Submitted: e.Time})
 			open[k] = r
 		}
 		return r
@@ -270,7 +270,7 @@ func Correlate(events []obs.Event) []Span {
 		case obs.KindOpAdmitted:
 			s := get(e)
 			s.Admitted = e.Time
-			s.Chip = e.Chip
+			s.Chip = int(e.Chip)
 			s.Slot = e.Label
 		case obs.KindAdmissionWait:
 			get(e).Waits++
@@ -285,7 +285,7 @@ func Correlate(events []obs.Event) []Span {
 		case obs.KindTxnExecuted:
 			r := row(e)
 			arena = append(arena, taggedTxn{r, TxnSpan{
-				TxnID: e.TxnID, Chip: e.Chip,
+				TxnID: e.TxnID, Chip: int(e.Chip),
 				Start: e.Start, End: e.End, BusTime: e.Dur, Err: e.Err,
 			}})
 			table[r].ChannelTime += e.Dur
@@ -298,7 +298,7 @@ func Correlate(events []obs.Event) []Span {
 			s.Err = e.Err
 			s.Complete = true
 			done = append(done, r)
-			delete(open, opKey{e.Channel, e.OpID})
+			delete(open, opKey{int(e.Channel), e.OpID})
 		}
 	}
 	if len(table) == 0 {

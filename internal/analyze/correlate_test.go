@@ -31,10 +31,10 @@ func referenceCorrelate(events []obs.Event) []Span {
 	open := make(map[key]*Span)
 	var done []Span
 	get := func(e *obs.Event) *Span {
-		k := key{e.Channel, e.OpID}
+		k := key{int(e.Channel), e.OpID}
 		s := open[k]
 		if s == nil {
-			s = &Span{OpID: e.OpID, Channel: e.Channel, Chip: -1, Submitted: e.Time}
+			s = &Span{OpID: e.OpID, Channel: int(e.Channel), Chip: -1, Submitted: e.Time}
 			open[k] = s
 		}
 		return s
@@ -49,7 +49,7 @@ func referenceCorrelate(events []obs.Event) []Span {
 		case obs.KindOpAdmitted:
 			s := get(e)
 			s.Admitted = e.Time
-			s.Chip = e.Chip
+			s.Chip = int(e.Chip)
 			s.Slot = e.Label
 		case obs.KindAdmissionWait:
 			get(e).Waits++
@@ -64,7 +64,7 @@ func referenceCorrelate(events []obs.Event) []Span {
 		case obs.KindTxnExecuted:
 			s := get(e)
 			s.Txns = append(s.Txns, TxnSpan{
-				TxnID: e.TxnID, Chip: e.Chip,
+				TxnID: e.TxnID, Chip: int(e.Chip),
 				Start: e.Start, End: e.End, BusTime: e.Dur, Err: e.Err,
 			})
 			s.ChannelTime += e.Dur
@@ -76,7 +76,7 @@ func referenceCorrelate(events []obs.Event) []Span {
 			s.Err = e.Err
 			s.Complete = true
 			done = append(done, *s)
-			delete(open, key{e.Channel, e.OpID})
+			delete(open, key{int(e.Channel), e.OpID})
 		}
 	}
 	rest := make([]Span, 0, len(open))
@@ -110,7 +110,7 @@ func referenceSplitRuns(events []obs.Event) [][]obs.Event {
 		if !admission {
 			continue
 		}
-		k := key{e.Channel, e.OpID}
+		k := key{int(e.Channel), e.OpID}
 		if e.Kind == obs.KindCPUCharge && !seen[k] {
 			// Admit charges also fire when a parked op is re-admitted,
 			// so only a charge for an op this run has *already* admitted
@@ -157,8 +157,8 @@ func fuzzEvents(data []byte) []obs.Event {
 		now = now.Add(step)
 		events = append(events, obs.Event{
 			Time: now, Kind: obs.Kind(int(b[0]&0x7f) % kinds), Err: b[0]&0x80 != 0,
-			Channel: int(b[1]/6) % 3, OpID: uint64(b[1] % 6), TxnID: uint64(i/4 + 1),
-			Chip: int(b[2]%4) - 1, Label: labels[int(b[2]/4)%len(labels)],
+			Channel: int16(b[1]/6) % 3, OpID: uint64(b[1] % 6), TxnID: uint64(i/4 + 1),
+			Chip: int16(b[2]%4) - 1, Label: labels[int(b[2]/4)%len(labels)],
 			Dur: sim.Duration(b[3]), Start: now.Add(-sim.Duration(b[3])), End: now,
 		})
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-func hostCmd(at sim.Time, tenant string, queue int, kind int64, dur sim.Duration, failed bool) obs.Event {
+func hostCmd(at sim.Time, tenant string, queue int32, kind int64, dur sim.Duration, failed bool) obs.Event {
 	return obs.Event{
 		Time: at, Kind: obs.KindHostCmd, Chip: -1,
 		Label: tenant, Depth: queue, Cycles: kind, Dur: dur, Err: failed,

@@ -53,26 +53,26 @@ func timelinesFromEvents(events []obs.Event) map[int]*Timeline {
 		if e.Kind != obs.KindHWInstr && e.Kind != obs.KindTxnExecuted {
 			continue
 		}
-		if t == nil || t.Channel != e.Channel {
-			if t = out[e.Channel]; t == nil {
-				t = &Timeline{Channel: e.Channel}
-				out[e.Channel] = t
+		if ch := int(e.Channel); t == nil || t.Channel != ch {
+			if t = out[ch]; t == nil {
+				t = &Timeline{Channel: ch}
+				out[ch] = t
 			}
 		}
 		switch {
 		case e.Kind == obs.KindTxnExecuted:
 			if !t.instrLevel {
 				t.add(Interval{
-					Start: e.Start, End: e.End, Chip: e.Chip,
+					Start: e.Start, End: e.End, Chip: int(e.Chip),
 					OpID: e.OpID, Label: "txn",
 				})
 			}
 		case e.Dur > 0:
 			if !t.instrLevel {
-				*t = Timeline{Channel: e.Channel, Intervals: t.Intervals[:0], instrLevel: true}
+				*t = Timeline{Channel: t.Channel, Intervals: t.Intervals[:0], instrLevel: true}
 			}
 			t.add(Interval{
-				Start: e.Time.Add(-e.Dur), End: e.Time, Chip: e.Chip,
+				Start: e.Time.Add(-e.Dur), End: e.Time, Chip: int(e.Chip),
 				OpID: e.OpID, Label: e.Label,
 			})
 		}

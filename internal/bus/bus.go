@@ -189,13 +189,13 @@ func (c *Channel) Latch(sel ChipMask, latches []onfi.Latch, opID uint64) (sim.Ti
 	// burst charges pure timing.
 	if c.tr != nil {
 		now := c.kernel.Now()
-		confirm := 0
+		confirm := int32(0)
 		if confirms(latches) {
 			confirm = 1
 		}
 		c.tr.Event(obs.Event{
-			Time: now, Kind: obs.KindBusCmdAddr, OpID: opID, Chip: firstChip(sel),
-			Start: start, End: end, Depth: confirm, Bytes: len(latches),
+			Time: now, Kind: obs.KindBusCmdAddr, OpID: opID, Chip: int16(firstChip(sel)),
+			Start: start, End: end, Depth: confirm, Bytes: int32(len(latches)),
 			Label: onfi.SummarizeLatches(latches),
 		})
 		// Emit the die-busy window this burst announced — the R/B# line
@@ -208,7 +208,7 @@ func (c *Channel) Latch(sel ChipMask, latches []onfi.Latch, opID uint64) (sim.Ti
 			}
 			if ready := c.chips[i].ReadyAt(); ready > end && ready > prevReady[i] {
 				c.tr.Event(obs.Event{
-					Time: now, Kind: obs.KindDieBusy, OpID: opID, Chip: i,
+					Time: now, Kind: obs.KindDieBusy, OpID: opID, Chip: int16(i),
 					Start: end, End: ready, Label: busyLabel(latches),
 				})
 			}
@@ -296,8 +296,8 @@ func (c *Channel) DataOutInto(sel ChipMask, dst []byte, opID uint64) (sim.Time, 
 	c.stats.BytesOut += uint64(n)
 	if c.tr != nil {
 		c.tr.Event(obs.Event{
-			Time: c.kernel.Now(), Kind: obs.KindBusDataOut, OpID: opID, Chip: chip,
-			Start: xferStart, End: end, Bytes: n, Label: "data out",
+			Time: c.kernel.Now(), Kind: obs.KindBusDataOut, OpID: opID, Chip: int16(chip),
+			Start: xferStart, End: end, Bytes: int32(n), Label: "data out",
 		})
 	}
 	return end, nil
@@ -332,8 +332,8 @@ func (c *Channel) DataIn(sel ChipMask, data []byte, opID uint64) (sim.Time, erro
 	c.stats.BytesIn += uint64(len(data))
 	if c.tr != nil {
 		c.tr.Event(obs.Event{
-			Time: c.kernel.Now(), Kind: obs.KindBusDataIn, OpID: opID, Chip: firstChip(sel),
-			Start: start, End: end, Bytes: len(data), Label: "data in",
+			Time: c.kernel.Now(), Kind: obs.KindBusDataIn, OpID: opID, Chip: int16(firstChip(sel)),
+			Start: start, End: end, Bytes: int32(len(data)), Label: "data in",
 		})
 	}
 	return end, nil

@@ -355,7 +355,7 @@ func (c *Controller) park(st *opState) {
 	if c.tracer != nil {
 		c.tracer.Event(obs.Event{
 			Time: c.k.Now(), Kind: obs.KindAdmissionWait,
-			OpID: st.id, Chip: st.req.Chip, Label: st.req.Label,
+			OpID: st.id, Chip: int16(st.req.Chip), Label: st.req.Label,
 		})
 	}
 }
@@ -365,7 +365,7 @@ func (c *Controller) admitted(st *opState, slot string) {
 	if c.tracer != nil {
 		c.tracer.Event(obs.Event{
 			Time: c.k.Now(), Kind: obs.KindOpAdmitted,
-			OpID: st.id, Chip: st.req.Chip, Label: slot,
+			OpID: st.id, Chip: int16(st.req.Chip), Label: slot,
 		})
 	}
 	c.activate(st)
@@ -436,7 +436,7 @@ func (c *Controller) resumeOp(st *opState) {
 	if c.tracer != nil {
 		c.tracer.Event(obs.Event{
 			Time: c.k.Now(), Kind: obs.KindOpResumed,
-			OpID: st.id, Chip: st.req.Chip,
+			OpID: st.id, Chip: int16(st.req.Chip),
 		})
 	}
 	finished := st.co.Resume()
@@ -464,7 +464,7 @@ func (c *Controller) resumeOp(st *opState) {
 			if c.tracer != nil {
 				c.tracer.Event(obs.Event{
 					Time: c.k.Now(), Kind: obs.KindPollResubmit,
-					OpID: st.id, Chip: st.req.Chip,
+					OpID: st.id, Chip: int16(st.req.Chip),
 				})
 			}
 		}
@@ -559,7 +559,7 @@ func (c *Controller) finishOp(st *opState, err error) {
 	if c.tracer != nil {
 		c.tracer.Event(obs.Event{
 			Time: c.k.Now(), Kind: obs.KindOpFinished,
-			OpID: st.id, Chip: st.req.Chip, Dur: c.k.Now().Sub(st.startedAt),
+			OpID: st.id, Chip: int16(st.req.Chip), Dur: c.k.Now().Sub(st.startedAt),
 			Err: err != nil, Label: st.req.Label,
 		})
 	}
@@ -595,7 +595,7 @@ func (c *Controller) pushTxn(tx *txn.Transaction) {
 	if c.tracer != nil {
 		c.tracer.Event(obs.Event{
 			Time: c.k.Now(), Kind: obs.KindTxnEnqueued,
-			OpID: tx.OpID, TxnID: tx.ID, Chip: tx.Chip, Depth: c.txnQ.Len(),
+			OpID: tx.OpID, TxnID: tx.ID, Chip: int16(tx.Chip), Depth: int32(c.txnQ.Len()),
 		})
 	}
 }
@@ -629,7 +629,7 @@ func (c *Controller) execHead() {
 	if c.tracer != nil {
 		c.tracer.Event(obs.Event{
 			Time: c.k.Now(), Kind: obs.KindTxnPopped,
-			OpID: tx.OpID, TxnID: tx.ID, Chip: tx.Chip, Depth: c.txnQ.Len(),
+			OpID: tx.OpID, TxnID: tx.ID, Chip: int16(tx.Chip), Depth: int32(c.txnQ.Len()),
 		})
 	}
 	start := c.k.Now()
@@ -643,7 +643,7 @@ func (c *Controller) execHead() {
 		occ := c.ch.Stats().BusyTime - busyBefore
 		c.tracer.Event(obs.Event{
 			Time: start.Add(occ), Kind: obs.KindTxnExecuted,
-			OpID: tx.OpID, TxnID: tx.ID, Chip: tx.Chip,
+			OpID: tx.OpID, TxnID: tx.ID, Chip: int16(tx.Chip),
 			Dur: occ, Start: start, End: start.Add(occ),
 			Err: res.Err != nil,
 		})
@@ -688,7 +688,7 @@ func (c *Controller) openGate(chip int) {
 	if c.tracer != nil {
 		c.tracer.Event(obs.Event{
 			Time: c.k.Now(), Kind: obs.KindGateOpened,
-			OpID: next.id, Chip: chip,
+			OpID: next.id, Chip: int16(chip),
 		})
 	}
 	held := next.heldTxn

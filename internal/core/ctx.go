@@ -321,7 +321,7 @@ func (x *Ctx) Recovery(label string) {
 	if x.ctrl.tracer != nil {
 		x.ctrl.tracer.Event(obs.Event{
 			Time: x.ctrl.k.Now(), Kind: obs.KindRecovery,
-			OpID: x.st.id, Chip: x.st.req.Chip, Label: label,
+			OpID: x.st.id, Chip: int16(x.st.req.Chip), Label: label,
 		})
 	}
 }

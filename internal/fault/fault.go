@@ -180,7 +180,7 @@ type Injector struct {
 func (in *Injector) hit(now sim.Time, label string) {
 	in.hits++
 	if in.tracer != nil {
-		in.tracer.Event(obs.Event{Time: now, Kind: obs.KindFault, Chip: in.chip, Label: label})
+		in.tracer.Event(obs.Event{Time: now, Kind: obs.KindFault, Chip: int16(in.chip), Label: label})
 	}
 }
 

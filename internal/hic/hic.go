@@ -233,7 +233,7 @@ func (r *Result) complete(now, submitted sim.Time, queue int, tenant string, kin
 	if tracer != nil {
 		tracer.Event(obs.Event{
 			Time: now, Kind: obs.KindHostCmd, Chip: -1,
-			Label: tenant, Depth: queue,
+			Label: tenant, Depth: int32(queue),
 			Cycles: int64(kind), Dur: lat,
 			Err: err != nil,
 		})

@@ -2,7 +2,7 @@ package obs
 
 // Storage chunks grow geometrically: the first holds bufferChunkMin
 // events, so a rig emitting a handful of events does not pay for
-// megabytes, and each next one doubles up to bufferChunkMax (~1.8 MB),
+// megabytes, and each next one doubles up to bufferChunkMax (1.44 MB),
 // so a 727k-event trace takes 48 chunks where fixed 1024-event chunks
 // took 710. Larger caps cut the count further but filled slower per
 // event on an Intel Xeon (2 vCPUs): 45–60 ns at 32 or 64×1024 against

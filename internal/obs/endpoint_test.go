@@ -21,7 +21,7 @@ func endpointStream() []Event {
 			op := uint64(10*ch + chip + 1)
 			base := sim.Time(1000*ch + 100*chip)
 			ev := func(d sim.Time, k Kind) Event {
-				return Event{Time: base + d, Kind: k, Channel: ch, OpID: op, Chip: chip}
+				return Event{Time: base + d, Kind: k, Channel: int16(ch), OpID: op, Chip: int16(chip)}
 			}
 			charge := func(d sim.Time, label string, cycles int64, dur sim.Duration) Event {
 				e := ev(d, KindCPUCharge)
@@ -31,9 +31,9 @@ func endpointStream() []Event {
 			admitted := ev(1, KindOpAdmitted)
 			admitted.Label = "active"
 			enq := ev(6, KindTxnEnqueued)
-			enq.TxnID, enq.Depth = op, 1+chip
+			enq.TxnID, enq.Depth = op, int32(1+chip)
 			pop := ev(7, KindTxnPopped)
-			pop.TxnID, pop.Depth = op, chip
+			pop.TxnID, pop.Depth = op, int32(chip)
 			instr := ev(40, KindHWInstr)
 			instr.TxnID, instr.Label, instr.Bytes, instr.Dur = op, "data-read", 4096, 33
 			exec := ev(41, KindTxnExecuted)
@@ -51,22 +51,22 @@ func endpointStream() []Event {
 				charge(5, "submit", 40, 267), enq, pop, instr, exec, gate,
 				ev(43, KindPollResubmit), charge(44, "poll-resubmit", 90, 600), done)
 		}
-		out = append(out, Event{Time: sim.Time(1000*ch + 95), Kind: KindCPUCharge, Channel: ch, Label: "schedule", Cycles: 60, Dur: 400})
+		out = append(out, Event{Time: sim.Time(1000*ch + 95), Kind: KindCPUCharge, Channel: int16(ch), Label: "schedule", Cycles: 60, Dur: 400})
 	}
 	for i, l := range []string{"stuck-busy", "fail-storm", "ecc-burst", "tr-jitter", "stuck-busy"} {
-		out = append(out, Event{Time: sim.Time(3000 + i), Kind: KindFault, Channel: i % 2, Chip: i % 2, Label: l})
+		out = append(out, Event{Time: sim.Time(3000 + i), Kind: KindFault, Channel: int16(i % 2), Chip: int16(i % 2), Label: l})
 	}
 	for i, l := range []string{"reset", "reset-recovered", "chip-dead", "chip-offline", "read-only"} {
-		chip := i % 2
+		chip := int16(i % 2)
 		if l == "read-only" {
 			chip = -1
 		}
 		out = append(out, Event{Time: sim.Time(3100 + i), Kind: KindRecovery, Channel: 1, Chip: chip, Label: l})
 	}
 	for i, l := range []string{"hit", "hit", "hit", "miss", "evict", "flush", "miss"} {
-		out = append(out, Event{Time: sim.Time(3200 + i), Kind: KindMapCache, Chip: i % 2, Label: l})
+		out = append(out, Event{Time: sim.Time(3200 + i), Kind: KindMapCache, Chip: int16(i % 2), Label: l})
 	}
-	host := func(at sim.Time, tenant string, queue int, kind int64, dur sim.Duration, failed bool) Event {
+	host := func(at sim.Time, tenant string, queue int32, kind int64, dur sim.Duration, failed bool) Event {
 		return Event{Time: at, Kind: KindHostCmd, Chip: -1, Label: tenant, Depth: queue, Cycles: kind, Dur: dur, Err: failed}
 	}
 	return append(out,

@@ -85,7 +85,7 @@ func TestSyncMetricsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				for _, e := range sampleStream() {
-					e.Channel = w
+					e.Channel = int16(w)
 					sm.Event(e)
 				}
 				if i%100 == 0 {

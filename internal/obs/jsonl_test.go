@@ -3,13 +3,18 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"unicode/utf8"
 
 	"repro/internal/sim"
@@ -98,7 +103,7 @@ func agreeOnInput(t *testing.T, data []byte) {
 	}
 	for _, line := range bytes.Split(data, []byte("\n")) {
 		var e Event
-		if raw := bytes.TrimSpace(line); parseCanonical(raw, &e, map[string]string{}) {
+		if raw := bytes.TrimSpace(line); parseCanonical(raw, &e, &labelCache{}) {
 			if canon := refEncode(t, e); string(canon) != string(raw)+"\n" {
 				t.Errorf("fast path took the non-canonical line %q (canonical: %q)", raw, canon)
 			}
@@ -117,9 +122,9 @@ func FuzzJSONLEncode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, at int64, kind uint8, ch int, op, txn uint64, chip int,
 		dur, start, end int64, depth int, cycles int64, nbytes int, failed bool, label string) {
 		e := Event{
-			Time: sim.Time(at), Kind: Kind(kind), Err: failed, Channel: ch, OpID: op, TxnID: txn,
-			Chip: chip, Dur: sim.Duration(dur), Start: sim.Time(start), End: sim.Time(end),
-			Depth: depth, Cycles: cycles, Bytes: nbytes, Label: label,
+			Time: sim.Time(at), Kind: Kind(kind), Err: failed, Channel: int16(ch), OpID: op, TxnID: txn,
+			Chip: int16(chip), Dur: sim.Duration(dur), Start: sim.Time(start), End: sim.Time(end),
+			Depth: int32(depth), Cycles: cycles, Bytes: int32(nbytes), Label: label,
 		}
 		got, want := encode(t, e), refEncode(t, e)
 		if !bytes.Equal(got, want) {
@@ -148,10 +153,17 @@ func TestJSONLFallbackEdges(t *testing.T) {
 	}
 	for _, v := range ints {
 		events = append(events, Event{
-			Time: sim.Time(v), Kind: KindTxnExecuted, Channel: int(v), OpID: uint64(v), TxnID: math.MaxUint64,
-			Chip: int(-v), Dur: sim.Duration(v), Start: sim.Time(v), End: sim.Time(-v), Depth: int(v),
-			Cycles: v, Bytes: int(v), Err: v%2 == 0,
+			Time: sim.Time(v), Kind: KindTxnExecuted, Channel: int16(v), OpID: uint64(v), TxnID: math.MaxUint64,
+			Chip: int16(-v), Dur: sim.Duration(v), Start: sim.Time(v), End: sim.Time(-v), Depth: int32(v),
+			Cycles: v, Bytes: int32(v), Err: v%2 == 0,
 		})
+	}
+	// The narrow fields at the ends of their ranges.
+	for _, v := range []int16{math.MinInt16, math.MinInt16 + 1, math.MaxInt16 - 1, math.MaxInt16} {
+		events = append(events, Event{Kind: KindTxnEnqueued, Channel: v, Chip: -v - 1, Depth: 1})
+	}
+	for _, v := range []int32{math.MinInt32, math.MinInt32 + 1, math.MaxInt32 - 1, math.MaxInt32} {
+		events = append(events, Event{Kind: KindHWInstr, Chip: -1, Depth: v, Bytes: -v - 1})
 	}
 	events = append(events, Event{Kind: Kind(200)}) // writes "unknown", which no reader accepts
 	var all []byte
@@ -165,12 +177,33 @@ func TestJSONLFallbackEdges(t *testing.T) {
 	}
 	agreeOnInput(t, all)
 
+	// One past each narrow field's range: encoding/json refuses the
+	// line, and so must the fast path rather than truncate the value.
+	for _, line := range outOfRangeLines {
+		agreeOnInput(t, []byte(line))
+		mid := "{\"t\":1,\"kind\":\"op-resumed\"}\n" + line + "{\"t\":2,\"kind\":\"op-resumed\"}\n"
+		agreeOnInput(t, []byte(mid))
+		got, err := ReadJSONL(strings.NewReader(mid))
+		if len(got) != 1 || err == nil || !strings.Contains(err.Error(), "line 2: json: cannot unmarshal number") {
+			t.Errorf("out-of-range line %q: %d events, %v", line, len(got), err)
+		}
+	}
+
 	// Anything the scanner refuses is refused the same way.
 	long := `{"t":1,"kind":"cpu-charge","label":"` + strings.Repeat("x", 1<<20) + `"}`
 	agreeOnInput(t, []byte("{\"t\":1,\"kind\":\"op-resumed\"}\n"+long+"\n"))
 	if _, err := ReadJSONL(strings.NewReader(long)); err == nil || !strings.Contains(err.Error(), "line 1: bufio.Scanner: token too long") {
 		t.Errorf("over-long line: %v", err)
 	}
+}
+
+// outOfRangeLines are canonical lines but for one narrow field one past
+// its range; testdata/fuzz/FuzzReadJSONL carries them as seeds.
+var outOfRangeLines = []string{
+	"{\"t\":1,\"kind\":\"txn-enqueued\",\"chip\":32768}\n",
+	"{\"t\":1,\"kind\":\"txn-enqueued\",\"ch\":-32769}\n",
+	"{\"t\":1,\"kind\":\"txn-enqueued\",\"depth\":2147483648}\n",
+	"{\"t\":1,\"kind\":\"hw-instr\",\"bytes\":-2147483649}\n",
 }
 
 // canonicalTrace is n events cycling through sampleStream, encoded.
@@ -213,21 +246,105 @@ func TestAllocGateReadJSONL(t *testing.T) {
 	for _, e := range events {
 		labels[e.Label] = true
 	}
-	rd := bytes.NewReader(raw)
-	got := testing.AllocsPerRun(5, func() {
-		rd.Reset(raw)
-		back, err := ReadJSONL(rd)
-		if err != nil || len(back) != n {
-			t.Fatalf("decoded %d events, %v", len(back), err)
+	// The events slice, one string per distinct label, and a constant:
+	// the label table's header and slot group, and one to spare for the
+	// runtime. A reader other than a *bytes.Buffer adds the one slice
+	// its input is read into. The bound no longer grows with the trace.
+	const table = 3
+	for _, tc := range []struct {
+		name   string
+		reader func() io.Reader
+		reads  int
+	}{
+		{"*bytes.Buffer", func() io.Reader { return bytes.NewBuffer(raw) }, 0},
+		{"*bytes.Reader", func() io.Reader { return bytes.NewReader(raw) }, 1},
+	} {
+		readers := make([]io.Reader, 6)
+		run := 0
+		for i := range readers {
+			readers[i] = tc.reader()
 		}
-	})
-	// One per doubling chunk, one per distinct label, and a constant:
-	// the scanner and its buffer, the label table, the chunk list's
-	// growth and the flat slice Events() returns. Fixed 1024-event
-	// chunks alone would cost 1/1024 per line, twice the per-line bound.
-	limit := float64(chunksFor(n) + len(labels) + 16)
-	if got > limit || got/n >= 0.0005 {
-		t.Errorf("ReadJSONL allocates %.0f times for %d canonical lines, want ≤ %.0f and < 0.0005 per line", got, n, limit)
+		got := testing.AllocsPerRun(5, func() {
+			back, err := ReadJSONL(readers[run])
+			run++
+			if err != nil || len(back) != n {
+				t.Fatalf("decoded %d events, %v", len(back), err)
+			}
+		})
+		if limit := float64(1 + tc.reads + len(labels) + table); got > limit {
+			t.Errorf("ReadJSONL from a %s allocates %.0f times for %d canonical lines, want ≤ %.0f", tc.name, got, n, limit)
+		}
+	}
+}
+
+// TestReadJSONLReaders: one input, one answer. The same bytes go through
+// a *bytes.Buffer (parsed where it lies, and drained), a bytes.Reader
+// (read once into a slice of its Len), readers that hand over one byte
+// per call or their last bytes together with io.EOF (read to the end),
+// and a file (sized by Stat); each gives the reference's events and
+// error over a bytes.Reader. Only there does the reference itself
+// depend on its reader: a bufio.Scanner refuses a last line of exactly
+// 2²⁰ bytes without '\n' unless the read that filled its buffer also
+// reported io.EOF.
+func TestReadJSONLReaders(t *testing.T) {
+	_, raw := canonicalTrace(t, 40)
+	trace := string(raw)
+	half := strings.Index(trace[len(trace)/2:], "\n") + len(trace)/2 + 1
+	lineOf := func(n int) string { // a canonical line of exactly n bytes
+		head := `{"t":1,"kind":"cpu-charge","label":"`
+		return head + strings.Repeat("x", n-len(head)-2) + `"}`
+	}
+	inputs := map[string]string{
+		"canonical":            trace,
+		"empty":                "",
+		"bad line mid-trace":   trace[:half] + `{"t":1,"kind":"nope"}` + "\n" + trace[half:],
+		"deviant mid-trace":    trace[:half] + `{"t": 1, "kind": "op-resumed"}` + "\n" + trace[half:],
+		"no newline at end":    strings.TrimSuffix(trace, "\n"),
+		"crlf":                 strings.ReplaceAll(trace, "\n", "\r\n"),
+		"blank lines":          "\n \n" + strings.ReplaceAll(trace, "\n", "\n\n\t\n"),
+		"only a bad last line": `{"t":1,"kind":"op-resumed"`,
+	}
+	for _, n := range []int{maxLine - 1, maxLine, maxLine + 1} {
+		inputs[fmt.Sprintf("line of %d bytes, then more", n)] = trace + lineOf(n) + "\n" + trace
+		inputs[fmt.Sprintf("line of %d bytes at the end", n)] = trace + lineOf(n)
+	}
+	file := filepath.Join(t.TempDir(), "trace.jsonl")
+	readers := []struct {
+		name string
+		open func(data []byte) io.Reader
+	}{
+		{"*bytes.Buffer", func(data []byte) io.Reader { return bytes.NewBuffer(bytes.Clone(data)) }},
+		{"*bytes.Reader", func(data []byte) io.Reader { return bytes.NewReader(data) }},
+		{"OneByteReader", func(data []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) }},
+		{"DataErrReader", func(data []byte) io.Reader { return iotest.DataErrReader(bytes.NewReader(data)) }},
+		{"*os.File", func(data []byte) io.Reader {
+			if err := os.WriteFile(file, data, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		}},
+	}
+	for name, in := range inputs {
+		data := []byte(in)
+		want, wantErr := refReadJSONL(bytes.NewReader(data))
+		for _, rd := range readers {
+			r := rd.open(data)
+			got, err := ReadJSONL(r)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s via %s: %d events differ from the reference's %d", name, rd.name, len(got), len(want))
+			}
+			if errText(err) != errText(wantErr) {
+				t.Errorf("%s via %s: error %s, want %s", name, rd.name, errText(err), errText(wantErr))
+			}
+			if b, ok := r.(*bytes.Buffer); ok && b.Len() != 0 {
+				t.Errorf("%s: the *bytes.Buffer still holds %d bytes", name, b.Len())
+			}
+		}
 	}
 }
 
@@ -242,7 +359,7 @@ func BenchmarkJSONLWriter(b *testing.B) {
 }
 
 func BenchmarkReadJSONL(b *testing.B) {
-	const n = 20_000 // many chunks, so the flatten in Events() is paid too
+	const n = 20_000 // a reader with Len, so the input is read into one sized slice
 	_, raw := canonicalTrace(b, n)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -263,5 +380,27 @@ func BenchmarkBufferEvent(b *testing.B) {
 			buf = Buffer{} // a trace-sized buffer, however large b.N gets
 		}
 		buf.Event(events[i%len(events)])
+	}
+}
+
+// TestDigitWords holds the word-at-a-time digit scan to strconv on
+// every digit-run length and every byte that can end one.
+func TestDigitWords(t *testing.T) {
+	for n := 0; n <= 8; n++ {
+		for stop := 0; stop < 256; stop++ {
+			if n < 8 && byte(stop)-'0' <= 9 {
+				continue
+			}
+			word := []byte("98765432")[:n]
+			word = append(word, byte(stop), 0xff, 0xfa, '5', '5', '5', '5', '5')[:8]
+			w := binary.LittleEndian.Uint64(word)
+			if got := digitRun(w); got != n {
+				t.Fatalf("digitRun(%q) = %d, want %d", word, got, n)
+			}
+			want, _ := strconv.ParseUint("0"+string(word[:n]), 10, 64)
+			if got := leadingDigits(w, n); got != want {
+				t.Fatalf("leadingDigits(%q, %d) = %d, want %d", word, n, got, want)
+			}
+		}
 	}
 }

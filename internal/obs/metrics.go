@@ -236,9 +236,10 @@ func (s Snapshot) SoftwareShare() float64 {
 // offline. Like the rest of the simulation it is single-goroutine:
 // feed and snapshot it from the kernel's goroutine.
 type Metrics struct {
-	// s aggregates in place; its three keyed maps stay nil here and
+	// s aggregates in place; its four keyed maps stay nil here and
 	// are filled from the pointer maps below when Snapshot copies it.
 	s        Snapshot
+	charges  map[string]*ChargeStats
 	tenants  map[string]*TenantMetrics
 	channels map[int]*ChannelMetrics
 	chips    map[ChipKey]*ChipMetrics
@@ -248,10 +249,10 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	return &Metrics{
 		s: Snapshot{
-			Charges:           make(map[string]ChargeStats),
 			FaultsByLabel:     make(map[string]uint64),
 			RecoveriesByLabel: make(map[string]uint64),
 		},
+		charges:  make(map[string]*ChargeStats),
 		tenants:  make(map[string]*TenantMetrics),
 		channels: make(map[int]*ChannelMetrics),
 		chips:    make(map[ChipKey]*ChipMetrics),
@@ -259,7 +260,9 @@ func NewMetrics() *Metrics {
 }
 
 // Event implements Tracer.
-func (m *Metrics) Event(e Event) {
+func (m *Metrics) Event(e Event) { m.add(&e) }
+
+func (m *Metrics) add(e *Event) {
 	if e.Kind.PinLevel() {
 		// Pin-level detail is for the waveform views; a trace with and
 		// without it aggregates the same.
@@ -321,11 +324,10 @@ func (m *Metrics) Event(e Event) {
 	case KindCPUCharge:
 		s.SoftwareTime += e.Dur
 		s.SoftwareCycles += e.Cycles
-		c := s.Charges[e.Label]
+		c := entry(m.charges, e.Label)
 		c.Count++
 		c.Cycles += e.Cycles
 		c.Time += e.Dur
-		s.Charges[e.Label] = c
 	case KindHWInstr:
 		// Instruction-level detail stays in the raw stream; the
 		// transaction events already carry the aggregate occupancy.
@@ -350,7 +352,7 @@ func (m *Metrics) Event(e Event) {
 		}
 	case KindHostCmd:
 		t := entry(m.tenants, e.Label)
-		t.Queue = e.Depth
+		t.Queue = int(e.Depth)
 		if e.Err {
 			t.Failed++
 		} else {
@@ -368,11 +370,11 @@ func (m *Metrics) Event(e Event) {
 	}
 }
 
-func (m *Metrics) chip(e Event) *ChipMetrics {
-	return entry(m.chips, ChipKey{Channel: e.Channel, Chip: e.Chip})
+func (m *Metrics) chip(e *Event) *ChipMetrics {
+	return entry(m.chips, ChipKey{Channel: int(e.Channel), Chip: int(e.Chip)})
 }
 
-func (m *Metrics) channel(e Event) *ChannelMetrics { return entry(m.channels, e.Channel) }
+func (m *Metrics) channel(e *Event) *ChannelMetrics { return entry(m.channels, int(e.Channel)) }
 
 // entry returns m[k], creating a zero value on first use.
 func entry[K comparable, V any](m map[K]*V, k K) *V {
@@ -388,7 +390,7 @@ func entry[K comparable, V any](m map[K]*V, k K) *V {
 // programmatic reads.
 func (m *Metrics) Snapshot() Snapshot {
 	out := m.s
-	out.Charges = maps.Clone(m.s.Charges)
+	out.Charges = values(m.charges)
 	out.FaultsByLabel = maps.Clone(m.s.FaultsByLabel)
 	out.RecoveriesByLabel = maps.Clone(m.s.RecoveriesByLabel)
 	out.Tenants = values(m.tenants)
@@ -409,6 +411,6 @@ func values[K comparable, V any](m map[K]*V) map[K]V {
 // Replay feeds a recorded event slice through the registry.
 func (m *Metrics) Replay(events []Event) {
 	for i := range events {
-		m.Event(events[i])
+		m.add(&events[i])
 	}
 }

@@ -17,10 +17,16 @@
 // the enabled path does not allocate — through the sinks as well: a
 // Buffer allocates once per chunk, chunks doubling from 1024 events up
 // to 16×1024 (48 for a 727k-event trace), a JSONLWriter not at all
-// for events whose label needs no JSON escaping, and ReadJSONL decodes
-// the lines that writer produced without a per-event allocation
-// (TestAllocGate* hold all three to it). Only Metrics allocates, once
-// per new chip, channel, tenant or label it meets.
+// for events whose label needs no JSON escaping, and ReadJSONL once for
+// the whole trace — one slice of exactly as many events as the input
+// has lines, one read of the input unless it is a *bytes.Buffer, and
+// one string per distinct label (TestAllocGate* hold all three to it).
+// Only Metrics allocates, once per new chip, channel, tenant or label
+// it meets.
+//
+// An Event is 88 bytes (TestEventSize): a traced run holds each one in
+// its Buffer and again in the slice ReadJSONL returns, so its size is
+// most of what tracing costs in memory.
 package obs
 
 import "repro/internal/sim"
@@ -152,30 +158,70 @@ func (k Kind) String() string {
 func (k Kind) PinLevel() bool { return k >= KindBusCmdAddr && k <= KindDieBusy }
 
 // KindFromString inverts Kind.String; ok is false for unknown names.
-func KindFromString(s string) (Kind, bool) {
-	for k, name := range kindNames {
-		if name == s {
-			return Kind(k), true
-		}
+func KindFromString(s string) (Kind, bool) { return kindOf(s) }
+
+// kindOf is KindFromString for both decode paths: encoding/json's
+// string and the canonical line's bytes, which the switch compares
+// without converting. TestKindStringRoundTrip holds it to kindNames.
+func kindOf[T string | []byte](name T) (Kind, bool) {
+	switch string(name) {
+	case "op-admitted":
+		return KindOpAdmitted, true
+	case "admission-wait":
+		return KindAdmissionWait, true
+	case "op-resumed":
+		return KindOpResumed, true
+	case "op-finished":
+		return KindOpFinished, true
+	case "txn-enqueued":
+		return KindTxnEnqueued, true
+	case "txn-popped":
+		return KindTxnPopped, true
+	case "txn-executed":
+		return KindTxnExecuted, true
+	case "gate-opened":
+		return KindGateOpened, true
+	case "poll-resubmit":
+		return KindPollResubmit, true
+	case "cpu-charge":
+		return KindCPUCharge, true
+	case "hw-instr":
+		return KindHWInstr, true
+	case "fault":
+		return KindFault, true
+	case "recovery":
+		return KindRecovery, true
+	case "map-cache":
+		return KindMapCache, true
+	case "host-cmd":
+		return KindHostCmd, true
+	case "bus-cmd-addr":
+		return KindBusCmdAddr, true
+	case "bus-data-out":
+		return KindBusDataOut, true
+	case "bus-data-in":
+		return KindBusDataIn, true
+	case "bus-wait":
+		return KindBusWait, true
+	case "die-busy":
+		return KindDieBusy, true
 	}
 	return 0, false
 }
 
 // Event is one observation. Which fields are meaningful depends on
 // Kind; unused fields are zero. Chip is -1 when no chip applies.
+//
+// The fields are ordered widest first and the small ones are as narrow
+// as their ranges allow, so an Event is 88 bytes (TestEventSize): Chip
+// is -1..15 (a bus.ChipMask has 16 bits), Bytes at most a page plus its
+// spare area or a latch-cycle count, Depth a queue depth, a submission
+// queue index or 0/1.
 type Event struct {
 	// Time is the virtual time of emission.
-	Time sim.Time
-	Kind Kind
-	// Err marks a failed operation (KindOpFinished) or transaction
-	// (KindTxnExecuted). It sits next to Kind so the two share a word.
-	Err bool
-	// Channel is the channel index in multi-channel assemblies, tagged
-	// by OnChannel; 0 for single-channel rigs.
-	Channel int
-	OpID    uint64
-	TxnID   uint64
-	Chip    int
+	Time  sim.Time
+	OpID  uint64
+	TxnID uint64
 	// Dur is kind-dependent: CPU time for KindCPUCharge, channel
 	// occupancy for KindTxnExecuted/KindHWInstr, operation latency for
 	// KindOpFinished.
@@ -184,16 +230,24 @@ type Event struct {
 	// one pin-level segment.
 	Start sim.Time
 	End   sim.Time
-	// Depth is the transaction queue depth after a push or pop (see
-	// KindHostCmd and KindBusCmdAddr for theirs).
-	Depth int
 	// Cycles is the CPU cycle cost behind Dur (KindCPUCharge).
 	Cycles int64
-	// Bytes is the DMA payload size (KindHWInstr data instructions), a
-	// data burst's payload, or a latch burst's cycle count.
-	Bytes int
 	// Label is a kind-dependent tag: slot kind, charge site, µFSM name.
 	Label string
+	// Depth is the transaction queue depth after a push or pop (see
+	// KindHostCmd and KindBusCmdAddr for theirs).
+	Depth int32
+	// Bytes is the DMA payload size (KindHWInstr data instructions), a
+	// data burst's payload, or a latch burst's cycle count.
+	Bytes int32
+	Chip  int16
+	// Channel is the channel index in multi-channel assemblies, tagged
+	// by OnChannel; 0 for single-channel rigs.
+	Channel int16
+	Kind    Kind
+	// Err marks a failed operation (KindOpFinished) or transaction
+	// (KindTxnExecuted).
+	Err bool
 }
 
 // Tracer receives the event stream. Implementations must not retain
@@ -224,12 +278,12 @@ func OnChannel(t Tracer, channel int) Tracer {
 	if t == nil {
 		return nil
 	}
-	return &channelTagger{t: t, channel: channel}
+	return &channelTagger{t: t, channel: int16(channel)}
 }
 
 type channelTagger struct {
 	t       Tracer
-	channel int
+	channel int16
 }
 
 func (c *channelTagger) Event(e Event) {

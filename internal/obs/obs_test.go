@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -18,12 +19,30 @@ func TestKindStringRoundTrip(t *testing.T) {
 		if !ok || back != k {
 			t.Fatalf("KindFromString(%q) = %v, %v; want %v, true", name, back, ok, k)
 		}
+		// The canonical decoder looks the name up as bytes.
+		if back, ok := kindOf([]byte(name)); !ok || back != k {
+			t.Fatalf("kindOf([]byte(%q)) = %v, %v; want %v, true", name, back, ok, k)
+		}
 	}
-	if _, ok := KindFromString("nope"); ok {
-		t.Fatal("KindFromString accepted an unknown name")
+	for _, name := range []string{"nope", "", "unknown", "OP-RESUMED", "op-resumed ", "die-busy\x00"} {
+		if k, ok := KindFromString(name); ok {
+			t.Fatalf("KindFromString accepted %q as %v", name, k)
+		}
+		if k, ok := kindOf([]byte(name)); ok {
+			t.Fatalf("kindOf accepted %q as %v", name, k)
+		}
 	}
 	if got := Kind(200).String(); got != "unknown" {
 		t.Fatalf("out-of-range Kind.String() = %q", got)
+	}
+}
+
+// TestEventSize pins the narrow Event: every traced event is stored in
+// the rig's Buffer and again in the slice ReadJSONL returns, so its
+// bytes are what tracing costs in memory.
+func TestEventSize(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size > 88 {
+		t.Errorf("unsafe.Sizeof(obs.Event{}) = %d, want ≤ 88", size)
 	}
 }
 

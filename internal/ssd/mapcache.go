@@ -157,5 +157,5 @@ func (s *SSD) mapEvent(label string, chip int) {
 	if s.tracer == nil {
 		return
 	}
-	s.tracer.Event(obs.Event{Time: s.k.Now(), Kind: obs.KindMapCache, Chip: chip, Label: label})
+	s.tracer.Event(obs.Event{Time: s.k.Now(), Kind: obs.KindMapCache, Chip: int16(chip), Label: label})
 }

@@ -770,7 +770,7 @@ func (s *SSD) recoveryEvent(chip int, label string) {
 	if s.tracer == nil {
 		return
 	}
-	s.tracer.Event(obs.Event{Time: s.k.Now(), Kind: obs.KindRecovery, Chip: chip, Label: label})
+	s.tracer.Event(obs.Event{Time: s.k.Now(), Kind: obs.KindRecovery, Chip: int16(chip), Label: label})
 }
 
 // drainStalled retries writes parked on out-of-space after GC reclaimed

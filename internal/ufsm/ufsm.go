@@ -138,7 +138,7 @@ func (e *Executor) Execute(t *txn.Transaction) txn.Result {
 			e.tr.Event(obs.Event{
 				Time: end, Kind: obs.KindHWInstr,
 				OpID: t.OpID, TxnID: t.ID, Chip: firstChip(sel),
-				Dur: e.ch.Stats().BusyTime - busyBefore, Bytes: nbytes,
+				Dur: e.ch.Stats().BusyTime - busyBefore, Bytes: int32(nbytes),
 				Err: err != nil, Label: label,
 			})
 		}
@@ -152,10 +152,10 @@ func (e *Executor) Execute(t *txn.Transaction) txn.Result {
 
 // firstChip returns the lowest selected chip index for event tagging,
 // or -1 when nothing is selected.
-func firstChip(m bus.ChipMask) int {
+func firstChip(m bus.ChipMask) int16 {
 	for i := 0; i < 16; i++ {
 		if m.Has(i) {
-			return i
+			return int16(i)
 		}
 	}
 	return -1

@@ -77,7 +77,7 @@ func (c *Checker) Check(events []obs.Event) []Violation {
 				out = append(out, Violation{Index: i, Rule: "latch burst too short", Want: min, Got: duration(s)})
 			}
 		case obs.KindBusDataOut, obs.KindBusDataIn:
-			min := c.Timing.TDQSS + c.Bus.DataTime(s.Bytes) + c.Timing.TRPST
+			min := c.Timing.TDQSS + c.Bus.DataTime(int(s.Bytes)) + c.Timing.TRPST
 			if duration(s) < min {
 				out = append(out, Violation{Index: i, Rule: "data burst too short", Want: min, Got: duration(s)})
 			}
@@ -85,8 +85,8 @@ func (c *Checker) Check(events []obs.Event) []Violation {
 	}
 
 	// Inter-segment gaps, per chip.
-	lastCmd := map[int]sim.Time{}     // end of last CMD/ADDR per chip
-	lastConfirm := map[int]sim.Time{} // end of last confirm-latch burst per chip
+	lastCmd := map[int16]sim.Time{}     // end of last CMD/ADDR per chip
+	lastConfirm := map[int16]sim.Time{} // end of last confirm-latch burst per chip
 	for k, s := range chanSegs {
 		i := idx[k]
 		switch s.Kind {

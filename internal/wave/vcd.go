@@ -19,8 +19,8 @@ func WriteVCD(w io.Writer, events []obs.Event, chips int) error {
 	if chips <= 0 {
 		chips = 1
 		for _, e := range events {
-			if e.Kind.PinLevel() && e.Chip+1 > chips {
-				chips = e.Chip + 1
+			if e.Kind.PinLevel() && int(e.Chip)+1 > chips {
+				chips = int(e.Chip) + 1
 			}
 		}
 	}
@@ -86,7 +86,7 @@ func WriteVCD(w io.Writer, events []obs.Event, chips int) error {
 		edges = append(edges, edge{at: e.End, code: code, v: '0'})
 	}
 	for _, e := range events {
-		chip := e.Chip
+		chip := int(e.Chip)
 		if chip < 0 || chip >= chips {
 			chip = 0
 		}

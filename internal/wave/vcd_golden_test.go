@@ -21,9 +21,9 @@ func goldenTrace() []obs.Event {
 	read := []onfi.Latch{onfi.CmdLatch(onfi.CmdRead1), onfi.AddrLatch(0), onfi.AddrLatch(0), onfi.CmdLatch(onfi.CmdRead2)}
 	status := []onfi.Latch{onfi.CmdLatch(onfi.CmdReadStatus)}
 	return []obs.Event{
-		{Start: ns(0), End: ns(290), Kind: obs.KindBusCmdAddr, Chip: 0, Label: onfi.SummarizeLatches(read), Bytes: len(read), Depth: 1, OpID: 1},
+		{Start: ns(0), End: ns(290), Kind: obs.KindBusCmdAddr, Chip: 0, Label: onfi.SummarizeLatches(read), Bytes: int32(len(read)), Depth: 1, OpID: 1},
 		{Start: ns(290), End: ns(50290), Kind: obs.KindDieBusy, Chip: 0, Label: "tR", OpID: 1},
-		{Start: ns(25000), End: ns(25080), Kind: obs.KindBusCmdAddr, Chip: 0, Label: onfi.SummarizeLatches(status), Bytes: len(status), OpID: 1},
+		{Start: ns(25000), End: ns(25080), Kind: obs.KindBusCmdAddr, Chip: 0, Label: onfi.SummarizeLatches(status), Bytes: int32(len(status)), OpID: 1},
 		{Start: ns(25160), End: ns(25170), Kind: obs.KindBusDataOut, Chip: 0, Bytes: 1, Label: "data out", OpID: 1},
 		{Start: ns(50400), End: ns(50500), Kind: obs.KindBusWait, Chip: -1, Label: "timer", OpID: 1},
 		{Start: ns(50500), End: ns(71000), Kind: obs.KindBusDataOut, Chip: 0, Bytes: 4096, Label: "data out", OpID: 1},

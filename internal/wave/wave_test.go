@@ -69,9 +69,9 @@ func checkerForTest() *Checker {
 
 // legalCmdAddr builds a CMD/ADDR event of exactly legal length for n
 // latch cycles starting at t; a confirm burst also holds tWB.
-func legalCmdAddr(c *Checker, t sim.Time, chip, n int, confirm bool) obs.Event {
+func legalCmdAddr(c *Checker, t sim.Time, chip int16, n int, confirm bool) obs.Event {
 	d := c.Timing.TCS + sim.Duration(n)*c.Timing.LatchCycle() + c.Timing.TCH
-	e := obs.Event{Start: t, Kind: obs.KindBusCmdAddr, Chip: chip, Bytes: n}
+	e := obs.Event{Start: t, Kind: obs.KindBusCmdAddr, Chip: chip, Bytes: int32(n)}
 	if confirm {
 		d += c.Timing.TWB
 		e.Depth = 1
