@@ -5,76 +5,94 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/hic"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
 // TestFigureGoldens holds every CSV a babolbench user can get at the
-// default flags, and the Fig. 9/11 analyzer text, to checked-in bytes. The determinism tests compare the
-// code with itself (parallel 1 vs 8, pooled vs unpooled), so they
-// cannot see a change that moves both sides; these goldens can, and
-// they are what a deletion or refactor of a simulation path diffs
-// against. Regenerate only for an intended model change:
+// default flags, and every text report, to checked-in bytes. The
+// determinism tests compare the code with itself (parallel 1 vs 8,
+// pooled vs unpooled), so they cannot see a change that moves both
+// sides; these goldens can, and they are what a deletion or refactor of
+// a simulation path diffs against. Each experiment runs once and yields
+// its .csv (if it has one) and its .txt. table2.txt moves whenever the
+// line counts of ops.go or fsm.go change: Table II is a claim about
+// them. Regenerate only for an intended change, and say why:
 // `go test ./internal/exp -run TestFigureGoldens -update`.
 func TestFigureGoldens(t *testing.T) {
 	opt := Options{Ops: 24, Blocks: 16}
 	figures := []struct {
 		name string
-		ext  string // golden file suffix: ".csv" or ".txt"
-		out  func() (string, error)
+		out  func() (csv, txt string, err error) // csv "" pins no .csv golden
 	}{
-		{"fig10", ".csv", func() (string, error) {
+		{"table1", func() (string, string, error) { return "", RenderTable1(), nil }},
+		{"table2", func() (string, string, error) {
+			txt, err := RenderTable2()
+			return "", txt, err
+		}},
+		{"table3", func() (string, string, error) { return "", RenderTable3(), nil }},
+		{"fig9", func() (string, string, error) {
+			txt, err := Fig9()
+			return "", txt, err
+		}},
+		{"fig10", func() (string, string, error) {
 			pts, err := Fig10(opt)
-			return Fig10CSV(pts), err
+			return Fig10CSV(pts), RenderFig10(pts), err
 		}},
-		{"fig12", ".csv", func() (string, error) {
+		{"fig11", func() (string, string, error) {
+			res, err := Fig11(opt)
+			return "", RenderFig11(res), err
+		}},
+		{"fig12", func() (string, string, error) {
 			pts, err := Fig12(opt)
-			return Fig12CSV(pts), err
+			return Fig12CSV(pts), RenderFig12(pts), err
 		}},
-		{"split", ".csv", func() (string, error) {
+		{"split", func() (string, string, error) {
 			rows, err := TimeSplit(opt)
-			return TimeSplitCSV(rows), err
+			return TimeSplitCSV(rows), RenderTimeSplit(rows), err
 		}},
-		{"chaos", ".csv", func() (string, error) {
+		{"chaos", func() (string, string, error) {
 			pts, err := Chaos(opt, []int64{1, 2, 3})
-			return ChaosCSV(pts), err
+			return ChaosCSV(pts), RenderChaos(pts), err
 		}},
-		{"mapcache", ".csv", func() (string, error) {
+		{"mapcache", func() (string, string, error) {
 			pts, err := MapCache(opt, nil)
-			return MapCacheCSV(pts), err
+			return MapCacheCSV(pts), RenderMapCache(pts), err
 		}},
-		{"workload", ".csv", func() (string, error) {
+		{"workload", func() (string, string, error) {
 			res, err := Workloads(opt, WorkloadConfig{})
 			if err != nil {
-				return "", err
+				return "", "", err
 			}
-			return WorkloadCSV(res), nil
-		}},
-		{"fig9", ".txt", Fig9},
-		{"fig11", ".txt", func() (string, error) {
-			res, err := Fig11(opt)
-			return RenderFig11(res), err
+			return WorkloadCSV(res), RenderWorkload(res, hic.RoundRobin), nil
 		}},
 	}
 	for _, fig := range figures {
 		t.Run(fig.name, func(t *testing.T) {
-			got, err := fig.out()
+			csv, txt, err := fig.out()
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", fig.name+fig.ext+".golden")
-			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			for _, g := range []struct{ ext, got string }{{".csv", csv}, {".txt", txt}} {
+				if g.got == "" {
+					continue
+				}
+				path := filepath.Join("testdata", fig.name+g.ext+".golden")
+				if *update {
+					if err := os.WriteFile(path, []byte(g.got), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
 					t.Fatal(err)
 				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("%s output drifted from %s\n got:\n%s\nwant:\n%s", fig.name, path, got, want)
+				if g.got != string(want) {
+					t.Errorf("%s output drifted from %s\n got:\n%s\nwant:\n%s", fig.name, path, g.got, want)
+				}
 			}
 		})
 	}
