@@ -25,7 +25,7 @@ import (
 // zero Parallel fans each sweep's rigs out across the CPUs; the
 // serial-vs-parallel comparison lives in BenchmarkFig10Sweep.
 func benchOpt() exp.Options {
-	return exp.Options{Ops: 60, WaysList: []int{2, 8}, Blocks: 16}
+	return exp.Options{Ops: 60, Blocks: 16}
 }
 
 // BenchmarkTable1Presets regenerates Table I (flash memory parameters).
@@ -106,7 +106,6 @@ func BenchmarkFig12EndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opt := benchOpt()
 		opt.Ops = 120
-		opt.WaysList = []int{8}
 		pts, err := exp.Fig12(opt)
 		if err != nil {
 			b.Fatal(err)

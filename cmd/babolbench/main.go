@@ -175,11 +175,7 @@ func runWorkload(c *cli, opt exp.Options, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if c.csv {
-			fmt.Fprint(out, exp.WorkloadCSV(r))
-		} else {
-			fmt.Fprintln(out, exp.RenderWorkload(r, c.arb))
-		}
+		c.emit(out, exp.WorkloadCSV(r), exp.RenderWorkload(r, c.arb))
 	}
 	if c.record == "" {
 		return nil
@@ -421,7 +417,7 @@ func newCLI(errOut io.Writer) *cli {
 // (Options.workers).
 func (c *cli) options() exp.Options {
 	return exp.Options{
-		Ops: c.ops, Blocks: c.blocks, WaysList: []int{2, 4, 8},
+		Ops: c.ops, Blocks: c.blocks,
 		Parallel: c.parallel, MapCacheBytes: c.mapCache,
 	}
 }
@@ -463,6 +459,15 @@ func (c *cli) validate() error {
 	return nil
 }
 
+// emit writes a report to out: its CSV under -csv, else its text.
+func (c *cli) emit(out io.Writer, csv, text string) {
+	if c.csv {
+		fmt.Fprint(out, csv)
+	} else {
+		fmt.Fprintln(out, text)
+	}
+}
+
 // run executes subcommand name, writing its report to out.
 func (c *cli) run(name string, opt exp.Options, out io.Writer) error {
 	switch name {
@@ -487,11 +492,7 @@ func (c *cli) run(name string, opt exp.Options, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if c.csv {
-			fmt.Fprint(out, exp.Fig10CSV(pts))
-		} else {
-			fmt.Fprintln(out, exp.RenderFig10(pts))
-		}
+		c.emit(out, exp.Fig10CSV(pts), exp.RenderFig10(pts))
 	case "fig11":
 		res, err := exp.Fig11(opt)
 		if err != nil {
@@ -499,17 +500,11 @@ func (c *cli) run(name string, opt exp.Options, out io.Writer) error {
 		}
 		fmt.Fprintln(out, exp.RenderFig11(res))
 	case "fig12":
-		f12 := opt
-		f12.WaysList = []int{1, 2, 4, 8}
-		pts, err := exp.Fig12(f12)
+		pts, err := exp.Fig12(opt)
 		if err != nil {
 			return err
 		}
-		if c.csv {
-			fmt.Fprint(out, exp.Fig12CSV(pts))
-		} else {
-			fmt.Fprintln(out, exp.RenderFig12(pts))
-		}
+		c.emit(out, exp.Fig12CSV(pts), exp.RenderFig12(pts))
 	case "chaos":
 		list := make([]int64, c.seeds)
 		for i := range list {
@@ -519,21 +514,13 @@ func (c *cli) run(name string, opt exp.Options, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if c.csv {
-			fmt.Fprint(out, exp.ChaosCSV(pts))
-		} else {
-			fmt.Fprintln(out, exp.RenderChaos(pts))
-		}
+		c.emit(out, exp.ChaosCSV(pts), exp.RenderChaos(pts))
 	case "mapcache":
 		pts, err := exp.MapCache(opt, nil)
 		if err != nil {
 			return err
 		}
-		if c.csv {
-			fmt.Fprint(out, exp.MapCacheCSV(pts))
-		} else {
-			fmt.Fprintln(out, exp.RenderMapCache(pts))
-		}
+		c.emit(out, exp.MapCacheCSV(pts), exp.RenderMapCache(pts))
 	case "workload":
 		return runWorkload(c, opt, out)
 	case "drive":
@@ -547,11 +534,7 @@ func (c *cli) run(name string, opt exp.Options, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if c.csv {
-			fmt.Fprint(out, exp.TimeSplitCSV(rows))
-		} else {
-			fmt.Fprintln(out, exp.RenderTimeSplit(rows))
-		}
+		c.emit(out, exp.TimeSplitCSV(rows), exp.RenderTimeSplit(rows))
 	case "all":
 		for _, n := range allMembers {
 			if err := c.run(n, opt, out); err != nil {

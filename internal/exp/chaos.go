@@ -38,23 +38,16 @@ const chaosWays = 4
 // result reproduces exactly by rerunning with the same seed.
 func Chaos(opt Options, seeds []int64) ([]ChaosPoint, error) {
 	opt = opt.withDefaults()
-	out := make([]ChaosPoint, len(seeds))
-	err := sweep(opt, len(seeds), func(i int, tracer obs.Tracer) error {
-		p, err := chaosRun(opt, seeds[i], tracer)
-		if err != nil {
-			return fmt.Errorf("chaos seed %d: %w", seeds[i], err)
-		}
-		out[i] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return sweep(opt, seeds, opt.chaosRun)
 }
 
 // chaosRun drives one seeded soak and checks the survival contract.
-func chaosRun(opt Options, seed int64, tracer obs.Tracer) (ChaosPoint, error) {
+func (opt Options) chaosRun(seed int64, tracer obs.Tracer) (_ ChaosPoint, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("chaos seed %d: %w", seed, err)
+		}
+	}()
 	ops := opt.Ops
 	// Small blocks so GC pressure arrives within a few hundred ops.
 	params := shrunkHynix(16, 4)
@@ -62,33 +55,24 @@ func chaosRun(opt Options, seed int64, tracer obs.Tracer) (ChaosPoint, error) {
 	rows := uint32(geo.BlocksPerLUN * geo.PagesPerBlk)
 	plan := fault.Randomized(seed, chaosWays, rows, params.TR)
 
-	rig, err := opt.build(ssd.BuildConfig{
+	// Working set small enough that overwrites create garbage quickly,
+	// forcing GC (and its erases) into the fault window.
+	const working = 64
+	var res *hic.Result
+	rig, err := driveRig(opt, ssd.BuildConfig{
 		Params: params, Ways: chaosWays, RateMT: 200,
 		Controller: ssd.CtrlBabolCoro, CPUMHz: 1000,
 		WithECC: true, Faults: &plan,
-	}, tracer)
-	if err != nil {
-		return ChaosPoint{}, err
-	}
-	defer rig.Close()
-
-	// Working set small enough that overwrites create garbage quickly,
-	// forcing GC (and its erases) into the fault window.
-	working := 64
-	if working > rig.FTL.LogicalPages() {
-		working = rig.FTL.LogicalPages()
-	}
-	if err := rig.SSD.Preload(working); err != nil {
-		return ChaosPoint{}, err
-	}
-	res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
-		Pattern: hic.Random, Kind: hic.KindWrite, ReadPercent: 50,
-		NumOps: ops, QueueDepth: 8, LogicalPages: working, Seed: seed,
+	}, working, nil, tracer, func(r *ssd.Rig, _ *hic.Frontend) (err error) {
+		res, err = hic.Run(r.Kernel, r.SSD, hic.Workload{
+			Pattern: hic.Random, Kind: hic.KindWrite, ReadPercent: 50,
+			NumOps: ops, QueueDepth: 8, LogicalPages: working, Seed: seed,
+		})
+		return err
 	})
 	if err != nil {
 		return ChaosPoint{}, err
 	}
-	rig.Run()
 
 	// Survival contract, part 1: the rig always drains. Individual
 	// commands may fail (uncorrectable reads, offline chips, read-only

@@ -10,69 +10,107 @@ import (
 )
 
 // Whole-drive runs: one host stream on one rig, the way the paper drives
-// the Cosmos+ SSD with fio for Figure 12. Every such stream — the
-// synthetic closed loop and both replays (Drive's flag-shaped rig and the
-// tenant rig of ReplayWorkload) — and every tenant run goes through one
-// body, driveRig.
+// the Cosmos+ SSD with fio for Figure 12. Every rig in the package — each
+// figure's closed loop (runClean), the chaos soak, the synthetic stream
+// and both replays (Drive's flag-shaped rig and the tenant rig of
+// ReplayWorkload), and every tenant run — is built and run by one body,
+// driveRig.
 
-// driveRig is the one body every host stream runs through: build the rig
-// cfg describes, preload its first preload pages so reads hit mapped
-// pages, wire the frontend fc describes, let start attach the stream, run
-// the rig to quiescence, and check the frontend drained. A nil fc leaves
-// the frontend to the stream (hic.Run brings its own one-queue window).
+// driveRig is the one body every rig runs through: build the rig cfg
+// describes, preload its first preload pages so reads hit mapped pages,
+// wire the frontend fc describes, let start attach the stream, run the
+// rig to quiescence, and check the frontend drained. A nil fc leaves the
+// frontend to the stream (hic.Run brings its own one-queue window). It
+// returns the drained rig, whose counters and LUN arrays stay readable
+// after its Close.
 func driveRig(opt Options, cfg ssd.BuildConfig, preload int, fc *hic.FrontendConfig, tracer obs.Tracer,
-	start func(rig *ssd.Rig, f *hic.Frontend) error) error {
-	rig, err := opt.build(cfg, tracer)
+	start func(rig *ssd.Rig, f *hic.Frontend) error) (*ssd.Rig, error) {
+	// The rig-wide options every experiment shares are laid over the
+	// experiment's own configuration here, the one place that knows them.
+	cfg.Tracer = tracer
+	cfg.NoCoroPool = opt.noCoroPool
+	cfg.MapCacheBytes = opt.MapCacheBytes
+	rig, err := ssd.Build(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer rig.Close()
 	if err := rig.SSD.Preload(preload); err != nil {
-		return err
+		return nil, err
 	}
 	var f *hic.Frontend
 	if fc != nil {
 		if f, err = hic.NewFrontend(rig.Kernel, rig.SSD, *fc); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := start(rig, f); err != nil {
-		return err
+		return nil, err
 	}
 	rig.Run()
 	if f != nil && !f.Drained() {
-		return fmt.Errorf("frontend not drained: %d in flight, %d pending", f.InFlight(), f.Pending())
+		return nil, fmt.Errorf("frontend not drained: %d in flight, %d pending", f.InFlight(), f.Pending())
 	}
-	return nil
+	return rig, nil
 }
 
-// replay plays a recorded stream back open loop on a fresh rig shaped by
-// cfg, behind the frontend fc describes and preloaded over the span the
-// trace touches, and fails unless every command terminated. It returns
-// the aggregate result and the drained rig, whose counters stay readable
-// after its Close.
-func replay(opt Options, cfg ssd.BuildConfig, fc hic.FrontendConfig, entries []hic.RecordEntry) (*hic.Result, *ssd.Rig, error) {
-	working := 0
-	for _, e := range entries {
-		working = max(working, e.LPN+1)
-	}
+// runClean drives w's closed loop through hic.Run on the rig cfg
+// describes, preloaded over w's pages, and fails unless every command
+// completed without error. A non-nil probe receives the channel's
+// pin-level bus events (bus.Channel.SetTracer).
+func runClean(opt Options, cfg ssd.BuildConfig, tracer obs.Tracer, w hic.Workload, probe obs.Tracer) (*hic.Result, *ssd.Rig, error) {
 	var res *hic.Result
-	var rig *ssd.Rig
-	err := sweep(opt, 1, func(_ int, tracer obs.Tracer) error {
-		err := driveRig(opt, cfg, working, &fc, tracer, func(r *ssd.Rig, f *hic.Frontend) (err error) {
-			rig = r
-			res, err = hic.Replay(r.Kernel, f, entries, r.HostTracer())
-			return err
-		})
-		if err == nil && res.Done() != len(entries) {
-			err = fmt.Errorf("only %d of %d replayed commands terminated", res.Done(), len(entries))
+	rig, err := driveRig(opt, cfg, w.LogicalPages, nil, tracer, func(r *ssd.Rig, _ *hic.Frontend) (err error) {
+		if probe != nil {
+			r.Channel.SetTracer(probe)
 		}
+		res, err = hic.Run(r.Kernel, r.SSD, w)
 		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
+	if res.Completed != w.NumOps || res.Failed != 0 {
+		return nil, nil, fmt.Errorf("exp: %d of %d ops completed, %d failed", res.Completed, w.NumOps, res.Failed)
+	}
 	return res, rig, nil
+}
+
+// runOne runs one stream on one rig under the sweep runner, so
+// Options.Tracer and Options.Live see it as they see any sweep, and
+// fails unless all want of its commands terminated. start attaches the
+// stream and returns its result.
+func runOne(opt Options, cfg ssd.BuildConfig, preload int, fc *hic.FrontendConfig, want int,
+	start func(r *ssd.Rig, f *hic.Frontend) (*hic.Result, error)) (*hic.Result, *ssd.Rig, error) {
+	var res *hic.Result
+	rigs, err := sweep(opt, []ssd.BuildConfig{cfg}, func(cfg ssd.BuildConfig, tracer obs.Tracer) (*ssd.Rig, error) {
+		rig, err := driveRig(opt, cfg, preload, fc, tracer, func(r *ssd.Rig, f *hic.Frontend) (err error) {
+			res, err = start(r, f)
+			return err
+		})
+		if err == nil && res.Done() != want {
+			err = fmt.Errorf("only %d of %d commands terminated", res.Done(), want)
+		}
+		return rig, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, rigs[0], nil
+}
+
+// replay plays a recorded stream back open loop on a fresh rig shaped by
+// cfg, behind the frontend fc describes and preloaded over the span the
+// trace touches, and fails unless every command terminated. It returns
+// the aggregate result and the drained rig.
+func replay(opt Options, cfg ssd.BuildConfig, fc hic.FrontendConfig, entries []hic.RecordEntry) (*hic.Result, *ssd.Rig, error) {
+	working := 0
+	for _, e := range entries {
+		working = max(working, e.LPN+1)
+	}
+	return runOne(opt, cfg, working, &fc, len(entries), func(r *ssd.Rig, f *hic.Frontend) (*hic.Result, error) {
+		return hic.Replay(r.Kernel, f, entries, r.HostTracer())
+	})
 }
 
 // Drive is one fio-like run of a whole drive: the rig cfg describes (its
@@ -111,16 +149,8 @@ func Drive(opt Options, cfg ssd.BuildConfig, w hic.Workload, entries []hic.Recor
 		if w.Kind == hic.KindRead {
 			preload = w.LogicalPages
 		}
-		err = sweep(opt, 1, func(_ int, tracer obs.Tracer) error {
-			err := driveRig(opt, cfg, preload, nil, tracer, func(r *ssd.Rig, _ *hic.Frontend) (err error) {
-				rig = r
-				res, err = hic.Run(r.Kernel, r.SSD, w)
-				return err
-			})
-			if err == nil && res.Done() != w.NumOps {
-				err = fmt.Errorf("only %d of %d commands terminated", res.Done(), w.NumOps)
-			}
-			return err
+		res, rig, err = runOne(opt, cfg, preload, nil, w.NumOps, func(r *ssd.Rig, _ *hic.Frontend) (*hic.Result, error) {
+			return hic.Run(r.Kernel, r.SSD, w)
 		})
 	}
 	if err != nil {

@@ -16,13 +16,13 @@ import (
 	"repro/internal/ssd"
 )
 
-// Options tune experiment scale. Zero values select the full-fidelity
-// defaults; tests use reduced op counts to stay fast.
+// Options tune experiment scale and plumbing. Zero values select the
+// full-fidelity defaults; tests use reduced op counts to stay fast. The
+// swept axes are the paper's and fixed per figure (fig10LUNs,
+// fig12Ways, fig10CPUs, splitCPUs): only Ops and Blocks scale a run.
 type Options struct {
 	// Ops is the number of host operations per measured configuration.
 	Ops int
-	// WaysList overrides the LUN counts swept (capped per package).
-	WaysList []int
 	// Blocks shrinks the per-LUN block count (throughput experiments do
 	// not need full-capacity arrays).
 	Blocks int
@@ -63,9 +63,6 @@ func (o Options) withDefaults() Options {
 	if o.Ops == 0 {
 		o.Ops = 240
 	}
-	if len(o.WaysList) == 0 {
-		o.WaysList = []int{2, 4, 8}
-	}
 	if o.Blocks == 0 {
 		o.Blocks = 64
 	}
@@ -98,56 +95,19 @@ func shrunkHynix(blocksPerLUN, pagesPerBlk int) nand.Params {
 	return p
 }
 
-// build assembles one rig of an experiment: base is the experiment's
-// own configuration, and the rig-wide options every experiment shares
-// are laid over it here, the one place that knows them.
-func (o Options) build(base ssd.BuildConfig, tracer obs.Tracer) (*ssd.Rig, error) {
-	base.Tracer = tracer
-	base.NoCoroPool = o.noCoroPool
-	base.MapCacheBytes = o.MapCacheBytes
-	return ssd.Build(base)
-}
-
-// readThroughput builds an SSD per cfg, preloads a working set, runs
-// opt.Ops reads, and reports bandwidth in MB/s.
+// readThroughput runs opt.Ops reads of pattern at queueDepth on the rig
+// cfg describes and reports bandwidth in MB/s. The working set is enough
+// pages that sequential reads touch every LUN continuously, small enough
+// to preload instantly.
 func readThroughput(opt Options, cfg ssd.BuildConfig, tracer obs.Tracer, pattern hic.Pattern, queueDepth int) (float64, error) {
-	rig, err := opt.build(cfg, tracer)
-	if err != nil {
-		return 0, err
-	}
-	defer rig.Close()
-
-	// Working set: enough pages that sequential reads touch every LUN
-	// continuously, small enough to preload instantly.
-	working := 32 * cfg.Ways
-	if working > rig.FTL.LogicalPages() {
-		working = rig.FTL.LogicalPages()
-	}
-	if err := rig.SSD.Preload(working); err != nil {
-		return 0, err
-	}
-	res, err := runClean(rig, hic.Workload{
+	res, _, err := runClean(opt, cfg, tracer, hic.Workload{
 		Pattern: pattern, Kind: hic.KindRead,
-		NumOps: opt.Ops, QueueDepth: queueDepth, LogicalPages: working, Seed: 7,
-	})
+		NumOps: opt.Ops, QueueDepth: queueDepth, LogicalPages: 32 * cfg.Ways, Seed: 7,
+	}, nil)
 	if err != nil {
 		return 0, err
 	}
 	return res.BandwidthMBps(cfg.Params.Geometry.PageBytes), nil
-}
-
-// runClean drives w on rig through hic.Run until the rig is quiescent,
-// and fails unless every command completed without error.
-func runClean(rig *ssd.Rig, w hic.Workload) (*hic.Result, error) {
-	res, err := hic.Run(rig.Kernel, rig.SSD, w)
-	if err != nil {
-		return nil, err
-	}
-	rig.Run()
-	if res.Completed != w.NumOps || res.Failed != 0 {
-		return nil, fmt.Errorf("exp: %d of %d ops completed, %d failed", res.Completed, w.NumOps, res.Failed)
-	}
-	return res, nil
 }
 
 // channelCeilingMBps is the ideal data-only channel bandwidth at a given
@@ -168,6 +128,17 @@ func table(header string, rows []string) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// runEnd returns the end of the run of xs that starts at i and whose
+// elements are all same as xs[i]. Renderers walk points in the order
+// their producer emits them and start a panel or a row where a run ends.
+func runEnd[T any](xs []T, i int, same func(a, b T) bool) int {
+	j := i + 1
+	for j < len(xs) && same(xs[i], xs[j]) {
+		j++
+	}
+	return j
 }
 
 // pct formats a relative difference versus a baseline.

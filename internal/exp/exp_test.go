@@ -9,7 +9,7 @@ import (
 )
 
 // quick returns reduced-scale options that keep the shapes intact.
-func quick() Options { return Options{Ops: 60, WaysList: []int{2, 8}, Blocks: 16} }
+func quick() Options { return Options{Ops: 60, Blocks: 16} }
 
 func TestTable1MatchesPaper(t *testing.T) {
 	rows := Table1()
@@ -170,7 +170,6 @@ func TestFig11PollCadence(t *testing.T) {
 func TestFig12EightWayDeltas(t *testing.T) {
 	opt := quick()
 	opt.Ops = 120
-	opt.WaysList = []int{8}
 	pts, err := Fig12(opt)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/hic"
 	"repro/internal/nand"
@@ -24,6 +26,9 @@ type Fig10Point struct {
 // the 150 MHz soft-core case and the scaled ARM cases up to 1 GHz.
 var fig10CPUs = []int{150, 200, 400, 1000}
 
+// fig10LUNs are the LUN counts per channel swept (capped per package).
+var fig10LUNs = []int{2, 4, 8}
+
 // Fig10 reproduces Figure 10: a read-only workload injected at the FTL
 // boundary against every package preset, at 100 and 200 MT/s, for the
 // hardware baseline and both BABOL software environments across CPU
@@ -34,9 +39,6 @@ var fig10CPUs = []int{150, 200, 400, 1000}
 // clocks it starves the channel.
 func Fig10(opt Options) ([]Fig10Point, error) {
 	opt = opt.withDefaults()
-	// Enumerate the full configuration grid first, then fan the
-	// independent rigs out across the worker pool; out is indexed by
-	// job, so results land in enumeration order at any worker count.
 	type cfg struct {
 		params nand.Params
 		rate   int
@@ -48,7 +50,7 @@ func Fig10(opt Options) ([]Fig10Point, error) {
 	for _, preset := range nand.Presets() {
 		params := shrink(preset, opt.Blocks)
 		for _, rate := range []int{100, 200} {
-			for _, luns := range opt.WaysList {
+			for _, luns := range fig10LUNs {
 				if luns > preset.LUNsPerChannel {
 					continue // the Micron module is wired for 2 LUNs only
 				}
@@ -60,27 +62,20 @@ func Fig10(opt Options) ([]Fig10Point, error) {
 			}
 		}
 	}
-	out := make([]Fig10Point, len(cfgs))
-	err := sweep(opt, len(cfgs), func(i int, tracer obs.Tracer) error {
-		c := cfgs[i]
+	return sweep(opt, cfgs, func(c cfg, tracer obs.Tracer) (Fig10Point, error) {
 		mbps, err := readThroughput(opt, ssd.BuildConfig{
 			Params: c.params, Ways: c.luns, RateMT: c.rate,
 			Controller: c.ctrl, CPUMHz: c.mhz,
 		}, tracer, hic.Sequential, 2*c.luns)
 		if err != nil {
-			return fmt.Errorf("fig10 %s %dMT %v %dMHz %dLUN: %w",
+			return Fig10Point{}, fmt.Errorf("fig10 %s %dMT %v %dMHz %dLUN: %w",
 				c.params.Name, c.rate, c.ctrl, c.mhz, c.luns, err)
 		}
-		out[i] = Fig10Point{
+		return Fig10Point{
 			Package: c.params.Name, RateMT: c.rate, Controller: c.ctrl,
 			CPUMHz: c.mhz, LUNs: c.luns, MBps: mbps,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Fig10CSV renders the sweep as machine-readable CSV for plotting.
@@ -99,76 +94,47 @@ func Fig10CSV(points []Fig10Point) string {
 
 // RenderFig10 formats the Figure 10 sweep grouped like the paper's
 // panels: one block per (package, rate), columns per controller/CPU,
-// rows per LUN count.
+// rows per LUN count. It reads the points in the order Fig10 emits
+// them: a new panel starts when the package or rate changes, and a new
+// row when the LUN count does.
 func RenderFig10(points []Fig10Point) string {
-	type key struct {
-		pkg  string
-		rate int
-	}
 	type cell struct {
 		ctrl ssd.ControllerKind
 		mhz  int
 	}
-	idx := map[key]map[int]map[cell]float64{}
-	lunsSeen := map[key]map[int]bool{}
-	for _, p := range points {
-		k := key{p.Package, p.RateMT}
-		if idx[k] == nil {
-			idx[k] = map[int]map[cell]float64{}
-			lunsSeen[k] = map[int]bool{}
-		}
-		if idx[k][p.LUNs] == nil {
-			idx[k][p.LUNs] = map[cell]float64{}
-		}
-		mhz := p.CPUMHz
-		if p.Controller == ssd.CtrlHW {
-			mhz = 0
-		}
-		idx[k][p.LUNs][cell{p.Controller, mhz}] = p.MBps
-		lunsSeen[k][p.LUNs] = true
-	}
-
-	var cols []cell
-	cols = append(cols, cell{ssd.CtrlHW, 0})
+	cols := []cell{{ssd.CtrlHW, 0}}
+	header := fmt.Sprintf("%-5s %10s", "LUNs", "HW")
 	for _, mhz := range fig10CPUs {
-		cols = append(cols, cell{ssd.CtrlBabolRTOS, mhz})
-		cols = append(cols, cell{ssd.CtrlBabolCoro, mhz})
-	}
-
-	out := ""
-	for _, preset := range nand.Presets() {
-		for _, rate := range []int{100, 200} {
-			k := key{preset.Name, rate}
-			if idx[k] == nil {
-				continue
-			}
-			header := fmt.Sprintf("%-5s", "LUNs")
-			for _, c := range cols {
-				name := "HW"
-				if c.ctrl != ssd.CtrlHW {
-					name = fmt.Sprintf("%s@%d", c.ctrl, c.mhz)
-				}
-				header += fmt.Sprintf(" %10s", name)
-			}
-			var rows []string
-			for luns := 1; luns <= 16; luns++ {
-				if !lunsSeen[k][luns] {
-					continue
-				}
-				row := fmt.Sprintf("%-5d", luns)
-				for _, c := range cols {
-					if v, ok := idx[k][luns][c]; ok {
-						row += fmt.Sprintf(" %10.1f", v)
-					} else {
-						row += fmt.Sprintf(" %10s", "-")
-					}
-				}
-				rows = append(rows, row)
-			}
-			out += table(fmt.Sprintf("Fig 10: %s @ %d MT/s — read throughput (MB/s, channel ceiling %.0f MB/s)\n%s",
-				preset.Name, rate, channelCeilingMBps(rate), header), rows)
-			out += "\n"
+		for _, ctrl := range []ssd.ControllerKind{ssd.CtrlBabolRTOS, ssd.CtrlBabolCoro} {
+			cols = append(cols, cell{ctrl, mhz})
+			header += fmt.Sprintf(" %10s", fmt.Sprintf("%s@%d", ctrl, mhz))
 		}
+	}
+	out := ""
+	for i := 0; i < len(points); {
+		panel := points[i:runEnd(points, i, func(a, b Fig10Point) bool {
+			return a.Package == b.Package && a.RateMT == b.RateMT
+		})]
+		var rows []string
+		for j := 0; j < len(panel); {
+			k := runEnd(panel, j, func(a, b Fig10Point) bool { return a.LUNs == b.LUNs })
+			cells := slices.Repeat([]string{fmt.Sprintf(" %10s", "-")}, len(cols))
+			for _, p := range panel[j:k] {
+				mhz := p.CPUMHz
+				if p.Controller == ssd.CtrlHW {
+					mhz = 0
+				}
+				if c := slices.Index(cols, cell{p.Controller, mhz}); c >= 0 {
+					cells[c] = fmt.Sprintf(" %10.1f", p.MBps)
+				}
+			}
+			rows = append(rows, fmt.Sprintf("%-5d", panel[j].LUNs)+strings.Join(cells, ""))
+			j = k
+		}
+		out += table(fmt.Sprintf("Fig 10: %s @ %d MT/s — read throughput (MB/s, channel ceiling %.0f MB/s)\n%s",
+			panel[0].Package, panel[0].RateMT, channelCeilingMBps(panel[0].RateMT), header), rows)
+		out += "\n"
+		i += len(panel)
 	}
 	return out
 }

@@ -39,45 +39,28 @@ func Fig11(opt Options) ([]Fig11Result, error) {
 		reads = 4
 	}
 	kinds := []ssd.ControllerKind{ssd.CtrlBabolRTOS, ssd.CtrlBabolCoro}
-	out := make([]Fig11Result, len(kinds))
-	err := sweep(opt, len(kinds), func(i int, tracer obs.Tracer) error {
-		kind := kinds[i]
-		params := shrink(nand.Hynix(), opt.Blocks)
-		rig, err := opt.build(ssd.BuildConfig{
-			Params: params, Ways: 1, RateMT: 200,
-			Controller: kind, CPUMHz: 1000,
-		}, tracer)
-		if err != nil {
-			return err
-		}
-		defer rig.Close()
+	return sweep(opt, kinds, func(kind ssd.ControllerKind, tracer obs.Tracer) (Fig11Result, error) {
 		var pins obs.Buffer
-		rig.Channel.SetTracer(&pins)
-		if err := rig.SSD.Preload(reads); err != nil {
-			return err
-		}
-		res, err := runClean(rig, hic.Workload{
+		res, _, err := runClean(opt, ssd.BuildConfig{
+			Params: shrink(nand.Hynix(), opt.Blocks), Ways: 1, RateMT: 200,
+			Controller: kind, CPUMHz: 1000,
+		}, tracer, hic.Workload{
 			Pattern: hic.Sequential, Kind: hic.KindRead,
 			NumOps: reads, QueueDepth: 1, LogicalPages: reads,
-		})
+		}, &pins)
 		if err != nil {
-			return fmt.Errorf("fig11 %v: %w", kind, err)
+			return Fig11Result{}, fmt.Errorf("fig11 %v: %w", kind, err)
 		}
 		polls, period := pollCadence(pins.Events())
-		out[i] = Fig11Result{
+		return Fig11Result{
 			Controller:      kind,
 			Reads:           reads,
 			PollsPerRead:    float64(polls) / float64(reads),
 			MeanPollPeriod:  period,
 			MeanReadLatency: res.MeanLatency(),
 			Trace:           firstOpTrace(pins.Events()),
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // pollCadence counts READ STATUS latch bursts and the mean gap between
@@ -129,23 +112,14 @@ func firstOpTrace(events []obs.Event) string {
 // command/address enqueue, the polling instead of a fixed tR, and the
 // column-change + transfer segment.
 func Fig9() (string, error) {
-	rig, err := ssd.Build(ssd.BuildConfig{
+	var pins obs.Buffer
+	if _, _, err := runClean(Options{}, ssd.BuildConfig{
 		Params: shrink(nand.Hynix(), 16), Ways: 1, RateMT: 200,
 		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000,
-	})
-	if err != nil {
-		return "", err
-	}
-	defer rig.Close()
-	var pins obs.Buffer
-	rig.Channel.SetTracer(&pins)
-	if err := rig.SSD.Preload(1); err != nil {
-		return "", err
-	}
-	if _, err := runClean(rig, hic.Workload{
+	}, nil, hic.Workload{
 		Pattern: hic.Sequential, Kind: hic.KindRead,
 		NumOps: 1, QueueDepth: 1, LogicalPages: 1,
-	}); err != nil {
+	}, &pins); err != nil {
 		return "", fmt.Errorf("fig9: %w", err)
 	}
 	out := "Fig 9: waveform of an ONFI READ produced by Algorithm 2 (RTOS @ 1 GHz)\n"

@@ -18,6 +18,9 @@ type Fig12Point struct {
 	MBps       float64
 }
 
+// fig12Ways are the ways (LUNs) swept, 1 to 8 as in the paper.
+var fig12Ways = []int{1, 2, 4, 8}
+
 // Fig12 reproduces Figure 12: the Cosmos+ OpenSSD with its controller
 // swapped. A fio-like generator issues sequential and random READ
 // workloads through the whole SSD stack against Hynix packages at 1 GHz,
@@ -26,41 +29,26 @@ type Fig12Point struct {
 // (seq) / −3 % (rand) and Coro −8 % / −9 %.
 func Fig12(opt Options) ([]Fig12Point, error) {
 	opt = opt.withDefaults()
-	ways := opt.WaysList
-	if len(ways) == 0 || ways[0] != 1 {
-		ways = append([]int{1}, ways...)
-	}
-	type cfg struct {
-		pattern hic.Pattern
-		ways    int
-		ctrl    ssd.ControllerKind
-	}
-	var cfgs []cfg
+	var cfgs []Fig12Point
 	for _, pattern := range []hic.Pattern{hic.Sequential, hic.Random} {
-		for _, w := range ways {
+		for _, w := range fig12Ways {
 			for _, kind := range []ssd.ControllerKind{ssd.CtrlHW, ssd.CtrlBabolRTOS, ssd.CtrlBabolCoro} {
-				cfgs = append(cfgs, cfg{pattern, w, kind})
+				cfgs = append(cfgs, Fig12Point{Pattern: pattern, Controller: kind, Ways: w})
 			}
 		}
 	}
 	params := shrink(nand.Hynix(), opt.Blocks)
-	out := make([]Fig12Point, len(cfgs))
-	err := sweep(opt, len(cfgs), func(i int, tracer obs.Tracer) error {
-		c := cfgs[i]
-		mbps, err := readThroughput(opt, ssd.BuildConfig{
-			Params: params, Ways: c.ways, RateMT: 200,
-			Controller: c.ctrl, CPUMHz: 1000,
-		}, tracer, c.pattern, 4*c.ways)
+	return sweep(opt, cfgs, func(p Fig12Point, tracer obs.Tracer) (Fig12Point, error) {
+		var err error
+		p.MBps, err = readThroughput(opt, ssd.BuildConfig{
+			Params: params, Ways: p.Ways, RateMT: 200,
+			Controller: p.Controller, CPUMHz: 1000,
+		}, tracer, p.Pattern, 4*p.Ways)
 		if err != nil {
-			return fmt.Errorf("fig12 %v %v %dway: %w", c.pattern, c.ctrl, c.ways, err)
+			return p, fmt.Errorf("fig12 %v %v %dway: %w", p.Pattern, p.Controller, p.Ways, err)
 		}
-		out[i] = Fig12Point{Pattern: c.pattern, Controller: c.ctrl, Ways: c.ways, MBps: mbps}
-		return nil
+		return p, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Fig12CSV renders the end-to-end sweep as machine-readable CSV.
@@ -73,35 +61,30 @@ func Fig12CSV(points []Fig12Point) string {
 }
 
 // RenderFig12 formats the end-to-end comparison with deltas versus the
-// hardware baseline (the paper's headline metric).
+// hardware baseline (the paper's headline metric). It reads the points
+// in the order Fig12 emits them: a new panel starts when the pattern
+// changes, and a new row when the way count does.
 func RenderFig12(points []Fig12Point) string {
-	type key struct {
-		pattern hic.Pattern
-		ways    int
-	}
-	byKey := map[key]map[ssd.ControllerKind]float64{}
-	waysSeen := map[hic.Pattern][]int{}
-	for _, p := range points {
-		k := key{p.Pattern, p.Ways}
-		if byKey[k] == nil {
-			byKey[k] = map[ssd.ControllerKind]float64{}
-			waysSeen[p.Pattern] = append(waysSeen[p.Pattern], p.Ways)
-		}
-		byKey[k][p.Controller] = p.MBps
-	}
 	out := ""
-	for _, pattern := range []hic.Pattern{hic.Sequential, hic.Random} {
+	for i := 0; i < len(points); {
+		panel := points[i:runEnd(points, i, func(a, b Fig12Point) bool { return a.Pattern == b.Pattern })]
 		header := fmt.Sprintf("%-5s %10s %10s %8s %10s %8s", "ways", "HW", "RTOS", "ΔRTOS", "Coro", "ΔCoro")
 		var rows []string
-		for _, w := range waysSeen[pattern] {
-			v := byKey[key{pattern, w}]
+		for j := 0; j < len(panel); {
+			k := runEnd(panel, j, func(a, b Fig12Point) bool { return a.Ways == b.Ways })
+			v := map[ssd.ControllerKind]float64{}
+			for _, p := range panel[j:k] {
+				v[p.Controller] = p.MBps
+			}
 			hw, rtos, coro := v[ssd.CtrlHW], v[ssd.CtrlBabolRTOS], v[ssd.CtrlBabolCoro]
 			rows = append(rows, fmt.Sprintf("%-5d %10.1f %10.1f %8s %10.1f %8s",
-				w, hw, rtos, pct(rtos, hw), coro, pct(coro, hw)))
+				panel[j].Ways, hw, rtos, pct(rtos, hw), coro, pct(coro, hw)))
+			j = k
 		}
 		out += table(fmt.Sprintf("Fig 12: end-to-end %s READ bandwidth (MB/s), Hynix @ 200 MT/s, 1 GHz\n%s",
-			pattern, header), rows)
+			panel[0].Pattern, header), rows)
 		out += "\n"
+		i += len(panel)
 	}
 	return out
 }

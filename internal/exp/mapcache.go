@@ -51,22 +51,10 @@ func MapCache(opt Options, budgets []int64) ([]MapCachePoint, error) {
 	if budgets == nil {
 		budgets = DefaultMapCacheBudgets()
 	}
-	out := make([]MapCachePoint, len(budgets))
-	err := sweep(opt, len(budgets), func(i int, tracer obs.Tracer) error {
-		p, err := mapCacheRun(opt, budgets[i], tracer)
-		if err != nil {
-			return fmt.Errorf("mapcache budget %dB: %w", budgets[i], err)
-		}
-		out[i] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return sweep(opt, budgets, opt.mapCacheRun)
 }
 
-func mapCacheRun(opt Options, budget int64, tracer obs.Tracer) (MapCachePoint, error) {
+func (opt Options) mapCacheRun(budget int64, tracer obs.Tracer) (MapCachePoint, error) {
 	opt.MapCacheBytes = budget // the swept variable overrides the rig-wide flag
 	// The sweep needs eviction pressure, not capacity. 512-byte pages
 	// make a translation page 64 L2P entries, so a few-KB budget holds a
@@ -74,32 +62,20 @@ func mapCacheRun(opt Options, budget int64, tracer obs.Tracer) (MapCachePoint, e
 	// clock evictions happen at figure-scale op counts instead of
 	// needing a TB-class preload.
 	params := shrunkHynix(64, 16)
-	rig, err := opt.build(ssd.BuildConfig{
-		Params: params, Ways: mapCacheWays, RateMT: 200,
-		Controller: ssd.CtrlBabolCoro, CPUMHz: 1000,
-	}, tracer)
-	if err != nil {
-		return MapCachePoint{}, err
-	}
-	defer rig.Close()
 	// 2048 pages = 32 translation pages at this geometry: far past every
 	// non-degenerate budget in the default ladder, so random reads keep
 	// the clock under pressure. (Preload seeds the backing map directly —
 	// cache bypasses, not misses — exactly like firmware rebuilding its
 	// map from a journal at mount.)
-	working := 2048
-	if lp := rig.FTL.LogicalPages(); working > lp {
-		working = lp
-	}
-	if err := rig.SSD.Preload(working); err != nil {
-		return MapCachePoint{}, err
-	}
-	res, err := runClean(rig, hic.Workload{
+	res, rig, err := runClean(opt, ssd.BuildConfig{
+		Params: params, Ways: mapCacheWays, RateMT: 200,
+		Controller: ssd.CtrlBabolCoro, CPUMHz: 1000,
+	}, tracer, hic.Workload{
 		Pattern: hic.Random, Kind: hic.KindRead,
-		NumOps: opt.Ops, QueueDepth: 8, LogicalPages: working, Seed: 7,
-	})
+		NumOps: opt.Ops, QueueDepth: 8, LogicalPages: 2048, Seed: 7,
+	}, nil)
 	if err != nil {
-		return MapCachePoint{}, err
+		return MapCachePoint{}, fmt.Errorf("mapcache budget %dB: %w", budget, err)
 	}
 	cs := rig.FTL.CacheStats()
 	return MapCachePoint{

@@ -20,7 +20,7 @@ func TestMapCacheDisabledByteIdentity(t *testing.T) {
 	var csv [2]string
 	var trace [2][]byte
 	for i, par := range []int{1, 8} {
-		opt := Options{Ops: 24, WaysList: []int{2}, Blocks: 16, Parallel: par, MapCacheBytes: 0}
+		opt := Options{Ops: 24, Blocks: 16, Parallel: par, MapCacheBytes: 0}
 		trace[i] = traceRun(t, opt, func(o Options) error {
 			pts, err := Fig12(o)
 			if err == nil {

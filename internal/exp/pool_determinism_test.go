@@ -72,7 +72,6 @@ func TestCoroPoolDeterminism(t *testing.T) {
 			opt := base
 			opt.noCoroPool = noPool
 			opt.Ops = 120
-			opt.WaysList = []int{8}
 			trace[i] = traceRun(t, opt, func(o Options) error {
 				pts, err := Fig12(o)
 				if err == nil {

@@ -27,27 +27,15 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runJobs executes run(0..n-1) on at most workers goroutines. Results
-// are whatever run stores at its own index; runJobs only schedules.
-// The returned error is the lowest-indexed failure (deterministic no
-// matter which worker hit it first), along with its job index; idx is n
-// when err is nil. After a failure, workers stop pulling new jobs, but
-// jobs already in flight run to completion.
+// runJobs executes run(0..n-1) on at most workers goroutines, pulling
+// jobs in index order. Results are whatever run stores at its own index;
+// runJobs only schedules. The returned error is the lowest-indexed
+// failure (deterministic no matter which worker hit it first), along
+// with its job index; idx is n when err is nil. After a failure, workers
+// stop pulling new jobs, but jobs already in flight run to completion —
+// so one worker runs jobs in order and stops at the first failure.
 func runJobs(workers, n int, run func(i int) error) (idx int, err error) {
-	if n == 0 {
-		return n, nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := run(i); err != nil {
-				return i, err
-			}
-		}
-		return n, nil
-	}
+	workers = min(workers, n)
 	var (
 		next   atomic.Int64
 		failed atomic.Bool
@@ -79,31 +67,27 @@ func runJobs(workers, n int, run func(i int) error) (idx int, err error) {
 	return n, nil
 }
 
-// sweep runs n rig jobs under the worker pool and keeps the shared
-// Options.Tracer concurrency-safe: each job traces into a private
-// obs.Buffer, and buffer i is replayed into the real tracer — and
-// released — as soon as jobs 0…i have all succeeded, so a traced sweep
-// holds the events of the jobs in flight, not of the whole figure. The
-// tracer sees one caller at a time and the buffers in input order: the
-// merged stream is byte-identical to a serial run regardless of worker
-// count. A failed job stops the replay at its own index (matching how
-// far a serial run would have traced) and the lowest-indexed error is
-// returned.
+// sweep runs run once per configuration under the worker pool and
+// returns the results in configuration order, or the lowest-indexed
+// error. It keeps the shared Options.Tracer concurrency-safe: each job
+// traces into a private obs.Buffer, and buffer i is replayed into the
+// real tracer — and released — as soon as jobs 0…i have all succeeded,
+// so a traced sweep holds the events of the jobs in flight, not of the
+// whole figure. The tracer sees one caller at a time and the buffers in
+// input order: the merged stream is byte-identical to a serial run
+// regardless of worker count. A failed job stops the replay at its own
+// index (matching how far a serial run would have traced).
 //
 // Options.Live is the opposite trade: it is fed directly from the
 // workers as events happen, concurrently and in nondeterministic
 // interleaving, so a monitoring endpoint can watch a long sweep in
 // flight. The two compose — Live sees events immediately, Tracer sees
 // the same events deterministically ordered once their turn comes.
-func sweep(opt Options, n int, body func(i int, tracer obs.Tracer) error) error {
-	if opt.Tracer == nil {
-		_, err := runJobs(opt.workers(), n, func(i int) error {
-			return body(i, opt.Live)
-		})
-		return err
-	}
-	bufs := make([]obs.Buffer, n)
+func sweep[C, R any](opt Options, cfgs []C, run func(C, obs.Tracer) (R, error)) ([]R, error) {
+	n := len(cfgs)
+	res := make([]R, n)
 	var (
+		bufs      = make([]obs.Buffer, n)
 		mu        sync.Mutex
 		succeeded = make([]bool, n)
 		cursor    int  // bufs[:cursor] are replayed and released
@@ -130,16 +114,21 @@ func sweep(opt Options, n int, body func(i int, tracer obs.Tracer) error) error 
 		replaying = false
 		mu.Unlock()
 	}
-	_, err := runJobs(opt.workers(), n, func(i int) error {
-		var tr obs.Tracer = &bufs[i]
-		if opt.Live != nil {
-			tr = obs.Multi{&bufs[i], opt.Live}
+	_, err := runJobs(opt.workers(), n, func(i int) (err error) {
+		tr := opt.Live
+		if opt.Tracer != nil {
+			tr = &bufs[i]
+			if opt.Live != nil {
+				tr = obs.Multi{&bufs[i], opt.Live}
+			}
 		}
-		if err := body(i, tr); err != nil {
-			return err
+		if res[i], err = run(cfgs[i], tr); err == nil && opt.Tracer != nil {
+			settle(i)
 		}
-		settle(i)
-		return nil
+		return err
 	})
-	return err
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }

@@ -13,15 +13,15 @@ import (
 func TestRunJobsPreservesOrderAndRunsAll(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		n := 37
-		out := make([]int, n)
+		squares := make([]int, n)
 		idx, err := runJobs(workers, n, func(i int) error {
-			out[i] = i * i
+			squares[i] = i * i
 			return nil
 		})
 		if err != nil || idx != n {
 			t.Fatalf("workers=%d: idx=%d err=%v", workers, idx, err)
 		}
-		for i, v := range out {
+		for i, v := range squares {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
 			}
@@ -72,6 +72,16 @@ func TestRunJobsStopsAfterFailure(t *testing.T) {
 	}
 }
 
+// jobs is the configuration list 0..n-1, so a sweep test's run function
+// sees its job index as its configuration.
+func jobs(n int) []int {
+	cfgs := make([]int, n)
+	for i := range cfgs {
+		cfgs[i] = i
+	}
+	return cfgs
+}
+
 // sweep must hand each job a private tracer and merge the buffers in
 // job order, so the merged stream is independent of worker count.
 func TestSweepMergesTracesInJobOrder(t *testing.T) {
@@ -80,14 +90,19 @@ func TestSweepMergesTracesInJobOrder(t *testing.T) {
 		opt := Options{Parallel: workers, Tracer: obs.Func(func(e obs.Event) {
 			got = append(got, e.OpID)
 		})}
-		err := sweep(opt, 16, func(i int, tracer obs.Tracer) error {
+		res, err := sweep(opt, jobs(16), func(i int, tracer obs.Tracer) (int, error) {
 			for j := 0; j < 3; j++ {
 				tracer.Event(obs.Event{OpID: uint64(i*3 + j)})
 			}
-			return nil
+			return i * i, nil
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i, v := range res {
+			if v != i*i {
+				t.Fatalf("workers=%d: result %d = %d, want %d", workers, i, v, i*i)
+			}
 		}
 		if len(got) != 48 {
 			t.Fatalf("workers=%d: %d events merged", workers, len(got))
@@ -107,15 +122,15 @@ func TestSweepReplaysPrefixOnFailure(t *testing.T) {
 	opt := Options{Parallel: 1, Tracer: obs.Func(func(e obs.Event) {
 		got = append(got, e.OpID)
 	})}
-	err := sweep(opt, 8, func(i int, tracer obs.Tracer) error {
+	res, err := sweep(opt, jobs(8), func(i int, tracer obs.Tracer) (int, error) {
 		tracer.Event(obs.Event{OpID: uint64(i)})
 		if i == 3 {
-			return errors.New("boom")
+			return i, errors.New("boom")
 		}
-		return nil
+		return i, nil
 	})
-	if err == nil {
-		t.Fatal("error swallowed")
+	if err == nil || res != nil {
+		t.Fatalf("res=%v err=%v, want the error and no results", res, err)
 	}
 	if len(got) != 3 {
 		t.Fatalf("replayed %d buffers, want 3 (jobs before the failure)", len(got))
@@ -130,13 +145,13 @@ func TestSweepReplaysAsJobsSettle(t *testing.T) {
 	opt := Options{Parallel: 1, Tracer: obs.Func(func(e obs.Event) {
 		got = append(got, e.OpID)
 	})}
-	err := sweep(opt, 4, func(i int, tracer obs.Tracer) error {
+	_, err := sweep(opt, jobs(4), func(i int, tracer obs.Tracer) (int, error) {
 		if len(got) != 2*i {
 			t.Errorf("job %d started with %d events replayed, want %d (jobs 0..%d)", i, len(got), 2*i, i-1)
 		}
 		tracer.Event(obs.Event{OpID: uint64(2 * i)})
 		tracer.Event(obs.Event{OpID: uint64(2*i + 1)})
-		return nil
+		return i, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,12 +174,12 @@ func TestSweepParallelFailureReplaysExactPrefix(t *testing.T) {
 		opt := Options{Parallel: 8, Tracer: obs.Func(func(e obs.Event) {
 			got = append(got, e.OpID)
 		})}
-		err := sweep(opt, 16, func(i int, tracer obs.Tracer) error {
+		_, err := sweep(opt, jobs(16), func(i int, tracer obs.Tracer) (int, error) {
 			tracer.Event(obs.Event{OpID: uint64(i)})
 			if i == 5 || i == 9 {
-				return errors.New("boom")
+				return i, errors.New("boom")
 			}
-			return nil
+			return i, nil
 		})
 		if err == nil {
 			t.Fatal("error swallowed")
@@ -234,7 +249,6 @@ func TestParallelSweepDeterminism(t *testing.T) {
 			opt := base
 			opt.Parallel = par
 			opt.Ops = 120
-			opt.WaysList = []int{8}
 			trace[i] = traceRun(t, opt, func(o Options) error {
 				pts, err := Fig12(o)
 				if err == nil {

@@ -57,9 +57,7 @@ func TimeSplit(opt Options) ([]SplitRow, error) {
 			cfgs = append(cfgs, cfg{kind, mhz})
 		}
 	}
-	out := make([]SplitRow, len(cfgs))
-	err := sweep(opt, len(cfgs), func(i int, tracer obs.Tracer) error {
-		c := cfgs[i]
+	return sweep(opt, cfgs, func(c cfg, tracer obs.Tracer) (SplitRow, error) {
 		// The analyzer needs the rig's raw stream regardless of whether
 		// the sweep has an external tracer; capture it locally and
 		// forward to the sweep's sink as well.
@@ -68,22 +66,15 @@ func TimeSplit(opt Options) ([]SplitRow, error) {
 		if tracer != nil {
 			rigTracer = obs.Multi{tracer, &buf}
 		}
-		rig, err := opt.build(ssd.BuildConfig{
+		_, rig, err := runClean(opt, ssd.BuildConfig{
 			Params: shrink(nand.Hynix(), opt.Blocks), Ways: 1, RateMT: 200,
 			Controller: c.kind, CPUMHz: c.mhz, Observe: true,
-		}, rigTracer)
-		if err != nil {
-			return err
-		}
-		defer rig.Close()
-		if err := rig.SSD.Preload(reads); err != nil {
-			return err
-		}
-		if _, err := runClean(rig, hic.Workload{
+		}, rigTracer, hic.Workload{
 			Pattern: hic.Sequential, Kind: hic.KindRead,
 			NumOps: reads, QueueDepth: 2, LogicalPages: reads,
-		}); err != nil {
-			return fmt.Errorf("timesplit %v@%d: %w", c.kind, c.mhz, err)
+		}, nil)
+		if err != nil {
+			return SplitRow{}, fmt.Errorf("timesplit %v@%d: %w", c.kind, c.mhz, err)
 		}
 		a := analyze.Analyze(buf.Events())
 		s := a.Metrics
@@ -93,7 +84,7 @@ func TimeSplit(opt Options) ([]SplitRow, error) {
 		// in-process numbers, so fail loudly rather than report either.
 		if live := rig.Metrics.Snapshot(); s.SoftwareTime != live.SoftwareTime ||
 			s.HardwareTime != live.HardwareTime || s.Events != live.Events {
-			return fmt.Errorf("timesplit %v@%d: analyzer replay diverged from live metrics (sw %v vs %v, hw %v vs %v, events %d vs %d)",
+			return SplitRow{}, fmt.Errorf("timesplit %v@%d: analyzer replay diverged from live metrics (sw %v vs %v, hw %v vs %v, events %d vs %d)",
 				c.kind, c.mhz, s.SoftwareTime, live.SoftwareTime,
 				s.HardwareTime, live.HardwareTime, s.Events, live.Events)
 		}
@@ -106,13 +97,8 @@ func TimeSplit(opt Options) ([]SplitRow, error) {
 				row.Occupancy = tl.Occupancy()
 			}
 		}
-		out[i] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // TimeSplitCSV renders the decomposition as machine-readable CSV,

@@ -140,34 +140,21 @@ func Workloads(opt Options, cfg WorkloadConfig) (*WorkloadResult, error) {
 	// Jobs 0..n-1: each tenant solo. Job n: everyone together. The
 	// contended job runs last so a merged trace reads solo runs first —
 	// the same order a serial comparison would.
-	n := len(specs)
-	soloResults := make([][]*hic.TenantResult, n)
-	var contended []*hic.TenantResult
-	var contendedSpan sim.Duration
-	err := sweep(opt, n+1, func(i int, tracer obs.Tracer) error {
-		if i < n {
-			res, _, err := workloadRun(opt, cfg, queues, specs[i:i+1], nil, tracer)
-			if err != nil {
-				return fmt.Errorf("workload solo %s: %w", specs[i].Name, err)
-			}
-			soloResults[i] = res
-			return nil
-		}
-		res, span, err := workloadRun(opt, cfg, queues, specs, cfg.Recorder, tracer)
-		if err != nil {
-			return fmt.Errorf("workload contended: %w", err)
-		}
-		contended, contendedSpan = res, span
-		return nil
-	})
+	jobs := make([]tenantJob, 0, len(specs)+1)
+	for i := range specs {
+		jobs = append(jobs, tenantJob{"solo " + specs[i].Name, specs[i : i+1], workloadFrontend(queues, cfg.Arbitration, nil)})
+	}
+	jobs = append(jobs, tenantJob{"contended", specs, workloadFrontend(queues, cfg.Arbitration, cfg.Recorder)})
+	runs, err := sweep(opt, jobs, opt.workloadRun)
 	if err != nil {
 		return nil, err
 	}
 
-	out := &WorkloadResult{Span: contendedSpan}
+	out := &WorkloadResult{}
 	var sum, sumSq float64
+	var start, end sim.Time // the contended run's extent
 	for i, spec := range specs {
-		solo, cont := soloResults[i][0], contended[i]
+		solo, cont := runs[i][0], runs[len(specs)][i]
 		p := WorkloadPoint{
 			Name: spec.Name, Queue: spec.Queue, Mix: spec.Mix.String(),
 			SoloMean: solo.MeanLatency(), SoloP99: solo.LatencyPercentile(99),
@@ -182,7 +169,12 @@ func Workloads(opt Options, cfg WorkloadConfig) (*WorkloadResult, error) {
 		sum += float64(cont.Completed)
 		sumSq += float64(cont.Completed) * float64(cont.Completed)
 		out.Points = append(out.Points, p)
+		if i == 0 || cont.Start < start {
+			start = cont.Start
+		}
+		end = max(end, cont.End)
 	}
+	out.Span = end.Sub(start)
 	if sumSq > 0 {
 		out.Fairness = sum * sum / (float64(len(specs)) * sumSq)
 	}
@@ -210,40 +202,40 @@ func workloadFrontend(queues int, arb hic.Arbitration, rec *hic.Recorder) hic.Fr
 	}
 }
 
-// workloadRun drives the given tenants to completion over the union of
-// their slices and reports their results and the run's extent.
-func workloadRun(opt Options, cfg WorkloadConfig, queues int, tenants []hic.TenantSpec, rec *hic.Recorder, tracer obs.Tracer) ([]*hic.TenantResult, sim.Duration, error) {
+// tenantJob is one run of the tenant sweep: the tenants it drives
+// together behind the frontend fc, and the name its errors carry.
+type tenantJob struct {
+	name    string
+	tenants []hic.TenantSpec
+	fc      hic.FrontendConfig
+}
+
+// workloadRun drives the job's tenants to completion over the union of
+// their slices and reports one result per tenant.
+func (opt Options) workloadRun(j tenantJob, tracer obs.Tracer) ([]*hic.TenantResult, error) {
 	working := 0
-	for _, t := range tenants {
+	for _, t := range j.tenants {
 		working = max(working, t.SliceStart+t.SlicePages)
 	}
 	var results []*hic.TenantResult
-	fc := workloadFrontend(queues, cfg.Arbitration, rec)
-	err := driveRig(opt, workloadRig(), working, &fc, tracer,
+	_, err := driveRig(opt, workloadRig(), working, &j.fc, tracer,
 		func(rig *ssd.Rig, f *hic.Frontend) (err error) {
-			results, err = hic.RunTenants(rig.Kernel, f, tenants, rig.HostTracer())
+			results, err = hic.RunTenants(rig.Kernel, f, j.tenants, rig.HostTracer())
 			return err
 		})
 	if err != nil {
-		return nil, 0, err
+		return nil, fmt.Errorf("workload %s: %w", j.name, err)
 	}
-	var start, end sim.Time
 	for i, res := range results {
-		if res.Done() != tenants[i].NumOps {
-			return nil, 0, fmt.Errorf("tenant %s: only %d of %d ops terminated",
-				res.Name, res.Done(), tenants[i].NumOps)
+		if res.Done() != j.tenants[i].NumOps {
+			return nil, fmt.Errorf("workload %s: tenant %s: only %d of %d ops terminated",
+				j.name, res.Name, res.Done(), j.tenants[i].NumOps)
 		}
 		if res.Failed != 0 {
-			return nil, 0, fmt.Errorf("tenant %s: %d ops failed", res.Name, res.Failed)
-		}
-		if i == 0 || res.Start < start {
-			start = res.Start
-		}
-		if res.End > end {
-			end = res.End
+			return nil, fmt.Errorf("workload %s: tenant %s: %d ops failed", j.name, res.Name, res.Failed)
 		}
 	}
-	return results, end.Sub(start), nil
+	return results, nil
 }
 
 // ReplayWorkload replays a recorded tenant trace on a fresh rig with
