@@ -54,6 +54,29 @@ func TestFlagParsing(t *testing.T) {
 		}
 	})
 
+	// -ops -5 once printed a 4-read Fig 11 and exited 0, or failed from
+	// inside a sweep.
+	t.Run("ops-below-one", func(t *testing.T) {
+		for _, line := range []string{"-ops -5 -blocks 16 fig11", "-ops 0 fig12", "-ops -1 drive"} {
+			if err := parse(t, strings.Fields(line)...).validate(); err == nil {
+				t.Errorf("%s accepted", line)
+			}
+		}
+		if err := parse(t, "-ops", "1", "fig11").validate(); err != nil {
+			t.Errorf("-ops 1 rejected: %v", err)
+		}
+	})
+
+	// -parallel -3 once meant one worker per CPU, like -parallel 0.
+	t.Run("parallel-negative", func(t *testing.T) {
+		if err := parse(t, "-parallel", "-3", "fig10").validate(); err == nil {
+			t.Error("-parallel -3 accepted")
+		}
+		if err := parse(t, "-parallel", "0", "fig10").validate(); err != nil {
+			t.Errorf("-parallel 0 rejected: %v", err)
+		}
+	})
+
 	t.Run("mapcache", func(t *testing.T) {
 		// Default keeps the whole map resident (legacy, byte-identical
 		// figures); an explicit budget threads through to every rig.

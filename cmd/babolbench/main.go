@@ -445,8 +445,13 @@ func (c *cli) validate() error {
 	if err != nil {
 		return err
 	}
-	if c.seeds < 1 {
+	switch {
+	case c.seeds < 1:
 		return fmt.Errorf("-seeds %d: want at least 1", c.seeds)
+	case c.ops < 1:
+		return fmt.Errorf("-ops %d: want at least 1", c.ops)
+	case c.parallel < 0:
+		return fmt.Errorf("-parallel %d: want 0 (one per CPU) or more", c.parallel)
 	}
 	if sub == "wave" {
 		if c.rig.Controller == ssd.CtrlHW {
