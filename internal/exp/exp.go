@@ -8,6 +8,7 @@ package exp
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/hic"
 	"repro/internal/nand"
@@ -116,12 +117,18 @@ func channelCeilingMBps(rateMT int) float64 {
 	return float64(rateMT) // 1 byte per transfer: N MT/s = N MB/s
 }
 
-// table renders rows with a header, aligning columns on tabs.
+// table renders rows under a header (a title, then any column headings
+// on further lines) and a rule as wide as the widest header line, in
+// runes.
 func table(header string, rows []string) string {
+	width := 0
+	for _, line := range strings.Split(header, "\n") {
+		width = max(width, utf8.RuneCountInString(line))
+	}
 	var b strings.Builder
 	b.WriteString(header)
 	b.WriteByte('\n')
-	b.WriteString(strings.Repeat("-", len(header)))
+	b.WriteString(strings.Repeat("-", width))
 	b.WriteByte('\n')
 	for _, r := range rows {
 		b.WriteString(r)

@@ -122,10 +122,8 @@ func Fig9() (string, error) {
 	}, &pins); err != nil {
 		return "", fmt.Errorf("fig9: %w", err)
 	}
-	out := "Fig 9: waveform of an ONFI READ produced by Algorithm 2 (RTOS @ 1 GHz)\n"
-	out += "------------------------------------------------------------------------\n"
-	out += wave.Render(pins.Events())
-	return out, nil
+	return table("Fig 9: waveform of an ONFI READ produced by Algorithm 2 (RTOS @ 1 GHz)", nil) +
+		wave.Render(pins.Events()), nil
 }
 
 // RenderFig11 formats the poll-cadence comparison.
