@@ -112,6 +112,27 @@ func TestDriveReplayPreloadsTraceSpan(t *testing.T) {
 	}
 }
 
+// TestReplayGoldens pins what a replay reports, whatever the recording's
+// format: `-ops 24 -record rec.jsonl workload` writes its own recording,
+// then `-replay rec.jsonl` plays it on the drive rig and on the tenant
+// rig. The drive header's temporary path reads as "rec.jsonl".
+func TestReplayGoldens(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rec.jsonl")
+	if _, err := runCLI(t, "-ops", "24", "-record", path, "workload"); err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []string{"drive", "workload"} {
+		got, err := runCLI(t, "-replay", path, sub)
+		if err != nil {
+			t.Fatalf("replay on %s: %v", sub, err)
+		}
+		got = strings.ReplaceAll(got, path, "rec.jsonl")
+		if want := golden(t, "replay_"+sub+".golden"); got != want {
+			t.Errorf("replay on %s drifted\n got:\n%s\nwant:\n%s", sub, got, want)
+		}
+	}
+}
+
 // TestDriveTraceAnalyzes: `-trace t.jsonl drive` then `analyze t.jsonl`
 // — drive goes through the one rig-config path, so its event stream is
 // a trace like any figure's, with no protocol violations.
