@@ -64,15 +64,17 @@ func writeFile(t *testing.T, name, content string) string {
 	return path
 }
 
-// TestDriveReplaysJSONL pins `drive -replay`: it takes the hic JSONL that
-// `-record` writes, sizes the frontend from the highest recorded queue,
-// and refuses the retired text format at its first line (main turns the
-// error into exit 1).
+// TestDriveReplaysJSONL pins `drive -replay`: it takes the host-enqueue
+// events that `-record` writes, sizes the frontend from the highest
+// recorded queue, and refuses, naming the file (main turns the error
+// into exit 1): the retired text and at_ps formats at their first line,
+// and a queue index past NVMe's 65,536, which once sized a frontend of
+// 2^40 queues and ran the process out of memory.
 func TestDriveReplaysJSONL(t *testing.T) {
 	path := writeFile(t, "cmds.jsonl",
-		`{"at_ps":0,"queue":0,"tenant":"a","op":"write","lpn":5}`+"\n"+
-			`{"at_ps":1000000,"queue":2,"tenant":"b","op":"read","lpn":5}`+"\n"+
-			`{"at_ps":2000000,"queue":1,"op":"trim","lpn":6}`+"\n")
+		`{"t":0,"kind":"host-enqueue","txn":5,"chip":-1,"cycles":1,"label":"a"}`+"\n"+
+			`{"t":1000000,"kind":"host-enqueue","txn":5,"chip":-1,"depth":2,"label":"b"}`+"\n"+
+			`{"t":2000000,"kind":"host-enqueue","txn":6,"chip":-1,"depth":1,"cycles":2}`+"\n")
 	out, err := runCLI(t, "-ctrl", "coro", "-ways", "2", "-qd", "4", "-replay", path, "drive")
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +83,17 @@ func TestDriveReplaysJSONL(t *testing.T) {
 		t.Errorf("replayed 3 commands, report says otherwise:\n%s", out)
 	}
 
-	text := writeFile(t, "old.trace", "0 read 5\n1 read 6\n")
-	if _, err := runCLI(t, "-replay", text, "drive"); err == nil ||
-		!strings.Contains(err.Error(), text) || !strings.Contains(err.Error(), "line 1:") {
-		t.Errorf("text-format trace: %v, want an error naming the file and line 1", err)
+	for _, tc := range []struct{ name, in, where string }{
+		{"text", "0 read 5\n1 read 6\n", "line 1:"},
+		{"at_ps", `{"at_ps":0,"queue":1099511627776,"op":"read","lpn":1}` + "\n", "line 1:"},
+		{"queue", `{"t":0,"kind":"host-enqueue","txn":1,"chip":-1}` + "\n" +
+			`{"t":0,"kind":"host-enqueue","txn":1,"chip":-1,"depth":2147483647}` + "\n", "event 2:"},
+	} {
+		bad := writeFile(t, tc.name+".jsonl", tc.in)
+		if _, err := runCLI(t, "-replay", bad, "drive"); err == nil ||
+			!strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), tc.where) {
+			t.Errorf("%s trace: %v, want an error naming the file and %q", tc.name, err, tc.where)
+		}
 	}
 	if _, err := runCLI(t, "-replay", filepath.Join(t.TempDir(), "missing.jsonl"), "drive"); err == nil {
 		t.Error("missing trace file accepted")
@@ -98,8 +107,8 @@ func TestDriveReplaysJSONL(t *testing.T) {
 // header names the trace, not the unused -pattern/-kind.
 func TestDriveReplayPreloadsTraceSpan(t *testing.T) {
 	path := writeFile(t, "far.jsonl",
-		`{"at_ps":0,"queue":0,"op":"read","lpn":600}`+"\n"+
-			`{"at_ps":0,"queue":0,"op":"read","lpn":601}`+"\n")
+		`{"t":0,"kind":"host-enqueue","txn":600,"chip":-1}`+"\n"+
+			`{"t":0,"kind":"host-enqueue","txn":601,"chip":-1}`+"\n")
 	out, err := runCLI(t, "-replay", path, "drive")
 	if err != nil {
 		t.Fatal(err)

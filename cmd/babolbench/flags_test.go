@@ -251,18 +251,14 @@ func TestFlagUseCoversEveryFlag(t *testing.T) {
 func TestWorkloadReplayRerecords(t *testing.T) {
 	dir := t.TempDir()
 	first, second := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")
-	run := func(args ...string) {
-		t.Helper()
-		c := newCLI(io.Discard)
-		if err := c.fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		if err := runWorkload(c, c.options(), io.Discard); err != nil {
+	for _, args := range [][]string{
+		{"-ops", "8", "-record", first, "workload"},
+		{"-ops", "8", "-replay", first, "-record", second, "workload"},
+	} {
+		if _, err := runCLI(t, args...); err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
 	}
-	run("-ops", "8", "-record", first, "workload")
-	run("-ops", "8", "-replay", first, "-record", second, "workload")
 	want, err := os.ReadFile(first)
 	if err != nil {
 		t.Fatal(err)

@@ -45,10 +45,11 @@
 // solo and then all contended, and reports per-tenant latency, slowdown,
 // and Jain's fairness (also excluded from `all`). -queues sets the
 // submission-queue count, -arb picks rr or wrr arbitration, -record
-// captures the contended run's host command stream as a hic JSONL trace,
-// and -replay plays such a trace back open loop on a fresh rig,
-// reproducing the recorded command stream exactly (-replay with -record
-// re-records it; the two files compare equal).
+// captures the contended run's host command stream as an obs JSONL trace
+// of host-enqueue events (one per command, in enqueue order; a plain
+// -trace does not carry them), and -replay plays such a trace back open
+// loop on a fresh rig, reproducing the recorded command stream exactly
+// (-replay with -record re-records it; the two files compare equal).
 //
 // and one whole-drive run, the fio stand-in of the paper's Figure 12
 // setup:
@@ -62,7 +63,7 @@
 // -package, -mt, -mhz, -ecc, -copyback, -suspend-reads — runs -ops
 // commands of -pattern and -kind at queue depth -qd against it, and
 // reports bandwidth, IOPS, latency percentiles, and GC/ECC counters.
-// -replay plays a recorded hic trace back on that rig instead (one
+// -replay plays a -record trace back on that rig instead (one
 // submission queue per recorded queue, -qd each), preloaded over the
 // pages it touches. Like every rig, it takes -trace, -http and -mapcache
 // (not part of `all`).
@@ -114,6 +115,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -133,39 +135,42 @@ import (
 	"repro/internal/ssd"
 )
 
-// readRecording decodes the hic JSONL trace at path (what -record
+// readRecording decodes the obs JSONL trace at path (what -record
 // writes) for a replay.
-func readRecording(path string) ([]hic.RecordEntry, error) {
+func readRecording(path string) ([]obs.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	entries, err := hic.ReadJSONL(f)
+	events, err := obs.ReadJSONL(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return entries, nil
+	return events, nil
 }
 
 // runWorkload is the `babolbench workload` subcommand: with -replay,
-// play a recorded hic trace back on a fresh rig; otherwise run the
+// play a recorded trace back on a fresh rig; otherwise run the
 // many-tenant solo-versus-contended sweep. Either way -record captures
 // the host command stream the (contended) run enqueued, so a replay can
-// be re-recorded and compared with its input.
+// be re-recorded and compared with its input. The recording is written
+// only once the run has succeeded.
 func runWorkload(c *cli, opt exp.Options, out io.Writer) error {
 	cfg := exp.WorkloadConfig{Queues: c.queues, Arbitration: c.arb}
+	var recording bytes.Buffer
+	rec := obs.NewJSONLWriter(&recording)
 	if c.record != "" {
-		cfg.Recorder = &hic.Recorder{}
+		cfg.Record = rec
 	}
 	if c.replay != "" {
-		entries, err := readRecording(c.replay)
+		events, err := readRecording(c.replay)
 		if err != nil {
 			return err
 		}
-		res, err := exp.ReplayWorkload(opt, cfg, entries)
+		res, err := exp.ReplayWorkload(opt, cfg, events)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", c.replay, err)
 		}
 		fmt.Fprintf(out, "replayed %d host commands (%d failed) over %s: mean %s, p99 %s, %.0f IOPS\n",
 			res.Done(), res.Failed, res.Elapsed(), res.MeanLatency(),
@@ -180,35 +185,33 @@ func runWorkload(c *cli, opt exp.Options, out io.Writer) error {
 	if c.record == "" {
 		return nil
 	}
-	f, err := os.Create(c.record)
-	if err != nil {
+	if err := rec.Flush(); err != nil {
 		return err
 	}
-	if err := cfg.Recorder.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(c.record, recording.Bytes(), 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "babolbench: recorded %d host commands to %s\n",
-		cfg.Recorder.Len(), c.record)
+		bytes.Count(recording.Bytes(), []byte{'\n'}), c.record)
 	return nil
 }
 
 // runDrive is the `babolbench drive` subcommand: the rig the drive flags
 // describe runs their synthetic stream or, with -replay, a recorded one.
 func runDrive(c *cli, opt exp.Options, out io.Writer) error {
-	var entries []hic.RecordEntry
+	var events []obs.Event
 	title := c.load.Pattern.String() + " " + c.load.Kind.String()
 	if c.replay != "" {
 		var err error
-		if entries, err = readRecording(c.replay); err != nil {
+		if events, err = readRecording(c.replay); err != nil {
 			return err
 		}
 		title = "replay of " + c.replay
 	}
-	report, err := exp.Drive(opt, c.rig, c.load, entries, title)
+	report, err := exp.Drive(opt, c.rig, c.load, events, title)
+	if err != nil && c.replay != "" {
+		return fmt.Errorf("%s: %w", c.replay, err)
+	}
 	if err != nil {
 		return err
 	}
@@ -241,22 +244,13 @@ func analyzeTrace(path string, csv bool, out io.Writer) error {
 	return nil
 }
 
-// serveIntrospection mounts /metrics, /ftl, /tenants and /debug/pprof/
-// on addr and returns the live tracer the experiments should feed. The
-// server stays up for the process lifetime; errors binding the socket
-// are fatal (asking for introspection and silently not getting it is
-// worse than failing).
+// serveIntrospection serves introspectionMux on addr and returns the
+// live tracer the experiments should feed. The server stays up for the
+// process lifetime; errors binding the socket are fatal (asking for
+// introspection and silently not getting it is worse than failing).
 func serveIntrospection(addr string) (obs.Tracer, error) {
 	live := obs.NewSyncMetrics()
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.MetricsHandler(live.Snapshot))
-	mux.Handle("/ftl", obs.FTLHandler(live.Snapshot))
-	mux.Handle("/tenants", obs.TenantsHandler(live.Snapshot))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux := introspectionMux(live)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("-http %s: %w", addr, err)
@@ -268,6 +262,21 @@ func serveIntrospection(addr string) (obs.Tracer, error) {
 		}
 	}()
 	return live, nil
+}
+
+// introspectionMux mounts /metrics, /ftl and /tenants over live's
+// snapshots, and the pprof handlers under /debug/pprof/.
+func introspectionMux(live *obs.SyncMetrics) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", obs.MetricsHandler(live.Snapshot))
+	mux.Handle("/ftl", obs.FTLHandler(live.Snapshot))
+	mux.Handle("/tenants", obs.TenantsHandler(live.Snapshot))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // allMembers are the subcommands `all` runs, in paper order.
@@ -379,8 +388,8 @@ func newCLI(errOut io.Writer) *cli {
 	c.fs.IntVar(&c.queues, "queues", 0, "workload: frontend submission-queue count (0 = one per tenant; tenants share queues when fewer)")
 	enumVar(c.fs, &c.arb, "arb", "workload: submission-queue arbitration (wrr gives queue 0 a 4-command burst)",
 		hic.RoundRobin, hic.WeightedRoundRobin)
-	c.fs.StringVar(&c.record, "record", "", "workload: write the contended run's (or the -replay's) host command stream to this hic JSONL trace")
-	c.fs.StringVar(&c.replay, "replay", "", "workload, drive: replay this hic JSONL trace on a fresh rig instead of the synthetic stream")
+	c.fs.StringVar(&c.record, "record", "", "workload: write the contended run's (or the -replay's) host command stream to this JSONL trace of host-enqueue events")
+	c.fs.StringVar(&c.replay, "replay", "", "workload, drive: replay this -record trace on a fresh rig instead of the synthetic stream")
 	enumVar(c.fs, &c.rig.Controller, "ctrl", "drive, wave: channel controller (wave runs rtos or coro)",
 		ssd.CtrlHW, ssd.CtrlBabolRTOS, ssd.CtrlBabolCoro)
 	c.fs.IntVar(&c.rig.Channels, "channels", 1, "drive: independent flash channels")

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/hic"
@@ -99,30 +100,37 @@ func runOne(opt Options, cfg ssd.BuildConfig, preload int, fc *hic.FrontendConfi
 	return res, rigs[0], nil
 }
 
-// replay plays a recorded stream back open loop on a fresh rig shaped by
-// cfg, behind the frontend fc describes and preloaded over the span the
-// trace touches, and fails unless every command terminated. It returns
-// the aggregate result and the drained rig.
-func replay(opt Options, cfg ssd.BuildConfig, fc hic.FrontendConfig, entries []hic.RecordEntry) (*hic.Result, *ssd.Rig, error) {
+// replay plays a recording (see hic.Replay) back open loop on a fresh
+// rig shaped by cfg, behind the frontend fc describes and preloaded over
+// the span the trace touches, and fails unless every command terminated.
+// It returns the aggregate result and the drained rig.
+func replay(opt Options, cfg ssd.BuildConfig, fc hic.FrontendConfig, events []obs.Event) (*hic.Result, *ssd.Rig, error) {
 	working := 0
-	for _, e := range entries {
-		working = max(working, e.LPN+1)
+	for _, e := range events {
+		if e.TxnID < math.MaxInt { // hic.Replay refuses a larger LPN
+			working = max(working, int(e.TxnID)+1)
+		}
 	}
-	return runOne(opt, cfg, working, &fc, len(entries), func(r *ssd.Rig, f *hic.Frontend) (*hic.Result, error) {
-		return hic.Replay(r.Kernel, f, entries, r.HostTracer())
+	return runOne(opt, cfg, working, &fc, len(events), func(r *ssd.Rig, f *hic.Frontend) (*hic.Result, error) {
+		return hic.Replay(r.Kernel, f, events, r.HostTracer())
 	})
 }
 
+// maxReplayQueues bounds the submission queues a replayed recording may
+// name: NVMe's I/O queue-ID space. Drive sizes its frontend from the
+// highest recorded queue, so a larger index is refused, not allocated.
+const maxReplayQueues = 1 << 16
+
 // Drive is one fio-like run of a whole drive: the rig cfg describes (its
 // Params preset shrunk to opt.Blocks) runs w's closed loop for opt.Ops
-// commands over 64 pages per LUN, preloaded when w reads. With entries
-// non-nil it replays that recorded stream instead — one submission queue
-// per recorded queue, each with w.QueueDepth as its window — preloaded
-// over the span the trace touches. The report's first line names the
+// commands over 64 pages per LUN, preloaded when w reads. With events
+// non-nil it replays that recording instead — one submission queue per
+// recorded queue, each with w.QueueDepth as its window — preloaded over
+// the span the trace touches. The report's first line names the
 // stream (title) and the rig; the rest gives completions, bandwidth,
 // latency, the drive's GC and ECC counters, and write amplification when
 // the stream wrote.
-func Drive(opt Options, cfg ssd.BuildConfig, w hic.Workload, entries []hic.RecordEntry, title string) (string, error) {
+func Drive(opt Options, cfg ssd.BuildConfig, w hic.Workload, events []obs.Event, title string) (string, error) {
 	opt = opt.withDefaults()
 	cfg.Params = shrink(cfg.Params, opt.Blocks)
 	var (
@@ -131,17 +139,20 @@ func Drive(opt Options, cfg ssd.BuildConfig, w hic.Workload, entries []hic.Recor
 		want int
 		err  error
 	)
-	if entries != nil {
-		queues := 0
-		for _, e := range entries {
-			queues = max(queues, e.Queue+1)
+	if events != nil {
+		queues := 1
+		for i, e := range events {
+			if e.Depth >= maxReplayQueues {
+				return "", fmt.Errorf("exp: event %d: queue %d, want below %d", i+1, e.Depth, maxReplayQueues)
+			}
+			queues = max(queues, int(e.Depth)+1)
 		}
 		qcs := make([]hic.QueueConfig, queues)
 		for i := range qcs {
 			qcs[i].Depth = w.QueueDepth
 		}
-		want = len(entries)
-		res, rig, err = replay(opt, cfg, hic.FrontendConfig{Queues: qcs}, entries)
+		want = len(events)
+		res, rig, err = replay(opt, cfg, hic.FrontendConfig{Queues: qcs}, events)
 	} else {
 		w.NumOps, w.LogicalPages, w.Seed = opt.Ops, 64*cfg.Ways*cfg.Channels, 1
 		want = w.NumOps

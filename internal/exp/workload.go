@@ -26,9 +26,9 @@ type WorkloadConfig struct {
 	Queues int
 	// Arbitration picks the dispatch policy (RoundRobin default).
 	Arbitration hic.Arbitration
-	// Recorder, when non-nil, captures the contended run's command
-	// stream at the frontend enqueue boundary (hic JSONL trace).
-	Recorder *hic.Recorder
+	// Record, when non-nil, receives the contended run's command stream
+	// at the frontend enqueue boundary (hic.FrontendConfig.Record).
+	Record obs.Tracer
 	// Tenants overrides the default cast; nil picks DefaultTenants.
 	Tenants []hic.TenantSpec
 }
@@ -144,7 +144,7 @@ func Workloads(opt Options, cfg WorkloadConfig) (*WorkloadResult, error) {
 	for i := range specs {
 		jobs = append(jobs, tenantJob{"solo " + specs[i].Name, specs[i : i+1], workloadFrontend(queues, cfg.Arbitration, nil)})
 	}
-	jobs = append(jobs, tenantJob{"contended", specs, workloadFrontend(queues, cfg.Arbitration, cfg.Recorder)})
+	jobs = append(jobs, tenantJob{"contended", specs, workloadFrontend(queues, cfg.Arbitration, cfg.Record)})
 	runs, err := sweep(opt, jobs, opt.workloadRun)
 	if err != nil {
 		return nil, err
@@ -187,7 +187,7 @@ func Workloads(opt Options, cfg WorkloadConfig) (*WorkloadResult, error) {
 // uncapped frontend dispatches everything on arrival and RR ≡ WRR).
 // Under WRR the first queue is the privileged class with a 4-command
 // burst per turn.
-func workloadFrontend(queues int, arb hic.Arbitration, rec *hic.Recorder) hic.FrontendConfig {
+func workloadFrontend(queues int, arb hic.Arbitration, rec obs.Tracer) hic.FrontendConfig {
 	qcs := make([]hic.QueueConfig, queues)
 	for i := range qcs {
 		qcs[i] = hic.QueueConfig{Depth: 8, Weight: 1}
@@ -198,7 +198,7 @@ func workloadFrontend(queues int, arb hic.Arbitration, rec *hic.Recorder) hic.Fr
 	return hic.FrontendConfig{
 		Queues: qcs, Arbitration: arb,
 		MaxInFlight: 2 * workloadWays,
-		Recorder:    rec,
+		Record:      rec,
 	}
 }
 
@@ -242,14 +242,14 @@ func (opt Options) workloadRun(j tenantJob, tracer obs.Tracer) ([]*hic.TenantRes
 // the same build shape as the recording runs, preloaded over the span
 // the trace touches, and returns the replay's aggregate result. The
 // host command stream is reproduced exactly: re-recording the replay
-// (cfg.Recorder) yields the original JSONL byte for byte.
-func ReplayWorkload(opt Options, cfg WorkloadConfig, entries []hic.RecordEntry) (*hic.Result, error) {
+// (cfg.Record) yields the original recording byte for byte.
+func ReplayWorkload(opt Options, cfg WorkloadConfig, events []obs.Event) (*hic.Result, error) {
 	opt = opt.withDefaults()
 	queues := cfg.Queues
 	if queues <= 0 {
 		queues = len(DefaultTenants(opt.Ops))
 	}
-	res, _, err := replay(opt, workloadRig(), workloadFrontend(queues, cfg.Arbitration, cfg.Recorder), entries)
+	res, _, err := replay(opt, workloadRig(), workloadFrontend(queues, cfg.Arbitration, cfg.Record), events)
 	return res, err
 }
 

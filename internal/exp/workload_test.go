@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/hic"
+	"repro/internal/obs"
 )
 
 // workloadQuick shrinks the tenant scenario for tests: a few ops per
@@ -115,21 +116,21 @@ func TestWorkloadDeterminism(t *testing.T) {
 // the recorded command stream (zipfian addresses, mix draws, burst
 // phases included) is a pure function of the specs' seeds.
 func TestWorkloadSeedReproducibility(t *testing.T) {
-	record := func(mutate func([]hic.TenantSpec)) []hic.RecordEntry {
+	record := func(mutate func([]hic.TenantSpec)) []obs.Event {
 		t.Helper()
-		rec := &hic.Recorder{}
+		rec := &obs.Buffer{}
 		tenants := DefaultTenants(12)
 		if mutate != nil {
 			mutate(tenants)
 		}
-		_, err := Workloads(workloadQuick(), WorkloadConfig{Recorder: rec, Tenants: tenants})
+		_, err := Workloads(workloadQuick(), WorkloadConfig{Record: rec, Tenants: tenants})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rec.Len() != 4*12 {
 			t.Fatalf("recorded %d commands, want %d", rec.Len(), 4*12)
 		}
-		return rec.Entries()
+		return rec.Events()
 	}
 	a := record(nil)
 	b := record(nil)
@@ -151,30 +152,30 @@ func TestWorkloadSeedReproducibility(t *testing.T) {
 // replay's re-recorded enqueue stream reproduces the original JSONL
 // byte for byte.
 func TestReplayWorkload(t *testing.T) {
-	rec := &hic.Recorder{}
+	var original bytes.Buffer
+	rec := obs.NewJSONLWriter(&original)
 	opt := workloadQuick()
-	if _, err := Workloads(opt, WorkloadConfig{Recorder: rec}); err != nil {
+	if _, err := Workloads(opt, WorkloadConfig{Record: rec}); err != nil {
 		t.Fatal(err)
 	}
-	var original bytes.Buffer
-	if err := rec.WriteJSONL(&original); err != nil {
+	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	entries, err := hic.ReadJSONL(bytes.NewReader(original.Bytes()))
+	events, err := obs.ReadJSONL(bytes.NewReader(original.Bytes()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	rerec := &hic.Recorder{}
-	res, err := ReplayWorkload(opt, WorkloadConfig{Recorder: rerec}, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Done() != len(entries) || res.Failed != 0 {
-		t.Fatalf("replay terminated %d/%d with %d failures", res.Done(), len(entries), res.Failed)
 	}
 	var replayed bytes.Buffer
-	if err := rerec.WriteJSONL(&replayed); err != nil {
+	rerec := obs.NewJSONLWriter(&replayed)
+	res, err := ReplayWorkload(opt, WorkloadConfig{Record: rerec}, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Done() != len(events) || res.Failed != 0 {
+		t.Fatalf("replay terminated %d/%d with %d failures", res.Done(), len(events), res.Failed)
+	}
+	if err := rerec.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(original.Bytes(), replayed.Bytes()) {

@@ -18,8 +18,8 @@
 //     so each command is dispatched the instant it is enqueued and the
 //     frontend adds no kernel event.
 //   - The recorded source (record.go) is open loop: Replay enqueues a
-//     Recorder's JSONL command stream at its recorded instants,
-//     whatever has or has not completed.
+//     recorded stream of obs.KindHostEnqueue events at its recorded
+//     instants, whatever has or has not completed.
 //
 // Draw rules. A closed-loop source owns one seeded RNG and draws each
 // command's kind before its LPN from it, so whether the kind costs a
@@ -71,19 +71,6 @@ func (k Kind) String() string {
 		return "trim"
 	}
 	return "unknown"
-}
-
-// KindFromString inverts Kind.String; ok is false for unknown names.
-func KindFromString(s string) (Kind, bool) {
-	switch s {
-	case "read":
-		return KindRead, true
-	case "write":
-		return KindWrite, true
-	case "trim":
-		return KindTrim, true
-	}
-	return 0, false
 }
 
 // Command is one host request for a logical page.

@@ -1,8 +1,10 @@
 package hic
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -232,18 +234,18 @@ func (f submitterFunc) Submit(c Command) { f(c) }
 func TestReplayTrace(t *testing.T) {
 	k := sim.NewKernel()
 	d := &fakeDrive{k: k, latency: 10 * sim.Microsecond}
-	rec := &Recorder{}
-	f, err := NewFrontend(k, d, FrontendConfig{Queues: []QueueConfig{{Depth: 4}}, Recorder: rec})
+	rec := &obs.Buffer{}
+	f, err := NewFrontend(k, d, FrontendConfig{Queues: []QueueConfig{{Depth: 4}}, Record: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	us := int64(sim.Microsecond)
-	entries := []RecordEntry{
-		{AtPs: 0, Op: "read", LPN: 1},
-		{AtPs: 5 * us, Op: "read", LPN: 2},
-		{AtPs: 100 * us, Op: "write", LPN: 3},
+	us := sim.Time(sim.Microsecond)
+	events := []obs.Event{
+		enqueued(0, 0, KindRead, 1, ""),
+		enqueued(5*us, 0, KindRead, 2, ""),
+		enqueued(100*us, 0, KindWrite, 3, ""),
 	}
-	res, err := Replay(k, f, entries, nil)
+	res, err := Replay(k, f, events, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,16 +261,11 @@ func TestReplayTrace(t *testing.T) {
 	if d.maxInFlight != 2 {
 		t.Errorf("maxInFlight = %d, want 2", d.maxInFlight)
 	}
-	for i, want := range entries {
-		if got := rec.Entries()[i]; got != want {
-			t.Errorf("enqueue %d = %+v, want %+v", i, got, want)
-		}
+	if got := rec.Events(); !slices.Equal(got, events) {
+		t.Errorf("enqueued %+v, want %+v", got, events)
 	}
 	// Last completion at 110us.
 	if res.End != sim.Time(110*sim.Microsecond) {
 		t.Errorf("end = %v", res.End)
-	}
-	if _, err := Replay(k, f, nil, nil); err == nil {
-		t.Error("empty trace accepted")
 	}
 }

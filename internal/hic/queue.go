@@ -3,6 +3,7 @@ package hic
 import (
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -60,9 +61,9 @@ type FrontendConfig struct {
 	// MaxInFlight caps device-wide outstanding commands across all
 	// queues; 0 means the sum of queue depths (no extra cap).
 	MaxInFlight int
-	// Recorder, when non-nil, captures every enqueue for later JSONL
-	// export and replay (see record.go).
-	Recorder *Recorder
+	// Record, when non-nil, receives one obs.KindHostEnqueue event per
+	// enqueue: the recording Replay plays back (see record.go).
+	Record obs.Tracer
 }
 
 // QueueStats counts one queue's lifetime activity.
@@ -91,7 +92,7 @@ type Frontend struct {
 
 	free    []*fqSlot
 	pumping bool
-	rec     *Recorder
+	rec     obs.Tracer
 }
 
 // fqueue is one submission queue: a head-indexed ring of pending
@@ -138,7 +139,7 @@ func NewFrontend(k *sim.Kernel, sub Submitter, cfg FrontendConfig) (*Frontend, e
 		k: k, sub: sub, arb: cfg.Arbitration,
 		queues:      make([]fqueue, len(cfg.Queues)),
 		maxInFlight: maxIF,
-		rec:         cfg.Recorder,
+		rec:         cfg.Record,
 		// The rotation scan starts at cur+1, so parking cur on the last
 		// queue makes the very first grant land on queue 0.
 		cur: len(cfg.Queues) - 1,
@@ -184,7 +185,10 @@ func (f *Frontend) Enqueue(q int, cmd Command) {
 		panic(fmt.Sprintf("hic: enqueue to queue %d of %d", q, len(f.queues)))
 	}
 	if f.rec != nil {
-		f.rec.record(f.k.Now(), q, cmd)
+		f.rec.Event(obs.Event{
+			Time: f.k.Now(), Kind: obs.KindHostEnqueue, Chip: -1,
+			Label: cmd.Tenant, Depth: int32(q), Cycles: int64(cmd.Kind), TxnID: uint64(cmd.LPN),
+		})
 	}
 	fq := &f.queues[q]
 	fq.pending = append(fq.pending, cmd)

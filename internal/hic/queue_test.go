@@ -2,8 +2,10 @@ package hic
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -176,25 +178,20 @@ func TestFrontendStats(t *testing.T) {
 	}
 }
 
-// TestFrontendRecorder pins enqueue capture: queue, tenant, op, LPN, in
-// order, at the enqueue instant.
+// TestFrontendRecorder pins enqueue capture: one host-enqueue event per
+// command with its queue, tenant, kind and LPN, in order, at the enqueue
+// instant.
 func TestFrontendRecorder(t *testing.T) {
-	rec := &Recorder{}
+	rec := &obs.Buffer{}
 	d := &manualDrive{}
 	f := newTestFrontend(t, d, FrontendConfig{
-		Queues:   []QueueConfig{{Depth: 1}, {Depth: 1}},
-		Recorder: rec,
+		Queues: []QueueConfig{{Depth: 1}, {Depth: 1}},
+		Record: rec,
 	})
 	f.Enqueue(0, Command{Kind: KindRead, LPN: 7, Tenant: "a"})
 	f.Enqueue(1, Command{Kind: KindTrim, LPN: 9, Tenant: "b"})
-	got := rec.Entries()
-	if len(got) != 2 {
-		t.Fatalf("recorded %d entries", len(got))
-	}
-	if got[0] != (RecordEntry{AtPs: 0, Queue: 0, Tenant: "a", Op: "read", LPN: 7}) {
-		t.Errorf("entry 0 = %+v", got[0])
-	}
-	if got[1] != (RecordEntry{AtPs: 0, Queue: 1, Tenant: "b", Op: "trim", LPN: 9}) {
-		t.Errorf("entry 1 = %+v", got[1])
+	want := []obs.Event{enqueued(0, 0, KindRead, 7, "a"), enqueued(0, 1, KindTrim, 9, "b")}
+	if got := rec.Events(); !slices.Equal(got, want) {
+		t.Errorf("recorded %+v, want %+v", got, want)
 	}
 }

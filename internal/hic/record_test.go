@@ -2,123 +2,20 @@ package hic
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-func TestReadJSONLValidation(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"bad json":       "{not json}\n",
-		"bad op":         `{"at_ps":0,"queue":0,"op":"erase","lpn":1}` + "\n",
-		"negative lpn":   `{"at_ps":0,"queue":0,"op":"read","lpn":-1}` + "\n",
-		"negative queue": `{"at_ps":0,"queue":-1,"op":"read","lpn":1}` + "\n",
-		"decreasing": `{"at_ps":10,"queue":0,"op":"read","lpn":1}` + "\n" +
-			`{"at_ps":5,"queue":0,"op":"read","lpn":2}` + "\n",
-	}
-	for name, in := range cases {
-		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	good := `{"at_ps":0,"queue":0,"tenant":"a","op":"read","lpn":1}` + "\n" +
-		"\n" + // blank lines are skipped
-		`{"at_ps":5,"queue":1,"op":"trim","lpn":2}` + "\n"
-	entries, err := ReadJSONL(strings.NewReader(good))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 || entries[0].Tenant != "a" || entries[1].Op != "trim" {
-		t.Fatalf("entries = %+v", entries)
-	}
-}
-
-// TestReadJSONLRejectsTextTrace: the retired `<us> <op> <lpn>` text
-// format (and its one-letter ops) must fail loudly at its first line,
-// not parse as an empty or partial trace.
-func TestReadJSONLRejectsTextTrace(t *testing.T) {
-	for _, in := range []string{
-		"0 read 5\n12.5 write 3\n",
-		"# host trace\n0 read 5\n",
-		`{"at_ps":0,"queue":0,"op":"r","lpn":5}` + "\n",
-	} {
-		if _, err := ReadJSONL(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 1:") {
-			t.Errorf("ReadJSONL(%q) = %v, want an error naming line 1", in, err)
-		}
-	}
-}
-
-// FuzzReadJSONL: the one trace parser never panics, and whatever it
-// accepts satisfies what Replay relies on — known ops, non-negative
-// fields, non-decreasing arrivals — and survives WriteJSONL → ReadJSONL
-// unchanged. The seed corpus under testdata/fuzz holds the line shapes
-// of a `babolbench -ops 8 -record … workload` file, TestReadJSONLValidation's
-// cases, and near misses of the format (the retired text format among
-// them).
-func FuzzReadJSONL(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 64<<10 {
-			// Re-encoding escapes up to sixfold; keep every line inside
-			// the reader's 1 MiB line limit.
-			t.Skip()
-		}
-		entries, err := ReadJSONL(bytes.NewReader(data))
-		if err != nil {
-			if entries != nil {
-				t.Fatalf("ReadJSONL returned %d entries with error %v", len(entries), err)
-			}
-			return
-		}
-		if len(entries) == 0 {
-			t.Fatal("ReadJSONL accepted a trace with no commands")
-		}
-		var last int64
-		for i, e := range entries {
-			if _, ok := KindFromString(e.Op); !ok {
-				t.Fatalf("entry %d: accepted unknown op %q", i, e.Op)
-			}
-			if e.AtPs < 0 || e.Queue < 0 || e.LPN < 0 {
-				t.Fatalf("entry %d: accepted a negative field: %+v", i, e)
-			}
-			if e.AtPs < last {
-				t.Fatalf("entry %d: arrival %d after %d", i, e.AtPs, last)
-			}
-			last = e.AtPs
-		}
-		var buf bytes.Buffer
-		if err := (&Recorder{entries: entries}).WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
-		if err != nil || !slices.Equal(back, entries) {
-			t.Fatalf("round trip of %+v through %q: %+v, %v", entries, buf.Bytes(), back, err)
-		}
-	})
-}
-
-func TestRecorderJSONLRoundTrip(t *testing.T) {
-	rec := &Recorder{}
-	rec.record(0, 0, Command{Kind: KindRead, LPN: 3, Tenant: "x"})
-	rec.record(7, 1, Command{Kind: KindWrite, LPN: 4})
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("entries = %+v", entries)
-	}
-	for i, want := range rec.Entries() {
-		if entries[i] != want {
-			t.Errorf("entry %d = %+v, want %+v", i, entries[i], want)
-		}
-	}
+// enqueued is the host-enqueue event a Frontend records when a command
+// of the given kind, LPN and tenant enters queue q at instant at.
+func enqueued(at sim.Time, q int32, kind Kind, lpn uint64, tenant string) obs.Event {
+	return obs.Event{Time: at, Kind: obs.KindHostEnqueue, Chip: -1, Label: tenant, Depth: q, Cycles: int64(kind), TxnID: lpn}
 }
 
 // TestReplayReproducesStream is the replay-exactness contract at unit
@@ -126,11 +23,11 @@ func TestRecorderJSONLRoundTrip(t *testing.T) {
 // fresh identical rig, and both the re-recorded stream and the
 // device-level submission stream match the original.
 func TestReplayReproducesStream(t *testing.T) {
-	run := func(entries []RecordEntry) (*Recorder, []int, *Result) {
-		rec := &Recorder{}
+	run := func(events []obs.Event) (*obs.Buffer, []int, *Result) {
+		rec := &obs.Buffer{}
 		k, d, f := tenantRig(t, 2, rec)
 		var res *Result
-		if entries == nil {
+		if events == nil {
 			if _, err := RunTenants(k, f, []TenantSpec{
 				{Name: "a", Queue: 0, QueueDepth: 3, NumOps: 25, SlicePages: 16, Seed: 1},
 				{Name: "b", Queue: 1, QueueDepth: 2, NumOps: 25, Pattern: Sequential,
@@ -140,7 +37,7 @@ func TestReplayReproducesStream(t *testing.T) {
 			}
 		} else {
 			var err error
-			res, err = Replay(k, f, entries, nil)
+			res, err = Replay(k, f, events, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,29 +47,21 @@ func TestReplayReproducesStream(t *testing.T) {
 	}
 
 	orig, origSeen, _ := run(nil)
-	rerec, replaySeen, res := run(orig.Entries())
+	rerec, replaySeen, res := run(orig.Events())
 
 	if res.Done() != orig.Len() || res.Failed != 0 {
 		t.Fatalf("replay result: %+v", res)
 	}
-	if len(rerec.Entries()) != len(orig.Entries()) {
-		t.Fatalf("re-recorded %d entries, want %d", len(rerec.Entries()), len(orig.Entries()))
+	if !slices.Equal(rerec.Events(), orig.Events()) {
+		t.Fatalf("re-recorded stream differs:\n got %+v\nwant %+v", rerec.Events(), orig.Events())
 	}
-	for i, want := range orig.Entries() {
-		if rerec.Entries()[i] != want {
-			t.Fatalf("re-recorded entry %d = %+v, want %+v", i, rerec.Entries()[i], want)
-		}
-	}
-	if len(replaySeen) != len(origSeen) {
-		t.Fatalf("device saw %d submissions on replay, %d originally", len(replaySeen), len(origSeen))
-	}
-	for i := range origSeen {
-		if replaySeen[i] != origSeen[i] {
-			t.Fatalf("device submission %d: replay LPN %d, original %d", i, replaySeen[i], origSeen[i])
-		}
+	if !slices.Equal(replaySeen, origSeen) {
+		t.Fatalf("device saw LPNs %v on replay, %v originally", replaySeen, origSeen)
 	}
 }
 
+// TestReplayRejectsBadTraces: every trace Replay cannot play is refused
+// with an error naming the event, before any event is scheduled.
 func TestReplayRejectsBadTraces(t *testing.T) {
 	k := sim.NewKernel()
 	d := &fakeDrive{k: k, latency: sim.Microsecond}
@@ -180,19 +69,69 @@ func TestReplayRejectsBadTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(k, f, nil, nil); err == nil {
-		t.Error("empty trace accepted")
-	}
-	if _, err := Replay(k, f, []RecordEntry{{Queue: 3, Op: "read"}}, nil); err == nil {
-		t.Error("out-of-range queue accepted")
-	}
-	if _, err := Replay(k, f, []RecordEntry{{Queue: -1, Op: "read"}}, nil); err == nil {
-		t.Error("negative queue accepted")
-	}
-	if _, err := Replay(k, f, []RecordEntry{{Op: "erase"}}, nil); err == nil {
-		t.Error("unknown op accepted (it used to replay as a read)")
+	good := enqueued(10, 0, KindRead, 1, "")
+	for name, trace := range map[string][]obs.Event{
+		"empty":           nil,
+		"host-cmd kind":   {good, {Time: 10, Kind: obs.KindHostCmd}},
+		"command kind 3":  {good, enqueued(10, 0, 3, 1, "")},
+		"command kind -1": {good, {Time: 10, Kind: obs.KindHostEnqueue, Cycles: -1}},
+		"queue too high":  {good, enqueued(10, 1, KindRead, 1, "")},
+		"negative queue":  {good, enqueued(10, -1, KindRead, 1, "")},
+		"LPN past MaxInt": {good, enqueued(10, 0, KindRead, math.MaxInt+1, "")},
+		"decreasing time": {good, enqueued(5, 0, KindRead, 2, "")},
+		"negative time":   {enqueued(-1, 0, KindRead, 1, "")},
+	} {
+		// The bad event is always the last.
+		want := fmt.Sprintf("event %d:", len(trace))
+		if _, err := Replay(k, f, trace, nil); err == nil || len(trace) > 0 && !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v, want a refusal naming %q", name, err, want)
+		}
 	}
 	if k.Pending() != 0 {
-		t.Errorf("rejected traces left %d events scheduled", k.Pending())
+		t.Errorf("refused traces left %d events scheduled", k.Pending())
 	}
+}
+
+// FuzzReplay: whatever obs.ReadJSONL accepts, Replay either refuses
+// before scheduling anything, or plays every command to termination and
+// the frontend re-records the same host-enqueue fields, byte for byte.
+// The seed corpus under testdata/fuzz holds the first lines of a
+// `babolbench -ops 8 -record … workload` file, an escaped tenant, and
+// one trace per refusal.
+func FuzzReplay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := obs.ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		// No device latency: a command recorded at the end of virtual
+		// time completes there instead of past it.
+		k, rerec := sim.NewKernel(), &obs.Buffer{}
+		fr, err := NewFrontend(k, &fakeDrive{k: k}, FrontendConfig{
+			Queues: []QueueConfig{{Depth: 2}, {Depth: 2}, {Depth: 2}, {Depth: 2}}, Record: rerec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Replay(k, fr, events, nil)
+		if err != nil {
+			if k.Pending() != 0 {
+				t.Fatalf("refused (%v) with %d events scheduled", err, k.Pending())
+			}
+			return
+		}
+		k.Run()
+		if res.Done() != len(events) || rerec.Len() != len(events) || !fr.Drained() {
+			t.Fatalf("%d of %d commands terminated, %d re-recorded, drained %v", res.Done(), len(events), rerec.Len(), fr.Drained())
+		}
+		var want, got bytes.Buffer
+		in, out := obs.NewJSONLWriter(&want), obs.NewJSONLWriter(&got)
+		for i, e := range events {
+			in.Event(enqueued(e.Time, e.Depth, Kind(e.Cycles), e.TxnID, e.Label))
+			out.Event(rerec.Events()[i])
+		}
+		if in.Flush() != nil || out.Flush() != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("re-recorded\n%s\nwant\n%s", got.Bytes(), want.Bytes())
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -75,11 +76,11 @@ func TestReplayTraceSplitsFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Replay(k, f, []RecordEntry{
-		{Op: "read", LPN: 0},
-		{Op: "read", LPN: 1},
-		{Op: "read", LPN: 2},
-		{Op: "read", LPN: 3},
+	res, err := Replay(k, f, []obs.Event{
+		enqueued(0, 0, KindRead, 0, ""),
+		enqueued(0, 0, KindRead, 1, ""),
+		enqueued(0, 0, KindRead, 2, ""),
+		enqueued(0, 0, KindRead, 3, ""),
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 )
 
 // tenantRig wires a fakeDrive behind a one-queue-per-tenant frontend.
-func tenantRig(t *testing.T, queues int, rec *Recorder) (*sim.Kernel, *fakeDrive, *Frontend) {
+func tenantRig(t *testing.T, queues int, rec obs.Tracer) (*sim.Kernel, *fakeDrive, *Frontend) {
 	t.Helper()
 	k := sim.NewKernel()
 	d := &fakeDrive{k: k, latency: sim.Microsecond}
@@ -17,7 +17,7 @@ func tenantRig(t *testing.T, queues int, rec *Recorder) (*sim.Kernel, *fakeDrive
 	for i := range qcs {
 		qcs[i] = QueueConfig{Depth: 8}
 	}
-	f, err := NewFrontend(k, d, FrontendConfig{Queues: qcs, Recorder: rec})
+	f, err := NewFrontend(k, d, FrontendConfig{Queues: qcs, Record: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestTenantMix(t *testing.T) {
 // TestTenantBurst pins on/off modulation: every enqueue instant falls in
 // an ON window of the tenant's phase clock.
 func TestTenantBurst(t *testing.T) {
-	rec := &Recorder{}
+	rec := &obs.Buffer{}
 	k, _, f := tenantRig(t, 1, rec)
 	on, off := 5*sim.Microsecond, 15*sim.Microsecond
 	if _, err := RunTenants(k, f, []TenantSpec{{
@@ -151,8 +151,8 @@ func TestTenantBurst(t *testing.T) {
 	}
 	period := int64(on + off)
 	offPhase := 0
-	for _, e := range rec.Entries() {
-		if e.AtPs%period >= int64(on) {
+	for _, e := range rec.Events() {
+		if int64(e.Time)%period >= int64(on) {
 			offPhase++
 		}
 	}
@@ -161,7 +161,7 @@ func TestTenantBurst(t *testing.T) {
 	}
 	// The run must actually span several periods — otherwise the phase
 	// check is vacuous.
-	last := rec.Entries()[rec.Len()-1].AtPs
+	last := int64(rec.Events()[rec.Len()-1].Time)
 	if last < 2*period {
 		t.Errorf("run spanned %dps, want at least two %dps periods", last, period)
 	}
@@ -172,7 +172,7 @@ func TestTenantBurst(t *testing.T) {
 // different stream.
 func TestTenantSeedsReproduce(t *testing.T) {
 	record := func(seed int64) string {
-		rec := &Recorder{}
+		rec := &obs.Buffer{}
 		k, _, f := tenantRig(t, 1, rec)
 		if _, err := RunTenants(k, f, []TenantSpec{{
 			Name: "t", QueueDepth: 4, NumOps: 50,
@@ -183,7 +183,7 @@ func TestTenantSeedsReproduce(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.Run()
-		return fmt.Sprintf("%+v", rec.Entries())
+		return fmt.Sprintf("%+v", rec.Events())
 	}
 	if record(3) != record(3) {
 		t.Error("same seed produced different streams")

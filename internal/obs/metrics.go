@@ -263,9 +263,10 @@ func NewMetrics() *Metrics {
 func (m *Metrics) Event(e Event) { m.add(&e) }
 
 func (m *Metrics) add(e *Event) {
-	if e.Kind.PinLevel() {
-		// Pin-level detail is for the waveform views; a trace with and
-		// without it aggregates the same.
+	if e.Kind.PinLevel() || e.Kind == KindHostEnqueue {
+		// Pin-level detail is for the waveform views and the enqueue
+		// stream for replay; a trace with and without them aggregates
+		// the same.
 		return
 	}
 	s := &m.s

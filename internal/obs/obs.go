@@ -121,6 +121,14 @@ const (
 	// tRST; Label names it) that a latch burst started: the R/B# line.
 	// It follows its KindBusCmdAddr and does not occupy the channel.
 	KindDieBusy
+	// KindHostEnqueue is one host command entering a submission queue,
+	// emitted by the hic frontend in enqueue order when its config sets
+	// Record: the recording `babolbench -record` writes and hic.Replay
+	// reads. Time is the enqueue instant, Label the tenant, Depth the
+	// submission queue index and Cycles the command kind, as on
+	// KindHostCmd; TxnID carries the LPN (no transaction exists
+	// host-side) and Chip is -1. Metrics and the analyzer skip it.
+	KindHostEnqueue
 )
 
 var kindNames = [...]string{
@@ -144,6 +152,7 @@ var kindNames = [...]string{
 	KindBusDataIn:     "bus-data-in",
 	KindBusWait:       "bus-wait",
 	KindDieBusy:       "die-busy",
+	KindHostEnqueue:   "host-enqueue",
 }
 
 func (k Kind) String() string {
@@ -205,6 +214,8 @@ func kindOf[T string | []byte](name T) (Kind, bool) {
 		return KindBusWait, true
 	case "die-busy":
 		return KindDieBusy, true
+	case "host-enqueue":
+		return KindHostEnqueue, true
 	}
 	return 0, false
 }

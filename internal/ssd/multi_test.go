@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/hic"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -130,18 +131,18 @@ func TestTraceReplayThroughSSD(t *testing.T) {
 	if err := rig.SSD.Preload(8); err != nil {
 		t.Fatal(err)
 	}
-	us := int64(sim.Microsecond)
-	entries := []hic.RecordEntry{
-		{AtPs: 0, Op: "read", LPN: 0},
-		{AtPs: 10 * us, Op: "read", LPN: 1},
-		{AtPs: 10 * us, Op: "write", LPN: 9},
-		{AtPs: 500 * us, Op: "read", LPN: 9},
+	us := sim.Time(sim.Microsecond)
+	events := []obs.Event{
+		{Kind: obs.KindHostEnqueue, Chip: -1, TxnID: 0},
+		{Time: 10 * us, Kind: obs.KindHostEnqueue, Chip: -1, TxnID: 1},
+		{Time: 10 * us, Kind: obs.KindHostEnqueue, Chip: -1, Cycles: int64(hic.KindWrite), TxnID: 9},
+		{Time: 500 * us, Kind: obs.KindHostEnqueue, Chip: -1, TxnID: 9},
 	}
 	f, err := hic.NewFrontend(rig.Kernel, rig.SSD, hic.FrontendConfig{Queues: []hic.QueueConfig{{Depth: 4}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hic.Replay(rig.Kernel, f, entries, nil)
+	res, err := hic.Replay(rig.Kernel, f, events, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

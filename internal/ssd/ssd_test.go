@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/hic"
 	"repro/internal/nand"
+	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/sim"
 )
@@ -374,9 +375,9 @@ func TestReplayCountsOutOfRangeAsFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hic.Replay(rig.Kernel, f, []hic.RecordEntry{
-		{AtPs: 0, Op: "read", LPN: 5},
-		{AtPs: int64(sim.Microsecond), Op: "read", LPN: 99999999},
+	res, err := hic.Replay(rig.Kernel, f, []obs.Event{
+		{Kind: obs.KindHostEnqueue, Chip: -1, TxnID: 5},
+		{Time: sim.Time(sim.Microsecond), Kind: obs.KindHostEnqueue, Chip: -1, TxnID: 99999999},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
