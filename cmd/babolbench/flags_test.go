@@ -246,17 +246,27 @@ func TestFlagUseCoversEveryFlag(t *testing.T) {
 
 // TestWorkloadReplayRerecords: `-replay X -record Y workload` once
 // exited 0 and wrote nothing, because only the sweep branch armed the
-// recorder. A replay re-records, and the copy equals its input byte for
-// byte.
+// recorder. A replay re-records, the copy equals its input byte for
+// byte, and a replay that fails leaves no file, not a truncated one. Its
+// reports on the drive and the tenant rig are pinned whatever the
+// recording's format (replay_*.golden; the temporary path reads as
+// "rec.jsonl").
 func TestWorkloadReplayRerecords(t *testing.T) {
 	dir := t.TempDir()
-	first, second := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")
-	for _, args := range [][]string{
-		{"-ops", "8", "-record", first, "workload"},
-		{"-ops", "8", "-replay", first, "-record", second, "workload"},
+	first, second := filepath.Join(dir, "rec.jsonl"), filepath.Join(dir, "copy.jsonl")
+	if _, err := runCLI(t, "-ops", "24", "-record", first, "workload"); err != nil {
+		t.Fatal(err)
+	}
+	for sub, args := range map[string][]string{
+		"drive":    {"-replay", first, "drive"},
+		"workload": {"-replay", first, "-record", second, "workload"},
 	} {
-		if _, err := runCLI(t, args...); err != nil {
+		got, err := runCLI(t, args...)
+		if err != nil {
 			t.Fatalf("%v: %v", args, err)
+		}
+		if got, want := strings.ReplaceAll(got, first, "rec.jsonl"), golden(t, "replay_"+sub+".golden"); got != want {
+			t.Errorf("replay on %s drifted\n got:\n%s\nwant:\n%s", sub, got, want)
 		}
 	}
 	want, err := os.ReadFile(first)
@@ -269,5 +279,11 @@ func TestWorkloadReplayRerecords(t *testing.T) {
 	}
 	if len(want) == 0 || !bytes.Equal(got, want) {
 		t.Errorf("re-recorded replay is %d bytes, the %d-byte recording it replayed differs", len(got), len(want))
+	}
+	bad, none := writeFile(t, "bad.jsonl", `{"t":0,"kind":"host-enqueue","chip":-1,"depth":9}`+"\n"), filepath.Join(dir, "none.jsonl")
+	if _, err := runCLI(t, "-replay", bad, "-record", none, "workload"); err == nil {
+		t.Error("replayed queue 9 on a 4-queue frontend")
+	} else if _, err := os.Stat(none); err == nil {
+		t.Error("a failed replay left a recording behind")
 	}
 }

@@ -135,9 +135,9 @@ import (
 	"repro/internal/ssd"
 )
 
-// readRecording decodes the obs JSONL trace at path (what -record
-// writes) for a replay.
-func readRecording(path string) ([]obs.Event, error) {
+// readTrace decodes the obs JSONL trace at path: what -trace and -record
+// write, and what analyze and -replay read.
+func readTrace(path string) ([]obs.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -164,7 +164,7 @@ func runWorkload(c *cli, opt exp.Options, out io.Writer) error {
 		cfg.Record = rec
 	}
 	if c.replay != "" {
-		events, err := readRecording(c.replay)
+		events, err := readTrace(c.replay)
 		if err != nil {
 			return err
 		}
@@ -203,7 +203,7 @@ func runDrive(c *cli, opt exp.Options, out io.Writer) error {
 	title := c.load.Pattern.String() + " " + c.load.Kind.String()
 	if c.replay != "" {
 		var err error
-		if events, err = readRecording(c.replay); err != nil {
+		if events, err = readTrace(c.replay); err != nil {
 			return err
 		}
 		title = "replay of " + c.replay
@@ -222,14 +222,9 @@ func runDrive(c *cli, opt exp.Options, out io.Writer) error {
 // analyzeTrace is the `babolbench analyze` subcommand: decode a JSONL
 // trace and run the software logic analyzer over it.
 func analyzeTrace(path string, csv bool, out io.Writer) error {
-	f, err := os.Open(path)
+	events, err := readTrace(path)
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	events, err := obs.ReadJSONL(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
 	}
 	if len(events) == 0 {
 		// A trace truncated to nothing fails as loudly as a corrupted one.

@@ -265,10 +265,10 @@ func TestAnalyzeRealRigMatchesMetrics(t *testing.T) {
 	}
 }
 
-// The channel's pin-level events can share the controller's tracer: a
-// registry and the analyzer fed the mixed stream report exactly what
-// they report for the stream without them, on one run and on a merged
-// two-run trace.
+// The channel's pin-level events and a frontend's host-enqueue
+// recording can share the controller's tracer: a registry and the
+// analyzer fed the mixed stream report exactly what they report for the
+// stream without them, on one run and on a merged two-run trace.
 func TestAnalyzeIgnoresPinLevelEvents(t *testing.T) {
 	p := nand.Hynix()
 	p.Geometry.BlocksPerLUN = 16
@@ -296,10 +296,10 @@ func TestAnalyzeIgnoresPinLevelEvents(t *testing.T) {
 	}
 	rig.Kernel.Run()
 
-	mixed := buf.Events()
+	mixed := append([]obs.Event{{Kind: obs.KindHostEnqueue, Chip: -1, Depth: 1, Cycles: 1, TxnID: 7, Label: "t"}}, buf.Events()...)
 	var plain []obs.Event
 	for _, e := range mixed {
-		if !e.Kind.PinLevel() {
+		if !e.Kind.PinLevel() && e.Kind != obs.KindHostEnqueue {
 			plain = append(plain, e)
 		}
 	}

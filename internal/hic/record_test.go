@@ -12,8 +12,7 @@ import (
 	"repro/internal/sim"
 )
 
-// enqueued is the host-enqueue event a Frontend records when a command
-// of the given kind, LPN and tenant enters queue q at instant at.
+// enqueued is the host-enqueue event a Frontend records for one command.
 func enqueued(at sim.Time, q int32, kind Kind, lpn uint64, tenant string) obs.Event {
 	return obs.Event{Time: at, Kind: obs.KindHostEnqueue, Chip: -1, Label: tenant, Depth: q, Cycles: int64(kind), TxnID: lpn}
 }
@@ -63,12 +62,7 @@ func TestReplayReproducesStream(t *testing.T) {
 // TestReplayRejectsBadTraces: every trace Replay cannot play is refused
 // with an error naming the event, before any event is scheduled.
 func TestReplayRejectsBadTraces(t *testing.T) {
-	k := sim.NewKernel()
-	d := &fakeDrive{k: k, latency: sim.Microsecond}
-	f, err := NewFrontend(k, d, FrontendConfig{Queues: []QueueConfig{{Depth: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	k, _, f := tenantRig(t, 1, nil)
 	good := enqueued(10, 0, KindRead, 1, "")
 	for name, trace := range map[string][]obs.Event{
 		"empty":           nil,
@@ -104,8 +98,7 @@ func FuzzReplay(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// No device latency: a command recorded at the end of virtual
-		// time completes there instead of past it.
+		// Zero device latency: a command enqueued at the end of time completes there.
 		k, rerec := sim.NewKernel(), &obs.Buffer{}
 		fr, err := NewFrontend(k, &fakeDrive{k: k}, FrontendConfig{
 			Queues: []QueueConfig{{Depth: 2}, {Depth: 2}, {Depth: 2}, {Depth: 2}}, Record: rerec,
