@@ -146,17 +146,15 @@ func TestMiniTracesRegenerate(t *testing.T) {
 	}
 }
 
-// An empty trace is an error for both report forms, not an all-zero
-// report: `: > t.jsonl; babolbench analyze t.jsonl` must exit 1.
+// An empty trace is an error, not an all-zero report: `: > t.jsonl;
+// babolbench analyze t.jsonl` must exit 1, in both report forms, and so
+// must a replay of it.
 func TestAnalyzeTraceRejectsEmptyTrace(t *testing.T) {
 	for name, content := range map[string]string{"empty.jsonl": "", "blank.jsonl": "\n  \n\r\n"} {
-		path := filepath.Join(t.TempDir(), name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for _, csv := range []bool{false, true} {
-			if err := analyzeTrace(path, csv, io.Discard); err == nil || err.Error() != path+": no events" {
-				t.Errorf("analyzeTrace(%s, csv=%v) = %v, want %q", name, csv, err, path+": no events")
+		path := writeFile(t, name, content)
+		for _, args := range [][]string{{"analyze", path}, {"-csv", "analyze", path}, {"-replay", path, "workload"}} {
+			if _, err := runCLI(t, args...); err == nil || err.Error() != path+": no events" {
+				t.Errorf("%v: %v, want %q", args, err, path+": no events")
 			}
 		}
 	}

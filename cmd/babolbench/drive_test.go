@@ -67,9 +67,10 @@ func writeFile(t *testing.T, name, content string) string {
 // TestDriveReplaysJSONL pins `drive -replay`: it takes the host-enqueue
 // events that `-record` writes, sizes the frontend from the highest
 // recorded queue, and refuses, naming the file (main turns the error
-// into exit 1): both retired formats at their first line, and a queue
+// into exit 1): both retired formats at their first line, a queue
 // index past NVMe's 65,536, which once sized a frontend of 2^40 queues
-// and ran the process out of memory.
+// and ran the process out of memory, and a file with no events, which
+// once ran the synthetic stream and reported it as the replay.
 func TestDriveReplaysJSONL(t *testing.T) {
 	path := writeFile(t, "cmds.jsonl",
 		`{"t":0,"kind":"host-enqueue","txn":5,"chip":-1,"cycles":1,"label":"a"}`+"\n"+
@@ -86,7 +87,9 @@ func TestDriveReplaysJSONL(t *testing.T) {
 	for _, tc := range []struct{ name, in, where string }{
 		{"text", "0 read 5\n1 read 6\n", "line 1:"},
 		{"at_ps", `{"at_ps":0,"queue":1099511627776,"op":"read","lpn":1}` + "\n", "line 1:"},
-		{"queue", `{"t":0,"kind":"host-enqueue","txn":1,"chip":-1,"depth":2147483647}` + "\n", "event 1:"},
+		{"queue", `{"t":0,"kind":"host-enqueue","txn":1,"chip":-1,"depth":65536}` + "\n", "event 1:"},
+		{"empty", "", "no events"},
+		{"blank", "\n\n", "no events"},
 	} {
 		bad := writeFile(t, tc.name+".jsonl", tc.in)
 		if _, err := runCLI(t, "-replay", bad, "drive"); err == nil ||

@@ -136,7 +136,9 @@ import (
 )
 
 // readTrace decodes the obs JSONL trace at path: what -trace and -record
-// write, and what analyze and -replay read.
+// write, and what analyze and -replay read. A trace truncated to nothing
+// fails as loudly as a corrupted one, so no reader mistakes it for an
+// empty run.
 func readTrace(path string) ([]obs.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -146,6 +148,9 @@ func readTrace(path string) ([]obs.Event, error) {
 	events, err := obs.ReadJSONL(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(events) == 0 {
+		return nil, fmt.Errorf("%s: no events", path)
 	}
 	return events, nil
 }
@@ -225,10 +230,6 @@ func analyzeTrace(path string, csv bool, out io.Writer) error {
 	events, err := readTrace(path)
 	if err != nil {
 		return err
-	}
-	if len(events) == 0 {
-		// A trace truncated to nothing fails as loudly as a corrupted one.
-		return fmt.Errorf("%s: no events", path)
 	}
 	res := analyze.Analyze(events)
 	if csv {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/hic"
@@ -105,21 +104,14 @@ func runOne(opt Options, cfg ssd.BuildConfig, preload int, fc *hic.FrontendConfi
 // the span the trace touches, and fails unless every command terminated.
 // It returns the aggregate result and the drained rig.
 func replay(opt Options, cfg ssd.BuildConfig, fc hic.FrontendConfig, events []obs.Event) (*hic.Result, *ssd.Rig, error) {
-	working := 0
-	for _, e := range events {
-		if e.TxnID < math.MaxInt { // hic.Replay refuses a larger LPN
-			working = max(working, int(e.TxnID)+1)
-		}
+	_, span, err := hic.CheckRecording(events, len(fc.Queues))
+	if err != nil {
+		return nil, nil, err
 	}
-	return runOne(opt, cfg, working, &fc, len(events), func(r *ssd.Rig, f *hic.Frontend) (*hic.Result, error) {
+	return runOne(opt, cfg, span, &fc, len(events), func(r *ssd.Rig, f *hic.Frontend) (*hic.Result, error) {
 		return hic.Replay(r.Kernel, f, events, r.HostTracer())
 	})
 }
-
-// maxReplayQueues bounds the submission queues a replayed recording may
-// name: NVMe's I/O queue-ID space. Drive sizes its frontend from the
-// highest recorded queue, so a larger index is refused, not allocated.
-const maxReplayQueues = 1 << 16
 
 // Drive is one fio-like run of a whole drive: the rig cfg describes (its
 // Params preset shrunk to opt.Blocks) runs w's closed loop for opt.Ops
@@ -140,12 +132,9 @@ func Drive(opt Options, cfg ssd.BuildConfig, w hic.Workload, events []obs.Event,
 		err  error
 	)
 	if events != nil {
-		queues := 1
-		for i, e := range events {
-			if e.Depth >= maxReplayQueues {
-				return "", fmt.Errorf("exp: event %d: queue %d, want below %d", i+1, e.Depth, maxReplayQueues)
-			}
-			queues = max(queues, int(e.Depth)+1)
+		var queues int
+		if queues, _, err = hic.CheckRecording(events, 0); err != nil {
+			return "", err
 		}
 		qcs := make([]hic.QueueConfig, queues)
 		for i := range qcs {

@@ -72,6 +72,7 @@ func TestReplayRejectsBadTraces(t *testing.T) {
 		"queue too high":  {good, enqueued(10, 1, KindRead, 1, "")},
 		"negative queue":  {good, enqueued(10, -1, KindRead, 1, "")},
 		"LPN past MaxInt": {good, enqueued(10, 0, KindRead, math.MaxInt+1, "")},
+		"LPN MaxInt":      {good, enqueued(10, 0, KindRead, math.MaxInt, "")},
 		"decreasing time": {good, enqueued(5, 0, KindRead, 2, "")},
 		"negative time":   {enqueued(-1, 0, KindRead, 1, "")},
 	} {

@@ -77,10 +77,8 @@ func TestReplayTraceSplitsFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Replay(k, f, []obs.Event{
-		enqueued(0, 0, KindRead, 0, ""),
-		enqueued(0, 0, KindRead, 1, ""),
-		enqueued(0, 0, KindRead, 2, ""),
-		enqueued(0, 0, KindRead, 3, ""),
+		enqueued(0, 0, KindRead, 0, ""), enqueued(0, 0, KindRead, 1, ""),
+		enqueued(0, 0, KindRead, 2, ""), enqueued(0, 0, KindRead, 3, ""),
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
