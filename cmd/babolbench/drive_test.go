@@ -32,7 +32,9 @@ func runCLI(t *testing.T, args ...string) (string, error) {
 // `drive` replaced, for the same flags, with only the header's first
 // word renamed: the fold into babolbench moved no number. Never
 // regenerate them from this code. The hw row is the package comment's
-// "exercises GC" example, so it must also report GC cycles.
+// "exercises GC" example, so it must also report GC cycles. The 2-channel
+// hw row was recorded later from this command: it pins the multi-channel
+// HW path, where the BABOL-only -copyback and -suspend-reads are ignored.
 func TestDriveGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		golden, args string
@@ -41,6 +43,7 @@ func TestDriveGoldens(t *testing.T) {
 		{"drive_rtos_random_read.golden", "-ctrl rtos -ways 8 -pattern random -kind read -ops 2000", false},
 		{"drive_hw_random_write_gc.golden", "-ctrl hw -pattern random -kind write -ops 5000 -blocks 4", true},
 		{"drive_coro_2ch_ecc_copyback.golden", "-ctrl coro -channels 2 -ways 4 -kind write -ecc -copyback -suspend-reads -ops 3000 -blocks 16", false},
+		{"drive_hw_2ch_copyback_ignored.golden", "-ctrl hw -channels 2 -ways 4 -kind write -copyback -suspend-reads -ops 3000 -blocks 16", false},
 	} {
 		got, err := runCLI(t, append(strings.Fields(tc.args), "drive")...)
 		if err != nil {
