@@ -12,6 +12,14 @@ type Geometry struct {
 	SpareBytes   int // out-of-band bytes per page
 }
 
+// The five-cycle address carries a 16-bit column and a 24-bit row
+// (block*PagesPerBlk + page): a geometry past either space has pages or
+// bytes no address can reach.
+const (
+	colSpace = 1 << 16
+	rowSpace = 1 << 24
+)
+
 // Validate checks the geometry for usability.
 func (g Geometry) Validate() error {
 	switch {
@@ -27,6 +35,10 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("onfi: geometry needs a page size, got %d", g.PageBytes)
 	case g.SpareBytes < 0:
 		return fmt.Errorf("onfi: negative spare area %d", g.SpareBytes)
+	case g.PageBytes > colSpace-g.SpareBytes:
+		return fmt.Errorf("onfi: %d+%d-byte page exceeds the %d columns of a 2-cycle column address", g.PageBytes, g.SpareBytes, colSpace)
+	case g.BlocksPerLUN > rowSpace/g.PagesPerBlk:
+		return fmt.Errorf("onfi: %d blocks of %d pages exceed the %d rows of a 3-cycle row address", g.BlocksPerLUN, g.PagesPerBlk, rowSpace)
 	}
 	return nil
 }

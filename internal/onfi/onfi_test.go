@@ -120,6 +120,8 @@ func TestGeometryValidate(t *testing.T) {
 		{Planes: 2, BlocksPerLUN: 8, PagesPerBlk: 0, PageBytes: 512},
 		{Planes: 2, BlocksPerLUN: 8, PagesPerBlk: 8, PageBytes: 0},
 		{Planes: 2, BlocksPerLUN: 8, PagesPerBlk: 8, PageBytes: 512, SpareBytes: -1},
+		{Planes: 1, BlocksPerLUN: 131072, PagesPerBlk: 256, PageBytes: 512},
+		{Planes: 1, BlocksPerLUN: 8, PagesPerBlk: 8, PageBytes: 65536, SpareBytes: 64},
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {
@@ -188,6 +190,45 @@ func TestRowAddrRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzONFIAddress: for every geometry Validate accepts and every address
+// CheckAddr accepts, the five-cycle address and the three-cycle row
+// address decode to what was encoded. The seeds straddle the 24-bit row
+// and 16-bit column spaces: the last addressable row and column, and
+// one geometry past each, whose last page once decoded as block 65535
+// and whose last column as 63 — Validate must refuse both.
+func FuzzONFIAddress(f *testing.F) {
+	seed := func(g Geometry, a Addr) {
+		f.Add(uint8(g.Planes), uint32(g.BlocksPerLUN), uint32(g.PagesPerBlk), uint32(g.PageBytes),
+			uint32(g.SpareBytes), uint32(a.Row.Block), uint32(a.Row.Page), uint32(a.Col))
+	}
+	g := testGeometry()
+	seed(g, Addr{Row: RowAddr{Block: 1023, Page: 255}, Col: ColAddr(g.FullPageBytes() - 1)})
+	seed(Geometry{Planes: 3, BlocksPerLUN: 15, PagesPerBlk: 7, PageBytes: 1000, SpareBytes: 24},
+		Addr{Row: RowAddr{Block: 14, Page: 6}, Col: 1023})
+	seed(Geometry{Planes: 1, BlocksPerLUN: 65536, PagesPerBlk: 256, PageBytes: 512},
+		Addr{Row: RowAddr{Block: 65535, Page: 255}})
+	seed(Geometry{Planes: 1, BlocksPerLUN: 131072, PagesPerBlk: 256, PageBytes: 512},
+		Addr{Row: RowAddr{Block: 131071, Page: 255}})
+	seed(Geometry{Planes: 1, BlocksPerLUN: 8, PagesPerBlk: 8, PageBytes: 65472, SpareBytes: 64},
+		Addr{Col: 65535})
+	seed(Geometry{Planes: 1, BlocksPerLUN: 8, PagesPerBlk: 8, PageBytes: 65536, SpareBytes: 64},
+		Addr{Col: 65599})
+	f.Fuzz(func(t *testing.T, planes uint8, blocks, pages, pageBytes, spare, block, page, col uint32) {
+		g := Geometry{Planes: int(planes), BlocksPerLUN: int(blocks), PagesPerBlk: int(pages),
+			PageBytes: int(pageBytes), SpareBytes: int(spare)}
+		a := Addr{Row: RowAddr{Block: int(block), Page: int(page)}, Col: ColAddr(col)}
+		if g.Validate() != nil || g.CheckAddr(a) != nil {
+			return
+		}
+		if got := g.DecodeAddr(g.EncodeAddr(a)); got != a {
+			t.Errorf("%+v: address %+v decodes as %+v", g, a, got)
+		}
+		if got := g.DecodeRowAddr(g.EncodeRowAddr(a.Row)); got != a.Row {
+			t.Errorf("%+v: row %+v decodes as %+v", g, a.Row, got)
+		}
+	})
 }
 
 func TestColAddrRoundTrip(t *testing.T) {
