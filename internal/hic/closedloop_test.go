@@ -86,8 +86,6 @@ func TestRunStreamsMatchParent(t *testing.T) {
 			"r11 w62 r33 w8 r19 r47 r28 w45 w57 r16 w22 r27 r45 r39 r39 w14"},
 		{"readpct100", with(func(w *Workload) { w.Kind, w.ReadPercent = KindWrite, 100 }),
 			"r11 r62 r33 r8 r19 r47 r28 r45 r57 r16 r22 r27 r45 r39 r39 r14"},
-		{"mixedrw0", with(func(w *Workload) { w.Kind, w.MixedRW = KindRead, true }),
-			"w11 w62 w33 w8 w19 w47 w28 w45 w57 w16 w22 w27 w45 w39 w39 w14"},
 	}
 	for _, c := range cases {
 		if got := stream(t, c.w); got != c.want {

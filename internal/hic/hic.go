@@ -26,11 +26,11 @@
 // draw decides every address that follows. Every golden and ledger
 // stream depends on these three rules bit for bit:
 //
-//  1. A pure-Kind Run (ReadPercent 0, MixedRW unset) draws nothing for
-//     the kind. A pure-write Run is therefore not the stream of a
-//     Mix{WritePct: 100} tenant with the same seed.
-//  2. A mixed Run (ReadPercent > 0 or MixedRW) draws Intn(100) for
-//     every command, even at ReadPercent 100.
+//  1. A pure-Kind Run (ReadPercent 0) draws nothing for the kind. A
+//     pure-write Run is therefore not the stream of a Mix{WritePct: 100}
+//     tenant with the same seed.
+//  2. A mixed Run (ReadPercent > 0) draws Intn(100) for every command,
+//     even at ReadPercent 100.
 //  3. A tenant draws Intn(100) for every command unless its mix is
 //     100% reads.
 //
@@ -124,13 +124,8 @@ type Workload struct {
 	QueueDepth int // outstanding commands
 	// ReadPercent mixes the command stream: that percentage of commands
 	// are reads, the rest writes (fio's rwmixread). The mix engages when
-	// ReadPercent > 0 or MixedRW is set; otherwise the pure Kind
-	// workload runs.
-	ReadPercent int
-	// MixedRW forces the read/write mix on even at ReadPercent == 0, so
-	// a genuine 0%-read (pure-write) mix is expressible. Without it a
-	// zero ReadPercent is indistinguishable from "unset, use Kind".
-	MixedRW      bool
+	// ReadPercent > 0; otherwise the pure Kind workload runs.
+	ReadPercent  int
 	LogicalPages int   // address-space size in pages
 	Seed         int64 // RNG seed for Random
 }

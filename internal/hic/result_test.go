@@ -92,32 +92,8 @@ func TestReplayTraceSplitsFailures(t *testing.T) {
 	}
 }
 
-// TestMixedRWZeroReadPercent is the MixedRW-bugfix regression:
-// ReadPercent 0 once meant "pure workload Kind", so an all-write mixed
-// workload was inexpressible. MixedRW marks the workload as mixed
-// explicitly; with ReadPercent 0 it must issue only writes.
-func TestMixedRWZeroReadPercent(t *testing.T) {
-	k := sim.NewKernel()
-	kinds := map[Kind]int{}
-	d := &kindDrive{k: k, kinds: kinds}
-	res, err := Run(k, d, Workload{
-		Pattern: Sequential, Kind: KindRead, MixedRW: true, ReadPercent: 0,
-		NumOps: 20, QueueDepth: 2, LogicalPages: 16, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
-	if res.Completed != 20 {
-		t.Fatalf("completed = %d", res.Completed)
-	}
-	if kinds[KindWrite] != 20 || kinds[KindRead] != 0 {
-		t.Errorf("kinds = %v, want 20 writes and 0 reads", kinds)
-	}
-}
-
 // TestLegacyReadPercentStillMixes pins fig12 compatibility: ReadPercent
-// > 0 without MixedRW keeps mixing exactly as before.
+// > 0 mixes reads and writes.
 func TestLegacyReadPercentStillMixes(t *testing.T) {
 	k := sim.NewKernel()
 	kinds := map[Kind]int{}
@@ -143,7 +119,8 @@ func TestLegacyReadPercentStillMixes(t *testing.T) {
 
 // TestPureKindDrawsNoRNG pins the legacy path's RNG stream: an unmixed
 // workload must not consume mix draws, so address sequences (and every
-// figure built on them) stay byte-identical to pre-MixedRW builds.
+// figure built on them) stay byte-identical to builds before the mix
+// existed.
 func TestPureKindDrawsNoRNG(t *testing.T) {
 	lpns := func(w Workload) []int {
 		k := sim.NewKernel()
@@ -156,8 +133,7 @@ func TestPureKindDrawsNoRNG(t *testing.T) {
 	}
 	base := Workload{Pattern: Random, Kind: KindWrite, NumOps: 20, QueueDepth: 2, LogicalPages: 64, Seed: 9}
 	mixed := base
-	mixed.MixedRW = true
-	mixed.ReadPercent = 0
+	mixed.ReadPercent = 100
 	// The mixed run draws a kind per op from the same RNG, so its
 	// address stream must diverge from the pure run's — proving the pure
 	// path never touched those draws.

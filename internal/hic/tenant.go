@@ -166,15 +166,14 @@ func Run(k *sim.Kernel, sub Submitter, w Workload) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Draw rules 1 and 2: the mix engages on ReadPercent > 0 OR MixedRW
-	// and then draws for every command; a pure-Kind workload leaves the
-	// RNG to the addresses.
-	mixed := w.MixedRW || w.ReadPercent > 0
+	// Draw rules 1 and 2: the mix engages on ReadPercent > 0 and then
+	// draws for every command; a pure-Kind workload leaves the RNG to the
+	// addresses.
 	return start(k, f, TenantSpec{
 		QueueDepth: w.QueueDepth, NumOps: w.NumOps,
 		Pattern: w.Pattern, SlicePages: w.LogicalPages, Seed: w.Seed,
 		Mix: Mix{ReadPct: w.ReadPercent, WritePct: 100 - w.ReadPercent},
-	}, !mixed, w.Kind, nil), nil
+	}, w.ReadPercent == 0, w.Kind, nil), nil
 }
 
 // RunTenants starts every tenant's closed loops against frontend f and
