@@ -86,7 +86,8 @@ type SystemConfig struct {
 	// DQS phase variation for calibration demos). It receives the chip
 	// index and the base Package and returns the instance's parameters.
 	PerChip func(i int, base Params) Params
-	// Ways is the LUN count on the channel; default: the preset wiring.
+	// Ways is the LUN count on the channel, at most bus.MaxChips;
+	// default: the preset wiring.
 	Ways int
 	// RateMT is the channel speed in megatransfers/s; default 200.
 	RateMT int
@@ -131,6 +132,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	if cfg.DRAMBytes == 0 {
 		cfg.DRAMBytes = 4 << 20
+	}
+	if cfg.Ways < 1 || cfg.Ways > bus.MaxChips {
+		return nil, fmt.Errorf("babol: Ways %d outside [1, %d], the chips one channel can select", cfg.Ways, bus.MaxChips)
 	}
 
 	k := sim.NewKernel()

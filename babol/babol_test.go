@@ -2,6 +2,7 @@ package babol_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/babol"
@@ -97,6 +98,16 @@ func TestSystemRejectsBadConfig(t *testing.T) {
 	if _, err := babol.NewSystem(babol.SystemConfig{CPUMHz: -1}); err == nil {
 		t.Error("negative CPU clock accepted")
 	}
+	// A 16-bit chip mask cannot select way 16: a 17-way channel once
+	// built, and every operation on its last LUN failed.
+	if _, err := babol.NewSystem(babol.SystemConfig{Ways: 17}); err == nil || !strings.Contains(err.Error(), "Ways 17") {
+		t.Errorf("17 ways: %v, want an error naming Ways 17", err)
+	}
+	sys, err := babol.NewSystem(babol.SystemConfig{Ways: 16, DisableCapture: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Close()
 }
 
 func TestRunFor(t *testing.T) {

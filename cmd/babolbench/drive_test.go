@@ -58,6 +58,21 @@ func TestDriveGoldens(t *testing.T) {
 	}
 }
 
+// TestDriveRefusesChannelShape: a shape the rig cannot build is an error
+// naming the flag's field, which main turns into exit 1. -channels -1
+// once panicked sizing DRAM, and -ways 17 once exited 0 after every op
+// on way 16 failed, because a 16-bit chip mask cannot select it.
+func TestDriveRefusesChannelShape(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-ways 17 -pattern random -ops 400", "Ways 17"},
+		{"-channels -1 -ops 8", "Channels -1"},
+	} {
+		if _, err := runCLI(t, append(strings.Fields(tc.args), "drive")...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s drive: %v, want an error naming %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 func writeFile(t *testing.T, name, content string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)

@@ -20,6 +20,10 @@ import (
 // select several.
 type ChipMask uint16
 
+// MaxChips is how many chips a ChipMask can select: one channel carries
+// at most this many LUNs.
+const MaxChips = 16
+
 // Mask builds a mask selecting exactly chip i.
 func Mask(i int) ChipMask { return 1 << i }
 
@@ -116,7 +120,7 @@ func (c *Channel) checkMask(m ChipMask) error {
 	if m == 0 {
 		return fmt.Errorf("bus: empty chip mask")
 	}
-	for i := 0; i < 16; i++ {
+	for i := 0; i < MaxChips; i++ {
 		if m.Has(i) && i >= len(c.chips) {
 			return fmt.Errorf("bus: chip %d selected but only %d attached", i, len(c.chips))
 		}
@@ -143,7 +147,7 @@ func (c *Channel) claim(d sim.Duration) (start, end sim.Time) {
 
 // firstChip returns the lowest selected chip index for trace labelling.
 func firstChip(m ChipMask) int {
-	for i := 0; i < 16; i++ {
+	for i := 0; i < MaxChips; i++ {
 		if m.Has(i) {
 			return i
 		}
@@ -167,7 +171,7 @@ func (c *Channel) Latch(sel ChipMask, latches []onfi.Latch, opID uint64) (sim.Ti
 	// busy interval the command *starts* (tR, tPROG, tBERS) can be
 	// emitted below; a status poll while busy leaves the horizon alone
 	// and emits nothing.
-	var prevReady [16]sim.Time
+	var prevReady [MaxChips]sim.Time
 	if c.tr != nil {
 		for i := range c.chips {
 			if sel.Has(i) {

@@ -5,26 +5,29 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hwctrl"
-	"repro/internal/nand"
 	"repro/internal/onfi"
 	"repro/internal/ops"
 )
 
-// Copybacker is the optional backend capability of relocating a page
-// inside one LUN with NAND copyback. The BABOL controller supports it
-// (it is just another software operation); the hardware baseline would
-// need a new FSM, so it does not — exactly the flexibility argument the
-// paper makes.
-type Copybacker interface {
+// backend is the page-level interface of one channel controller; chip
+// is the way on that channel. The BABOL controller and the hardware
+// baseline both adapt to it.
+type backend interface {
+	// ReadPage reads n bytes of the page at row on chip into DRAM.
+	ReadPage(chip int, row onfi.RowAddr, dramAddr, n int, done func(error))
+	// ProgramPage programs n bytes from DRAM into the page at row.
+	ProgramPage(chip int, row onfi.RowAddr, dramAddr, n int, done func(error))
+	// EraseBlock erases a block on chip.
+	EraseBlock(chip, block int, done func(error))
+	// CopybackPage relocates a page inside the LUN with NAND copyback.
+	// BABOL only: the SSD calls it only when Build set useCopyback.
 	CopybackPage(chip int, src, dst onfi.RowAddr, done func(error))
-}
-
-// InterruptibleEraser is the optional backend capability of erasing a
-// block while serving urgent reads mid-erase (suspend/resume). Like
-// copyback, it is a pure software operation on BABOL and absent from the
-// hardware baseline.
-type InterruptibleEraser interface {
-	EraseBlockInterruptible(chip, block int, next func() (ops.UrgentRead, bool), done func(error))
+	// EraseBlockInterruptible erases a block while serving urgent reads
+	// mid-erase (suspend/resume), pulling them through next. It returns
+	// the sink the host must push urgent reads into instead, or nil when
+	// next already pulls from the caller's queue. BABOL only: the SSD
+	// calls it only when Build set suspendReads.
+	EraseBlockInterruptible(chip, block int, next func() (ops.UrgentRead, bool), done func(error)) urgentSink
 }
 
 // babolBackend adapts the BABOL software-defined controller to the
@@ -35,11 +38,6 @@ type babolBackend struct {
 	// READ, PROGRAM or ERASE in the steady state allocates nothing.
 	free []*pageOp
 }
-
-// NewBabolBackend wraps a BABOL controller.
-func NewBabolBackend(c *core.Controller) Backend { return &babolBackend{ctrl: c} }
-
-func (b *babolBackend) Chip(i int) *nand.LUN { return b.ctrl.Channel().Chip(i) }
 
 type pageKind uint8
 
@@ -108,7 +106,9 @@ func (b *babolBackend) EraseBlock(chip, block int, done func(error)) {
 	b.start(pageErase, chip, onfi.RowAddr{Block: block}, 0, 0, done)
 }
 
-// CopybackPage implements Copybacker via the operation library.
+// CopybackPage runs copyback from the operation library: just another
+// software operation on BABOL, where the hardware baseline would need a
+// new FSM — the flexibility argument the paper makes.
 func (b *babolBackend) CopybackPage(chip int, src, dst onfi.RowAddr, done func(error)) {
 	b.ctrl.Start(core.OpRequest{
 		Func: ops.CopybackPage(src, dst),
@@ -117,24 +117,21 @@ func (b *babolBackend) CopybackPage(chip int, src, dst onfi.RowAddr, done func(e
 	})
 }
 
-// EraseBlockInterruptible implements InterruptibleEraser.
-func (b *babolBackend) EraseBlockInterruptible(chip, block int, next func() (ops.UrgentRead, bool), done func(error)) {
+// EraseBlockInterruptible runs the library's interruptible erase, which
+// pulls urgent reads through next on this domain.
+func (b *babolBackend) EraseBlockInterruptible(chip, block int, next func() (ops.UrgentRead, bool), done func(error)) urgentSink {
 	b.ctrl.Start(core.OpRequest{
 		Func: ops.InterruptibleErase(block, next),
 		Chip: chip,
 		Done: done,
 	})
+	return nil
 }
 
 // hwBackend adapts the hardware baseline controller.
 type hwBackend struct {
 	ctrl *hwctrl.Controller
 }
-
-// NewHWBackend wraps a hardware baseline controller.
-func NewHWBackend(c *hwctrl.Controller) Backend { return &hwBackend{ctrl: c} }
-
-func (b *hwBackend) Chip(i int) *nand.LUN { return b.ctrl.Channel().Chip(i) }
 
 func (b *hwBackend) ReadPage(chip int, row onfi.RowAddr, dramAddr, n int, done func(error)) {
 	if err := b.ctrl.Submit(chip, hwctrl.Request{
@@ -160,6 +157,16 @@ func (b *hwBackend) EraseBlock(chip, block int, done func(error)) {
 	}
 }
 
+// The hardware baseline has neither copyback nor erase suspension, and
+// Build never enables them on a HW rig.
+func (b *hwBackend) CopybackPage(int, onfi.RowAddr, onfi.RowAddr, func(error)) {
+	panic("ssd: copyback on the hardware baseline")
+}
+
+func (b *hwBackend) EraseBlockInterruptible(int, int, func() (ops.UrgentRead, bool), func(error)) urgentSink {
+	panic("ssd: erase suspension on the hardware baseline")
+}
+
 // Preload initializes the first `lpns` logical pages with the canonical
 // pattern, installing FTL mappings and seeding the flash arrays directly
 // (no simulated PROGRAM traffic) — how the paper "initializes the
@@ -183,7 +190,7 @@ func (s *SSD) Preload(lpns int) error {
 				return fmt.Errorf("ssd: preload LPN %d: %w", lpn, err)
 			}
 		}
-		if err := s.backend.Chip(loc.Chip).SeedPage(loc.Row, buf); err != nil {
+		if err := s.lun(loc.Chip).SeedPage(loc.Row, buf); err != nil {
 			return fmt.Errorf("ssd: preload LPN %d: %w", lpn, err)
 		}
 	}

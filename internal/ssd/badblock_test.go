@@ -51,7 +51,7 @@ func TestGrownBadBlocksAreTransparent(t *testing.T) {
 		if !ok {
 			t.Fatalf("LPN %d unmapped", lpn)
 		}
-		data, err := rig.SSD.backend.Chip(loc.Chip).PeekPage(loc.Row)
+		data, err := rig.SSD.lun(loc.Chip).PeekPage(loc.Row)
 		if err != nil {
 			t.Fatal(err)
 		}

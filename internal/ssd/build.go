@@ -8,6 +8,7 @@ import (
 	"repro/internal/coro"
 	"repro/internal/cpumodel"
 	"repro/internal/dram"
+	"repro/internal/ecc"
 	"repro/internal/fault"
 	"repro/internal/ftl"
 	"repro/internal/hwctrl"
@@ -46,20 +47,26 @@ func (k ControllerKind) String() string {
 type BuildConfig struct {
 	Params     nand.Params    // package preset (geometry, timings)
 	Channels   int            // independent channels (default 1)
-	Ways       int            // LUNs per channel (defaults to preset wiring)
+	Ways       int            // LUNs per channel, at most bus.MaxChips (defaults to preset wiring)
 	RateMT     int            // channel speed in MT/s (default 200)
 	Controller ControllerKind // which controller drives the channel
 	CPUMHz     int            // firmware clock for BABOL controllers (default 1000)
-	WithECC    bool
+	// WithECC protects pages with the SEC-DED codec: parity is stored in
+	// the spare area on program and verified/corrected on read.
+	WithECC bool
 	// MapCacheBytes bounds the DRAM budget of the FTL's translation
 	// map (ftl.Config.MapCacheBytes): map pages are demand-paged under
 	// this budget and misses are charged as NAND reads through the
 	// ordinary ops path. 0 keeps the whole map resident (the legacy
 	// model, byte-identical results).
 	MapCacheBytes int64
-	// UseCopyback relocates GC pages with NAND copyback (BABOL only).
+	// UseCopyback relocates GC pages with NAND copyback: no channel data
+	// transfer, and no ECC scrub of the moved data. BABOL only: a HW rig
+	// ignores it.
 	UseCopyback bool
-	// SuspendReads lets host reads preempt GC erases (BABOL only).
+	// SuspendReads lets host reads preempt GC erases via erase
+	// suspension, the tail-latency optimization of [23], [54]. BABOL
+	// only: a HW rig ignores it.
 	SuspendReads bool
 	// TxnQueue overrides BABOL's transaction scheduler (default RR).
 	TxnQueue sched.TxnQueue
@@ -209,6 +216,20 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	if cfg.CPUMHz == 0 {
 		cfg.CPUMHz = 1000
 	}
+	if cfg.Channels < 0 {
+		return nil, fmt.Errorf("ssd: Channels %d is negative", cfg.Channels)
+	}
+	if cfg.Ways < 1 || cfg.Ways > bus.MaxChips {
+		return nil, fmt.Errorf("ssd: Ways %d outside [1, %d], the chips one channel can select", cfg.Ways, bus.MaxChips)
+	}
+	geo := cfg.Params.Geometry
+	parity := 0
+	if cfg.WithECC {
+		parity = ecc.PageParityBytes(geo.PageBytes)
+		if parity > geo.SpareBytes {
+			return nil, fmt.Errorf("ssd: spare area %dB cannot hold %dB of ECC parity", geo.SpareBytes, parity)
+		}
+	}
 	chips := cfg.Ways * cfg.Channels
 	slots := 2 * chips // in-flight DRAM staging slots
 
@@ -227,9 +248,7 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	} else {
 		k = sim.NewKernel()
 	}
-	geo := cfg.Params.Geometry
-	slotSize := geo.PageBytes + geo.SpareBytes
-	memSize := slots*slotSize + cfg.Channels*(128<<10) // slots + per-controller scratch
+	memSize := slots*geo.FullPageBytes() + cfg.Channels*(128<<10) // slots + per-controller scratch
 	mem := dram.New(memSize)
 
 	f, err := ftl.NewWithConfig(ftl.Config{
@@ -263,7 +282,7 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	}
 
 	poolByShard := make(map[int]*coro.Pool)
-	var backends []Backend
+	var backends []backend
 	for c := 0; c < cfg.Channels; c++ {
 		chK := k
 		var chDom *sim.Domain
@@ -295,7 +314,7 @@ func Build(cfg BuildConfig) (*Rig, error) {
 		case CtrlHW:
 			hw := hwctrl.New(chK, ch, mem)
 			rig.HWs = append(rig.HWs, hw)
-			backends = append(backends, NewHWBackend(hw))
+			backends = append(backends, &hwBackend{ctrl: hw})
 		case CtrlBabolRTOS, CtrlBabolCoro:
 			profile := cpumodel.RTOS()
 			if cfg.Controller == CtrlBabolCoro {
@@ -333,14 +352,14 @@ func Build(cfg BuildConfig) (*Rig, error) {
 				return nil, err
 			}
 			rig.Babols = append(rig.Babols, ctrl)
-			backends = append(backends, NewBabolBackend(ctrl))
+			backends = append(backends, &babolBackend{ctrl: ctrl})
 		default:
 			return nil, fmt.Errorf("ssd: unknown controller kind %d", cfg.Controller)
 		}
 		if cluster != nil {
 			// Everything past this point talks to the channel through the
 			// cross-domain funnel.
-			backends[c] = wrapShard(backends[c], hostDom, chDom)
+			backends[c] = &shardBackend{inner: backends[c], host: hostDom, dom: chDom}
 		}
 	}
 	if cluster != nil && cfg.ShardTelemetry {
@@ -354,27 +373,43 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	if len(rig.HWs) > 0 {
 		rig.HW = rig.HWs[0]
 	}
-	var backend Backend
-	if cfg.Channels == 1 {
-		backend = backends[0]
-	} else {
-		backend = NewMultiBackend(cfg.Ways, backends)
-	}
-
 	ssdTracer := tracer
 	if cluster != nil {
 		// The SSD assembly is host-domain code; its recovery events go
 		// through the host's buffer like everything else.
 		ssdTracer = domainTracer(rig.domBufs, 0)
 	}
-	drive, err := New(Config{
-		Kernel: k, Backend: backend, FTL: f, DRAM: mem,
-		SlotBase: 0, Slots: slots, WithECC: cfg.WithECC,
-		UseCopyback: cfg.UseCopyback, SuspendReads: cfg.SuspendReads,
-		Tracer: ssdTracer,
-	})
-	if err != nil {
-		return nil, err
+	// Copyback and erase suspension are BABOL capabilities: a HW rig
+	// ignores both flags.
+	babol := cfg.Controller != CtrlHW
+	drive := &SSD{
+		k:            k,
+		channels:     backends,
+		buses:        rig.Channels,
+		ways:         cfg.Ways,
+		ftl:          f,
+		mem:          mem,
+		withECC:      cfg.WithECC,
+		useCopyback:  babol && cfg.UseCopyback,
+		suspendReads: babol && cfg.SuspendReads,
+		eraseQueues:  make(map[int]urgentSink),
+		pageBytes:    geo.PageBytes,
+		parityBytes:  parity,
+		offline:      make(map[int]bool),
+		tracer:       ssdTracer,
+
+		inflightPrograms: make(map[int]int),
+		programWaiters:   make(map[int][]programWaiter),
+	}
+	if f.CacheEnabled() {
+		drive.mapCache = true
+		drive.mapLoads = make(map[int]*mapLoad)
+	}
+	for chip := 0; chip < chips; chip++ {
+		drive.gc = append(drive.gc, newGCCycle(drive, chip))
+	}
+	for i := 0; i < slots; i++ {
+		drive.freeSlots = append(drive.freeSlots, i*(geo.PageBytes+parity))
 	}
 	rig.SSD = drive
 	return rig, nil

@@ -84,7 +84,7 @@ func TestConcurrentRigSweepsShareArena(t *testing.T) {
 				if !ok {
 					t.Fatalf("written LPN %d unmapped", lpn)
 				}
-				data, err := rig.SSD.backend.Chip(loc.Chip).PeekPage(loc.Row)
+				data, err := rig.SSD.lun(loc.Chip).PeekPage(loc.Row)
 				if err != nil {
 					t.Fatal(err)
 				}

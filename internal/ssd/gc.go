@@ -102,20 +102,19 @@ func (g *gcCycle) step() {
 		}
 		g.lpn, g.src = lpn, src
 		// Copyback path: relocate inside the LUN with no channel data
-		// transfer when the controller supports it.
+		// transfer, when Build enabled it (BABOL rigs only).
 		if s.useCopyback {
-			if cb, ok := s.backend.(Copybacker); ok {
-				if dst, err := s.ftl.RelocateForGCOn(g.chip, lpn); err == nil {
-					s.stats.GCCopybacks++
-					s.programStarted(lpn)
-					cb.CopybackPage(g.chip, src.Row, dst.Row, g.copybackDoneFn)
-					return
-				}
-				// No room for an intra-chip move (the chip's GC stream is
-				// out of space): fall through to the cross-chip slot path
-				// instead of silently abandoning the collection cycle
-				// mid-block.
+			if dst, err := s.ftl.RelocateForGCOn(g.chip, lpn); err == nil {
+				s.stats.GCCopybacks++
+				s.programStarted(lpn)
+				be, way := s.route(g.chip)
+				be.CopybackPage(way, src.Row, dst.Row, g.copybackDoneFn)
+				return
 			}
+			// No room for an intra-chip move (the chip's GC stream is
+			// out of space): fall through to the cross-chip slot path
+			// instead of silently abandoning the collection cycle
+			// mid-block.
 		}
 		s.acquireSlot(g.slotFn)
 		return
@@ -146,7 +145,8 @@ func (g *gcCycle) copybackDone(err error) {
 func (g *gcCycle) slot(addr int) {
 	s := g.s
 	g.addr = addr
-	s.backend.ReadPage(g.src.Chip, g.src.Row, addr, s.pageBytes+s.parityBytes, g.readDoneFn)
+	be, way := s.route(g.src.Chip)
+	be.ReadPage(way, g.src.Row, addr, s.pageBytes+s.parityBytes, g.readDoneFn)
 }
 
 func (g *gcCycle) readDone(err error) {
@@ -182,26 +182,19 @@ func (g *gcCycle) program(attempt int) {
 	}
 	g.dst, g.attempt = dst, attempt
 	s.programStarted(g.lpn)
-	s.backend.ProgramPage(dst.Chip, dst.Row, g.addr, s.pageBytes+s.parityBytes, g.programDoneFn)
+	be, way := s.route(dst.Chip)
+	be.ProgramPage(way, dst.Row, g.addr, s.pageBytes+s.parityBytes, g.programDoneFn)
 }
 
 func (g *gcCycle) programDone(err error) {
-	s, lpn, addr, dst := g.s, g.lpn, g.addr, g.dst
+	s, lpn, addr := g.s, g.lpn, g.addr
 	if err == nil {
 		s.programLanded(lpn)
 		s.releaseSlot(addr)
 		g.next()
 		return
 	}
-	s.ftl.Invalidate(lpn)
-	switch {
-	case errors.Is(err, ops.ErrChipDead):
-		s.offlineChip(dst.Chip)
-	case errors.Is(err, ops.ErrResetRecovered):
-		s.stats.RecoveredOps++
-	default:
-		s.ftl.RetireBlock(dst.Chip, dst.Row.Block)
-	}
+	s.programFailed(lpn, g.dst, err)
 	if g.attempt+1 < maxProgramRetries {
 		// The data is still staged in the slot: retry the relocation
 		// elsewhere before landing this attempt, so the in-flight count
@@ -220,25 +213,20 @@ func (g *gcCycle) programDone(err error) {
 // erase erases the victim once every live page has moved.
 func (g *gcCycle) erase() {
 	s := g.s
+	be, way := s.route(g.chip)
 	if s.suspendReads {
-		// Sharded rig: the channel's domain owns the urgent queue and
-		// restarts any leftovers itself before completing.
-		if re, ok := s.backend.(relayEraser); ok {
-			if sink, armed := re.eraseBlockRelay(g.chip, g.victim, g.erasedFn); armed {
-				s.eraseQueues[g.chip] = sink
-				return
-			}
-		}
-		// Same-domain backend: the erase pulls from our queue directly,
+		// Same-domain channel: the erase pulls from our queue directly,
 		// and we hand leftovers (reads that arrived after the erase's
-		// last check) to the normal path on completion.
-		if ie, ok := s.backend.(InterruptibleEraser); ok {
-			s.eraseQueues[g.chip] = &g.q
-			ie.EraseBlockInterruptible(g.chip, g.victim, g.nextUrgentReadFn, g.erasedFn)
-			return
+		// last check) to the normal path on completion. A sharded
+		// channel's domain owns the urgent queue instead, restarts any
+		// leftovers itself, and hands back the sink that relays to it.
+		s.eraseQueues[g.chip] = &g.q
+		if sink := be.EraseBlockInterruptible(way, g.victim, g.nextUrgentReadFn, g.erasedFn); sink != nil {
+			s.eraseQueues[g.chip] = sink
 		}
+		return
 	}
-	s.backend.EraseBlock(g.chip, g.victim, g.erasedFn)
+	be.EraseBlock(way, g.victim, g.erasedFn)
 }
 
 // erased completes every erase path. A suspendable erase also drops its
@@ -265,8 +253,9 @@ func (g *gcCycle) erased(err error) {
 		s.ftl.RetireBlock(g.chip, g.victim)
 	}
 	delete(s.eraseQueues, g.chip)
+	be, way := s.route(g.chip)
 	for ur, ok := g.q.pop(); ok; ur, ok = g.q.pop() {
-		s.backend.ReadPage(g.chip, ur.Addr.Row, ur.DramAddr, ur.N, ur.Done)
+		be.ReadPage(way, ur.Addr.Row, ur.DramAddr, ur.N, ur.Done)
 	}
 	g.finish()
 }

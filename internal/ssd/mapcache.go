@@ -98,7 +98,8 @@ func (l *mapLoad) load(attempt int) {
 // both stay out of the path.
 func (l *mapLoad) start(addr int) {
 	l.addr = addr
-	l.s.backend.ReadPage(l.loc.Chip, l.loc.Row, addr, l.s.pageBytes, l.readDoneFn)
+	be, way := l.s.route(l.loc.Chip)
+	be.ReadPage(way, l.loc.Row, addr, l.s.pageBytes, l.readDoneFn)
 }
 
 func (l *mapLoad) readDone(err error) {

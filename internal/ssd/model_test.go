@@ -96,7 +96,7 @@ func TestRandomStormAgainstModel(t *testing.T) {
 				if !ok {
 					t.Fatalf("final: LPN %d unmapped", lpn)
 				}
-				data, err := rig.SSD.backend.Chip(loc.Chip).PeekPage(loc.Row)
+				data, err := rig.SSD.lun(loc.Chip).PeekPage(loc.Row)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -115,17 +115,6 @@ func TestMultiChannelGCWithCopyback(t *testing.T) {
 	}
 }
 
-func TestMixedCopybackHiddenOnMulti(t *testing.T) {
-	// Mixed backends: HW channels → multi backend must not claim
-	// copyback support.
-	be := NewMultiBackend(1, []Backend{
-		&hwBackend{}, &hwBackend{},
-	})
-	if _, ok := be.(Copybacker); ok {
-		t.Error("HW-only multi backend claims copyback")
-	}
-}
-
 func TestTraceReplayThroughSSD(t *testing.T) {
 	rig := mustBuild(t, smallBuild(CtrlBabolRTOS))
 	if err := rig.SSD.Preload(8); err != nil {
@@ -166,8 +155,8 @@ func TestMultiChannelHWBaseline(t *testing.T) {
 	if err := rig.SSD.Preload(logical / 2); err != nil {
 		t.Fatal(err)
 	}
-	// A write+read pass exercises the plain (no-copyback) multi backend:
-	// reads, programs, and — with overwrites — erases on both channels.
+	// A write+read pass exercises the HW backends: reads, programs, and —
+	// with overwrites — erases on both channels.
 	res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
 		Pattern: hic.Sequential, Kind: hic.KindWrite,
 		NumOps: logical, QueueDepth: 4, LogicalPages: logical / 2,
@@ -195,8 +184,8 @@ func TestMultiChannelHWBaseline(t *testing.T) {
 			t.Errorf("channel %d idle", c)
 		}
 	}
-	// The multi backend must expose chips by global index.
-	if rig.SSD.backend.Chip(cfg.Ways) == nil {
+	// Global chip Ways is way 0 of channel 1.
+	if rig.SSD.lun(cfg.Ways) != rig.Channels[1].Chip(0) {
 		t.Error("global chip routing broken")
 	}
 }

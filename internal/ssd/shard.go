@@ -1,7 +1,6 @@
 package ssd
 
 import (
-	"repro/internal/nand"
 	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/ops"
@@ -24,45 +23,16 @@ type urgentSink interface {
 	push(ops.UrgentRead)
 }
 
-// relayEraser is the sharded counterpart of InterruptibleEraser: the
-// synchronous next() pull cannot cross domains, so the channel side owns
-// the urgent-read queue and the host gets back a sink to push into.
-// armed=false means the chip's channel cannot suspend erases (no start
-// was issued); the caller falls back to the other erase paths.
-type relayEraser interface {
-	eraseBlockRelay(chip, block int, done func(error)) (sink urgentSink, armed bool)
-}
-
-// shardBackend adapts one channel's backend for cross-domain use: every
-// call posts to the channel's domain, every completion posts back to the
-// host's. Call states are pooled host-side with their closures prebound,
-// so the steady-state crossing allocates nothing.
+// shardBackend adapts one channel's backend, built on dom's kernel, for
+// use by the host domain: every call posts to the channel's domain,
+// every completion posts back to the host's. Call states are pooled
+// host-side with their closures prebound, so the steady-state crossing
+// allocates nothing.
 type shardBackend struct {
-	inner Backend
+	inner backend
 	host  *sim.Domain
 	dom   *sim.Domain
 	free  []*crossCall
-}
-
-// shardFullBackend additionally exposes copyback and relayed erase
-// suspension when the inner backend has both capabilities (BABOL). The
-// split mirrors multiBackend/plainMultiBackend: type identity is the
-// capability advertisement.
-type shardFullBackend struct {
-	shardBackend
-}
-
-// wrapShard adapts a channel backend built on dom's kernel for use by
-// the host domain.
-func wrapShard(inner Backend, host, dom *sim.Domain) Backend {
-	_, cb := inner.(Copybacker)
-	_, ie := inner.(InterruptibleEraser)
-	if cb && ie {
-		b := &shardFullBackend{}
-		b.inner, b.host, b.dom = inner, host, dom
-		return b
-	}
-	return &shardBackend{inner: inner, host: host, dom: dom}
 }
 
 type callKind uint8
@@ -113,7 +83,7 @@ func (c *crossCall) start() {
 	case callErase:
 		c.b.inner.EraseBlock(c.chip, c.block, c.finishFn)
 	case callCopyback:
-		c.b.inner.(Copybacker).CopybackPage(c.chip, c.row, c.dstRow, c.finishFn)
+		c.b.inner.CopybackPage(c.chip, c.row, c.dstRow, c.finishFn)
 	}
 }
 
@@ -133,8 +103,6 @@ func (c *crossCall) deliver() {
 
 func (b *shardBackend) post(c *crossCall) { b.host.Post(b.dom, c.startFn) }
 
-func (b *shardBackend) Chip(i int) *nand.LUN { return b.inner.Chip(i) }
-
 func (b *shardBackend) ReadPage(chip int, row onfi.RowAddr, dramAddr, n int, done func(error)) {
 	c := b.get()
 	c.kind, c.chip, c.row, c.addr, c.n, c.done = callRead, chip, row, dramAddr, n, done
@@ -153,20 +121,20 @@ func (b *shardBackend) EraseBlock(chip, block int, done func(error)) {
 	b.post(c)
 }
 
-// CopybackPage implements Copybacker (shardFullBackend only).
-func (b *shardFullBackend) CopybackPage(chip int, src, dst onfi.RowAddr, done func(error)) {
+func (b *shardBackend) CopybackPage(chip int, src, dst onfi.RowAddr, done func(error)) {
 	c := b.get()
 	c.kind, c.chip, c.row, c.dstRow, c.done = callCopyback, chip, src, dst, done
 	b.post(c)
 }
 
-// eraseBlockRelay implements relayEraser (shardFullBackend only): start
-// an interruptible erase whose urgent-read queue lives on the channel's
-// domain, and hand the host a sink that pushes across.
-func (b *shardFullBackend) eraseBlockRelay(chip, block int, done func(error)) (urgentSink, bool) {
-	r := &eraseRelay{b: &b.shardBackend, chip: chip}
+// EraseBlockInterruptible starts an interruptible erase whose urgent-read
+// queue lives on the channel's domain, and hands the host a sink that
+// pushes across: the synchronous next pull cannot cross domains, so next
+// goes unused.
+func (b *shardBackend) EraseBlockInterruptible(chip, block int, _ func() (ops.UrgentRead, bool), done func(error)) urgentSink {
+	r := &eraseRelay{b: b, chip: chip}
 	b.host.Post(b.dom, func() {
-		b.inner.(InterruptibleEraser).EraseBlockInterruptible(chip, block, r.q.pop, func(err error) {
+		b.inner.EraseBlockInterruptible(chip, block, r.q.pop, func(err error) {
 			// Urgent reads that arrived after the erase's last queue check
 			// are leftovers; restart them here as ordinary channel reads
 			// so they never cross back to the host unserved.
@@ -181,7 +149,7 @@ func (b *shardFullBackend) eraseBlockRelay(chip, block int, done func(error)) (u
 			b.dom.Post(b.host, func() { done(err) })
 		})
 	})
-	return r, true
+	return r
 }
 
 // eraseRelay is the cross-domain urgent-read funnel of one suspended

@@ -1,7 +1,7 @@
-// Package ssd assembles a complete solid-state drive around one channel:
-// host interface (internal/hic) → FTL (internal/ftl) → a channel
-// controller → NAND packages. The controller slot accepts either the
-// BABOL software-defined controller or the hardware baseline, which is
+// Package ssd assembles a complete solid-state drive: host interface
+// (internal/hic) → FTL (internal/ftl) → one controller per channel →
+// NAND packages. The controller slot accepts either the BABOL
+// software-defined controller or the hardware baseline, which is
 // exactly the swap the paper performs on the Cosmos+ OpenSSD for its
 // end-to-end evaluation (Fig. 12).
 package ssd
@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bus"
 	"repro/internal/dram"
 	"repro/internal/ecc"
 	"repro/internal/ftl"
@@ -34,45 +35,6 @@ var ErrChipOffline = errors.New("ssd: chip is offline")
 // outside [0, FTL.LogicalPages()) — NVMe's "LBA Out of Range" status.
 var ErrLPNOutOfRange = errors.New("ssd: LPN out of range")
 
-// Backend is the page-level controller interface the SSD drives. Both
-// the BABOL controller and the hardware baseline adapt to it.
-type Backend interface {
-	// ReadPage reads n bytes of the page at row on chip into DRAM.
-	ReadPage(chip int, row onfi.RowAddr, dramAddr, n int, done func(error))
-	// ProgramPage programs n bytes from DRAM into the page at row.
-	ProgramPage(chip int, row onfi.RowAddr, dramAddr, n int, done func(error))
-	// EraseBlock erases a block on chip.
-	EraseBlock(chip, block int, done func(error))
-	// Chip exposes the LUN for preloading.
-	Chip(i int) *nand.LUN
-}
-
-// Config assembles an SSD.
-type Config struct {
-	Kernel  *sim.Kernel
-	Backend Backend
-	FTL     *ftl.FTL
-	DRAM    *dram.Buffer
-	// SlotBase/Slots carve the DRAM staging area: Slots in-flight
-	// commands, each with one page-sized buffer at SlotBase.
-	SlotBase int
-	Slots    int
-	// WithECC protects pages with the SEC-DED codec: parity is stored in
-	// the spare area on program and verified/corrected on read.
-	WithECC bool
-	// UseCopyback relocates GC pages with NAND copyback (no channel data
-	// transfer) when the backend supports it. Trades channel time for
-	// skipping the ECC scrub on moved data.
-	UseCopyback bool
-	// SuspendReads lets host reads preempt in-flight GC erases via
-	// erase suspension when the backend supports it — the tail-latency
-	// optimization of [23], [54].
-	SuspendReads bool
-	// Tracer, when non-nil, receives SSD-level recovery decisions (chip
-	// offlining, read-only degradation) as obs.KindRecovery events.
-	Tracer obs.Tracer
-}
-
 // Stats counts SSD-level activity.
 type Stats struct {
 	HostReads      uint64
@@ -90,11 +52,15 @@ type Stats struct {
 
 // SSD is one simulated drive.
 type SSD struct {
-	k       *sim.Kernel
-	backend Backend
-	ftl     *ftl.FTL
-	mem     *dram.Buffer
-	withECC bool
+	k *sim.Kernel
+	// channels holds one controller backend per channel: global chip c
+	// is way c%ways of channel c/ways, whose LUNs hang off buses[c/ways].
+	channels []backend
+	buses    []*bus.Channel
+	ways     int
+	ftl      *ftl.FTL
+	mem      *dram.Buffer
+	withECC  bool
 	// codec is the drive's ECC engine; its scratch is reused across every
 	// encode/decode so the steady-state datapath allocates nothing. SSD
 	// callbacks all run on the single-threaded simulation kernel, so one
@@ -103,8 +69,6 @@ type SSD struct {
 
 	pageBytes   int
 	parityBytes int
-	slotSize    int
-	slotBase    int
 	freeSlots   []int
 	slotWaiters fifo[func(int)]
 	// freeReads, freeWrites, freeMapLoads and freeWaiters recycle
@@ -138,7 +102,9 @@ type SSD struct {
 	mapCache bool
 	mapLoads map[int]*mapLoad
 
-	// gc holds each chip's collection cycle.
+	// gc holds each chip's collection cycle. useCopyback and
+	// suspendReads are the BABOL-only GC capabilities; Build sets them
+	// from BuildConfig on BABOL rigs and never on the hardware baseline.
 	gc           []*gcCycle
 	useCopyback  bool
 	suspendReads bool
@@ -162,57 +128,13 @@ type SSD struct {
 	stats Stats
 }
 
-// New wires the SSD together.
-func New(cfg Config) (*SSD, error) {
-	if cfg.Kernel == nil || cfg.Backend == nil || cfg.FTL == nil || cfg.DRAM == nil {
-		return nil, fmt.Errorf("ssd: Kernel, Backend, FTL, and DRAM are all required")
-	}
-	if cfg.Slots <= 0 {
-		return nil, fmt.Errorf("ssd: need at least one DRAM slot")
-	}
-	geo := cfg.FTL.Geometry()
-	parity := 0
-	if cfg.WithECC {
-		parity = ecc.PageParityBytes(geo.PageBytes)
-		if parity > geo.SpareBytes {
-			return nil, fmt.Errorf("ssd: spare area %dB cannot hold %dB of ECC parity", geo.SpareBytes, parity)
-		}
-	}
-	slotSize := geo.PageBytes + parity
-	if _, err := cfg.DRAM.Window(cfg.SlotBase, cfg.Slots*slotSize); err != nil {
-		return nil, fmt.Errorf("ssd: DRAM slots do not fit: %w", err)
-	}
-	s := &SSD{
-		k:            cfg.Kernel,
-		backend:      cfg.Backend,
-		ftl:          cfg.FTL,
-		mem:          cfg.DRAM,
-		withECC:      cfg.WithECC,
-		useCopyback:  cfg.UseCopyback,
-		suspendReads: cfg.SuspendReads,
-		eraseQueues:  make(map[int]urgentSink),
-		pageBytes:    geo.PageBytes,
-		parityBytes:  parity,
-		slotSize:     slotSize,
-		slotBase:     cfg.SlotBase,
-		offline:      make(map[int]bool),
-		tracer:       cfg.Tracer,
-
-		inflightPrograms: make(map[int]int),
-		programWaiters:   make(map[int][]programWaiter),
-	}
-	if cfg.FTL.CacheEnabled() {
-		s.mapCache = true
-		s.mapLoads = make(map[int]*mapLoad)
-	}
-	for chip := 0; chip < cfg.FTL.Chips(); chip++ {
-		s.gc = append(s.gc, newGCCycle(s, chip))
-	}
-	for i := 0; i < cfg.Slots; i++ {
-		s.freeSlots = append(s.freeSlots, cfg.SlotBase+i*slotSize)
-	}
-	return s, nil
+// route maps a global chip to its channel's backend and its way there.
+func (s *SSD) route(chip int) (backend, int) {
+	return s.channels[chip/s.ways], chip % s.ways
 }
+
+// lun returns the LUN behind a global chip.
+func (s *SSD) lun(chip int) *nand.LUN { return s.buses[chip/s.ways].Chip(chip % s.ways) }
 
 // FTL exposes the translation layer (read-only use intended).
 func (s *SSD) FTL() *ftl.FTL { return s.ftl }
@@ -342,7 +264,8 @@ func (r *readState) start(addr int) {
 		})
 		return
 	}
-	s.backend.ReadPage(r.loc.Chip, r.loc.Row, addr, n, r.finishFn)
+	be, way := s.route(r.loc.Chip)
+	be.ReadPage(way, r.loc.Row, addr, n, r.finishFn)
 }
 
 // maxReadRetries bounds how many RESET-recovered reissues one host read
@@ -362,7 +285,8 @@ func (r *readState) finish(err error) {
 		if r.retries+1 < maxReadRetries {
 			r.retries++
 			s.stats.RecoveredOps++
-			s.backend.ReadPage(r.loc.Chip, r.loc.Row, r.addr, s.pageBytes+s.parityBytes, r.finishFn)
+			be, way := s.route(r.loc.Chip)
+			be.ReadPage(way, r.loc.Row, r.addr, s.pageBytes+s.parityBytes, r.finishFn)
 			return
 		}
 		s.offlineChip(r.loc.Chip)
@@ -658,7 +582,8 @@ func (w *writeState) program(attempt int) {
 	}
 	w.loc, w.attempt = loc, attempt
 	s.programStarted(w.cmd.LPN)
-	s.backend.ProgramPage(loc.Chip, loc.Row, w.addr, s.pageBytes+s.parityBytes, w.programDoneFn)
+	be, way := s.route(loc.Chip)
+	be.ProgramPage(way, loc.Row, w.addr, s.pageBytes+s.parityBytes, w.programDoneFn)
 }
 
 func (w *writeState) programDone(err error) {
@@ -670,17 +595,7 @@ func (w *writeState) programDone(err error) {
 		s.maybeGC(loc.Chip)
 		return
 	}
-	s.ftl.Invalidate(lpn)
-	switch {
-	case errors.Is(err, ops.ErrChipDead):
-		s.offlineChip(loc.Chip)
-	case errors.Is(err, ops.ErrResetRecovered):
-		// The chip wedged and a RESET revived it; the block is not
-		// implicated, so retry elsewhere without retiring it.
-		s.stats.RecoveredOps++
-	default:
-		s.ftl.RetireBlock(loc.Chip, loc.Row.Block)
-	}
+	s.programFailed(lpn, loc, err)
 	if w.attempt+1 < maxProgramRetries {
 		// Start the retry's program before retiring this one so the
 		// in-flight count never dips to zero mid-retry (a parked GC
@@ -692,6 +607,23 @@ func (w *writeState) programDone(err error) {
 	s.programLanded(lpn)
 	s.releaseSlot(w.addr)
 	s.complete(w.release(), err)
+}
+
+// programFailed triages a failed program of lpn at loc, for host writes
+// and GC relocations alike: the page leaves the map, then a dead chip
+// goes offline, a RESET-revived chip is counted (the block is not
+// implicated, so the caller retries elsewhere without retiring it), and
+// a media FAIL retires the grown-bad block.
+func (s *SSD) programFailed(lpn int, loc ftl.Location, err error) {
+	s.ftl.Invalidate(lpn)
+	switch {
+	case errors.Is(err, ops.ErrChipDead):
+		s.offlineChip(loc.Chip)
+	case errors.Is(err, ops.ErrResetRecovered):
+		s.stats.RecoveredOps++
+	default:
+		s.ftl.RetireBlock(loc.Chip, loc.Row.Block)
+	}
 }
 
 // kickGC starts collection on every chip and fails stalled writes if no

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/hic"
@@ -222,13 +223,35 @@ func TestECCPathCorrectsWornReads(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("empty SSD config accepted")
-	}
 	cfg := smallBuild(CtrlHW)
 	cfg.Controller = ControllerKind(99)
 	if _, err := Build(cfg); err == nil {
 		t.Error("unknown controller kind accepted")
+	}
+	// A negative channel count once died sizing DRAM, and way 16 or
+	// higher once built a rig whose chip mask could not select it.
+	for _, tc := range []struct {
+		name           string
+		channels, ways int
+		field          string
+	}{
+		{"negative channels", -1, 2, "Channels -1"},
+		{"negative ways", 1, -1, "Ways -1"},
+		{"17 ways", 1, 17, "Ways 17"},
+	} {
+		cfg := smallBuild(CtrlBabolRTOS)
+		cfg.Channels, cfg.Ways = tc.channels, tc.ways
+		if _, err := Build(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: %v, want an error naming %q", tc.name, err, tc.field)
+		}
+	}
+	cfg = smallBuild(CtrlBabolRTOS)
+	cfg.Ways = 16
+	mustBuild(t, cfg)
+	cfg.WithECC = true
+	cfg.Params.Geometry.SpareBytes = 0
+	if _, err := Build(cfg); err == nil {
+		t.Error("ECC accepted with no spare area for its parity")
 	}
 }
 
