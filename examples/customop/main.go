@@ -62,7 +62,13 @@ func scrubBlock(block int, pageBytes int, verify func(page int, data []byte) boo
 			if res := ctx.Submit(); res.Err != nil {
 				return res.Err
 			}
-			if !verify(p, scratch.Bytes) {
+			// A DRAM window is valid until the next DMA into it, so
+			// look at the page through one taken after the transfer.
+			data, err := ctx.Controller().DRAM().Window(scratch.Addr, pageBytes)
+			if err != nil {
+				return err
+			}
+			if !verify(p, data) {
 				*bad = append(*bad, p)
 			}
 		}

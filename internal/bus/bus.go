@@ -8,6 +8,7 @@ package bus
 import (
 	"fmt"
 
+	"repro/internal/dram"
 	"repro/internal/nand"
 	"repro/internal/obs"
 	"repro/internal/onfi"
@@ -271,31 +272,67 @@ func (c *Channel) DataOut(sel ChipMask, n int, opID uint64) ([]byte, sim.Time, e
 }
 
 // DataOutInto streams len(dst) bytes from one chip to the controller
-// directly into dst — the Data Reader µFSM + Packetizer writing the
-// host-side buffer with no intermediate copy. The channel is occupied
-// for the tWHR command-to-data gap, the DQS preamble, the data transfer,
-// and the postamble. Exactly one chip must be selected: ONFI cannot gang
-// data output.
+// directly into dst — the Data Reader µFSM writing a caller-owned
+// buffer with no intermediate copy. The channel is occupied for the tWHR
+// command-to-data gap, the DQS preamble, the data transfer, and the
+// postamble. Exactly one chip must be selected: ONFI cannot gang data
+// output.
 func (c *Channel) DataOutInto(sel ChipMask, dst []byte, opID uint64) (sim.Time, error) {
-	if err := c.checkMask(sel); err != nil {
+	chip, xferStart, end, err := c.claimDataOut(sel, len(dst))
+	if err != nil {
 		return 0, err
 	}
-	if sel.Count() != 1 {
-		return 0, fmt.Errorf("bus: data out needs exactly one chip, mask has %d", sel.Count())
-	}
-	n := len(dst)
-	if n <= 0 {
-		return 0, fmt.Errorf("bus: data out of %d bytes", n)
-	}
-	chip := firstChip(sel)
-	if max := c.chips[chip].MaxRateMT(); c.cfg.RateMT > max {
-		return 0, fmt.Errorf("bus: data out at %d MT/s but chip %d's timing mode tops out at %d MT/s (boot flow must switch it via SET FEATURES)", c.cfg.RateMT, chip, max)
-	}
-	start, end := c.claim(c.timing.TWHR + c.timing.DataSegment(c.cfg, n))
-	xferStart := start.Add(c.timing.TWHR)
 	if err := c.chips[chip].DataOutInto(xferStart, dst); err != nil {
 		return 0, err
 	}
+	c.dataOutDone(chip, len(dst), xferStart, end, opID)
+	return end, nil
+}
+
+// DataOutDRAM is DataOutInto with the Packetizer's DRAM store as the
+// destination: n bytes land in mem at addr. A clean page read lends the
+// stored page to mem instead of copying it (nand.LUN.DataOutDRAM); the
+// channel time, counters and event are DataOutInto's either way. An
+// out-of-range window fails before the channel is claimed.
+func (c *Channel) DataOutDRAM(sel ChipMask, mem *dram.Buffer, addr, n int, opID uint64) (sim.Time, error) {
+	if err := mem.Check(addr, n); err != nil {
+		return 0, err
+	}
+	chip, xferStart, end, err := c.claimDataOut(sel, n)
+	if err != nil {
+		return 0, err
+	}
+	if err := c.chips[chip].DataOutDRAM(xferStart, mem, addr, n); err != nil {
+		return 0, err
+	}
+	c.dataOutDone(chip, n, xferStart, end, opID)
+	return end, nil
+}
+
+// claimDataOut validates an n-byte data-out burst and claims the channel
+// for the tWHR command-to-data gap, the DQS preamble, the data transfer,
+// and the postamble. It returns the one selected chip and when its
+// transfer starts and the channel frees.
+func (c *Channel) claimDataOut(sel ChipMask, n int) (chip int, xferStart, end sim.Time, err error) {
+	if err := c.checkMask(sel); err != nil {
+		return 0, 0, 0, err
+	}
+	if sel.Count() != 1 {
+		return 0, 0, 0, fmt.Errorf("bus: data out needs exactly one chip, mask has %d", sel.Count())
+	}
+	if n <= 0 {
+		return 0, 0, 0, fmt.Errorf("bus: data out of %d bytes", n)
+	}
+	chip = firstChip(sel)
+	if max := c.chips[chip].MaxRateMT(); c.cfg.RateMT > max {
+		return 0, 0, 0, fmt.Errorf("bus: data out at %d MT/s but chip %d's timing mode tops out at %d MT/s (boot flow must switch it via SET FEATURES)", c.cfg.RateMT, chip, max)
+	}
+	start, end := c.claim(c.timing.TWHR + c.timing.DataSegment(c.cfg, n))
+	return chip, start.Add(c.timing.TWHR), end, nil
+}
+
+// dataOutDone counts a finished data-out burst and emits its event.
+func (c *Channel) dataOutDone(chip, n int, xferStart, end sim.Time, opID uint64) {
 	c.stats.DataOutBursts++
 	c.stats.BytesOut += uint64(n)
 	if c.tr != nil {
@@ -304,7 +341,6 @@ func (c *Channel) DataOutInto(sel ChipMask, dst []byte, opID uint64) (sim.Time, 
 			Start: xferStart, End: end, Bytes: int32(n), Label: "data out",
 		})
 	}
-	return end, nil
 }
 
 // DataIn streams data from the controller to every selected chip

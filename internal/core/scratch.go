@@ -14,7 +14,9 @@ const scratchSize = 64 << 10
 type Scratch struct {
 	// Addr is the window's DRAM address, usable in WriteData/ReadData.
 	Addr int
-	// Bytes is the live view of the window.
+	// Bytes is a view of the window for staging outbound bytes. Like any
+	// DRAM window it is valid until the next DMA into it: read inbound
+	// bytes through a window taken after their transfer.
 	Bytes []byte
 }
 

@@ -1,38 +1,49 @@
 package dram
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/pagebuf"
+)
 
 // TestAllocGateDRAMRoundTrip is the allocation-regression gate for the
-// staging buffer: Write, ReadInto a caller buffer, and a borrowed View
-// must all be allocation-free. The zero-copy data path depends on it —
-// every simulated page crosses this buffer twice.
+// staging buffer: a Write, a Window over it, and one lend/materialize
+// cycle (a page lent to the slot, re-lent over itself, then read through
+// a Window) must all be allocation-free once the loan table has held its
+// peak. The zero-copy data path depends on it — every simulated page
+// crosses this buffer twice.
 func TestAllocGateDRAMRoundTrip(t *testing.T) {
 	b := New(1 << 16)
-	page := make([]byte, 4096)
+	pool := pagebuf.NewPool(4096)
+	src := pool.Get()
+	defer src.Release()
+	page := src.Bytes()
 	for i := range page {
 		page[i] = byte(i)
 	}
-	dst := make([]byte, 4096)
 	cycle := func() {
 		if err := b.Write(128, page); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.ReadInto(dst, 128); err != nil {
+		if w, err := b.Window(128, 4096); err != nil || w[4095] != page[4095] {
+			t.Fatalf("window after write: %v", err)
+		}
+		if err := b.Lend(8192, src, 4096); err != nil {
 			t.Fatal(err)
 		}
-		w, err := b.View(128, 4096)
+		if err := b.Lend(8192, src, 4096); err != nil {
+			t.Fatal(err)
+		}
+		w, err := b.Window(8192, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w[0] != page[0] {
-			t.Fatal("view mismatch")
+		if w[0] != page[0] || w[4095] != page[4095] {
+			t.Fatal("materialized loan mismatch")
 		}
 	}
 	cycle()
 	if avg := testing.AllocsPerRun(100, cycle); avg > 0 {
-		t.Errorf("DRAM round-trip allocated %.1f objects, want 0", avg)
-	}
-	if dst[4095] != page[4095] {
-		t.Error("round-trip data mismatch")
+		t.Errorf("DRAM lend cycle allocated %.1f objects, want 0", avg)
 	}
 }

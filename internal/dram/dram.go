@@ -5,38 +5,154 @@
 // The model is functional (byte-accurate contents, bounds-checked windows)
 // rather than timed: in the systems the paper studies, DRAM bandwidth is
 // far above channel bandwidth, so DRAM access never gates the datapath.
+//
+// # Loans
+//
+// A clean page read does not copy the page into its slot. The LUN lends
+// the stored page instead (Lend): the buffer records the loan over
+// [addr, addr+n) and holds a reference to the page, whose bytes are
+// read-only while shared. The first accessor that touches a loaned byte
+// materializes the loan, copying the page into the buffer and dropping
+// the reference; a read slot released unread never pays for the copy. A
+// later loan that fully covers an earlier one simply drops it, so a slot
+// holds at most one stale loan. Every reader sees exactly the bytes an
+// eager copy would have written.
+//
+// A slice from Window is valid until the next DMA that touches its
+// range: a loan made afterwards lands in the loan table, not in the
+// slice. Take the window after the DMA you read, and re-take it after
+// every later one.
+//
+// The loan table is guarded by a mutex, so a sharded rig's shards may
+// share one Buffer; it allocates nothing once it has held its peak
+// number of loans, and New sizes it for that peak up front.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+
+	"repro/internal/pagebuf"
+)
 
 // Buffer is a byte-addressable DRAM region.
 type Buffer struct {
 	mem []byte
+
+	mu sync.Mutex
+	// loans are the outstanding page loans, disjoint and sorted by addr.
+	loans []loan
 }
+
+// loan is one page lent to [addr, end): its bytes stand for
+// buf.Bytes()[:end-addr] until materialized.
+type loan struct {
+	addr, end int
+	buf       *pagebuf.Buf
+}
+
+// loanGrain presizes the loan table at one loan per 4 KiB of buffer.
+// That covers every slot layout a rig builds (the 128 KiB a channel
+// adds already holds its 2 × 16 slots' worth), so the table does not
+// grow while a rig runs; finer loans still grow it.
+const loanGrain = 4 << 10
 
 // New allocates a buffer of the given size.
 func New(size int) *Buffer {
 	if size <= 0 {
 		panic(fmt.Sprintf("dram: non-positive size %d", size))
 	}
-	return &Buffer{mem: make([]byte, size)}
+	return &Buffer{mem: make([]byte, size), loans: make([]loan, 0, size/loanGrain)}
 }
 
 // Size reports the buffer capacity in bytes.
 func (b *Buffer) Size() int { return len(b.mem) }
 
-// Window returns a mutable view of [addr, addr+n). It is the DMA target
-// handed to the Packetizer. Out-of-range windows return an error — the
-// hardware equivalent of an AXI bus fault.
-func (b *Buffer) Window(addr, n int) ([]byte, error) {
+// Check reports whether [addr, addr+n) lies inside the buffer. An
+// out-of-range window is the hardware equivalent of an AXI bus fault.
+func (b *Buffer) Check(addr, n int) error {
 	if addr < 0 || n < 0 || addr+n > len(b.mem) {
-		return nil, fmt.Errorf("dram: window [%d,%d) outside buffer of %d bytes", addr, addr+n, len(b.mem))
+		return fmt.Errorf("dram: window [%d,%d) outside buffer of %d bytes", addr, addr+n, len(b.mem))
 	}
+	return nil
+}
+
+// Window returns a mutable view of [addr, addr+n), materializing any
+// loan it overlaps. It is the DMA target handed to the Packetizer. The
+// view is valid until the next DMA that touches the range.
+func (b *Buffer) Window(addr, n int) ([]byte, error) {
+	if err := b.Check(addr, n); err != nil {
+		return nil, err
+	}
+	b.mu.Lock()
+	i, j := b.overlapping(addr, addr+n)
+	b.retire(i, j, addr, addr+n, false)
+	b.loans = slices.Delete(b.loans, i, j)
+	b.mu.Unlock()
 	return b.mem[addr : addr+n], nil
 }
 
-// Read copies n bytes at addr into a fresh slice. Hot paths use ReadInto
-// or View instead.
+// Lend records buf's first n bytes as the contents of [addr, addr+n)
+// without copying them, taking a reference to buf until the loan is
+// materialized or covered by a later one. The caller keeps its own
+// reference and must not change the bytes while it is shared.
+func (b *Buffer) Lend(addr int, buf *pagebuf.Buf, n int) error {
+	if err := b.Check(addr, n); err != nil {
+		return err
+	}
+	if n > buf.Len() {
+		return fmt.Errorf("dram: loan of %d bytes from a %d-byte page", n, buf.Len())
+	}
+	if n == 0 {
+		return nil
+	}
+	buf.Retain()
+	end := addr + n
+	b.mu.Lock()
+	i, j := b.overlapping(addr, end)
+	b.retire(i, j, addr, end, true)
+	if i < j {
+		// Reuse the first retired entry: re-lending a slot moves nothing.
+		b.loans[i] = loan{addr, end, buf}
+		b.loans = slices.Delete(b.loans, i+1, j)
+	} else {
+		b.loans = slices.Insert(b.loans, i, loan{addr, end, buf})
+	}
+	b.mu.Unlock()
+	return nil
+}
+
+// overlapping returns the index range [i, j) of the loans that overlap
+// [lo, hi). Callers hold mu.
+func (b *Buffer) overlapping(lo, hi int) (i, j int) {
+	i, _ = slices.BinarySearchFunc(b.loans, lo, func(l loan, lo int) int {
+		if l.end <= lo {
+			return -1
+		}
+		return 1
+	})
+	j = i
+	for j < len(b.loans) && b.loans[j].addr < hi {
+		j++
+	}
+	return i, j
+}
+
+// retire ends loans[i:j], which overlap [lo, hi): each is materialized
+// into mem and its reference dropped. With cover set, a loan that lies
+// wholly inside [lo, hi) is dropped without the copy — the caller is
+// about to stand for every one of its bytes. Callers hold mu.
+func (b *Buffer) retire(i, j, lo, hi int, cover bool) {
+	for _, l := range b.loans[i:j] {
+		if !cover || l.addr < lo || l.end > hi {
+			copy(b.mem[l.addr:l.end], l.buf.Bytes())
+		}
+		l.buf.Release()
+	}
+}
+
+// Read copies n bytes at addr into a fresh slice.
 func (b *Buffer) Read(addr, n int) ([]byte, error) {
 	w, err := b.Window(addr, n)
 	if err != nil {
@@ -47,27 +163,6 @@ func (b *Buffer) Read(addr, n int) ([]byte, error) {
 	return out, nil
 }
 
-// ReadInto copies len(dst) bytes at addr into dst — the destination-
-// passing sibling of Read for callers that own a buffer.
-func (b *Buffer) ReadInto(dst []byte, addr int) error {
-	w, err := b.Window(addr, len(dst))
-	if err != nil {
-		return err
-	}
-	copy(dst, w)
-	return nil
-}
-
-// View returns a borrowed read-only view of [addr, addr+n). Unlike Read
-// it never copies; unlike Window the caller promises not to write
-// through it. The view stays coherent with the buffer: it is only valid
-// until the next DMA or host write that overlaps the range (in virtual
-// time: until the channel's next granted transaction may touch it), so
-// consume or copy it before yielding the CPU.
-func (b *Buffer) View(addr, n int) ([]byte, error) {
-	return b.Window(addr, n)
-}
-
 // Write copies data into the buffer at addr.
 func (b *Buffer) Write(addr int, data []byte) error {
 	w, err := b.Window(addr, len(data))
@@ -75,17 +170,5 @@ func (b *Buffer) Write(addr int, data []byte) error {
 		return err
 	}
 	copy(w, data)
-	return nil
-}
-
-// Fill sets [addr, addr+n) to v.
-func (b *Buffer) Fill(addr, n int, v byte) error {
-	w, err := b.Window(addr, n)
-	if err != nil {
-		return err
-	}
-	for i := range w {
-		w[i] = v
-	}
 	return nil
 }

@@ -2,8 +2,11 @@ package dram
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/pagebuf"
 )
 
 func TestNewPanicsOnBadSize(t *testing.T) {
@@ -62,21 +65,6 @@ func TestWindowIsAliased(t *testing.T) {
 	}
 }
 
-func TestFill(t *testing.T) {
-	b := New(8)
-	if err := b.Fill(2, 4, 0x5A); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := b.Read(0, 8)
-	want := []byte{0, 0, 0x5A, 0x5A, 0x5A, 0x5A, 0, 0}
-	if !bytes.Equal(got, want) {
-		t.Errorf("Fill: got %v", got)
-	}
-	if err := b.Fill(6, 4, 1); err == nil {
-		t.Error("out-of-range Fill accepted")
-	}
-}
-
 // Property: writes to disjoint regions do not interfere.
 func TestDisjointWritesProperty(t *testing.T) {
 	f := func(x, y byte) bool {
@@ -95,4 +83,41 @@ func TestDisjointWritesProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestLoansConcurrentSlots drives one Buffer from several goroutines the
+// way a sharded rig's channel shards do, each lending, re-lending and
+// reading back its own slot while its pages are replaced under the
+// loans. Run under -race it checks the loan table's locking; in any
+// build each slot must read the page last lent to it.
+func TestLoansConcurrentSlots(t *testing.T) {
+	const slots, page, rounds = 4, 64, 200
+	b := New(slots * page)
+	pool := pagebuf.NewPool(page)
+	var wg sync.WaitGroup
+	for s := 0; s < slots; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				src := pool.Get()
+				for i := range src.Bytes() {
+					src.Bytes()[i] = byte(s*rounds + r)
+				}
+				if err := b.Lend(s*page, src, page); err != nil {
+					t.Error(err)
+					return
+				}
+				src.Release() // the array drops the page; the loan keeps it
+				if r%3 == 0 {
+					w, err := b.Window(s*page, page)
+					if err != nil || w[0] != byte(s*rounds+r) || w[page-1] != byte(s*rounds+r) {
+						t.Errorf("slot %d round %d: window %v, err %v", s, r, w[:1], err)
+						return
+					}
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
 }

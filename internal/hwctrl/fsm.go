@@ -182,21 +182,18 @@ func (f *opFSM) busStep() (sim.Time, error) {
 		if err != nil {
 			return 0, err
 		}
-		// Stream straight into the DRAM window (or a reused scratch sink
-		// for destination-less reads) — no intermediate per-read buffer.
-		var dst []byte
+		// Stream straight into DRAM, where a clean page read is lent
+		// rather than copied (or into a reused scratch sink for
+		// destination-less reads) — no intermediate per-read buffer.
+		var end sim.Time
 		if f.cur.DRAMAddr >= 0 {
-			dst, err = f.ctrl.mem.Window(f.cur.DRAMAddr, f.cur.N)
-			if err != nil {
-				return 0, err
-			}
+			end, err = ch.DataOutDRAM(sel, f.ctrl.mem, f.cur.DRAMAddr, f.cur.N, 0)
 		} else {
 			if cap(f.scratch) < f.cur.N {
 				f.scratch = make([]byte, f.cur.N)
 			}
-			dst = f.scratch[:f.cur.N]
+			end, err = ch.DataOutInto(sel, f.scratch[:f.cur.N], 0)
 		}
-		end, err := ch.DataOutInto(sel, dst, 0)
 		if err != nil {
 			return 0, err
 		}

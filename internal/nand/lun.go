@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/dram"
 	"repro/internal/onfi"
 	"repro/internal/pagebuf"
 	"repro/internal/sim"
@@ -169,14 +170,13 @@ type LUN struct {
 	// (owned, mutable) or a read-only alias of a stored page, a plane
 	// buffer, or the erased template, established by settle so clean
 	// reads skip the array→register full-page copies. Mutators call
-	// ownReg first; unalias materializes before a pooled source buffer
-	// is released.
-	reg         []byte
-	regAliased  bool   // reg aliases a pooled stored page
-	regRow      uint32 // the row reg aliases, when regAliased
-	loadAliased bool   // loadData aliases a pooled stored page
-	loadRow     uint32 // the row loadData aliases, when loadAliased
-	erasedFF    []byte // all-0xFF page backing reads of erased rows
+	// ownReg first. An alias of a stored page holds a reference to it
+	// (regPage; loadPage for a pending load), so programming or erasing
+	// the row leaves the aliased bytes intact.
+	reg      []byte
+	regPage  *pagebuf.Buf
+	loadPage *pagebuf.Buf
+	erasedFF []byte // all-0xFF page backing reads of erased rows
 
 	// Cache-read sequencing.
 	cacheRow     uint32
@@ -337,16 +337,14 @@ func (l *LUN) settle(now sim.Time) {
 			// wear-injected errors): swap the buffers in place of a
 			// full-page copy.
 			l.pageReg, l.loadBuf = l.loadBuf, l.pageReg
-			l.reg = l.pageReg
-			l.regAliased = false
+			l.setReg(l.pageReg, nil)
 		} else {
 			// Clean load: the register aliases the source until a mutator
-			// claims it (ownReg) — no page copy on the read hot path.
-			l.reg = l.loadData
-			l.regAliased = l.loadAliased
-			l.regRow = l.loadRow
+			// claims it (ownReg) — no page copy on the read hot path. The
+			// load's reference moves to the register.
+			l.setReg(l.loadData, l.loadPage)
+			l.loadPage = nil
 		}
-		l.loadAliased = false
 		l.loadPending = false
 		l.curOp = arrNone
 	}
@@ -559,8 +557,7 @@ func (l *LUN) address(now sim.Time, b byte) error {
 			// Program loads start from an all-ones register (NAND can
 			// only clear bits). The fill overwrites everything, so any
 			// alias is simply dropped rather than materialized.
-			l.reg = l.pageReg
-			l.regAliased = false
+			l.setReg(l.pageReg, nil)
 			for i := range l.pageReg {
 				l.pageReg[i] = 0xFF
 			}
@@ -649,15 +646,12 @@ func (l *LUN) startRead(now sim.Time, cache bool) error {
 	l.curRow = row
 	l.cacheRow = row
 	l.loadPending = true
-	if src, clean := l.cleanSource(row, fo); clean {
-		l.loadData = src
-	} else {
-		l.loadAliased = false
+	if !l.loadClean(row, fo) {
 		l.readArrayInto(row, l.loadBuf)
 		if fo.Corrupt {
 			corruptBeyondECC(row, l.loadBuf)
 		}
-		l.loadData = l.loadBuf
+		l.setLoad(l.loadBuf, nil)
 	}
 	l.arrayBusyUntil = now.Add(tr)
 	if fo.Stuck {
@@ -696,12 +690,9 @@ func (l *LUN) startCacheNext(now sim.Time) error {
 	l.curOp = arrRead
 	l.curRow = next
 	l.loadPending = true
-	if src, clean := l.cleanSource(next, FaultOutcome{}); clean {
-		l.loadData = src
-	} else {
-		l.loadAliased = false
+	if !l.loadClean(next, FaultOutcome{}) {
 		l.readArrayInto(next, l.loadBuf)
-		l.loadData = l.loadBuf
+		l.setLoad(l.loadBuf, nil)
 	}
 	l.arrayBusyUntil = now.Add(l.jitterFor(next, l.params.TR))
 	l.setDataOut(outCache)
@@ -836,7 +827,7 @@ func (l *LUN) reset(now sim.Time) error {
 	l.dec = decIdle
 	l.out = outNone
 	l.loadPending = false
-	l.loadAliased = false
+	l.setLoad(nil, nil)
 	l.cachePending = false
 	l.suspended = false
 	l.pslcNext = false
@@ -903,20 +894,39 @@ func (l *LUN) readArrayInto(row uint32, dst []byte) {
 	l.injectErrors(row, dst)
 }
 
-// cleanSource returns a buffer that can back a pending load without a
-// copy — the stored page itself, or the erased template — when nothing
-// (fault corruption, wear-injected bit errors) would mutate the data.
-func (l *LUN) cleanSource(row uint32, fo FaultOutcome) ([]byte, bool) {
+// loadClean backs the pending load with row's data without a copy — the
+// stored page itself, retained, or the erased template — when nothing
+// (fault corruption, wear-injected bit errors) would mutate the data. It
+// reports false, leaving the load alone, otherwise.
+func (l *LUN) loadClean(row uint32, fo FaultOutcome) bool {
 	if fo.Corrupt || l.wearActive(row) {
-		return nil, false
+		return false
 	}
 	if stored, ok := l.pages[row]; ok {
-		l.loadAliased = true
-		l.loadRow = row
-		return stored.Bytes(), true
+		stored.Retain()
+		l.setLoad(stored.Bytes(), stored)
+	} else {
+		l.setLoad(l.erasedFF, nil)
 	}
-	l.loadAliased = false
-	return l.erasedFF, true
+	return true
+}
+
+// setLoad points the pending load at data, which aliases page when page
+// is non-nil (the load then owns one reference to it), dropping the
+// reference the previous load held.
+func (l *LUN) setLoad(data []byte, page *pagebuf.Buf) {
+	if l.loadPage != nil {
+		l.loadPage.Release()
+	}
+	l.loadData, l.loadPage = data, page
+}
+
+// setReg points the page register at data, like setLoad for the load.
+func (l *LUN) setReg(data []byte, page *pagebuf.Buf) {
+	if l.regPage != nil {
+		l.regPage.Release()
+	}
+	l.reg, l.regPage = data, page
 }
 
 // wearActive reports whether injectErrors would flip any bits for row.
@@ -938,41 +948,27 @@ func (l *LUN) wearActive(row uint32) bool {
 func (l *LUN) ownReg() {
 	if &l.reg[0] != &l.pageReg[0] {
 		copy(l.pageReg, l.reg)
-		l.reg = l.pageReg
-		l.regAliased = false
+		l.setReg(l.pageReg, nil)
 	}
 }
 
-// unalias materializes any register/load alias of row before its pooled
-// buffer is released back to the arena.
-func (l *LUN) unalias(row uint32) {
-	if l.loadAliased && l.loadRow == row {
-		copy(l.loadBuf, l.loadData)
-		l.loadData = l.loadBuf
-		l.loadAliased = false
-	}
-	if l.regAliased && l.regRow == row {
-		l.ownReg()
-	}
-}
-
-// storePage commits a full page of data to the array in a pooled buffer
-// and marks the row programmed.
+// storePage commits a full page of data to the array in a fresh pooled
+// buffer and marks the row programmed. The array drops its reference to
+// the old page; an alias of it keeps its own.
 func (l *LUN) storePage(row uint32, data []byte) {
 	buf := l.pool.Get()
 	copy(buf.Bytes(), data)
 	if old, ok := l.pages[row]; ok {
-		l.unalias(row)
 		old.Release()
 	}
 	l.pages[row] = buf
 	l.programmed[row] = true
 }
 
-// dropPage releases row's pooled buffer, if any, and forgets it.
+// dropPage releases the array's reference to row's pooled buffer, if
+// any, and forgets it.
 func (l *LUN) dropPage(row uint32) {
 	if buf, ok := l.pages[row]; ok {
-		l.unalias(row)
 		buf.Release()
 		delete(l.pages, row)
 	}
@@ -1018,11 +1014,31 @@ func (l *LUN) DataOut(now sim.Time, n int) ([]byte, error) {
 	return out, nil
 }
 
-// DataOutInto streams len(dst) bytes out of the LUN (Data Reader µFSM)
-// into dst: status, page/cache register contents from the current
-// column, ID bytes, or feature data, depending on the preceding command.
-// Every byte of dst is overwritten on success.
-func (l *LUN) DataOutInto(now sim.Time, dst []byte) error {
+// DataOutDRAM streams n bytes out of the LUN into mem at addr — the
+// Packetizer's store of a DataOutInto burst. A clean page read, where the
+// register aliases a stored page, the burst starts at column 0 and the
+// phase trim garbles nothing, lends the stored page to mem instead of
+// copying it; every other burst copies through DataOutInto.
+func (l *LUN) DataOutDRAM(now sim.Time, mem *dram.Buffer, addr, n int) error {
+	l.selectOutput(now)
+	if l.out == outPage && l.regPage != nil && l.column == 0 && n <= len(l.reg) &&
+		l.Ready(now) && !l.loadPending && l.phaseSkew() == 0 {
+		if err := mem.Lend(addr, l.regPage, n); err != nil {
+			return err
+		}
+		l.column = n
+		return nil
+	}
+	dst, err := mem.Window(addr, n)
+	if err != nil {
+		return err
+	}
+	return l.DataOutInto(now, dst)
+}
+
+// selectOutput settles the LUN at now and resolves which source a data
+// burst streams.
+func (l *LUN) selectOutput(now sim.Time) {
 	l.settle(now)
 	// A bare 00h latch after READ STATUS is the ONFI READ MODE command:
 	// it re-selects the interrupted data output. The decoder cannot
@@ -1032,6 +1048,14 @@ func (l *LUN) DataOutInto(now sim.Time, dst []byte) error {
 		l.out = l.lastDataOut
 		l.dec = decIdle
 	}
+}
+
+// DataOutInto streams len(dst) bytes out of the LUN (Data Reader µFSM)
+// into dst: status, page/cache register contents from the current
+// column, ID bytes, or feature data, depending on the preceding command.
+// Every byte of dst is overwritten on success.
+func (l *LUN) DataOutInto(now sim.Time, dst []byte) error {
+	l.selectOutput(now)
 	switch l.out {
 	case outStatus:
 		s := l.Status(now)
@@ -1095,12 +1119,8 @@ func (l *LUN) DataOutInto(now sim.Time, dst []byte) error {
 // too far from this instance's optimum: the strobe samples DQ at the
 // wrong instant and bits smear. Deterministic so calibration converges.
 func (l *LUN) applyPhaseCorruption(out []byte) {
-	cur := int(l.features[onfi.FeatOutputPhase][0])
-	d := cur - l.phaseOptimal
-	if d < 0 {
-		d = -d
-	}
-	if d <= phaseTolerance {
+	d := l.phaseSkew()
+	if d == 0 {
 		return
 	}
 	for i := range out {
@@ -1110,6 +1130,19 @@ func (l *LUN) applyPhaseCorruption(out []byte) {
 			out[i] ^= byte(d)
 		}
 	}
+}
+
+// phaseSkew is how far the DQS phase trim sits from this instance's
+// optimum, or 0 when it is within tolerance and bursts arrive clean.
+func (l *LUN) phaseSkew() int {
+	d := int(l.features[onfi.FeatOutputPhase][0]) - l.phaseOptimal
+	if d < 0 {
+		d = -d
+	}
+	if d <= phaseTolerance {
+		return 0
+	}
+	return d
 }
 
 func (l *LUN) copyRegisterInto(dst, reg []byte) error {

@@ -79,11 +79,10 @@ func (l *LUN) finishMPRead(now sim.Time, finalRow uint32) error {
 	}
 	// The final row's data also lands in the ordinary page register, so
 	// plain CHANGE READ COLUMN keeps working. Plane buffers are private
-	// allocations, so the register view may alias them without the
-	// pooled-release bookkeeping.
+	// allocations, so the register view may alias them without holding
+	// a reference.
 	l.loadPending = true
-	l.loadAliased = false
-	l.loadData = l.mp.planeData[plane]
+	l.setLoad(l.mp.planeData[plane], nil)
 	l.curOp = arrRead
 	l.curRow = finalRow
 	l.cacheRow = finalRow
@@ -116,8 +115,7 @@ func (l *LUN) selectPlane(now sim.Time) error {
 	if !ok {
 		return l.protoErr("plane %d has no loaded data", plane)
 	}
-	l.reg = data
-	l.regAliased = false
+	l.setReg(data, nil)
 	l.column = int(addr.Col)
 	l.setDataOut(outPage)
 	l.dec = decIdle

@@ -54,3 +54,26 @@ func TestReleasePoisonsPayload(t *testing.T) {
 		}
 	}
 }
+
+// TestRetainDefersPoison pins the reference count: a buffer with two
+// references survives the first Release untouched and is poisoned by the
+// second, after which a third panics.
+func TestRetainDefersPoison(t *testing.T) {
+	p := NewPool(32)
+	b := p.Get()
+	alias := b.Bytes()
+	for i := range alias {
+		alias[i] = 0xAA
+	}
+	b.Retain()
+	b.Release()
+	if got := b.Bytes()[0]; got != 0xAA {
+		t.Fatalf("byte 0 = %#x after releasing one of two references, want 0xaa", got)
+	}
+	b.Release()
+	if alias[0] != PoisonByte {
+		t.Fatalf("byte 0 = %#x after the last release, want poison %#x", alias[0], PoisonByte)
+	}
+	mustPanic(t, "use-after-release", func() { b.Retain() })
+	mustPanic(t, "release", func() { b.Release() })
+}

@@ -54,8 +54,23 @@ func TestNewPoolRejectsNonPositiveSize(t *testing.T) {
 	NewPool(0)
 }
 
+// TestRetainKeepsStorage checks that a retained buffer is not recycled
+// by its first Release: the next Get must hand out other storage.
+func TestRetainKeepsStorage(t *testing.T) {
+	p := NewPool(64)
+	b := p.Get()
+	b.Retain()
+	b.Release()
+	b2 := p.Get()
+	if &b2.Bytes()[0] == &b.Bytes()[0] {
+		t.Fatal("a buffer with a live reference was handed out again")
+	}
+	b2.Release()
+	b.Release()
+}
+
 // TestAllocGatePagebuf is the allocation-regression gate for the arena
-// itself: a warmed Get/Release cycle must not allocate. (Under bufdebug
+// itself: a warmed Get/Retain/Release cycle must not allocate. (Under bufdebug
 // Release also poisons the payload, but poisoning writes into existing
 // storage.)
 func TestAllocGatePagebuf(t *testing.T) {
@@ -64,6 +79,8 @@ func TestAllocGatePagebuf(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() {
 		b := p.Get()
 		b.Bytes()[0] = 1
+		b.Retain()
+		b.Release()
 		b.Release()
 	})
 	if avg > 0 {

@@ -101,11 +101,15 @@ func (e *Executor) Execute(t *txn.Transaction) txn.Result {
 			}
 		case txn.KindDataRead:
 			// Data Reader µFSM strobes DQS; the Packetizer stores straight
-			// into the destination — the DRAM window, the capture buffer,
-			// or the executor's scratch sink — with no intermediate copy.
+			// into the destination — DRAM (where a clean page read is lent,
+			// not copied), the DRAM window a capture also reads, the
+			// capture buffer, or the executor's scratch sink — with no
+			// intermediate copy.
 			label, nbytes = "data-read", in.N
 			var dst []byte
 			switch {
+			case in.Addr >= 0 && !in.Capture:
+				end, err = e.ch.DataOutDRAM(sel, e.mem, in.Addr, in.N, t.OpID)
 			case in.Addr >= 0:
 				dst, err = e.mem.Window(in.Addr, in.N)
 			case in.Capture:
@@ -118,7 +122,7 @@ func (e *Executor) Execute(t *txn.Transaction) txn.Result {
 				}
 				dst = e.scratch[:in.N]
 			}
-			if err == nil {
+			if err == nil && dst != nil {
 				end, err = e.ch.DataOutInto(sel, dst, t.OpID)
 			}
 			if err == nil {
