@@ -61,7 +61,9 @@ func TestDriveGoldens(t *testing.T) {
 // TestDriveRefusesChannelShape: a shape the rig cannot build is an error
 // naming the flag's field, which main turns into exit 1. -channels -1
 // once panicked sizing DRAM, and -ways 17 once exited 0 after every op
-// on way 16 failed, because a 16-bit chip mask cannot select it.
+// on way 16 failed, because a 16-bit chip mask cannot select it. A zero
+// is no such shape: it takes Build's default, which sizes the stream and
+// heads the report.
 func TestDriveRefusesChannelShape(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-ways 17 -pattern random -ops 400", "Ways 17"},
@@ -69,6 +71,15 @@ func TestDriveRefusesChannelShape(t *testing.T) {
 	} {
 		if _, err := runCLI(t, append(strings.Fields(tc.args), "drive")...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s drive: %v, want an error naming %q", tc.args, err, tc.want)
+		}
+	}
+	for _, tc := range []struct{ args, want string }{
+		{"-ways 0 -ops 8", "1 ch × 8 ways"},
+		{"-channels 0 -ways 2 -ops 8", "1 ch × 2 ways"},
+	} {
+		out, err := runCLI(t, append(strings.Fields(tc.args), "drive")...)
+		if err != nil || !strings.Contains(out, tc.want) || !strings.Contains(out, "completed: 8/8 (0 failed)") {
+			t.Errorf("%s drive: %v, want a clean run on %q:\n%s", tc.args, err, tc.want, out)
 		}
 	}
 }

@@ -114,8 +114,9 @@ func replay(opt Options, cfg ssd.BuildConfig, fc hic.FrontendConfig, events []ob
 }
 
 // Drive is one fio-like run of a whole drive: the rig cfg describes (its
-// Params preset shrunk to opt.Blocks) runs w's closed loop for opt.Ops
-// commands over 64 pages per LUN, preloaded when w reads. With events
+// zero fields defaulted as ssd.Build defaults them, its Params preset
+// shrunk to opt.Blocks) runs w's closed loop for opt.Ops commands over
+// 64 pages per LUN, preloaded when w reads. With events
 // non-nil it replays that recording instead — one submission queue per
 // recorded queue, each with w.QueueDepth as its window — preloaded over
 // the span the trace touches. The report's first line names the
@@ -124,6 +125,9 @@ func replay(opt Options, cfg ssd.BuildConfig, fc hic.FrontendConfig, events []ob
 // the stream wrote.
 func Drive(opt Options, cfg ssd.BuildConfig, w hic.Workload, events []obs.Event, title string) (string, error) {
 	opt = opt.withDefaults()
+	// Size the stream and name the rig from the shape Build assembles,
+	// not the zeros it defaults.
+	cfg = cfg.WithDefaults()
 	cfg.Params = shrink(cfg.Params, opt.Blocks)
 	var (
 		res  *hic.Result

@@ -199,8 +199,10 @@ func (r *Rig) Close() {
 	}
 }
 
-// Build assembles an SSD per cfg.
-func Build(cfg BuildConfig) (*Rig, error) {
+// WithDefaults returns cfg with the zero fields Build defaults filled
+// in: the Hynix preset, one channel, the preset's LUNs per channel,
+// 200 MT/s and a 1 GHz firmware CPU. It is the shape Build assembles.
+func (cfg BuildConfig) WithDefaults() BuildConfig {
 	if cfg.Params.Name == "" {
 		cfg.Params = nand.Hynix()
 	}
@@ -216,6 +218,12 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	if cfg.CPUMHz == 0 {
 		cfg.CPUMHz = 1000
 	}
+	return cfg
+}
+
+// Build assembles an SSD per cfg.
+func Build(cfg BuildConfig) (*Rig, error) {
+	cfg = cfg.WithDefaults()
 	if cfg.Channels < 0 {
 		return nil, fmt.Errorf("ssd: Channels %d is negative", cfg.Channels)
 	}
