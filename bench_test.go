@@ -184,7 +184,7 @@ func BenchmarkAblationTxnScheduler(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mbps = readBandwidth(b, ssd.BuildConfig{
 					Params: benchParams(), Ways: 4, RateMT: 200,
-					Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, TxnQueue: j.mk(),
+					Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, TxnQueue: j.mk,
 				}, 80, 16)
 			}
 			b.ReportMetric(mbps, "MB/s")

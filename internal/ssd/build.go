@@ -68,8 +68,10 @@ type BuildConfig struct {
 	// suspension, the tail-latency optimization of [23], [54]. BABOL
 	// only: a HW rig ignores it.
 	SuspendReads bool
-	// TxnQueue overrides BABOL's transaction scheduler (default RR).
-	TxnQueue sched.TxnQueue
+	// TxnQueue overrides BABOL's transaction scheduler (default
+	// issue-first). Build calls it once per channel controller: a queue
+	// holds one channel's transactions, so channels never share one.
+	TxnQueue func() sched.TxnQueue
 	// Tracer receives the controllers' event streams; multi-channel rigs
 	// tag each channel's events with its index. nil disables tracing.
 	// The hardware baseline controller emits no events.
@@ -351,8 +353,12 @@ func Build(cfg BuildConfig) (*Rig, error) {
 					rig.CoroPool = pool
 				}
 			}
+			var txnQ sched.TxnQueue
+			if cfg.TxnQueue != nil {
+				txnQ = cfg.TxnQueue()
+			}
 			ctrl, err := core.New(core.Config{
-				Kernel: chK, Channel: ch, DRAM: mem, CPU: cpu, TxnQueue: cfg.TxnQueue,
+				Kernel: chK, Channel: ch, DRAM: mem, CPU: cpu, TxnQueue: txnQ,
 				Tracer:   obs.OnChannel(chTracer, c),
 				CoroPool: pool, DisableCoroPool: cfg.NoCoroPool,
 			})

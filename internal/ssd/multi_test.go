@@ -1,10 +1,13 @@
 package ssd
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/hic"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -47,6 +50,55 @@ func TestMultiChannelReadWrite(t *testing.T) {
 		if ch.Stats().LatchBursts == 0 {
 			t.Errorf("channel %d idle", c)
 		}
+	}
+}
+
+// TestMultiChannelTxnQueuePerChannel: BuildConfig.TxnQueue builds one
+// queue per channel controller. A queue shared by two channels let one
+// controller pop and run the other's transactions, which broke the LUN
+// protocol; passing the default policy explicitly must change nothing.
+func TestMultiChannelTxnQueuePerChannel(t *testing.T) {
+	const ops, qd = 400, 16
+	run := func(txnQ func() sched.TxnQueue) (Stats, []sim.Time) {
+		cfg := smallBuild(CtrlBabolRTOS)
+		cfg.Channels, cfg.Ways, cfg.TxnQueue = 2, 4, txnQ
+		rig := mustBuild(t, cfg)
+		logical := rig.FTL.LogicalPages()
+		if err := rig.SSD.Preload(logical); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(11))
+		done := make([]sim.Time, 0, ops)
+		failed, issued := 0, 0
+		var issue func()
+		issue = func() {
+			issued++
+			rig.SSD.Submit(hic.Command{Kind: hic.KindRead, LPN: rng.Intn(logical), Done: func(err error) {
+				if err != nil {
+					failed++
+				}
+				done = append(done, rig.Kernel.Now())
+				if issued < ops {
+					issue()
+				}
+			}})
+		}
+		for i := 0; i < qd; i++ {
+			issue()
+		}
+		rig.Kernel.Run()
+		if len(done) != ops || failed != 0 {
+			t.Fatalf("%d of %d reads done, %d failed", len(done), ops, failed)
+		}
+		return rig.SSD.Stats(), done
+	}
+	wantStats, wantDone := run(nil)
+	gotStats, gotDone := run(sched.NewTxnIssueFirst)
+	if gotStats != wantStats {
+		t.Errorf("stats with explicit issue-first %+v, default %+v", gotStats, wantStats)
+	}
+	if !slices.Equal(gotDone, wantDone) {
+		t.Error("completion times differ from the default scheduler's")
 	}
 }
 
