@@ -2,32 +2,12 @@ package sim
 
 import "fmt"
 
-// EventID identifies a scheduled event so it can be cancelled. An
-// EventID encodes the slot that holds the event plus a generation stamp,
-// so IDs of events that have already fired (or been cancelled) become
-// harmlessly stale the moment their slot is recycled: cancelling one is
-// an O(1) no-op, never a leak. The zero EventID is never issued.
-type EventID uint64
-
-// slot holds one scheduled event. Slots are recycled through a free
-// list so the steady-state hot path — schedule, fire, schedule — does
-// not allocate; gen distinguishes successive occupants of the same slot.
-type slot struct {
-	at        Time
-	seq       uint64 // insertion order; breaks ties deterministically
-	fn        func()
-	gen       uint32
-	cancelled bool
-}
-
-const slotIndexBits = 32
-
-func makeEventID(idx int32, gen uint32) EventID {
-	return EventID(uint64(gen)<<slotIndexBits | uint64(uint32(idx)))
-}
-
-func splitEventID(id EventID) (idx int32, gen uint32) {
-	return int32(uint32(id)), uint32(id >> slotIndexBits)
+// event is one scheduled callback. The heap holds events by value, so a
+// sift compares (at, seq) in place and never chases a pointer.
+type event struct {
+	at  Time
+	seq uint64 // insertion order; breaks ties deterministically
+	fn  func()
 }
 
 // Kernel is a deterministic discrete-event simulator. Events scheduled
@@ -37,25 +17,19 @@ func splitEventID(id EventID) (idx int32, gen uint32) {
 // synchronously). Concurrency in the experiment harness therefore means
 // many kernels, one per rig, never one kernel shared.
 //
-// Accounting semantics: Executed counts events that actually fired
-// (cancelled events never count); Pending counts events that are
-// scheduled and not cancelled, i.e. the number of fn calls still owed if
-// the kernel runs to quiescence with no further scheduling or
-// cancelling.
+// Accounting semantics: Executed counts events that have fired; Pending
+// counts the fn calls still owed if the kernel runs to quiescence with no
+// further scheduling. A scheduled event always fires.
 //
-// The event queue is an index-based binary min-heap over value slots —
-// no per-event box, no container/heap interface traffic — so the
-// schedule/fire hot path is allocation-free once the slot and heap
-// arrays have grown to the simulation's high-water mark.
+// The event queue is a binary min-heap of value events ordered by
+// (at, seq) — no per-event box, no container/heap interface traffic — so
+// the schedule/fire hot path is allocation-free once the heap array has
+// grown to the simulation's high-water mark.
 type Kernel struct {
 	now      Time
-	slots    []slot
-	free     []int32 // recycled slot indices
-	heap     []int32 // slot indices ordered by (at, seq)
+	heap     []event
 	seq      uint64
-	running  bool
 	executed uint64
-	live     int // scheduled and not cancelled
 }
 
 // NewKernel returns a kernel with the clock at zero.
@@ -64,115 +38,55 @@ func NewKernel() *Kernel { return &Kernel{} }
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Executed reports how many events have fired so far. Cancelled events
-// never fire, so they are never counted.
+// Executed reports how many events have fired so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
-// Pending reports how many live events are scheduled. Cancelled events
-// are excluded even if their slots have not been reaped from the heap
-// yet.
-func (k *Kernel) Pending() int { return k.live }
+// Pending reports how many events are scheduled and have not fired yet.
+func (k *Kernel) Pending() int { return len(k.heap) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it is always a model bug.
-func (k *Kernel) At(t Time, fn func()) EventID {
+func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v, before now %v", t, k.now))
 	}
 	k.seq++
-	var idx int32
-	if n := len(k.free); n > 0 {
-		idx = k.free[n-1]
-		k.free = k.free[:n-1]
-	} else {
-		k.slots = append(k.slots, slot{gen: 1})
-		idx = int32(len(k.slots) - 1)
-	}
-	s := &k.slots[idx]
-	s.at, s.seq, s.fn, s.cancelled = t, k.seq, fn, false
-	k.heapPush(idx)
-	k.live++
-	return makeEventID(idx, s.gen)
+	k.push(event{at: t, seq: k.seq, fn: fn})
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
-func (k *Kernel) After(d Duration, fn func()) EventID {
+func (k *Kernel) After(d Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return k.At(k.now.Add(d), fn)
-}
-
-// Cancel prevents a scheduled event from firing. Cancelling an event
-// that already fired, or cancelling twice, is an O(1) no-op: the
-// generation stamp in the EventID no longer matches the slot (or the
-// slot is already marked), so no state is touched and nothing leaks.
-func (k *Kernel) Cancel(id EventID) {
-	idx, gen := splitEventID(id)
-	if int(idx) >= len(k.slots) {
-		return
-	}
-	s := &k.slots[idx]
-	if s.gen != gen || s.fn == nil || s.cancelled {
-		return
-	}
-	s.cancelled = true
-	k.live--
-}
-
-// release returns a fired or reaped slot to the free list, bumping its
-// generation so outstanding EventIDs for the old occupant go stale.
-func (k *Kernel) release(idx int32) {
-	s := &k.slots[idx]
-	s.fn = nil // drop the closure so the GC can collect captured state
-	s.gen++
-	if s.gen == 0 { // generation wrapped; 0 is reserved for "never issued"
-		s.gen = 1
-	}
-	k.free = append(k.free, idx)
+	k.At(k.now.Add(d), fn)
 }
 
 // Step fires the single earliest pending event. It reports false if no
 // events remain.
 func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
-		idx := k.heapPop()
-		s := &k.slots[idx]
-		if s.cancelled {
-			k.release(idx)
-			continue
-		}
-		k.now = s.at
-		k.executed++
-		k.live--
-		fn := s.fn
-		k.release(idx)
-		fn()
-		return true
+	if len(k.heap) == 0 {
+		return false
 	}
-	return false
+	e := k.pop()
+	k.now = e.at
+	k.executed++
+	e.fn()
+	return true
 }
 
 // Run fires events until the queue drains.
 func (k *Kernel) Run() {
-	k.running = true
-	for k.running && k.Step() {
+	for k.Step() {
 	}
-	k.running = false
 }
 
 // RunUntil fires events with time ≤ deadline, then advances the clock to
 // the deadline. Events scheduled beyond the deadline remain pending.
 func (k *Kernel) RunUntil(deadline Time) {
-	k.running = true
-	for k.running {
-		at, ok := k.peek()
-		if !ok || at > deadline {
-			break
-		}
+	for at, ok := k.peek(); ok && at <= deadline; at, ok = k.peek() {
 		k.Step()
 	}
-	k.running = false
 	if k.now < deadline {
 		k.now = deadline
 	}
@@ -181,57 +95,44 @@ func (k *Kernel) RunUntil(deadline Time) {
 // RunFor runs the simulation for d of virtual time from now.
 func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now.Add(d)) }
 
-// Stop makes a Run/RunUntil in progress return after the current event.
-// It may be called from inside an event function.
-func (k *Kernel) Stop() { k.running = false }
-
-// peek reports the firing time of the earliest live event, reaping any
-// cancelled slots that have bubbled to the top of the heap.
+// peek reports the firing time of the earliest pending event.
 func (k *Kernel) peek() (Time, bool) {
-	for len(k.heap) > 0 {
-		idx := k.heap[0]
-		s := &k.slots[idx]
-		if !s.cancelled {
-			return s.at, true
-		}
-		k.heapPop()
-		k.release(idx)
+	if len(k.heap) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return k.heap[0].at, true
 }
 
-// ------------------------------------------------------------- heap --
-//
-// A hand-rolled binary min-heap over slot indices. Equivalent to
-// container/heap on a []int32 but without the interface boxing and
-// indirect calls on every sift comparison.
-
-func (k *Kernel) heapLess(a, b int32) bool {
-	sa, sb := &k.slots[a], &k.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
+// less orders events by (at, seq): the heap's one comparison.
+func less(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return sa.seq < sb.seq
+	return a.seq < b.seq
 }
 
-func (k *Kernel) heapPush(idx int32) {
-	k.heap = append(k.heap, idx)
-	i := len(k.heap) - 1
+func (k *Kernel) push(e event) {
+	k.heap = append(k.heap, e)
+	h := k.heap
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !k.heapLess(k.heap[i], k.heap[parent]) {
+		if !less(&h[i], &h[parent]) {
 			break
 		}
-		k.heap[i], k.heap[parent] = k.heap[parent], k.heap[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
 
-func (k *Kernel) heapPop() int32 {
+// pop removes and returns the earliest event. It zeroes the vacated tail
+// entry so the heap array does not keep the fired closure alive.
+func (k *Kernel) pop() event {
 	h := k.heap
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
+	h[n] = event{}
 	k.heap = h[:n]
 	i := 0
 	for {
@@ -240,10 +141,10 @@ func (k *Kernel) heapPop() int32 {
 			break
 		}
 		least := left
-		if right := left + 1; right < n && k.heapLess(h[right], h[left]) {
+		if right := left + 1; right < n && less(&h[right], &h[left]) {
 			least = right
 		}
-		if !k.heapLess(h[least], h[i]) {
+		if !less(&h[least], &h[i]) {
 			break
 		}
 		h[i], h[least] = h[least], h[i]

@@ -89,33 +89,6 @@ func TestKernelNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestKernelCancel(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	id := k.After(10, func() { fired = true })
-	k.Cancel(id)
-	k.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if k.Executed() != 0 {
-		t.Fatalf("executed = %d, want 0", k.Executed())
-	}
-}
-
-func TestKernelCancelOneOfMany(t *testing.T) {
-	k := NewKernel()
-	var order []int
-	k.After(10, func() { order = append(order, 1) })
-	id := k.After(10, func() { order = append(order, 2) })
-	k.After(10, func() { order = append(order, 3) })
-	k.Cancel(id)
-	k.Run()
-	if len(order) != 2 || order[0] != 1 || order[1] != 3 {
-		t.Fatalf("cancel in middle: %v", order)
-	}
-}
-
 func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
@@ -150,22 +123,6 @@ func TestKernelRunFor(t *testing.T) {
 	}
 	if k.Now() != 50 {
 		t.Fatalf("clock = %v", k.Now())
-	}
-}
-
-func TestKernelStop(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	k.After(10, func() { n++; k.Stop() })
-	k.After(20, func() { n++ })
-	k.Run()
-	if n != 1 {
-		t.Fatalf("Stop did not halt the run: n=%d", n)
-	}
-	// A subsequent Run resumes.
-	k.Run()
-	if n != 2 {
-		t.Fatalf("resume after Stop: n=%d", n)
 	}
 }
 
@@ -254,103 +211,6 @@ func TestKernelDeterminismProperty(t *testing.T) {
 	}
 }
 
-// TestKernelCancelAfterFireIsNoOp is the regression test for the
-// cancelled-map leak: the seed kernel recorded every Cancel of an
-// already-fired event in a map that was only drained when a live event
-// with the same ID was popped — so cancelling fired events grew memory
-// forever. The slot/generation kernel must retain no state at all for
-// such cancels.
-func TestKernelCancelAfterFireIsNoOp(t *testing.T) {
-	k := NewKernel()
-	var ids []EventID
-	for i := 0; i < 100; i++ {
-		ids = append(ids, k.After(Duration(i), func() {}))
-	}
-	k.Run()
-	for _, id := range ids {
-		k.Cancel(id) // already fired: must be a no-op
-		k.Cancel(id) // and double-cancel too
-	}
-	if k.Pending() != 0 {
-		t.Fatalf("pending = %d after cancelling fired events, want 0", k.Pending())
-	}
-	// White-box: every slot is back on the free list and nothing was
-	// retained for the stale cancels.
-	if len(k.free) != len(k.slots) {
-		t.Fatalf("%d of %d slots free after quiescence", len(k.free), len(k.slots))
-	}
-	if len(k.heap) != 0 {
-		t.Fatalf("heap holds %d entries after quiescence", len(k.heap))
-	}
-	// The kernel stays fully functional afterwards.
-	fired := false
-	k.After(5, func() { fired = true })
-	k.Run()
-	if !fired {
-		t.Fatal("event scheduled after stale cancels did not fire")
-	}
-}
-
-// TestKernelStaleCancelDoesNotKillSlotReuse: a stale EventID whose slot
-// has been recycled by a new event must not cancel the new occupant —
-// the generation stamp protects it.
-func TestKernelStaleCancelDoesNotKillSlotReuse(t *testing.T) {
-	k := NewKernel()
-	stale := k.After(1, func() {})
-	k.Run() // fires; slot goes back on the free list
-	fired := false
-	fresh := k.After(1, func() { fired = true }) // recycles the slot
-	if fresh == stale {
-		t.Fatal("recycled slot reissued the same EventID")
-	}
-	k.Cancel(stale) // must not touch the new occupant
-	k.Run()
-	if !fired {
-		t.Fatal("stale cancel killed the slot's new occupant")
-	}
-}
-
-// TestKernelPendingExcludesCancelled: Pending reports live events only.
-// The seed kernel counted cancelled events still sitting in the queue.
-func TestKernelPendingExcludesCancelled(t *testing.T) {
-	k := NewKernel()
-	k.After(10, func() {})
-	id := k.After(20, func() {})
-	k.After(30, func() {})
-	if k.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3", k.Pending())
-	}
-	k.Cancel(id)
-	if k.Pending() != 2 {
-		t.Fatalf("pending = %d after cancel, want 2", k.Pending())
-	}
-	k.Cancel(id) // double-cancel must not double-decrement
-	if k.Pending() != 2 {
-		t.Fatalf("pending = %d after double cancel, want 2", k.Pending())
-	}
-	k.Run()
-	if k.Pending() != 0 || k.Executed() != 2 {
-		t.Fatalf("pending = %d, executed = %d after run, want 0, 2", k.Pending(), k.Executed())
-	}
-}
-
-// TestKernelZeroEventIDNeverIssued: the zero EventID is documented as
-// invalid so callers can use it as a "no event" sentinel; cancelling it
-// must be safe.
-func TestKernelZeroEventIDNeverIssued(t *testing.T) {
-	k := NewKernel()
-	for i := 0; i < 10; i++ {
-		if id := k.After(Duration(i), func() {}); id == 0 {
-			t.Fatal("kernel issued the zero EventID")
-		}
-	}
-	k.Cancel(0) // must be a harmless no-op
-	k.Run()
-	if k.Executed() != 10 {
-		t.Fatalf("executed = %d, want 10", k.Executed())
-	}
-}
-
 // TestKernelSteadyStateDoesNotAllocate: once the slot and heap arrays
 // reach the simulation's high-water mark, the schedule/fire cycle must
 // be allocation-free (the closure below captures nothing, so it is
@@ -394,7 +254,7 @@ func BenchmarkKernelScheduleRun(b *testing.B) {
 func BenchmarkKernelSchedule(b *testing.B) {
 	k := NewKernel()
 	fn := func() {}
-	// Warm the slot and heap arrays to their high-water mark.
+	// Warm the heap array to its high-water mark.
 	for j := 0; j < 64; j++ {
 		k.After(Duration(j), fn)
 	}
@@ -404,21 +264,5 @@ func BenchmarkKernelSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.After(1, fn)
 		k.Step()
-	}
-}
-
-// BenchmarkKernelScheduleCancel measures the schedule/cancel/reap cycle:
-// half the scheduled events are cancelled before firing.
-func BenchmarkKernelScheduleCancel(b *testing.B) {
-	k := NewKernel()
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		keep := k.After(1, fn)
-		drop := k.After(2, fn)
-		k.Cancel(drop)
-		_ = keep
-		k.Run()
 	}
 }

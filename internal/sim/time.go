@@ -6,13 +6,11 @@
 // fine enough to represent sub-nanosecond waveform details exactly and
 // wide enough (int64) to simulate more than a hundred days.
 //
-// Event accounting: Kernel.Executed counts events that actually fired;
-// a cancelled event never fires and is never counted. Kernel.Pending
-// counts events that are scheduled and not cancelled — the number of
-// callbacks still owed if the simulation runs to quiescence with no
-// further scheduling or cancelling. Cancel is O(1), and cancelling an
-// event that already fired (or cancelling the same event twice) is a
-// no-op that retains no state.
+// Event accounting: every scheduled event fires; there is no
+// cancellation. Kernel.Executed counts events that have fired.
+// Kernel.Pending counts events scheduled and not yet fired — the number
+// of callbacks still owed if the simulation runs to quiescence with no
+// further scheduling.
 package sim
 
 import (
