@@ -1,21 +1,34 @@
 package ops_test
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/nand"
 	"repro/internal/onfi"
 	"repro/internal/ops"
-	"repro/internal/sim"
 	"repro/internal/wave"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
 // TestEveryOperationEmitsLegalWaveforms runs each library operation on a
 // fresh rig and validates the full captured channel trace against the
 // ONFI timing checker. This is the repository-wide guarantee the µFSM
 // abstraction promises: no matter how operations compose instructions,
 // the emitted waveforms are legal.
+//
+// Each case also pins what the operation did to testdata/<case>.golden:
+// its error text, a digest of the DRAM bytes afterwards, and the
+// wave.Render listing of every pin-level event. A refactor of the
+// library diffs against these; regenerate them only for an intended
+// change, and say why:
+// `go test ./internal/ops -run TestEveryOperationEmitsLegalWaveforms -update`.
 func TestEveryOperationEmitsLegalWaveforms(t *testing.T) {
 	params := twoPlaneParams()
 	type tc struct {
@@ -29,6 +42,23 @@ func TestEveryOperationEmitsLegalWaveforms(t *testing.T) {
 			if err := r.ch.Chip(0).SeedPage(row, []byte{1, 2, 3}); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+	// reads yields the given urgent reads on the listed calls of next
+	// (1-based), and nothing on every other call.
+	reads := func(t *testing.T, at map[int]ops.UrgentRead) func() (ops.UrgentRead, bool) {
+		calls := 0
+		return func() (ops.UrgentRead, bool) {
+			calls++
+			ur, ok := at[calls]
+			if ok {
+				ur.Done = func(err error) {
+					if err != nil {
+						t.Errorf("urgent read at %+v: %v", ur.Addr, err)
+					}
+				}
+			}
+			return ur, ok
 		}
 	}
 	var idBuf []byte
@@ -154,6 +184,30 @@ func TestEveryOperationEmitsLegalWaveforms(t *testing.T) {
 					Chip: 0,
 				}
 			}},
+		{name: "InterruptibleEraseServesReads",
+			prep: func(r *rig) { seed(r, onfi.RowAddr{Block: 2, Page: 1}, onfi.RowAddr{Block: 3}) },
+			req: func(r *rig) core.OpRequest {
+				// The second read arrives after the first suspension has
+				// resumed, so the erase is suspended twice.
+				next := reads(t, map[int]ops.UrgentRead{
+					1: {Addr: onfi.Addr{Row: onfi.RowAddr{Block: 2, Page: 1}}, DramAddr: 0, N: 256},
+					4: {Addr: onfi.Addr{Row: onfi.RowAddr{Block: 3}}, DramAddr: 4096, N: 256},
+				})
+				return core.OpRequest{Func: ops.InterruptibleErase(1, next), Chip: 0}
+			}},
+		{name: "InterruptibleProgram",
+			prep: func(r *rig) {
+				seed(r, onfi.RowAddr{Block: 3, Page: 1})
+				if err := r.mem.Write(0, []byte{7, 8, 9}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			req: func(r *rig) core.OpRequest {
+				next := reads(t, map[int]ops.UrgentRead{
+					1: {Addr: onfi.Addr{Row: onfi.RowAddr{Block: 3, Page: 1}}, DramAddr: 4096, N: 256},
+				})
+				return core.OpRequest{Func: ops.InterruptibleProgram(onfi.Addr{Row: onfi.RowAddr{Block: 5}}, 0, 256, next), Chip: 0}
+			}},
 	}
 	for _, c := range cases {
 		c := c
@@ -177,7 +231,33 @@ func TestEveryOperationEmitsLegalWaveforms(t *testing.T) {
 			if r.ctrl.Pending() != 0 {
 				t.Error("operations still pending after drain")
 			}
-			_ = sim.Time(0)
+			checkOpGolden(t, c.name, r, err)
 		})
+	}
+}
+
+// checkOpGolden compares an operation's error, DRAM contents and
+// waveform with testdata/<name>.golden, or rewrites the file under
+// -update.
+func checkOpGolden(t *testing.T, name string, r *rig, opErr error) {
+	t.Helper()
+	mem, err := r.mem.Read(0, r.mem.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("error: %v\ndram sha256: %x\n\n%s", opErr, sha256.Sum256(mem), wave.Render(r.pins.Events()))
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from %s\n got:\n%s\nwant:\n%s", name, path, got, want)
 	}
 }
