@@ -30,9 +30,10 @@ func CacheReadPages(startRow onfi.RowAddr, count, dramAddr, pageBytes int) core.
 			return res.Err
 		}
 		for i := 0; i < count; i++ {
-			// Wait for the array to finish the in-flight fetch (ARDY —
-			// the LUN stays RDY for cache transfers while fetching).
-			s, err := pollArrayReady(ctx, chip)
+			// Wait for the array to finish the in-flight fetch: ARDY, not
+			// RDY — the LUN stays RDY for cache-register transfers while
+			// the array fetches the next page.
+			s, err := pollStatus(ctx, chip, onfi.StatusARDY)
 			if err != nil {
 				return err
 			}
@@ -69,26 +70,13 @@ func ReadWithRetry(addr onfi.Addr, dramAddr, n int, verify func([]byte) bool) co
 		if levels == 0 {
 			return fmt.Errorf("ops: package %s has no read-retry support", ctx.Params().Name)
 		}
-		read := func() error {
-			g := ctx.Geometry()
-			var lbuf [8]onfi.Latch
-			ctx.CmdAddr(appendReadLatches(lbuf[:0], g, onfi.Addr{Row: addr.Row}, onfi.CmdRead2)...)
-			if res := ctx.Submit(); res.Err != nil {
-				return res.Err
-			}
-			s, err := pollReady(ctx, ctx.ChipIndex())
+		g := ctx.Geometry()
+		// attempt reads the page and reports whether verify accepts it.
+		attempt := func() (bool, error) {
+			err := readPage(ctx, g, addr, dramAddr, n, func() error { return fmt.Errorf("ops: retry read FAIL") })
 			if err != nil {
-				return err
+				return false, err
 			}
-			if s&onfi.StatusFail != 0 {
-				return fmt.Errorf("ops: retry read FAIL")
-			}
-			ctx.CmdAddr(appendChangeColumnLatches(lbuf[:0], addr.Col)...)
-			ctx.ReadData(dramAddr, n)
-			res := ctx.Submit()
-			return res.Err
-		}
-		check := func() (bool, error) {
 			w, err := ctx.Controller().DRAM().Window(dramAddr, n)
 			if err != nil {
 				return false, err
@@ -98,35 +86,25 @@ func ReadWithRetry(addr onfi.Addr, dramAddr, n int, verify func([]byte) bool) co
 
 		// Attempt 0: the power-on default level — the level every other
 		// read in the system assumes, so nothing to restore on success.
-		if err := read(); err != nil {
+		if ok, err := attempt(); err != nil || ok {
 			return err
 		}
-		if ok, err := check(); err != nil {
-			return err
-		} else if ok {
-			return nil
-		}
-		// Walk the retry table. Whatever happens from here on, the
-		// package must leave at the default level: a parked retry level
-		// skews the error injection of every subsequent read on this
-		// LUN (nand's retryMismatch), silently degrading healthy pages.
-		restore := func() error {
-			return setFeature(ctx, onfi.FeatReadRetry, [4]byte{})
-		}
-		for lvl := 0; lvl < levels; lvl++ {
+		// Walk the retry table until a level verifies. Whatever happens
+		// from here on, the package must leave at the default level: a
+		// parked retry level skews the error injection of every
+		// subsequent read on this LUN (nand's retryMismatch), silently
+		// degrading healthy pages.
+		ok := false
+		for lvl := 0; lvl < levels && !ok; lvl++ {
 			if err := setFeature(ctx, onfi.FeatReadRetry, [4]byte{byte(lvl)}); err != nil {
 				return err
 			}
-			if err := read(); err != nil {
+			var err error
+			if ok, err = attempt(); err != nil {
 				return err
-			}
-			if ok, err := check(); err != nil {
-				return err
-			} else if ok {
-				return restore()
 			}
 		}
-		if err := restore(); err != nil {
+		if err := setFeature(ctx, onfi.FeatReadRetry, [4]byte{}); err != nil || ok {
 			return err
 		}
 		return fmt.Errorf("ops: read retry exhausted %d levels at %+v", levels, addr.Row)
@@ -183,10 +161,7 @@ func GangRead(replicas []int, addr onfi.Addr, dramAddr, n int) core.OpFunc {
 			}
 		}
 		ctx.Chip(bus.Mask(winner))
-		ctx.CmdAddr(appendChangeColumnLatches(lbuf[:0], addr.Col)...)
-		ctx.ReadData(dramAddr, n)
-		res := ctx.Submit()
-		return res.Err
+		return dataOut(ctx, addr.Col, dramAddr, n, false)
 	}
 }
 
@@ -207,24 +182,14 @@ func GangProgram(replicas []int, addr onfi.Addr, dramAddr, n int) core.OpFunc {
 			mask |= bus.Mask(c)
 		}
 		ctx.Chip(mask)
-		var lbuf [8]onfi.Latch
-		latches := append(lbuf[:0], onfi.CmdLatch(onfi.CmdProgram1))
-		latches = g.AppendAddrLatches(latches, addr)
-		ctx.CmdAddr(latches...)
-		ctx.WriteData(dramAddr, n)
-		ctx.CmdAddr(onfi.CmdLatch(onfi.CmdProgram2))
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
+		if err := startProgram(ctx, g, addr, dramAddr, n, onfi.CmdProgram2); err != nil {
+			return err
 		}
 		// All replicas must finish cleanly; each wait is bounded with
 		// RESET escalation like any single-chip poll.
 		for _, c := range replicas {
-			s, err := pollReady(ctx, c)
-			if err != nil {
+			if err := waitOK(ctx, c, func() error { return fmt.Errorf("ops: gang program FAIL on chip %d", c) }); err != nil {
 				return err
-			}
-			if s&onfi.StatusFail != 0 {
-				return fmt.Errorf("ops: gang program FAIL on chip %d", c)
 			}
 		}
 		return nil
@@ -234,62 +199,30 @@ func GangProgram(replicas []int, addr onfi.Addr, dramAddr, n int) core.OpFunc {
 // EraseWithSuspend erases a block but suspends the erase partway to
 // service a latency-critical page read, then resumes — the erase-suspend
 // optimization from the literature [23], [54]. readAddr names the page to
-// read during the suspension window; its data lands at dramAddr.
+// read during the suspension window; its data lands at dramAddr. An
+// erase that finishes before suspendAfter runs out is not suspended: the
+// read then runs after it.
 func EraseWithSuspend(block int, readAddr onfi.Addr, dramAddr, n int, suspendAfter sim.Duration) core.OpFunc {
 	return func(ctx *core.Ctx) error {
-		chip := ctx.ChipIndex()
 		g := ctx.Geometry()
-		row := onfi.RowAddr{Block: block}
-		if err := g.CheckAddr(onfi.Addr{Row: row}); err != nil {
-			return err
-		}
 		if readAddr.Row.Block == block {
 			return fmt.Errorf("ops: cannot read block %d while it is being erased", block)
 		}
-		// Start the erase.
-		var lbuf [8]onfi.Latch
-		latches := append(lbuf[:0], onfi.CmdLatch(onfi.CmdErase1))
-		latches = g.AppendRowLatches(latches, row)
-		latches = append(latches, onfi.CmdLatch(onfi.CmdErase2))
-		ctx.CmdAddr(latches...)
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
+		if err := g.CheckAddr(readAddr); err != nil {
+			return err
 		}
-		// Let it run, then suspend.
+		if err := startErase(ctx, g, block); err != nil {
+			return err
+		}
+		// Let it run, then suspend, read and resume.
 		ctx.Sleep(suspendAfter)
-		ctx.Cmd(onfi.CmdSuspend)
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
-		}
-		if _, err := pollReady(ctx, chip); err != nil {
+		ur := UrgentRead{Addr: readAddr, DramAddr: dramAddr, N: n}
+		if err := suspendAndServe(ctx, g, ur, noReads); err != nil {
 			return err
 		}
-		// Service the urgent read inside the suspension window.
-		ctx.CmdAddr(appendReadLatches(lbuf[:0], g, onfi.Addr{Row: readAddr.Row}, onfi.CmdRead2)...)
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
-		}
-		if _, err := pollReady(ctx, chip); err != nil {
-			return err
-		}
-		ctx.CmdAddr(appendChangeColumnLatches(lbuf[:0], readAddr.Col)...)
-		ctx.ReadData(dramAddr, n)
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
-		}
-		// Resume and finish the erase.
-		ctx.Cmd(onfi.CmdResume)
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
-		}
-		s, err := pollReady(ctx, chip)
-		if err != nil {
-			return err
-		}
-		if s&onfi.StatusFail != 0 {
+		return waitOK(ctx, ctx.ChipIndex(), func() error {
 			return fmt.Errorf("ops: suspended erase of block %d reported FAIL", block)
-		}
-		return nil
+		})
 	}
 }
 
@@ -299,26 +232,18 @@ func EraseWithSuspend(block int, readAddr onfi.Addr, dramAddr, n int, suspendAft
 // out of the boot-time SDR mode.
 func BootSequence(wantID []byte, timingMode byte) core.OpFunc {
 	return func(ctx *core.Ctx) error {
-		chip := ctx.ChipIndex()
-		// RESET and wait for the package to come back.
-		ctx.Cmd(onfi.CmdReset)
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
-		}
-		if _, err := pollReady(ctx, chip); err != nil {
+		// RESET and wait for the package to come back, then READ ID:
+		// confirm we are talking to the package we think.
+		if err := Reset()(ctx); err != nil {
 			return err
 		}
-		// READ ID: confirm we are talking to the package we think.
-		ctx.CmdAddr(onfi.CmdLatch(onfi.CmdReadID), onfi.AddrLatch(0))
-		ctx.ReadCapture(len(wantID))
-		res := ctx.Submit()
-		if res.Err != nil {
-			return res.Err
+		var id []byte
+		if err := ReadID(&id, len(wantID))(ctx); err != nil {
+			return err
 		}
 		for i := range wantID {
-			if res.Captured[i] != wantID[i] {
-				return fmt.Errorf("ops: boot ID mismatch at byte %d: got %02X want %02X",
-					i, res.Captured[i], wantID[i])
+			if id[i] != wantID[i] {
+				return fmt.Errorf("ops: boot ID mismatch at byte %d: got %02X want %02X", i, id[i], wantID[i])
 			}
 		}
 		// Switch the data interface (packages boot in SDR; cf. §IV-C).

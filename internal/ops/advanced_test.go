@@ -2,6 +2,7 @@ package ops_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/bus"
@@ -360,5 +361,100 @@ func TestInterruptibleProgramServesReads(t *testing.T) {
 	}
 	if lun.Stats().SuspendCount == 0 {
 		t.Error("program was never suspended")
+	}
+}
+
+// An erase that finishes before suspendAfter runs out leaves nothing to
+// suspend: the urgent read runs after it, and the operation succeeds.
+func TestEraseWithSuspendOutlastedByErase(t *testing.T) {
+	p := smallParams()
+	r := newRig(t, 1, p)
+	lun := r.ch.Chip(0)
+	urgent := bytes.Repeat([]byte{0x99}, 256)
+	if err := lun.SeedPage(onfi.RowAddr{Block: 2, Page: 1}, urgent); err != nil {
+		t.Fatal(err)
+	}
+	err := r.run(t, core.OpRequest{
+		Func: ops.EraseWithSuspend(5, onfi.Addr{Row: onfi.RowAddr{Block: 2, Page: 1}}, 0, 256, 2*p.TBERS),
+		Chip: 0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.mem.Read(0, 256); !bytes.Equal(got, urgent) {
+		t.Error("urgent read after the erase mismatch")
+	}
+	if lun.EraseCount(5) != 1 {
+		t.Error("erase did not complete")
+	}
+	if n := lun.Stats().SuspendCount; n != 0 {
+		t.Errorf("%d suspends of a finished erase", n)
+	}
+}
+
+// A read address outside the geometry is refused before the erase
+// starts, so the chip is never left suspended.
+func TestEraseWithSuspendRefusesBadReadAddr(t *testing.T) {
+	p := smallParams()
+	r := newRig(t, 1, p)
+	bad := onfi.Addr{Row: onfi.RowAddr{Block: 2, Page: 99}}
+	err := r.run(t, core.OpRequest{Func: ops.EraseWithSuspend(5, bad, 0, 256, p.TBERS/4), Chip: 0})
+	if err == nil {
+		t.Fatal("read of page 99 of a 4-page block accepted")
+	}
+	if n := len(r.pins.Events()); n != 0 {
+		t.Errorf("refused operation drove %d pin-level events", n)
+	}
+	if err := r.run(t, core.OpRequest{Func: ops.EraseBlock(5), Chip: 0}); err != nil {
+		t.Fatalf("erase after the refused operation: %v", err)
+	}
+}
+
+// An urgent read with a bad address fails through its own Done without
+// suspending the erase, which runs on; the chip then serves the next
+// interruptible erase's reads normally.
+func TestInterruptibleEraseFailsBadUrgentRead(t *testing.T) {
+	r := newRig(t, 1, smallParams())
+	lun := r.ch.Chip(0)
+	urgent := bytes.Repeat([]byte{0x5A}, 256)
+	if err := lun.SeedPage(onfi.RowAddr{Block: 2, Page: 1}, urgent); err != nil {
+		t.Fatal(err)
+	}
+	once := func(addr onfi.Addr, readErr *error) func() (ops.UrgentRead, bool) {
+		yielded := false
+		return func() (ops.UrgentRead, bool) {
+			if yielded {
+				return ops.UrgentRead{}, false
+			}
+			yielded = true
+			return ops.UrgentRead{Addr: addr, DramAddr: 0, N: 256, Done: func(err error) { *readErr = err }}, true
+		}
+	}
+
+	var badErr error
+	bad := onfi.Addr{Row: onfi.RowAddr{Block: 2, Page: 99}}
+	if err := r.run(t, core.OpRequest{Func: ops.InterruptibleErase(1, once(bad, &badErr)), Chip: 0}); err != nil {
+		t.Fatalf("erase with a bad urgent read: %v", err)
+	}
+	if badErr == nil {
+		t.Error("bad urgent read reported success")
+	}
+	if lun.EraseCount(1) != 1 {
+		t.Error("erase did not complete")
+	}
+	if n := lun.Stats().SuspendCount; n != 0 {
+		t.Errorf("bad urgent read suspended the erase %d times", n)
+	}
+
+	goodErr := errors.New("never served")
+	good := onfi.Addr{Row: onfi.RowAddr{Block: 2, Page: 1}}
+	if err := r.run(t, core.OpRequest{Func: ops.InterruptibleErase(3, once(good, &goodErr)), Chip: 0}); err != nil {
+		t.Fatalf("next interruptible erase: %v", err)
+	}
+	if goodErr != nil {
+		t.Errorf("urgent read: %v", goodErr)
+	}
+	if got, _ := r.mem.Read(0, 256); !bytes.Equal(got, urgent) {
+		t.Error("urgent read data mismatch")
 	}
 }

@@ -34,12 +34,8 @@ func CopybackPage(src, dst onfi.RowAddr) core.OpFunc {
 		if res := ctx.Submit(); res.Err != nil {
 			return res.Err
 		}
-		s, err := pollReady(ctx, chip)
-		if err != nil {
+		if err := waitOK(ctx, chip, func() error { return fmt.Errorf("ops: copyback read of %+v reported FAIL", src) }); err != nil {
 			return err
-		}
-		if s&onfi.StatusFail != 0 {
-			return fmt.Errorf("ops: copyback read of %+v reported FAIL", src)
 		}
 		// Transaction 2: COPYBACK PROGRAM to the destination.
 		latches := append(lbuf[:0], onfi.CmdLatch(onfi.CmdCopybackProgram))
@@ -49,13 +45,6 @@ func CopybackPage(src, dst onfi.RowAddr) core.OpFunc {
 		if res := ctx.Submit(); res.Err != nil {
 			return res.Err
 		}
-		s, err = pollReady(ctx, chip)
-		if err != nil {
-			return err
-		}
-		if s&onfi.StatusFail != 0 {
-			return fmt.Errorf("ops: copyback program to %+v reported FAIL", dst)
-		}
-		return nil
+		return waitOK(ctx, chip, func() error { return fmt.Errorf("ops: copyback program to %+v reported FAIL", dst) })
 	}
 }

@@ -32,138 +32,16 @@ type UrgentRead struct {
 // multi-millisecond erase does not spam the channel with status reads.
 func InterruptibleErase(block int, next func() (UrgentRead, bool)) core.OpFunc {
 	return func(ctx *core.Ctx) error {
-		chip := ctx.ChipIndex()
 		g := ctx.Geometry()
-		row := onfi.RowAddr{Block: block}
-		if err := g.CheckAddr(onfi.Addr{Row: row}); err != nil {
+		if err := startErase(ctx, g, block); err != nil {
 			return err
 		}
-		// Kick off the erase.
-		var lbuf [5]onfi.Latch
-		latches := append(lbuf[:0], onfi.CmdLatch(onfi.CmdErase1))
-		latches = g.AppendRowLatches(latches, row)
-		latches = append(latches, onfi.CmdLatch(onfi.CmdErase2))
-		ctx.CmdAddr(latches...)
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
-		}
-
-		// checkSlice is how often we look for urgent work; a fraction of
-		// tBERS so preemption latency stays small against a ms-scale
-		// erase without burning the channel.
-		checkSlice := ctx.Params().TBERS / 64
-		if checkSlice < 10*sim.Microsecond {
-			checkSlice = 10 * sim.Microsecond
-		}
-
-		// A busy wait paced by sleeps is still a poll loop: bound the
-		// status checks by the worst-case busy time (suspend/serve
-		// excursions reset nothing — each check advances checkSlice).
-		budget := sleepPollBudget(ctx, checkSlice)
-		for checks := 0; ; {
-			// Serve any urgent reads first.
-			if ur, ok := next(); ok {
-				if err := suspendAndServe(ctx, chip, g, ur, next); err != nil {
-					return err
-				}
-				continue
-			}
-			// Check for completion.
-			s, err := ReadStatus(ctx, chip)
-			if err != nil {
-				return err
-			}
-			if s&onfi.StatusRDY != 0 {
-				if s&onfi.StatusFail != 0 {
-					return fmt.Errorf("ops: interruptible erase of block %d reported FAIL", block)
-				}
-				return nil
-			}
-			if checks++; checks >= budget {
-				return recoverStuck(ctx, chip)
-			}
-			ctx.Sleep(checkSlice)
-		}
+		// Check a fraction of tBERS apart, so preemption latency stays
+		// small against a ms-scale erase without burning the channel.
+		return serveUntilReady(ctx, g, ctx.Params().TBERS/64, next, func() error {
+			return fmt.Errorf("ops: interruptible erase of block %d reported FAIL", block)
+		})
 	}
-}
-
-// sleepPollBudget bounds a sleep-paced poll loop: enough checkSlice
-// steps to span the package's worst-case busy time, with the same
-// slack philosophy as onfi.Timing.PollBudget.
-func sleepPollBudget(ctx *core.Ctx, checkSlice sim.Duration) int {
-	if checkSlice <= 0 {
-		checkSlice = sim.Duration(1)
-	}
-	n := int64(ctx.Params().WorstCaseBusy()) / int64(checkSlice)
-	return int(n)*4 + 64
-}
-
-// suspendAndServe suspends the in-flight erase, runs ur plus any other
-// queued urgent reads, and resumes. A suspend that races with erase
-// completion is benign: the reads run against an idle array and no
-// resume is needed.
-func suspendAndServe(ctx *core.Ctx, chip int, g onfi.Geometry, ur UrgentRead, next func() (UrgentRead, bool)) error {
-	suspended := false
-	ctx.Cmd(onfi.CmdSuspend)
-	if res := ctx.Submit(); res.Err != nil {
-		if !errors.Is(res.Err, nand.ErrNotSuspendable) {
-			return res.Err
-		}
-		// The erase finished just before the suspend latched: serve the
-		// reads directly.
-	} else {
-		suspended = true
-		if _, err := pollReady(ctx, chip); err != nil {
-			return err
-		}
-	}
-
-	for {
-		err := serveRead(ctx, chip, g, ur)
-		if ur.Done != nil {
-			ur.Done(err)
-		}
-		if err != nil {
-			return err
-		}
-		var ok bool
-		ur, ok = next()
-		if !ok {
-			break
-		}
-	}
-
-	if suspended {
-		ctx.Cmd(onfi.CmdResume)
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
-		}
-	}
-	return nil
-}
-
-// serveRead performs one inline page read on behalf of an urgent host
-// request.
-func serveRead(ctx *core.Ctx, chip int, g onfi.Geometry, ur UrgentRead) error {
-	if err := g.CheckAddr(ur.Addr); err != nil {
-		return err
-	}
-	var lbuf [8]onfi.Latch
-	ctx.CmdAddr(appendReadLatches(lbuf[:0], g, onfi.Addr{Row: ur.Addr.Row}, onfi.CmdRead2)...)
-	if res := ctx.Submit(); res.Err != nil {
-		return res.Err
-	}
-	s, err := pollReady(ctx, chip)
-	if err != nil {
-		return err
-	}
-	if s&onfi.StatusFail != 0 {
-		return fmt.Errorf("ops: urgent read at %+v reported FAIL", ur.Addr.Row)
-	}
-	ctx.CmdAddr(appendChangeColumnLatches(lbuf[:0], ur.Addr.Col)...)
-	ctx.ReadData(ur.DramAddr, ur.N)
-	res := ctx.Submit()
-	return res.Err
 }
 
 // InterruptibleProgram programs a page while servicing latency-critical
@@ -173,47 +51,110 @@ func serveRead(ctx *core.Ctx, chip int, g onfi.Geometry, ur UrgentRead) error {
 // finer.
 func InterruptibleProgram(addr onfi.Addr, dramAddr, n int, next func() (UrgentRead, bool)) core.OpFunc {
 	return func(ctx *core.Ctx) error {
-		chip := ctx.ChipIndex()
 		g := ctx.Geometry()
 		if err := g.CheckAddr(addr); err != nil {
 			return err
 		}
-		var lbuf [8]onfi.Latch
-		latches := append(lbuf[:0], onfi.CmdLatch(onfi.CmdProgram1))
-		latches = g.AppendAddrLatches(latches, addr)
-		ctx.CmdAddr(latches...)
-		ctx.WriteData(dramAddr, n)
-		ctx.CmdAddr(onfi.CmdLatch(onfi.CmdProgram2))
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
+		if err := startProgram(ctx, g, addr, dramAddr, n, onfi.CmdProgram2); err != nil {
+			return err
 		}
+		return serveUntilReady(ctx, g, ctx.Params().TPROG/16, next, func() error {
+			return fmt.Errorf("ops: interruptible program at %+v reported FAIL", addr.Row)
+		})
+	}
+}
 
-		checkSlice := ctx.Params().TPROG / 16
-		if checkSlice < 10*sim.Microsecond {
-			checkSlice = 10 * sim.Microsecond
-		}
-		budget := sleepPollBudget(ctx, checkSlice)
-		for checks := 0; ; {
-			if ur, ok := next(); ok {
-				if err := suspendAndServe(ctx, chip, g, ur, next); err != nil {
-					return err
-				}
-				continue
-			}
-			s, err := ReadStatus(ctx, chip)
-			if err != nil {
+// serveUntilReady waits out the erase or program in flight on the
+// operation's chip, checking every checkSlice (at least 10 µs): it first
+// serves whatever urgent reads next yields (suspendAndServe), then
+// reads the status once. fail builds the error for a FAIL status.
+//
+// A busy wait paced by sleeps is still a poll loop, so the checks are
+// bounded by the package's worst-case busy time, with the same slack
+// philosophy as onfi.Timing.PollBudget; suspend/serve excursions reset
+// nothing.
+func serveUntilReady(ctx *core.Ctx, g onfi.Geometry, checkSlice sim.Duration, next func() (UrgentRead, bool), fail func() error) error {
+	chip := ctx.ChipIndex()
+	checkSlice = max(checkSlice, 10*sim.Microsecond)
+	budget := int(ctx.Params().WorstCaseBusy()/checkSlice)*4 + 64
+	for checks := 0; ; {
+		if ur, ok := pull(g, next); ok {
+			if err := suspendAndServe(ctx, g, ur, next); err != nil {
 				return err
 			}
-			if s&onfi.StatusRDY != 0 {
-				if s&onfi.StatusFail != 0 {
-					return fmt.Errorf("ops: interruptible program at %+v reported FAIL", addr.Row)
-				}
-				return nil
+			continue
+		}
+		s, err := ReadStatus(ctx, chip)
+		if err != nil {
+			return err
+		}
+		if s&onfi.StatusRDY != 0 {
+			if s&onfi.StatusFail != 0 {
+				return fail()
 			}
-			if checks++; checks >= budget {
-				return recoverStuck(ctx, chip)
-			}
-			ctx.Sleep(checkSlice)
+			return nil
+		}
+		if checks++; checks >= budget {
+			return recoverStuck(ctx, chip)
+		}
+		ctx.Sleep(checkSlice)
+	}
+}
+
+// pull returns the next urgent read that names a valid page. A read
+// with a bad address fails through its own Done without reaching the
+// chip: latched mid-suspension, it would fail with the array still
+// suspended.
+func pull(g onfi.Geometry, next func() (UrgentRead, bool)) (UrgentRead, bool) {
+	for {
+		ur, ok := next()
+		if !ok {
+			return ur, false
+		}
+		err := g.CheckAddr(ur.Addr)
+		if err == nil {
+			return ur, true
+		}
+		if ur.Done != nil {
+			ur.Done(err)
 		}
 	}
+}
+
+// noReads is the next of an operation with no urgent reads to pull.
+func noReads() (UrgentRead, bool) { return UrgentRead{}, false }
+
+// suspendAndServe suspends the erase or program in flight, runs ur plus
+// any further urgent reads pull yields, and resumes. A suspend that
+// races with completion is benign: the array finished just before the
+// suspend latched, so the reads run against it directly and no resume
+// is needed.
+func suspendAndServe(ctx *core.Ctx, g onfi.Geometry, ur UrgentRead, next func() (UrgentRead, bool)) error {
+	ctx.Cmd(onfi.CmdSuspend)
+	err := ctx.Submit().Err
+	suspended := err == nil
+	if !suspended && !errors.Is(err, nand.ErrNotSuspendable) {
+		return err
+	}
+	if suspended {
+		if _, err := pollReady(ctx, ctx.ChipIndex()); err != nil {
+			return err
+		}
+	}
+	for ok := true; ok; ur, ok = pull(g, next) {
+		err := readPage(ctx, g, ur.Addr, ur.DramAddr, ur.N, func() error {
+			return fmt.Errorf("ops: urgent read at %+v reported FAIL", ur.Addr.Row)
+		})
+		if ur.Done != nil {
+			ur.Done(err)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if !suspended {
+		return nil
+	}
+	ctx.Cmd(onfi.CmdResume)
+	return ctx.Submit().Err
 }

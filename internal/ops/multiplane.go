@@ -59,12 +59,8 @@ func MPReadPages(rows []onfi.RowAddr, dramAddr, pageBytes int) core.OpFunc {
 		if res := ctx.Submit(); res.Err != nil {
 			return res.Err
 		}
-		s, err := pollReady(ctx, chip)
-		if err != nil {
+		if err := waitOK(ctx, chip, func() error { return fmt.Errorf("ops: multi-plane read reported FAIL") }); err != nil {
 			return err
-		}
-		if s&onfi.StatusFail != 0 {
-			return fmt.Errorf("ops: multi-plane read reported FAIL")
 		}
 		// Stream each plane out: 06h + full address + E0h selects the
 		// plane, then the data burst.
@@ -96,35 +92,21 @@ func MPProgramPages(rows []onfi.RowAddr, dramAddr, pageBytes int) core.OpFunc {
 		if err := checkPlanes(g, rows); err != nil {
 			return err
 		}
-		var lbuf [8]onfi.Latch
-		for i, r := range rows {
-			latches := append(lbuf[:0], onfi.CmdLatch(onfi.CmdProgram1))
-			latches = g.AppendAddrLatches(latches, onfi.Addr{Row: r})
-			ctx.CmdAddr(latches...)
-			ctx.WriteData(dramAddr+i*pageBytes, pageBytes)
-			if i < len(rows)-1 {
-				ctx.CmdAddr(onfi.CmdLatch(onfi.CmdMPProgramQueue))
-				if res := ctx.Submit(); res.Err != nil {
-					return res.Err
-				}
-				if _, err := pollReady(ctx, chip); err != nil {
-					return err
-				}
-			} else {
-				ctx.CmdAddr(onfi.CmdLatch(onfi.CmdProgram2))
-				if res := ctx.Submit(); res.Err != nil {
-					return res.Err
-				}
+		// Queue every plane but the last; each 11h costs one tDBSY.
+		last := len(rows) - 1
+		for i, r := range rows[:last] {
+			if err := startProgram(ctx, g, onfi.Addr{Row: r}, dramAddr+i*pageBytes, pageBytes, onfi.CmdMPProgramQueue); err != nil {
+				return err
+			}
+			if _, err := pollReady(ctx, chip); err != nil {
+				return err
 			}
 		}
-		s, err := pollReady(ctx, chip)
-		if err != nil {
+		// The final plane confirms with 10h: all planes program together.
+		if err := startProgram(ctx, g, onfi.Addr{Row: rows[last]}, dramAddr+last*pageBytes, pageBytes, onfi.CmdProgram2); err != nil {
 			return err
 		}
-		if s&onfi.StatusFail != 0 {
-			return fmt.Errorf("ops: multi-plane program reported FAIL")
-		}
-		return nil
+		return waitOK(ctx, chip, func() error { return fmt.Errorf("ops: multi-plane program reported FAIL") })
 	}
 }
 
@@ -152,13 +134,6 @@ func MPEraseBlocks(blocks []int) core.OpFunc {
 		if res := ctx.Submit(); res.Err != nil {
 			return res.Err
 		}
-		s, err := pollReady(ctx, chip)
-		if err != nil {
-			return err
-		}
-		if s&onfi.StatusFail != 0 {
-			return fmt.Errorf("ops: multi-plane erase of %v reported FAIL", blocks)
-		}
-		return nil
+		return waitOK(ctx, chip, func() error { return fmt.Errorf("ops: multi-plane erase of %v reported FAIL", blocks) })
 	}
 }

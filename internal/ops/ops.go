@@ -6,6 +6,14 @@
 //
 // Operations nest naturally: ReadPage calls the same pollReady helper an
 // SSD Architect would reuse, exactly as Algorithm 2 invokes Algorithm 1.
+// ReadPage, ProgramPage and EraseBlock spell their steps out as the
+// paper's algorithms do (they are what Table II counts). Every other
+// operation is composed from a few shared steps: waitOK (wait out a
+// chip, turn FAIL into an error), dataOut (the column-change data-out),
+// loadPage and readPage (a page read inside a longer operation),
+// startErase and startProgram (the ERASE and PROGRAM issue), and, for
+// the suspending operations, serveUntilReady and suspendAndServe
+// (interruptible.go).
 package ops
 
 import (
@@ -44,14 +52,6 @@ func pollReady(ctx *core.Ctx, chip int) (byte, error) {
 	return pollStatus(ctx, chip, onfi.StatusRDY)
 }
 
-// pollArrayReady polls READ STATUS until the flash array itself is idle
-// (ARDY). Cache operations key off ARDY rather than RDY: the LUN stays
-// RDY for cache-register transfers while the array fetches the next
-// page. Bounded like pollReady.
-func pollArrayReady(ctx *core.Ctx, chip int) (byte, error) {
-	return pollStatus(ctx, chip, onfi.StatusARDY)
-}
-
 // appendReadLatches appends the READ.1 + 5-address + confirm burst to
 // dst. Callers pass a stack-backed dst so the burst never touches the
 // heap — Ctx.CmdAddr copies it into the context's latch arena.
@@ -70,6 +70,86 @@ func appendChangeColumnLatches(dst []onfi.Latch, col onfi.ColAddr) []onfi.Latch 
 		onfi.AddrLatch(cb[0]), onfi.AddrLatch(cb[1]),
 		onfi.CmdLatch(onfi.CmdChangeReadCol2),
 	)
+}
+
+// waitOK waits out chip's busy time (pollReady) and turns a FAIL status
+// into fail's error. fail runs only on that path, so a successful wait
+// formats nothing.
+func waitOK(ctx *core.Ctx, chip int, fail func() error) error {
+	s, err := pollReady(ctx, chip)
+	if err != nil {
+		return err
+	}
+	if s&onfi.StatusFail != 0 {
+		return fail()
+	}
+	return nil
+}
+
+// dataOut selects column col of the page register and streams n bytes
+// from it into DRAM at dramAddr: Algorithm 2's second transaction. final
+// submits it as the operation's last (Ctx.SubmitFinal).
+func dataOut(ctx *core.Ctx, col onfi.ColAddr, dramAddr, n int, final bool) error {
+	var lbuf [4]onfi.Latch
+	ctx.CmdAddr(appendChangeColumnLatches(lbuf[:0], col)...)
+	ctx.ReadData(dramAddr, n)
+	if final {
+		return ctx.SubmitFinal().Err
+	}
+	return ctx.Submit().Err
+}
+
+// loadPage reads row into the page register of the operation's chip:
+// READ.1 + address + READ.2, behind the vendor pSLC enable when slc,
+// then the wait through tR.
+func loadPage(ctx *core.Ctx, g onfi.Geometry, row onfi.RowAddr, slc bool, fail func() error) error {
+	var lbuf [9]onfi.Latch
+	latches := lbuf[:0]
+	if slc {
+		latches = append(latches, onfi.CmdLatch(onfi.CmdPSLCEnable))
+	}
+	ctx.CmdAddr(appendReadLatches(latches, g, onfi.Addr{Row: row}, onfi.CmdRead2)...)
+	if res := ctx.Submit(); res.Err != nil {
+		return res.Err
+	}
+	return waitOK(ctx, ctx.ChipIndex(), fail)
+}
+
+// readPage is a page read in the middle of an operation: loadPage, then
+// a plain dataOut. It does not reuse RunReadPage, whose SubmitFinal
+// would let a staged successor onto the chip before the operation ends.
+func readPage(ctx *core.Ctx, g onfi.Geometry, addr onfi.Addr, dramAddr, n int, fail func() error) error {
+	if err := loadPage(ctx, g, addr.Row, false, fail); err != nil {
+		return err
+	}
+	return dataOut(ctx, addr.Col, dramAddr, n, false)
+}
+
+// startErase checks block and latches its BLOCK ERASE (60h + row
+// address + D0h), which starts tBERS.
+func startErase(ctx *core.Ctx, g onfi.Geometry, block int) error {
+	row := onfi.RowAddr{Block: block}
+	if err := g.CheckAddr(onfi.Addr{Row: row}); err != nil {
+		return err
+	}
+	var lbuf [5]onfi.Latch
+	latches := append(lbuf[:0], onfi.CmdLatch(onfi.CmdErase1))
+	latches = g.AppendRowLatches(latches, row)
+	latches = append(latches, onfi.CmdLatch(onfi.CmdErase2))
+	ctx.CmdAddr(latches...)
+	return ctx.Submit().Err
+}
+
+// startProgram latches PAGE PROGRAM of addr with n bytes from DRAM at
+// dramAddr: 80h + address, the data burst, then confirm — 10h starts
+// tPROG, 11h queues one plane of a multi-plane program.
+func startProgram(ctx *core.Ctx, g onfi.Geometry, addr onfi.Addr, dramAddr, n int, confirm onfi.Cmd) error {
+	var lbuf [8]onfi.Latch
+	latches := append(lbuf[:0], onfi.CmdLatch(onfi.CmdProgram1))
+	ctx.CmdAddr(g.AppendAddrLatches(latches, addr)...)
+	ctx.WriteData(dramAddr, n)
+	ctx.CmdAddr(onfi.CmdLatch(confirm))
+	return ctx.Submit().Err
 }
 
 // ReadPage returns the READ operation with a Column Address Change
@@ -119,33 +199,19 @@ func RunReadPage(ctx *core.Ctx, addr onfi.Addr, dramAddr, n int) error {
 // trading capacity for speed and endurance.
 func ReadPageSLC(addr onfi.Addr, dramAddr, n int) core.OpFunc {
 	return func(ctx *core.Ctx) error {
-		chip := ctx.ChipIndex()
 		g := ctx.Geometry()
 		if err := g.CheckAddr(addr); err != nil {
 			return err
 		}
 		// The only difference from ReadPage (the paper greys exactly
 		// this): a pSLC enable latch ahead of READ.1.
-		var lbuf [9]onfi.Latch
-		latches := append(lbuf[:0], onfi.CmdLatch(onfi.CmdPSLCEnable))
-		latches = appendReadLatches(latches, g, onfi.Addr{Row: addr.Row}, onfi.CmdRead2)
-		ctx.CmdAddr(latches...)
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
-		}
-		s, err := pollReady(ctx, chip)
+		err := loadPage(ctx, g, addr.Row, true, func() error {
+			return fmt.Errorf("ops: pSLC read at %+v reported FAIL", addr.Row)
+		})
 		if err != nil {
 			return err
 		}
-		if s&onfi.StatusFail != 0 {
-			return fmt.Errorf("ops: pSLC read at %+v reported FAIL", addr.Row)
-		}
-		ctx.CmdAddr(appendChangeColumnLatches(lbuf[:0], addr.Col)...)
-		ctx.ReadData(dramAddr, n)
-		if res := ctx.SubmitFinal(); res.Err != nil {
-			return res.Err
-		}
-		return nil
+		return dataOut(ctx, addr.Col, dramAddr, n, true)
 	}
 }
 
@@ -164,12 +230,7 @@ func ReadPageFixedWait(addr onfi.Addr, dramAddr, n int, wait sim.Duration) core.
 			return res.Err
 		}
 		ctx.Sleep(wait)
-		ctx.CmdAddr(appendChangeColumnLatches(lbuf[:0], addr.Col)...)
-		ctx.ReadData(dramAddr, n)
-		if res := ctx.Submit(); res.Err != nil {
-			return res.Err
-		}
-		return nil
+		return dataOut(ctx, addr.Col, dramAddr, n, false)
 	}
 }
 
