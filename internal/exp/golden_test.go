@@ -18,8 +18,8 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 // sides; these goldens can, and they are what a deletion or refactor of
 // a simulation path diffs against. Each experiment runs once and yields
 // its .csv (if it has one) and its .txt. table2.txt moves whenever the
-// line counts of ops.go or fsm.go change: Table II is a claim about
-// them. Regenerate only for an intended change, and say why:
+// Table II bodies in ops.go or the FSM states in fsm.go change length:
+// Table II is a claim about them. Regenerate only for an intended change, and say why:
 // `go test ./internal/exp -run TestFigureGoldens -update`.
 func TestFigureGoldens(t *testing.T) {
 	opt := Options{Ops: 24, Blocks: 16}
