@@ -11,7 +11,7 @@
 // operation is composed from a few shared steps: waitOK (wait out a
 // chip, turn FAIL into an error), dataOut (the column-change data-out),
 // loadPage and readPage (a page read inside a longer operation),
-// startErase and startProgram (the ERASE and PROGRAM issue), and, for
+// startErase and startProgram (latch an ERASE or a PROGRAM), and, for
 // the suspending operations, serveUntilReady and suspendAndServe
 // (interruptible.go).
 package ops
