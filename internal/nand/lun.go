@@ -183,9 +183,10 @@ type LUN struct {
 	cachePending bool // a 0x31/0x3F asked for pageReg→cacheReg at ARDY
 
 	// Suspension.
-	suspended   bool
-	suspendRem  sim.Duration
-	suspendedOp arrayOp
+	suspended     bool
+	suspendRem    sim.Duration
+	suspendedOp   arrayOp
+	suspendedFail bool // the suspended op's FAIL, restored on resume
 
 	// Mode flags.
 	pslcNext bool // next array op runs in pseudo-SLC timing
@@ -858,6 +859,7 @@ func (l *LUN) suspend(now sim.Time) error {
 	}
 	l.suspendRem = l.arrayBusyUntil.Sub(now)
 	l.suspendedOp = l.curOp
+	l.suspendedFail = l.failLast
 	l.suspended = true
 	l.busyUntil = now.Add(tSuspend)
 	l.arrayBusyUntil = l.busyUntil
@@ -875,6 +877,10 @@ func (l *LUN) resume(now sim.Time) error {
 	}
 	l.suspended = false
 	l.curOp = l.suspendedOp
+	// The status register reports the resumed operation again: reads
+	// served while it was suspended do not bury its FAIL.
+	l.failPrev = l.failLast
+	l.failLast = l.suspendedFail
 	l.arrayBusyUntil = now.Add(l.suspendRem)
 	l.busyUntil = l.arrayBusyUntil
 	l.stats.ResumeCnt++

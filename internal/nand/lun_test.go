@@ -432,6 +432,30 @@ func TestEraseSuspendResume(t *testing.T) {
 	}
 }
 
+// A read served while an erase is suspended reports its own status;
+// once resumed, the erase's FAIL is back in the status register.
+func TestResumeRestoresSuspendedStatus(t *testing.T) {
+	l := newTestLUN(t)
+	l.MarkBad(0)
+	latchErase(t, l, 0, onfi.RowAddr{Block: 0})
+	mid := sim.Time(l.Params().TBERS / 2)
+	if err := l.Latch(mid, []onfi.Latch{onfi.CmdLatch(onfi.CmdSuspend)}); err != nil {
+		t.Fatalf("suspend: %v", err)
+	}
+	avail := mid.Add(tSuspend)
+	latchRead(t, l, avail, onfi.Addr{Row: onfi.RowAddr{Block: 1}})
+	rdone := avail.Add(l.Params().TR)
+	if s := l.Status(rdone); s&onfi.StatusFail != 0 {
+		t.Errorf("clean read during the suspension reports FAIL: %02X", s)
+	}
+	if err := l.Latch(rdone, []onfi.Latch{onfi.CmdLatch(onfi.CmdResume)}); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if s := l.Status(rdone.Add(l.Params().TBERS)); s&onfi.StatusFail == 0 {
+		t.Errorf("resumed erase of a bad block reports no FAIL: %02X", s)
+	}
+}
+
 func TestSuspendErrors(t *testing.T) {
 	l := newTestLUN(t)
 	if err := l.Latch(0, []onfi.Latch{onfi.CmdLatch(onfi.CmdSuspend)}); err == nil {

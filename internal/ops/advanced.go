@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/bus"
@@ -161,7 +162,7 @@ func GangRead(replicas []int, addr onfi.Addr, dramAddr, n int) core.OpFunc {
 			}
 		}
 		ctx.Chip(bus.Mask(winner))
-		return dataOut(ctx, addr.Col, dramAddr, n, false)
+		return dataOut(ctx, addr.Col, dramAddr, n)
 	}
 }
 
@@ -201,7 +202,7 @@ func GangProgram(replicas []int, addr onfi.Addr, dramAddr, n int) core.OpFunc {
 // optimization from the literature [23], [54]. readAddr names the page to
 // read during the suspension window; its data lands at dramAddr. An
 // erase that finishes before suspendAfter runs out is not suspended: the
-// read then runs after it.
+// read then runs after it. An erase FAIL outranks a failed read.
 func EraseWithSuspend(block int, readAddr onfi.Addr, dramAddr, n int, suspendAfter sim.Duration) core.OpFunc {
 	return func(ctx *core.Ctx) error {
 		g := ctx.Geometry()
@@ -216,13 +217,14 @@ func EraseWithSuspend(block int, readAddr onfi.Addr, dramAddr, n int, suspendAft
 		}
 		// Let it run, then suspend, read and resume.
 		ctx.Sleep(suspendAfter)
-		ur := UrgentRead{Addr: readAddr, DramAddr: dramAddr, N: n}
-		if err := suspendAndServe(ctx, g, ur, noReads); err != nil {
-			return err
+		fail := func() error { return fmt.Errorf("ops: erase of block %d reported FAIL", block) }
+		var readErr error
+		ur := UrgentRead{Addr: readAddr, DramAddr: dramAddr, N: n, Done: func(err error) { readErr = err }}
+		finished, err := suspendAndServe(ctx, g, ur, noReads, fail)
+		if err == nil && !finished {
+			err = waitOK(ctx, ctx.ChipIndex(), fail)
 		}
-		return waitOK(ctx, ctx.ChipIndex(), func() error {
-			return fmt.Errorf("ops: suspended erase of block %d reported FAIL", block)
-		})
+		return cmp.Or(err, readErr)
 	}
 }
 

@@ -411,8 +411,10 @@ func TestEraseWithSuspendRefusesBadReadAddr(t *testing.T) {
 }
 
 // An urgent read with a bad address fails through its own Done without
-// suspending the erase, which runs on; the chip then serves the next
-// interruptible erase's reads normally.
+// suspending the erase, which runs on. One whose DRAM window is out of
+// range fails while the erase is suspended: it too reports through its
+// Done, and the erase is resumed. Either way the chip then serves the
+// next interruptible erase's reads normally.
 func TestInterruptibleEraseFailsBadUrgentRead(t *testing.T) {
 	r := newRig(t, 1, smallParams())
 	lun := r.ch.Chip(0)
@@ -420,35 +422,42 @@ func TestInterruptibleEraseFailsBadUrgentRead(t *testing.T) {
 	if err := lun.SeedPage(onfi.RowAddr{Block: 2, Page: 1}, urgent); err != nil {
 		t.Fatal(err)
 	}
-	once := func(addr onfi.Addr, readErr *error) func() (ops.UrgentRead, bool) {
+	once := func(addr onfi.Addr, dramAddr int, readErr *error) func() (ops.UrgentRead, bool) {
 		yielded := false
 		return func() (ops.UrgentRead, bool) {
 			if yielded {
 				return ops.UrgentRead{}, false
 			}
 			yielded = true
-			return ops.UrgentRead{Addr: addr, DramAddr: 0, N: 256, Done: func(err error) { *readErr = err }}, true
+			return ops.UrgentRead{Addr: addr, DramAddr: dramAddr, N: 256, Done: func(err error) { *readErr = err }}, true
+		}
+	}
+	good := onfi.Addr{Row: onfi.RowAddr{Block: 2, Page: 1}}
+	for i, c := range []struct {
+		addr              onfi.Addr
+		dramAddr          int
+		suspends, resumes uint64
+	}{
+		{onfi.Addr{Row: onfi.RowAddr{Block: 2, Page: 99}}, 0, 0, 0},
+		{good, r.mem.Size(), 1, 1},
+	} {
+		var readErr error
+		if err := r.run(t, core.OpRequest{Func: ops.InterruptibleErase(1, once(c.addr, c.dramAddr, &readErr)), Chip: 0}); err != nil {
+			t.Fatalf("case %d: erase with a bad urgent read: %v", i, err)
+		}
+		if readErr == nil {
+			t.Errorf("case %d: bad urgent read reported success", i)
+		}
+		if lun.EraseCount(1) != i+1 {
+			t.Errorf("case %d: erase did not complete", i)
+		}
+		if st := lun.Stats(); st.SuspendCount != c.suspends || st.ResumeCnt != c.resumes {
+			t.Errorf("case %d: %d suspends, %d resumes", i, st.SuspendCount, st.ResumeCnt)
 		}
 	}
 
-	var badErr error
-	bad := onfi.Addr{Row: onfi.RowAddr{Block: 2, Page: 99}}
-	if err := r.run(t, core.OpRequest{Func: ops.InterruptibleErase(1, once(bad, &badErr)), Chip: 0}); err != nil {
-		t.Fatalf("erase with a bad urgent read: %v", err)
-	}
-	if badErr == nil {
-		t.Error("bad urgent read reported success")
-	}
-	if lun.EraseCount(1) != 1 {
-		t.Error("erase did not complete")
-	}
-	if n := lun.Stats().SuspendCount; n != 0 {
-		t.Errorf("bad urgent read suspended the erase %d times", n)
-	}
-
 	goodErr := errors.New("never served")
-	good := onfi.Addr{Row: onfi.RowAddr{Block: 2, Page: 1}}
-	if err := r.run(t, core.OpRequest{Func: ops.InterruptibleErase(3, once(good, &goodErr)), Chip: 0}); err != nil {
+	if err := r.run(t, core.OpRequest{Func: ops.InterruptibleErase(3, once(good, 0, &goodErr)), Chip: 0}); err != nil {
 		t.Fatalf("next interruptible erase: %v", err)
 	}
 	if goodErr != nil {
@@ -456,5 +465,49 @@ func TestInterruptibleEraseFailsBadUrgentRead(t *testing.T) {
 	}
 	if got, _ := r.mem.Read(0, 256); !bytes.Equal(got, urgent) {
 		t.Error("urgent read data mismatch")
+	}
+}
+
+// A bad block's erase FAIL reaches the caller whether the erase is
+// suspended for the read or finishes before suspendAfter runs out; a
+// READ latched after it must not bury the FAIL.
+func TestEraseWithSuspendReportsEraseFail(t *testing.T) {
+	p := smallParams()
+	for _, after := range []sim.Duration{p.TBERS / 4, 2 * p.TBERS} {
+		r := newRig(t, 1, p)
+		lun := r.ch.Chip(0)
+		lun.MarkBad(5)
+		err := r.run(t, core.OpRequest{
+			Func: ops.EraseWithSuspend(5, onfi.Addr{Row: onfi.RowAddr{Block: 2, Page: 1}}, 0, 256, after),
+			Chip: 0,
+		})
+		if err == nil {
+			t.Errorf("suspendAfter %v: erase of a bad block reported success", after)
+		}
+	}
+}
+
+// An urgent read whose DRAM window is out of range fails after the
+// erase is suspended; the erase is still resumed and completed, so the
+// chip takes the next erase.
+func TestEraseWithSuspendResumesAfterFailedRead(t *testing.T) {
+	p := smallParams()
+	r := newRig(t, 1, p)
+	lun := r.ch.Chip(0)
+	err := r.run(t, core.OpRequest{
+		Func: ops.EraseWithSuspend(5, onfi.Addr{Row: onfi.RowAddr{Block: 2, Page: 1}}, r.mem.Size(), 256, p.TBERS/4),
+		Chip: 0,
+	})
+	if err == nil {
+		t.Fatal("read into a DRAM window past the buffer reported success")
+	}
+	if st := lun.Stats(); st.SuspendCount != 1 || st.ResumeCnt != 1 {
+		t.Errorf("%d suspends, %d resumes", st.SuspendCount, st.ResumeCnt)
+	}
+	if lun.EraseCount(5) != 1 {
+		t.Error("erase did not complete")
+	}
+	if err := r.run(t, core.OpRequest{Func: ops.EraseBlock(5), Chip: 0}); err != nil {
+		t.Fatalf("erase after the failed read: %v", err)
 	}
 }

@@ -16,7 +16,8 @@ type UrgentRead struct {
 	Addr     onfi.Addr
 	DramAddr int
 	N        int
-	// Done is called when the read's data is in DRAM (or on failure).
+	// Done is called when the read's data is in DRAM or the read
+	// failed; a failed read does not fail the operation serving it.
 	Done func(error)
 }
 
@@ -79,7 +80,7 @@ func serveUntilReady(ctx *core.Ctx, g onfi.Geometry, checkSlice sim.Duration, ne
 	budget := int(ctx.Params().WorstCaseBusy()/checkSlice)*4 + 64
 	for checks := 0; ; {
 		if ur, ok := pull(g, next); ok {
-			if err := suspendAndServe(ctx, g, ur, next); err != nil {
+			if finished, err := suspendAndServe(ctx, g, ur, next, fail); finished || err != nil {
 				return err
 			}
 			continue
@@ -125,21 +126,22 @@ func pull(g onfi.Geometry, next func() (UrgentRead, bool)) (UrgentRead, bool) {
 func noReads() (UrgentRead, bool) { return UrgentRead{}, false }
 
 // suspendAndServe suspends the erase or program in flight, runs ur plus
-// any further urgent reads pull yields, and resumes. A suspend that
-// races with completion is benign: the array finished just before the
-// suspend latched, so the reads run against it directly and no resume
-// is needed.
-func suspendAndServe(ctx *core.Ctx, g onfi.Geometry, ur UrgentRead, next func() (UrgentRead, bool)) error {
+// any further urgent reads pull yields, and resumes. Each read's error
+// goes to its Done; the array operation runs on unless a read's RESET
+// recovery aborted it too. A suspend that races with completion finds
+// the array done: fail checks its status before a READ latch demotes
+// its FAIL to FailC, the reads run against the idle chip, and finished
+// reports that the operation is over.
+func suspendAndServe(ctx *core.Ctx, g onfi.Geometry, ur UrgentRead, next func() (UrgentRead, bool), fail func() error) (finished bool, err error) {
 	ctx.Cmd(onfi.CmdSuspend)
-	err := ctx.Submit().Err
-	suspended := err == nil
-	if !suspended && !errors.Is(err, nand.ErrNotSuspendable) {
-		return err
+	err = ctx.Submit().Err
+	if finished = errors.Is(err, nand.ErrNotSuspendable); finished {
+		err = waitOK(ctx, ctx.ChipIndex(), fail)
+	} else if err == nil {
+		_, err = pollReady(ctx, ctx.ChipIndex())
 	}
-	if suspended {
-		if _, err := pollReady(ctx, ctx.ChipIndex()); err != nil {
-			return err
-		}
+	if err != nil {
+		return finished, err
 	}
 	for ok := true; ok; ur, ok = pull(g, next) {
 		err := readPage(ctx, g, ur.Addr, ur.DramAddr, ur.N, func() error {
@@ -148,13 +150,13 @@ func suspendAndServe(ctx *core.Ctx, g onfi.Geometry, ur UrgentRead, next func() 
 		if ur.Done != nil {
 			ur.Done(err)
 		}
-		if err != nil {
-			return err
+		if !finished && (errors.Is(err, ErrResetRecovered) || errors.Is(err, ErrChipDead)) {
+			return false, err
 		}
 	}
-	if !suspended {
-		return nil
+	if finished {
+		return true, nil
 	}
 	ctx.Cmd(onfi.CmdResume)
-	return ctx.Submit().Err
+	return false, ctx.Submit().Err
 }

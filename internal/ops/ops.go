@@ -87,27 +87,20 @@ func waitOK(ctx *core.Ctx, chip int, fail func() error) error {
 }
 
 // dataOut selects column col of the page register and streams n bytes
-// from it into DRAM at dramAddr: Algorithm 2's second transaction. final
-// submits it as the operation's last (Ctx.SubmitFinal).
-func dataOut(ctx *core.Ctx, col onfi.ColAddr, dramAddr, n int, final bool) error {
+// from it into DRAM at dramAddr: Algorithm 2's second transaction.
+func dataOut(ctx *core.Ctx, col onfi.ColAddr, dramAddr, n int) error {
 	var lbuf [4]onfi.Latch
 	ctx.CmdAddr(appendChangeColumnLatches(lbuf[:0], col)...)
 	ctx.ReadData(dramAddr, n)
-	if final {
-		return ctx.SubmitFinal().Err
-	}
 	return ctx.Submit().Err
 }
 
 // loadPage reads row into the page register of the operation's chip:
-// READ.1 + address + READ.2, behind the vendor pSLC enable when slc,
-// then the wait through tR.
-func loadPage(ctx *core.Ctx, g onfi.Geometry, row onfi.RowAddr, slc bool, fail func() error) error {
+// the pre latches (ReadPageSLC's pSLC enable), READ.1 + address +
+// READ.2, then the wait through tR.
+func loadPage(ctx *core.Ctx, g onfi.Geometry, pre []onfi.Latch, row onfi.RowAddr, fail func() error) error {
 	var lbuf [9]onfi.Latch
-	latches := lbuf[:0]
-	if slc {
-		latches = append(latches, onfi.CmdLatch(onfi.CmdPSLCEnable))
-	}
+	latches := append(lbuf[:0], pre...)
 	ctx.CmdAddr(appendReadLatches(latches, g, onfi.Addr{Row: row}, onfi.CmdRead2)...)
 	if res := ctx.Submit(); res.Err != nil {
 		return res.Err
@@ -116,13 +109,13 @@ func loadPage(ctx *core.Ctx, g onfi.Geometry, row onfi.RowAddr, slc bool, fail f
 }
 
 // readPage is a page read in the middle of an operation: loadPage, then
-// a plain dataOut. It does not reuse RunReadPage, whose SubmitFinal
-// would let a staged successor onto the chip before the operation ends.
+// dataOut. It does not reuse RunReadPage, whose SubmitFinal would let a
+// staged successor onto the chip before the operation ends.
 func readPage(ctx *core.Ctx, g onfi.Geometry, addr onfi.Addr, dramAddr, n int, fail func() error) error {
-	if err := loadPage(ctx, g, addr.Row, false, fail); err != nil {
+	if err := loadPage(ctx, g, nil, addr.Row, fail); err != nil {
 		return err
 	}
-	return dataOut(ctx, addr.Col, dramAddr, n, false)
+	return dataOut(ctx, addr.Col, dramAddr, n)
 }
 
 // startErase checks block and latches its BLOCK ERASE (60h + row
@@ -205,13 +198,16 @@ func ReadPageSLC(addr onfi.Addr, dramAddr, n int) core.OpFunc {
 		}
 		// The only difference from ReadPage (the paper greys exactly
 		// this): a pSLC enable latch ahead of READ.1.
-		err := loadPage(ctx, g, addr.Row, true, func() error {
+		err := loadPage(ctx, g, []onfi.Latch{onfi.CmdLatch(onfi.CmdPSLCEnable)}, addr.Row, func() error {
 			return fmt.Errorf("ops: pSLC read at %+v reported FAIL", addr.Row)
 		})
 		if err != nil {
 			return err
 		}
-		return dataOut(ctx, addr.Col, dramAddr, n, true)
+		var lbuf [4]onfi.Latch
+		ctx.CmdAddr(appendChangeColumnLatches(lbuf[:0], addr.Col)...)
+		ctx.ReadData(dramAddr, n)
+		return ctx.SubmitFinal().Err
 	}
 }
 
@@ -230,7 +226,7 @@ func ReadPageFixedWait(addr onfi.Addr, dramAddr, n int, wait sim.Duration) core.
 			return res.Err
 		}
 		ctx.Sleep(wait)
-		return dataOut(ctx, addr.Col, dramAddr, n, false)
+		return dataOut(ctx, addr.Col, dramAddr, n)
 	}
 }
 

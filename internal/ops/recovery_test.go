@@ -59,6 +59,35 @@ func TestPollBudgetDeclaresDeadChip(t *testing.T) {
 	}
 }
 
+// An urgent read that wedges while an erase is suspended is recovered
+// by RESET, which aborts the suspended erase too: the read and the
+// erase both report ErrResetRecovered, and no RESUME follows.
+func TestStuckUrgentReadAbortsSuspendedErase(t *testing.T) {
+	r := newRig(t, 1, smallParams())
+	lun := r.ch.Chip(0)
+	plan := fault.Plan{StuckBusy: []fault.StuckBusy{{Chip: 0, AfterOps: 1, Recoverable: true}}}
+	lun.SetFaults(plan.Injector(0, nil, 0))
+	var readErr error
+	served := false
+	next := func() (ops.UrgentRead, bool) {
+		if served {
+			return ops.UrgentRead{}, false
+		}
+		served = true
+		return ops.UrgentRead{Addr: onfi.Addr{Row: onfi.RowAddr{Block: 2}}, N: 256, Done: func(err error) { readErr = err }}, true
+	}
+	err := r.run(t, core.OpRequest{Func: ops.InterruptibleErase(1, next), Chip: 0})
+	if !errors.Is(err, ops.ErrResetRecovered) {
+		t.Errorf("erase returned %v, want ErrResetRecovered", err)
+	}
+	if !errors.Is(readErr, ops.ErrResetRecovered) {
+		t.Errorf("urgent read reported %v, want ErrResetRecovered", readErr)
+	}
+	if n := lun.Stats().ResumeCnt; n != 0 {
+		t.Errorf("%d resumes after the RESET", n)
+	}
+}
+
 func TestStuckProgramRecovers(t *testing.T) {
 	r, _ := stuckRig(t, true)
 	if err := r.mem.Write(0, bytes.Repeat([]byte{0x11}, 256)); err != nil {
