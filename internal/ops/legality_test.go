@@ -1,6 +1,7 @@
 package ops_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -234,6 +235,27 @@ func TestEveryOperationEmitsLegalWaveforms(t *testing.T) {
 			checkOpGolden(t, c.name, r, err)
 		})
 	}
+	// Every case above read erased rows through the LUNs; none may have
+	// written into the bytes that back an erased row, which a fresh LUN
+	// of the same geometry still reads as all 0xFF.
+	t.Run("ErasedRowsStillFF", func(t *testing.T) {
+		lun, err := nand.NewLUN(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := onfi.Addr{Row: onfi.RowAddr{Block: 1, Page: 1}}
+		ls := append([]onfi.Latch{onfi.CmdLatch(onfi.CmdRead1)}, params.Geometry.AddrLatches(addr)...)
+		if err := lun.Latch(0, append(ls, onfi.CmdLatch(onfi.CmdRead2))); err != nil {
+			t.Fatal(err)
+		}
+		got, err := lun.DataOut(lun.ReadyAt(), params.Geometry.FullPageBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bytes.Repeat([]byte{0xFF}, len(got)); !bytes.Equal(got, want) {
+			t.Errorf("an erased row reads % X…, want all FF", got[:16])
+		}
+	})
 }
 
 // checkOpGolden compares an operation's error, DRAM contents and
