@@ -680,13 +680,13 @@ func (l *LUN) startCacheNext(now sim.Time) error {
 	if !l.ArrayReady(now) {
 		return l.protoErr("cache-read continue while array busy")
 	}
-	l.settle(now)
-	// Current page register content moves to cache for output.
-	copy(l.cacheReg, l.reg)
 	next := l.cacheRow + 1
 	if int(next) >= l.geo.Pages() {
 		return l.protoErr("cache read past end of LUN")
 	}
+	l.settle(now)
+	// Current page register content moves to cache for output.
+	copy(l.cacheReg, l.reg)
 	l.cacheRow = next
 	l.curOp = arrRead
 	l.curRow = next

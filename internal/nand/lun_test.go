@@ -518,6 +518,36 @@ func TestCacheRead(t *testing.T) {
 	_ = g
 }
 
+// TestRefusedCacheReadKeepsCache: a 31h refused at the LUN's last page
+// leaves the cache register holding the page it already streams.
+func TestRefusedCacheReadKeepsCache(t *testing.T) {
+	l := newTestLUN(t)
+	g := l.Params().Geometry
+	last := g.Pages() - 1
+	rowOf := func(i int) onfi.RowAddr { return onfi.RowAddr{Block: i / g.PagesPerBlk, Page: i % g.PagesPerBlk} }
+	for i, b := range map[int]byte{last - 1: 0xA0, last: 0xB0} {
+		if err := l.SeedPage(rowOf(i), bytes.Repeat([]byte{b}, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	latchRead(t, l, 0, onfi.Addr{Row: rowOf(last - 1)})
+	t1 := sim.Time(0).Add(l.Params().TR)
+	if err := l.Latch(t1, []onfi.Latch{onfi.CmdLatch(onfi.CmdCacheRead)}); err != nil {
+		t.Fatal(err)
+	}
+	t2 := t1.Add(l.Params().TR)
+	if err := l.Latch(t2, []onfi.Latch{onfi.CmdLatch(onfi.CmdCacheRead)}); err == nil {
+		t.Fatal("cache read past the last page accepted")
+	}
+	got, err := l.DataOut(t2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bytes.Repeat([]byte{0xA0}, 16); !bytes.Equal(got, want) {
+		t.Errorf("cache data out after the refused 31h = % X, want % X", got, want)
+	}
+}
+
 func TestJitterDeterministicAndBounded(t *testing.T) {
 	p := smallParams()
 	p.JitterPct = 5
