@@ -1,8 +1,10 @@
 package nand
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/dram"
 	"repro/internal/onfi"
@@ -125,8 +127,9 @@ type LUN struct {
 	params Params
 	geo    onfi.Geometry
 
-	// Array contents: row index → page data (no entry = erased). Pages
-	// are pooled buffers borrowed from pool; an erase releases them.
+	// Array contents: row index → page data (no entry = erased, and a
+	// row is programmed exactly when it has an entry). Pages are pooled
+	// buffers borrowed from pool; an erase releases them.
 	pages map[uint32]*pagebuf.Buf
 	// pool supplies full-page buffers for programmed pages, shared
 	// process-wide by geometry.
@@ -134,9 +137,10 @@ type LUN struct {
 	// Per-block erase counts and bad-block marks.
 	eraseCount []int
 	bad        []bool
-	programmed map[uint32]bool
 
-	// Registers.
+	// Registers. The cache register is made at its first use (a cache
+	// read or GET FEATURES; see cache), so a LUN that never uses it
+	// holds none.
 	pageReg  []byte
 	cacheReg []byte
 	column   int
@@ -159,9 +163,11 @@ type LUN struct {
 	curRow         uint32
 
 	// Pending-load bookkeeping: a read in flight deposits loadData into
-	// pageReg when the array busy expires. loadData points at loadBuf
-	// for plain reads (one buffer reused for the LUN's lifetime) or at a
-	// plane buffer for multi-plane reads.
+	// pageReg when the array busy expires. loadData aliases the stored
+	// page or the erased template for a clean read, points at a plane
+	// buffer for a multi-plane read, and points at loadBuf when the load
+	// must be materialized (fault corruption or wear errors); loadBuf is
+	// made by the first such load and reused for the LUN's lifetime.
 	loadPending bool
 	loadData    []byte
 	loadBuf     []byte
@@ -176,7 +182,10 @@ type LUN struct {
 	reg      []byte
 	regPage  *pagebuf.Buf
 	loadPage *pagebuf.Buf
-	erasedFF []byte // all-0xFF page backing reads of erased rows
+	// erasedFF backs reads of erased rows: the process-wide all-0xFF
+	// page of this page size (erasedPage), shared by every LUN and
+	// never written.
+	erasedFF []byte
 
 	// Cache-read sequencing.
 	cacheRow     uint32
@@ -195,7 +204,8 @@ type LUN struct {
 	// mp stages multi-plane compositions (see multiplane.go).
 	mp mpState
 
-	// paramPage caches the rendered ONFI parameter page.
+	// paramPage is the rendered ONFI parameter page, made by the first
+	// READ PARAMETER PAGE.
 	paramPage []byte
 	// phaseOptimal is this instance's clean DQS phase (from Params,
 	// defaulted).
@@ -232,26 +242,47 @@ func NewLUN(p Params) (*LUN, error) {
 		geo:          g,
 		pages:        make(map[uint32]*pagebuf.Buf),
 		pool:         pagebuf.For(g.FullPageBytes()),
-		programmed:   make(map[uint32]bool),
 		eraseCount:   make([]int, g.BlocksPerLUN),
 		bad:          make([]bool, g.BlocksPerLUN),
 		pageReg:      make([]byte, g.FullPageBytes()),
-		cacheReg:     make([]byte, g.FullPageBytes()),
-		loadBuf:      make([]byte, g.FullPageBytes()),
+		erasedFF:     erasedPage(g.FullPageBytes()),
 		features:     make(map[onfi.FeatureAddr][4]byte),
-		paramPage:    buildParameterPage(p),
 		phaseOptimal: p.PhaseOptimal,
 	}
 	if l.phaseOptimal == 0 {
 		l.phaseOptimal = defaultPhase
 	}
 	l.reg = l.pageReg
-	l.erasedFF = make([]byte, g.FullPageBytes())
-	for i := range l.erasedFF {
-		l.erasedFF[i] = 0xFF
-	}
 	l.powerOnFeatures()
 	return l, nil
+}
+
+var (
+	erasedMu sync.Mutex
+	erased   = map[int][]byte{}
+)
+
+// erasedPage returns the process-wide all-0xFF page of size bytes. Every
+// LUN of that page size shares it, so nothing may write to it: reads of
+// erased rows alias it, and a register that must change copies it first.
+func erasedPage(size int) []byte {
+	erasedMu.Lock()
+	defer erasedMu.Unlock()
+	pg, ok := erased[size]
+	if !ok {
+		pg = bytes.Repeat([]byte{0xFF}, size)
+		erased[size] = pg
+	}
+	return pg
+}
+
+// cache returns the cache register, making it (zeroed, as at power-on)
+// at its first use.
+func (l *LUN) cache() []byte {
+	if l.cacheReg == nil {
+		l.cacheReg = make([]byte, l.geo.FullPageBytes())
+	}
+	return l.cacheReg
 }
 
 // powerOnFeatures loads the volatile feature registers with their
@@ -333,7 +364,7 @@ func (l *LUN) settle(now sim.Time) {
 	// Reads are never suspendable, so a pending load settles regardless of
 	// a suspended PROGRAM/ERASE.
 	if l.loadPending && now >= l.arrayBusyUntil {
-		if &l.loadData[0] == &l.loadBuf[0] {
+		if l.loadBuf != nil && &l.loadData[0] == &l.loadBuf[0] {
 			// The load was materialized into loadBuf (fault corruption or
 			// wear-injected errors): swap the buffers in place of a
 			// full-page copy.
@@ -427,6 +458,9 @@ func (l *LUN) command(now sim.Time, c onfi.Cmd) error {
 		case onfi.CmdReadID:
 			l.dec = decReadIDAddr
 		case onfi.CmdReadParameterPg:
+			if l.paramPage == nil {
+				l.paramPage = buildParameterPage(l.params)
+			}
 			l.dec = decReadIDAddr
 			l.setDataOut(outParamPage)
 		case onfi.CmdSetFeatures:
@@ -559,9 +593,7 @@ func (l *LUN) address(now sim.Time, b byte) error {
 			// only clear bits). The fill overwrites everything, so any
 			// alias is simply dropped rather than materialized.
 			l.setReg(l.pageReg, nil)
-			for i := range l.pageReg {
-				l.pageReg[i] = 0xFF
-			}
+			copy(l.pageReg, l.erasedFF)
 			l.dec = decProgramData
 		}
 	case decPlaneSelAddr:
@@ -609,7 +641,7 @@ func (l *LUN) address(now sim.Time, b byte) error {
 		l.dec = decSetFeatData
 	case decGetFeatAddr:
 		feat := l.features[onfi.FeatureAddr(b)]
-		copy(l.cacheReg[:4], feat[:])
+		copy(l.cache(), feat[:])
 		l.out = outFeature
 		l.column = 0
 		l.dec = decIdle
@@ -648,11 +680,12 @@ func (l *LUN) startRead(now sim.Time, cache bool) error {
 	l.cacheRow = row
 	l.loadPending = true
 	if !l.loadClean(row, fo) {
-		l.readArrayInto(row, l.loadBuf)
+		buf := l.materialLoad()
+		l.readArrayInto(row, buf)
 		if fo.Corrupt {
-			corruptBeyondECC(row, l.loadBuf)
+			corruptBeyondECC(row, buf)
 		}
-		l.setLoad(l.loadBuf, nil)
+		l.setLoad(buf, nil)
 	}
 	l.arrayBusyUntil = now.Add(tr)
 	if fo.Stuck {
@@ -661,6 +694,7 @@ func (l *LUN) startRead(now sim.Time, cache bool) error {
 	if cache {
 		// Cache confirm: page goes to cache register when loaded, and
 		// the LUN stays RDY for data transfer of the *previous* page.
+		l.cache()
 		l.cachePending = true
 		l.setDataOut(outCache)
 	} else {
@@ -686,14 +720,15 @@ func (l *LUN) startCacheNext(now sim.Time) error {
 	}
 	l.settle(now)
 	// Current page register content moves to cache for output.
-	copy(l.cacheReg, l.reg)
+	copy(l.cache(), l.reg)
 	l.cacheRow = next
 	l.curOp = arrRead
 	l.curRow = next
 	l.loadPending = true
 	if !l.loadClean(next, FaultOutcome{}) {
-		l.readArrayInto(next, l.loadBuf)
-		l.setLoad(l.loadBuf, nil)
+		buf := l.materialLoad()
+		l.readArrayInto(next, buf)
+		l.setLoad(buf, nil)
 	}
 	l.arrayBusyUntil = now.Add(l.jitterFor(next, l.params.TR))
 	l.setDataOut(outCache)
@@ -705,6 +740,7 @@ func (l *LUN) startCacheNext(now sim.Time) error {
 // endCache handles 0x3F: transfer the last loaded page to the cache
 // register with no further array read.
 func (l *LUN) endCache(now sim.Time) error {
+	l.cache()
 	if !l.ArrayReady(now) {
 		l.cachePending = true
 	} else {
@@ -741,7 +777,7 @@ func (l *LUN) startProgram(now sim.Time, cached bool) error {
 		l.failLast = true
 	case l.bad[block]:
 		l.failLast = true
-	case l.programmed[row]:
+	case l.programmed(row):
 		// NAND forbids re-programming without an erase.
 		l.failLast = true
 	default:
@@ -798,7 +834,6 @@ func (l *LUN) startErase(now sim.Time) error {
 				base := uint32(block) * uint32(l.geo.PagesPerBlk)
 				for p := uint32(0); p < uint32(l.geo.PagesPerBlk); p++ {
 					l.dropPage(base + p)
-					delete(l.programmed, base+p)
 				}
 			}
 		}
@@ -893,11 +928,19 @@ func (l *LUN) readArrayInto(row uint32, dst []byte) {
 	if stored, ok := l.pages[row]; ok {
 		copy(dst, stored.Bytes())
 	} else {
-		for i := range dst {
-			dst[i] = 0xFF
-		}
+		copy(dst, l.erasedFF)
 	}
 	l.injectErrors(row, dst)
+}
+
+// materialLoad returns the buffer a load that must be materialized
+// (fault corruption or wear errors) is read into, making it at its
+// first use.
+func (l *LUN) materialLoad() []byte {
+	if l.loadBuf == nil {
+		l.loadBuf = make([]byte, l.geo.FullPageBytes())
+	}
+	return l.loadBuf
 }
 
 // loadClean backs the pending load with row's data without a copy — the
@@ -958,17 +1001,25 @@ func (l *LUN) ownReg() {
 	}
 }
 
-// storePage commits a full page of data to the array in a fresh pooled
-// buffer and marks the row programmed. The array drops its reference to
-// the old page; an alias of it keeps its own.
+// storePage commits data, zero-padded to a full page, to the array in a
+// fresh pooled buffer, which marks the row programmed. The array drops
+// its reference to the old page; an alias of it keeps its own.
 func (l *LUN) storePage(row uint32, data []byte) {
 	buf := l.pool.Get()
-	copy(buf.Bytes(), data)
+	// Pooled buffers arrive dirty: pad the tail past the data.
+	page := buf.Bytes()
+	clear(page[copy(page, data):])
 	if old, ok := l.pages[row]; ok {
 		old.Release()
 	}
 	l.pages[row] = buf
-	l.programmed[row] = true
+}
+
+// programmed reports whether row holds a page: programmed or seeded
+// since its block was last erased.
+func (l *LUN) programmed(row uint32) bool {
+	_, ok := l.pages[row]
+	return ok
 }
 
 // dropPage releases the array's reference to row's pooled buffer, if

@@ -165,7 +165,7 @@ func (l *LUN) finishMPProgram(now sim.Time, slc bool) error {
 	for i, row := range rows {
 		block := int(row) / l.geo.PagesPerBlk
 		switch {
-		case l.bad[block], l.programmed[row]:
+		case l.bad[block], l.programmed(row):
 			l.failLast = true
 		default:
 			l.storePage(row, datas[i])

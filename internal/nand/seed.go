@@ -18,19 +18,7 @@ func (l *LUN) SeedPage(row onfi.RowAddr, data []byte) error {
 	if len(data) > l.geo.FullPageBytes() {
 		return fmt.Errorf("nand: seed data of %d bytes exceeds page size %d", len(data), l.geo.FullPageBytes())
 	}
-	idx := l.rowIndex(row)
-	buf := l.pool.Get()
-	// Pooled buffers arrive dirty: pad the tail past the seed data.
-	page := buf.Bytes()
-	n := copy(page, data)
-	for i := n; i < len(page); i++ {
-		page[i] = 0
-	}
-	if old, ok := l.pages[idx]; ok {
-		old.Release()
-	}
-	l.pages[idx] = buf
-	l.programmed[idx] = true
+	l.storePage(l.rowIndex(row), data)
 	return nil
 }
 
@@ -45,9 +33,7 @@ func (l *LUN) PeekPage(row onfi.RowAddr) ([]byte, error) {
 	if stored, ok := l.pages[l.rowIndex(row)]; ok {
 		copy(out, stored.Bytes())
 	} else {
-		for i := range out {
-			out[i] = 0xFF
-		}
+		copy(out, l.erasedFF)
 	}
 	return out, nil
 }
@@ -55,5 +41,5 @@ func (l *LUN) PeekPage(row onfi.RowAddr) ([]byte, error) {
 // Programmed reports whether row has been programmed since its block was
 // last erased.
 func (l *LUN) Programmed(row onfi.RowAddr) bool {
-	return l.programmed[l.rowIndex(row)]
+	return l.programmed(l.rowIndex(row))
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/nand"
 	"repro/internal/sim"
@@ -120,5 +121,56 @@ func TestRigArraysOutliveClose(t *testing.T) {
 		if !bytes.Equal(got[:pageBytes], want) {
 			t.Fatalf("LPN %d no longer reads its pattern after Close", lpn)
 		}
+	}
+}
+
+// TestAllocGateRigSetup bounds what one set-up allocates. A LUN makes
+// its cache register, load buffer and parameter page at first use and
+// shares one erased page per page size, so the 8×8 drive's set-up is
+// mostly the pages it preloads, and a fresh LUN holds one full page, its
+// per-block wear and bad-block state, and small change.
+func TestAllocGateRigSetup(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	// totalAlloc reports the bytes fn allocates, starting from empty
+	// page-buffer pools so recycled pages cannot flatter the count.
+	totalAlloc := func(fn func()) uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		fn()
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+
+	const driveBudget = 15_000_000
+	var rig *Rig
+	got := totalAlloc(func() { rig = buildPreloaded(t, driveSetupConfig(), driveSetupPreload) })
+	rig.Close()
+	t.Logf("8x8 drive Build+Preload(%d): %d bytes", driveSetupPreload, got)
+	if got > driveBudget {
+		t.Errorf("8x8 drive set-up allocated %d bytes, budget %d", got, driveBudget)
+	}
+
+	p := nand.Hynix()
+	const luns = 16
+	keep := make([]*nand.LUN, luns)
+	got = totalAlloc(func() {
+		for i := range keep {
+			l, err := nand.NewLUN(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep[i] = l
+		}
+	}) / luns
+	g := p.Geometry
+	perBlock := g.BlocksPerLUN * int(unsafe.Sizeof(int(0))+unsafe.Sizeof(false))
+	budget := uint64(g.FullPageBytes() + perBlock + 2048)
+	t.Logf("nand.NewLUN(Hynix): %d bytes (full page %d, per-block state %d)", got, g.FullPageBytes(), perBlock)
+	if got > budget {
+		t.Errorf("nand.NewLUN(Hynix) allocated %d bytes, budget %d: one full page, the per-block state and 2 KiB", got, budget)
 	}
 }
