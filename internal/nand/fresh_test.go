@@ -2,6 +2,7 @@ package nand
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/onfi"
@@ -193,4 +194,55 @@ func TestProgrammedFollowsArray(t *testing.T) {
 	if got, _ := l.PeekPage(prog.Row); got[0] != 0xFF {
 		t.Errorf("erased programmed page reads % X…", got[:2])
 	}
+}
+
+// TestErasedPageSharedAcrossGoroutines builds LUNs of two page sizes on
+// several goroutines at once, as parallel sweeps do, and reads an erased
+// row on each: the shared erased pages are made once per size and read
+// as 0xFF everywhere (run under -race, it also checks their registry).
+func TestErasedPageSharedAcrossGoroutines(t *testing.T) {
+	small, wide := smallParams(), smallParams()
+	wide.Geometry.PageBytes *= 2
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		p := small
+		if i%2 == 1 {
+			p = wide
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l, err := NewLUN(p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := l.Latch(0, readLatches(l, onfi.Addr{Row: onfi.RowAddr{Block: 1}}, onfi.CmdRead2)); err != nil {
+				t.Error(err)
+				return
+			}
+			got, err := l.DataOut(l.ReadyAt(), p.Geometry.FullPageBytes())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(got, bytes.Repeat([]byte{0xFF}, len(got))) {
+				t.Errorf("%d-byte page: an erased row reads % X…", len(got), got[:8])
+			}
+		}()
+	}
+	wg.Wait()
+	if a, b := sharedErased(t, small), sharedErased(t, small); &a[0] != &b[0] {
+		t.Error("two LUNs of one page size hold different erased pages")
+	}
+}
+
+// sharedErased returns the erased page a fresh LUN of p reads from.
+func sharedErased(t *testing.T, p Params) []byte {
+	t.Helper()
+	l, err := NewLUN(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l.erasedFF
 }

@@ -138,9 +138,9 @@ type LUN struct {
 	eraseCount []int
 	bad        []bool
 
-	// Registers. The cache register is made at its first use (a cache
-	// read or GET FEATURES; see cache), so a LUN that never uses it
-	// holds none.
+	// Registers. The cache register is made at its first use (every
+	// access goes through cache), so a LUN that never cache-reads or
+	// runs GET FEATURES holds none.
 	pageReg  []byte
 	cacheReg []byte
 	column   int
@@ -381,7 +381,7 @@ func (l *LUN) settle(now sim.Time) {
 		l.curOp = arrNone
 	}
 	if l.cachePending && now >= l.arrayBusyUntil {
-		copy(l.cacheReg, l.reg)
+		copy(l.cache(), l.reg)
 		l.cachePending = false
 	}
 }
@@ -694,7 +694,6 @@ func (l *LUN) startRead(now sim.Time, cache bool) error {
 	if cache {
 		// Cache confirm: page goes to cache register when loaded, and
 		// the LUN stays RDY for data transfer of the *previous* page.
-		l.cache()
 		l.cachePending = true
 		l.setDataOut(outCache)
 	} else {
@@ -740,12 +739,11 @@ func (l *LUN) startCacheNext(now sim.Time) error {
 // endCache handles 0x3F: transfer the last loaded page to the cache
 // register with no further array read.
 func (l *LUN) endCache(now sim.Time) error {
-	l.cache()
 	if !l.ArrayReady(now) {
 		l.cachePending = true
 	} else {
 		l.settle(now)
-		copy(l.cacheReg, l.reg)
+		copy(l.cache(), l.reg)
 	}
 	l.setDataOut(outCache)
 	l.column = 0
@@ -1137,7 +1135,7 @@ func (l *LUN) DataOutInto(now sim.Time, dst []byte) error {
 		if now < l.busyUntil {
 			return l.protoErr("cache data out while busy")
 		}
-		if err := l.copyRegisterInto(dst, l.cacheReg); err != nil {
+		if err := l.copyRegisterInto(dst, l.cache()); err != nil {
 			return err
 		}
 		l.applyPhaseCorruption(dst)
@@ -1166,7 +1164,7 @@ func (l *LUN) DataOutInto(now sim.Time, dst []byte) error {
 		l.column += len(dst)
 		return nil
 	case outFeature:
-		return l.copyRegisterInto(dst, l.cacheReg)
+		return l.copyRegisterInto(dst, l.cache())
 	default:
 		return l.protoErr("data out with no output source selected")
 	}
