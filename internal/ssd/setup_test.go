@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/nand"
 	"repro/internal/sim"
@@ -167,7 +166,7 @@ func TestAllocGateRigSetup(t *testing.T) {
 		}
 	}) / luns
 	g := p.Geometry
-	perBlock := g.BlocksPerLUN * int(unsafe.Sizeof(int(0))+unsafe.Sizeof(false))
+	perBlock := g.BlocksPerLUN * (8 + 1) // an erase count (int) and a bad mark (bool)
 	budget := uint64(g.FullPageBytes() + perBlock + 2048)
 	t.Logf("nand.NewLUN(Hynix): %d bytes (full page %d, per-block state %d)", got, g.FullPageBytes(), perBlock)
 	if got > budget {
