@@ -205,3 +205,218 @@ func TestMPEraseProtocol(t *testing.T) {
 		t.Error("block 2 not erased")
 	}
 }
+
+// mpOp drives one 2-plane array operation through the decoder.
+type mpOp struct {
+	name string
+	// base is the op's nominal array time; jitterRow maps a row to the
+	// row its jitter is drawn for (erase draws for the block's first page).
+	base      func(Params) sim.Duration
+	jitterRow func(g onfi.Geometry, r onfi.RowAddr) uint32
+	// dbsy is the busy window after the queued row.
+	dbsy  sim.Duration
+	count func(Stats) uint64
+	// queue latches the plane-0 row; confirm latches the plane-1 row and
+	// starts the array.
+	queue, confirm func(l *LUN, now sim.Time, r onfi.RowAddr) error
+}
+
+// mpFill is the byte a pinned test seeds or programs on plane p.
+func mpFill(p int) byte { return 0xA0 | byte(p) }
+
+func mpOps() []mpOp {
+	addr := func(l *LUN, r onfi.RowAddr) []onfi.Latch { return l.Params().Geometry.AddrLatches(onfi.Addr{Row: r}) }
+	read := func(confirm onfi.Cmd) func(*LUN, sim.Time, onfi.RowAddr) error {
+		return func(l *LUN, now sim.Time, r onfi.RowAddr) error {
+			ls := append([]onfi.Latch{onfi.CmdLatch(onfi.CmdRead1)}, addr(l, r)...)
+			return l.Latch(now, append(ls, onfi.CmdLatch(confirm)))
+		}
+	}
+	program := func(confirm onfi.Cmd) func(*LUN, sim.Time, onfi.RowAddr) error {
+		return func(l *LUN, now sim.Time, r onfi.RowAddr) error {
+			if err := l.Latch(now, append([]onfi.Latch{onfi.CmdLatch(onfi.CmdProgram1)}, addr(l, r)...)); err != nil {
+				return err
+			}
+			if err := l.DataIn(now, bytes.Repeat([]byte{mpFill(l.Params().Geometry.PlaneOf(r.Block))}, 16)); err != nil {
+				return err
+			}
+			return l.Latch(now, []onfi.Latch{onfi.CmdLatch(confirm)})
+		}
+	}
+	erase := func(tail ...onfi.Latch) func(*LUN, sim.Time, onfi.RowAddr) error {
+		return func(l *LUN, now sim.Time, r onfi.RowAddr) error {
+			ls := append([]onfi.Latch{onfi.CmdLatch(onfi.CmdErase1)}, l.Params().Geometry.RowLatches(r)...)
+			return l.Latch(now, append(ls, tail...))
+		}
+	}
+	pageRow := func(g onfi.Geometry, r onfi.RowAddr) uint32 {
+		return uint32(r.Block*g.PagesPerBlk + r.Page)
+	}
+	return []mpOp{
+		{name: "read", base: func(p Params) sim.Duration { return p.TR }, jitterRow: pageRow, dbsy: tDBSY,
+			count: func(s Stats) uint64 { return s.Reads }, queue: read(onfi.CmdMPReadQueue), confirm: read(onfi.CmdRead2)},
+		{name: "program", base: func(p Params) sim.Duration { return p.TPROG }, jitterRow: pageRow, dbsy: tDBSY,
+			count: func(s Stats) uint64 { return s.Programs }, queue: program(onfi.CmdMPProgramQueue), confirm: program(onfi.CmdProgram2)},
+		{name: "erase", base: func(p Params) sim.Duration { return p.TBERS },
+			jitterRow: func(g onfi.Geometry, r onfi.RowAddr) uint32 { return uint32(r.Block * g.PagesPerBlk) },
+			count:     func(s Stats) uint64 { return s.Erases }, queue: erase(), confirm: erase(onfi.CmdLatch(onfi.CmdErase2))},
+	}
+}
+
+// mpPlaneBytes reads rows (one per plane) with a 2-plane read and returns
+// what 06h…E0h streams for each plane.
+func mpPlaneBytes(t *testing.T, l *LUN, now sim.Time, rows [2]onfi.RowAddr) (sim.Time, [2][]byte) {
+	t.Helper()
+	if err := mpLatchRead(t, l, now, rows[0], onfi.CmdMPReadQueue); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(tDBSY)
+	if err := mpLatchRead(t, l, now, rows[1], onfi.CmdRead2); err != nil {
+		t.Fatal(err)
+	}
+	now = l.ReadyAt()
+	var out [2][]byte
+	for i, r := range rows {
+		ls := append([]onfi.Latch{onfi.CmdLatch(onfi.CmdChangeReadColE1)}, l.Params().Geometry.AddrLatches(onfi.Addr{Row: r})...)
+		if err := l.Latch(now, append(ls, onfi.CmdLatch(onfi.CmdChangeReadCol2))); err != nil {
+			t.Fatal(err)
+		}
+		data, err := l.DataOut(now, l.Params().Geometry.FullPageBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = data
+	}
+	return now, out
+}
+
+// TestMPArrayOpsPinned pins a 2-plane read, program and erase with jitter
+// on: the tDBSY after the queued row, then one shared array time — the
+// slower row's jittered tR/tPROG/tBERS, picked here so that the queued
+// row is the slower one — each plane's bytes through 06h…E0h, one Stats
+// count per row, and FAIL, with the good plane's work done, when either
+// plane's block is bad.
+func TestMPArrayOpsPinned(t *testing.T) {
+	p := twoPlane()
+	p.JitterPct = 5
+	p.RawBitErrorPer512B = 0 // erased rows read back as 0xFF
+	g := p.Geometry
+	full := g.FullPageBytes()
+	for _, op := range mpOps() {
+		// The first plane-0/plane-1 pair whose queued row jitters slower.
+		probe, _ := NewLUN(p)
+		var rows [2]onfi.RowAddr
+		var worst sim.Duration
+	pick:
+		for q := (onfi.RowAddr{}); q.Block < g.BlocksPerLUN; q.Block += 2 {
+			for c := (onfi.RowAddr{Block: 1}); c.Block < g.BlocksPerLUN; c.Block += 2 {
+				for q.Page = 0; q.Page < g.PagesPerBlk; q.Page++ {
+					for c.Page = 0; c.Page < g.PagesPerBlk; c.Page++ {
+						jq, jc := probe.jitterFor(op.jitterRow(g, q), op.base(p)), probe.jitterFor(op.jitterRow(g, c), op.base(p))
+						if jq > jc {
+							rows, worst = [2]onfi.RowAddr{q, c}, jq
+							break pick
+						}
+					}
+				}
+			}
+		}
+		if worst == 0 {
+			t.Fatalf("%s: no row pair whose queued row is slower", op.name)
+		}
+		// want is each plane's content after the op.
+		var want [2][]byte
+		setup := func(l *LUN) {
+			for i, r := range rows {
+				switch op.name {
+				case "read":
+					want[i] = bytes.Repeat([]byte{mpFill(i)}, full)
+					l.SeedPage(r, want[i])
+				case "program":
+					// 80h fills the register with 0xFF; DataIn overwrites 16 bytes.
+					want[i] = append(bytes.Repeat([]byte{mpFill(i)}, 16), bytes.Repeat([]byte{0xFF}, full-16)...)
+				case "erase":
+					l.SeedPage(r, []byte{mpFill(i)})
+					want[i] = bytes.Repeat([]byte{0xFF}, full)
+				}
+			}
+		}
+
+		t.Run(op.name, func(t *testing.T) {
+			l, _ := NewLUN(p)
+			setup(l)
+			before := op.count(l.Stats())
+			if err := op.queue(l, 0, rows[0]); err != nil {
+				t.Fatal(err)
+			}
+			t1 := sim.Time(op.dbsy)
+			if op.dbsy > 0 && l.Ready(t1-1) {
+				t.Fatal("ready before tDBSY ends")
+			}
+			if !l.Ready(t1) {
+				t.Fatal("busy after tDBSY")
+			}
+			if err := op.confirm(l, t1, rows[1]); err != nil {
+				t.Fatal(err)
+			}
+			done := t1.Add(worst)
+			if l.Ready(done-1) || !l.Ready(done) || l.ReadyAt() != done {
+				t.Fatalf("ready at %v, want %v (the queued row's jittered time)", l.ReadyAt(), done)
+			}
+			if s := l.Status(done); s&onfi.StatusFail != 0 {
+				t.Fatalf("status %08b", s)
+			}
+			if got := op.count(l.Stats()) - before; got != 2 {
+				t.Errorf("%s count rose by %d, want 2", op.name, got)
+			}
+			var got [2][]byte
+			if op.name == "read" {
+				for i, r := range rows {
+					ls := append([]onfi.Latch{onfi.CmdLatch(onfi.CmdChangeReadColE1)}, g.AddrLatches(onfi.Addr{Row: r})...)
+					if err := l.Latch(done, append(ls, onfi.CmdLatch(onfi.CmdChangeReadCol2))); err != nil {
+						t.Fatal(err)
+					}
+					got[i], _ = l.DataOut(done, full)
+				}
+			} else {
+				_, got = mpPlaneBytes(t, l, done, rows)
+			}
+			for i := range rows {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("plane %d reads % X…, want % X…", i, got[i][:4], want[i][:4])
+				}
+			}
+		})
+
+		for badPlane := range rows {
+			t.Run(op.name+"/bad-plane-"+string(rune('0'+badPlane)), func(t *testing.T) {
+				l, _ := NewLUN(p)
+				setup(l)
+				l.MarkBad(rows[badPlane].Block)
+				if err := op.queue(l, 0, rows[0]); err != nil {
+					t.Fatal(err)
+				}
+				t1 := sim.Time(op.dbsy)
+				if err := op.confirm(l, t1, rows[1]); err != nil {
+					t.Fatal(err)
+				}
+				done := t1.Add(worst)
+				fail := l.Status(done)&onfi.StatusFail != 0
+				if fail != (op.name != "read") {
+					t.Fatalf("FAIL %v with plane %d's block bad", fail, badPlane)
+				}
+				good := rows[1-badPlane]
+				pg, _ := l.PeekPage(good)
+				if !bytes.Equal(pg, want[1-badPlane]) {
+					t.Errorf("good plane holds % X…, want % X…", pg[:4], want[1-badPlane][:4])
+				}
+				if op.name != "read" {
+					bad, _ := l.PeekPage(rows[badPlane])
+					if bytes.Equal(bad, want[badPlane]) {
+						t.Errorf("bad plane's block changed")
+					}
+				}
+			})
+		}
+	}
+}
