@@ -49,10 +49,110 @@ func TestAllocGateLUNReadOut(t *testing.T) {
 	}
 }
 
+// raceDetectorEnabled is set by race_test.go under -race.
+var raceDetectorEnabled = false
+
 // fillSeed writes a distinctive non-zero pattern for seeding pages in
 // allocation-gate tests.
 func fillSeed(dst []byte) {
 	for i := range dst {
 		dst[i] = byte(i*7 + 3)
+	}
+}
+
+// TestAllocGateLUNMultiPlane extends the gate to the multi-plane path:
+// once warmed, a 2-plane read (32h, 30h, then 06h…E0h and data out for
+// each plane) and a 2-plane erase followed by a 2-plane program must not
+// allocate. Each plane reads into its own register, and the row queues
+// keep their storage.
+func TestAllocGateLUNMultiPlane(t *testing.T) {
+	l, err := NewLUN(twoPlane())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := l.Params()
+	g := p.Geometry
+	rows := [2]onfi.RowAddr{{Block: 2, Page: 1}, {Block: 3, Page: 1}}
+	seed := make([]byte, g.PageBytes)
+	fillSeed(seed)
+	for _, r := range rows {
+		if err := l.SeedPage(r, seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var qbuf, cbuf, s0buf, s1buf, ebuf [16]onfi.Latch
+	queue := g.AppendAddrLatches(append(qbuf[:0], onfi.CmdLatch(onfi.CmdRead1)), onfi.Addr{Row: rows[0]})
+	queue = append(queue, onfi.CmdLatch(onfi.CmdMPReadQueue))
+	confirm := g.AppendAddrLatches(append(cbuf[:0], onfi.CmdLatch(onfi.CmdRead1)), onfi.Addr{Row: rows[1]})
+	confirm = append(confirm, onfi.CmdLatch(onfi.CmdRead2))
+	sel := [2][]onfi.Latch{s0buf[:0], s1buf[:0]}
+	for i, r := range rows {
+		sel[i] = g.AppendAddrLatches(append(sel[i], onfi.CmdLatch(onfi.CmdChangeReadColE1)), onfi.Addr{Row: r})
+		sel[i] = append(sel[i], onfi.CmdLatch(onfi.CmdChangeReadCol2))
+	}
+	dst := make([]byte, g.PageBytes)
+	now := sim.Time(0)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	read := func() {
+		must(l.Latch(now, queue))
+		now = now.Add(tDBSY)
+		must(l.Latch(now, confirm))
+		now = l.ReadyAt()
+		for i := range rows {
+			must(l.Latch(now, sel[i]))
+			must(l.DataOutInto(now, dst))
+		}
+		now = now.Add(sim.Microsecond)
+	}
+	read()
+	if avg := testing.AllocsPerRun(50, read); avg > 0 {
+		t.Errorf("warmed 2-plane read allocated %.1f objects, want 0", avg)
+	}
+	if dst[0] != seed[0] || dst[len(dst)-1] != seed[len(seed)-1] {
+		t.Error("2-plane read-out data mismatch")
+	}
+
+	// Erase blocks 0 and 1, then program page 0 of each. A program takes
+	// its stored page from pagebuf's sync.Pool, which drops a random
+	// quarter of Puts under the race detector.
+	if raceDetectorEnabled {
+		t.Skip("sync.Pool drops a random quarter of Puts under the race detector")
+	}
+	erase := ebuf[:0]
+	for b := 0; b < 2; b++ {
+		erase = g.AppendRowLatches(append(erase, onfi.CmdLatch(onfi.CmdErase1)), onfi.RowAddr{Block: b})
+	}
+	erase = append(erase, onfi.CmdLatch(onfi.CmdErase2))
+	var prog [2][]onfi.Latch
+	var pbuf [2][8]onfi.Latch
+	for b := range prog {
+		prog[b] = g.AppendAddrLatches(append(pbuf[b][:0], onfi.CmdLatch(onfi.CmdProgram1)), onfi.Addr{Row: onfi.RowAddr{Block: b}})
+	}
+	var c11, c10 [1]onfi.Latch
+	c11[0], c10[0] = onfi.CmdLatch(onfi.CmdMPProgramQueue), onfi.CmdLatch(onfi.CmdProgram2)
+	cycle := func() {
+		must(l.Latch(now, erase))
+		now = l.ReadyAt()
+		must(l.Latch(now, prog[0]))
+		must(l.DataIn(now, seed))
+		must(l.Latch(now, c11[:]))
+		now = l.ReadyAt()
+		must(l.Latch(now, prog[1]))
+		must(l.DataIn(now, seed))
+		must(l.Latch(now, c10[:]))
+		now = l.ReadyAt()
+		if s := l.Status(now); s&onfi.StatusFail != 0 {
+			t.Fatalf("status %08b", s)
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(50, cycle); avg > 0 {
+		t.Errorf("warmed 2-plane erase+program allocated %.1f objects, want 0", avg)
 	}
 }

@@ -23,10 +23,11 @@ import (
 // corrupted bookkeeping are not. The instant the storm ends, the LUN
 // must accept RESET, be ready within a millisecond, and then serve a
 // clean READ of a seeded page: no command sequence, however buggy the
-// firmware, may wedge the model.
+// firmware, may wedge the model. The LUN has two planes, so storms reach
+// the multi-plane queues (32h, 11h, repeated 60h) and their confirms.
 func FuzzLatchStorm(f *testing.F) {
 	f.Fuzz(func(t *testing.T, storm []byte) {
-		l, err := NewLUN(smallParams())
+		l, err := NewLUN(twoPlane())
 		if err != nil {
 			t.Fatal(err)
 		}

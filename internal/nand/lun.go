@@ -138,12 +138,18 @@ type LUN struct {
 	eraseCount []int
 	bad        []bool
 
-	// Registers. The cache register is made at its first use (every
-	// access goes through cache), so a LUN that never cache-reads or
-	// runs GET FEATURES holds none.
-	pageReg  []byte
-	cacheReg []byte
-	column   int
+	// Registers. pageReg is the register the controller writes (80h
+	// fills it). planeRegs holds one register per plane, each made at
+	// its first use: a multi-plane read or a load that must be
+	// materialized (fault corruption or wear errors) reads into the
+	// row's plane register, and 11h stages a plane's data in it. The
+	// cache register is made at its first use too (every access goes
+	// through cache), so a LUN that never cache-reads or runs GET
+	// FEATURES holds none.
+	pageReg   []byte
+	planeRegs [][]byte
+	cacheReg  []byte
+	column    int
 
 	// Decoder state.
 	dec       decodeState
@@ -162,19 +168,16 @@ type LUN struct {
 	curOp          arrayOp
 	curRow         uint32
 
-	// Pending-load bookkeeping: a read in flight deposits loadData into
-	// pageReg when the array busy expires. loadData aliases the stored
-	// page or the erased template for a clean read, points at a plane
-	// buffer for a multi-plane read, and points at loadBuf when the load
-	// must be materialized (fault corruption or wear errors); loadBuf is
-	// made by the first such load and reused for the LUN's lifetime.
+	// Pending-load bookkeeping: a read in flight hands loadData to the
+	// register when the array busy expires. loadData aliases the stored
+	// page or the erased template for a clean single-plane read, and the
+	// row's plane register otherwise (see loadRow).
 	loadPending bool
 	loadData    []byte
-	loadBuf     []byte
 
 	// reg is the logical page-register content: either pageReg itself
 	// (owned, mutable) or a read-only alias of a stored page, a plane
-	// buffer, or the erased template, established by settle so clean
+	// register, or the erased template, established by settle so clean
 	// reads skip the array→register full-page copies. Mutators call
 	// ownReg first. An alias of a stored page holds a reference to it
 	// (regPage; loadPage for a pending load), so programming or erasing
@@ -201,7 +204,7 @@ type LUN struct {
 	pslcNext bool // next array op runs in pseudo-SLC timing
 	features map[onfi.FeatureAddr][4]byte
 
-	// mp stages multi-plane compositions (see multiplane.go).
+	// mp queues the rows of multi-plane operations (see multiplane.go).
 	mp mpState
 
 	// paramPage is the rendered ONFI parameter page, made by the first
@@ -245,6 +248,8 @@ func NewLUN(p Params) (*LUN, error) {
 		eraseCount:   make([]int, g.BlocksPerLUN),
 		bad:          make([]bool, g.BlocksPerLUN),
 		pageReg:      make([]byte, g.FullPageBytes()),
+		planeRegs:    make([][]byte, g.Planes),
+		mp:           newMPState(g.Planes),
 		erasedFF:     erasedPage(g.FullPageBytes()),
 		features:     make(map[onfi.FeatureAddr][4]byte),
 		phaseOptimal: p.PhaseOptimal,
@@ -364,19 +369,11 @@ func (l *LUN) settle(now sim.Time) {
 	// Reads are never suspendable, so a pending load settles regardless of
 	// a suspended PROGRAM/ERASE.
 	if l.loadPending && now >= l.arrayBusyUntil {
-		if l.loadBuf != nil && &l.loadData[0] == &l.loadBuf[0] {
-			// The load was materialized into loadBuf (fault corruption or
-			// wear-injected errors): swap the buffers in place of a
-			// full-page copy.
-			l.pageReg, l.loadBuf = l.loadBuf, l.pageReg
-			l.setReg(l.pageReg, nil)
-		} else {
-			// Clean load: the register aliases the source until a mutator
-			// claims it (ownReg) — no page copy on the read hot path. The
-			// load's reference moves to the register.
-			l.setReg(l.loadData, l.loadPage)
-			l.loadPage = nil
-		}
+		// The register aliases the load until a mutator claims it
+		// (ownReg) — no page copy on the read hot path. The load's
+		// reference moves to the register.
+		l.setReg(l.loadData, l.loadPage)
+		l.loadPage = nil
 		l.loadPending = false
 		l.curOp = arrNone
 	}
@@ -547,14 +544,7 @@ func (l *LUN) command(now sim.Time, c onfi.Cmd) error {
 		case onfi.CmdErase2:
 			return l.startErase(now)
 		case onfi.CmdErase1:
-			// Multi-plane erase: stash this plane's row, collect the next.
-			if len(l.addrBytes) != 3 {
-				return l.protoErr("multi-plane erase with %d address cycles", len(l.addrBytes))
-			}
-			row := l.geo.DecodeRowAddr([3]byte{l.addrBytes[0], l.addrBytes[1], l.addrBytes[2]})
-			l.mp.eraseRows = append(l.mp.eraseRows, row)
-			l.addrBytes = l.addrBytes[:0]
-			return nil
+			return l.queueMPErase()
 		}
 		return l.protoErr("expected ERASE confirm, got %v", c)
 	default:
@@ -581,11 +571,9 @@ func (l *LUN) address(now sim.Time, b byte) error {
 	case decProgramAddr:
 		l.addrBytes = append(l.addrBytes, b)
 		if len(l.addrBytes) == 5 {
-			var a5 [5]byte
-			copy(a5[:], l.addrBytes)
-			addr := l.geo.DecodeAddr(a5)
-			if err := l.geo.CheckAddr(addr); err != nil {
-				return l.protoErr("program address: %v", err)
+			addr, err := l.latchedAddr("program")
+			if err != nil {
+				return err
 			}
 			l.curRow = l.rowIndex(addr.Row)
 			l.column = int(addr.Col)
@@ -604,11 +592,9 @@ func (l *LUN) address(now sim.Time, b byte) error {
 	case decCopybackAddr:
 		l.addrBytes = append(l.addrBytes, b)
 		if len(l.addrBytes) == 5 {
-			var a5 [5]byte
-			copy(a5[:], l.addrBytes)
-			addr := l.geo.DecodeAddr(a5)
-			if err := l.geo.CheckAddr(addr); err != nil {
-				return l.protoErr("copyback address: %v", err)
+			addr, err := l.latchedAddr("copyback")
+			if err != nil {
+				return err
 			}
 			// Target latched; page register untouched — it still holds
 			// the copyback-read data. Await the 10h confirm.
@@ -651,59 +637,104 @@ func (l *LUN) address(now sim.Time, b byte) error {
 	return nil
 }
 
-// startRead begins the array read after a READ.1+addr+confirm sequence.
-func (l *LUN) startRead(now sim.Time, cache bool) error {
-	var a5 [5]byte
-	copy(a5[:], l.addrBytes)
-	addr := l.geo.DecodeAddr(a5)
+// latchedAddr decodes the five latched address cycles and checks them
+// against the geometry; what names the command in the error.
+func (l *LUN) latchedAddr(what string) (onfi.Addr, error) {
+	addr := l.geo.DecodeAddr([5]byte(l.addrBytes))
 	if err := l.geo.CheckAddr(addr); err != nil {
-		return l.protoErr("read address: %v", err)
+		return addr, l.protoErr("%s address: %v", what, err)
 	}
-	row := l.rowIndex(addr.Row)
-	l.column = int(addr.Col)
-	if !cache && len(l.mp.readRows) > 0 {
-		return l.finishMPRead(now, row)
+	return addr, nil
+}
+
+// latchedBlock decodes the three latched row cycles of an ERASE to the
+// first row of their block, which must lie in the LUN; what names the
+// command in the error.
+func (l *LUN) latchedBlock(what string) (uint32, error) {
+	if len(l.addrBytes) != 3 {
+		return 0, l.protoErr("%s with %d address cycles", what, len(l.addrBytes))
 	}
-	tr := l.params.TR
-	if l.pslcNext {
-		tr = l.params.TRSLC
-		l.pslcNext = false
+	r := l.geo.DecodeRowAddr([3]byte(l.addrBytes))
+	if r.Block >= l.geo.BlocksPerLUN {
+		return 0, l.protoErr("%s block %d out of range", what, r.Block)
 	}
-	tr = l.jitterFor(row, tr)
+	return l.rowIndex(onfi.RowAddr{Block: r.Block}), nil
+}
+
+// startArray starts op on the rows queued in q plus the confirming row,
+// once no two of them share a plane. It empties q, keeping its storage,
+// and returns the rows, confirming row last, with the fault outcome the
+// injector picks for the confirming row. The array runs for the slowest
+// row's jittered base time (slc under an A2h prefix, which it consumes),
+// stretched by the outcome's delay or stuck by it; FAIL moves to FAILC
+// and the decoder returns to idle. The caller applies op to each row and
+// sets RDY.
+func (l *LUN) startArray(now sim.Time, op arrayOp, q *[]uint32, row uint32, base, slc sim.Duration) ([]uint32, FaultOutcome, error) {
+	if err := l.checkPlane(*q, row, op); err != nil {
+		return nil, FaultOutcome{}, err
+	}
+	rows := append(*q, row)
+	*q = rows[:0]
 	var fo FaultOutcome
 	if l.faults != nil {
-		fo = l.faults.OnRead(now, row)
-		tr += fo.Delay
-	}
-	l.curOp = arrRead
-	l.curRow = row
-	l.cacheRow = row
-	l.loadPending = true
-	if !l.loadClean(row, fo) {
-		buf := l.materialLoad()
-		l.readArrayInto(row, buf)
-		if fo.Corrupt {
-			corruptBeyondECC(row, buf)
+		switch op {
+		case arrRead:
+			fo = l.faults.OnRead(now, row)
+		case arrProgram:
+			fo = l.faults.OnProgram(now, row)
+		default:
+			fo = l.faults.OnErase(now, int(row)/l.geo.PagesPerBlk)
 		}
-		l.setLoad(buf, nil)
 	}
-	l.arrayBusyUntil = now.Add(tr)
+	if l.pslcNext {
+		base = slc
+		l.pslcNext = false
+	}
+	var worst sim.Duration
+	for _, r := range rows {
+		worst = max(worst, l.jitterFor(r, base))
+	}
+	l.curOp = op
+	l.curRow = row
+	l.arrayBusyUntil = now.Add(worst + fo.Delay)
 	if fo.Stuck {
 		l.arrayBusyUntil = stuckUntil
 	}
+	l.failPrev = l.failLast
+	l.failLast = false
+	l.dec = decIdle
+	return rows, fo, nil
+}
+
+// startRead begins the array read of the queued planes plus the latched
+// row. Each queued row reads into its plane's register, and so does the
+// latched row of a multi-plane read, so that 06h…E0h can select any of
+// them. A cache confirm (31h) sends the page on to the cache register at
+// ARDY and keeps the LUN RDY for the transfer of the previous page.
+func (l *LUN) startRead(now sim.Time, cache bool) error {
+	addr, err := l.latchedAddr("read")
+	if err != nil {
+		return err
+	}
+	row := l.rowIndex(addr.Row)
+	l.column = int(addr.Col)
+	rows, fo, err := l.startArray(now, arrRead, &l.mp.readRows, row, l.params.TR, l.params.TRSLC)
+	if err != nil {
+		return err
+	}
+	for _, r := range rows[:len(rows)-1] {
+		l.readArrayInto(r, l.plane(r))
+	}
+	l.loadRow(row, fo.Corrupt, len(rows) > 1)
+	l.cacheRow = row
 	if cache {
-		// Cache confirm: page goes to cache register when loaded, and
-		// the LUN stays RDY for data transfer of the *previous* page.
 		l.cachePending = true
 		l.setDataOut(outCache)
 	} else {
 		l.busyUntil = l.arrayBusyUntil
 		l.setDataOut(outPage)
 	}
-	l.dec = decIdle
-	l.failPrev = l.failLast
-	l.failLast = false
-	l.stats.Reads++
+	l.stats.Reads += uint64(len(rows))
 	return nil
 }
 
@@ -723,12 +754,7 @@ func (l *LUN) startCacheNext(now sim.Time) error {
 	l.cacheRow = next
 	l.curOp = arrRead
 	l.curRow = next
-	l.loadPending = true
-	if !l.loadClean(next, FaultOutcome{}) {
-		buf := l.materialLoad()
-		l.readArrayInto(next, buf)
-		l.setLoad(buf, nil)
-	}
+	l.loadRow(next, false, false)
 	l.arrayBusyUntil = now.Add(l.jitterFor(next, l.params.TR))
 	l.setDataOut(outCache)
 	l.column = 0
@@ -750,106 +776,70 @@ func (l *LUN) endCache(now sim.Time) error {
 	return nil
 }
 
+// startProgram programs the queued planes from their registers and the
+// latched row from the page register. A bad block, a programmed row
+// (NAND forbids re-programming without an erase) or an injected failure
+// of the latched row raises FAIL and leaves that row unchanged. A cache
+// program (15h) holds RDY only for the register hand-off.
 func (l *LUN) startProgram(now sim.Time, cached bool) error {
-	if !cached && len(l.mp.progRows) > 0 {
-		return l.finishMPProgram(now, l.pslcNext)
-	}
 	row := l.curRow
-	block := int(row) / l.geo.PagesPerBlk
-	tp := l.params.TPROG
-	if l.pslcNext {
-		tp = l.params.TPROGSLC
-		l.pslcNext = false
+	rows, fo, err := l.startArray(now, arrProgram, &l.mp.progRows, row, l.params.TPROG, l.params.TPROGSLC)
+	if err != nil {
+		return err
 	}
-	tp = l.jitterFor(row, tp)
-	var fo FaultOutcome
-	if l.faults != nil {
-		fo = l.faults.OnProgram(now, row)
-		tp += fo.Delay
-	}
-	l.failPrev = l.failLast
-	l.failLast = false
-	switch {
-	case fo.Fail:
-		// Injected program failure: StatusFail, array unchanged.
-		l.failLast = true
-	case l.bad[block]:
-		l.failLast = true
-	case l.programmed(row):
-		// NAND forbids re-programming without an erase.
-		l.failLast = true
-	default:
-		l.storePage(row, l.reg)
-	}
-	l.curOp = arrProgram
-	l.curRow = row
-	l.arrayBusyUntil = now.Add(tp)
-	if fo.Stuck {
-		l.arrayBusyUntil = stuckUntil
+	for _, r := range rows {
+		data := l.reg
+		if r != row {
+			data = l.plane(r)
+		}
+		switch {
+		case fo.Fail && r == row, l.bad[int(r)/l.geo.PagesPerBlk], l.programmed(r):
+			l.failLast = true
+		default:
+			l.storePage(r, data)
+		}
 	}
 	if cached && !fo.Stuck {
 		l.busyUntil = now.Add(3 * sim.Microsecond) // register handoff only
 	} else {
 		l.busyUntil = l.arrayBusyUntil
 	}
-	l.dec = decIdle
-	l.stats.Programs++
+	l.stats.Programs += uint64(len(rows))
 	return nil
 }
 
+// startErase erases the queued blocks plus the latched one. A bad block
+// or an injected failure of the latched block raises FAIL and leaves the
+// block unchanged; a block erased past its P/E limit goes bad and raises
+// FAIL.
 func (l *LUN) startErase(now sim.Time) error {
-	if len(l.addrBytes) != 3 {
-		return l.protoErr("erase with %d address cycles", len(l.addrBytes))
+	row, err := l.latchedBlock("erase")
+	if err != nil {
+		return err
 	}
-	row := l.geo.DecodeRowAddr([3]byte{l.addrBytes[0], l.addrBytes[1], l.addrBytes[2]})
-	if row.Block < 0 || row.Block >= l.geo.BlocksPerLUN {
-		return l.protoErr("erase block %d out of range", row.Block)
+	rows, fo, err := l.startArray(now, arrErase, &l.mp.eraseRows, row, l.params.TBERS, l.params.TBERS)
+	if err != nil {
+		return err
 	}
-	l.failPrev = l.failLast
-	l.failLast = false
-	var fo FaultOutcome
-	if l.faults != nil {
-		fo = l.faults.OnErase(now, row.Block)
-	}
-	// The queued multi-plane rows plus this one, in the queue's own
-	// storage: it is emptied (and kept) once the erase is accounted.
-	rows := append(l.mp.eraseRows, row)
-	l.mp.eraseRows = rows[:0]
-	var worst sim.Duration
 	for _, r := range rows {
-		block := r.Block
-		if fo.Fail && block == row.Block {
-			// Injected erase failure: StatusFail, block unchanged.
+		block := int(r) / l.geo.PagesPerBlk
+		switch {
+		case fo.Fail && r == row, l.bad[block]:
 			l.failLast = true
-		} else if l.bad[block] {
-			l.failLast = true
-		} else {
+		default:
 			l.eraseCount[block]++
 			if l.eraseCount[block] > l.params.MaxPECycles {
 				l.bad[block] = true
 				l.failLast = true
 			} else {
-				base := uint32(block) * uint32(l.geo.PagesPerBlk)
 				for p := uint32(0); p < uint32(l.geo.PagesPerBlk); p++ {
-					l.dropPage(base + p)
+					l.dropPage(r + p)
 				}
 			}
 		}
-		if d := l.jitterFor(uint32(block)*uint32(l.geo.PagesPerBlk), l.params.TBERS); d > worst {
-			worst = d
-		}
-		l.stats.Erases++
-	}
-	l.stats.Erases-- // the shared accounting below counts one
-	l.curOp = arrErase
-	l.curRow = uint32(row.Block) * uint32(l.geo.PagesPerBlk)
-	l.arrayBusyUntil = now.Add(worst + fo.Delay)
-	if fo.Stuck {
-		l.arrayBusyUntil = stuckUntil
 	}
 	l.busyUntil = l.arrayBusyUntil
-	l.dec = decIdle
-	l.stats.Erases++
+	l.stats.Erases += uint64(len(rows))
 	return nil
 }
 
@@ -866,7 +856,7 @@ func (l *LUN) reset(now sim.Time) error {
 	l.suspended = false
 	l.pslcNext = false
 	l.failLast = false
-	l.mp = mpState{}
+	l.mp.clear()
 	l.curOp = arrReset
 	// SET FEATURES settings are volatile: RESET reverts them to their
 	// power-on defaults (phase trim, timing mode).
@@ -931,31 +921,28 @@ func (l *LUN) readArrayInto(row uint32, dst []byte) {
 	l.injectErrors(row, dst)
 }
 
-// materialLoad returns the buffer a load that must be materialized
-// (fault corruption or wear errors) is read into, making it at its
-// first use.
-func (l *LUN) materialLoad() []byte {
-	if l.loadBuf == nil {
-		l.loadBuf = make([]byte, l.geo.FullPageBytes())
+// loadRow starts the pending load of row. When nothing (fault
+// corruption, wear-injected bit errors) would change the bytes and
+// toPlane is false, the load aliases the stored page, retained, or the
+// erased template; otherwise row reads into its plane's register,
+// corrupted beyond ECC if corrupt.
+func (l *LUN) loadRow(row uint32, corrupt, toPlane bool) {
+	l.loadPending = true
+	if !toPlane && !corrupt && !l.wearActive(row) {
+		if stored, ok := l.pages[row]; ok {
+			stored.Retain()
+			l.setLoad(stored.Bytes(), stored)
+		} else {
+			l.setLoad(l.erasedFF, nil)
+		}
+		return
 	}
-	return l.loadBuf
-}
-
-// loadClean backs the pending load with row's data without a copy — the
-// stored page itself, retained, or the erased template — when nothing
-// (fault corruption, wear-injected bit errors) would mutate the data. It
-// reports false, leaving the load alone, otherwise.
-func (l *LUN) loadClean(row uint32, fo FaultOutcome) bool {
-	if fo.Corrupt || l.wearActive(row) {
-		return false
+	reg := l.plane(row)
+	l.readArrayInto(row, reg)
+	if corrupt {
+		corruptBeyondECC(row, reg)
 	}
-	if stored, ok := l.pages[row]; ok {
-		stored.Retain()
-		l.setLoad(stored.Bytes(), stored)
-	} else {
-		l.setLoad(l.erasedFF, nil)
-	}
-	return true
+	l.setLoad(reg, nil)
 }
 
 // setLoad points the pending load at data, which aliases page when page
@@ -978,7 +965,7 @@ func (l *LUN) setReg(data []byte, page *pagebuf.Buf) {
 
 // wearActive reports whether injectErrors would flip any bits for row.
 // The condition mirrors its early-outs, so clean reads can alias the
-// stored page instead of copying it through loadBuf.
+// stored page instead of copying it into a plane register.
 func (l *LUN) wearActive(row uint32) bool {
 	if l.params.RawBitErrorPer512B == 0 {
 		return false
@@ -990,7 +977,7 @@ func (l *LUN) wearActive(row uint32) bool {
 }
 
 // ownReg makes the page register mutable: if reg aliases a stored page,
-// a plane buffer, or the erased template, its bytes move into pageReg
+// a plane register, or the erased template, its bytes move into pageReg
 // first (the deferred copy the alias saved on the read-only path).
 func (l *LUN) ownReg() {
 	if &l.reg[0] != &l.pageReg[0] {

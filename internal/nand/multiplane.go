@@ -1,7 +1,6 @@
 package nand
 
 import (
-	"repro/internal/onfi"
 	"repro/internal/sim"
 )
 
@@ -12,91 +11,115 @@ import (
 // share a single tR/tPROG/tBERS. The payoff is per-LUN parallelism — two
 // planes read two pages in one array time.
 //
-// The model stages queued rows and per-plane data here; the main decoder
-// in lun.go dispatches into these helpers.
+// The queues live here; the confirms in lun.go run over the queued rows
+// plus the confirming row, so a single-plane operation is the one-row
+// case of a multi-plane one.
 
 // tDBSY is the short busy window after queueing one plane of a
 // multi-plane operation (the "dummy busy" of the spec).
 const tDBSY = 1 * sim.Microsecond
 
-// mpState holds in-flight multi-plane compositions.
+// mpState holds the rows queued for a multi-plane confirm: by 32h, by 11h
+// (each row's data waits in its plane's register) and by a repeated 60h
+// (each block's first row). newMPState gives each queue one row per
+// plane, and a confirm empties its queue and keeps the storage, so
+// queueing never allocates.
 type mpState struct {
-	// readRows are rows queued with 32h awaiting the final 30h.
-	readRows []uint32
-	// planeData holds each plane's fetched page after a multi-plane
-	// read completes; CHANGE READ COLUMN ENHANCED selects from it.
-	planeData map[int][]byte
-	// progRows/progData are pages staged with 11h awaiting the final 10h.
-	progRows []uint32
-	progData [][]byte
-	// eraseRows are blocks queued by repeated 60h bursts.
-	eraseRows []onfi.RowAddr
+	readRows, progRows, eraseRows []uint32
 }
 
-// queueMPRead handles the 32h confirm: remember the row, go briefly busy.
-func (l *LUN) queueMPRead(now sim.Time) error {
-	var a5 [5]byte
-	copy(a5[:], l.addrBytes)
-	addr := l.geo.DecodeAddr(a5)
-	if err := l.geo.CheckAddr(addr); err != nil {
-		return l.protoErr("multi-plane read address: %v", err)
+// newMPState carves the three queues out of one allocation.
+func newMPState(planes int) mpState {
+	rows := make([]uint32, 3*planes)
+	return mpState{
+		readRows:  rows[0:0:planes],
+		progRows:  rows[planes : planes : 2*planes],
+		eraseRows: rows[2*planes : 2*planes : 3*planes],
 	}
-	row := l.rowIndex(addr.Row)
-	plane := l.geo.PlaneOf(addr.Row.Block)
-	for _, r := range l.mp.readRows {
-		if l.geo.PlaneOf(l.rowOf(r).Block) == plane {
-			return l.protoErr("multi-plane read queued two rows on plane %d", plane)
+}
+
+// clear empties the queues, keeping their storage.
+func (m *mpState) clear() {
+	m.readRows, m.progRows, m.eraseRows = m.readRows[:0], m.progRows[:0], m.eraseRows[:0]
+}
+
+// planeOf reports the plane row lies on.
+func (l *LUN) planeOf(row uint32) int { return l.geo.PlaneOf(int(row) / l.geo.PagesPerBlk) }
+
+// plane returns the register of row's plane, making it at its first use.
+func (l *LUN) plane(row uint32) []byte {
+	p := l.planeOf(row)
+	if l.planeRegs[p] == nil {
+		l.planeRegs[p] = make([]byte, l.geo.FullPageBytes())
+	}
+	return l.planeRegs[p]
+}
+
+// checkPlane refuses row when a queued row already holds its plane.
+func (l *LUN) checkPlane(queued []uint32, row uint32, op arrayOp) error {
+	plane := l.planeOf(row)
+	for _, r := range queued {
+		if l.planeOf(r) == plane {
+			return l.protoErr("multi-plane %v queued two rows on plane %d", op, plane)
 		}
 	}
-	l.mp.readRows = append(l.mp.readRows, row)
+	return nil
+}
+
+// queue appends row to the multi-plane queue q once its plane is free.
+func (l *LUN) queue(q *[]uint32, row uint32, op arrayOp) error {
+	if err := l.checkPlane(*q, row, op); err != nil {
+		return err
+	}
+	*q = append(*q, row)
+	return nil
+}
+
+// dummyBusy goes busy for tDBSY after a queued plane and returns the
+// decoder to idle for the next one.
+func (l *LUN) dummyBusy(now sim.Time) {
 	l.busyUntil = now.Add(tDBSY)
 	l.arrayBusyUntil = l.busyUntil
 	l.dec = decIdle
+}
+
+// queueMPRead handles the 32h confirm: queue the row, go briefly busy.
+func (l *LUN) queueMPRead(now sim.Time) error {
+	addr, err := l.latchedAddr("multi-plane read")
+	if err != nil {
+		return err
+	}
+	if err := l.queue(&l.mp.readRows, l.rowIndex(addr.Row), arrRead); err != nil {
+		return err
+	}
+	l.dummyBusy(now)
 	return nil
 }
 
-// finishMPRead handles the final 30h of a multi-plane read: every queued
-// plane and the final row load concurrently, sharing one tR.
-func (l *LUN) finishMPRead(now sim.Time, finalRow uint32) error {
-	plane := l.geo.PlaneOf(l.rowOf(finalRow).Block)
-	for _, r := range l.mp.readRows {
-		if l.geo.PlaneOf(l.rowOf(r).Block) == plane {
-			return l.protoErr("multi-plane read confirm reuses plane %d", plane)
-		}
+// queueMPProgram handles the 11h confirm: queue the addressed row, stage
+// the register in its plane's register, and go briefly busy.
+func (l *LUN) queueMPProgram(now sim.Time) error {
+	if err := l.queue(&l.mp.progRows, l.curRow, arrProgram); err != nil {
+		return err
 	}
-	rows := append(append([]uint32{}, l.mp.readRows...), finalRow)
-	l.mp.readRows = nil
-	l.mp.planeData = make(map[int][]byte)
-	var worst sim.Duration
-	for _, r := range rows {
-		data := make([]byte, l.geo.FullPageBytes())
-		l.readArrayInto(r, data)
-		l.mp.planeData[l.geo.PlaneOf(l.rowOf(r).Block)] = data
-		if d := l.jitterFor(r, l.params.TR); d > worst {
-			worst = d
-		}
-		l.stats.Reads++
-	}
-	// The final row's data also lands in the ordinary page register, so
-	// plain CHANGE READ COLUMN keeps working. Plane buffers are private
-	// allocations, so the register view may alias them without holding
-	// a reference.
-	l.loadPending = true
-	l.setLoad(l.mp.planeData[plane], nil)
-	l.curOp = arrRead
-	l.curRow = finalRow
-	l.cacheRow = finalRow
-	l.arrayBusyUntil = now.Add(worst)
-	l.busyUntil = l.arrayBusyUntil
-	l.setDataOut(outPage)
-	l.dec = decIdle
-	l.failPrev = l.failLast
-	l.failLast = false
+	copy(l.plane(l.curRow), l.reg)
+	l.dummyBusy(now)
 	return nil
 }
 
-// selectPlane handles CHANGE READ COLUMN ENHANCED's confirm: route the
-// chosen plane's data into the page register and set the column.
+// queueMPErase handles a 60h that follows an erase row: queue the block
+// and collect the next.
+func (l *LUN) queueMPErase() error {
+	row, err := l.latchedBlock("multi-plane erase")
+	if err != nil {
+		return err
+	}
+	l.addrBytes = l.addrBytes[:0]
+	return l.queue(&l.mp.eraseRows, row, arrErase)
+}
+
+// selectPlane handles CHANGE READ COLUMN ENHANCED's confirm: point the
+// page register at the chosen plane's register and set the column.
 func (l *LUN) selectPlane(now sim.Time) error {
 	if !l.Ready(now) {
 		return l.protoErr("plane select while busy")
@@ -104,80 +127,17 @@ func (l *LUN) selectPlane(now sim.Time) error {
 	if len(l.addrBytes) != 5 {
 		return l.protoErr("CHANGE READ COLUMN ENHANCED with %d address cycles", len(l.addrBytes))
 	}
-	var a5 [5]byte
-	copy(a5[:], l.addrBytes)
-	addr := l.geo.DecodeAddr(a5)
-	if err := l.geo.CheckAddr(addr); err != nil {
-		return l.protoErr("plane select address: %v", err)
+	addr, err := l.latchedAddr("plane select")
+	if err != nil {
+		return err
 	}
 	plane := l.geo.PlaneOf(addr.Row.Block)
-	data, ok := l.mp.planeData[plane]
-	if !ok {
+	if l.planeRegs[plane] == nil {
 		return l.protoErr("plane %d has no loaded data", plane)
 	}
-	l.setReg(data, nil)
+	l.setReg(l.planeRegs[plane], nil)
 	l.column = int(addr.Col)
 	l.setDataOut(outPage)
-	l.dec = decIdle
-	return nil
-}
-
-// queueMPProgram handles the 11h confirm: stage the page register for
-// the addressed row and go briefly busy awaiting the next plane.
-func (l *LUN) queueMPProgram(now sim.Time) error {
-	plane := l.geo.PlaneOf(l.rowOf(l.curRow).Block)
-	for _, r := range l.mp.progRows {
-		if l.geo.PlaneOf(l.rowOf(r).Block) == plane {
-			return l.protoErr("multi-plane program queued two rows on plane %d", plane)
-		}
-	}
-	data := make([]byte, len(l.pageReg))
-	copy(data, l.reg)
-	l.mp.progRows = append(l.mp.progRows, l.curRow)
-	l.mp.progData = append(l.mp.progData, data)
-	l.busyUntil = now.Add(tDBSY)
-	l.arrayBusyUntil = l.busyUntil
-	l.dec = decIdle
-	return nil
-}
-
-// finishMPProgram commits every staged plane plus the current register
-// in one shared tPROG. Any plane's failure raises FAIL.
-func (l *LUN) finishMPProgram(now sim.Time, slc bool) error {
-	plane := l.geo.PlaneOf(l.rowOf(l.curRow).Block)
-	for _, r := range l.mp.progRows {
-		if l.geo.PlaneOf(l.rowOf(r).Block) == plane {
-			return l.protoErr("multi-plane program confirm reuses plane %d", plane)
-		}
-	}
-	rows := append(append([]uint32{}, l.mp.progRows...), l.curRow)
-	datas := append(append([][]byte{}, l.mp.progData...), l.reg)
-	l.mp.progRows = nil
-	l.mp.progData = nil
-
-	tp := l.params.TPROG
-	if slc {
-		tp = l.params.TPROGSLC
-	}
-	var worst sim.Duration
-	l.failPrev = l.failLast
-	l.failLast = false
-	for i, row := range rows {
-		block := int(row) / l.geo.PagesPerBlk
-		switch {
-		case l.bad[block], l.programmed(row):
-			l.failLast = true
-		default:
-			l.storePage(row, datas[i])
-		}
-		if d := l.jitterFor(row, tp); d > worst {
-			worst = d
-		}
-		l.stats.Programs++
-	}
-	l.curOp = arrProgram
-	l.arrayBusyUntil = now.Add(worst)
-	l.busyUntil = l.arrayBusyUntil
 	l.dec = decIdle
 	return nil
 }

@@ -2,6 +2,7 @@ package nand
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/onfi"
@@ -418,5 +419,86 @@ func TestMPArrayOpsPinned(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A queued ERASE row past the last block is refused as a protocol error,
+// not indexed.
+func TestMPEraseQueuedBlockOutOfRange(t *testing.T) {
+	l, _ := NewLUN(twoPlane())
+	g := l.Params().Geometry
+	ls := append([]onfi.Latch{onfi.CmdLatch(onfi.CmdErase1)}, g.RowLatches(onfi.RowAddr{Block: g.BlocksPerLUN + 1})...)
+	ls = append(ls, onfi.CmdLatch(onfi.CmdErase1))
+	ls = append(ls, g.RowLatches(onfi.RowAddr{Block: 0})...)
+	ls = append(ls, onfi.CmdLatch(onfi.CmdErase2))
+	err := l.Latch(0, ls)
+	if err == nil || !strings.Contains(err.Error(), "multi-plane erase block 9 out of range") {
+		t.Fatalf("got %v, want multi-plane erase block 9 out of range", err)
+	}
+}
+
+// stageMPProgram latches 80h, row, 16 bytes of fill and confirm.
+func stageMPProgram(t *testing.T, l *LUN, now sim.Time, row onfi.RowAddr, fill byte, confirm onfi.Cmd) {
+	t.Helper()
+	if err := l.Latch(now, append([]onfi.Latch{onfi.CmdLatch(onfi.CmdProgram1)}, l.Params().Geometry.AddrLatches(onfi.Addr{Row: row})...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.DataIn(now, bytes.Repeat([]byte{fill}, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Latch(now, []onfi.Latch{onfi.CmdLatch(confirm)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// An A2h ahead of the confirming plane runs the 2-plane program in pSLC
+// and is consumed by it: the next READ takes the full tR.
+func TestMPProgramConsumesPSLC(t *testing.T) {
+	l, _ := NewLUN(twoPlane())
+	p := l.Params()
+	stageMPProgram(t, l, 0, onfi.RowAddr{Block: 0}, 0x10, onfi.CmdMPProgramQueue)
+	t1 := sim.Time(tDBSY)
+	if err := l.Latch(t1, []onfi.Latch{onfi.CmdLatch(onfi.CmdPSLCEnable)}); err != nil {
+		t.Fatal(err)
+	}
+	stageMPProgram(t, l, t1, onfi.RowAddr{Block: 1}, 0x11, onfi.CmdProgram2)
+	if got := l.ReadyAt().Sub(t1); got != p.TPROGSLC {
+		t.Fatalf("pSLC 2-plane program took %v, want tPROG_SLC %v", got, p.TPROGSLC)
+	}
+	t2 := l.ReadyAt()
+	latchRead(t, l, t2, onfi.Addr{Row: onfi.RowAddr{Block: 0}})
+	if got := l.ReadyAt().Sub(t2); got != p.TR {
+		t.Fatalf("READ after the pSLC program took %v, want tR %v", got, p.TR)
+	}
+}
+
+// failPrograms fails every PROGRAM it is asked about.
+type failPrograms struct{ calls int }
+
+func (f *failPrograms) OnRead(sim.Time, uint32) FaultOutcome { return FaultOutcome{} }
+func (f *failPrograms) OnProgram(sim.Time, uint32) FaultOutcome {
+	f.calls++
+	return FaultOutcome{Fail: true}
+}
+func (f *failPrograms) OnErase(sim.Time, int) FaultOutcome { return FaultOutcome{} }
+func (f *failPrograms) OnReset(sim.Time) bool              { return false }
+
+// The fault injector is asked once per 2-plane program, for the
+// confirming row: an injected failure raises FAIL and leaves that row
+// unprogrammed.
+func TestMPProgramFaultInjected(t *testing.T) {
+	l, _ := NewLUN(twoPlane())
+	fi := &failPrograms{}
+	l.SetFaults(fi)
+	stageMPProgram(t, l, 0, onfi.RowAddr{Block: 0}, 0x10, onfi.CmdMPProgramQueue)
+	stageMPProgram(t, l, sim.Time(tDBSY), onfi.RowAddr{Block: 1}, 0x11, onfi.CmdProgram2)
+	if s := l.Status(l.ReadyAt()); s&onfi.StatusFail == 0 {
+		t.Errorf("status %08b: injected program failure not reported", s)
+	}
+	if l.Programmed(onfi.RowAddr{Block: 1}) {
+		t.Error("confirming row programmed despite the injected failure")
+	}
+	if fi.calls != 1 {
+		t.Errorf("injector asked %d times, want once", fi.calls)
 	}
 }
