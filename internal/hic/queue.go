@@ -3,6 +3,7 @@ package hic
 import (
 	"fmt"
 
+	"repro/internal/fifo"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -95,13 +96,11 @@ type Frontend struct {
 	rec     obs.Tracer
 }
 
-// fqueue is one submission queue: a head-indexed ring of pending
-// commands (the array is reused once drained, like the fifo in ssd)
-// plus its in-flight window accounting.
+// fqueue is one submission queue: its pending commands plus its
+// in-flight window accounting.
 type fqueue struct {
 	cfg      QueueConfig
-	pending  []Command
-	head     int
+	pending  fifo.Queue[Command]
 	inFlight int
 	stats    QueueStats
 }
@@ -168,7 +167,7 @@ func (f *Frontend) InFlight() int { return f.inFlight }
 func (f *Frontend) Pending() int {
 	n := 0
 	for i := range f.queues {
-		n += len(f.queues[i].pending) - f.queues[i].head
+		n += f.queues[i].pending.Len()
 	}
 	return n
 }
@@ -191,7 +190,7 @@ func (f *Frontend) Enqueue(q int, cmd Command) {
 		})
 	}
 	fq := &f.queues[q]
-	fq.pending = append(fq.pending, cmd)
+	fq.pending.Push(cmd)
 	fq.stats.Enqueued++
 	f.pump()
 }
@@ -218,7 +217,7 @@ func (f *Frontend) pump() {
 // eligible reports whether queue q can dispatch right now.
 func (f *Frontend) eligible(q int) bool {
 	fq := &f.queues[q]
-	return fq.head < len(fq.pending) && fq.inFlight < fq.cfg.Depth
+	return fq.pending.Len() > 0 && fq.inFlight < fq.cfg.Depth
 }
 
 // pickQueue arbitrates: the current turn-holder keeps dispatching while
@@ -251,13 +250,7 @@ func (f *Frontend) pickQueue() int {
 // pooled completion slot.
 func (f *Frontend) dispatch(q int) {
 	fq := &f.queues[q]
-	cmd := fq.pending[fq.head]
-	fq.pending[fq.head] = Command{}
-	fq.head++
-	if fq.head == len(fq.pending) {
-		fq.pending = fq.pending[:0]
-		fq.head = 0
-	}
+	cmd, _ := fq.pending.Pop()
 	fq.inFlight++
 	f.inFlight++
 	fq.stats.Dispatched++

@@ -2,9 +2,11 @@ package hic
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
 
+	"repro/internal/fifo"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -195,3 +197,57 @@ func TestFrontendRecorder(t *testing.T) {
 		t.Errorf("recorded %+v, want %+v", got, want)
 	}
 }
+
+// TestAllocGateFrontendBacklog keeps two WRR submission queues
+// backlogged for 100k completions: each completion re-enqueues on its
+// own queue, so neither queue ever drains — the shape of a tenant cast
+// whose depths sum above MaxInFlight. A queue that only recycled its
+// array once empty grew by one dead entry per command; the ring must
+// carry the whole run in the storage it had after warm-up.
+func TestAllocGateFrontendBacklog(t *testing.T) {
+	d := &backlogDrive{}
+	f := newTestFrontend(t, d, FrontendConfig{
+		Queues:      []QueueConfig{{Depth: 8, Weight: 4}, {Depth: 8}},
+		Arbitration: WeightedRoundRobin,
+		MaxInFlight: 4,
+	})
+	var done [2]func(error)
+	for q := range done {
+		done[q] = func(error) { f.Enqueue(q, Command{Kind: KindRead, LPN: q, Done: done[q]}) }
+	}
+	for i := 0; i < 16; i++ {
+		for q := range done {
+			f.Enqueue(q, Command{Kind: KindRead, LPN: q, Done: done[q]})
+		}
+	}
+	complete := func(n int) {
+		for i := 0; i < n; i++ {
+			next, ok := d.done.Pop()
+			if !ok {
+				t.Fatal("no command in flight")
+			}
+			next(nil)
+		}
+	}
+	complete(1000)
+	const commands = 100_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	complete(commands)
+	runtime.ReadMemStats(&after)
+	if f.Pending() != 28 || f.InFlight() != 4 {
+		t.Fatalf("pending=%d in-flight=%d, want 28/4: a queue drained", f.Pending(), f.InFlight())
+	}
+	if s := f.Stats(1); s.Dispatched < commands/10 {
+		t.Fatalf("queue 1 dispatched %d of %d commands", s.Dispatched, commands)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+		t.Fatalf("%d backlogged commands allocated %d bytes", commands, b)
+	}
+}
+
+// backlogDrive completes commands in submission order when the test
+// pops them.
+type backlogDrive struct{ done fifo.Queue[func(error)] }
+
+func (d *backlogDrive) Submit(cmd Command) { d.done.Push(cmd.Done) }

@@ -52,7 +52,8 @@ type opFSM struct {
 	wantsBus bool
 	// queue is the request FIFO; queue[head:] are waiting. Pops advance
 	// head, and push slides the waiting requests down instead of growing
-	// a full array, so the FIFO reuses its storage.
+	// a full array, so the FIFO reuses its storage. It stays hand-written,
+	// not a fifo.Queue: Table II counts loadNext as hardware FSM logic.
 	queue []Request
 	head  int
 	cur   Request

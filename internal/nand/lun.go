@@ -26,6 +26,7 @@ const (
 	decReadAddr
 	decReadConfirm
 	decChgRdColAddr
+	decChgWrColAddr
 	decProgramAddr
 	decProgramData
 	decEraseAddr
@@ -502,11 +503,11 @@ func (l *LUN) command(now sim.Time, c onfi.Cmd) error {
 			if len(l.addrBytes) != 2 {
 				return l.protoErr("CHANGE READ COLUMN with %d address cycles", len(l.addrBytes))
 			}
-			col := onfi.DecodeColAddr([2]byte{l.addrBytes[0], l.addrBytes[1]})
-			if int(col) >= l.geo.FullPageBytes() {
-				return l.protoErr("column %d out of range", col)
+			col, err := l.latchedColumn()
+			if err != nil {
+				return err
 			}
-			l.column = int(col)
+			l.column = col
 			if l.out != outCache {
 				l.setDataOut(outPage)
 			}
@@ -528,7 +529,7 @@ func (l *LUN) command(now sim.Time, c onfi.Cmd) error {
 		case onfi.CmdCacheProgram2:
 			return l.startProgram(now, true)
 		case onfi.CmdChangeWriteCol:
-			l.dec = decChgRdColAddr // reuse 2-byte column collection
+			l.dec = decChgWrColAddr
 			l.addrBytes = l.addrBytes[:0]
 			return nil
 		default:
@@ -563,10 +564,20 @@ func (l *LUN) address(now sim.Time, b byte) error {
 		if len(l.addrBytes) == 5 {
 			l.dec = decReadConfirm
 		}
-	case decChgRdColAddr:
+	case decChgRdColAddr, decChgWrColAddr:
 		l.addrBytes = append(l.addrBytes, b)
 		if len(l.addrBytes) > 2 {
 			return l.protoErr("too many column address cycles")
+		}
+		if l.dec == decChgWrColAddr && len(l.addrBytes) == 2 {
+			// CHANGE WRITE COLUMN has no confirm: the second column
+			// cycle moves the load point, and data in resumes there.
+			col, err := l.latchedColumn()
+			if err != nil {
+				return err
+			}
+			l.column = col
+			l.dec = decProgramData
 		}
 	case decProgramAddr:
 		l.addrBytes = append(l.addrBytes, b)
@@ -635,6 +646,16 @@ func (l *LUN) address(now sim.Time, b byte) error {
 		return l.protoErr("unexpected address cycle in decode state %d", l.dec)
 	}
 	return nil
+}
+
+// latchedColumn decodes the two latched column cycles of a CHANGE READ
+// or CHANGE WRITE COLUMN and bounds the column to the page register.
+func (l *LUN) latchedColumn() (int, error) {
+	col := int(onfi.DecodeColAddr([2]byte{l.addrBytes[0], l.addrBytes[1]}))
+	if col >= l.geo.FullPageBytes() {
+		return 0, l.protoErr("column %d out of range", col)
+	}
+	return col, nil
 }
 
 // latchedAddr decodes the five latched address cycles and checks them

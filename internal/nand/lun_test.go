@@ -230,6 +230,70 @@ func TestProgramReadBack(t *testing.T) {
 	}
 }
 
+// TestChangeWriteColumn patches a page inside one program: 80h…data,
+// then 85h plus two column cycles moves the load point with no confirm,
+// the next data burst lands there, and 10h programs the merged register.
+func TestChangeWriteColumn(t *testing.T) {
+	l := newTestLUN(t)
+	addr := onfi.Addr{Row: onfi.RowAddr{Block: 1, Page: 1}}
+	want := bytes.Repeat([]byte{0x3C}, 256)
+	ls := append([]onfi.Latch{onfi.CmdLatch(onfi.CmdProgram1)}, l.Params().Geometry.AddrLatches(addr)...)
+	if err := l.Latch(0, ls); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.DataIn(0, want); err != nil {
+		t.Fatal(err)
+	}
+	for _, patch := range []struct {
+		col  int
+		data []byte
+	}{{100, []byte{0xA5, 0xA5, 0xA5}}, {10, []byte{0x5A}}, {250, []byte{0x0F, 0xF0}}} {
+		cb := onfi.EncodeColAddr(onfi.ColAddr(patch.col))
+		ls := []onfi.Latch{onfi.CmdLatch(onfi.CmdChangeWriteCol), onfi.AddrLatch(cb[0]), onfi.AddrLatch(cb[1])}
+		if err := l.Latch(0, ls); err != nil {
+			t.Fatalf("CHANGE WRITE COLUMN to %d: %v", patch.col, err)
+		}
+		if err := l.DataIn(0, patch.data); err != nil {
+			t.Fatalf("data after CHANGE WRITE COLUMN to %d: %v", patch.col, err)
+		}
+		copy(want[patch.col:], patch.data)
+	}
+	if err := l.Latch(0, []onfi.Latch{onfi.CmdLatch(onfi.CmdProgram2)}); err != nil {
+		t.Fatalf("program confirm after CHANGE WRITE COLUMN: %v", err)
+	}
+	done := sim.Time(0).Add(l.Params().TPROG)
+	if s := l.Status(done); s&onfi.StatusRDY == 0 || s&onfi.StatusFail != 0 {
+		t.Fatalf("program status %08b", s)
+	}
+	latchRead(t, l, done, addr)
+	got, err := l.DataOut(done.Add(l.Params().TR), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("patched page reads back\n%x\nwant\n%x", got, want)
+	}
+
+	// A confirm inside the column cycles, and a column past the page
+	// register, are refused.
+	next := onfi.Addr{Row: onfi.RowAddr{Block: 1, Page: 2}}
+	ls = append([]onfi.Latch{onfi.CmdLatch(onfi.CmdProgram1)}, l.Params().Geometry.AddrLatches(next)...)
+	ls = append(ls, onfi.CmdLatch(onfi.CmdChangeWriteCol), onfi.AddrLatch(0), onfi.CmdLatch(onfi.CmdProgram2))
+	if err := l.Latch(done, ls); err == nil {
+		t.Error("PROGRAM confirm accepted after one column cycle")
+	}
+	if err := l.Latch(done, []onfi.Latch{onfi.CmdLatch(onfi.CmdReset)}); err != nil {
+		t.Fatal(err)
+	}
+	ready := done.Add(sim.Millisecond)
+	cb := onfi.EncodeColAddr(onfi.ColAddr(l.Params().Geometry.FullPageBytes()))
+	ls = append([]onfi.Latch{onfi.CmdLatch(onfi.CmdProgram1)}, l.Params().Geometry.AddrLatches(next)...)
+	ls = append(ls, onfi.CmdLatch(onfi.CmdChangeWriteCol), onfi.AddrLatch(cb[0]), onfi.AddrLatch(cb[1]))
+	if err := l.Latch(ready, ls); err == nil {
+		t.Error("CHANGE WRITE COLUMN past the page register accepted")
+	}
+}
+
 func TestProgramOverwriteFails(t *testing.T) {
 	l := newTestLUN(t)
 	addr := onfi.Addr{Row: onfi.RowAddr{Block: 1, Page: 2}}

@@ -7,14 +7,14 @@
 // (paper §V); the controller accepts any implementation of the two queue
 // interfaces. This package ships the policies used in the evaluation —
 // FIFO, chip-fair round-robin, priority — plus a shortest-segment-first
-// transaction policy for the ablation benches.
+// transaction policy for the ablation benches. Each policy is written
+// once, generic over what it orders; the task and transaction
+// constructors differ only in the key they hand it.
 package sched
 
 import (
-	"container/heap"
-
+	"repro/internal/fifo"
 	"repro/internal/onfi"
-	"repro/internal/sim"
 	"repro/internal/txn"
 )
 
@@ -28,271 +28,181 @@ type Task interface {
 	TaskPriority() int
 }
 
-// TaskQueue orders runnable operations.
-type TaskQueue interface {
+// Queue orders what one scheduler serves.
+type Queue[T any] interface {
 	Name() string
-	Push(Task)
-	Pop() Task // nil when empty
+	Push(T)
+	Pop() T // the zero value (nil) when empty
 	Len() int
 }
 
+// TaskQueue orders runnable operations.
+type TaskQueue = Queue[Task]
+
 // TxnQueue orders executable transactions.
-type TxnQueue interface {
-	Name() string
-	Push(*txn.Transaction)
-	Pop() *txn.Transaction // nil when empty
-	Len() int
-}
+type TxnQueue = Queue[*txn.Transaction]
 
 // ---------------------------------------------------------------- FIFO --
 
-type taskFIFO struct{ q ring[Task] }
+type fifoQueue[T any] struct{ q fifo.Queue[T] }
 
 // NewTaskFIFO returns a first-come-first-served task scheduler.
-func NewTaskFIFO() TaskQueue { return &taskFIFO{} }
-
-func (f *taskFIFO) Name() string { return "fifo" }
-func (f *taskFIFO) Push(t Task)  { f.q.push(t) }
-func (f *taskFIFO) Len() int     { return f.q.len() }
-func (f *taskFIFO) Pop() Task {
-	t, ok := f.q.pop()
-	if !ok {
-		return nil
-	}
-	return t
-}
-
-type txnFIFO struct{ q ring[*txn.Transaction] }
+func NewTaskFIFO() TaskQueue { return &fifoQueue[Task]{} }
 
 // NewTxnFIFO returns a first-come-first-served transaction scheduler.
-func NewTxnFIFO() TxnQueue { return &txnFIFO{} }
+func NewTxnFIFO() TxnQueue { return &fifoQueue[*txn.Transaction]{} }
 
-func (f *txnFIFO) Name() string            { return "fifo" }
-func (f *txnFIFO) Push(t *txn.Transaction) { f.q.push(t) }
-func (f *txnFIFO) Len() int                { return f.q.len() }
-func (f *txnFIFO) Pop() *txn.Transaction {
-	t, ok := f.q.pop()
-	if !ok {
-		return nil
-	}
-	return t
-}
+func (f *fifoQueue[T]) Name() string { return "fifo" }
+func (f *fifoQueue[T]) Push(t T)     { f.q.Push(t) }
+func (f *fifoQueue[T]) Len() int     { return f.q.Len() }
+func (f *fifoQueue[T]) Pop() T       { t, _ := f.q.Pop(); return t }
 
 // --------------------------------------------------------- round robin --
 
 // roundRobin services per-chip FIFOs in rotating order, so no chip's
-// operations can starve the others even under asymmetric load.
-type taskRR struct {
-	perChip map[int]*ring[Task]
+// work can starve the others even under asymmetric load.
+type roundRobin[T any] struct {
+	chip    func(T) int
+	perChip map[int]*fifo.Queue[T]
 	order   []int
 	next    int
 	n       int
+}
+
+func newRoundRobin[T any](chip func(T) int) *roundRobin[T] {
+	return &roundRobin[T]{chip: chip, perChip: make(map[int]*fifo.Queue[T])}
 }
 
 // NewTaskRoundRobin returns a chip-fair round-robin task scheduler.
-func NewTaskRoundRobin() TaskQueue { return &taskRR{perChip: make(map[int]*ring[Task])} }
-
-func (r *taskRR) Name() string { return "round-robin" }
-func (r *taskRR) Len() int     { return r.n }
-
-func (r *taskRR) Push(t Task) {
-	chip := t.TaskChip()
-	q, ok := r.perChip[chip]
-	if !ok {
-		q = &ring[Task]{}
-		r.perChip[chip] = q
-		r.order = append(r.order, chip)
-	}
-	q.push(t)
-	r.n++
-}
-
-func (r *taskRR) Pop() Task {
-	if r.n == 0 {
-		return nil
-	}
-	for i := 0; i < len(r.order); i++ {
-		chip := r.order[(r.next+i)%len(r.order)]
-		if t, ok := r.perChip[chip].pop(); ok {
-			r.next = (r.next + i + 1) % len(r.order)
-			r.n--
-			return t
-		}
-	}
-	return nil
-}
-
-type txnRR struct {
-	perChip map[int]*ring[*txn.Transaction]
-	order   []int
-	next    int
-	n       int
-}
+func NewTaskRoundRobin() TaskQueue { return newRoundRobin(Task.TaskChip) }
 
 // NewTxnRoundRobin returns a chip-fair round-robin transaction scheduler
 // — the "simple version" the paper describes.
 func NewTxnRoundRobin() TxnQueue {
-	return &txnRR{perChip: make(map[int]*ring[*txn.Transaction])}
+	return newRoundRobin(func(t *txn.Transaction) int { return t.Chip })
 }
 
-func (r *txnRR) Name() string { return "round-robin" }
-func (r *txnRR) Len() int     { return r.n }
+func (r *roundRobin[T]) Name() string { return "round-robin" }
+func (r *roundRobin[T]) Len() int     { return r.n }
 
-func (r *txnRR) Push(t *txn.Transaction) {
-	q, ok := r.perChip[t.Chip]
+func (r *roundRobin[T]) Push(t T) {
+	chip := r.chip(t)
+	q, ok := r.perChip[chip]
 	if !ok {
-		q = &ring[*txn.Transaction]{}
-		r.perChip[t.Chip] = q
-		r.order = append(r.order, t.Chip)
+		q = &fifo.Queue[T]{}
+		r.perChip[chip] = q
+		r.order = append(r.order, chip)
 	}
-	q.push(t)
+	q.Push(t)
 	r.n++
 }
 
-func (r *txnRR) Pop() *txn.Transaction {
-	if r.n == 0 {
-		return nil
-	}
-	for i := 0; i < len(r.order); i++ {
+func (r *roundRobin[T]) Pop() T {
+	for i := 0; r.n > 0 && i < len(r.order); i++ {
 		chip := r.order[(r.next+i)%len(r.order)]
-		if t, ok := r.perChip[chip].pop(); ok {
+		if t, ok := r.perChip[chip].Pop(); ok {
 			r.next = (r.next + i + 1) % len(r.order)
 			r.n--
 			return t
 		}
 	}
-	return nil
+	var zero T
+	return zero
 }
 
-// ------------------------------------------------------------ priority --
+// -------------------------------------------------------------- ranked --
 
-type taskPrioItem struct {
-	t   Task
-	seq uint64
+// ranked is a binary min-heap on (rank, push order): the lowest rank
+// pops first, and equal ranks pop in arrival order. The order is total,
+// so it does not depend on how the heap breaks ties.
+type ranked[T any] struct {
+	name string
+	rank func(T) int64 // computed once, at push
+	h    []rankedItem[T]
+	seq  uint64
 }
 
-type taskPrio struct {
-	h   []taskPrioItem
-	seq uint64
+type rankedItem[T any] struct {
+	v    T
+	rank int64
+	seq  uint64
 }
 
 // NewTaskPriority returns a priority task scheduler: higher TaskPriority
 // first, FIFO within a priority level. The paper's example use is giving
 // latency-sensitive workloads (database logging) more attention.
-func NewTaskPriority() TaskQueue { return &taskPrio{} }
+func NewTaskPriority() TaskQueue {
+	return &ranked[Task]{name: "priority", rank: func(t Task) int64 { return -int64(t.TaskPriority()) }}
+}
 
-func (p *taskPrio) Name() string { return "priority" }
-func (p *taskPrio) Len() int     { return len(p.h) }
+// NewTxnPriority returns a priority transaction scheduler: transactions
+// with larger Priority take the channel first.
+func NewTxnPriority() TxnQueue {
+	return &ranked[*txn.Transaction]{name: "priority", rank: func(t *txn.Transaction) int64 { return -int64(t.Priority) }}
+}
 
-func (p *taskPrio) less(i, j int) bool {
-	a, b := p.h[i], p.h[j]
-	if a.t.TaskPriority() != b.t.TaskPriority() {
-		return a.t.TaskPriority() > b.t.TaskPriority()
+// NewTxnShortestFirst returns a transaction scheduler that runs the
+// shortest estimated segment first — it keeps short status polls flowing
+// between long data transfers. Used by the ablation benches.
+func NewTxnShortestFirst(tm onfi.Timing, cfg onfi.BusConfig) TxnQueue {
+	return &ranked[*txn.Transaction]{name: "shortest-first", rank: func(t *txn.Transaction) int64 {
+		return int64(t.EstimateDuration(tm, cfg))
+	}}
+}
+
+func (p *ranked[T]) Name() string { return p.name }
+func (p *ranked[T]) Len() int     { return len(p.h) }
+
+func (p *ranked[T]) less(i, j int) bool {
+	a, b := &p.h[i], &p.h[j]
+	if a.rank != b.rank {
+		return a.rank < b.rank
 	}
 	return a.seq < b.seq
 }
 
-func (p *taskPrio) Push(t Task) {
+func (p *ranked[T]) Push(t T) {
 	p.seq++
-	p.h = append(p.h, taskPrioItem{t: t, seq: p.seq})
-	p.up(len(p.h) - 1)
-}
-
-func (p *taskPrio) Pop() Task {
-	if len(p.h) == 0 {
-		return nil
-	}
-	top := p.h[0]
-	last := len(p.h) - 1
-	p.h[0] = p.h[last]
-	p.h[last] = taskPrioItem{}
-	p.h = p.h[:last]
-	if len(p.h) > 0 {
-		p.down(0)
-	}
-	return top.t
-}
-
-func (p *taskPrio) up(i int) {
-	for i > 0 {
+	p.h = append(p.h, rankedItem[T]{v: t, rank: p.rank(t), seq: p.seq})
+	for i := len(p.h) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if !p.less(i, parent) {
-			return
+			break
 		}
 		p.h[i], p.h[parent] = p.h[parent], p.h[i]
 		i = parent
 	}
 }
 
-func (p *taskPrio) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
+func (p *ranked[T]) Pop() T {
+	if len(p.h) == 0 {
+		var zero T
+		return zero
+	}
+	top := p.h[0].v
+	last := len(p.h) - 1
+	p.h[0] = p.h[last]
+	p.h[last] = rankedItem[T]{}
+	p.h = p.h[:last]
+	for i := 0; ; {
 		small := i
-		if l < len(p.h) && p.less(l, small) {
-			small = l
-		}
-		if r < len(p.h) && p.less(r, small) {
-			small = r
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(p.h) && p.less(c, small) {
+				small = c
+			}
 		}
 		if small == i {
-			return
+			return top
 		}
 		p.h[i], p.h[small] = p.h[small], p.h[i]
 		i = small
 	}
 }
 
-// txnPrio orders transactions by Priority (desc), then enqueue order.
-type txnPrioHeap struct {
-	items []*txn.Transaction
-	seqs  []uint64
-	seq   uint64
-}
-
-func (h *txnPrioHeap) Len() int { return len(h.items) }
-func (h *txnPrioHeap) Less(i, j int) bool {
-	if h.items[i].Priority != h.items[j].Priority {
-		return h.items[i].Priority > h.items[j].Priority
-	}
-	return h.seqs[i] < h.seqs[j]
-}
-func (h *txnPrioHeap) Swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.seqs[i], h.seqs[j] = h.seqs[j], h.seqs[i]
-}
-func (h *txnPrioHeap) Push(x interface{}) {
-	h.seq++
-	h.items = append(h.items, x.(*txn.Transaction))
-	h.seqs = append(h.seqs, h.seq)
-}
-func (h *txnPrioHeap) Pop() interface{} {
-	n := len(h.items)
-	t := h.items[n-1]
-	h.items[n-1] = nil
-	h.items = h.items[:n-1]
-	h.seqs = h.seqs[:n-1]
-	return t
-}
-
-type txnPrio struct{ h txnPrioHeap }
-
-// NewTxnPriority returns a priority transaction scheduler: transactions
-// with larger Priority take the channel first.
-func NewTxnPriority() TxnQueue { return &txnPrio{} }
-
-func (p *txnPrio) Name() string            { return "priority" }
-func (p *txnPrio) Len() int                { return p.h.Len() }
-func (p *txnPrio) Push(t *txn.Transaction) { heap.Push(&p.h, t) }
-func (p *txnPrio) Pop() *txn.Transaction {
-	if p.h.Len() == 0 {
-		return nil
-	}
-	return heap.Pop(&p.h).(*txn.Transaction)
-}
-
 // --------------------------------------------------------- issue first --
 
-// txnClass classifies a transaction for the issue-first policy.
+// isIssueTxn classifies a transaction for the issue-first policy: no
+// data phase makes it an issue transaction.
 func isIssueTxn(t *txn.Transaction) bool {
 	for _, in := range t.Instrs {
 		switch in.Kind {
@@ -304,7 +214,7 @@ func isIssueTxn(t *txn.Transaction) bool {
 }
 
 type txnIssueFirst struct {
-	issues ring[*txn.Transaction]
+	issues fifo.Queue[*txn.Transaction]
 	rest   TxnQueue
 }
 
@@ -321,74 +231,19 @@ func NewTxnIssueFirst() TxnQueue {
 }
 
 func (q *txnIssueFirst) Name() string { return "issue-first" }
-func (q *txnIssueFirst) Len() int     { return q.issues.len() + q.rest.Len() }
+func (q *txnIssueFirst) Len() int     { return q.issues.Len() + q.rest.Len() }
 
 func (q *txnIssueFirst) Push(t *txn.Transaction) {
 	if isIssueTxn(t) {
-		q.issues.push(t)
+		q.issues.Push(t)
 		return
 	}
 	q.rest.Push(t)
 }
 
 func (q *txnIssueFirst) Pop() *txn.Transaction {
-	if t, ok := q.issues.pop(); ok {
+	if t, ok := q.issues.Pop(); ok {
 		return t
 	}
 	return q.rest.Pop()
-}
-
-// ------------------------------------------------------ shortest first --
-
-type txnShortItem struct {
-	t   *txn.Transaction
-	d   sim.Duration
-	seq uint64
-}
-
-type txnShortHeap []txnShortItem
-
-func (h txnShortHeap) Len() int { return len(h) }
-func (h txnShortHeap) Less(i, j int) bool {
-	if h[i].d != h[j].d {
-		return h[i].d < h[j].d
-	}
-	return h[i].seq < h[j].seq
-}
-func (h txnShortHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *txnShortHeap) Push(x interface{}) { *h = append(*h, x.(txnShortItem)) }
-func (h *txnShortHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = txnShortItem{}
-	*h = old[:n-1]
-	return it
-}
-
-type txnShortest struct {
-	h   txnShortHeap
-	tm  onfi.Timing
-	cfg onfi.BusConfig
-	seq uint64
-}
-
-// NewTxnShortestFirst returns a transaction scheduler that runs the
-// shortest estimated segment first — it keeps short status polls flowing
-// between long data transfers. Used by the ablation benches.
-func NewTxnShortestFirst(tm onfi.Timing, cfg onfi.BusConfig) TxnQueue {
-	return &txnShortest{tm: tm, cfg: cfg}
-}
-
-func (s *txnShortest) Name() string { return "shortest-first" }
-func (s *txnShortest) Len() int     { return s.h.Len() }
-func (s *txnShortest) Push(t *txn.Transaction) {
-	s.seq++
-	heap.Push(&s.h, txnShortItem{t: t, d: t.EstimateDuration(s.tm, s.cfg), seq: s.seq})
-}
-func (s *txnShortest) Pop() *txn.Transaction {
-	if s.h.Len() == 0 {
-		return nil
-	}
-	return heap.Pop(&s.h).(txnShortItem).t
 }

@@ -261,3 +261,44 @@ func TestTxnIssueFirstTimerIsIssueClass(t *testing.T) {
 		t.Errorf("timer-only txn should be issue class: %v", got)
 	}
 }
+
+// TestAllocGateSchedulers holds every policy to zero allocations per
+// Push+Pop once warmed: the transaction scheduler runs once per channel
+// segment, the task scheduler once per resumed operation.
+func TestAllocGateSchedulers(t *testing.T) {
+	steps := policyScript()
+	tasks := make([]Task, len(steps))
+	txns := make([]*txn.Transaction, len(steps))
+	for i, s := range steps {
+		tasks[i], txns[i] = s.task(), s.txn()
+	}
+	gate := func(name string, push func(i int), pop func()) {
+		t.Helper()
+		// Warm-up: hold 16 entries so the churn below never drains a
+		// queue, and visit every item's chip.
+		for i := 0; i < 16; i++ {
+			push(i)
+		}
+		for i := range steps {
+			push(i)
+			pop()
+		}
+		i := 0
+		if avg := testing.AllocsPerRun(1000, func() {
+			push(i % len(steps))
+			pop()
+			i++
+		}); avg != 0 {
+			t.Errorf("%s: %.2f allocations per Push+Pop", name, avg)
+		}
+	}
+	taskQueues := []TaskQueue{NewTaskFIFO(), NewTaskRoundRobin(), NewTaskPriority()}
+	for _, q := range taskQueues {
+		gate("task "+q.Name(), func(i int) { q.Push(tasks[i]) }, func() { q.Pop() })
+	}
+	txnQueues := []TxnQueue{NewTxnFIFO(), NewTxnRoundRobin(), NewTxnPriority(), NewTxnIssueFirst(),
+		NewTxnShortestFirst(onfi.DefaultTiming(), onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200})}
+	for _, q := range txnQueues {
+		gate("txn "+q.Name(), func(i int) { q.Push(txns[i]) }, func() { q.Pop() })
+	}
+}

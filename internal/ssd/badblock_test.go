@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/hic"
-	"repro/internal/ops"
 )
 
 // TestGrownBadBlocksAreTransparent marks several factory-bad blocks and
@@ -151,69 +150,5 @@ func TestSpareExhaustionDegradesToReadOnly(t *testing.T) {
 	}
 	if err := rig.FTL.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestUrgentQueueSteadyStateDoesNotGrow is the regression for the
-// reslicing pop: q.items = q.items[1:] discarded the popped slot's
-// capacity, so a long-lived queue reallocated its backing array on
-// nearly every push. The head-index pop must reuse the array instead —
-// also when the queue never drains, as a DRAM-slot queue under
-// sustained overload does not.
-func TestUrgentQueueSteadyStateDoesNotGrow(t *testing.T) {
-	q := &fifo[ops.UrgentRead]{}
-	for i := 0; i < 1000; i++ {
-		q.push(ops.UrgentRead{DramAddr: i})
-		ur, ok := q.pop()
-		if !ok || ur.DramAddr != i {
-			t.Fatalf("cycle %d popped %+v %v", i, ur, ok)
-		}
-	}
-	if c := cap(q.items); c > 8 {
-		t.Fatalf("backing array grew to %d entries over steady-state churn", c)
-	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		q.push(ops.UrgentRead{})
-		q.pop()
-	}); avg > 0.01 {
-		t.Fatalf("steady-state push/pop allocates %.2f times per cycle", avg)
-	}
-
-	// FIFO order holds across a batch and the queue resets on drain.
-	for i := 0; i < 5; i++ {
-		q.push(ops.UrgentRead{DramAddr: i})
-	}
-	for i := 0; i < 5; i++ {
-		ur, ok := q.pop()
-		if !ok || ur.DramAddr != i {
-			t.Fatalf("FIFO broken at %d: %+v %v", i, ur, ok)
-		}
-	}
-	if _, ok := q.pop(); ok {
-		t.Fatal("empty queue popped an element")
-	}
-	if q.head != 0 || len(q.items) != 0 {
-		t.Fatalf("queue did not reset on drain: head=%d len=%d", q.head, len(q.items))
-	}
-
-	// A queue that always holds three entries keeps FIFO order and its
-	// backing array.
-	next, want := 0, 0
-	for ; next < 3; next++ {
-		q.push(ops.UrgentRead{DramAddr: next})
-	}
-	churn := func() {
-		q.push(ops.UrgentRead{DramAddr: next})
-		next++
-		if ur, ok := q.pop(); !ok || ur.DramAddr != want {
-			t.Fatalf("FIFO broken at %d: %+v %v", want, ur, ok)
-		}
-		want++
-	}
-	for i := 0; i < 100; i++ {
-		churn()
-	}
-	if avg := testing.AllocsPerRun(1000, churn); avg != 0 {
-		t.Fatalf("a queue that never drains allocates %.2f times per push/pop", avg)
 	}
 }

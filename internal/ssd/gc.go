@@ -3,6 +3,7 @@ package ssd
 import (
 	"errors"
 
+	"repro/internal/fifo"
 	"repro/internal/ftl"
 	"repro/internal/ops"
 )
@@ -36,7 +37,7 @@ type gcCycle struct {
 
 	// q is the urgent-read queue of the chip's suspendable erase; it is
 	// drained when the erase completes, so each erase reuses it.
-	q fifo[ops.UrgentRead]
+	q fifo.Queue[ops.UrgentRead]
 
 	slotFn           func(int)
 	readDoneFn       func(error)
@@ -53,7 +54,7 @@ func newGCCycle(s *SSD, chip int) *gcCycle {
 	g.programDoneFn = g.programDone
 	g.copybackDoneFn = g.copybackDone
 	g.erasedFn = g.erased
-	g.nextUrgentReadFn = g.q.pop
+	g.nextUrgentReadFn = g.q.Pop
 	return g
 }
 
@@ -254,7 +255,7 @@ func (g *gcCycle) erased(err error) {
 	}
 	delete(s.eraseQueues, g.chip)
 	be, way := s.route(g.chip)
-	for ur, ok := g.q.pop(); ok; ur, ok = g.q.pop() {
+	for ur, ok := g.q.Pop(); ok; ur, ok = g.q.Pop() {
 		be.ReadPage(way, ur.Addr.Row, ur.DramAddr, ur.N, ur.Done)
 	}
 	g.finish()

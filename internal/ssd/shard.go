@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"repro/internal/fifo"
 	"repro/internal/obs"
 	"repro/internal/onfi"
 	"repro/internal/ops"
@@ -17,10 +18,10 @@ import (
 // inside the cluster's conservative time windows.
 
 // urgentSink accepts latency-critical reads for a chip whose erase is
-// suspendable. A GC cycle's urgent-read fifo is the same-domain one;
+// suspendable. A GC cycle's urgent-read queue is the same-domain one;
 // the sharded eraseRelay is the cross-domain one.
 type urgentSink interface {
-	push(ops.UrgentRead)
+	Push(ops.UrgentRead)
 }
 
 // shardBackend adapts one channel's backend, built on dom's kernel, for
@@ -134,12 +135,12 @@ func (b *shardBackend) CopybackPage(chip int, src, dst onfi.RowAddr, done func(e
 func (b *shardBackend) EraseBlockInterruptible(chip, block int, _ func() (ops.UrgentRead, bool), done func(error)) urgentSink {
 	r := &eraseRelay{b: b, chip: chip}
 	b.host.Post(b.dom, func() {
-		b.inner.EraseBlockInterruptible(chip, block, r.q.pop, func(err error) {
+		b.inner.EraseBlockInterruptible(chip, block, r.q.Pop, func(err error) {
 			// Urgent reads that arrived after the erase's last queue check
 			// are leftovers; restart them here as ordinary channel reads
 			// so they never cross back to the host unserved.
 			for {
-				ur, ok := r.q.pop()
+				ur, ok := r.q.Pop()
 				if !ok {
 					break
 				}
@@ -154,15 +155,15 @@ func (b *shardBackend) EraseBlockInterruptible(chip, block int, _ func() (ops.Ur
 
 // eraseRelay is the cross-domain urgent-read funnel of one suspended
 // erase. q and closed are channel-domain state, touched only inside
-// posted closures; push runs host-side.
+// posted closures; Push runs host-side.
 type eraseRelay struct {
 	b      *shardBackend
 	chip   int
-	q      fifo[ops.UrgentRead]
+	q      fifo.Queue[ops.UrgentRead]
 	closed bool
 }
 
-func (r *eraseRelay) push(ur ops.UrgentRead) {
+func (r *eraseRelay) Push(ur ops.UrgentRead) {
 	hostDone := ur.Done
 	b := r.b
 	ur.Done = func(err error) { b.dom.Post(b.host, func() { hostDone(err) }) }
@@ -174,7 +175,7 @@ func (r *eraseRelay) push(ur ops.UrgentRead) {
 			b.inner.ReadPage(r.chip, ur.Addr.Row, ur.DramAddr, ur.N, ur.Done)
 			return
 		}
-		r.q.push(ur)
+		r.q.Push(ur)
 	})
 }
 

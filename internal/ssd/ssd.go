@@ -13,6 +13,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/dram"
 	"repro/internal/ecc"
+	"repro/internal/fifo"
 	"repro/internal/ftl"
 	"repro/internal/hic"
 	"repro/internal/nand"
@@ -70,7 +71,7 @@ type SSD struct {
 	pageBytes   int
 	parityBytes int
 	freeSlots   []int
-	slotWaiters fifo[func(int)]
+	slotWaiters fifo.Queue[func(int)]
 	// freeReads, freeWrites, freeMapLoads and freeWaiters recycle
 	// host-read, host-write and map-load states (with their bound
 	// callbacks) and parked map-miss waiters, so the steady-state host
@@ -151,11 +152,11 @@ func (s *SSD) acquireSlot(fn func(addr int)) {
 		fn(addr)
 		return
 	}
-	s.slotWaiters.push(fn)
+	s.slotWaiters.Push(fn)
 }
 
 func (s *SSD) releaseSlot(addr int) {
-	if fn, ok := s.slotWaiters.pop(); ok {
+	if fn, ok := s.slotWaiters.Pop(); ok {
 		fn(addr)
 		return
 	}
@@ -259,7 +260,7 @@ func (r *readState) start(addr int) {
 	// waiting multiple milliseconds behind it.
 	if q := s.eraseQueues[r.loc.Chip]; q != nil {
 		s.stats.UrgentReads++
-		q.push(ops.UrgentRead{
+		q.Push(ops.UrgentRead{
 			Addr: onfi.Addr{Row: r.loc.Row}, DramAddr: addr, N: n, Done: r.finishFn,
 		})
 		return
@@ -316,43 +317,6 @@ func popFree[T any](free *[]T) (T, bool) {
 	x := (*free)[n-1]
 	(*free)[n-1] = zero
 	*free = (*free)[:n-1]
-	return x, true
-}
-
-// fifo is a first-in first-out queue that keeps its backing array: pops
-// advance a head index instead of reslicing away the front, and a push
-// that would grow a full array first slides the live entries down to
-// the front. Once the array reaches the queue's high-water mark, traffic
-// through it allocates nothing. It queues DRAM-slot waiters and the
-// urgent reads an interruptible erase pulls (pop is its next func).
-type fifo[T any] struct {
-	items []T
-	head  int
-}
-
-func (q *fifo[T]) push(x T) {
-	if q.head > 0 && len(q.items) == cap(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	q.items = append(q.items, x)
-}
-
-// pop removes the oldest entry.
-func (q *fifo[T]) pop() (T, bool) {
-	var zero T
-	if q.head >= len(q.items) {
-		return zero, false
-	}
-	x := q.items[q.head]
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
 	return x, true
 }
 
