@@ -49,9 +49,6 @@ func TestAllocGateLUNReadOut(t *testing.T) {
 	}
 }
 
-// raceDetectorEnabled is set by race_test.go under -race.
-var raceDetectorEnabled = false
-
 // fillSeed writes a distinctive non-zero pattern for seeding pages in
 // allocation-gate tests.
 func fillSeed(dst []byte) {
@@ -118,12 +115,8 @@ func TestAllocGateLUNMultiPlane(t *testing.T) {
 		t.Error("2-plane read-out data mismatch")
 	}
 
-	// Erase blocks 0 and 1, then program page 0 of each. A program takes
-	// its stored page from pagebuf's sync.Pool, which drops a random
-	// quarter of Puts under the race detector.
-	if raceDetectorEnabled {
-		t.Skip("sync.Pool drops a random quarter of Puts under the race detector")
-	}
+	// Erase blocks 0 and 1, then program page 0 of each. Each program
+	// takes the page the erase before it released from the LUN's arena.
 	erase := ebuf[:0]
 	for b := 0; b < 2; b++ {
 		erase = g.AppendRowLatches(append(erase, onfi.CmdLatch(onfi.CmdErase1)), onfi.RowAddr{Block: b})

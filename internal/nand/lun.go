@@ -128,12 +128,13 @@ type LUN struct {
 	params Params
 	geo    onfi.Geometry
 
-	// Array contents: row index → page data (no entry = erased, and a
-	// row is programmed exactly when it has an entry). Pages are pooled
-	// buffers borrowed from pool; an erase releases them.
-	pages map[uint32]*pagebuf.Buf
-	// pool supplies full-page buffers for programmed pages, shared
-	// process-wide by geometry.
+	// Array contents: blocks[b][p] is page p of block b (nil = erased,
+	// and a row is programmed exactly when it holds a page; see page).
+	// A block's table runs only to its highest stored page, since NAND
+	// programs a block's pages in order, and the outer slice is made at
+	// the first store. An erase releases the block's pages.
+	blocks [][]*pagebuf.Buf
+	// pool is this LUN's own arena of full-page buffers.
 	pool *pagebuf.Pool
 	// Per-block erase counts and bad-block marks.
 	eraseCount []int
@@ -244,8 +245,7 @@ func NewLUN(p Params) (*LUN, error) {
 	l := &LUN{
 		params:       p,
 		geo:          g,
-		pages:        make(map[uint32]*pagebuf.Buf),
-		pool:         pagebuf.For(g.FullPageBytes()),
+		pool:         pagebuf.NewPool(g.FullPageBytes()),
 		eraseCount:   make([]int, g.BlocksPerLUN),
 		bad:          make([]bool, g.BlocksPerLUN),
 		pageReg:      make([]byte, g.FullPageBytes()),
@@ -853,9 +853,7 @@ func (l *LUN) startErase(now sim.Time) error {
 				l.bad[block] = true
 				l.failLast = true
 			} else {
-				for p := uint32(0); p < uint32(l.geo.PagesPerBlk); p++ {
-					l.dropPage(r + p)
-				}
+				l.eraseBlock(block)
 			}
 		}
 	}
@@ -934,7 +932,7 @@ func (l *LUN) resume(now sim.Time) error {
 // readArrayInto fetches row's stored content (0xFF-filled if erased)
 // into dst, a full-page buffer, with wear-dependent bit errors injected.
 func (l *LUN) readArrayInto(row uint32, dst []byte) {
-	if stored, ok := l.pages[row]; ok {
+	if stored := l.page(row); stored != nil {
 		copy(dst, stored.Bytes())
 	} else {
 		copy(dst, l.erasedFF)
@@ -950,7 +948,7 @@ func (l *LUN) readArrayInto(row uint32, dst []byte) {
 func (l *LUN) loadRow(row uint32, corrupt, toPlane bool) {
 	l.loadPending = true
 	if !toPlane && !corrupt && !l.wearActive(row) {
-		if stored, ok := l.pages[row]; ok {
+		if stored := l.page(row); stored != nil {
 			stored.Retain()
 			l.setLoad(stored.Bytes(), stored)
 		} else {
@@ -1007,6 +1005,18 @@ func (l *LUN) ownReg() {
 	}
 }
 
+// page returns row's stored page, or nil when the row is erased.
+func (l *LUN) page(row uint32) *pagebuf.Buf {
+	if l.blocks == nil {
+		return nil
+	}
+	ppb := uint32(l.geo.PagesPerBlk)
+	if t, p := l.blocks[row/ppb], row%ppb; p < uint32(len(t)) {
+		return t[p]
+	}
+	return nil
+}
+
 // storePage commits data, zero-padded to a full page, to the array in a
 // fresh pooled buffer, which marks the row programmed. The array drops
 // its reference to the old page; an alias of it keeps its own.
@@ -1015,26 +1025,47 @@ func (l *LUN) storePage(row uint32, data []byte) {
 	// Pooled buffers arrive dirty: pad the tail past the data.
 	page := buf.Bytes()
 	clear(page[copy(page, data):])
-	if old, ok := l.pages[row]; ok {
-		old.Release()
+	if l.blocks == nil {
+		l.blocks = make([][]*pagebuf.Buf, l.geo.BlocksPerLUN)
 	}
-	l.pages[row] = buf
+	ppb := uint32(l.geo.PagesPerBlk)
+	b, p := row/ppb, int(row%ppb)
+	t := l.blocks[b]
+	if p >= len(t) {
+		// Entries past len are nil: an erase clears what it truncates.
+		if p >= cap(t) {
+			nt := make([]*pagebuf.Buf, len(t), min(l.geo.PagesPerBlk, max(16, 2*cap(t), p+1)))
+			copy(nt, t)
+			t = nt
+		}
+		t = t[:p+1]
+		l.blocks[b] = t
+	} else if t[p] != nil {
+		t[p].Release()
+	}
+	t[p] = buf
 }
 
 // programmed reports whether row holds a page: programmed or seeded
 // since its block was last erased.
 func (l *LUN) programmed(row uint32) bool {
-	_, ok := l.pages[row]
-	return ok
+	return l.page(row) != nil
 }
 
-// dropPage releases the array's reference to row's pooled buffer, if
-// any, and forgets it.
-func (l *LUN) dropPage(row uint32) {
-	if buf, ok := l.pages[row]; ok {
-		buf.Release()
-		delete(l.pages, row)
+// eraseBlock releases the array's references to block's pages and
+// empties its table, keeping the table's storage for the next programs.
+func (l *LUN) eraseBlock(block int) {
+	if l.blocks == nil {
+		return
 	}
+	t := l.blocks[block]
+	for _, buf := range t {
+		if buf != nil {
+			buf.Release()
+		}
+	}
+	clear(t)
+	l.blocks[block] = t[:0]
 }
 
 // DataIn accepts a data burst from the controller (Data Writer µFSM) into

@@ -2,6 +2,7 @@ package nand
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/onfi"
@@ -708,5 +709,99 @@ func TestMarkBad(t *testing.T) {
 	}
 	if l.Bad(-1) || l.Bad(100) {
 		t.Error("out-of-range Bad() should be false")
+	}
+}
+
+// TestBlockPageTable programs a block page by page through the ONFI
+// protocol, erases it, programs part of it again, seeds only its last
+// page, and programs all of it again, with an erase between steps, on a Hynix-size block (256 pages of 18 KiB) and a 16-page one. After
+// each step every page of the block reads back, through PeekPage and
+// Programmed, as exactly what the array last stored there or as erased,
+// and a page seeded in the next block survives every erase.
+func TestBlockPageTable(t *testing.T) {
+	small := smallParams()
+	small.Geometry.PagesPerBlk = 16
+	for _, p := range []Params{Hynix(), small} {
+		p.JitterPct = 0
+		g := p.Geometry
+		t.Run(fmt.Sprintf("%dx%dB", g.PagesPerBlk, g.FullPageBytes()), func(t *testing.T) {
+			l, err := NewLUN(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const block = 2
+			content := func(page, round int) []byte {
+				d := make([]byte, g.FullPageBytes())
+				for i := range d {
+					d[i] = byte(i*7 + page + 31*round)
+				}
+				return d
+			}
+			neighbour := onfi.RowAddr{Block: block + 1, Page: 0}
+			if err := l.SeedPage(neighbour, content(0, 9)); err != nil {
+				t.Fatal(err)
+			}
+			erased := bytes.Repeat([]byte{0xFF}, g.FullPageBytes())
+			// stored[page] is the round that last programmed it, -1 if erased.
+			stored := make([]int, g.PagesPerBlk)
+			check := func(step string) {
+				t.Helper()
+				for page, round := range stored {
+					row := onfi.RowAddr{Block: block, Page: page}
+					got, err := l.PeekPage(row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := erased
+					if round >= 0 {
+						want = content(page, round)
+					}
+					if l.Programmed(row) != (round >= 0) || !bytes.Equal(got, want) {
+						t.Fatalf("%s: page %d reads programmed=%v and bytes %x…, want round %d", step, page, l.Programmed(row), got[:4], round)
+					}
+				}
+				if got, _ := l.PeekPage(neighbour); !bytes.Equal(got, content(0, 9)) {
+					t.Fatalf("%s: the next block's seeded page changed", step)
+				}
+			}
+			now := sim.Time(0)
+			program := func(round, pages int) {
+				for page := 0; page < pages; page++ {
+					latchProgram(t, l, now, onfi.Addr{Row: onfi.RowAddr{Block: block, Page: page}}, content(page, round))
+					now = l.ReadyAt()
+					if s := l.Status(now); s&onfi.StatusFail != 0 {
+						t.Fatalf("round %d: program of page %d failed: status %08b", round, page, s)
+					}
+					stored[page] = round
+				}
+				check(fmt.Sprintf("round %d, %d pages programmed", round, pages))
+			}
+			erase := func() {
+				latchErase(t, l, now, onfi.RowAddr{Block: block})
+				now = l.ReadyAt()
+				if s := l.Status(now); s&onfi.StatusFail != 0 {
+					t.Fatalf("erase failed: status %08b", s)
+				}
+				for i := range stored {
+					stored[i] = -1
+				}
+				check("erased")
+			}
+			erase()
+			program(1, g.PagesPerBlk)
+			erase()
+			program(2, g.PagesPerBlk/2+1)
+			erase()
+			// Out of order: only the last page, so the table runs past
+			// pages that must still read as erased.
+			last := g.PagesPerBlk - 1
+			if err := l.SeedPage(onfi.RowAddr{Block: block, Page: last}, content(last, 4)); err != nil {
+				t.Fatal(err)
+			}
+			stored[last] = 4
+			check("last page seeded")
+			erase()
+			program(3, g.PagesPerBlk)
+		})
 	}
 }

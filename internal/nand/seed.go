@@ -30,7 +30,7 @@ func (l *LUN) PeekPage(row onfi.RowAddr) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, l.geo.FullPageBytes())
-	if stored, ok := l.pages[l.rowIndex(row)]; ok {
+	if stored := l.page(l.rowIndex(row)); stored != nil {
 		copy(out, stored.Bytes())
 	} else {
 		copy(out, l.erasedFF)

@@ -5,7 +5,10 @@ package pagebuf
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+func addr(b *Buf) uintptr { return uintptr(unsafe.Pointer(&b.Bytes()[0])) }
 
 func mustPanic(t *testing.T, want string, fn func()) {
 	t.Helper()
@@ -76,4 +79,41 @@ func TestRetainDefersPoison(t *testing.T) {
 	}
 	mustPanic(t, "use-after-release", func() { b.Retain() })
 	mustPanic(t, "release", func() { b.Release() })
+}
+
+// TestPoisonStaysInItsPage releases the middle page of a slab and checks
+// that the poison fills exactly that page: its neighbours in the same
+// slab keep every byte.
+func TestPoisonStaysInItsPage(t *testing.T) {
+	p := NewPool(576)
+	for len(p.slab) < 3 { // carve until the slab has three pages left
+		p.Get()
+	}
+	var b [3]*Buf
+	for i := range b {
+		b[i] = p.Get()
+		for j := range b[i].Bytes() {
+			b[i].Bytes()[j] = byte(i + 1)
+		}
+	}
+	for i := 1; i < len(b); i++ {
+		if addr(b[i-1])+576 != addr(b[i]) {
+			t.Fatal("the three pages do not sit back to back in one slab")
+		}
+	}
+	mid := b[1].Bytes()
+	b[1].Release()
+	for j, v := range mid {
+		if v != PoisonByte {
+			t.Fatalf("released page byte %d = %#x, want poison", j, v)
+		}
+	}
+	for _, i := range []int{0, 2} {
+		for j, v := range b[i].Bytes() {
+			if v != byte(i+1) {
+				t.Fatalf("neighbour %d byte %d = %#x after the middle page was poisoned, want %#x", i, j, v, i+1)
+			}
+		}
+		b[i].Release()
+	}
 }

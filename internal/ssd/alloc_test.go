@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/hic"
@@ -61,39 +62,57 @@ func (l *rigLoad) run(t *testing.T, n int) {
 	}
 }
 
+// allocRigConfig is the rig the host-path alloc gates drive: small and
+// fast, with a map cache far smaller than its map, so a mix that
+// overwrites and trims a preloaded drive runs page reads, map-cache
+// misses, GC relocations and erases, trims, parked admissions and slot
+// waits.
+func allocRigConfig(kind ControllerKind) BuildConfig {
+	cfg := smallBuild(kind)
+	cfg.Params.Geometry = onfi.Geometry{Planes: 1, BlocksPerLUN: 32, PagesPerBlk: 16, PageBytes: 512, SpareBytes: 64}
+	cfg.Channels = 2
+	cfg.MapCacheBytes = 2048
+	return cfg
+}
+
+// preloadedRigLoad builds kind's alloc rig, preloads every LPN and
+// starts a rigLoad of depth 16 on it.
+func preloadedRigLoad(t *testing.T, kind ControllerKind) *rigLoad {
+	rig := mustBuild(t, allocRigConfig(kind))
+	if err := rig.SSD.Preload(rig.FTL.LogicalPages()); err != nil {
+		t.Fatal(err)
+	}
+	return newRigLoad(rig, 16)
+}
+
+// gcMallocs reports the objects two forced collections allocate on
+// their own: the baseline TestAllocGateRig subtracts from its window.
+func gcMallocs() uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs
+}
+
 // TestAllocGateRig holds a whole warmed rig to 0 allocations per host
-// command, on BABOL and on the hardware baseline. The drive is small and
-// fast with a map cache far smaller than its map, and the mix overwrites
-// and trims a preloaded drive, so the measured window runs page reads,
-// map-cache misses, GC relocations and erases, trims, parked admissions
-// and slot waits — every host-op path, past its pools' high-water marks.
+// command, on BABOL and on the hardware baseline, every host-op path
+// past its pools' high-water marks. Two collections run inside the
+// measured window: no collection may empty a pool that the window then
+// refills, so the count is the rig's, whatever the heap does. What the
+// two collections allocate on their own is measured just before and
+// subtracted.
 func TestAllocGateRig(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	// One P: sync.Pool keeps a cache per P, and a goroutine migrating
-	// between Ps would make the page-buffer pool steal and regrow its
-	// caches at random.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, kind := range []ControllerKind{CtrlBabolRTOS, CtrlHW} {
 		t.Run(kind.String(), func(t *testing.T) {
-			cfg := smallBuild(kind)
-			cfg.Params.Geometry = onfi.Geometry{Planes: 1, BlocksPerLUN: 32, PagesPerBlk: 16, PageBytes: 512, SpareBytes: 64}
-			cfg.Channels = 2
-			cfg.MapCacheBytes = 2048
-			rig := mustBuild(t, cfg)
-			if err := rig.SSD.Preload(rig.FTL.LogicalPages()); err != nil {
-				t.Fatal(err)
-			}
-			l := newRigLoad(rig, 16)
+			l := preloadedRigLoad(t, kind)
+			rig := l.rig
 			// Warm: pools, queues and maps reach their high-water marks.
-			// A collection empties the page-buffer sync.Pool's primary
-			// cache, which then rebuilds its chain; collect once here and
-			// warm again, so the window (which allocates nothing, and so
-			// triggers no collection) never sees that rebuild.
-			l.run(t, 20000)
-			runtime.GC()
-			l.run(t, 20000)
+			l.run(t, 40000)
 
 			parked := func() (waits uint64) {
 				for _, c := range rig.Babols {
@@ -102,18 +121,24 @@ func TestAllocGateRig(t *testing.T) {
 				return waits
 			}
 			const n = 10000
+			gcMallocs() // the first pair after the warm-up sweeps its garbage
+			gcOnly := gcMallocs()
 			ssd0, ftl0, cache0, parked0 := rig.SSD.Stats(), rig.FTL.Stats(), rig.FTL.CacheStats(), parked()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			l.run(t, n)
+			l.run(t, n/3)
+			runtime.GC()
+			l.run(t, n/3)
+			runtime.GC()
+			l.run(t, n-2*(n/3))
 			runtime.ReadMemStats(&m1)
 			ssd1, ftl1, cache1, parked1 := rig.SSD.Stats(), rig.FTL.Stats(), rig.FTL.CacheStats(), parked()
 
 			// 0 per command to three decimals: a Go map that rehashes
-			// after churn, or the page-buffer pool growing a ring, can
-			// still allocate once in a while, never per command.
-			allocs := m1.Mallocs - m0.Mallocs
-			t.Logf("%d allocations over %d host commands", allocs, n)
+			// after churn can still allocate once in a while, never per
+			// command.
+			allocs := int64(m1.Mallocs-m0.Mallocs) - int64(gcOnly)
+			t.Logf("%d allocations over %d host commands and 2 collections (%d more were the collections' own)", allocs, n, gcOnly)
 			if allocs > n/1000 {
 				t.Errorf("%.4f allocations per host command in steady state, want 0", float64(allocs)/n)
 			}
@@ -136,5 +161,43 @@ func TestAllocGateRig(t *testing.T) {
 				need("parked admissions", parked1-parked0)
 			}
 		})
+	}
+}
+
+// TestAllocsIgnoreGCPercent runs the same preload and rigLoad mix at
+// GOGC 25 and at 400 and compares the objects allocated per host
+// command: the count must be the rig's, not the heap's, so it may differ
+// only by what the extra collections allocate on their own.
+func TestAllocsIgnoreGCPercent(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const n = 20000
+	measure := func(percent int) (mallocs, gcs uint64) {
+		defer debug.SetGCPercent(debug.SetGCPercent(percent))
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		l := preloadedRigLoad(t, CtrlBabolRTOS)
+		l.run(t, n)
+		runtime.ReadMemStats(&m1)
+		if l.failed != 0 {
+			t.Errorf("GOGC %d: %d commands failed", percent, l.failed)
+		}
+		return m1.Mallocs - m0.Mallocs, uint64(m1.NumGC - m0.NumGC)
+	}
+	lo, loGCs := measure(25)
+	hi, hiGCs := measure(400)
+	t.Logf("GOGC 25: %d objects, %d collections; GOGC 400: %d objects, %d collections", lo, loGCs, hi, hiGCs)
+	if loGCs <= hiGCs {
+		t.Fatalf("GOGC 25 ran %d collections and GOGC 400 %d; the comparison is vacuous", loGCs, hiGCs)
+	}
+	// A collection allocates a few objects of its own, and the runtime
+	// recycles goroutine descriptors at its own pace: allow four objects
+	// per extra collection and 16 in all, nothing per command. (A
+	// sync.Pool arena read ≈100 more at GOGC 25: the pages each
+	// collection dropped, allocated again.)
+	if diff := int64(lo) - int64(hi); diff < -16 || diff > 4*int64(loGCs-hiGCs)+16 {
+		t.Errorf("GOGC 25 allocated %d objects and GOGC 400 %d over the same set-up and %d host commands: the count tracks the heap", lo, hi, n)
 	}
 }

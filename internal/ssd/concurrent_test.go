@@ -10,13 +10,13 @@ import (
 
 // TestConcurrentRigSweepsShareArena is the pooled-buffer ownership
 // property test: several complete rigs run storms concurrently
-// (`go test -parallel 8`), all drawing page buffers from the shared
-// process-wide pagebuf arena (identical geometry → one pool). If any
-// layer held a buffer past its Release — or released one it still
-// DMA-ed into — pages would leak between rigs and the per-rig
-// FillPattern verification below would see another rig's payload (or,
-// under `-tags bufdebug`, poison bytes). Each subtest uses a distinct
-// seed and workload mix so the rigs are out of phase with each other.
+// (`go test -parallel 8`) in one process. Rigs share no page arena —
+// every LUN owns its pool — so a page can only cross rigs if some layer
+// handed a buffer to another rig's structures or kept using it past its
+// Release; either way the per-rig FillPattern verification below would
+// see another rig's payload (or, under `-tags bufdebug`, poison bytes).
+// Each subtest uses a distinct seed and workload mix so the rigs are out
+// of phase with each other.
 func TestConcurrentRigSweepsShareArena(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		i := i
@@ -40,7 +40,7 @@ func TestConcurrentRigSweepsShareArena(t *testing.T) {
 				issued++
 				lpn := rng.Intn(logical)
 				kind := hic.KindRead
-				// Rigs differ in read/write mix so their pool traffic
+				// Rigs differ in read/write mix so their page traffic
 				// interleaves differently.
 				if rng.Intn(100) < 30+10*(i%4) {
 					kind = hic.KindWrite

@@ -127,21 +127,26 @@ func TestRigArraysOutliveClose(t *testing.T) {
 // its cache register, load buffer and parameter page at first use and
 // shares one erased page per page size, so the 8×8 drive's set-up is
 // mostly the pages it preloads, and a fresh LUN holds one full page, its
-// per-block wear and bad-block state, and small change.
+// per-block wear and bad-block state, and small change. The tenant
+// drive's small pages come 28 to a slab, so its set-up is counted in
+// objects.
 func TestAllocGateRigSetup(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	// totalAlloc reports the bytes fn allocates, starting from empty
-	// page-buffer pools so recycled pages cannot flatter the count.
-	totalAlloc := func(fn func()) uint64 {
-		runtime.GC()
+	// measure reports the bytes and objects fn allocates. Every LUN owns
+	// a fresh arena, so no page of an earlier rig can flatter the count.
+	measure := func(fn func()) (bytes, objects uint64) {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		fn()
 		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc
+		return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
+	}
+	totalAlloc := func(fn func()) uint64 {
+		bytes, _ := measure(fn)
+		return bytes
 	}
 
 	const driveBudget = 15_000_000
@@ -151,6 +156,18 @@ func TestAllocGateRigSetup(t *testing.T) {
 	t.Logf("8x8 drive Build+Preload(%d): %d bytes", driveSetupPreload, got)
 	if got > driveBudget {
 		t.Errorf("8x8 drive set-up allocated %d bytes, budget %d", got, driveBudget)
+	}
+
+	// Build makes ≈250 objects; the 7,600 preloaded pages ≈610 slabs'
+	// handles and payloads, ≈490 block page tables and ≈600 objects of
+	// the FTL's own per-block state. Two objects per page would be
+	// ≈16,000.
+	const tenantBudget = 2500
+	_, objects := measure(func() { rig = buildPreloaded(t, tenantSetupConfig(), tenantSetupPreload) })
+	rig.Close()
+	t.Logf("2x4 tenant drive Build+Preload(%d): %d objects", tenantSetupPreload, objects)
+	if objects > tenantBudget {
+		t.Errorf("2x4 tenant drive set-up allocated %d objects, budget %d", objects, tenantBudget)
 	}
 
 	p := nand.Hynix()

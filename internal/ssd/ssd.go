@@ -7,6 +7,7 @@
 package ssd
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -708,13 +709,22 @@ func (s *SSD) stagePattern(addr, lpn int) error {
 func FillPattern(dst []byte, lpn int) {
 	k := byte(lpn>>8) ^ byte(lpn)
 	n := min(len(dst), 256)
-	for i := range dst[:n] {
+	// Byte i is k^byte(i). Eight of them at once: the ramp's word j holds
+	// bytes 8j…8j+7, and k repeats in every byte of kw.
+	kw := uint64(k) * 0x0101010101010101
+	ramp := uint64(0x0706050403020100)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], ramp^kw)
+		ramp += 0x0808080808080808
+	}
+	for ; i < n; i++ {
 		dst[i] = k ^ byte(i)
 	}
-	// Byte i is k^byte(i), which repeats every 256 bytes, so the rest
-	// is copies of the first period. A byte loop over the whole page
-	// was most of a rig's set-up time, and how fast it ran depended on
-	// where the linker happened to place it.
+	// The bytes repeat every 256, so the rest is copies of the first
+	// period. A byte loop over the whole page was most of a rig's set-up
+	// time, and how fast it ran depended on where the linker happened to
+	// place it.
 	for ; n < len(dst); n *= 2 {
 		copy(dst[n:], dst[:n])
 	}

@@ -418,13 +418,23 @@ func TestReplayCountsOutOfRangeAsFailed(t *testing.T) {
 }
 
 // TestFillPatternMatchesFormula pins FillPattern to its definition,
-// byte i = byte(lpn>>8) ^ byte(lpn) ^ byte(i), at lengths around the
-// 256-byte period it copies, so the write and verify sides of every
-// other test cannot drift together.
+// byte i = byte(lpn>>8) ^ byte(lpn) ^ byte(i), at every length up to past
+// four of the 256-byte periods it copies (so every word-fill tail and
+// copy boundary) and at a full Hynix page, over LPNs whose two low bytes
+// are equal, differ, or sit above bit 16, so the write and verify sides
+// of every other test cannot drift together.
 func TestFillPatternMatchesFormula(t *testing.T) {
-	for _, n := range []int{0, 1, 255, 256, 257, 511, 512, 1000, 16384 + 1664} {
-		for _, lpn := range []int{0, 1, 255, 256, 0x1234, 1 << 20} {
+	lengths := make([]int, 0, 1102)
+	for n := 0; n <= 1100; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 16384+1664)
+	for _, n := range lengths {
+		for _, lpn := range []int{0, 1, 255, 256, 257, 65535, 65536, 1 << 40} {
 			dst := make([]byte, n)
+			for i := range dst {
+				dst[i] = 0x5A ^ byte(i*3)
+			}
 			FillPattern(dst, lpn)
 			for i, b := range dst {
 				if want := byte(lpn>>8) ^ byte(lpn) ^ byte(i); b != want {
