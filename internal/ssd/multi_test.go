@@ -5,8 +5,11 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hic"
 	"repro/internal/obs"
+	"repro/internal/onfi"
+	"repro/internal/ops"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -285,5 +288,44 @@ func TestECCScrubDuringGC(t *testing.T) {
 	rig.Kernel.Run()
 	if failures != 0 {
 		t.Errorf("%d uncorrectable reads after scrubbed GC", failures)
+	}
+}
+
+// TestScratchWindowPerController: every BABOL controller of a rig stages
+// its SET FEATURES parameters in a DRAM scratch region of its own. Two
+// channels setting the same feature to different values at the same
+// instant must each leave their own value on their own chip.
+func TestScratchWindowPerController(t *testing.T) {
+	cfg := smallBuild(CtrlBabolRTOS)
+	cfg.Channels = 2
+	rig := mustBuild(t, cfg)
+	want := []byte{0x11, 0x22}
+	for c, v := range want {
+		rig.Babols[c].Start(core.OpRequest{
+			Func: ops.SetFeature(onfi.FeatDriveStrength, [4]byte{v}), Chip: 0,
+			Done: func(err error) {
+				if err != nil {
+					t.Errorf("channel %d: set feature: %v", c, err)
+				}
+			},
+		})
+	}
+	rig.Kernel.Run()
+	got := make([][4]byte, len(want))
+	for c := range want {
+		rig.Babols[c].Start(core.OpRequest{
+			Func: ops.GetFeature(onfi.FeatDriveStrength, &got[c]), Chip: 0,
+			Done: func(err error) {
+				if err != nil {
+					t.Errorf("channel %d: get feature: %v", c, err)
+				}
+			},
+		})
+	}
+	rig.Kernel.Run()
+	for c, v := range want {
+		if got[c][0] != v {
+			t.Errorf("channel %d chip 0 reads drive strength %#x, set %#x", c, got[c][0], v)
+		}
 	}
 }
