@@ -41,8 +41,10 @@ type OpFunc func(*Ctx) error
 type Config struct {
 	Kernel  *sim.Kernel
 	Channel *bus.Channel
-	DRAM    *dram.Buffer
-	CPU     *cpumodel.CPU
+	// DRAM is the staging buffer; New carves the controller's own
+	// scratch region from its top (see scratchSize).
+	DRAM *dram.Buffer
+	CPU  *cpumodel.CPU
 	// TaskQueue defaults to FIFO; TxnQueue defaults to issue-first.
 	TaskQueue sched.TaskQueue
 	TxnQueue  sched.TxnQueue
@@ -186,6 +188,10 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.TxnQueue == nil {
 		cfg.TxnQueue = sched.NewTxnIssueFirst()
 	}
+	scratch, err := newScratchRing(cfg.DRAM)
+	if err != nil {
+		return nil, err
+	}
 	exec := ufsm.NewExecutor(cfg.Channel, cfg.DRAM)
 	exec.SetTracer(cfg.Tracer)
 	c := &Controller{
@@ -196,7 +202,7 @@ func New(cfg Config) (*Controller, error) {
 		exec:       exec,
 		taskQ:      cfg.TaskQueue,
 		txnQ:       cfg.TxnQueue,
-		scratch:    newScratchRing(cfg.DRAM),
+		scratch:    scratch,
 		chipActive: make(map[int]*opState),
 		chipStaged: make(map[int]*opState),
 		live:       make(map[uint64]*opState),

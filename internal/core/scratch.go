@@ -6,8 +6,10 @@ import (
 	"repro/internal/dram"
 )
 
-// scratchSize is the DRAM carved from the top of the buffer for small
-// controller-owned DMA staging (SET FEATURES parameters and the like).
+// scratchSize is the DRAM each controller carves from the top of the
+// buffer for its small DMA staging (SET FEATURES parameters and the
+// like): the first controller on a buffer takes its top 64 KiB (a
+// quarter of a smaller buffer), the next the region below, and so on.
 const scratchSize = 64 << 10
 
 // Scratch is a small controller-owned DRAM staging window.
@@ -31,12 +33,13 @@ type scratchRing struct {
 	next int
 }
 
-func newScratchRing(mem *dram.Buffer) *scratchRing {
-	size := scratchSize
-	if size > mem.Size()/4 {
-		size = mem.Size() / 4
+func newScratchRing(mem *dram.Buffer) (*scratchRing, error) {
+	size := min(scratchSize, mem.Size()/4)
+	base, err := mem.Carve(size)
+	if err != nil {
+		return nil, fmt.Errorf("core: scratch region: %w", err)
 	}
-	return &scratchRing{mem: mem, base: mem.Size() - size, size: size}
+	return &scratchRing{mem: mem, base: base, size: size}, nil
 }
 
 func (r *scratchRing) alloc(n int) (Scratch, error) {

@@ -6,6 +6,14 @@
 // rather than timed: in the systems the paper studies, DRAM bandwidth is
 // far above channel bandwidth, so DRAM access never gates the datapath.
 //
+// # Backing at first touch
+//
+// New records the size and allocates no bytes. The backing is made,
+// zeroed, at the first Window or the first loan that must be
+// materialized, so a rig whose reads only lend pages to their slots
+// never pays for its buffer; a byte never touched reads as zero either
+// way.
+//
 // # Loans
 //
 // A clean page read does not copy the page into its slot. The LUN lends
@@ -23,9 +31,16 @@
 // slice. Take the window after the DMA you read, and re-take it after
 // every later one.
 //
-// The loan table is guarded by a mutex, so a sharded rig's shards may
-// share one Buffer; it allocates nothing once it has held its peak
-// number of loans, and New sizes it for that peak up front.
+// The loan table and the backing are guarded by a mutex, so a sharded
+// rig's shards may share one Buffer; the table allocates nothing once it
+// has held its peak number of loans, and New sizes it for that peak up
+// front.
+//
+// # Regions
+//
+// Carve hands out disjoint regions from the top of the buffer, one per
+// call, so controllers sharing a buffer each stage their own small DMAs
+// (SET FEATURES parameters) without a layout agreed in advance.
 package dram
 
 import (
@@ -38,11 +53,15 @@ import (
 
 // Buffer is a byte-addressable DRAM region.
 type Buffer struct {
-	mem []byte
+	size int
 
 	mu sync.Mutex
+	// mem is the backing, nil until the first touch (see touch).
+	mem []byte
 	// loans are the outstanding page loans, disjoint and sorted by addr.
 	loans []loan
+	// top is the lowest address Carve has handed out.
+	top int
 }
 
 // loan is one page lent to [addr, end): its bytes stand for
@@ -55,27 +74,51 @@ type loan struct {
 // loanGrain presizes the loan table at one loan per 4 KiB of buffer.
 // That covers every slot layout a rig builds (the 128 KiB a channel
 // adds already holds its 2 × 16 slots' worth), so the table does not
-// grow while a rig runs; finer loans still grow it.
+// grow while a rig runs; finer loans still grow it. The table is the
+// one thing New allocates: 24 bytes per 4 KiB, where the backing it
+// defers would be all 4 KiB.
 const loanGrain = 4 << 10
 
-// New allocates a buffer of the given size.
+// New makes a buffer of the given size. Its backing is allocated at the
+// first touch.
 func New(size int) *Buffer {
 	if size <= 0 {
 		panic(fmt.Sprintf("dram: non-positive size %d", size))
 	}
-	return &Buffer{mem: make([]byte, size), loans: make([]loan, 0, size/loanGrain)}
+	return &Buffer{size: size, loans: make([]loan, 0, size/loanGrain), top: size}
 }
 
 // Size reports the buffer capacity in bytes.
-func (b *Buffer) Size() int { return len(b.mem) }
+func (b *Buffer) Size() int { return b.size }
 
 // Check reports whether [addr, addr+n) lies inside the buffer. An
 // out-of-range window is the hardware equivalent of an AXI bus fault.
 func (b *Buffer) Check(addr, n int) error {
-	if addr < 0 || n < 0 || addr+n > len(b.mem) {
-		return fmt.Errorf("dram: window [%d,%d) outside buffer of %d bytes", addr, addr+n, len(b.mem))
+	if addr < 0 || n < 0 || addr+n > b.size {
+		return fmt.Errorf("dram: window [%d,%d) outside buffer of %d bytes", addr, addr+n, b.size)
 	}
 	return nil
+}
+
+// Carve reserves the n bytes just below the last region it handed out,
+// starting from the top of the buffer, and returns their address.
+func (b *Buffer) Carve(n int) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if n <= 0 || n > b.top {
+		return 0, fmt.Errorf("dram: cannot carve %d bytes below address %d", n, b.top)
+	}
+	b.top -= n
+	return b.top, nil
+}
+
+// touch returns the backing, allocating it at the first call. Callers
+// hold mu.
+func (b *Buffer) touch() []byte {
+	if b.mem == nil {
+		b.mem = make([]byte, b.size)
+	}
+	return b.mem
 }
 
 // Window returns a mutable view of [addr, addr+n), materializing any
@@ -86,11 +129,12 @@ func (b *Buffer) Window(addr, n int) ([]byte, error) {
 		return nil, err
 	}
 	b.mu.Lock()
+	mem := b.touch()
 	i, j := b.overlapping(addr, addr+n)
 	b.retire(i, j, addr, addr+n, false)
 	b.loans = slices.Delete(b.loans, i, j)
 	b.mu.Unlock()
-	return b.mem[addr : addr+n], nil
+	return mem[addr : addr+n], nil
 }
 
 // Lend records buf's first n bytes as the contents of [addr, addr+n)
@@ -140,13 +184,14 @@ func (b *Buffer) overlapping(lo, hi int) (i, j int) {
 }
 
 // retire ends loans[i:j], which overlap [lo, hi): each is materialized
-// into mem and its reference dropped. With cover set, a loan that lies
-// wholly inside [lo, hi) is dropped without the copy — the caller is
-// about to stand for every one of its bytes. Callers hold mu.
+// into the backing and its reference dropped. With cover set, a loan
+// that lies wholly inside [lo, hi) is dropped without the copy — the
+// caller is about to stand for every one of its bytes — and only a loan
+// it covers in part makes the backing. Callers hold mu.
 func (b *Buffer) retire(i, j, lo, hi int, cover bool) {
 	for _, l := range b.loans[i:j] {
 		if !cover || l.addr < lo || l.end > hi {
-			copy(b.mem[l.addr:l.end], l.buf.Bytes())
+			copy(b.touch()[l.addr:l.end], l.buf.Bytes())
 		}
 		l.buf.Release()
 	}

@@ -42,9 +42,9 @@ type Location struct {
 // invalidLPN marks a physical page holding no live logical page.
 const invalidLPN = -1
 
-// blockState tracks one physical block. The reverse map is allocated on
-// first write (see allocateOn): a never-written block costs no O(pages)
-// memory, which is what keeps TB-class geometries buildable.
+// blockState tracks one physical block. The reverse map is cut from the
+// chip's slab on first write (see newLPNs): a never-written block costs
+// no O(pages) memory, which is what keeps TB-class geometries buildable.
 type blockState struct {
 	nextPage int   // write frontier within the block
 	valid    int   // live pages
@@ -66,6 +66,12 @@ type chipState struct {
 	livePages int
 	wear      []int // per-block erase counts (FTL's own view)
 	gcLive    []int // GCCandidate's result buffer, reused per call
+	// lpnSlab is what is left of the chip's current reverse-map slab,
+	// every entry invalidLPN; lpnBlocks is the next slab's size in
+	// blocks and lpnMade the blocks' worth all its slabs hold (see
+	// newLPNs).
+	lpnSlab            []int
+	lpnBlocks, lpnMade int
 	// offline removes the chip from every allocation and GC decision
 	// after the controller declared it dead (see OfflineChip).
 	offline bool
@@ -185,12 +191,32 @@ func NewWithConfig(cfg Config) (*FTL, error) {
 	return f, nil
 }
 
-func newLPNSlice(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = invalidLPN
+// lpnSlabEntries caps a reverse-map slab at 2,048 entries (16 KiB): 128
+// blocks of 16 pages, and one block of anything over 1,024 pages.
+const lpnSlabEntries = 2 << 10
+
+// newLPNs cuts one block's reverse map, every entry invalidLPN, from the
+// chip's slab. When the slab is used up it makes another, twice the last
+// one's size up to lpnSlabEntries and never past the chip's last block,
+// as pagebuf's page slabs grow: a chip that writes a few blocks makes
+// about as many entries as it uses, one that writes them all makes a
+// handful of slabs, not one per block, and no chip makes more than a map
+// per block. Each map is cut with a full slice expression, so no append
+// through one block's map reaches its neighbour.
+func (f *FTL) newLPNs(cs *chipState) []int {
+	ppb := f.geo.PagesPerBlk
+	if len(cs.lpnSlab) < ppb {
+		n := min(max(cs.lpnBlocks, 1), len(cs.blocks)-cs.lpnMade)
+		cs.lpnBlocks = max(1, min(2*n, lpnSlabEntries/ppb))
+		cs.lpnMade += n
+		cs.lpnSlab = make([]int, n*ppb)
+		for i := range cs.lpnSlab {
+			cs.lpnSlab[i] = invalidLPN
+		}
 	}
-	return s
+	lpns := cs.lpnSlab[:ppb:ppb]
+	cs.lpnSlab = cs.lpnSlab[ppb:]
+	return lpns
 }
 
 // LogicalPages reports the exported logical capacity in pages.
@@ -300,7 +326,7 @@ func (f *FTL) allocateOn(chip, lpn int, gc bool) Location {
 	}
 	blk := &cs.blocks[*stream]
 	if blk.lpns == nil {
-		blk.lpns = newLPNSlice(f.geo.PagesPerBlk)
+		blk.lpns = f.newLPNs(cs)
 	}
 	row := onfi.RowAddr{Block: *stream, Page: blk.nextPage}
 	blk.lpns[blk.nextPage] = lpn

@@ -100,3 +100,99 @@ func TestDataOutDRAMMatchesCopy(t *testing.T) {
 		})
 	}
 }
+
+// TestRegisterWritesStayInTheRegister: the page register owns a page of
+// the LUN's arena only while the controller writes it, and a program
+// confirm hands that page to the array uncopied. No write to the
+// register may reach a page someone else reads: the copyback source, a
+// page programmed from the register before, or a DRAM slot the owned
+// register was lent to.
+func TestRegisterWritesStayInTheRegister(t *testing.T) {
+	src, dst := onfi.RowAddr{Block: 1}, onfi.RowAddr{Block: 2}
+	peek := func(t *testing.T, l *LUN, r onfi.RowAddr) []byte {
+		t.Helper()
+		got, err := l.PeekPage(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	mustLatch := func(t *testing.T, l *LUN, now sim.Time, ls ...onfi.Latch) {
+		t.Helper()
+		if err := l.Latch(now, ls); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustDataIn := func(t *testing.T, l *LUN, now sim.Time, data []byte) {
+		t.Helper()
+		if err := l.DataIn(now, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("copyback with modification", func(t *testing.T) {
+		l := newTestLUN(t)
+		g := l.Params().Geometry
+		seed := make([]byte, g.FullPageBytes())
+		fillSeed(seed)
+		if err := l.SeedPage(src, seed); err != nil {
+			t.Fatal(err)
+		}
+		rd := append([]onfi.Latch{onfi.CmdLatch(onfi.CmdRead1)}, g.AddrLatches(onfi.Addr{Row: src})...)
+		mustLatch(t, l, 0, append(rd, onfi.CmdLatch(onfi.CmdCopybackRead))...)
+		now := sim.Time(0).Add(l.Params().TR)
+		cb := append([]onfi.Latch{onfi.CmdLatch(onfi.CmdCopybackProgram)}, g.AddrLatches(onfi.Addr{Row: dst, Col: 4})...)
+		mustLatch(t, l, now, cb...)
+		mustDataIn(t, l, now, []byte{1, 2, 3})
+		mustLatch(t, l, now, onfi.CmdLatch(onfi.CmdProgram2))
+		want := append([]byte{}, seed...)
+		copy(want[4:], []byte{1, 2, 3})
+		if got := peek(t, l, dst); !bytes.Equal(got, want) {
+			t.Errorf("destination holds %x…, want the source with bytes 4-6 changed", got[:8])
+		}
+		if got := peek(t, l, src); !bytes.Equal(got, seed) {
+			t.Errorf("source holds %x… after the copyback, want it untouched", got[:8])
+		}
+	})
+
+	t.Run("program then program", func(t *testing.T) {
+		l := newTestLUN(t)
+		full := l.Params().Geometry.FullPageBytes()
+		latchProgram(t, l, 0, onfi.Addr{Row: src}, bytes.Repeat([]byte{0x11}, full))
+		now := sim.Time(0).Add(l.Params().TPROG)
+		latchProgram(t, l, now, onfi.Addr{Row: dst, Col: 8}, []byte{0x22})
+		if got := peek(t, l, src); !bytes.Equal(got, bytes.Repeat([]byte{0x11}, full)) {
+			t.Errorf("first page holds %x… after the second program", got[:16])
+		}
+		want := bytes.Repeat([]byte{0xFF}, full)
+		want[8] = 0x22
+		if got := peek(t, l, dst); !bytes.Equal(got, want) {
+			t.Errorf("second page holds %x…, want all-ones but byte 8", got[:16])
+		}
+	})
+
+	t.Run("owned register lent to DRAM", func(t *testing.T) {
+		l := newTestLUN(t)
+		g := l.Params().Geometry
+		// A read selects the page register for output; the program that
+		// follows owns the register while that output stays selected, so
+		// a burst at column 0 lends the register's own page.
+		latchRead(t, l, 0, onfi.Addr{Row: src})
+		now := sim.Time(0).Add(l.Params().TR)
+		mustLatch(t, l, now, append([]onfi.Latch{onfi.CmdLatch(onfi.CmdProgram1)}, g.AddrLatches(onfi.Addr{Row: dst})...)...)
+		mem := dram.New(1024)
+		if err := l.DataOutDRAM(now, mem, 0, 16); err != nil {
+			t.Fatal(err)
+		}
+		col := onfi.EncodeColAddr(0)
+		mustLatch(t, l, now, onfi.CmdLatch(onfi.CmdChangeWriteCol), onfi.AddrLatch(col[0]), onfi.AddrLatch(col[1]))
+		mustDataIn(t, l, now, []byte{0xB3})
+		got, err := mem.Read(0, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bytes.Repeat([]byte{0xFF}, 16); !bytes.Equal(got, want) {
+			t.Errorf("DRAM slot reads %x after a later data in, want %x", got, want)
+		}
+	})
+}

@@ -140,15 +140,14 @@ type LUN struct {
 	eraseCount []int
 	bad        []bool
 
-	// Registers. pageReg is the register the controller writes (80h
-	// fills it). planeRegs holds one register per plane, each made at
-	// its first use: a multi-plane read or a load that must be
-	// materialized (fault corruption or wear errors) reads into the
-	// row's plane register, and 11h stages a plane's data in it. The
-	// cache register is made at its first use too (every access goes
-	// through cache), so a LUN that never cache-reads or runs GET
-	// FEATURES holds none.
-	pageReg   []byte
+	// Registers. The page register is reg (below), which owns a page
+	// only while the controller writes it. planeRegs holds one register
+	// per plane, each made at its first use: a multi-plane read or a
+	// load that must be materialized (fault corruption or wear errors)
+	// reads into the row's plane register, and 11h stages a plane's data
+	// in it. The cache register is made at its first use too (every
+	// access goes through cache), so a LUN that never cache-reads or
+	// runs GET FEATURES holds none.
 	planeRegs [][]byte
 	cacheReg  []byte
 	column    int
@@ -177,24 +176,28 @@ type LUN struct {
 	loadPending bool
 	loadData    []byte
 
-	// reg is the logical page-register content: either pageReg itself
-	// (owned, mutable) or a read-only alias of a stored page, a plane
-	// register, or the erased template, established by settle so clean
-	// reads skip the array→register full-page copies. Mutators call
-	// ownReg first. An alias of a stored page holds a reference to it
-	// (regPage; loadPage for a pending load), so programming or erasing
-	// the row leaves the aliased bytes intact.
+	// reg is the page-register content. At power-on it aliases the
+	// shared zero page; settle points it at a load, read-only, so clean
+	// reads skip the array→register full-page copies: a stored page, a
+	// plane register, or the erased template. Only a writer owns it
+	// (regOwned): 80h and ownReg take a page of the LUN's arena, and a
+	// program confirm installs that very page in the array, after which
+	// the register aliases it read-only. regPage holds the register's
+	// reference to its page, stored or owned (loadPage the pending
+	// load's), so programming or erasing the row leaves the aliased
+	// bytes intact.
 	reg      []byte
 	regPage  *pagebuf.Buf
+	regOwned bool
 	loadPage *pagebuf.Buf
 	// erasedFF backs reads of erased rows: the process-wide all-0xFF
-	// page of this page size (erasedPage), shared by every LUN and
+	// page of this page size (sharedPage), shared by every LUN and
 	// never written.
 	erasedFF []byte
 
 	// Cache-read sequencing.
 	cacheRow     uint32
-	cachePending bool // a 0x31/0x3F asked for pageReg→cacheReg at ARDY
+	cachePending bool // a 0x31/0x3F asked for reg→cacheReg at ARDY
 
 	// Suspension.
 	suspended     bool
@@ -248,36 +251,44 @@ func NewLUN(p Params) (*LUN, error) {
 		pool:         pagebuf.NewPool(g.FullPageBytes()),
 		eraseCount:   make([]int, g.BlocksPerLUN),
 		bad:          make([]bool, g.BlocksPerLUN),
-		pageReg:      make([]byte, g.FullPageBytes()),
 		planeRegs:    make([][]byte, g.Planes),
 		mp:           newMPState(g.Planes),
-		erasedFF:     erasedPage(g.FullPageBytes()),
+		erasedFF:     sharedPage(g.FullPageBytes(), 0xFF),
 		features:     make(map[onfi.FeatureAddr][4]byte),
 		phaseOptimal: p.PhaseOptimal,
 	}
 	if l.phaseOptimal == 0 {
 		l.phaseOptimal = defaultPhase
 	}
-	l.reg = l.pageReg
+	// The power-on register reads as zeros.
+	l.reg = sharedPage(g.FullPageBytes(), 0)
 	l.powerOnFeatures()
 	return l, nil
 }
 
+// sharedKey names one shared page: its size and the byte it repeats.
+type sharedKey struct {
+	size int
+	fill byte
+}
+
 var (
-	erasedMu sync.Mutex
-	erased   = map[int][]byte{}
+	sharedMu sync.Mutex
+	shared   = map[sharedKey][]byte{}
 )
 
-// erasedPage returns the process-wide all-0xFF page of size bytes. Every
-// LUN of that page size shares it, so nothing may write to it: reads of
-// erased rows alias it, and a register that must change copies it first.
-func erasedPage(size int) []byte {
-	erasedMu.Lock()
-	defer erasedMu.Unlock()
-	pg, ok := erased[size]
+// sharedPage returns the process-wide page of size bytes that repeats
+// fill: all-0xFF for erased rows, zeros for the power-on register. Every
+// LUN of that page size shares it, so nothing may write to it: reads
+// alias it, and a register that must change copies it first.
+func sharedPage(size int, fill byte) []byte {
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	k := sharedKey{size, fill}
+	pg, ok := shared[k]
 	if !ok {
-		pg = bytes.Repeat([]byte{0xFF}, size)
-		erased[size] = pg
+		pg = bytes.Repeat([]byte{fill}, size)
+		shared[k] = pg
 	}
 	return pg
 }
@@ -589,10 +600,10 @@ func (l *LUN) address(now sim.Time, b byte) error {
 			l.curRow = l.rowIndex(addr.Row)
 			l.column = int(addr.Col)
 			// Program loads start from an all-ones register (NAND can
-			// only clear bits). The fill overwrites everything, so any
-			// alias is simply dropped rather than materialized.
-			l.setReg(l.pageReg, nil)
-			copy(l.pageReg, l.erasedFF)
+			// only clear bits). The fill overwrites everything, so an
+			// alias is dropped rather than copied.
+			l.ownReg(false)
+			copy(l.reg, l.erasedFF)
 			l.dec = decProgramData
 		}
 	case decPlaneSelAddr:
@@ -809,15 +820,19 @@ func (l *LUN) startProgram(now sim.Time, cached bool) error {
 		return err
 	}
 	for _, r := range rows {
-		data := l.reg
-		if r != row {
-			data = l.plane(r)
-		}
 		switch {
 		case fo.Fail && r == row, l.bad[int(r)/l.geo.PagesPerBlk], l.programmed(r):
 			l.failLast = true
+		case r != row:
+			l.storePage(r, l.plane(r))
+		case l.regOwned:
+			// The register's own page becomes the stored page, uncopied;
+			// the register keeps its reference and reads it from here on.
+			l.regPage.Retain()
+			l.installPage(r, l.regPage)
+			l.regOwned = false
 		default:
-			l.storePage(r, data)
+			l.storePage(r, l.reg)
 		}
 	}
 	if cached && !fo.Stuck {
@@ -975,11 +990,12 @@ func (l *LUN) setLoad(data []byte, page *pagebuf.Buf) {
 }
 
 // setReg points the page register at data, like setLoad for the load.
+// The register owns nothing afterwards: data is an alias, read-only.
 func (l *LUN) setReg(data []byte, page *pagebuf.Buf) {
 	if l.regPage != nil {
 		l.regPage.Release()
 	}
-	l.reg, l.regPage = data, page
+	l.reg, l.regPage, l.regOwned = data, page, false
 }
 
 // wearActive reports whether injectErrors would flip any bits for row.
@@ -995,14 +1011,21 @@ func (l *LUN) wearActive(row uint32) bool {
 	return l.retryMismatch(row) != 0 || l.params.ReadRetryLevels == 0
 }
 
-// ownReg makes the page register mutable: if reg aliases a stored page,
-// a plane register, or the erased template, its bytes move into pageReg
-// first (the deferred copy the alias saved on the read-only path).
-func (l *LUN) ownReg() {
-	if &l.reg[0] != &l.pageReg[0] {
-		copy(l.pageReg, l.reg)
-		l.setReg(l.pageReg, nil)
+// ownReg makes the page register mutable. Unless it already owns a
+// page, the register takes one from the LUN's arena, and with keep set
+// the aliased bytes move into it first (the deferred copy the alias
+// saved on the read-only path); a caller about to overwrite every byte
+// passes keep unset.
+func (l *LUN) ownReg(keep bool) {
+	if l.regOwned {
+		return
 	}
+	buf := l.pool.Get()
+	if keep {
+		copy(buf.Bytes(), l.reg)
+	}
+	l.setReg(buf.Bytes(), buf)
+	l.regOwned = true
 }
 
 // page returns row's stored page, or nil when the row is erased.
@@ -1018,13 +1041,20 @@ func (l *LUN) page(row uint32) *pagebuf.Buf {
 }
 
 // storePage commits data, zero-padded to a full page, to the array in a
-// fresh pooled buffer, which marks the row programmed. The array drops
-// its reference to the old page; an alias of it keeps its own.
+// fresh pooled buffer (see installPage).
 func (l *LUN) storePage(row uint32, data []byte) {
 	buf := l.pool.Get()
 	// Pooled buffers arrive dirty: pad the tail past the data.
 	page := buf.Bytes()
 	clear(page[copy(page, data):])
+	l.installPage(row, buf)
+}
+
+// installPage makes buf, a full page of this LUN's arena, row's stored
+// page, taking over one reference to it; that marks the row programmed.
+// The array drops its reference to the old page; an alias of it keeps
+// its own.
+func (l *LUN) installPage(row uint32, buf *pagebuf.Buf) {
 	if l.blocks == nil {
 		l.blocks = make([][]*pagebuf.Buf, l.geo.BlocksPerLUN)
 	}
@@ -1086,14 +1116,20 @@ func (l *LUN) DataIn(now sim.Time, data []byte) error {
 		l.dec = decIdle
 		return nil
 	}
+	if l.dec == decCopybackAddr && len(l.addrBytes) == 5 {
+		// COPYBACK PROGRAM with data modification: data in after the
+		// target address edits the copied page, and 85h and 10h follow
+		// as in a program.
+		l.dec = decProgramData
+	}
 	if l.dec != decProgramData {
 		return l.protoErr("data in outside a program sequence")
 	}
-	if l.column+len(data) > len(l.pageReg) {
+	if l.column+len(data) > l.geo.FullPageBytes() {
 		return l.protoErr("data in overruns page register (col %d + %d bytes)", l.column, len(data))
 	}
-	l.ownReg()
-	copy(l.pageReg[l.column:], data)
+	l.ownReg(true)
+	copy(l.reg[l.column:], data)
 	l.column += len(data)
 	return nil
 }
@@ -1110,9 +1146,10 @@ func (l *LUN) DataOut(now sim.Time, n int) ([]byte, error) {
 
 // DataOutDRAM streams n bytes out of the LUN into mem at addr — the
 // Packetizer's store of a DataOutInto burst. A clean page read, where the
-// register aliases a stored page, the burst starts at column 0 and the
-// phase trim garbles nothing, lends the stored page to mem instead of
-// copying it; every other burst copies through DataOutInto.
+// register holds a page of the arena (a stored page it aliases, or its
+// own), the burst starts at column 0 and the phase trim garbles nothing,
+// lends that page to mem instead of copying it; every other burst copies
+// through DataOutInto.
 func (l *LUN) DataOutDRAM(now sim.Time, mem *dram.Buffer, addr, n int) error {
 	l.selectOutput(now)
 	if l.out == outPage && l.regPage != nil && l.column == 0 && n <= len(l.reg) &&
@@ -1120,6 +1157,8 @@ func (l *LUN) DataOutDRAM(now sim.Time, mem *dram.Buffer, addr, n int) error {
 		if err := mem.Lend(addr, l.regPage, n); err != nil {
 			return err
 		}
+		// The page is shared now: a later write to the register copies it.
+		l.regOwned = false
 		l.column = n
 		return nil
 	}

@@ -258,7 +258,10 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	} else {
 		k = sim.NewKernel()
 	}
-	memSize := slots*geo.FullPageBytes() + cfg.Channels*(128<<10) // slots + per-controller scratch
+	// The slots (at freeSlots' stride), then 128 KiB per channel, from
+	// whose top each BABOL controller carves its scratch region.
+	slotBytes := geo.PageBytes + parity
+	memSize := slots*slotBytes + cfg.Channels*(128<<10)
 	mem := dram.New(memSize)
 
 	f, err := ftl.NewWithConfig(ftl.Config{
@@ -423,7 +426,7 @@ func Build(cfg BuildConfig) (*Rig, error) {
 		drive.gc = append(drive.gc, newGCCycle(drive, chip))
 	}
 	for i := 0; i < slots; i++ {
-		drive.freeSlots = append(drive.freeSlots, i*(geo.PageBytes+parity))
+		drive.freeSlots = append(drive.freeSlots, i*slotBytes)
 	}
 	rig.SSD = drive
 	return rig, nil

@@ -10,15 +10,22 @@ import (
 	"repro/internal/sim"
 )
 
-// The two rig shapes the benchmark ledger builds and preloads before
-// every run (benchmark/workload.go): the full 8×8 read drive on the
-// Hynix package shrunk to 16 blocks per LUN, and the small fast 2×4
-// tenant drive with a 2 KiB map cache.
+// The rig shapes the benchmark ledger builds and preloads before every
+// run (benchmark/workload.go): the one-channel 1×8 read rig and the full
+// 8×8 read drive, both on the Hynix package shrunk to 16 blocks per LUN,
+// and the small fast 2×4 tenant drive with a 2 KiB map cache.
 
 const (
+	chanSetupPreload   = 64
 	driveSetupPreload  = 512
 	tenantSetupPreload = 4 * 1900
 )
+
+func chanSetupConfig() BuildConfig {
+	cfg := driveSetupConfig()
+	cfg.Channels = 1
+	return cfg
+}
 
 func driveSetupConfig() BuildConfig {
 	p := nand.Hynix()
@@ -68,6 +75,7 @@ func BenchmarkRigSetup(b *testing.B) {
 		cfg     BuildConfig
 		preload int
 	}{
+		{"chan-1x8", chanSetupConfig(), chanSetupPreload},
 		{"drive-8x8", driveSetupConfig(), driveSetupPreload},
 		{"tenant-2x4", tenantSetupConfig(), tenantSetupPreload},
 	} {
@@ -124,12 +132,12 @@ func TestRigArraysOutliveClose(t *testing.T) {
 }
 
 // TestAllocGateRigSetup bounds what one set-up allocates. A LUN makes
-// its cache register, load buffer and parameter page at first use and
-// shares one erased page per page size, so the 8×8 drive's set-up is
-// mostly the pages it preloads, and a fresh LUN holds one full page, its
-// per-block wear and bad-block state, and small change. The tenant
-// drive's small pages come 28 to a slab, so its set-up is counted in
-// objects.
+// its registers, load buffer and parameter page at first use and shares
+// one erased and one zero page per page size, and the DRAM buffer is
+// backed at its first touch, so the 8×8 drive's set-up is the 9.3 MB of
+// pages it preloads and little else, and a fresh LUN holds its per-block
+// wear and bad-block state and small change. The tenant drive's small
+// pages come 28 to a slab, so its set-up is counted in objects.
 func TestAllocGateRigSetup(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -149,7 +157,7 @@ func TestAllocGateRigSetup(t *testing.T) {
 		return bytes
 	}
 
-	const driveBudget = 15_000_000
+	const driveBudget = 10_500_000
 	var rig *Rig
 	got := totalAlloc(func() { rig = buildPreloaded(t, driveSetupConfig(), driveSetupPreload) })
 	rig.Close()
@@ -159,10 +167,10 @@ func TestAllocGateRigSetup(t *testing.T) {
 	}
 
 	// Build makes ≈250 objects; the 7,600 preloaded pages ≈610 slabs'
-	// handles and payloads, ≈490 block page tables and ≈600 objects of
-	// the FTL's own per-block state. Two objects per page would be
-	// ≈16,000.
-	const tenantBudget = 2500
+	// handles and payloads, ≈490 block page tables and ≈170 objects of
+	// the FTL's own state (its reverse maps come 6 slabs to a chip). Two
+	// objects per page would be ≈16,000.
+	const tenantBudget = 1650
 	_, objects := measure(func() { rig = buildPreloaded(t, tenantSetupConfig(), tenantSetupPreload) })
 	rig.Close()
 	t.Logf("2x4 tenant drive Build+Preload(%d): %d objects", tenantSetupPreload, objects)
@@ -184,9 +192,9 @@ func TestAllocGateRigSetup(t *testing.T) {
 	}) / luns
 	g := p.Geometry
 	perBlock := g.BlocksPerLUN * (8 + 1) // an erase count (int) and a bad mark (bool)
-	budget := uint64(g.FullPageBytes() + perBlock + 2048)
-	t.Logf("nand.NewLUN(Hynix): %d bytes (full page %d, per-block state %d)", got, g.FullPageBytes(), perBlock)
+	budget := uint64(perBlock + 2048)
+	t.Logf("nand.NewLUN(Hynix): %d bytes (per-block state %d)", got, perBlock)
 	if got > budget {
-		t.Errorf("nand.NewLUN(Hynix) allocated %d bytes, budget %d: one full page, the per-block state and 2 KiB", got, budget)
+		t.Errorf("nand.NewLUN(Hynix) allocated %d bytes, budget %d: the per-block state and 2 KiB", got, budget)
 	}
 }
