@@ -36,6 +36,7 @@ func runRandomReads(t *testing.T, rig *Rig, ops int) *hic.Result {
 	if res.Completed != ops || res.Failed != 0 {
 		t.Fatalf("workload: %d completed, %d failed (want %d / 0)", res.Completed, res.Failed, ops)
 	}
+	auditDrained(t, rig)
 	return res
 }
 
@@ -110,9 +111,7 @@ func TestMapCacheWritePath(t *testing.T) {
 	if cs.Flushes == 0 {
 		t.Errorf("evicting write-dirtied pages should flush: %+v", cs)
 	}
-	if err := rig.FTL.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	auditDrained(t, rig)
 }
 
 // TestMapCacheMetricsRollup pins the observability chain: KindMapCache

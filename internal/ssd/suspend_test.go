@@ -53,6 +53,7 @@ func mixedLoad(t *testing.T, suspend bool) (sim.Duration, Stats) {
 	if res.Failed != 0 {
 		t.Fatalf("%d reads failed", res.Failed)
 	}
+	auditDrained(t, rig)
 	return res.LatencyPercentile(99), rig.SSD.Stats()
 }
 
@@ -103,9 +104,7 @@ func TestSuspendReadsDataIntegrity(t *testing.T) {
 		issue()
 	}
 	rig.Kernel.Run()
-	if err := rig.FTL.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	auditDrained(t, rig)
 	verified := 0
 	for lpn := 0; lpn < logical; lpn++ {
 		rig.SSD.Submit(hic.Command{Kind: hic.KindRead, LPN: lpn, Done: func(err error) {
@@ -119,6 +118,7 @@ func TestSuspendReadsDataIntegrity(t *testing.T) {
 	if verified != logical {
 		t.Fatalf("verified %d/%d", verified, logical)
 	}
+	auditDrained(t, rig)
 }
 
 func TestSuspendIgnoredOnHW(t *testing.T) {
@@ -141,4 +141,5 @@ func TestSuspendIgnoredOnHW(t *testing.T) {
 	if rig.SSD.Stats().UrgentReads != 0 {
 		t.Error("HW backend claimed urgent reads")
 	}
+	auditDrained(t, rig)
 }

@@ -47,6 +47,7 @@ func TestTrimInvalidatesMapping(t *testing.T) {
 	if !done {
 		t.Fatal("second trim never completed")
 	}
+	auditDrained(t, rig)
 }
 
 // TestTrimWaitsForInFlightProgram pins the ordering contract: a trim of
@@ -88,6 +89,7 @@ func TestTrimWaitsForInFlightProgram(t *testing.T) {
 	if _, ok := rig.FTL.Lookup(5); ok {
 		t.Error("LPN 5 still mapped after trim-behind-write")
 	}
+	auditDrained(t, rig)
 }
 
 // TestTrimRejectedInReadOnlyMode pins degraded-mode behavior: a
@@ -107,4 +109,5 @@ func TestTrimRejectedInReadOnlyMode(t *testing.T) {
 	if _, ok := rig.FTL.Lookup(1); !ok {
 		t.Error("read-only trim still unmapped the page")
 	}
+	auditDrained(t, rig)
 }
