@@ -37,7 +37,7 @@ func auditDrained(t *testing.T, rig *Rig) {
 	if n := len(s.eraseQueues); n != 0 {
 		t.Errorf("audit: %d erase-suspend sinks left", n)
 	}
-	if n := len(s.stalledWrites); n != 0 {
+	if n := s.stalledWrites.Len(); n != 0 {
 		t.Errorf("audit: %d stalled writes left", n)
 	}
 	if err := s.ftl.CheckInvariants(); err != nil {

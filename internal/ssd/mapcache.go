@@ -30,10 +30,8 @@ import (
 // next links a load's queue or the SSD's free list, so parking allocates
 // nothing once the pool covers the deepest backlog.
 type mapWaiter struct {
-	cmd   hic.Command
-	write bool
-	trim  bool
-	next  *mapWaiter
+	cmd  hic.Command
+	next *mapWaiter
 }
 
 // mapLoad is one map page's NAND read and the host commands parked on
@@ -52,7 +50,7 @@ type mapLoad struct {
 
 // mapMiss parks a host command on its map page's load, issuing the
 // NAND read if this is the page's first outstanding miss.
-func (s *SSD) mapMiss(mpn int, w mapWaiter) {
+func (s *SSD) mapMiss(mpn int, cmd hic.Command) {
 	s.mapEvent("miss", s.ftl.MapPageLocation(mpn).Chip)
 	node := s.freeWaiters
 	if node != nil {
@@ -60,7 +58,7 @@ func (s *SSD) mapMiss(mpn int, w mapWaiter) {
 	} else {
 		node = new(mapWaiter)
 	}
-	*node = w
+	*node = mapWaiter{cmd: cmd}
 	if l := s.mapLoads[mpn]; l != nil {
 		l.tail.next = node
 		l.tail = node
@@ -137,17 +135,10 @@ func (l *mapLoad) finish() {
 	l.head, l.tail = nil, nil
 	s.freeMapLoads = append(s.freeMapLoads, l)
 	for w != nil {
-		next, cmd, write, trim := w.next, w.cmd, w.write, w.trim
+		next, cmd := w.next, w.cmd
 		*w = mapWaiter{next: s.freeWaiters}
 		s.freeWaiters = w
-		switch {
-		case write:
-			s.writeMapped(cmd)
-		case trim:
-			s.trimMapped(cmd)
-		default:
-			s.readMapped(cmd)
-		}
+		s.mapped(cmd)
 		w = next
 	}
 }

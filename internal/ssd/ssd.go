@@ -4,6 +4,11 @@
 // software-defined controller or the hardware baseline, which is
 // exactly the swap the paper performs on the Cosmos+ OpenSSD for its
 // end-to-end evaluation (Fig. 12).
+//
+// Every host command passes one gate, admit: a read-only drive refuses
+// writes and trims, and the command acquires its translation page (a
+// miss parks it on the page's NAND load). mapped then runs the body of
+// its kind; parked commands re-enter there, stalled writes at admit.
 package ssd
 
 import (
@@ -95,12 +100,10 @@ type SSD struct {
 	programWaiters   map[int][]programWaiter
 	spareWaiters     [][]programWaiter
 
-	// mapCache mirrors ftl.CacheEnabled(): when set, every host read
-	// and write first acquires its LPN's translation page from the
-	// FTL's map cache, and a miss charges a real NAND read of the map
-	// page through the ordinary slot/backend path before the host op
-	// proceeds. mapLoads coalesces concurrent misses on the same map
-	// page: the first miss issues the flash read, later ones just park.
+	// mapCache mirrors ftl.CacheEnabled(): when set, admit acquires each
+	// host command's translation page, and a miss charges a NAND read
+	// of it through the ordinary slot/backend path (mapcache.go).
+	// mapLoads coalesces concurrent misses on the same map page.
 	mapCache bool
 	mapLoads map[int]*mapLoad
 
@@ -121,11 +124,8 @@ type SSD struct {
 	// suspendable erase in flight: its GC cycle's same-domain queue on legacy
 	// rigs, a cross-domain eraseRelay on sharded ones.
 	eraseQueues map[int]urgentSink
-	// stalledWrites wait for GC to free space. drainStalled retries them
-	// from one buffer while new stalls append to the other
-	// (stalledSpare), so a full drive's back-pressure reuses storage.
-	stalledWrites []hic.Command
-	stalledSpare  []hic.Command
+	// stalledWrites wait for GC to free space, oldest first.
+	stalledWrites fifo.Queue[hic.Command]
 
 	stats Stats
 }
@@ -177,16 +177,15 @@ func (s *SSD) Submit(cmd hic.Command) {
 	switch cmd.Kind {
 	case hic.KindRead:
 		s.stats.HostReads++
-		s.read(cmd)
 	case hic.KindWrite:
 		s.stats.HostWrites++
-		s.write(cmd)
 	case hic.KindTrim:
 		s.stats.HostTrims++
-		s.trim(cmd)
 	default:
 		s.complete(cmd, fmt.Errorf("ssd: unknown command kind %d", cmd.Kind))
+		return
 	}
+	s.admit(cmd)
 }
 
 func (s *SSD) complete(cmd hic.Command, err error) {
@@ -195,21 +194,51 @@ func (s *SSD) complete(cmd hic.Command, err error) {
 	}
 }
 
-func (s *SSD) read(cmd hic.Command) {
+// admit is the one gate into the drive: a read-only drive refuses
+// writes and trims, then the command acquires its translation page
+// before it takes a DRAM slot (a map load needs a slot too, so a
+// one-slot drive cannot deadlock behind its own map read). A miss parks
+// the command on the page's load (mapcache.go), which hands it to
+// mapped.
+func (s *SSD) admit(cmd hic.Command) {
+	if s.degraded && cmd.Kind != hic.KindRead {
+		s.complete(cmd, ErrReadOnly)
+		return
+	}
 	if s.mapCache {
 		mpn, hit := s.ftl.CacheAcquire(cmd.LPN)
 		if !hit {
-			s.mapMiss(mpn, mapWaiter{cmd: cmd})
+			s.mapMiss(mpn, cmd)
 			return
 		}
 		s.mapEvent("hit", -1)
 	}
-	s.readMapped(cmd)
+	s.mapped(cmd)
 }
 
-// readMapped runs a host read whose translation page is resident (or
+// mapped runs a host command whose translation page is resident (or
 // whose drive models the whole map as resident — the cache-disabled
-// default).
+// default). The read-only latch is checked again: the drive may have
+// gone read-only while the command waited on a map-page load or, for a
+// trim, on an in-flight program.
+func (s *SSD) mapped(cmd hic.Command) {
+	if s.degraded && cmd.Kind != hic.KindRead {
+		s.complete(cmd, ErrReadOnly)
+		return
+	}
+	switch cmd.Kind {
+	case hic.KindRead:
+		s.readMapped(cmd)
+	case hic.KindWrite:
+		w := s.getWriteState()
+		w.cmd = cmd
+		s.acquireSlot(w.startFn)
+	default:
+		s.trimMapped(cmd)
+	}
+}
+
+// readMapped runs a host read whose translation page is resident.
 func (s *SSD) readMapped(cmd hic.Command) {
 	loc, ok := s.ftl.Lookup(cmd.LPN)
 	if !ok {
@@ -386,7 +415,7 @@ func (s *SSD) programLanded(lpn int) {
 		if w.gc != nil {
 			w.gc.step()
 		} else {
-			s.trimMapped(w.trim)
+			s.mapped(w.trim)
 		}
 	}
 	clear(ws)
@@ -403,77 +432,20 @@ func (s *SSD) awaitProgram(lpn int, w programWaiter) {
 	s.programWaiters[lpn] = append(ws, w)
 }
 
-// trim deallocates a logical page (NVMe Dataset Management): the FTL
-// drops the mapping, a later read returns zeroes, and GC stops
-// relocating the page. Like a write, the translation page must be
-// resident first — a trim dirties it — so trims pay map-cache misses
-// like every other mutation.
-func (s *SSD) trim(cmd hic.Command) {
-	if s.degraded {
-		s.complete(cmd, ErrReadOnly)
-		return
-	}
-	if s.mapCache {
-		mpn, hit := s.ftl.CacheAcquire(cmd.LPN)
-		if !hit {
-			s.mapMiss(mpn, mapWaiter{cmd: cmd, trim: true})
-			return
-		}
-		s.mapEvent("hit", -1)
-	}
-	s.trimMapped(cmd)
-}
-
-// trimMapped runs a trim whose translation page is resident. A trim
+// trimMapped deallocates a logical page whose translation page is
+// resident (NVMe Dataset Management): the FTL drops the mapping, a
+// later read returns zeroes, and GC stops relocating the page. A trim
 // racing an in-flight program for the same LPN parks until the program
 // lands (the host issued both concurrently, so "trim wins" ordering is
 // legal — but invalidating under a program in flight would let GC see
 // a half-settled mapping).
 func (s *SSD) trimMapped(cmd hic.Command) {
-	if s.degraded {
-		s.complete(cmd, ErrReadOnly)
-		return
-	}
 	if s.inflightPrograms[cmd.LPN] > 0 {
 		s.awaitProgram(cmd.LPN, programWaiter{trim: cmd})
 		return
 	}
 	s.ftl.Invalidate(cmd.LPN)
 	s.complete(cmd, nil)
-}
-
-// write expects the host payload to already be staged by the caller; the
-// generator model writes a deterministic pattern derived from the LPN.
-func (s *SSD) write(cmd hic.Command) {
-	if s.degraded {
-		s.complete(cmd, ErrReadOnly)
-		return
-	}
-	if s.mapCache {
-		// Acquire the translation page before taking a DRAM slot: the
-		// map load itself needs a slot, so gating here keeps a
-		// one-slot drive from deadlocking behind its own map read.
-		mpn, hit := s.ftl.CacheAcquire(cmd.LPN)
-		if !hit {
-			s.mapMiss(mpn, mapWaiter{cmd: cmd, write: true})
-			return
-		}
-		s.mapEvent("hit", -1)
-	}
-	s.writeMapped(cmd)
-}
-
-// writeMapped runs a host write whose translation page is resident. The
-// degraded latch is re-checked: the drive may have gone read-only while
-// this write waited on its map-page load.
-func (s *SSD) writeMapped(cmd hic.Command) {
-	if s.degraded {
-		s.complete(cmd, ErrReadOnly)
-		return
-	}
-	w := s.getWriteState()
-	w.cmd = cmd
-	s.acquireSlot(w.startFn)
 }
 
 // writeState carries one host write from slot acquisition through its
@@ -541,7 +513,7 @@ func (w *writeState) program(attempt int) {
 		}
 		// Out of space: park the command and let GC free blocks —
 		// a real drive back-pressures the host rather than failing.
-		s.stalledWrites = append(s.stalledWrites, cmd)
+		s.stalledWrites.Push(cmd)
 		s.kickGC()
 		return
 	}
@@ -601,7 +573,7 @@ func (s *SSD) kickGC() {
 			started = true
 		}
 	}
-	if !started && len(s.stalledWrites) > 0 {
+	if !started && s.stalledWrites.Len() > 0 {
 		// Last resort before declaring the drive full: garbage may be
 		// trapped in a partially written GC block (relocated pages the
 		// host has since overwritten). Force-seal those blocks so they
@@ -615,7 +587,7 @@ func (s *SSD) kickGC() {
 			}
 		}
 	}
-	if !started && len(s.stalledWrites) > 0 {
+	if !started && s.stalledWrites.Len() > 0 {
 		// No chip can collect and nothing is left to seal: the drive is
 		// genuinely out of usable space. Degrade to read-only rather
 		// than wedging — parked writes fail with ErrReadOnly and reads
@@ -655,9 +627,7 @@ func (s *SSD) enterDegraded() {
 		s.stats.ReadOnly = true
 		s.recoveryEvent(-1, "read-only")
 	}
-	stalled := s.stalledWrites
-	s.stalledWrites = nil
-	for _, cmd := range stalled {
+	for cmd, ok := s.stalledWrites.Pop(); ok; cmd, ok = s.stalledWrites.Pop() {
 		s.complete(cmd, ErrReadOnly)
 	}
 }
@@ -671,18 +641,17 @@ func (s *SSD) recoveryEvent(chip int, label string) {
 }
 
 // drainStalled retries writes parked on out-of-space after GC reclaimed
-// a block.
+// a block, through the same gate as a new command. It takes only the
+// writes parked when it starts: one that stalls again queues behind
+// them for the next pass.
 func (s *SSD) drainStalled() {
-	if len(s.stalledWrites) == 0 {
-		return
+	for n := s.stalledWrites.Len(); n > 0; n-- {
+		cmd, ok := s.stalledWrites.Pop()
+		if !ok {
+			return // the pass latched read-only and failed the rest
+		}
+		s.admit(cmd)
 	}
-	stalled := s.stalledWrites
-	s.stalledWrites, s.stalledSpare = s.stalledSpare[:0], nil
-	for _, cmd := range stalled {
-		s.write(cmd)
-	}
-	clear(stalled)
-	s.stalledSpare = stalled[:0]
 }
 
 // stagePattern fills a slot with the deterministic page content for lpn
