@@ -71,13 +71,14 @@ type loan struct {
 	buf       *pagebuf.Buf
 }
 
-// loanGrain presizes the loan table at one loan per 4 KiB of buffer.
-// That covers every slot layout a rig builds (the 128 KiB a channel
-// adds already holds its 2 × 16 slots' worth), so the table does not
-// grow while a rig runs; finer loans still grow it. The table is the
-// one thing New allocates: 24 bytes per 4 KiB, where the backing it
-// defers would be all 4 KiB.
-const loanGrain = 4 << 10
+// loanGrain presizes the loan table at one loan per 512 bytes of
+// buffer. Loans are disjoint and each covers at least a page, so a
+// buffer of slots whose pages are 512 bytes or more (every preset's,
+// every drive rig's) holds all its loans without the table growing,
+// whatever else the buffer reserves; smaller pages still grow it. The
+// table is the one thing New allocates: 24 bytes per 512, where the
+// backing it defers would be all 512.
+const loanGrain = 512
 
 // New makes a buffer of the given size. Its backing is allocated at the
 // first touch.

@@ -258,10 +258,15 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	} else {
 		k = sim.NewKernel()
 	}
-	// The slots (at freeSlots' stride), then 128 KiB per channel, from
-	// whose top each BABOL controller carves its scratch region.
+	// The slots (at freeSlots' stride), then on BABOL rigs 128 KiB per
+	// channel, from whose top each controller carves its scratch region.
+	// The hardware baseline carves none.
+	babol := cfg.Controller != CtrlHW
 	slotBytes := geo.PageBytes + parity
-	memSize := slots*slotBytes + cfg.Channels*(128<<10)
+	memSize := slots * slotBytes
+	if babol {
+		memSize += cfg.Channels * (128 << 10)
+	}
 	mem := dram.New(memSize)
 
 	f, err := ftl.NewWithConfig(ftl.Config{
@@ -398,7 +403,6 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	}
 	// Copyback and erase suspension are BABOL capabilities: a HW rig
 	// ignores both flags.
-	babol := cfg.Controller != CtrlHW
 	drive := &SSD{
 		k:            k,
 		channels:     backends,
