@@ -258,9 +258,8 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	} else {
 		k = sim.NewKernel()
 	}
-	// The slots (at freeSlots' stride), then on BABOL rigs 128 KiB per
-	// channel, from whose top each controller carves its scratch region.
-	// The hardware baseline carves none.
+	// The slots (at freeSlots' stride), then, on BABOL rigs only, 128 KiB
+	// per channel, from whose top each controller carves its scratch region.
 	babol := cfg.Controller != CtrlHW
 	slotBytes := geo.PageBytes + parity
 	memSize := slots * slotBytes

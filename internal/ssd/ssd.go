@@ -607,12 +607,9 @@ func (s *SSD) offlineChip(chip int) {
 	s.stats.OfflinedChips++
 	s.ftl.OfflineChip(chip)
 	s.recoveryEvent(chip, "chip-offline")
-	for c := 0; c < s.ftl.Chips(); c++ {
-		if !s.offline[c] {
-			return
-		}
+	if len(s.offline) == s.ftl.Chips() {
+		s.enterDegraded()
 	}
-	s.enterDegraded()
 }
 
 // enterDegraded latches read-only mode: every parked and future write
@@ -643,14 +640,13 @@ func (s *SSD) recoveryEvent(chip int, label string) {
 // drainStalled retries writes parked on out-of-space after GC reclaimed
 // a block, through the same gate as a new command. It takes only the
 // writes parked when it starts: one that stalls again queues behind
-// them for the next pass.
+// them for the next pass, and one that latches read-only empties the
+// queue (enterDegraded).
 func (s *SSD) drainStalled() {
 	for n := s.stalledWrites.Len(); n > 0; n-- {
-		cmd, ok := s.stalledWrites.Pop()
-		if !ok {
-			return // the pass latched read-only and failed the rest
+		if cmd, ok := s.stalledWrites.Pop(); ok {
+			s.admit(cmd)
 		}
-		s.admit(cmd)
 	}
 }
 
