@@ -88,7 +88,7 @@ func TestMapCacheMissesCostRealTime(t *testing.T) {
 
 // TestMapCacheWritePath pins the write-side gate: host writes acquire
 // the translation page before taking a DRAM slot (the comment in
-// write() explains the one-slot deadlock this ordering avoids), and
+// admit explains the one-slot deadlock this ordering avoids), and
 // write-dirtied pages flush on eviction.
 func TestMapCacheWritePath(t *testing.T) {
 	rig := mustBuild(t, mapCacheBuild(512))
