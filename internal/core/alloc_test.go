@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bus"
@@ -80,5 +81,71 @@ func TestAllocGateAdmission(t *testing.T) {
 	}
 	if parked := ctrl.Stats().AdmissionWaits - waits; parked < 2000 {
 		t.Fatalf("only %d admission waits over 2000 operations; the gate does not exercise parking", parked)
+	}
+}
+
+// BenchmarkControllerRead runs the full life of one page READ — admit,
+// schedule, switch, submit, execute, finish — on a one-channel rig of 1
+// and of 8 chips, two reads outstanding per chip so every chip keeps
+// its active and staged slots full. It reports host ns per operation,
+// host ns per kernel event, and allocations.
+func BenchmarkControllerRead(b *testing.B) {
+	for _, ways := range []int{1, 8} {
+		b.Run(fmt.Sprintf("1x%d", ways), func(b *testing.B) {
+			k := sim.NewKernel()
+			ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < ways; i++ {
+				l, err := nand.NewLUN(smallParams())
+				if err != nil {
+					b.Fatal(err)
+				}
+				ch.Attach(l)
+			}
+			cpu, err := cpumodel.New(k, 1000, cpumodel.RTOS())
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctrl, err := core.New(core.Config{Kernel: k, Channel: ch, DRAM: dram.New(1 << 16), CPU: cpu})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ctrl.Close()
+			read := make([]core.OpFunc, ways)
+			for c := range read {
+				read[c] = ops.ReadPage(onfi.Addr{}, c*512, 256)
+			}
+			completed := 0
+			var done func(error)
+			done = func(err error) {
+				if err != nil {
+					b.Error(err)
+				}
+				c := completed % ways
+				completed++
+				ctrl.Start(core.OpRequest{Func: read[c], Chip: c, Done: done})
+			}
+			for i := 0; i < 2*ways; i++ {
+				ctrl.Start(core.OpRequest{Func: read[i%ways], Chip: i % ways, Done: done})
+			}
+			runOps := func(n int) {
+				for target := completed + n; completed < target; {
+					if !k.Step() {
+						b.Fatal("kernel drained with reads outstanding")
+					}
+				}
+			}
+			runOps(200) // warm every pool
+			b.ReportAllocs()
+			events := k.Executed()
+			b.ResetTimer()
+			runOps(b.N)
+			b.StopTimer()
+			if n := k.Executed() - events; n > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
+			}
+		})
 	}
 }
