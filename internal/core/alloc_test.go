@@ -22,17 +22,29 @@ var raceDetectorEnabled = false
 // staged slots, so every finish re-admits a queue of parked operations
 // and most of them park again; the operation and its completion are
 // bound once, so anything allocated per operation is the controller's.
+// The gang mix adds two 2-chip operations on two more chips, each
+// restarting itself: one runs while the other is parked, so every
+// admission pass also works out the chips a parked gang op reserves.
 func TestAllocGateAdmission(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
+	t.Run("single", func(t *testing.T) { allocGateAdmission(t, false) })
+	t.Run("gang", func(t *testing.T) { allocGateAdmission(t, true) })
+}
+
+func allocGateAdmission(t *testing.T, gang bool) {
 	const chips, perChip = 2, 6
+	attached := chips
+	if gang {
+		attached += 2
+	}
 	k := sim.NewKernel()
 	ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}, onfi.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < chips; i++ {
+	for i := 0; i < attached; i++ {
 		l, err := nand.NewLUN(smallParams())
 		if err != nil {
 			t.Fatal(err)
@@ -53,8 +65,8 @@ func TestAllocGateAdmission(t *testing.T) {
 		_, err := ops.ReadStatus(ctx, ctx.ChipIndex())
 		return err
 	}
-	completed := 0
-	var done func(error)
+	completed, gangs := 0, 0
+	var done, gangDone func(error)
 	done = func(err error) {
 		if err != nil {
 			t.Error(err)
@@ -62,8 +74,21 @@ func TestAllocGateAdmission(t *testing.T) {
 		completed++
 		ctrl.Start(core.OpRequest{Func: op, Chip: completed % chips, Done: done})
 	}
+	// A gang operation's primary chip is above its extra one.
+	extra := []int{chips}
+	gangDone = func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		completed++
+		gangs++
+		ctrl.Start(core.OpRequest{Func: op, Chip: chips + 1, ExtraChips: extra, Done: gangDone})
+	}
 	for i := 0; i < chips*perChip; i++ {
 		ctrl.Start(core.OpRequest{Func: op, Chip: i % chips, Done: done})
+	}
+	for i := 0; gang && i < 2; i++ {
+		ctrl.Start(core.OpRequest{Func: op, Chip: chips + 1, ExtraChips: extra, Done: gangDone})
 	}
 	oneOp := func() {
 		for target := completed + 1; completed < target; {
@@ -75,12 +100,22 @@ func TestAllocGateAdmission(t *testing.T) {
 	for i := 0; i < 500; i++ { // warm: every pooled state and queue at its high-water mark
 		oneOp()
 	}
-	waits := ctrl.Stats().AdmissionWaits
-	if got := testing.AllocsPerRun(2000, oneOp); got != 0 {
-		t.Errorf("admission allocates %v times per operation in steady state, want 0", got)
+	// AllocsPerRun truncates its average, so each run is a batch of
+	// operations: one allocation per gang op would read as 0 per op.
+	const batch = 100
+	waits, gangsBefore := ctrl.Stats().AdmissionWaits, gangs
+	if got := testing.AllocsPerRun(2000/batch, func() {
+		for i := 0; i < batch; i++ {
+			oneOp()
+		}
+	}); got != 0 {
+		t.Errorf("admission allocates %v times per %d operations in steady state, want 0", got, batch)
 	}
 	if parked := ctrl.Stats().AdmissionWaits - waits; parked < 2000 {
 		t.Fatalf("only %d admission waits over 2000 operations; the gate does not exercise parking", parked)
+	}
+	if gang && gangs == gangsBefore {
+		t.Fatal("no gang operation finished over 2000 operations; the gate does not exercise gang admission")
 	}
 }
 

@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bus"
 	"repro/internal/coro"
@@ -73,7 +74,8 @@ type OpRequest struct {
 	// Chip is the primary target chip on the channel.
 	Chip int
 	// ExtraChips are additional chips a gang-scheduled operation drives;
-	// admission waits until every listed chip is free.
+	// admission waits until every listed chip is free. Start fails an
+	// operation whose Chip or ExtraChips lie outside the channel.
 	ExtraChips []int
 	// Priority feeds priority-based schedulers; larger is more urgent.
 	Priority int
@@ -127,23 +129,24 @@ type Controller struct {
 	// references it.
 	freeOps []*opState
 
-	// Per-chip operation slots. Each chip runs one operation ("active")
-	// and pre-admits one more ("staged"): the staged operation executes
-	// its software up to its first transaction, whose description waits
-	// on a hardware chip-busy gate. Producing the next segment's
-	// description before the opportunity to execute it is the core
-	// asynchronous principle (§III: "while a data transfer is ongoing,
-	// there is enough time to decide in software on the next task to
-	// give a particular LUN").
-	chipActive map[int]*opState
-	chipStaged map[int]*opState
+	// slots holds each way's operation slots. Each chip runs one
+	// operation ("active") and pre-admits one more ("staged"): the staged
+	// operation executes its software up to its first transaction, whose
+	// description waits on a hardware chip-busy gate. Producing the next
+	// segment's description before the opportunity to execute it is the
+	// core asynchronous principle (§III: "while a data transfer is
+	// ongoing, there is enough time to decide in software on the next
+	// task to give a particular LUN"). A gang operation holds the active
+	// slot of every chip in its mask. admittedOps counts the operations
+	// holding slots.
+	slots       [bus.MaxChips]chipSlots
+	admittedOps int
 	// admitQ holds parked operations until the next finishOp hands them
 	// to a re-admission pass; admitSpare is the second buffer of the
 	// double-buffered hand-off, so a re-park appends into recycled
 	// storage instead of growing a fresh slice.
 	admitQ     []*opState
 	admitSpare []*opState
-	live       map[uint64]*opState
 
 	// pool recycles operation-coroutine goroutines; nil means pooling is
 	// disabled (one goroutine per operation). ownPool marks a pool the
@@ -177,6 +180,9 @@ type Controller struct {
 	stats  Stats
 }
 
+// chipSlots is one chip's admission slots.
+type chipSlots struct{ active, staged *opState }
+
 // New builds a controller. Channel, DRAM, CPU, and Kernel are required.
 func New(cfg Config) (*Controller, error) {
 	if cfg.Kernel == nil || cfg.Channel == nil || cfg.DRAM == nil || cfg.CPU == nil {
@@ -195,18 +201,15 @@ func New(cfg Config) (*Controller, error) {
 	exec := ufsm.NewExecutor(cfg.Channel, cfg.DRAM)
 	exec.SetTracer(cfg.Tracer)
 	c := &Controller{
-		k:          cfg.Kernel,
-		ch:         cfg.Channel,
-		mem:        cfg.DRAM,
-		cpu:        cfg.CPU,
-		exec:       exec,
-		taskQ:      cfg.TaskQueue,
-		txnQ:       cfg.TxnQueue,
-		scratch:    scratch,
-		chipActive: make(map[int]*opState),
-		chipStaged: make(map[int]*opState),
-		live:       make(map[uint64]*opState),
-		tracer:     cfg.Tracer,
+		k:       cfg.Kernel,
+		ch:      cfg.Channel,
+		mem:     cfg.DRAM,
+		cpu:     cfg.CPU,
+		exec:    exec,
+		taskQ:   cfg.TaskQueue,
+		txnQ:    cfg.TxnQueue,
+		scratch: scratch,
+		tracer:  cfg.Tracer,
 	}
 	if !cfg.DisableCoroPool {
 		if cfg.CoroPool != nil {
@@ -237,26 +240,44 @@ func (c *Controller) DRAM() *dram.Buffer { return c.mem }
 func (c *Controller) Stats() Stats { return c.stats }
 
 // Pending reports operations admitted or waiting for admission.
-func (c *Controller) Pending() int { return len(c.live) + len(c.admitQ) }
+func (c *Controller) Pending() int { return c.admittedOps + len(c.admitQ) }
 
 // Start submits an operation request. Admission, scheduling, and
 // execution all happen in virtual time; Done fires when the operation
-// finishes. Start returns the operation ID. Starting on a closed
-// controller is a documented no-op returning 0.
+// finishes. Start returns the operation ID. A request naming a chip
+// outside the channel fails at once: Done gets the error before Start
+// returns, and no coroutine starts. Starting on a closed controller is
+// a documented no-op returning 0.
 func (c *Controller) Start(req OpRequest) uint64 {
 	if c.closed {
 		return 0
 	}
 	c.nextOpID++
 	id := c.nextOpID
+	c.stats.OpsSubmitted++
+	mask, err := c.chipMask(req)
+	if err != nil {
+		c.stats.OpsCompleted++
+		c.stats.OpsFailed++
+		if c.tracer != nil {
+			c.tracer.Event(obs.Event{
+				Time: c.k.Now(), Kind: obs.KindOpFinished,
+				OpID: id, Chip: int16(req.Chip), Err: true, Label: req.Label,
+			})
+		}
+		if req.Done != nil {
+			req.Done(err)
+		}
+		return id
+	}
 	var st *opState
 	if n := len(c.freeOps); n > 0 {
 		st = c.freeOps[n-1]
 		c.freeOps[n-1] = nil
 		c.freeOps = c.freeOps[:n-1]
-		st.reset(id, req, c.k.Now())
+		st.reset(id, req, mask, c.k.Now())
 	} else {
-		st = &opState{id: id, req: req, ctrl: c, startedAt: c.k.Now()}
+		st = &opState{id: id, req: req, mask: mask, ctrl: c, startedAt: c.k.Now()}
 		// The callbacks below are bound once per pooled state: they read
 		// the state's current fields, so they stay correct across reuse.
 		st.admitFn = func() { c.admit(st) }
@@ -269,7 +290,6 @@ func (c *Controller) Start(req OpRequest) uint64 {
 		// context's transaction box, and with it this Done.
 		st.ctx.txnBox.Done = func(res txn.Result) { c.deliver(st, res) }
 	}
-	c.stats.OpsSubmitted++
 	// Admission is a firmware action: charge it.
 	c.charge(id, c.cpu.Profile().AdmitCycles, "admit", st.admitFn)
 	return id
@@ -293,24 +313,36 @@ func (c *Controller) charge(opID uint64, cycles int64, label string, fn func()) 
 	c.cpu.Exec(cycles, fn)
 }
 
-// gangReserved returns the set of chips a parked gang operation is
-// waiting on. Freed slots on those chips are reserved: later
-// single-chip operations must not leapfrog into them, or the gang
-// operation — which needs all its chips free at once — starves.
-func (c *Controller) gangReserved() map[int]bool {
-	var blocked map[int]bool
+// chipMask checks the request's chips against the channel and returns
+// them as one mask.
+func (c *Controller) chipMask(req OpRequest) (bus.ChipMask, error) {
+	width := c.ch.Chips()
+	var m bus.ChipMask
+	for i := -1; i < len(req.ExtraChips); i++ {
+		chip := req.Chip
+		if i >= 0 {
+			chip = req.ExtraChips[i]
+		}
+		if chip < 0 || chip >= width || chip >= bus.MaxChips {
+			return 0, fmt.Errorf("core: operation %q names chip %d on a %d-chip channel", req.Label, chip, width)
+		}
+		m |= bus.Mask(chip)
+	}
+	return m, nil
+}
+
+// gangReserved returns the chips parked gang operations wait on. Freed
+// slots on those chips are reserved: later single-chip operations must
+// not leapfrog into them, or the gang operation — which needs all its
+// chips free at once — starves.
+func (c *Controller) gangReserved() bus.ChipMask {
+	var m bus.ChipMask
 	for _, w := range c.admitQ {
-		if len(w.req.ExtraChips) == 0 {
-			continue
-		}
-		if blocked == nil {
-			blocked = make(map[int]bool)
-		}
-		for _, chip := range w.chips() {
-			blocked[chip] = true
+		if len(w.req.ExtraChips) != 0 {
+			m |= w.mask
 		}
 	}
-	return blocked
+	return m
 }
 
 // admit places st in a chip slot if one is open, else parks it.
@@ -323,17 +355,16 @@ func (c *Controller) admit(st *opState) {
 		return
 	}
 	blocked := c.gangReserved()
-	chips := st.chips()
-	if len(chips) == 1 {
-		chip := chips[0]
-		if !blocked[chip] {
+	if len(st.req.ExtraChips) == 0 {
+		if !blocked.Has(st.req.Chip) {
+			s := &c.slots[st.req.Chip]
 			switch {
-			case c.chipActive[chip] == nil:
-				c.chipActive[chip] = st
+			case s.active == nil:
+				s.active = st
 				c.admitted(st, "active")
 				return
-			case c.chipStaged[chip] == nil:
-				c.chipStaged[chip] = st
+			case s.staged == nil:
+				s.staged = st
 				st.staged = true
 				c.admitted(st, "staged")
 				return
@@ -342,14 +373,18 @@ func (c *Controller) admit(st *opState) {
 		c.park(st)
 		return
 	}
-	for _, chip := range chips {
-		if blocked[chip] || c.chipActive[chip] != nil || c.chipStaged[chip] != nil {
+	if st.mask&blocked != 0 {
+		c.park(st)
+		return
+	}
+	for m := st.mask; m != 0; m &= m - 1 {
+		if s := &c.slots[bits.TrailingZeros16(uint16(m))]; s.active != nil || s.staged != nil {
 			c.park(st)
 			return
 		}
 	}
-	for _, chip := range chips {
-		c.chipActive[chip] = st
+	for m := st.mask; m != 0; m &= m - 1 {
+		c.slots[bits.TrailingZeros16(uint16(m))].active = st
 	}
 	c.admitted(st, "gang")
 }
@@ -383,7 +418,7 @@ func (c *Controller) activate(st *opState) {
 	} else {
 		st.co = coro.New(st.runFn)
 	}
-	c.live[st.id] = st
+	c.admittedOps++
 	c.makeRunnable(st, 0)
 }
 
@@ -534,29 +569,14 @@ func (c *Controller) submitBody(st *opState, tx *txn.Transaction) {
 // finishOp releases the operation's chips, promotes staged operations
 // (releasing their gated transactions with no software on the path — the
 // chip-busy bit is hardware), reports completion, and admits waiting
-// operations.
+// operations. Chips are released in request order, Chip first and then
+// ExtraChips as listed: that order decides whose held transaction is
+// pushed first.
 func (c *Controller) finishOp(st *opState, err error) {
-	delete(c.live, st.id)
-	for _, chip := range st.chips() {
-		if c.chipActive[chip] == st {
-			c.chipActive[chip] = nil
-		}
-		if c.chipStaged[chip] == st {
-			c.chipStaged[chip] = nil
-		}
-		if next := c.chipStaged[chip]; next != nil && c.chipActive[chip] == nil {
-			c.chipActive[chip] = next
-			c.chipStaged[chip] = nil
-			next.staged = false
-			if held := next.heldTxn; held != nil {
-				// Fallback for operations without a Final-tagged last
-				// transaction: release at software completion.
-				next.heldTxn = nil
-				next.submittedAny = true
-				c.pushTxn(held)
-				c.armHW()
-			}
-		}
+	c.admittedOps--
+	c.release(st, st.req.Chip)
+	for _, chip := range st.req.ExtraChips {
+		c.release(st, chip)
 	}
 	c.stats.OpsCompleted++
 	if err != nil {
@@ -592,6 +612,32 @@ func (c *Controller) finishOp(st *opState, err error) {
 	}
 	clear(parked)
 	c.admitSpare = parked[:0]
+}
+
+// release frees st's slot on chip and promotes the chip's staged
+// operation into the active slot.
+func (c *Controller) release(st *opState, chip int) {
+	s := &c.slots[chip]
+	if s.active == st {
+		s.active = nil
+	}
+	if s.staged == st {
+		s.staged = nil
+	}
+	next := s.staged
+	if next == nil || s.active != nil {
+		return
+	}
+	s.active, s.staged = next, nil
+	next.staged = false
+	if held := next.heldTxn; held != nil {
+		// Fallback for operations without a Final-tagged last
+		// transaction: release at software completion.
+		next.heldTxn = nil
+		next.submittedAny = true
+		c.pushTxn(held)
+		c.armHW()
+	}
 }
 
 // pushTxn moves a transaction into the hardware-visible queue,
@@ -687,7 +733,7 @@ func (c *Controller) txnDone() {
 // openGate releases a staged operation's held first transaction for a
 // chip whose active operation just executed its final transaction.
 func (c *Controller) openGate(chip int) {
-	next := c.chipStaged[chip]
+	next := c.slots[chip].staged
 	if next == nil || next.heldTxn == nil {
 		return
 	}
@@ -713,8 +759,8 @@ func (c *Controller) deliver(st *opState, res txn.Result) {
 	c.makeRunnable(st, 0)
 }
 
-// Close aborts all in-flight operations, releasing their coroutine
-// goroutines, and neutralizes every kernel callback still scheduled
+// Close aborts all in-flight operations in way order, releasing their
+// coroutine goroutines, and neutralizes every kernel callback still scheduled
 // against them (transaction completions, sleep timers, pending CPU
 // work): a subsequent kernel drain is a no-op instead of resuming
 // aborted coroutines or mutating freed state. A controller-owned
@@ -728,17 +774,23 @@ func (c *Controller) Close() {
 		return
 	}
 	c.closed = true
-	for _, st := range c.live {
-		st.co.Abort()
-		st.co = nil
+	abort := func(st *opState) {
+		// A gang operation sits in several slots; it is aborted once.
+		if st != nil && st.co != nil {
+			st.co.Abort()
+			st.co = nil
+		}
+	}
+	for i := range c.slots {
+		abort(c.slots[i].active)
+		abort(c.slots[i].staged)
 	}
 	if c.ownPool {
 		c.pool.Close()
 	}
-	c.live = make(map[uint64]*opState)
+	c.slots = [bus.MaxChips]chipSlots{}
+	c.admittedOps = 0
 	c.admitQ = nil
-	c.chipActive = make(map[int]*opState)
-	c.chipStaged = make(map[int]*opState)
 	c.dispatching = false
 	c.hwArmed = false
 }

@@ -3,6 +3,8 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bus"
@@ -637,5 +639,57 @@ func TestCtxIntrospection(t *testing.T) {
 	}
 	if r.ctrl.CPU() == nil || r.ctrl.DRAM() == nil || r.ctrl.Channel() == nil {
 		t.Error("accessors")
+	}
+}
+
+// TestStartRejectsChipOutsideChannel: a request naming a chip the
+// channel does not have fails at Start with an error naming the chip
+// and the channel's width. Its function never runs, and nothing stays
+// pending.
+func TestStartRejectsChipOutsideChannel(t *testing.T) {
+	r := newRig(t, 3, cpumodel.RTOS(), 1000)
+	for _, tc := range []struct {
+		chip  int
+		extra []int
+		bad   int
+	}{
+		{chip: 3, bad: 3},
+		{chip: 16, bad: 16},
+		{chip: -1, bad: -1},
+		{chip: 0, extra: []int{1, 3}, bad: 3},
+		{chip: 2, extra: []int{-1}, bad: -1},
+	} {
+		ran := false
+		var opErr error
+		calls := 0
+		r.ctrl.Start(core.OpRequest{
+			Func:       func(*core.Ctx) error { ran = true; return nil },
+			Chip:       tc.chip,
+			ExtraChips: tc.extra,
+			Done:       func(err error) { opErr = err; calls++ },
+		})
+		r.k.Run()
+		want := fmt.Sprintf("chip %d on a 3-chip channel", tc.bad)
+		switch {
+		case ran:
+			t.Errorf("chip %d extra %v: the operation ran", tc.chip, tc.extra)
+		case calls != 1:
+			t.Errorf("chip %d extra %v: Done called %d times", tc.chip, tc.extra, calls)
+		case opErr == nil || !strings.Contains(opErr.Error(), want) || strings.Contains(opErr.Error(), "panic"):
+			t.Errorf("chip %d extra %v: error %v, want one naming %q", tc.chip, tc.extra, opErr, want)
+		}
+		if n := r.ctrl.Pending(); n != 0 {
+			t.Errorf("chip %d extra %v: %d operations pending", tc.chip, tc.extra, n)
+		}
+	}
+	// The controller still serves chips it has.
+	var opErr error
+	r.ctrl.Start(core.OpRequest{Func: ops.Reset(), Chip: 2, Done: func(err error) { opErr = err }})
+	r.k.Run()
+	if opErr != nil {
+		t.Errorf("reset on chip 2 after the rejected requests: %v", opErr)
+	}
+	if s := r.ctrl.Stats(); s.OpsSubmitted != 6 || s.OpsCompleted != 6 || s.OpsFailed != 5 {
+		t.Errorf("stats %+v, want 6 submitted and completed, 5 failed", s)
 	}
 }

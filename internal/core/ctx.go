@@ -39,10 +39,9 @@ type opState struct {
 	heldTxn      *txn.Transaction
 	// startedAt stamps Start() for latency accounting.
 	startedAt sim.Time
-	// chipsCache memoizes chips(); chipArr backs it for the common
-	// single-chip case so the cache costs no allocation.
-	chipsCache []int
-	chipArr    [1]int
+	// mask holds every chip the operation needs admitted: Chip and
+	// ExtraChips.
+	mask bus.ChipMask
 }
 
 func (s *opState) TaskID() uint64    { return s.id }
@@ -52,30 +51,17 @@ func (s *opState) TaskPriority() int { return s.req.Priority }
 // reset re-arms a recycled state for a fresh operation. The pre-bound
 // callbacks (admitFn, wakeFn, runFn, txnBox.Done) are kept: they read
 // the fields assigned here.
-func (s *opState) reset(id uint64, req OpRequest, now sim.Time) {
+func (s *opState) reset(id uint64, req OpRequest, mask bus.ChipMask, now sim.Time) {
 	s.id = id
 	s.req = req
+	s.mask = mask
 	s.startedAt = now
 	s.co = nil
 	s.wakeExtra = 0
 	s.staged = false
 	s.submittedAny = false
 	s.heldTxn = nil
-	s.chipsCache = nil
 	s.ctx.reset()
-}
-
-// chips lists every chip the operation needs admitted.
-func (s *opState) chips() []int {
-	if s.chipsCache == nil {
-		if len(s.req.ExtraChips) == 0 {
-			s.chipArr[0] = s.req.Chip
-			s.chipsCache = s.chipArr[:]
-		} else {
-			s.chipsCache = append([]int{s.req.Chip}, s.req.ExtraChips...)
-		}
-	}
-	return s.chipsCache
 }
 
 // pendingKind is the reason an operation yielded.
