@@ -25,17 +25,36 @@ func auditDrained(t *testing.T, rig *Rig) {
 	if n := s.slotWaiters.Len(); n != 0 {
 		t.Errorf("audit: %d slot waiters left", n)
 	}
-	if n := len(s.inflightPrograms); n != 0 {
-		t.Errorf("audit: %d LPNs with programs in flight", n)
+	if n := len(s.programs); n != 0 {
+		t.Errorf("audit: %d LPNs with programs in flight or program waiters", n)
 	}
-	if n := len(s.programWaiters); n != 0 {
-		t.Errorf("audit: %d LPNs with parked program waiters", n)
+	for _, g := range s.freeGates {
+		if g.count != 0 || len(g.waiters) != 0 {
+			t.Errorf("audit: a recycled program gate holds %d programs and %d waiters", g.count, len(g.waiters))
+		}
 	}
 	if n := len(s.mapLoads); n != 0 {
 		t.Errorf("audit: %d map-page loads left", n)
 	}
-	if n := len(s.eraseQueues); n != 0 {
-		t.Errorf("audit: %d erase-suspend sinks left", n)
+	for chip, g := range s.gc {
+		if g.sink != nil {
+			t.Errorf("audit: chip %d's erase-suspend sink left", chip)
+		}
+		if n := g.q.Len(); n != 0 {
+			t.Errorf("audit: chip %d's urgent-read queue holds %d reads", chip, n)
+		}
+	}
+	offline := 0
+	for chip := 0; chip < s.ftl.Chips(); chip++ {
+		if s.ftl.ChipOffline(chip) {
+			offline++
+		}
+	}
+	if uint64(offline) != s.stats.OfflinedChips {
+		t.Errorf("audit: the FTL holds %d chips offline, Stats.OfflinedChips says %d", offline, s.stats.OfflinedChips)
+	}
+	if offline == s.ftl.Chips() && !s.stats.ReadOnly {
+		t.Errorf("audit: every chip is offline but the drive is not read-only")
 	}
 	if n := s.stalledWrites.Len(); n != 0 {
 		t.Errorf("audit: %d stalled writes left", n)

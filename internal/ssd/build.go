@@ -412,17 +412,12 @@ func Build(cfg BuildConfig) (*Rig, error) {
 		withECC:      cfg.WithECC,
 		useCopyback:  babol && cfg.UseCopyback,
 		suspendReads: babol && cfg.SuspendReads,
-		eraseQueues:  make(map[int]urgentSink),
 		pageBytes:    geo.PageBytes,
 		parityBytes:  parity,
-		offline:      make(map[int]bool),
 		tracer:       ssdTracer,
-
-		inflightPrograms: make(map[int]int),
-		programWaiters:   make(map[int][]programWaiter),
+		programs:     make(map[int]*programGate),
 	}
 	if f.CacheEnabled() {
-		drive.mapCache = true
 		drive.mapLoads = make(map[int]*mapLoad)
 	}
 	for chip := 0; chip < chips; chip++ {

@@ -36,8 +36,12 @@ type gcCycle struct {
 	attempt int
 
 	// q is the urgent-read queue of the chip's suspendable erase; it is
-	// drained when the erase completes, so each erase reuses it.
-	q fifo.Queue[ops.UrgentRead]
+	// drained when the erase completes, so each erase reuses it. sink
+	// takes the chip's urgent reads while that erase is in flight: q
+	// itself on a same-domain channel, a cross-domain eraseRelay on a
+	// sharded one. It is nil otherwise.
+	q    fifo.Queue[ops.UrgentRead]
+	sink urgentSink
 
 	slotFn           func(int)
 	readDoneFn       func(error)
@@ -86,13 +90,12 @@ func (g *gcCycle) step() {
 	s := g.s
 	for ; g.idx < len(g.live); g.idx++ {
 		lpn := g.live[g.idx]
-		if s.inflightPrograms[lpn] > 0 {
+		if s.awaitProgram(lpn, programWaiter{gc: g}) {
 			// The page's program has not landed in the array yet (the FTL
 			// maps at allocation time, and the transaction scheduler may
 			// run our relocation's read issue ahead of the program's data
-			// transfer). Relocating now would copy erased cells; park this
-			// step until the program lands.
-			s.awaitProgram(lpn, programWaiter{gc: g})
+			// transfer). Relocating now would copy erased cells; this
+			// step waits until the program lands.
 			return
 		}
 		src, ok := s.ftl.Lookup(lpn)
@@ -221,9 +224,9 @@ func (g *gcCycle) erase() {
 		// last check) to the normal path on completion. A sharded
 		// channel's domain owns the urgent queue instead, restarts any
 		// leftovers itself, and hands back the sink that relays to it.
-		s.eraseQueues[g.chip] = &g.q
+		g.sink = &g.q
 		if sink := be.EraseBlockInterruptible(way, g.victim, g.nextUrgentReadFn, g.erasedFn); sink != nil {
-			s.eraseQueues[g.chip] = sink
+			g.sink = sink
 		}
 		return
 	}
@@ -253,7 +256,7 @@ func (g *gcCycle) erased(err error) {
 		// same victim forever.
 		s.ftl.RetireBlock(g.chip, g.victim)
 	}
-	delete(s.eraseQueues, g.chip)
+	g.sink = nil
 	be, way := s.route(g.chip)
 	for ur, ok := g.q.Pop(); ok; ur, ok = g.q.Pop() {
 		be.ReadPage(way, ur.Addr.Row, ur.DramAddr, ur.N, ur.Done)

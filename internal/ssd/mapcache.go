@@ -83,7 +83,7 @@ func (s *SSD) mapMiss(mpn int, cmd hic.Command) {
 func (l *mapLoad) load(attempt int) {
 	l.attempt = attempt
 	l.loc = l.s.ftl.MapPageLocation(l.mpn)
-	if l.s.offline[l.loc.Chip] {
+	if l.s.ftl.ChipOffline(l.loc.Chip) {
 		l.finish()
 		return
 	}

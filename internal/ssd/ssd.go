@@ -87,24 +87,22 @@ type SSD struct {
 	freeMapLoads []*mapLoad
 	freeWaiters  *mapWaiter
 
-	// inflightPrograms counts in-flight PROGRAMs per LPN (host writes and
-	// GC relocations): the FTL maps an LPN at allocation time, before the
-	// program lands in the array, and the issue-first transaction
-	// scheduler can reorder a later operation's latch burst ahead of the
-	// program's data transfer. GC must therefore not relocate a page
-	// whose program is still in flight — it would copy erased cells and
-	// install the stale copy as the LPN's only mapping. programWaiters
-	// holds the GC steps and trims parked on such pages; spareWaiters
-	// recycles the emptied lists.
-	inflightPrograms map[int]int
-	programWaiters   map[int][]programWaiter
-	spareWaiters     [][]programWaiter
+	// programs holds a gate for every LPN with PROGRAMs in flight (host
+	// writes and GC relocations): the FTL maps an LPN at allocation time,
+	// before the program lands in the array, and the issue-first
+	// transaction scheduler can reorder a later operation's latch burst
+	// ahead of the program's data transfer. GC must therefore not
+	// relocate a page whose program is still in flight — it would copy
+	// erased cells and install the stale copy as the LPN's only mapping.
+	// A gate counts the page's programs and holds the GC steps and trims
+	// parked on it; freeGates recycles the gates.
+	programs  map[int]*programGate
+	freeGates []*programGate
 
-	// mapCache mirrors ftl.CacheEnabled(): when set, admit acquires each
-	// host command's translation page, and a miss charges a NAND read
-	// of it through the ordinary slot/backend path (mapcache.go).
-	// mapLoads coalesces concurrent misses on the same map page.
-	mapCache bool
+	// When the FTL's map cache is enabled, admit acquires each host
+	// command's translation page, and a miss charges a NAND read of it
+	// through the ordinary slot/backend path (mapcache.go). mapLoads
+	// coalesces concurrent misses on the same map page.
 	mapLoads map[int]*mapLoad
 
 	// gc holds each chip's collection cycle. useCopyback and
@@ -113,20 +111,12 @@ type SSD struct {
 	gc           []*gcCycle
 	useCopyback  bool
 	suspendReads bool
-	// offline marks chips removed from service after a failed RESET
-	// recovery: the FTL stops allocating there and reads fail fast.
-	offline map[int]bool
-	// degraded latches read-only mode: writes fail with ErrReadOnly,
-	// reads from surviving chips keep working.
-	degraded bool
-	tracer   obs.Tracer
-	// eraseQueues holds the urgent-read sink for each chip with a
-	// suspendable erase in flight: its GC cycle's same-domain queue on legacy
-	// rigs, a cross-domain eraseRelay on sharded ones.
-	eraseQueues map[int]urgentSink
+	tracer       obs.Tracer
 	// stalledWrites wait for GC to free space, oldest first.
 	stalledWrites fifo.Queue[hic.Command]
 
+	// stats.ReadOnly latches read-only mode: writes fail with
+	// ErrReadOnly, reads from surviving chips keep working.
 	stats Stats
 }
 
@@ -201,11 +191,11 @@ func (s *SSD) complete(cmd hic.Command, err error) {
 // the command on the page's load (mapcache.go), which hands it to
 // mapped.
 func (s *SSD) admit(cmd hic.Command) {
-	if s.degraded && cmd.Kind != hic.KindRead {
+	if s.stats.ReadOnly && cmd.Kind != hic.KindRead {
 		s.complete(cmd, ErrReadOnly)
 		return
 	}
-	if s.mapCache {
+	if s.ftl.CacheEnabled() {
 		mpn, hit := s.ftl.CacheAcquire(cmd.LPN)
 		if !hit {
 			s.mapMiss(mpn, cmd)
@@ -222,7 +212,7 @@ func (s *SSD) admit(cmd hic.Command) {
 // gone read-only while the command waited on a map-page load or, for a
 // trim, on an in-flight program.
 func (s *SSD) mapped(cmd hic.Command) {
-	if s.degraded && cmd.Kind != hic.KindRead {
+	if s.stats.ReadOnly && cmd.Kind != hic.KindRead {
 		s.complete(cmd, ErrReadOnly)
 		return
 	}
@@ -247,7 +237,7 @@ func (s *SSD) readMapped(cmd hic.Command) {
 		s.complete(cmd, nil)
 		return
 	}
-	if s.offline[loc.Chip] {
+	if s.ftl.ChipOffline(loc.Chip) {
 		s.complete(cmd, fmt.Errorf("ssd: read of LPN %d: %w", cmd.LPN, ErrChipOffline))
 		return
 	}
@@ -288,7 +278,7 @@ func (r *readState) start(addr int) {
 	// A suspendable erase on the target chip: jump the queue by
 	// riding the erase operation's urgent-read service instead of
 	// waiting multiple milliseconds behind it.
-	if q := s.eraseQueues[r.loc.Chip]; q != nil {
+	if q := s.gc[r.loc.Chip].sink; q != nil {
 		s.stats.UrgentReads++
 		q.Push(ops.UrgentRead{
 			Addr: onfi.Addr{Row: r.loc.Row}, DramAddr: addr, N: n, Done: r.finishFn,
@@ -386,9 +376,12 @@ func (s *SSD) scrubECC(addr int) error {
 	return s.codec.EncodePageInto(parity, page)
 }
 
-// programStarted records an in-flight program against lpn's current
-// mapping. Pair with programLanded once the program's outcome is known.
-func (s *SSD) programStarted(lpn int) { s.inflightPrograms[lpn]++ }
+// programGate is one LPN's in-flight programs and the continuations
+// parked until they land.
+type programGate struct {
+	count   int
+	waiters []programWaiter
+}
 
 // programWaiter is a continuation parked on an LPN's in-flight
 // program: a GC cycle's next step, or a trim. A plain struct, like
@@ -398,38 +391,49 @@ type programWaiter struct {
 	trim hic.Command // the parked trim when gc is nil
 }
 
+// programStarted records an in-flight program against lpn's current
+// mapping. Pair with programLanded once the program's outcome is known.
+func (s *SSD) programStarted(lpn int) {
+	g := s.programs[lpn]
+	if g == nil {
+		if g, _ = popFree(&s.freeGates); g == nil {
+			g = new(programGate)
+		}
+		s.programs[lpn] = g
+	}
+	g.count++
+}
+
 // programLanded retires one in-flight program for lpn and, when none
-// remain, releases the continuations parked on the page.
+// remain, releases the continuations parked on the page in the order
+// they parked.
 func (s *SSD) programLanded(lpn int) {
-	if n := s.inflightPrograms[lpn]; n > 1 {
-		s.inflightPrograms[lpn] = n - 1
+	g := s.programs[lpn]
+	if g.count--; g.count > 0 {
 		return
 	}
-	delete(s.inflightPrograms, lpn)
-	ws, ok := s.programWaiters[lpn]
-	if !ok {
-		return
-	}
-	delete(s.programWaiters, lpn)
-	for _, w := range ws {
+	delete(s.programs, lpn)
+	for _, w := range g.waiters {
 		if w.gc != nil {
 			w.gc.step()
 		} else {
 			s.mapped(w.trim)
 		}
 	}
-	clear(ws)
-	s.spareWaiters = append(s.spareWaiters, ws[:0])
+	clear(g.waiters)
+	g.waiters = g.waiters[:0]
+	s.freeGates = append(s.freeGates, g)
 }
 
-// awaitProgram parks w until every in-flight program for lpn lands.
-// Callers must have checked inflightPrograms[lpn] > 0.
-func (s *SSD) awaitProgram(lpn int, w programWaiter) {
-	ws, ok := s.programWaiters[lpn]
-	if !ok {
-		ws, _ = popFree(&s.spareWaiters)
+// awaitProgram parks w until every in-flight program for lpn lands, and
+// reports whether lpn had any.
+func (s *SSD) awaitProgram(lpn int, w programWaiter) bool {
+	g := s.programs[lpn]
+	if g == nil {
+		return false
 	}
-	s.programWaiters[lpn] = append(ws, w)
+	g.waiters = append(g.waiters, w)
+	return true
 }
 
 // trimMapped deallocates a logical page whose translation page is
@@ -440,8 +444,7 @@ func (s *SSD) awaitProgram(lpn int, w programWaiter) {
 // legal — but invalidating under a program in flight would let GC see
 // a half-settled mapping).
 func (s *SSD) trimMapped(cmd hic.Command) {
-	if s.inflightPrograms[cmd.LPN] > 0 {
-		s.awaitProgram(cmd.LPN, programWaiter{trim: cmd})
+	if s.awaitProgram(cmd.LPN, programWaiter{trim: cmd}) {
 		return
 	}
 	s.ftl.Invalidate(cmd.LPN)
@@ -504,7 +507,7 @@ func (w *writeState) program(attempt int) {
 	if err != nil {
 		s.releaseSlot(w.addr)
 		cmd := w.release()
-		if s.degraded {
+		if s.stats.ReadOnly {
 			// The drive already gave up on finding space; a write that
 			// was mid-flight (holding a slot) when the mode latched must
 			// fail like every other, not park forever.
@@ -600,14 +603,13 @@ func (s *SSD) kickGC() {
 // FTL stops allocating there, future reads to it fail fast, and if
 // every chip is gone the drive degrades to read-only.
 func (s *SSD) offlineChip(chip int) {
-	if s.offline[chip] {
+	if s.ftl.ChipOffline(chip) {
 		return
 	}
-	s.offline[chip] = true
-	s.stats.OfflinedChips++
 	s.ftl.OfflineChip(chip)
+	s.stats.OfflinedChips++
 	s.recoveryEvent(chip, "chip-offline")
-	if len(s.offline) == s.ftl.Chips() {
+	if s.stats.OfflinedChips == uint64(s.ftl.Chips()) {
 		s.enterDegraded()
 	}
 }
@@ -619,8 +621,7 @@ func (s *SSD) offlineChip(chip int) {
 // after the transition (they were mid-flight when it happened) and must
 // still be failed, every time.
 func (s *SSD) enterDegraded() {
-	if !s.degraded {
-		s.degraded = true
+	if !s.stats.ReadOnly {
 		s.stats.ReadOnly = true
 		s.recoveryEvent(-1, "read-only")
 	}
