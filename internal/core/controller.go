@@ -760,9 +760,9 @@ func (c *Controller) deliver(st *opState, res txn.Result) {
 }
 
 // Close aborts all in-flight operations in way order, releasing their
-// coroutine goroutines, and neutralizes every kernel callback still scheduled
-// against them (transaction completions, sleep timers, pending CPU
-// work): a subsequent kernel drain is a no-op instead of resuming
+// coroutine goroutines, and neutralizes every kernel callback still
+// scheduled against them (transaction completions, sleep timers, pending
+// CPU work): a subsequent kernel drain is a no-op instead of resuming
 // aborted coroutines or mutating freed state. A controller-owned
 // coroutine pool is closed too, so its parked workers exit and the
 // process goroutine count returns to baseline; a shared per-rig pool is

@@ -415,7 +415,10 @@ func Build(cfg BuildConfig) (*Rig, error) {
 		pageBytes:    geo.PageBytes,
 		parityBytes:  parity,
 		tracer:       ssdTracer,
-		programs:     make(map[int]*programGate),
+		// Every LPN with a program in flight holds a DRAM slot (a host
+		// write, a GC relocation on the slot path) or is its chip's one
+		// copyback, so slots+chips gates cover the deepest backlog.
+		programs: make(map[int]*programGate, slots+chips),
 	}
 	if f.CacheEnabled() {
 		drive.mapLoads = make(map[int]*mapLoad)
@@ -425,6 +428,13 @@ func Build(cfg BuildConfig) (*Rig, error) {
 	}
 	for i := 0; i < slots; i++ {
 		drive.freeSlots = append(drive.freeSlots, i*slotBytes)
+	}
+	// Each gate starts with room for two parked continuations.
+	gates := make([]programGate, slots+chips)
+	waiters := make([]programWaiter, 2*len(gates))
+	for i := range gates {
+		gates[i].waiters = waiters[2*i : 2*i : 2*i+2]
+		drive.freeGates = append(drive.freeGates, &gates[i])
 	}
 	rig.SSD = drive
 	return rig, nil
