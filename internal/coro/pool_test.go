@@ -231,19 +231,55 @@ func TestPoolCloseWithInFlightCoroutine(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-func TestPoolGetAfterCloseFallsBackToNew(t *testing.T) {
+// Get on a closed pool still runs each body, just without recycling: the
+// worker runs one body and its goroutine exits. The body's error (or
+// ErrAborted for an Abort before the first Resume) is the coroutine's
+// result, nothing parks, and no pooled worker is counted.
+func TestPoolGetAfterCloseRunsOneShot(t *testing.T) {
+	base := runtime.NumGoroutine()
 	p := NewPool()
+	warm := p.Get(func(y *Yielder) error { return nil })
+	warm.Resume()
 	p.Close()
-	c := p.Get(func(y *Yielder) error { return nil })
+	waitGoroutines(t, base)
+	spawned := p.Spawned()
+
+	sentinel := errors.New("boom")
+	ran := 0
+	c := p.Get(func(y *Yielder) error {
+		ran++
+		y.Yield()
+		return sentinel
+	})
+	if c.Resume() {
+		t.Fatal("one-shot coroutine finished at its first yield")
+	}
 	if !c.Resume() {
-		t.Fatal("fallback coroutine did not run")
+		t.Fatal("one-shot coroutine did not finish")
 	}
-	if c.Err() != nil {
-		t.Fatal(c.Err())
+	if ran != 1 || c.Err() != sentinel {
+		t.Fatalf("ran=%d err=%v, want 1 %v", ran, c.Err(), sentinel)
 	}
+
+	aborted := p.Get(func(y *Yielder) error {
+		ran++
+		return nil
+	})
+	aborted.Abort()
+	if !aborted.Finished() || !errors.Is(aborted.Err(), ErrAborted) {
+		t.Fatalf("finished=%v err=%v, want true ErrAborted", aborted.Finished(), aborted.Err())
+	}
+	if ran != 1 {
+		t.Fatal("aborted one-shot coroutine body ran")
+	}
+
 	if p.Parked() != 0 {
-		t.Fatalf("closed pool parked a worker")
+		t.Fatalf("closed pool parked %d workers", p.Parked())
 	}
+	if p.Spawned() != spawned {
+		t.Fatalf("spawned = %d after Gets on a closed pool, want %d", p.Spawned(), spawned)
+	}
+	waitGoroutines(t, base)
 }
 
 // TestPoolStressConcurrentRigs is the -race workout: many "rigs" (one
