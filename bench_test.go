@@ -588,12 +588,12 @@ func BenchmarkFig10Sweep(b *testing.B) {
 // ~0 allocs/event (TestShardedTelemetryInvariance,
 // TestAllocGateShardTelemetry), so the bench measures the same engine
 // users run.
-func simulationSpeed(b *testing.B, channels, ways, shards int, noPool bool) (virtual sim.Duration, windows, events uint64) {
+func simulationSpeed(b *testing.B, channels, ways, shards int) (virtual sim.Duration, windows, events uint64) {
 	b.Helper()
 	b.StopTimer()
 	rig, err := ssd.Build(ssd.BuildConfig{
 		Params: benchParams(), Channels: channels, Ways: ways, RateMT: 200,
-		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, NoCoroPool: noPool,
+		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000,
 		Shards: shards, ShardTelemetry: shards >= 1,
 	})
 	if err != nil {
@@ -653,13 +653,11 @@ func BenchmarkSimulationSpeed(b *testing.B) {
 		name           string
 		channels, ways int
 		shards         int
-		noPool         bool
 	}{
-		{"1ch-8way", 1, 8, 0, false},
-		{"1ch-8way-unpooled", 1, 8, 0, true}, // the coro-pool ablation
-		{"full-drive-8ch-8way", 8, 8, 0, false},
-		{"full-drive-8ch-8way-windowed", 8, 8, 1, false},
-		{"full-drive-8ch-8way-sharded", 8, 8, 9, false},
+		{"1ch-8way", 1, 8, 0},
+		{"full-drive-8ch-8way", 8, 8, 0},
+		{"full-drive-8ch-8way-windowed", 8, 8, 1},
+		{"full-drive-8ch-8way-sharded", 8, 8, 9},
 	} {
 		j := j
 		b.Run(j.name, func(b *testing.B) {
@@ -667,7 +665,7 @@ func BenchmarkSimulationSpeed(b *testing.B) {
 			var virtualPerIter sim.Duration
 			var windows, events uint64
 			for i := 0; i < b.N; i++ {
-				v, w, e := simulationSpeed(b, j.channels, j.ways, j.shards, j.noPool)
+				v, w, e := simulationSpeed(b, j.channels, j.ways, j.shards)
 				virtualPerIter = v
 				windows += w
 				events += e

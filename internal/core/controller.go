@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/bus"
 	"repro/internal/coro"
@@ -60,11 +61,6 @@ type Config struct {
 	// pool's single-threaded contract holds. nil gives the controller a
 	// private pool, which Close then owns and closes.
 	CoroPool *coro.Pool
-	// DisableCoroPool forces one goroutine per operation (plain
-	// coro.New) — the reference path the pooled-determinism tests
-	// compare against. Pooling never changes virtual-time behavior;
-	// this switch exists to prove it.
-	DisableCoroPool bool
 }
 
 // OpRequest is a request to run one operation, as the FTL would issue it.
@@ -147,11 +143,14 @@ type Controller struct {
 	// storage instead of growing a fresh slice.
 	admitQ     []*opState
 	admitSpare []*opState
+	// gangWait lists the gang operations waiting for admission, parked
+	// or with their re-admission pass queued, from their first park
+	// until they are admitted (see gangReserved).
+	gangWait []*opState
 
-	// pool recycles operation-coroutine goroutines; nil means pooling is
-	// disabled (one goroutine per operation). ownPool marks a pool the
-	// controller created itself and must close; a shared per-rig pool is
-	// closed by the rig.
+	// pool recycles operation-coroutine goroutines: every operation runs
+	// on one of its workers. ownPool marks a pool the controller created
+	// itself and must close; a shared per-rig pool is closed by the rig.
 	pool    *coro.Pool
 	ownPool bool
 
@@ -211,13 +210,9 @@ func New(cfg Config) (*Controller, error) {
 		scratch: scratch,
 		tracer:  cfg.Tracer,
 	}
-	if !cfg.DisableCoroPool {
-		if cfg.CoroPool != nil {
-			c.pool = cfg.CoroPool
-		} else {
-			c.pool = coro.NewPool()
-			c.ownPool = true
-		}
+	if c.pool = cfg.CoroPool; c.pool == nil {
+		c.pool = coro.NewPool()
+		c.ownPool = true
 	}
 	c.scheduleFn = c.schedulePass
 	c.switchFn = c.switchPass
@@ -331,14 +326,17 @@ func (c *Controller) chipMask(req OpRequest) (bus.ChipMask, error) {
 	return m, nil
 }
 
-// gangReserved returns the chips parked gang operations wait on. Freed
-// slots on those chips are reserved: later single-chip operations must
-// not leapfrog into them, or the gang operation — which needs all its
-// chips free at once — starves.
-func (c *Controller) gangReserved() bus.ChipMask {
+// gangReserved returns the chips that waiting gang operations older
+// than st reserve against it. A gang operation needs all its chips free
+// at once, so a younger operation must not take a slot it waits on, not
+// even while its re-admission pass is still queued, or a stream of
+// later operations (one started by each finishing one) starves it. An
+// older operation is never held back, so the oldest waiting gang
+// operation waits only for its chips to free.
+func (c *Controller) gangReserved(st *opState) bus.ChipMask {
 	var m bus.ChipMask
-	for _, w := range c.admitQ {
-		if len(w.req.ExtraChips) != 0 {
+	for _, w := range c.gangWait {
+		if w.id < st.id {
 			m |= w.mask
 		}
 	}
@@ -348,13 +346,13 @@ func (c *Controller) gangReserved() bus.ChipMask {
 // admit places st in a chip slot if one is open, else parks it.
 // Single-chip operations may enter the "staged" slot behind a running
 // operation; gang operations (ExtraChips) need every chip's active slot
-// free and are never staged. Chips a longer-parked gang operation waits
-// on are off limits (see gangReserved).
+// free and are never staged. Chips an older waiting gang operation
+// needs are off limits (see gangReserved).
 func (c *Controller) admit(st *opState) {
 	if c.closed {
 		return
 	}
-	blocked := c.gangReserved()
+	blocked := c.gangReserved(st)
 	if len(st.req.ExtraChips) == 0 {
 		if !blocked.Has(st.req.Chip) {
 			s := &c.slots[st.req.Chip]
@@ -386,6 +384,9 @@ func (c *Controller) admit(st *opState) {
 	for m := st.mask; m != 0; m &= m - 1 {
 		c.slots[bits.TrailingZeros16(uint16(m))].active = st
 	}
+	if i := slices.Index(c.gangWait, st); i >= 0 {
+		c.gangWait = slices.Delete(c.gangWait, i, i+1)
+	}
 	c.admitted(st, "gang")
 }
 
@@ -393,6 +394,9 @@ func (c *Controller) admit(st *opState) {
 func (c *Controller) park(st *opState) {
 	c.stats.AdmissionWaits++
 	c.admitQ = append(c.admitQ, st)
+	if len(st.req.ExtraChips) != 0 && !slices.Contains(c.gangWait, st) {
+		c.gangWait = append(c.gangWait, st)
+	}
 	if c.tracer != nil {
 		c.tracer.Event(obs.Event{
 			Time: c.k.Now(), Kind: obs.KindAdmissionWait,
@@ -413,11 +417,7 @@ func (c *Controller) admitted(st *opState, slot string) {
 }
 
 func (c *Controller) activate(st *opState) {
-	if c.pool != nil {
-		st.co = c.pool.Get(st.runFn)
-	} else {
-		st.co = coro.New(st.runFn)
-	}
+	st.co = c.pool.Get(st.runFn)
 	c.admittedOps++
 	c.makeRunnable(st, 0)
 }
@@ -601,9 +601,10 @@ func (c *Controller) finishOp(st *opState, err error) {
 	}
 	// Re-run admission for parked operations (in arrival order). Each
 	// pass is a firmware action and pays the same AdmitCycles as Start;
-	// the CPU model's FIFO keeps the passes in arrival order, so a
-	// re-parked gang operation re-reserves its chips before any later
-	// operation's pass runs.
+	// the CPU model's FIFO keeps the passes in arrival order. A gang
+	// operation keeps its reservation while its pass is queued
+	// (gangWait), so an operation that done started cannot take its
+	// chips first.
 	parked := c.admitQ
 	c.admitQ = c.admitSpare[:0]
 	p := c.cpu.Profile()
@@ -791,6 +792,7 @@ func (c *Controller) Close() {
 	c.slots = [bus.MaxChips]chipSlots{}
 	c.admittedOps = 0
 	c.admitQ = nil
+	c.gangWait = nil
 	c.dispatching = false
 	c.hwArmed = false
 }

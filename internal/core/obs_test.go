@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bus"
@@ -157,49 +158,71 @@ func TestReadmissionChargesAdmitCycles(t *testing.T) {
 // TestGangOpNotStarved is the regression test for gang-op starvation:
 // a parked multi-chip operation must not be leapfrogged indefinitely by
 // later single-chip traffic on its chips — freed slots are reserved for
-// it until it runs.
+// it until it runs. "queued" starts the later traffic up front;
+// "restarted" starts each single from a finishing one's Done, so a fresh
+// operation's admission pass runs while the parked gang op's own
+// re-admission pass is still queued.
 func TestGangOpNotStarved(t *testing.T) {
+	t.Run("queued", func(t *testing.T) { gangNotStarved(t, false) })
+	t.Run("restarted", func(t *testing.T) { gangNotStarved(t, true) })
+}
+
+// gangNotStarved fills both chips' active and staged slots, starts a gang
+// op on both chips, then singles up to 400. Every single started after
+// the gang op must finish after it.
+func gangNotStarved(t *testing.T, restart bool) {
 	r := newRig(t, 2, cpumodel.RTOS(), 1000)
 	for i := 0; i < 2; i++ {
 		if err := r.ch.Chip(i).SeedPage(onfi.RowAddr{}, []byte{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var order []string
-	start := func(name string, fn core.OpFunc, chip int, extra []int) {
+	const singles = 400
+	started := 0
+	var order []int // singles by start number, in finish order; -1 is the gang op
+	var single func(chip int)
+	single = func(chip int) {
+		seq := started
+		started++
 		r.ctrl.Start(core.OpRequest{
-			Func: fn, Chip: chip, ExtraChips: extra, Label: name,
+			Func: ops.ReadPage(onfi.Addr{}, chip*1024, 64), Chip: chip,
 			Done: func(err error) {
 				if err != nil {
-					t.Errorf("%s: %v", name, err)
+					t.Errorf("single %d: %v", seq, err)
 				}
-				order = append(order, name)
+				order = append(order, seq)
+				if restart && started < singles {
+					single(chip)
+				}
 			},
 		})
 	}
-	// Both chips busy, then a gang op, then a stream of single-chip ops
-	// that — without reservation — would slip into every slot the gang
-	// op needs, starving it until the queue drains.
-	start("A", ops.ReadPage(onfi.Addr{}, 0, 64), 0, nil)
-	start("B", ops.ReadPage(onfi.Addr{}, 1024, 64), 1, nil)
-	start("gang", ops.GangRead([]int{0, 1}, onfi.Addr{}, 2048, 64), 0, []int{1})
-	start("C", ops.ReadPage(onfi.Addr{}, 4096, 64), 0, nil)
-	start("D", ops.ReadPage(onfi.Addr{}, 5120, 64), 1, nil)
-	start("E", ops.ReadPage(onfi.Addr{}, 6144, 64), 0, nil)
-	start("F", ops.ReadPage(onfi.Addr{}, 7168, 64), 1, nil)
+	for i := 0; i < 4; i++ {
+		single(i % 2)
+	}
+	gangSeq := started
+	r.ctrl.Start(core.OpRequest{
+		Func: ops.GangRead([]int{0, 1}, onfi.Addr{}, 2048, 64), Chip: 0, ExtraChips: []int{1},
+		Done: func(err error) {
+			if err != nil {
+				t.Errorf("gang: %v", err)
+			}
+			order = append(order, -1)
+		},
+	})
+	for !restart && started < singles {
+		single(started % 2)
+	}
 	r.k.Run()
 
-	if len(order) != 7 {
-		t.Fatalf("completions: %v", order)
+	if len(order) != singles+1 {
+		t.Fatalf("%d of %d operations finished", len(order), singles+1)
 	}
-	pos := map[string]int{}
-	for i, n := range order {
-		pos[n] = i
-	}
-	// The gang op arrived before C–F and must finish before all of them.
-	for _, late := range []string{"C", "D", "E", "F"} {
-		if pos["gang"] > pos[late] {
-			t.Fatalf("gang op starved: order %v", order)
+	gangAt := slices.Index(order, -1)
+	for _, seq := range order[:gangAt] {
+		if seq >= gangSeq {
+			t.Fatalf("gang op starved: single %d, started after it, finished first; the gang op finished %d-th",
+				seq, gangAt+1)
 		}
 	}
 }

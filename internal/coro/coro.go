@@ -13,15 +13,15 @@
 // other, without the scheduler. The cost of a context switch in
 // *virtual* time is charged separately by the controller through
 // cpumodel; the host-level switch is an implementation detail. Creating
-// a coroutine is not free, though (a goroutine and a dozen allocations
-// per New), which is why Pool exists: a finished coroutine parks on a
-// free list and the next Get reuses it at resume-level cost.
+// a runtime coroutine is not free, though (a goroutine and a dozen
+// allocations), so every coroutine comes from a Pool: a finished
+// coroutine parks on the pool's free list and the next Get reuses it at
+// resume-level cost.
 package coro
 
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"runtime/debug"
 )
 
@@ -32,17 +32,16 @@ var ErrAborted = errors.New("coro: aborted")
 // abortSignal is the panic sentinel used to unwind an aborted coroutine.
 type abortSignal struct{}
 
-// Coroutine is a suspended computation. Create with New (one goroutine
-// per coroutine) or Pool.Get (recycled goroutines); drive with Resume;
-// dispose with Abort if abandoning it before completion.
+// Coroutine is a suspended computation. Create with Pool.Get; drive with
+// Resume; dispose with Abort if abandoning it before completion.
 //
-// A pooled Coroutine handle is invalidated the moment it finishes (the
+// A Coroutine handle is invalidated the moment it finishes (the
 // goroutine parks itself for reuse, and a later Pool.Get may hand the
 // same handle to a new owner). Resume and Abort on a finished handle
 // remain safe no-ops, but callers must drop the handle after observing
 // completion rather than stashing it.
 type Coroutine struct {
-	// next switches into the coroutine; stop ends a pooled worker parked
+	// next switches into the coroutine; stop ends a worker parked
 	// between bodies (Pool.Close). yield, captured on the first run,
 	// switches back out to whoever called next.
 	next  func() (struct{}, bool)
@@ -72,28 +71,6 @@ type Coroutine struct {
 // Yielder is the coroutine-side handle used to suspend.
 type Yielder struct {
 	c *Coroutine
-}
-
-// newCoroutine binds fn to a fresh runtime coroutine whose whole life is
-// run: one body for New, body after body for a pooled worker.
-func newCoroutine(fn func(*Yielder) error, run func(*Coroutine)) *Coroutine {
-	c := &Coroutine{fn: fn}
-	c.y.c = c
-	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
-		c.yield = yield
-		run(c)
-	})
-	return c
-}
-
-// New starts fn as a one-shot coroutine: its goroutine exits when fn
-// completes. fn does not run until the first Resume. Hot paths that
-// create coroutines per operation should use a Pool instead.
-func New(fn func(*Yielder) error) *Coroutine {
-	return newCoroutine(fn, func(c *Coroutine) {
-		c.err = c.runBody()
-		c.finished = true
-	})
 }
 
 // runBody executes the coroutine's function, converting an abort unwind

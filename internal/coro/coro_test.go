@@ -7,9 +7,17 @@ import (
 	"time"
 )
 
+// get runs fn on a worker of a fresh pool that is closed when the test
+// ends: the semantics below hold on the one path production uses.
+func get(tb testing.TB, fn func(*Yielder) error) *Coroutine {
+	p := NewPool()
+	tb.Cleanup(p.Close)
+	return p.Get(fn)
+}
+
 func TestRunToCompletion(t *testing.T) {
 	var steps []int
-	c := New(func(y *Yielder) error {
+	c := get(t, func(y *Yielder) error {
 		steps = append(steps, 1)
 		y.Yield()
 		steps = append(steps, 2)
@@ -47,7 +55,7 @@ func TestRunToCompletion(t *testing.T) {
 
 func TestErrorPropagation(t *testing.T) {
 	sentinel := errors.New("boom")
-	c := New(func(y *Yielder) error {
+	c := get(t, func(y *Yielder) error {
 		y.Yield()
 		return sentinel
 	})
@@ -62,7 +70,7 @@ func TestErrorPropagation(t *testing.T) {
 
 func TestAbortAtYield(t *testing.T) {
 	cleaned := false
-	c := New(func(y *Yielder) error {
+	c := get(t, func(y *Yielder) error {
 		defer func() { cleaned = true }()
 		for {
 			y.Yield()
@@ -84,7 +92,7 @@ func TestAbortAtYield(t *testing.T) {
 
 func TestAbortBeforeFirstResume(t *testing.T) {
 	ran := false
-	c := New(func(y *Yielder) error {
+	c := get(t, func(y *Yielder) error {
 		ran = true
 		return nil
 	})
@@ -98,7 +106,7 @@ func TestAbortBeforeFirstResume(t *testing.T) {
 }
 
 func TestPanicBecomesError(t *testing.T) {
-	c := New(func(y *Yielder) error {
+	c := get(t, func(y *Yielder) error {
 		panic("kaboom")
 	})
 	if !c.Resume() {
@@ -118,7 +126,7 @@ func firmwarePanicHelper() { panic("bad row address") }
 // recover() that converts the panic to an error runs on the coroutine
 // goroutine, where the stack is still live.
 func TestPanicErrorCapturesStack(t *testing.T) {
-	c := New(func(y *Yielder) error {
+	c := get(t, func(y *Yielder) error {
 		y.Yield()
 		firmwarePanicHelper()
 		return nil
@@ -146,7 +154,7 @@ func TestPanicErrorCapturesStack(t *testing.T) {
 // under pooling a leaked pool slot).
 func TestAbortDrivesDeferredYields(t *testing.T) {
 	cleanupSteps := 0
-	c := New(func(y *Yielder) error {
+	c := get(t, func(y *Yielder) error {
 		defer func() {
 			cleanupSteps++
 			y.Yield() // suspending cleanup, e.g. a final SET FEATURES submit
@@ -174,7 +182,7 @@ func TestAbortDrivesDeferredYields(t *testing.T) {
 func TestInterleavingIsDeterministic(t *testing.T) {
 	var trace []string
 	mk := func(name string) *Coroutine {
-		return New(func(y *Yielder) error {
+		return get(t, func(y *Yielder) error {
 			for i := 0; i < 3; i++ {
 				trace = append(trace, name)
 				y.Yield()
@@ -206,7 +214,7 @@ func TestNestedCalls(t *testing.T) {
 		*log = append(*log, "inner-after")
 	}
 	var log []string
-	c := New(func(y *Yielder) error {
+	c := get(t, func(y *Yielder) error {
 		log = append(log, "outer-before")
 		inner(y, &log)
 		log = append(log, "outer-after")
@@ -231,18 +239,18 @@ func TestReentrantResumeFailsLoudly(t *testing.T) {
 	done := make(chan [2]*Coroutine, 1)
 	go func() {
 		var self *Coroutine
-		self = New(func(y *Yielder) error {
+		self = get(t, func(y *Yielder) error {
 			self.Resume()
 			return nil
 		})
 		self.Resume()
 
 		var outer, inner *Coroutine
-		inner = New(func(y *Yielder) error {
+		inner = get(t, func(y *Yielder) error {
 			outer.Resume() // outer is running: it resumed us
 			return nil
 		})
-		outer = New(func(y *Yielder) error {
+		outer = get(t, func(y *Yielder) error {
 			inner.Resume()
 			return nil
 		})
@@ -269,7 +277,7 @@ func TestReentrantResumeFailsLoudly(t *testing.T) {
 // the hand-over is ordered (here by a channel), under -race too.
 func TestResumeFromAnotherGoroutine(t *testing.T) {
 	steps := 0
-	c := New(func(y *Yielder) error {
+	c := get(t, func(y *Yielder) error {
 		for {
 			steps++
 			y.Yield()
@@ -299,7 +307,7 @@ func TestResumeFromAnotherGoroutine(t *testing.T) {
 // direct runtime coroutine switches). Run with -benchmem: the round trip
 // itself allocates nothing.
 func BenchmarkCoroResume(b *testing.B) {
-	c := New(func(y *Yielder) error {
+	c := get(b, func(y *Yielder) error {
 		for {
 			y.Yield()
 		}
@@ -314,21 +322,12 @@ func BenchmarkCoroResume(b *testing.B) {
 	c.Abort()
 }
 
-// BenchmarkCoroNew measures creating and completing one coroutine —
-// the per-operation coroutine cost the controller pays. "unpooled" is
-// the reference (a new runtime coroutine per operation: 13 allocs);
-// "pooled" recycles parked workers through a coro.Pool and must stay at
-// 0 allocs steady-state (TestAllocGateCoroPool is the CI gate), at
+// BenchmarkCoroNew measures getting and completing one coroutine from a
+// warmed pool — the per-operation coroutine cost the controller pays. It
+// must stay at 0 allocs (TestAllocGateCoroPool is the CI gate), at
 // resume-level latency.
 func BenchmarkCoroNew(b *testing.B) {
 	fn := func(y *Yielder) error { return nil }
-	b.Run("unpooled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := New(fn)
-			c.Resume()
-		}
-	})
 	b.Run("pooled", func(b *testing.B) {
 		p := NewPool()
 		defer p.Close()

@@ -1,12 +1,14 @@
 package coro
 
+import "iter"
+
 // Pool recycles coroutine goroutines across operations. A coroutine
 // obtained from Get parks its goroutine on the pool's free list when it
 // finishes (normally or via Abort) instead of exiting; the next Get pops
 // a parked worker and re-arms it with a fresh function. Steady-state
 // coroutine turnover therefore costs one resume-style switch and zero
-// allocations, where New costs a goroutine and a dozen allocations per
-// operation.
+// allocations, where a fresh worker costs a goroutine and a dozen
+// allocations.
 //
 // Concurrency contract: a Pool belongs to one simulation rig and is
 // driven from that rig's single kernel goroutine, exactly like the
@@ -28,18 +30,15 @@ type Pool struct {
 func NewPool() *Pool { return &Pool{} }
 
 // Get returns a coroutine that will run fn, reusing a parked goroutine
-// when one is available. Like New, fn does not run until the first
-// Resume. The returned handle is owned by the caller until the
-// coroutine finishes; at that instant the goroutine re-parks itself and
-// the handle must be dropped (a later Get may re-issue it).
+// when one is available. fn does not run until the first Resume. The
+// returned handle is owned by the caller until the coroutine finishes;
+// at that instant the goroutine re-parks itself and the handle must be
+// dropped (a later Get may re-issue it).
 //
-// Get on a closed pool degrades to an unpooled New: correct, just not
-// recycled.
+// Get on a closed pool still works, it just does not recycle: the
+// worker runs one body and exits, and Spawned does not count it.
 func (p *Pool) Get(fn func(*Yielder) error) *Coroutine {
-	if p.closed {
-		return New(fn)
-	}
-	if n := len(p.free); n > 0 {
+	if n := len(p.free); n > 0 { // Close empties the free list
 		c := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
@@ -50,12 +49,20 @@ func (p *Pool) Get(fn func(*Yielder) error) *Coroutine {
 		c.err = nil
 		return c
 	}
-	p.spawned++
-	return newCoroutine(fn, p.work)
+	if !p.closed {
+		p.spawned++
+	}
+	c := &Coroutine{fn: fn}
+	c.y.c = c
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		p.work(c)
+	})
+	return c
 }
 
-// work is the pooled worker's life: run one body per wake-up, park
-// between bodies. The abort unwind (and any body panic) is contained by
+// work is a worker's whole life: run one body per wake-up, park between
+// bodies. The abort unwind (and any body panic) is contained by
 // runBody, so an Abort cannot corrupt the loop — the worker parks and is
 // reusable afterwards. It ends when the pool is closed: at once if the
 // body finishes after Close, or when Close stops it while parked.
@@ -89,7 +96,7 @@ func (p *Pool) Spawned() int { return p.spawned }
 
 // Close stops every parked worker goroutine and marks the pool closed:
 // coroutines still in flight finish normally and their workers exit
-// instead of re-parking, and later Gets fall back to unpooled New.
+// instead of re-parking, and later Gets run one body per worker.
 // Close is idempotent. Callers must Abort in-flight coroutines first
 // (e.g. core.Controller.Close does) if they want the goroutine count
 // back to baseline.

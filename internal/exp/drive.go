@@ -28,7 +28,6 @@ func driveRig(opt Options, cfg ssd.BuildConfig, preload int, fc *hic.FrontendCon
 	// The rig-wide options every experiment shares are laid over the
 	// experiment's own configuration here, the one place that knows them.
 	cfg.Tracer = tracer
-	cfg.NoCoroPool = opt.noCoroPool
 	cfg.MapCacheBytes = opt.MapCacheBytes
 	rig, err := ssd.Build(cfg)
 	if err != nil {

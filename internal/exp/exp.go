@@ -53,11 +53,6 @@ type Options struct {
 	// whole map resident — the legacy model, byte-identical results.
 	// Runs are seed-reproducible at any budget.
 	MapCacheBytes int64
-	// noCoroPool builds every rig without its per-rig coroutine pool
-	// (fresh goroutine per operation). Results and traces are identical
-	// either way — TestCoroPoolDeterminism holds the two paths byte-for-
-	// byte equal — so this exists for that comparison, not for normal use.
-	noCoroPool bool
 }
 
 func (o Options) withDefaults() Options {

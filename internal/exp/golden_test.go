@@ -13,10 +13,10 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 
 // TestFigureGoldens holds every CSV a babolbench user can get at the
 // default flags, and every text report, to checked-in bytes. The
-// determinism tests compare the code with itself (parallel 1 vs 8,
-// pooled vs unpooled), so they cannot see a change that moves both
-// sides; these goldens can, and they are what a deletion or refactor of
-// a simulation path diffs against. Each experiment runs once and yields
+// determinism tests compare the code with itself (parallel 1 vs 8), so
+// they cannot see a change that moves both sides; these goldens can,
+// and they are what a deletion or refactor of a simulation path diffs
+// against. Each experiment runs once and yields
 // its .csv (if it has one) and its .txt. table2.txt moves whenever the
 // Table II bodies in ops.go or the FSM states in fsm.go change length:
 // Table II is a claim about them. Regenerate only for an intended change, and say why:

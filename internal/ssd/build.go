@@ -90,12 +90,6 @@ type BuildConfig struct {
 	// target (global chip numbering: channel*Ways + way). Fault hits are
 	// emitted as obs.KindFault events on the targeted chip's channel.
 	Faults *fault.Plan
-	// NoCoroPool disables the per-rig coroutine pool: every operation
-	// gets a fresh goroutine, as before pooling existed. Virtual-time
-	// results are identical either way (the pooled-determinism tests
-	// compare the two paths byte for byte); the switch costs ~5 allocs
-	// and a goroutine spawn per operation.
-	NoCoroPool bool
 	// Shards > 0 splits the rig across event-loop shards: the host
 	// complex on shard 0 and contiguous channel groups on the rest, run
 	// concurrently under a conservative time-window cluster (see
@@ -150,8 +144,8 @@ type Rig struct {
 	// streams; non-nil iff BuildConfig.Observe was set.
 	Metrics *obs.Metrics
 
-	// CoroPool is the rig's shared operation-coroutine pool (nil for
-	// hardware-only rigs or when BuildConfig.NoCoroPool is set). All
+	// CoroPool is the rig's shared operation-coroutine pool (nil only on
+	// hardware-only rigs). All
 	// BABOL controllers on the rig draw from it; it lives across
 	// operations, GC cycles, and fault-recovery reissues, and is closed
 	// by Rig.Close after the controllers have aborted their operations.
@@ -350,7 +344,7 @@ func Build(cfg BuildConfig) (*Rig, error) {
 				shard = shardOf(c, cfg.Channels, shards)
 			}
 			pool := poolByShard[shard]
-			if pool == nil && !cfg.NoCoroPool {
+			if pool == nil {
 				pool = coro.NewPool()
 				poolByShard[shard] = pool
 				if cluster != nil {
@@ -367,7 +361,7 @@ func Build(cfg BuildConfig) (*Rig, error) {
 			ctrl, err := core.New(core.Config{
 				Kernel: chK, Channel: ch, DRAM: mem, CPU: cpu, TxnQueue: txnQ,
 				Tracer:   obs.OnChannel(chTracer, c),
-				CoroPool: pool, DisableCoroPool: cfg.NoCoroPool,
+				CoroPool: pool,
 			})
 			if err != nil {
 				return nil, err
