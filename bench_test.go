@@ -136,7 +136,7 @@ func benchParams() nand.Params {
 }
 
 // readBandwidth runs a read workload on a fresh rig and returns MB/s.
-func readBandwidth(b *testing.B, cfg ssd.BuildConfig, ops, qd int) float64 {
+func readBandwidth(b testing.TB, cfg ssd.BuildConfig, ops, qd int) float64 {
 	b.Helper()
 	rig, err := ssd.Build(cfg)
 	if err != nil {
@@ -161,14 +161,16 @@ func readBandwidth(b *testing.B, cfg ssd.BuildConfig, ops, qd int) float64 {
 	return res.BandwidthMBps(cfg.Params.Geometry.PageBytes)
 }
 
-// BenchmarkAblationTxnScheduler compares BABOL's transaction-scheduler
-// policies at 4 ways — the design choice §V leaves to the SSD Architect.
-// The policies are enumerated as an ordered job table (a map would give
-// the sub-benchmarks a shuffled order run to run).
-func BenchmarkAblationTxnScheduler(b *testing.B) {
+// schedulerJobs enumerates the transaction-scheduler policies as an
+// ordered job table (a map would give the sub-benchmarks a shuffled
+// order run to run).
+func schedulerJobs() []struct {
+	name string
+	mk   func() sched.TxnQueue
+} {
 	tm := onfi.DefaultTiming()
 	bus := onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}
-	jobs := []struct {
+	return []struct {
 		name string
 		mk   func() sched.TxnQueue
 	}{
@@ -177,58 +179,71 @@ func BenchmarkAblationTxnScheduler(b *testing.B) {
 		{"fifo", sched.NewTxnFIFO},
 		{"shortest-first", func() sched.TxnQueue { return sched.NewTxnShortestFirst(tm, bus) }},
 	}
-	for _, j := range jobs {
+}
+
+// schedulerBandwidth is one scheduler-ablation run at 4 ways.
+func schedulerBandwidth(b testing.TB, mk func() sched.TxnQueue) float64 {
+	return readBandwidth(b, ssd.BuildConfig{
+		Params: benchParams(), Ways: 4, RateMT: 200,
+		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, TxnQueue: mk,
+	}, 80, 16)
+}
+
+// BenchmarkAblationTxnScheduler compares BABOL's transaction-scheduler
+// policies at 4 ways — the design choice §V leaves to the SSD Architect.
+func BenchmarkAblationTxnScheduler(b *testing.B) {
+	for _, j := range schedulerJobs() {
 		j := j
 		b.Run(j.name, func(b *testing.B) {
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				mbps = readBandwidth(b, ssd.BuildConfig{
-					Params: benchParams(), Ways: 4, RateMT: 200,
-					Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, TxnQueue: j.mk,
-				}, 80, 16)
+				mbps = schedulerBandwidth(b, j.mk)
 			}
 			b.ReportMetric(mbps, "MB/s")
 		})
 	}
 }
 
+// pollRead reads one page with status polling, or with a safe fixed tR
+// wait, and returns when the read finished.
+func pollRead(b testing.TB, fixed bool) sim.Duration {
+	rig, err := ssd.Build(ssd.BuildConfig{
+		Params: benchParams(), Ways: 1, RateMT: 200,
+		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rig.Close()
+	lun := rig.Channel.Chip(0)
+	if err := lun.SeedPage(onfi.RowAddr{}, []byte{1}); err != nil {
+		b.Fatal(err)
+	}
+	op := ops.ReadPage(onfi.Addr{}, 0, lun.Params().Geometry.PageBytes)
+	if fixed {
+		// A safe fixed wait must cover worst-case tR (nominal plus
+		// the jitter bound).
+		worst := lun.Params().TR + lun.Params().TR/10
+		op = ops.ReadPageFixedWait(onfi.Addr{}, 0, lun.Params().Geometry.PageBytes, worst)
+	}
+	var end sim.Time
+	rig.Babol.Start(core.OpRequest{
+		Func: op, Chip: 0,
+		Done: func(err error) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			end = rig.Kernel.Now()
+		},
+	})
+	rig.Kernel.Run()
+	return sim.Duration(end)
+}
+
 // BenchmarkAblationPollVsFixedWait compares status polling against the
 // naive fixed-tR wait — the design choice behind Algorithm 2's poll loop
 // (tR is variable, so a safe fixed wait must be pessimistic).
 func BenchmarkAblationPollVsFixedWait(b *testing.B) {
-	run := func(b *testing.B, fixed bool) sim.Duration {
-		rig, err := ssd.Build(ssd.BuildConfig{
-			Params: benchParams(), Ways: 1, RateMT: 200,
-			Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer rig.Close()
-		lun := rig.Channel.Chip(0)
-		if err := lun.SeedPage(onfi.RowAddr{}, []byte{1}); err != nil {
-			b.Fatal(err)
-		}
-		op := ops.ReadPage(onfi.Addr{}, 0, lun.Params().Geometry.PageBytes)
-		if fixed {
-			// A safe fixed wait must cover worst-case tR (nominal plus
-			// the jitter bound).
-			worst := lun.Params().TR + lun.Params().TR/10
-			op = ops.ReadPageFixedWait(onfi.Addr{}, 0, lun.Params().Geometry.PageBytes, worst)
-		}
-		var end sim.Time
-		rig.Babol.Start(core.OpRequest{
-			Func: op, Chip: 0,
-			Done: func(err error) {
-				if err != nil {
-					b.Fatal(err)
-				}
-				end = rig.Kernel.Now()
-			},
-		})
-		rig.Kernel.Run()
-		return sim.Duration(end)
-	}
 	for _, j := range []struct {
 		name  string
 		fixed bool
@@ -237,11 +252,19 @@ func BenchmarkAblationPollVsFixedWait(b *testing.B) {
 		b.Run(j.name, func(b *testing.B) {
 			var d sim.Duration
 			for i := 0; i < b.N; i++ {
-				d = run(b, j.fixed)
+				d = pollRead(b, j.fixed)
 			}
 			b.ReportMetric(d.Micros(), "us/read")
 		})
 	}
+}
+
+// eccBandwidth is one ECC-ablation run at 4 ways.
+func eccBandwidth(b testing.TB, ecc bool) float64 {
+	return readBandwidth(b, ssd.BuildConfig{
+		Params: benchParams(), Ways: 4, RateMT: 200,
+		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, WithECC: ecc,
+	}, 80, 16)
 }
 
 // BenchmarkAblationECC measures the end-to-end cost of running the
@@ -255,69 +278,77 @@ func BenchmarkAblationECC(b *testing.B) {
 		b.Run(j.name, func(b *testing.B) {
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				mbps = readBandwidth(b, ssd.BuildConfig{
-					Params: benchParams(), Ways: 4, RateMT: 200,
-					Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, WithECC: ecc,
-				}, 80, 16)
+				mbps = eccBandwidth(b, ecc)
 			}
 			b.ReportMetric(mbps, "MB/s")
 		})
 	}
 }
 
+// coroBandwidth is one CPU-frequency-ablation run at 8 ways.
+func coroBandwidth(b testing.TB, mhz int) float64 {
+	return readBandwidth(b, ssd.BuildConfig{
+		Params: benchParams(), Ways: 8, RateMT: 200,
+		Controller: ssd.CtrlBabolCoro, CPUMHz: mhz,
+	}, 80, 16)
+}
+
+// ablationMHz are the firmware clocks of the CPU-frequency ablation.
+var ablationMHz = []int{150, 400, 1000}
+
 // BenchmarkAblationCPUFrequency sweeps the firmware clock for the
 // coroutine environment — the paper's "what processor does each software
 // environment need" question, isolated.
 func BenchmarkAblationCPUFrequency(b *testing.B) {
-	for _, mhz := range []int{150, 400, 1000} {
+	for _, mhz := range ablationMHz {
 		mhz := mhz
 		b.Run(fmt.Sprintf("coro-%dMHz", mhz), func(b *testing.B) {
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				mbps = readBandwidth(b, ssd.BuildConfig{
-					Params: benchParams(), Ways: 8, RateMT: 200,
-					Controller: ssd.CtrlBabolCoro, CPUMHz: mhz,
-				}, 80, 16)
+				mbps = coroBandwidth(b, mhz)
 			}
 			b.ReportMetric(mbps, "MB/s")
 		})
 	}
+}
+
+// copybackGC runs a steady overwrite load, GC relocating with NAND
+// copyback or by read-out/write-in, and returns the write bandwidth.
+func copybackGC(b testing.TB, copyback bool) float64 {
+	p := benchParams()
+	p.Geometry.BlocksPerLUN = 12
+	// Scaled-down array times keep the bench quick; the ablation
+	// compares channel traffic, which scaling preserves.
+	p.TR = 20 * sim.Microsecond
+	p.TPROG = 50 * sim.Microsecond
+	p.TBERS = 200 * sim.Microsecond
+	rig, err := ssd.Build(ssd.BuildConfig{
+		Params: p, Ways: 2, RateMT: 200,
+		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, UseCopyback: copyback,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rig.Close()
+	logical := rig.FTL.LogicalPages()
+	res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
+		Pattern: hic.Sequential, Kind: hic.KindWrite,
+		NumOps: logical * 3, QueueDepth: 4, LogicalPages: logical,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rig.Kernel.Run()
+	if res.Failed != 0 {
+		b.Fatalf("%d writes failed", res.Failed)
+	}
+	return res.BandwidthMBps(p.Geometry.PageBytes)
 }
 
 // BenchmarkAblationCopybackGC measures garbage collection with NAND
 // copyback (page moves stay inside the LUN) against read-out/write-in
 // relocation, under a steady overwrite load.
 func BenchmarkAblationCopybackGC(b *testing.B) {
-	run := func(b *testing.B, copyback bool) float64 {
-		p := benchParams()
-		p.Geometry.BlocksPerLUN = 12
-		// Scaled-down array times keep the bench quick; the ablation
-		// compares channel traffic, which scaling preserves.
-		p.TR = 20 * sim.Microsecond
-		p.TPROG = 50 * sim.Microsecond
-		p.TBERS = 200 * sim.Microsecond
-		rig, err := ssd.Build(ssd.BuildConfig{
-			Params: p, Ways: 2, RateMT: 200,
-			Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, UseCopyback: copyback,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer rig.Close()
-		logical := rig.FTL.LogicalPages()
-		res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
-			Pattern: hic.Sequential, Kind: hic.KindWrite,
-			NumOps: logical * 3, QueueDepth: 4, LogicalPages: logical,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rig.Kernel.Run()
-		if res.Failed != 0 {
-			b.Fatalf("%d writes failed", res.Failed)
-		}
-		return res.BandwidthMBps(p.Geometry.PageBytes)
-	}
 	for _, j := range []struct {
 		name     string
 		copyback bool
@@ -326,11 +357,60 @@ func BenchmarkAblationCopybackGC(b *testing.B) {
 		b.Run(j.name, func(b *testing.B) {
 			var mbps float64
 			for i := 0; i < b.N; i++ {
-				mbps = run(b, j.copyback)
+				mbps = copybackGC(b, j.copyback)
 			}
 			b.ReportMetric(mbps, "MB/s")
 		})
 	}
+}
+
+// eraseSuspendP99 samples random reads under a write+GC load, with or
+// without read-priority erase suspension, and returns their p99.
+func eraseSuspendP99(b testing.TB, suspend bool) sim.Duration {
+	p := benchParams()
+	// A small, fast geometry keeps GC erases frequent enough that
+	// the 80 sampled reads actually collide with them.
+	p.Geometry = onfi.Geometry{Planes: 1, BlocksPerLUN: 16, PagesPerBlk: 4, PageBytes: 512, SpareBytes: 64}
+	p.JitterPct = 0
+	p.TR = 20 * sim.Microsecond
+	p.TPROG = 50 * sim.Microsecond
+	p.TBERS = 3 * sim.Millisecond
+	rig, err := ssd.Build(ssd.BuildConfig{
+		Params: p, Ways: 1, RateMT: 200,
+		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, SuspendReads: suspend,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rig.Close()
+	logical := rig.FTL.LogicalPages()
+	if err := rig.SSD.Preload(logical); err != nil {
+		b.Fatal(err)
+	}
+	writes := 0
+	var writeNext func()
+	writeNext = func() {
+		if writes >= logical*3 {
+			return
+		}
+		writes++
+		rig.SSD.Submit(hic.Command{Kind: hic.KindWrite, LPN: writes % logical, Done: func(err error) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			writeNext()
+		}})
+	}
+	writeNext()
+	res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
+		Pattern: hic.Random, Kind: hic.KindRead,
+		NumOps: 80, QueueDepth: 1, LogicalPages: logical, Seed: 11,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rig.Kernel.Run()
+	return res.LatencyPercentile(99)
 }
 
 // BenchmarkAblationEraseSuspend measures read p99 latency under write+GC
@@ -338,52 +418,6 @@ func BenchmarkAblationCopybackGC(b *testing.B) {
 // tail-latency optimization of the erase-suspend literature the paper
 // cites, expressed as one software operation.
 func BenchmarkAblationEraseSuspend(b *testing.B) {
-	run := func(b *testing.B, suspend bool) sim.Duration {
-		p := benchParams()
-		// A small, fast geometry keeps GC erases frequent enough that
-		// the 80 sampled reads actually collide with them.
-		p.Geometry = onfi.Geometry{Planes: 1, BlocksPerLUN: 16, PagesPerBlk: 4, PageBytes: 512, SpareBytes: 64}
-		p.JitterPct = 0
-		p.TR = 20 * sim.Microsecond
-		p.TPROG = 50 * sim.Microsecond
-		p.TBERS = 3 * sim.Millisecond
-		rig, err := ssd.Build(ssd.BuildConfig{
-			Params: p, Ways: 1, RateMT: 200,
-			Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, SuspendReads: suspend,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer rig.Close()
-		logical := rig.FTL.LogicalPages()
-		if err := rig.SSD.Preload(logical); err != nil {
-			b.Fatal(err)
-		}
-		writes := 0
-		var writeNext func()
-		writeNext = func() {
-			if writes >= logical*3 {
-				return
-			}
-			writes++
-			rig.SSD.Submit(hic.Command{Kind: hic.KindWrite, LPN: writes % logical, Done: func(err error) {
-				if err != nil {
-					b.Fatal(err)
-				}
-				writeNext()
-			}})
-		}
-		writeNext()
-		res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
-			Pattern: hic.Random, Kind: hic.KindRead,
-			NumOps: 80, QueueDepth: 1, LogicalPages: logical, Seed: 11,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rig.Kernel.Run()
-		return res.LatencyPercentile(99)
-	}
 	for _, j := range []struct {
 		name    string
 		suspend bool
@@ -392,67 +426,70 @@ func BenchmarkAblationEraseSuspend(b *testing.B) {
 		b.Run(j.name, func(b *testing.B) {
 			var p99 sim.Duration
 			for i := 0; i < b.N; i++ {
-				p99 = run(b, j.suspend)
+				p99 = eraseSuspendP99(b, j.suspend)
 			}
 			b.ReportMetric(p99.Micros(), "p99-us")
 		})
 	}
 }
 
+// multiPlaneRead reads two pages on one LUN, in one multi-plane READ or
+// as two single-plane reads, and returns when both were in.
+func multiPlaneRead(b testing.TB, multi bool) sim.Duration {
+	p := benchParams()
+	rig, err := ssd.Build(ssd.BuildConfig{
+		Params: p, Ways: 1, RateMT: 200,
+		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rig.Close()
+	lun := rig.Channel.Chip(0)
+	rows := []onfi.RowAddr{{Block: 0, Page: 0}, {Block: 1, Page: 0}} // planes 0 and 1
+	for _, r := range rows {
+		if err := lun.SeedPage(r, []byte{1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := p.Geometry.PageBytes
+	var end sim.Time
+	if multi {
+		rig.Babol.Start(core.OpRequest{
+			Func: ops.MPReadPages(rows, 0, n), Chip: 0,
+			Done: func(err error) {
+				if err != nil {
+					b.Fatal(err)
+				}
+				end = rig.Kernel.Now()
+			},
+		})
+	} else {
+		rig.Babol.Start(core.OpRequest{
+			Func: ops.ReadPage(onfi.Addr{Row: rows[0]}, 0, n), Chip: 0,
+			Done: func(err error) {
+				if err != nil {
+					b.Fatal(err)
+				}
+				rig.Babol.Start(core.OpRequest{
+					Func: ops.ReadPage(onfi.Addr{Row: rows[1]}, n, n), Chip: 0,
+					Done: func(err error) {
+						if err != nil {
+							b.Fatal(err)
+						}
+						end = rig.Kernel.Now()
+					},
+				})
+			},
+		})
+	}
+	rig.Kernel.Run()
+	return sim.Duration(end)
+}
+
 // BenchmarkAblationMultiPlane compares multi-plane reads (one shared tR
 // for both planes) against serial single-plane reads on one LUN.
 func BenchmarkAblationMultiPlane(b *testing.B) {
-	run := func(b *testing.B, multi bool) sim.Duration {
-		p := benchParams()
-		rig, err := ssd.Build(ssd.BuildConfig{
-			Params: p, Ways: 1, RateMT: 200,
-			Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer rig.Close()
-		lun := rig.Channel.Chip(0)
-		rows := []onfi.RowAddr{{Block: 0, Page: 0}, {Block: 1, Page: 0}} // planes 0 and 1
-		for _, r := range rows {
-			if err := lun.SeedPage(r, []byte{1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		n := p.Geometry.PageBytes
-		var end sim.Time
-		if multi {
-			rig.Babol.Start(core.OpRequest{
-				Func: ops.MPReadPages(rows, 0, n), Chip: 0,
-				Done: func(err error) {
-					if err != nil {
-						b.Fatal(err)
-					}
-					end = rig.Kernel.Now()
-				},
-			})
-		} else {
-			rig.Babol.Start(core.OpRequest{
-				Func: ops.ReadPage(onfi.Addr{Row: rows[0]}, 0, n), Chip: 0,
-				Done: func(err error) {
-					if err != nil {
-						b.Fatal(err)
-					}
-					rig.Babol.Start(core.OpRequest{
-						Func: ops.ReadPage(onfi.Addr{Row: rows[1]}, n, n), Chip: 0,
-						Done: func(err error) {
-							if err != nil {
-								b.Fatal(err)
-							}
-							end = rig.Kernel.Now()
-						},
-					})
-				},
-			})
-		}
-		rig.Kernel.Run()
-		return sim.Duration(end)
-	}
 	for _, j := range []struct {
 		name  string
 		multi bool
@@ -461,7 +498,7 @@ func BenchmarkAblationMultiPlane(b *testing.B) {
 		b.Run(j.name, func(b *testing.B) {
 			var d sim.Duration
 			for i := 0; i < b.N; i++ {
-				d = run(b, j.multi)
+				d = multiPlaneRead(b, j.multi)
 			}
 			b.ReportMetric(d.Micros(), "us/2pages")
 		})
