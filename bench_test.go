@@ -1,593 +1,26 @@
-// Package repro's root benchmark harness: one testing.B benchmark per
-// table and figure of the paper (regenerate everything with
-// `go test -bench=. -benchmem`), plus ablation benches for the design
-// choices DESIGN.md calls out. Bandwidth results are attached as custom
-// `MB/s` metrics; `cmd/babolbench` prints the same data as tables.
+// Package repro's root benchmark harness: the simulator's own host time.
+// BenchmarkSimulationSpeed reports the real-time factor and
+// BenchmarkFig10Sweep the parallel runner's wall-clock case. The paper's
+// tables, figures and design ablations are pinned by
+// internal/exp's TestFigureGoldens and printed by cmd/babolbench.
 package repro
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/ftl"
 	"repro/internal/hic"
 	"repro/internal/nand"
-	"repro/internal/onfi"
-	"repro/internal/ops"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
 
-// benchOpt keeps per-iteration work small while preserving shapes. The
-// zero Parallel fans each sweep's rigs out across the CPUs; the
-// serial-vs-parallel comparison lives in BenchmarkFig10Sweep.
-func benchOpt() exp.Options {
-	return exp.Options{Ops: 60, Blocks: 16}
-}
-
-// BenchmarkTable1Presets regenerates Table I (flash memory parameters).
-func BenchmarkTable1Presets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if exp.RenderTable1() == "" {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkTable2LoC regenerates Table II (lines of code per operation).
-func BenchmarkTable2LoC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 3 {
-			b.Fatal("wrong row count")
-		}
-	}
-}
-
-// BenchmarkTable3Area regenerates Table III (FPGA resources).
-func BenchmarkTable3Area(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if len(exp.Table3()) != 3 {
-			b.Fatal("wrong row count")
-		}
-	}
-}
-
-// BenchmarkFig10ReadThroughput regenerates the Figure 10 sweep (reduced
-// LUN list per iteration) and reports the headline corner: Hynix,
-// 200 MT/s, 8 LUNs, RTOS at 1 GHz.
-func BenchmarkFig10ReadThroughput(b *testing.B) {
-	var headline float64
-	for i := 0; i < b.N; i++ {
-		pts, err := exp.Fig10(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			if p.Package == "Hynix" && p.RateMT == 200 && p.LUNs == 8 &&
-				p.Controller == ssd.CtrlBabolRTOS && p.CPUMHz == 1000 {
-				headline = p.MBps
-			}
-		}
-	}
-	b.ReportMetric(headline, "MB/s")
-}
-
-// BenchmarkFig11PollPeriod regenerates the Figure 11 polling analysis
-// and reports the coroutine environment's poll period in microseconds
-// (the paper measures ≈30 µs).
-func BenchmarkFig11PollPeriod(b *testing.B) {
-	var coroPeriod float64
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig11(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range res {
-			if r.Controller == ssd.CtrlBabolCoro {
-				coroPeriod = r.MeanPollPeriod.Micros()
-			}
-		}
-	}
-	b.ReportMetric(coroPeriod, "us/poll")
-}
-
-// BenchmarkFig12EndToEnd regenerates the Figure 12 end-to-end comparison
-// at 8 ways and reports BABOL-RTOS's bandwidth delta versus the hardware
-// baseline in percent (paper: −2 % sequential).
-func BenchmarkFig12EndToEnd(b *testing.B) {
-	var delta float64
-	for i := 0; i < b.N; i++ {
-		opt := benchOpt()
-		opt.Ops = 120
-		pts, err := exp.Fig12(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var hw, rtos float64
-		for _, p := range pts {
-			if p.Pattern == hic.Sequential && p.Ways == 8 {
-				switch p.Controller {
-				case ssd.CtrlHW:
-					hw = p.MBps
-				case ssd.CtrlBabolRTOS:
-					rtos = p.MBps
-				}
-			}
-		}
-		delta = (rtos - hw) / hw * 100
-	}
-	b.ReportMetric(delta, "%vsHW")
-}
-
-// --------------------------------------------------------- ablations --
-
-// benchParams is the shrunken package used by the ablations.
+// benchParams is the shrunken package of the simulation-speed rigs
+// (shared with rtf_test.go).
 func benchParams() nand.Params {
 	p := nand.Hynix()
 	p.Geometry.BlocksPerLUN = 16
 	return p
-}
-
-// readBandwidth runs a read workload on a fresh rig and returns MB/s.
-func readBandwidth(b testing.TB, cfg ssd.BuildConfig, ops, qd int) float64 {
-	b.Helper()
-	rig, err := ssd.Build(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rig.Close()
-	working := 32 * cfg.Ways
-	if err := rig.SSD.Preload(working); err != nil {
-		b.Fatal(err)
-	}
-	res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
-		Pattern: hic.Sequential, Kind: hic.KindRead,
-		NumOps: ops, QueueDepth: qd, LogicalPages: working,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rig.Kernel.Run()
-	if res.Failed != 0 {
-		b.Fatalf("%d ops failed", res.Failed)
-	}
-	return res.BandwidthMBps(cfg.Params.Geometry.PageBytes)
-}
-
-// schedulerJobs enumerates the transaction-scheduler policies as an
-// ordered job table (a map would give the sub-benchmarks a shuffled
-// order run to run).
-func schedulerJobs() []struct {
-	name string
-	mk   func() sched.TxnQueue
-} {
-	tm := onfi.DefaultTiming()
-	bus := onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: 200}
-	return []struct {
-		name string
-		mk   func() sched.TxnQueue
-	}{
-		{"issue-first", sched.NewTxnIssueFirst},
-		{"round-robin", sched.NewTxnRoundRobin},
-		{"fifo", sched.NewTxnFIFO},
-		{"shortest-first", func() sched.TxnQueue { return sched.NewTxnShortestFirst(tm, bus) }},
-	}
-}
-
-// schedulerBandwidth is one scheduler-ablation run at 4 ways.
-func schedulerBandwidth(b testing.TB, mk func() sched.TxnQueue) float64 {
-	return readBandwidth(b, ssd.BuildConfig{
-		Params: benchParams(), Ways: 4, RateMT: 200,
-		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, TxnQueue: mk,
-	}, 80, 16)
-}
-
-// BenchmarkAblationTxnScheduler compares BABOL's transaction-scheduler
-// policies at 4 ways — the design choice §V leaves to the SSD Architect.
-func BenchmarkAblationTxnScheduler(b *testing.B) {
-	for _, j := range schedulerJobs() {
-		j := j
-		b.Run(j.name, func(b *testing.B) {
-			var mbps float64
-			for i := 0; i < b.N; i++ {
-				mbps = schedulerBandwidth(b, j.mk)
-			}
-			b.ReportMetric(mbps, "MB/s")
-		})
-	}
-}
-
-// pollRead reads one page with status polling, or with a safe fixed tR
-// wait, and returns when the read finished.
-func pollRead(b testing.TB, fixed bool) sim.Duration {
-	rig, err := ssd.Build(ssd.BuildConfig{
-		Params: benchParams(), Ways: 1, RateMT: 200,
-		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rig.Close()
-	lun := rig.Channel.Chip(0)
-	if err := lun.SeedPage(onfi.RowAddr{}, []byte{1}); err != nil {
-		b.Fatal(err)
-	}
-	op := ops.ReadPage(onfi.Addr{}, 0, lun.Params().Geometry.PageBytes)
-	if fixed {
-		// A safe fixed wait must cover worst-case tR (nominal plus
-		// the jitter bound).
-		worst := lun.Params().TR + lun.Params().TR/10
-		op = ops.ReadPageFixedWait(onfi.Addr{}, 0, lun.Params().Geometry.PageBytes, worst)
-	}
-	var end sim.Time
-	rig.Babol.Start(core.OpRequest{
-		Func: op, Chip: 0,
-		Done: func(err error) {
-			if err != nil {
-				b.Fatal(err)
-			}
-			end = rig.Kernel.Now()
-		},
-	})
-	rig.Kernel.Run()
-	return sim.Duration(end)
-}
-
-// BenchmarkAblationPollVsFixedWait compares status polling against the
-// naive fixed-tR wait — the design choice behind Algorithm 2's poll loop
-// (tR is variable, so a safe fixed wait must be pessimistic).
-func BenchmarkAblationPollVsFixedWait(b *testing.B) {
-	for _, j := range []struct {
-		name  string
-		fixed bool
-	}{{"poll", false}, {"fixed-wait", true}} {
-		j := j
-		b.Run(j.name, func(b *testing.B) {
-			var d sim.Duration
-			for i := 0; i < b.N; i++ {
-				d = pollRead(b, j.fixed)
-			}
-			b.ReportMetric(d.Micros(), "us/read")
-		})
-	}
-}
-
-// eccBandwidth is one ECC-ablation run at 4 ways.
-func eccBandwidth(b testing.TB, ecc bool) float64 {
-	return readBandwidth(b, ssd.BuildConfig{
-		Params: benchParams(), Ways: 4, RateMT: 200,
-		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, WithECC: ecc,
-	}, 80, 16)
-}
-
-// BenchmarkAblationECC measures the end-to-end cost of running the
-// SEC-DED datapath on every read.
-func BenchmarkAblationECC(b *testing.B) {
-	for _, j := range []struct {
-		name string
-		ecc  bool
-	}{{"off", false}, {"on", true}} {
-		ecc := j.ecc
-		b.Run(j.name, func(b *testing.B) {
-			var mbps float64
-			for i := 0; i < b.N; i++ {
-				mbps = eccBandwidth(b, ecc)
-			}
-			b.ReportMetric(mbps, "MB/s")
-		})
-	}
-}
-
-// coroBandwidth is one CPU-frequency-ablation run at 8 ways.
-func coroBandwidth(b testing.TB, mhz int) float64 {
-	return readBandwidth(b, ssd.BuildConfig{
-		Params: benchParams(), Ways: 8, RateMT: 200,
-		Controller: ssd.CtrlBabolCoro, CPUMHz: mhz,
-	}, 80, 16)
-}
-
-// ablationMHz are the firmware clocks of the CPU-frequency ablation.
-var ablationMHz = []int{150, 400, 1000}
-
-// BenchmarkAblationCPUFrequency sweeps the firmware clock for the
-// coroutine environment — the paper's "what processor does each software
-// environment need" question, isolated.
-func BenchmarkAblationCPUFrequency(b *testing.B) {
-	for _, mhz := range ablationMHz {
-		mhz := mhz
-		b.Run(fmt.Sprintf("coro-%dMHz", mhz), func(b *testing.B) {
-			var mbps float64
-			for i := 0; i < b.N; i++ {
-				mbps = coroBandwidth(b, mhz)
-			}
-			b.ReportMetric(mbps, "MB/s")
-		})
-	}
-}
-
-// copybackGC runs a steady overwrite load, GC relocating with NAND
-// copyback or by read-out/write-in, and returns the write bandwidth.
-func copybackGC(b testing.TB, copyback bool) float64 {
-	p := benchParams()
-	p.Geometry.BlocksPerLUN = 12
-	// Scaled-down array times keep the bench quick; the ablation
-	// compares channel traffic, which scaling preserves.
-	p.TR = 20 * sim.Microsecond
-	p.TPROG = 50 * sim.Microsecond
-	p.TBERS = 200 * sim.Microsecond
-	rig, err := ssd.Build(ssd.BuildConfig{
-		Params: p, Ways: 2, RateMT: 200,
-		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, UseCopyback: copyback,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rig.Close()
-	logical := rig.FTL.LogicalPages()
-	res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
-		Pattern: hic.Sequential, Kind: hic.KindWrite,
-		NumOps: logical * 3, QueueDepth: 4, LogicalPages: logical,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rig.Kernel.Run()
-	if res.Failed != 0 {
-		b.Fatalf("%d writes failed", res.Failed)
-	}
-	return res.BandwidthMBps(p.Geometry.PageBytes)
-}
-
-// BenchmarkAblationCopybackGC measures garbage collection with NAND
-// copyback (page moves stay inside the LUN) against read-out/write-in
-// relocation, under a steady overwrite load.
-func BenchmarkAblationCopybackGC(b *testing.B) {
-	for _, j := range []struct {
-		name     string
-		copyback bool
-	}{{"read-program", false}, {"copyback", true}} {
-		j := j
-		b.Run(j.name, func(b *testing.B) {
-			var mbps float64
-			for i := 0; i < b.N; i++ {
-				mbps = copybackGC(b, j.copyback)
-			}
-			b.ReportMetric(mbps, "MB/s")
-		})
-	}
-}
-
-// eraseSuspendP99 samples random reads under a write+GC load, with or
-// without read-priority erase suspension, and returns their p99.
-func eraseSuspendP99(b testing.TB, suspend bool) sim.Duration {
-	p := benchParams()
-	// A small, fast geometry keeps GC erases frequent enough that
-	// the 80 sampled reads actually collide with them.
-	p.Geometry = onfi.Geometry{Planes: 1, BlocksPerLUN: 16, PagesPerBlk: 4, PageBytes: 512, SpareBytes: 64}
-	p.JitterPct = 0
-	p.TR = 20 * sim.Microsecond
-	p.TPROG = 50 * sim.Microsecond
-	p.TBERS = 3 * sim.Millisecond
-	rig, err := ssd.Build(ssd.BuildConfig{
-		Params: p, Ways: 1, RateMT: 200,
-		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, SuspendReads: suspend,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rig.Close()
-	logical := rig.FTL.LogicalPages()
-	if err := rig.SSD.Preload(logical); err != nil {
-		b.Fatal(err)
-	}
-	writes := 0
-	var writeNext func()
-	writeNext = func() {
-		if writes >= logical*3 {
-			return
-		}
-		writes++
-		rig.SSD.Submit(hic.Command{Kind: hic.KindWrite, LPN: writes % logical, Done: func(err error) {
-			if err != nil {
-				b.Fatal(err)
-			}
-			writeNext()
-		}})
-	}
-	writeNext()
-	res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
-		Pattern: hic.Random, Kind: hic.KindRead,
-		NumOps: 80, QueueDepth: 1, LogicalPages: logical, Seed: 11,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rig.Kernel.Run()
-	return res.LatencyPercentile(99)
-}
-
-// BenchmarkAblationEraseSuspend measures read p99 latency under write+GC
-// pressure with and without read-priority erase suspension — the
-// tail-latency optimization of the erase-suspend literature the paper
-// cites, expressed as one software operation.
-func BenchmarkAblationEraseSuspend(b *testing.B) {
-	for _, j := range []struct {
-		name    string
-		suspend bool
-	}{{"baseline", false}, {"suspend", true}} {
-		j := j
-		b.Run(j.name, func(b *testing.B) {
-			var p99 sim.Duration
-			for i := 0; i < b.N; i++ {
-				p99 = eraseSuspendP99(b, j.suspend)
-			}
-			b.ReportMetric(p99.Micros(), "p99-us")
-		})
-	}
-}
-
-// multiPlaneRead reads two pages on one LUN, in one multi-plane READ or
-// as two single-plane reads, and returns when both were in.
-func multiPlaneRead(b testing.TB, multi bool) sim.Duration {
-	p := benchParams()
-	rig, err := ssd.Build(ssd.BuildConfig{
-		Params: p, Ways: 1, RateMT: 200,
-		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rig.Close()
-	lun := rig.Channel.Chip(0)
-	rows := []onfi.RowAddr{{Block: 0, Page: 0}, {Block: 1, Page: 0}} // planes 0 and 1
-	for _, r := range rows {
-		if err := lun.SeedPage(r, []byte{1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	n := p.Geometry.PageBytes
-	var end sim.Time
-	if multi {
-		rig.Babol.Start(core.OpRequest{
-			Func: ops.MPReadPages(rows, 0, n), Chip: 0,
-			Done: func(err error) {
-				if err != nil {
-					b.Fatal(err)
-				}
-				end = rig.Kernel.Now()
-			},
-		})
-	} else {
-		rig.Babol.Start(core.OpRequest{
-			Func: ops.ReadPage(onfi.Addr{Row: rows[0]}, 0, n), Chip: 0,
-			Done: func(err error) {
-				if err != nil {
-					b.Fatal(err)
-				}
-				rig.Babol.Start(core.OpRequest{
-					Func: ops.ReadPage(onfi.Addr{Row: rows[1]}, n, n), Chip: 0,
-					Done: func(err error) {
-						if err != nil {
-							b.Fatal(err)
-						}
-						end = rig.Kernel.Now()
-					},
-				})
-			},
-		})
-	}
-	rig.Kernel.Run()
-	return sim.Duration(end)
-}
-
-// BenchmarkAblationMultiPlane compares multi-plane reads (one shared tR
-// for both planes) against serial single-plane reads on one LUN.
-func BenchmarkAblationMultiPlane(b *testing.B) {
-	for _, j := range []struct {
-		name  string
-		multi bool
-	}{{"single-plane", false}, {"multi-plane", true}} {
-		j := j
-		b.Run(j.name, func(b *testing.B) {
-			var d sim.Duration
-			for i := 0; i < b.N; i++ {
-				d = multiPlaneRead(b, j.multi)
-			}
-			b.ReportMetric(d.Micros(), "us/2pages")
-		})
-	}
-}
-
-// ------------------------------------------------------------- FTL --
-
-// benchFTL builds an 8-chip FTL at 4 KiB pages: 7936 logical pages in
-// 16 translation groups.
-func benchFTL(b *testing.B) *ftl.FTL {
-	b.Helper()
-	f, err := ftl.NewWithConfig(ftl.Config{
-		Geometry: onfi.Geometry{
-			Planes: 1, BlocksPerLUN: 64, PagesPerBlk: 16,
-			PageBytes: 4096, SpareBytes: 128,
-		},
-		Chips: 8, ReservedBlocks: 2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return f
-}
-
-// BenchmarkFTLLookup measures translation throughput on a fully mapped
-// drive.
-func BenchmarkFTLLookup(b *testing.B) {
-	f := benchFTL(b)
-	logical := f.LogicalPages()
-	for lpn := 0; lpn < logical; lpn++ {
-		if _, err := f.AllocateWrite(lpn); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	lpn := 0
-	for i := 0; i < b.N; i++ {
-		if _, ok := f.Lookup(lpn); !ok {
-			b.Fatal("unmapped")
-		}
-		// Prime stride so consecutive lookups hop translation groups.
-		lpn = (lpn + 4099) % logical
-	}
-}
-
-// allocateWithRelief is the benchmark's write path: overwrite lpn,
-// running a GC sweep when the drive is out of space.
-func allocateWithRelief(b *testing.B, f *ftl.FTL, lpn int) {
-	// Sweep-then-retry until the allocation lands (bounded: a stuck
-	// sweep means a bug, not pressure).
-	for attempt := 0; attempt < 100; attempt++ {
-		if _, err := f.AllocateWrite(lpn); err == nil {
-			return
-		}
-		for chip := 0; chip < f.Chips(); chip++ {
-			victim, live, ok := f.GCCandidate(chip)
-			if !ok {
-				continue
-			}
-			cleared := true
-			for _, l := range live {
-				if _, err := f.RelocateForGC(l); err != nil {
-					cleared = false
-					break
-				}
-			}
-			if cleared {
-				f.OnErased(chip, victim)
-			}
-		}
-	}
-	b.Fatal("ftl: GC relief made no progress after 100 sweeps")
-}
-
-// BenchmarkFTLAllocate measures steady-state overwrite allocation —
-// map update, old-page invalidation, GC relief when the drive fills.
-// Writes overwrite half the logical space so every allocation also
-// invalidates.
-func BenchmarkFTLAllocate(b *testing.B) {
-	f := benchFTL(b)
-	working := f.LogicalPages() / 2
-	b.ResetTimer()
-	lpn := 0
-	for i := 0; i < b.N; i++ {
-		allocateWithRelief(b, f, lpn)
-		lpn = (lpn + 4099) % working
-	}
 }
 
 // BenchmarkFig10Sweep runs the Figure 10 sweep serially and with the
@@ -602,9 +35,7 @@ func BenchmarkFig10Sweep(b *testing.B) {
 		j := j
 		b.Run(j.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opt := benchOpt()
-				opt.Parallel = j.parallel
-				if _, err := exp.Fig10(opt); err != nil {
+				if _, err := exp.Fig10(exp.Options{Ops: 60, Blocks: 16, Parallel: j.parallel}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -68,6 +68,10 @@ func TestFigureGoldens(t *testing.T) {
 			}
 			return WorkloadCSV(res), RenderWorkload(res, hic.RoundRobin), nil
 		}},
+		{"ablations", func() (string, string, error) {
+			csv, err := runAblations(opt)
+			return csv, "", err
+		}},
 	}
 	for _, fig := range figures {
 		t.Run(fig.name, func(t *testing.T) {

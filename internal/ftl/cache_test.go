@@ -281,3 +281,86 @@ func TestAllocGateFTLLookup(t *testing.T) {
 		t.Errorf("hit-path CacheAcquire allocates %.1f times per call, want 0", got)
 	}
 }
+
+// benchFTL builds an 8-chip FTL at 4 KiB pages: 7936 logical pages in
+// 16 translation groups.
+func benchFTL(b *testing.B) *FTL {
+	b.Helper()
+	f, err := NewWithConfig(Config{
+		Geometry: onfi.Geometry{
+			Planes: 1, BlocksPerLUN: 64, PagesPerBlk: 16,
+			PageBytes: 4096, SpareBytes: 128,
+		},
+		Chips: 8, ReservedBlocks: 2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f
+}
+
+// BenchmarkFTLLookup measures translation throughput on a fully mapped
+// drive.
+func BenchmarkFTLLookup(b *testing.B) {
+	f := benchFTL(b)
+	logical := f.LogicalPages()
+	for lpn := 0; lpn < logical; lpn++ {
+		if _, err := f.AllocateWrite(lpn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	lpn := 0
+	for i := 0; i < b.N; i++ {
+		if _, ok := f.Lookup(lpn); !ok {
+			b.Fatal("unmapped")
+		}
+		// Prime stride so consecutive lookups hop translation groups.
+		lpn = (lpn + 4099) % logical
+	}
+}
+
+// allocateWithRelief is the benchmark's write path: overwrite lpn,
+// running a GC sweep when the drive is out of space.
+func allocateWithRelief(b *testing.B, f *FTL, lpn int) {
+	// Sweep-then-retry until the allocation lands (bounded: a stuck
+	// sweep means a bug, not pressure).
+	for attempt := 0; attempt < 100; attempt++ {
+		if _, err := f.AllocateWrite(lpn); err == nil {
+			return
+		}
+		for chip := 0; chip < f.Chips(); chip++ {
+			victim, live, ok := f.GCCandidate(chip)
+			if !ok {
+				continue
+			}
+			cleared := true
+			for _, l := range live {
+				if _, err := f.RelocateForGC(l); err != nil {
+					cleared = false
+					break
+				}
+			}
+			if cleared {
+				f.OnErased(chip, victim)
+			}
+		}
+	}
+	b.Fatal("ftl: GC relief made no progress after 100 sweeps")
+}
+
+// BenchmarkFTLAllocate measures steady-state overwrite allocation —
+// map update, old-page invalidation, GC relief when the drive fills.
+// Writes overwrite half the logical space so every allocation also
+// invalidates.
+func BenchmarkFTLAllocate(b *testing.B) {
+	f := benchFTL(b)
+	working := f.LogicalPages() / 2
+	b.ResetTimer()
+	lpn := 0
+	for i := 0; i < b.N; i++ {
+		allocateWithRelief(b, f, lpn)
+		lpn = (lpn + 4099) % working
+	}
+}
