@@ -509,15 +509,11 @@ func (c *Controller) resumeOp(st *opState) {
 				})
 			}
 		}
-		if c.submitTx == nil {
-			c.submitSt, c.submitTx = st, tx
-			c.charge(st.id, cycles, label, c.submitFn)
-		} else {
-			// Defensive fallback: dispatch serialization should make a
-			// second pending submit impossible, but if it ever happens,
-			// a fresh closure keeps both charges intact.
-			c.charge(st.id, cycles, label, func() { c.submitBody(st, tx) })
-		}
+		// No other submit charge is pending: the CPU model runs charges
+		// in FIFO order, so the last one fired before the schedule and
+		// switch charges that led to this resume.
+		c.submitSt, c.submitTx = st, tx
+		c.charge(st.id, cycles, label, c.submitFn)
 	case pendSleep:
 		d := st.ctx.sleepFor
 		st.ctx.sleepFor = 0
@@ -536,20 +532,12 @@ func (c *Controller) resumeOp(st *opState) {
 	}
 }
 
-// submitPass is the deferred body of the submit charge, reading its
-// arguments from the pending-submit fields.
+// submitPass is the deferred body of the submit charge: it moves the
+// transaction in the pending-submit fields into the hardware-visible
+// queue (or holds it behind the chip-busy gate for a staged operation).
 func (c *Controller) submitPass() {
 	st, tx := c.submitSt, c.submitTx
 	c.submitSt, c.submitTx = nil, nil
-	if st == nil {
-		return
-	}
-	c.submitBody(st, tx)
-}
-
-// submitBody moves a built transaction into the hardware-visible queue
-// (or holds it behind the chip-busy gate for a staged operation).
-func (c *Controller) submitBody(st *opState, tx *txn.Transaction) {
 	if c.closed {
 		return
 	}
