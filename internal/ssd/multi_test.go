@@ -54,6 +54,7 @@ func TestMultiChannelReadWrite(t *testing.T) {
 			t.Errorf("channel %d idle", c)
 		}
 	}
+	auditDrained(t, rig)
 }
 
 // TestMultiChannelTxnQueuePerChannel: BuildConfig.TxnQueue builds one
@@ -93,6 +94,7 @@ func TestMultiChannelTxnQueuePerChannel(t *testing.T) {
 		if len(done) != ops || failed != 0 {
 			t.Fatalf("%d of %d reads done, %d failed", len(done), ops, failed)
 		}
+		auditDrained(t, rig)
 		return rig.SSD.Stats(), done
 	}
 	wantStats, wantDone := run(nil)
@@ -126,6 +128,7 @@ func TestMultiChannelScalesBandwidth(t *testing.T) {
 		if res.Failed != 0 {
 			t.Fatalf("%d failed", res.Failed)
 		}
+		auditDrained(t, rig)
 		return res.BandwidthMBps(512)
 	}
 	one, four := measure(1), measure(4)
@@ -168,6 +171,7 @@ func TestMultiChannelGCWithCopyback(t *testing.T) {
 	if verified != logical {
 		t.Fatalf("verified %d/%d", verified, logical)
 	}
+	auditDrained(t, rig)
 }
 
 func TestTraceReplayThroughSSD(t *testing.T) {
@@ -197,6 +201,7 @@ func TestTraceReplayThroughSSD(t *testing.T) {
 	if res.MeanLatency() <= 0 {
 		t.Error("no latency recorded")
 	}
+	auditDrained(t, rig)
 }
 
 func TestMultiChannelHWBaseline(t *testing.T) {
@@ -243,6 +248,7 @@ func TestMultiChannelHWBaseline(t *testing.T) {
 	if rig.SSD.lun(cfg.Ways) != rig.Channels[1].Chip(0) {
 		t.Error("global chip routing broken")
 	}
+	auditDrained(t, rig)
 }
 
 func TestECCScrubDuringGC(t *testing.T) {
@@ -289,6 +295,7 @@ func TestECCScrubDuringGC(t *testing.T) {
 	if failures != 0 {
 		t.Errorf("%d uncorrectable reads after scrubbed GC", failures)
 	}
+	auditDrained(t, rig)
 }
 
 // TestScratchWindowPerController: every BABOL controller of a rig stages
@@ -328,4 +335,5 @@ func TestScratchWindowPerController(t *testing.T) {
 			t.Errorf("channel %d chip 0 reads drive strength %#x, set %#x", c, got[c][0], v)
 		}
 	}
+	auditDrained(t, rig)
 }

@@ -94,6 +94,7 @@ func TestWriteReadThroughBothControllers(t *testing.T) {
 					t.Fatalf("stored byte %d = %02x, want %02x", i, page[i], want[i])
 				}
 			}
+			auditDrained(t, rig)
 		})
 	}
 }
@@ -114,6 +115,7 @@ func TestReadUnwrittenCompletesWithoutFlashTraffic(t *testing.T) {
 	if rig.Channel.Stats().LatchBursts != 0 {
 		t.Error("unwritten read generated flash traffic")
 	}
+	auditDrained(t, rig)
 }
 
 func TestPreloadAndWorkload(t *testing.T) {
@@ -139,6 +141,7 @@ func TestPreloadAndWorkload(t *testing.T) {
 	if res.MeanLatency() <= 0 || res.LatencyPercentile(99) < res.LatencyPercentile(50) {
 		t.Error("latency accounting broken")
 	}
+	auditDrained(t, rig)
 }
 
 func TestGCReclaimsSpace(t *testing.T) {
@@ -188,6 +191,7 @@ func TestGCReclaimsSpace(t *testing.T) {
 	if verified != logical {
 		t.Fatalf("verified %d of %d", verified, logical)
 	}
+	auditDrained(t, rig)
 }
 
 func TestECCPathCorrectsWornReads(t *testing.T) {
@@ -220,6 +224,7 @@ func TestECCPathCorrectsWornReads(t *testing.T) {
 	if failures != int(st.ECCFailures) {
 		t.Errorf("failures=%d but stats say %d", failures, st.ECCFailures)
 	}
+	auditDrained(t, rig)
 }
 
 func TestBuildValidation(t *testing.T) {
@@ -317,6 +322,7 @@ func TestGCWithCopyback(t *testing.T) {
 			t.Fatalf("post-copyback content wrong at byte %d", i)
 		}
 	}
+	auditDrained(t, rig)
 }
 
 func TestCopybackIgnoredOnHWBackend(t *testing.T) {
@@ -345,6 +351,7 @@ func TestCopybackIgnoredOnHWBackend(t *testing.T) {
 	if st.GCCycles == 0 {
 		t.Error("fallback GC did not run")
 	}
+	auditDrained(t, rig)
 }
 
 // TestSubmitRejectsOutOfRangeLPN is the silent-success regression: a
@@ -382,6 +389,7 @@ func TestSubmitRejectsOutOfRangeLPN(t *testing.T) {
 		if got != nil {
 			t.Errorf("cache %d: write of LPN %d: %v", budget, logical-1, got)
 		}
+		auditDrained(t, rig)
 	}
 }
 
@@ -415,6 +423,7 @@ func TestReplayCountsOutOfRangeAsFailed(t *testing.T) {
 	if st := f.Stats(0); st.Failed != 1 {
 		t.Errorf("queue stats %+v, want 1 failure", st)
 	}
+	auditDrained(t, rig)
 }
 
 // TestFillPatternMatchesFormula pins FillPattern to its definition,
