@@ -29,20 +29,10 @@ type ablation struct {
 	run                         func(opt Options, tracer obs.Tracer) (float64, error)
 }
 
-// ablationRig is the BABOL-RTOS rig at 1 GHz and 200 MT/s every
-// ablation varies one knob of.
-func ablationRig(p nand.Params, ways int) ssd.BuildConfig {
-	return ssd.BuildConfig{Params: p, Ways: ways, RateMT: 200, Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000}
-}
-
-// ablationParams is the Hynix package cut to 16 blocks per LUN.
-func ablationParams() nand.Params { return shrink(nand.Hynix(), 16) }
-
-// fastArray is p with short array times, for the ablations that measure
-// channel traffic or a tail under GC rather than tR.
-func fastArray(p nand.Params, tBERS sim.Duration) nand.Params {
-	p.TR, p.TPROG, p.TBERS = 20*sim.Microsecond, 50*sim.Microsecond, tBERS
-	return p
+// ablationRig is the rig every ablation varies one knob of: BABOL-RTOS
+// at 1 GHz on a 200 MT/s channel of ways Hynix LUNs cut to 16 blocks.
+func ablationRig(ways int) ssd.BuildConfig {
+	return ssd.BuildConfig{Params: shrink(nand.Hynix(), 16), Ways: ways, RateMT: 200, Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000}
 }
 
 // ablations is the table, in the order EXPERIMENTS.md lists it.
@@ -63,27 +53,27 @@ func ablations() []ablation {
 		{"fifo", sched.NewTxnFIFO},
 		{"shortest-first", func() sched.TxnQueue { return sched.NewTxnShortestFirst(tm, bus) }},
 	} {
-		cfg := ablationRig(ablationParams(), 4)
+		cfg := ablationRig(4)
 		cfg.TxnQueue = q.mk
 		rows = append(rows, readBW("scheduler", q.setting, cfg))
 	}
 	// A safe fixed wait covers the worst-case tR: nominal plus the
 	// jitter bound.
-	p := ablationParams()
-	page := p.Geometry.PageBytes
+	p := ablationRig(1).Params
+	page, first := p.Geometry.PageBytes, []onfi.RowAddr{{}}
 	rows = append(rows,
-		opRow("polling", "poll", "read_latency", nil, ops.ReadPage(onfi.Addr{}, 0, page)),
-		opRow("polling", "fixed-wait", "read_latency", nil, ops.ReadPageFixedWait(onfi.Addr{}, 0, page, p.TR+p.TR/10)))
+		opRow("polling", "poll", "read_latency", first, ops.ReadPage(onfi.Addr{}, 0, page)),
+		opRow("polling", "fixed-wait", "read_latency", first, ops.ReadPageFixedWait(onfi.Addr{}, 0, page, p.TR+p.TR/10)))
 	for _, e := range []struct {
 		setting string
 		on      bool
 	}{{"off", false}, {"on", true}} {
-		cfg := ablationRig(ablationParams(), 4)
+		cfg := ablationRig(4)
 		cfg.WithECC = e.on
 		rows = append(rows, readBW("ecc", e.setting, cfg))
 	}
 	for _, mhz := range []int{150, 400, 1000} {
-		cfg := ablationRig(ablationParams(), 8)
+		cfg := ablationRig(8)
 		cfg.Controller, cfg.CPUMHz = ssd.CtrlBabolCoro, mhz
 		rows = append(rows, readBW("cpu_frequency", fmt.Sprintf("coro-%dMHz", mhz), cfg))
 	}
@@ -100,17 +90,14 @@ func ablations() []ablation {
 		opRow("multi_plane", "multi-plane", "two_page_read", planes, ops.MPReadPages(planes, 0, page)))
 }
 
-// opRow times steps run one after another on a one-LUN rig, rows seeded
-// (the zero row when rows is nil), from the start of the first to the
-// end of the last, in microseconds.
+// opRow times steps run one after another on a one-LUN rig with rows
+// seeded, from the start of the first to the end of the last, in
+// microseconds.
 func opRow(name, setting, metric string, rows []onfi.RowAddr, steps ...core.OpFunc) ablation {
-	if rows == nil {
-		rows = []onfi.RowAddr{{}}
-	}
 	return ablation{name, setting, metric, "us", func(opt Options, tracer obs.Tracer) (float64, error) {
 		var end sim.Time
 		var opErr error
-		_, err := driveRig(opt, ablationRig(ablationParams(), 1), 0, nil, tracer, func(r *ssd.Rig, _ *hic.Frontend) error {
+		_, err := driveRig(opt, ablationRig(1), 0, nil, tracer, func(r *ssd.Rig, _ *hic.Frontend) error {
 			for _, row := range rows {
 				if err := r.Channel.Chip(0).SeedPage(row, []byte{1}); err != nil {
 					return err
@@ -142,7 +129,10 @@ func opRow(name, setting, metric string, rows []onfi.RowAddr, steps ...core.OpFu
 // run quick; the ablation compares channel traffic, which they preserve.
 func copybackGC(copyback bool) func(Options, obs.Tracer) (float64, error) {
 	return func(opt Options, tracer obs.Tracer) (float64, error) {
-		cfg := ablationRig(fastArray(shrink(nand.Hynix(), 12), 200*sim.Microsecond), 2)
+		cfg := ablationRig(2)
+		p := &cfg.Params
+		p.Geometry.BlocksPerLUN = 12
+		p.TR, p.TPROG, p.TBERS = 20*sim.Microsecond, 50*sim.Microsecond, 200*sim.Microsecond
 		cfg.UseCopyback = copyback
 		var res *hic.Result
 		_, err := driveRig(opt, cfg, 0, nil, tracer, func(r *ssd.Rig, _ *hic.Frontend) (err error) {
@@ -165,15 +155,14 @@ func copybackGC(copyback bool) func(Options, obs.Tracer) (float64, error) {
 
 // eraseSuspend measures the p99 of 80 random reads, one at a time, while
 // a writer chain overwrites a one-LUN drive three times over, with or
-// without read-priority erase suspension. The small geometry and the
-// 3 ms tBERS make GC erases frequent and long enough that the reads
-// collide with them.
+// without read-priority erase suspension. shrunkHynix's small geometry
+// and a 3 ms tBERS make GC erases frequent and long enough that the
+// reads collide with them.
 func eraseSuspend(suspend bool) func(Options, obs.Tracer) (float64, error) {
 	return func(opt Options, tracer obs.Tracer) (float64, error) {
-		p := fastArray(ablationParams(), 3*sim.Millisecond)
-		p.Geometry = onfi.Geometry{Planes: 1, BlocksPerLUN: 16, PagesPerBlk: 4, PageBytes: 512, SpareBytes: 64}
-		p.JitterPct = 0
-		cfg := ablationRig(p, 1)
+		cfg := ablationRig(1)
+		cfg.Params = shrunkHynix(16, 4)
+		cfg.Params.TBERS = 3 * sim.Millisecond
 		cfg.SuspendReads = suspend
 		var res *hic.Result
 		var writeErr error
