@@ -17,7 +17,8 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 // they cannot see a change that moves both sides; these goldens can,
 // and they are what a deletion or refactor of a simulation path diffs
 // against. Each experiment runs once and yields
-// its .csv (if it has one) and its .txt. table2.txt moves whenever the
+// its .csv and its .txt, where it has one; the test-only design ablations
+// (ablations_test.go) have a .csv only. table2.txt moves whenever the
 // Table II bodies in ops.go or the FSM states in fsm.go change length:
 // Table II is a claim about them. Regenerate only for an intended change, and say why:
 // `go test ./internal/exp -run TestFigureGoldens -update`.
@@ -25,7 +26,7 @@ func TestFigureGoldens(t *testing.T) {
 	opt := Options{Ops: 24, Blocks: 16}
 	figures := []struct {
 		name string
-		out  func() (csv, txt string, err error) // csv "" pins no .csv golden
+		out  func() (csv, txt string, err error) // "" pins no golden of that kind
 	}{
 		{"table1", func() (string, string, error) { return "", RenderTable1(), nil }},
 		{"table2", func() (string, string, error) {
